@@ -33,10 +33,6 @@ static void run_experiment() {
   bench::Stopwatch watch;
   Table t({"Variant", "Accuracy (%)"});
   run_variant("baseline (paper defaults as calibrated)", [](auto&) {}, t, reps);
-  run_variant("particle filter instead of the HMM (paper's future work)",
-              [](auto& c) { c.algo.use_particle_filter = true; }, t, reps);
-  run_variant("Kalman filter instead of the HMM (paper's future work)",
-              [](auto& c) { c.algo.use_kalman_filter = true; }, t, reps);
   run_variant("greedy argmax instead of Viterbi",
               [](auto& c) { c.algo.use_viterbi = false; }, t, reps);
   run_variant("no hyperbola constraint",

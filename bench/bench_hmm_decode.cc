@@ -1,6 +1,5 @@
 // Decode hot-path benchmark: windows/sec and wall time per trajectory
-// length for the HMM Viterbi decoder (and the Kalman/particle consumers
-// of the shared phase-field cache), on seeded synthetic observation
+// length for the HMM Viterbi decoder, on seeded synthetic observation
 // streams (core/decode_testbed.h) over the default board and config.
 //
 // PD_BENCH_SMOKE=1 registers a tiny variant (small grid, few windows)
@@ -13,8 +12,6 @@
 #include "bench_common.h"
 #include "core/decode_testbed.h"
 #include "core/hmm_tracker.h"
-#include "core/kalman_tracker.h"
-#include "core/particle_tracker.h"
 #include "core/phase_field.h"
 
 using namespace polardraw;
@@ -60,29 +57,6 @@ void BM_HmmTrackerConstruct(benchmark::State& state, bool smoke) {
     const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
     benchmark::DoNotOptimize(hmm.cols());
   }
-}
-
-void BM_KalmanDecode(benchmark::State& state, bool smoke) {
-  const int n = static_cast<int>(state.range(0));
-  const auto cfg = bench_config(smoke);
-  const auto tb = make_decode_testbed(cfg, n, 42);
-  const KalmanTracker kf(cfg, KalmanConfig{}, tb.a1, tb.a2, tb.antenna_z);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kf.decode(tb.obs, &tb.start).size());
-  }
-  add_window_rate(state, n);
-}
-
-void BM_ParticleDecode(benchmark::State& state, bool smoke) {
-  const int n = static_cast<int>(state.range(0));
-  const auto cfg = bench_config(smoke);
-  const auto tb = make_decode_testbed(cfg, n, 42);
-  ParticleTracker pf(cfg, ParticleFilterConfig{}, tb.a1, tb.a2,
-                     tb.antenna_z);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pf.decode(tb.obs, &tb.start).size());
-  }
-  add_window_rate(state, n);
 }
 
 // Headline experiment for the JSON export: a fixed-rep decode loop on the
@@ -159,17 +133,6 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark(
       "BM_HmmTrackerConstruct",
       [smoke](benchmark::State& s) { BM_HmmTrackerConstruct(s, smoke); })
-      ->Unit(benchmark::kMillisecond);
-  const std::int64_t filter_len = smoke ? 16 : 200;
-  benchmark::RegisterBenchmark(
-      "BM_KalmanDecode",
-      [smoke](benchmark::State& s) { BM_KalmanDecode(s, smoke); })
-      ->Arg(filter_len)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark(
-      "BM_ParticleDecode",
-      [smoke](benchmark::State& s) { BM_ParticleDecode(s, smoke); })
-      ->Arg(filter_len)
       ->Unit(benchmark::kMillisecond);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -1,9 +1,7 @@
 #include "core/association.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
-#include "common/angles.h"
 #include "obs/json_writer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -32,13 +30,14 @@ const obs::Counter& phase_rejected_counter() {
   static const obs::Counter c("assoc.phase_rejected");
   return c;
 }
+const obs::Counter& late_reports_counter() {
+  static const obs::Counter c("assoc.late_reports");
+  return c;
+}
 }  // namespace
 
-/// Per-pen state: an incremental replica of preprocess() (window
-/// accumulation + step-2 spurious rejection/unwrap) feeding an incremental
-/// replica of PolarDraw::track_windows (deltas vs previous valid window,
-/// motion classification, distance bounds, one-window-delayed direction
-/// smoothing).
+/// Per-pen state: the shared window builder, phase gate and motion front
+/// end, plus the routing, lifecycle and flow-id bookkeeping around them.
 struct TagTrackAssociator::Track {
   Track(const PolarDrawConfig& cfg, std::uint32_t epc_, std::uint32_t gen,
         double t_first)
@@ -47,9 +46,8 @@ struct TagTrackAssociator::Track {
         session_id(make_session_id(epc_, gen)),
         t0(t_first),
         last_report_s(t_first),
-        rotation(cfg),
-        translation(cfg),
-        distance(cfg) {}
+        gate(cfg.spurious_phase_threshold_rad),
+        front(cfg) {}
 
   std::uint32_t epc;
   std::uint32_t generation;
@@ -57,59 +55,13 @@ struct TagTrackAssociator::Track {
   double t0;             // generation's first report time (window origin)
   double last_report_s;  // latest report routed to this generation
 
-  // --- Step-1 accumulator for the window ordinal being filled ------------
-  struct WindowAcc {
-    std::vector<double> rss[2];
-    std::vector<double> phase[2];
-    std::vector<int> channel[2];
-    int uncalibrated[2] = {0, 0};
-    std::uint64_t flow_serial = 0;  // first sampled report in the window
-    void clear() {
-      for (int a = 0; a < 2; ++a) {
-        rss[a].clear();
-        phase[a].clear();
-        channel[a].clear();
-        uncalibrated[a] = 0;
-      }
-      flow_serial = 0;
-    }
-  };
-  int cur_window = 0;
-  WindowAcc acc;
-  std::uint64_t pending_flow = 0;  // flow id riding with `pending`
-
-  // --- Step-2 state (per antenna), mirroring preprocess() -----------------
-  struct Step2 {
-    bool have_prev = false;
-    double prev_wrapped = 0.0;
-    int prev_index = 0;
-    int prev_channel = 0;
-    bool prev_calibrated = false;
-    PhaseUnwrapper unwrapper;
-  };
-  Step2 s2[2];
-
-  // --- track_windows state ------------------------------------------------
-  RotationTracker rotation;
-  TranslationTracker translation;
-  DistanceEstimator distance;
-  double prev_rss_dbm[2] = {0.0, 0.0};
-  bool have_rss[2] = {false, false};
-  double prev_phase_rad[2] = {0.0, 0.0};
-  bool have_phase[2] = {false, false};
-  int prev_channel[2] = {0, 0};
-  bool prev_calibrated[2] = {false, false};
+  int cur_window = 0;  // ordinal of the window `builder` is filling
+  WindowBuilder builder;
+  PhaseGate gate;
+  MotionFrontEnd front;
+  std::uint64_t flow_serial = 0;  // first sampled report in `builder`
+  std::uint64_t held_flow = 0;    // flow id of the front end's held window
   double emitted_correction = 0.0;
-
-  // --- One-window-delayed centered direction smoothing --------------------
-  // The batch pipeline smooths direction i with raw neighbors i-1 and i+1;
-  // holding one observation back reproduces that causally: observation i
-  // is emitted (smoothed) when i+1 arrives, or left-smoothed at close.
-  bool have_pending = false;
-  TrackObservation pending;
-  double pending_t_s = 0.0;
-  Vec2 prev_raw_dir;  // raw direction of the last emitted observation
-  bool have_prev_raw = false;
 };
 
 TagTrackAssociator::TagTrackAssociator(const PolarDrawConfig& cfg,
@@ -123,6 +75,7 @@ TagTrackAssociator::~TagTrackAssociator() = default;
 
 std::vector<PenEvent> TagTrackAssociator::push(const rfid::TagReport& r) {
   std::vector<PenEvent> out;
+  if (!admit_report(r)) return out;
   close_stale(r.timestamp_s, out);
   route(r, out);
   return out;
@@ -132,6 +85,7 @@ std::vector<PenEvent> TagTrackAssociator::push(
     const rfid::TagReportStream& reports) {
   std::vector<PenEvent> out;
   for (const auto& r : reports) {
+    if (!admit_report(r)) continue;
     close_stale(r.timestamp_s, out);
     route(r, out);
   }
@@ -177,221 +131,68 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
   Track& track = it != tracks_.end() ? *it->second
                                      : open_track(r.epc, r.timestamp_s, out);
   if (cfg_.window_s <= 0.0) return;
-  if (r.timestamp_s < track.t0) return;  // pre-origin report: not windowable
   const double w_f = (r.timestamp_s - track.t0) / cfg_.window_s;
-  const int w = static_cast<int>(w_f);
+  const int w = w_f < 0.0 ? -1 : static_cast<int>(w_f);
+  if (w < track.cur_window) {
+    // Before the track's origin, or for a window already finalized:
+    // windows are never reopened, so the report cannot be placed.
+    late_reports_counter().add(1);
+    return;
+  }
   // Report belongs to a later window: finalize the current one and run any
   // intervening empty windows through the pipeline (the batch preprocess
   // materializes those too -- downstream sees the gap as idle windows).
   while (track.cur_window < w) {
     finalize_window(track, out);
   }
-  double phase = r.phase_rad;
-  bool channel_covered = false;
-  if (static_cast<std::size_t>(r.antenna_id) <
-      calibration_.port_offsets_rad.size()) {
-    phase = wrap_2pi(phase - calibration_.port_offsets_rad[r.antenna_id]);
-  }
-  if (r.channel >= 0 && static_cast<std::size_t>(r.channel) <
-                            calibration_.channel_offsets_rad.size()) {
-    phase = wrap_2pi(phase - calibration_.channel_offsets_rad[r.channel]);
-    channel_covered = true;
-  }
-  auto& acc = track.acc;
-  acc.rss[r.antenna_id].push_back(r.rss_dbm);
-  acc.phase[r.antenna_id].push_back(phase);
-  acc.channel[r.antenna_id].push_back(r.channel);
-  if (!channel_covered) acc.uncalibrated[r.antenna_id] += 1;
+  track.builder.add(r, &calibration_);
   // First sampled report to land in this window carries the flow chain.
-  if (acc.flow_serial == 0 && obs::flow_sampled(r.serial)) {
-    acc.flow_serial = r.serial;
+  if (track.flow_serial == 0 && obs::flow_sampled(r.serial)) {
+    track.flow_serial = r.serial;
   }
   track.last_report_s = r.timestamp_s;
 }
 
 void TagTrackAssociator::finalize_window(Track& track,
                                          std::vector<PenEvent>& out) {
-  Window win;
-  win.index = track.cur_window;
-  win.t_s = track.t0 + (static_cast<double>(track.cur_window) + 0.5) *
-                           cfg_.window_s;
-  bool any = false;
-  for (int a = 0; a < 2; ++a) {
-    const auto& rss = track.acc.rss[a];
-    if (!rss.empty()) {
-      double s = 0.0;
-      for (double v : rss) s += v;
-      win.rss_dbm[a] = s / static_cast<double>(rss.size());
-      win.rss_valid[a] = true;
-      win.read_count[a] = static_cast<int>(rss.size());
-      any = true;
-    }
-    if (const auto m = circular_mean(track.acc.phase[a])) {
-      win.phase_rad[a] = *m;
-      win.phase_valid[a] = true;
-      const auto& chs = track.acc.channel[a];
-      if (!chs.empty()) win.channel[a] = chs[chs.size() / 2];
-      win.channel_calibrated[a] = track.acc.uncalibrated[a] == 0;
-    }
-  }
-  if (!any) empty_windows_counter().add(1);
-  const std::uint64_t flow_serial = track.acc.flow_serial;
+  if (track.builder.empty()) empty_windows_counter().add(1);
+  Window win = track.builder.finish(track.cur_window++, track.t0,
+                                    cfg_.window_s);
+  const std::uint64_t flow_serial = std::exchange(track.flow_serial, 0);
   obs::record_report_flow('t', flow_serial, obs::FlowStage::kWindow);
-  track.acc.clear();
-  ++track.cur_window;
-
-  // Step 2 (incremental): spurious rejection + unwrap against the track's
-  // running per-antenna references, exactly as preprocess() does.
-  for (int a = 0; a < 2; ++a) {
-    if (!win.phase_valid[a]) continue;
-    auto& s = track.s2[a];
-    const double wrapped = win.phase_rad[a];
-    if (s.have_prev && win.channel[a] != s.prev_channel &&
-        !(s.prev_calibrated && win.channel_calibrated[a])) {
-      s.have_prev = false;
-      s.unwrapper.reset();
-      auto& lg = obs::Logger::global();
-      if (lg.enabled()) {
-        lg.log(obs::LogLevel::kInfo, win.t_s, "assoc.hop_fence",
-               [&](obs::JsonWriter& w) {
-                 w.kv("session", track.session_id);
-                 w.kv("antenna", a);
-                 w.kv("window", win.index);
-                 w.kv("from_channel", s.prev_channel);
-                 w.kv("to_channel", win.channel[a]);
-               });
-      }
-    }
-    if (s.have_prev) {
-      const int gap = std::max(1, win.index - s.prev_index);
-      const double allowed =
-          cfg_.spurious_phase_threshold_rad * static_cast<double>(gap);
-      if (angle_dist(wrapped, s.prev_wrapped) > std::min(allowed, kPi)) {
-        win.phase_valid[a] = false;
-        phase_rejected_counter().add(1);
-        continue;
-      }
-    }
-    const std::uint64_t rejected_before = s.unwrapper.nonmonotone_rejected();
-    const double unwrapped = s.unwrapper.push_at(wrapped, win.t_s);
-    if (s.unwrapper.nonmonotone_rejected() != rejected_before) {
-      win.phase_valid[a] = false;
-      auto& lg = obs::Logger::global();
-      if (lg.enabled()) {
-        lg.log(obs::LogLevel::kWarn, win.t_s, "assoc.non_monotone",
-               [&](obs::JsonWriter& w) {
-                 w.kv("session", track.session_id);
-                 w.kv("antenna", a);
-                 w.kv("window", win.index);
-               });
-      }
-      continue;
-    }
-    s.have_prev = true;
-    s.prev_wrapped = wrapped;
-    s.prev_index = win.index;
-    s.prev_channel = win.channel[a];
-    s.prev_calibrated = win.channel_calibrated[a];
-    win.phase_rad[a] = unwrapped;
-  }
-
-  process_window(track, win, flow_serial, out);
-}
-
-void TagTrackAssociator::process_window(Track& track, const Window& win,
-                                        std::uint64_t flow_serial,
-                                        std::vector<PenEvent>& out) {
-  // --- Deltas vs the previous valid window (track_windows replica) --------
-  double ds[2] = {0.0, 0.0};
-  bool ds_ok = true;
-  for (int a = 0; a < 2; ++a) {
-    if (win.rss_valid[a] && track.have_rss[a]) {
-      ds[a] = win.rss_dbm[a] - track.prev_rss_dbm[a];
-    } else {
-      ds_ok = false;
-    }
-  }
-  double dtheta[2] = {0.0, 0.0};
-  bool dtheta_ok = true;
-  for (int a = 0; a < 2; ++a) {
-    if (win.phase_valid[a] && track.have_phase[a] &&
-        (win.channel[a] == track.prev_channel[a] ||
-         (track.prev_calibrated[a] && win.channel_calibrated[a]))) {
-      dtheta[a] = win.phase_rad[a] - track.prev_phase_rad[a];
-    } else {
-      dtheta_ok = false;
-    }
-  }
-
-  DirectionEstimate dir;
-  const bool rotational =
-      cfg_.use_polarization && ds_ok &&
-      std::max(std::fabs(ds[0]), std::fabs(ds[1])) >=
-          cfg_.rotation_rss_delta_db;
-  if (rotational) {
-    dir = track.rotation.step(ds[0], ds[1]);
-    if (dir.type == MotionType::kIdle && dtheta_ok &&
-        cfg_.use_phase_direction) {
-      dir = track.translation.step(dtheta[0], dtheta[1]);
-    }
-  } else if (dtheta_ok && cfg_.use_phase_direction) {
-    dir = track.translation.step(dtheta[0], dtheta[1]);
-  }
-
-  TrackObservation obs;
-  obs.direction = dir;
-  if (dtheta_ok && win.both_phase_valid()) {
-    obs.distance = track.distance.estimate(dtheta[0], dtheta[1],
-                                           win.phase_rad[0], win.phase_rad[1]);
-    obs.has_phase = true;
-  } else {
-    obs.distance.lower_m = 0.0;
-    obs.distance.upper_m = cfg_.vmax_mps * cfg_.window_s;
-    obs.distance.valid = false;
-    obs.has_phase = false;
-  }
 
   for (int a = 0; a < 2; ++a) {
-    if (win.rss_valid[a]) {
-      track.prev_rss_dbm[a] = win.rss_dbm[a];
-      track.have_rss[a] = true;
+    const PhaseGate::Verdict verdict = track.gate.gate(win, a);
+    auto& lg = obs::Logger::global();
+    if (verdict.fenced_from_channel && lg.enabled()) {
+      lg.log(obs::LogLevel::kInfo, win.t_s, "assoc.hop_fence",
+             [&](obs::JsonWriter& w) {
+               w.kv("session", track.session_id);
+               w.kv("antenna", a);
+               w.kv("window", win.index);
+               w.kv("from_channel", *verdict.fenced_from_channel);
+               w.kv("to_channel", win.channel[a]);
+             });
     }
-    if (win.phase_valid[a]) {
-      track.prev_phase_rad[a] = win.phase_rad[a];
-      track.have_phase[a] = true;
-      track.prev_channel[a] = win.channel[a];
-      track.prev_calibrated[a] = win.channel_calibrated[a];
+    if (verdict.outcome == PhaseGate::Outcome::kSpurious) {
+      phase_rejected_counter().add(1);
+    } else if (verdict.outcome == PhaseGate::Outcome::kNonMonotone &&
+               lg.enabled()) {
+      lg.log(obs::LogLevel::kWarn, win.t_s, "assoc.non_monotone",
+             [&](obs::JsonWriter& w) {
+               w.kv("session", track.session_id);
+               w.kv("antenna", a);
+               w.kv("window", win.index);
+             });
     }
   }
 
-  // --- Emit the held-back observation, smoothed with this one -------------
-  if (track.have_pending) {
-    TrackObservation emit = track.pending;
-    if (cfg_.smooth_directions && emit.direction.type != MotionType::kIdle) {
-      Vec2 acc = emit.direction.direction * 0.5;
-      if (track.have_prev_raw) acc += track.prev_raw_dir * 0.25;
-      acc += obs.direction.direction * 0.25;
-      if (acc.norm() > 0.2) emit.direction.direction = acc.normalized();
-    }
-    PenEvent ev;
-    ev.type = PenEventType::kObservation;
-    ev.session_id = track.session_id;
-    ev.epc = track.epc;
-    ev.t_s = track.pending_t_s;
-    ev.obs = emit;
-    ev.flow_id = track.pending_flow;
-    out.push_back(ev);
-    observations_counter().add(1);
-    track.prev_raw_dir = track.pending.direction.direction;
-    track.have_prev_raw = true;
-  }
-  track.pending = obs;
-  track.pending_t_s = win.t_s;
-  track.pending_flow = flow_serial;
-  track.have_pending = true;
+  const MotionFrontEnd::Step step = track.front.push(win);
+  if (step.released) emit_observation(track, *step.released, out);
+  track.held_flow = flow_serial;
 
   // --- Azimuth-correction delta (Eq. 10 accumulator) ----------------------
-  const double corr = track.rotation.accumulated_correction();
+  const double corr = track.front.accumulated_correction();
   if (corr != track.emitted_correction) {
     PenEvent ev;
     ev.type = PenEventType::kAzimuthCorrection;
@@ -404,33 +205,24 @@ void TagTrackAssociator::process_window(Track& track, const Window& win,
   }
 }
 
+void TagTrackAssociator::emit_observation(const Track& track,
+                                          const TimedObservation& released,
+                                          std::vector<PenEvent>& out) {
+  PenEvent ev;
+  ev.type = PenEventType::kObservation;
+  ev.session_id = track.session_id;
+  ev.epc = track.epc;
+  ev.t_s = released.t_s;
+  ev.obs = released.obs;
+  ev.flow_id = track.held_flow;
+  out.push_back(ev);
+  observations_counter().add(1);
+}
+
 void TagTrackAssociator::close_track(Track& track, std::vector<PenEvent>& out) {
   // A partially-filled window still holds reads: run it through.
-  bool partial = false;
-  for (int a = 0; a < 2 && !partial; ++a) {
-    partial = !track.acc.rss[a].empty() || !track.acc.phase[a].empty();
-  }
-  if (partial) finalize_window(track, out);
-  if (track.have_pending) {
-    // Trailing observation: left-only smoothing (no right neighbor), the
-    // batch edge case.
-    TrackObservation emit = track.pending;
-    if (cfg_.smooth_directions && emit.direction.type != MotionType::kIdle &&
-        track.have_prev_raw) {
-      Vec2 acc = emit.direction.direction * 0.5 + track.prev_raw_dir * 0.25;
-      if (acc.norm() > 0.2) emit.direction.direction = acc.normalized();
-    }
-    PenEvent ev;
-    ev.type = PenEventType::kObservation;
-    ev.session_id = track.session_id;
-    ev.epc = track.epc;
-    ev.t_s = track.pending_t_s;
-    ev.obs = emit;
-    ev.flow_id = track.pending_flow;
-    out.push_back(ev);
-    observations_counter().add(1);
-    track.have_pending = false;
-  }
+  if (!track.builder.empty()) finalize_window(track, out);
+  if (auto tail = track.front.flush()) emit_observation(track, *tail, out);
   PenEvent ev;
   ev.type = PenEventType::kClose;
   ev.session_id = track.session_id;

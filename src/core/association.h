@@ -1,14 +1,15 @@
 // Tag-to-track association: EPC-keyed report streams to per-pen sessions.
 //
 // The multi-pen pipeline (paper section 7, "Extending to multi-user case")
-// demultiplexes one MAC-arbitrated report stream into per-pen tracks: each
-// EPC gets its own incremental preprocess (windowing, spurious rejection,
-// unwrap) and its own motion pipeline (rotation/translation trackers,
-// distance estimator), replicating core::PolarDraw::track_windows window
-// by window. The associator emits `PenEvent`s -- open / observation /
-// azimuth-correction / close -- that map one-to-one onto the
-// server::SessionServer API, so a reader frontend can drive many
-// concurrent decoders from a single interleaved stream.
+// demultiplexes one MAC-arbitrated report stream into per-pen tracks.
+// The associator itself is routing and lifecycle only: each EPC's track
+// runs the same three pieces as the batch pipeline -- a WindowBuilder and
+// a PhaseGate (core/preprocess.h) and a MotionFrontEnd
+// (core/motion_front_end.h) -- fed window by window as the pen's reports
+// arrive. It emits `PenEvent`s -- open / observation / azimuth-correction
+// / close -- that map one-to-one onto the server::SessionServer API, so a
+// reader frontend can drive many concurrent decoders from a single
+// interleaved stream.
 //
 // Pen lifecycle: a session opens at an EPC's first report and closes when
 // its reports stop for `idle_close_s` of stream time (the pen left the
@@ -29,11 +30,9 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/distance_estimator.h"
 #include "core/hmm_tracker.h"
+#include "core/motion_front_end.h"
 #include "core/preprocess.h"
-#include "core/rotation_tracker.h"
-#include "core/translation_tracker.h"
 #include "rfid/tag_report.h"
 
 namespace polardraw::core {
@@ -81,9 +80,13 @@ class TagTrackAssociator {
   TagTrackAssociator& operator=(TagTrackAssociator&&) = default;
 
   /// Routes one report; reports must arrive in non-decreasing timestamp
-  /// order (the reader's native order). Returns the events it triggered:
-  /// idle closes of stale tracks first (EPC order), then this report's
-  /// own open/observations.
+  /// order (the reader's native order). A report that fails admit_report()
+  /// is dropped before anything else. A report older than its track's
+  /// current window (that window's predecessors are already finalized) or
+  /// than the track's first report is dropped and counted in
+  /// `assoc.late_reports`. Returns the events it triggered: idle closes of
+  /// stale tracks first (EPC order), then this report's own
+  /// open/observations.
   std::vector<PenEvent> push(const rfid::TagReport& report);
 
   /// Convenience: pushes a whole (time-ordered) stream.
@@ -112,12 +115,13 @@ class TagTrackAssociator {
   /// Closes every track whose last report is older than idle_close_s at
   /// stream time `t_s`; scans in EPC order for determinism.
   void close_stale(double t_s, std::vector<PenEvent>& out);
+  /// Finalizes the window being filled: gate it, push it through the
+  /// front end and emit what that releases.
   void finalize_window(Track& track, std::vector<PenEvent>& out);
-  /// `flow_serial` is the window's sampled flow id (0 = unsampled); it
-  /// rides with the held-back observation so the emitted PenEvent links
-  /// the causal chain.
-  void process_window(Track& track, const Window& win,
-                      std::uint64_t flow_serial, std::vector<PenEvent>& out);
+  /// Emits a released observation; it carries the held window's flow id.
+  static void emit_observation(const Track& track,
+                               const TimedObservation& released,
+                               std::vector<PenEvent>& out);
   void close_track(Track& track, std::vector<PenEvent>& out);
 
   PolarDrawConfig cfg_;

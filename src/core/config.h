@@ -137,13 +137,6 @@ struct PolarDrawConfig {
   bool use_hyperbola_constraint = true;
   /// Greedy per-step argmax instead of Viterbi (ablation).
   bool use_viterbi = true;
-  /// Replace the grid HMM with the continuous particle filter of
-  /// core/particle_tracker.h (the paper's deferred "more sophisticated
-  /// motion modeling"). Ablated in bench_ablation_design.
-  bool use_particle_filter = false;
-  /// Replace the grid HMM with the extended Kalman filter of
-  /// core/kalman_tracker.h (the other deferred motion model).
-  bool use_kalman_filter = false;
 };
 
 }  // namespace polardraw::core

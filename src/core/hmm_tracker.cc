@@ -53,10 +53,6 @@ Vec2 initial_location_on_field(const PolarDrawConfig& cfg,
   return best;
 }
 
-Vec2 HmmTracker::initial_location(double dtheta21) const {
-  return initial_location_on_field(cfg_, *field_, dtheta21);
-}
-
 std::vector<Vec2> HmmTracker::decode(const std::vector<TrackObservation>& obs,
                                      const Vec2* initial_hint) const {
   static const obs::SpanSite span_site("core.hmm_decode");

@@ -18,8 +18,8 @@
 // initial-azimuth error (Eq. 10).
 //
 // Hot-path layout: the expected phase-difference field is precomputed once
-// per antenna layout (core/phase_field.h) and shared with the Kalman and
-// particle trackers; the forward pass tracks best-per-cell candidates in a
+// per antenna layout (core/phase_field.h) and shared by every decoder on
+// that layout; the forward pass tracks best-per-cell candidates in a
 // dense generation-stamped scoreboard (core/scoreboard.h) and stores beams
 // as flat SoA arrays in a step-indexed arena, so a decode allocates a
 // handful of buffers total instead of per-window node vectors.
@@ -67,13 +67,6 @@ class HmmTracker {
   /// the hyperbola field of the first phase observation.
   std::vector<Vec2> decode(const std::vector<TrackObservation>& obs,
                            const Vec2* initial_hint = nullptr) const;
-
-  /// Hyperbolic bootstrap (section 3.5 "Initial location estimation"):
-  /// picks a board point whose expected inter-antenna phase difference
-  /// matches `dtheta21`, preferring points near the board center. The
-  /// choice is deterministic; absolute position is unobservable from two
-  /// antennas, so any consistent point serves.
-  Vec2 initial_location(double dtheta21) const;
 
   /// Applies Eq. 10: rotates a trajectory about its centroid by
   /// `-alpha_r_error_rad` to undo the initial-azimuth error.

@@ -3,9 +3,7 @@
 // polarlint: hot-path -- no node-based hash maps in the decode loop.
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/angles.h"
 #include "core/distance_estimator.h"
 
 namespace polardraw::core {
@@ -14,11 +12,7 @@ PhaseField::PhaseField(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
                        double antenna_z)
     : cols_(std::max(1, static_cast<int>(cfg.board_width_m / cfg.block_m))),
       rows_(std::max(1, static_cast<int>(cfg.board_height_m / cfg.block_m))),
-      block_m_(cfg.block_m),
-      scale_(4.0 * kPi / cfg.wavelength_m),
-      a1_(a1),
-      a2_(a2),
-      antenna_z_(antenna_z) {
+      block_m_(cfg.block_m) {
   cx_.resize(static_cast<std::size_t>(cols_));
   cy_.resize(static_cast<std::size_t>(rows_));
   for (int c = 0; c < cols_; ++c) {
@@ -30,75 +24,17 @@ PhaseField::PhaseField(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
         (static_cast<double>(r) + 0.5) * block_m_;
   }
 
-  const std::size_t n =
-      static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_);
-  phase_.resize(n);
-  delta_l_.resize(n);
-  jx_.resize(n);
-  jy_.resize(n);
-
   // The wrapped phase goes through DistanceEstimator so the cached values
-  // are bit-identical to what the trackers used to evaluate inline.
+  // are bit-identical to what the decoder used to evaluate inline.
   const DistanceEstimator dist(cfg);
-  const double z_sq = antenna_z * antenna_z;
+  phase_.resize(static_cast<std::size_t>(cols_) *
+                static_cast<std::size_t>(rows_));
   std::size_t i = 0;
   for (int r = 0; r < rows_; ++r) {
     for (int c = 0; c < cols_; ++c, ++i) {
-      const Vec2 p = block_center(c, r);
-      phase_[i] = dist.expected_dtheta21(p, a1, a2, antenna_z);
-      const double l1 = std::sqrt((p - a1).norm_sq() + z_sq);
-      const double l2 = std::sqrt((p - a2).norm_sq() + z_sq);
-      delta_l_[i] = l2 - l1;
-      // d(l)/dx = (x - ax) / l, so d(phase)/dx = scale * (d(l2) - d(l1)).
-      jx_[i] = scale_ * ((p.x - a2.x) / l2 - (p.x - a1.x) / l1);
-      jy_[i] = scale_ * ((p.y - a2.y) / l2 - (p.y - a1.y) / l1);
+      phase_[i] = dist.expected_dtheta21(block_center(c, r), a1, a2, antenna_z);
     }
   }
-}
-
-void PhaseField::locate(const Vec2& p, int& c0, int& r0, double& fx,
-                        double& fy) const {
-  // Continuous grid coordinates measured in cells from the first center.
-  const double gx = std::clamp(p.x / block_m_ - 0.5, 0.0,
-                               static_cast<double>(cols_ - 1));
-  const double gy = std::clamp(p.y / block_m_ - 0.5, 0.0,
-                               static_cast<double>(rows_ - 1));
-  c0 = std::min(static_cast<int>(gx), cols_ - 2 >= 0 ? cols_ - 2 : 0);
-  r0 = std::min(static_cast<int>(gy), rows_ - 2 >= 0 ? rows_ - 2 : 0);
-  fx = gx - static_cast<double>(c0);
-  fy = gy - static_cast<double>(r0);
-}
-
-double PhaseField::phase(const Vec2& p) const {
-  if (cols_ == 1 && rows_ == 1) return phase_[0];
-  int c0, r0;
-  double fx, fy;
-  locate(p, c0, r0, fx, fy);
-  const int c1 = std::min(c0 + 1, cols_ - 1);
-  const int r1 = std::min(r0 + 1, rows_ - 1);
-  const double v00 = delta_l_[cell_index(c0, r0)];
-  const double v10 = delta_l_[cell_index(c1, r0)];
-  const double v01 = delta_l_[cell_index(c0, r1)];
-  const double v11 = delta_l_[cell_index(c1, r1)];
-  const double dl = (1.0 - fy) * ((1.0 - fx) * v00 + fx * v10) +
-                    fy * ((1.0 - fx) * v01 + fx * v11);
-  return wrap_2pi(scale_ * dl);
-}
-
-Vec2 PhaseField::jacobian(const Vec2& p) const {
-  if (cols_ == 1 && rows_ == 1) return Vec2{jx_[0], jy_[0]};
-  int c0, r0;
-  double fx, fy;
-  locate(p, c0, r0, fx, fy);
-  const int c1 = std::min(c0 + 1, cols_ - 1);
-  const int r1 = std::min(r0 + 1, rows_ - 1);
-  const std::size_t i00 = cell_index(c0, r0), i10 = cell_index(c1, r0);
-  const std::size_t i01 = cell_index(c0, r1), i11 = cell_index(c1, r1);
-  const double gx = (1.0 - fy) * ((1.0 - fx) * jx_[i00] + fx * jx_[i10]) +
-                    fy * ((1.0 - fx) * jx_[i01] + fx * jx_[i11]);
-  const double gy = (1.0 - fy) * ((1.0 - fx) * jy_[i00] + fx * jy_[i10]) +
-                    fy * ((1.0 - fx) * jy_[i01] + fx * jy_[i11]);
-  return Vec2{gx, gy};
 }
 
 }  // namespace polardraw::core

@@ -3,13 +3,7 @@
 #include <cmath>
 
 #include "common/angles.h"
-
-#include "core/distance_estimator.h"
-#include "core/kalman_tracker.h"
-#include "core/particle_tracker.h"
-#include "core/phase_field.h"
-#include "core/rotation_tracker.h"
-#include "core/translation_tracker.h"
+#include "core/hmm_tracker.h"
 
 namespace polardraw::core {
 
@@ -26,147 +20,26 @@ TrackingResult PolarDraw::track_windows(
   TrackingResult result;
   if (windows.size() < 2) return result;
 
-  RotationTracker rotation(cfg_);
-  TranslationTracker translation(cfg_);
-  DistanceEstimator distance(cfg_);
-
+  // --- Per-window motion front end: push every window, then flush --------
+  MotionFrontEnd front(cfg_);
   std::vector<TrackObservation> observations;
   observations.reserve(windows.size());
-
-  // Track "previous valid" values per antenna so gaps (rejected or missed
-  // windows) difference across the gap instead of producing garbage.
-  double prev_rss[2] = {0.0, 0.0};
-  bool have_rss[2] = {false, false};
-  double prev_phase[2] = {0.0, 0.0};
-  bool have_phase[2] = {false, false};
-  int prev_channel[2] = {0, 0};
-  bool prev_calibrated[2] = {false, false};
-
+  result.diagnostics.reserve(windows.size());
   for (const Window& w : windows) {
-    WindowDiagnostics diag;
-    diag.t_s = w.t_s;
-
-    // --- Deltas vs the previous valid window ------------------------------
-    double ds[2] = {0.0, 0.0};
-    bool ds_ok = true;
-    for (int a = 0; a < 2; ++a) {
-      if (w.rss_valid[a] && have_rss[a]) {
-        ds[a] = w.rss_dbm[a] - prev_rss[a];
-      } else {
-        ds_ok = false;
-      }
-    }
-    double dtheta[2] = {0.0, 0.0};
-    bool dtheta_ok = true;
-    for (int a = 0; a < 2; ++a) {
-      // A frequency hop re-bases the phase (per-channel offset); a delta
-      // across the hop boundary is not motion -- unless both sides are
-      // channel-calibrated, in which case preprocess already removed the
-      // offsets and the delta is comparable.
-      if (w.phase_valid[a] && have_phase[a] &&
-          (w.channel[a] == prev_channel[a] ||
-           (prev_calibrated[a] && w.channel_calibrated[a]))) {
-        dtheta[a] = w.phase_rad[a] - prev_phase[a];
-      } else {
-        dtheta_ok = false;
-      }
-    }
-
-    // --- Motion classification (section 3.3's RSS-trend split) ------------
-    DirectionEstimate dir;
-    const bool rotational =
-        cfg_.use_polarization && ds_ok &&
-        std::max(std::fabs(ds[0]), std::fabs(ds[1])) >=
-            cfg_.rotation_rss_delta_db;
-    if (rotational) {
-      dir = rotation.step(ds[0], ds[1]);
-      // If the trend pattern did not decode, fall through to translation.
-      if (dir.type == MotionType::kIdle && dtheta_ok && cfg_.use_phase_direction) {
-        dir = translation.step(dtheta[0], dtheta[1]);
-      }
-    } else if (dtheta_ok && cfg_.use_phase_direction) {
-      dir = translation.step(dtheta[0], dtheta[1]);
-    }
-
-    switch (dir.type) {
+    const MotionFrontEnd::Step step = front.push(w);
+    switch (step.diagnostics.motion) {
       case MotionType::kRotational: ++result.rotational_windows; break;
       case MotionType::kTranslational: ++result.translational_windows; break;
       case MotionType::kIdle: ++result.idle_windows; break;
     }
-
-    // --- Displacement bounds + hyperbola -----------------------------------
-    TrackObservation obs;
-    obs.direction = dir;
-    if (dtheta_ok && w.both_phase_valid()) {
-      obs.distance = distance.estimate(dtheta[0], dtheta[1], w.phase_rad[0],
-                                       w.phase_rad[1]);
-      obs.has_phase = true;
-    } else {
-      // No phase this window: displacement bounded only by the speed limit.
-      obs.distance.lower_m = 0.0;
-      obs.distance.upper_m = cfg_.vmax_mps * cfg_.window_s;
-      obs.distance.valid = false;
-      obs.has_phase = false;
-    }
-    diag.direction = dir;
-    diag.distance = obs.distance;
-    diag.motion = dir.type;
-    result.diagnostics.push_back(diag);
-    observations.push_back(obs);
-
-    // --- Roll the "previous valid" state -----------------------------------
-    for (int a = 0; a < 2; ++a) {
-      if (w.rss_valid[a]) {
-        prev_rss[a] = w.rss_dbm[a];
-        have_rss[a] = true;
-      }
-      if (w.phase_valid[a]) {
-        prev_phase[a] = w.phase_rad[a];
-        have_phase[a] = true;
-        prev_channel[a] = w.channel[a];
-        prev_calibrated[a] = w.channel_calibrated[a];
-      }
-    }
+    result.diagnostics.push_back(step.diagnostics);
+    if (step.released) observations.push_back(step.released->obs);
   }
-
-  // --- Direction smoothing ---------------------------------------------------
-  if (cfg_.smooth_directions && observations.size() >= 3) {
-    std::vector<Vec2> smoothed(observations.size());
-    for (std::size_t i = 0; i < observations.size(); ++i) {
-      const Vec2 cur = observations[i].direction.direction;
-      if (observations[i].direction.type == MotionType::kIdle) continue;
-      Vec2 acc = cur * 0.5;
-      if (i > 0) acc += observations[i - 1].direction.direction * 0.25;
-      if (i + 1 < observations.size()) {
-        acc += observations[i + 1].direction.direction * 0.25;
-      }
-      // Opposing neighbors can cancel; keep the raw decode then.
-      smoothed[i] = acc.norm() > 0.2 ? acc.normalized() : cur;
-    }
-    for (std::size_t i = 0; i < observations.size(); ++i) {
-      if (observations[i].direction.type != MotionType::kIdle) {
-        observations[i].direction.direction = smoothed[i];
-      }
-    }
-  }
+  if (auto tail = front.flush()) observations.push_back(tail->obs);
 
   // --- Decode + final rotation correction ----------------------------------
-  // One phase-difference field per (antenna layout, grid); every tracker —
-  // including the filters' HMM bootstrap — shares it.
-  const auto field =
-      std::make_shared<const PhaseField>(cfg_, a1_, a2_, antenna_z_);
-  const HmmTracker hmm(cfg_, a1_, a2_, antenna_z_, field);
-  std::vector<Vec2> traj;
-  if (cfg_.use_particle_filter) {
-    ParticleTracker pf(cfg_, ParticleFilterConfig{}, a1_, a2_, antenna_z_, 1,
-                       field);
-    traj = pf.decode(observations);
-  } else if (cfg_.use_kalman_filter) {
-    const KalmanTracker kf(cfg_, KalmanConfig{}, a1_, a2_, antenna_z_, field);
-    traj = kf.decode(observations);
-  } else {
-    traj = hmm.decode(observations);
-  }
+  const HmmTracker hmm(cfg_, a1_, a2_, antenna_z_);
+  std::vector<Vec2> traj = hmm.decode(observations);
 
   // Tag-offset compensation: the decoded trajectory is the tag's; project
   // back to the pen tip using the tracked orientation. Only the
@@ -184,7 +57,7 @@ TrackingResult PolarDraw::track_windows(
       traj[i] -= Vec2{ce * std::cos(azimuth), se} * cfg_.tag_offset_m;
     }
   }
-  result.azimuth_correction_rad = rotation.accumulated_correction();
+  result.azimuth_correction_rad = front.accumulated_correction();
   if (cfg_.use_polarization && cfg_.apply_rotation_correction &&
       std::fabs(result.azimuth_correction_rad) > 1e-9) {
     // Eq. 10: the azimuth error tilts the whole recovered trajectory;

@@ -14,26 +14,21 @@
 
 #include "common/vec.h"
 #include "core/config.h"
-#include "core/hmm_tracker.h"
-#include "core/motion.h"
+#include "core/motion_front_end.h"
 #include "core/preprocess.h"
 #include "rfid/tag_report.h"
 
 namespace polardraw::core {
 
-/// Diagnostic record of one tracked window (for tests and microbenches).
-struct WindowDiagnostics {
-  double t_s = 0.0;
-  MotionType motion = MotionType::kIdle;
-  DirectionEstimate direction;
-  DistanceEstimate distance;
-};
-
 /// Result of tracking one writing session.
 struct TrackingResult {
-  /// Recovered pen trajectory, one point per processed window (meters).
+  /// Recovered pen trajectory (meters): the decode's start point plus one
+  /// point per window, less the `warmup_windows` leading points, which are
+  /// trimmed whenever that leaves more than 8.
   std::vector<Vec2> trajectory;
-  /// Window-level diagnostics, same length as `trajectory` minus one.
+  /// One raw (unsmoothed) estimate per window. Untrimmed, it has one
+  /// entry fewer than the trajectory; after the default 8-window warm-up
+  /// trim it has 7 more.
   std::vector<WindowDiagnostics> diagnostics;
   /// Count of windows classified rotational / translational / idle.
   int rotational_windows = 0;

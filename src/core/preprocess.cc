@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "common/angles.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -27,6 +26,124 @@ std::optional<double> circular_mean(const std::vector<double>& phases) {
   return wrap_2pi(std::atan2(sy, sx));
 }
 
+bool admit_report(const rfid::TagReport& r) {
+  if (std::isfinite(r.timestamp_s) && std::isfinite(r.rss_dbm) &&
+      std::isfinite(r.phase_rad)) {
+    return true;
+  }
+  static const obs::Counter nonfinite_counter("preprocess.nonfinite_reports");
+  nonfinite_counter.add(1);
+  return false;
+}
+
+void WindowBuilder::add(const rfid::TagReport& r,
+                        const PhaseCalibration* calibration) {
+  double phase = r.phase_rad;
+  bool channel_covered = false;
+  if (calibration != nullptr) {
+    if (static_cast<std::size_t>(r.antenna_id) <
+        calibration->port_offsets_rad.size()) {
+      phase = wrap_2pi(phase - calibration->port_offsets_rad[r.antenna_id]);
+    }
+    if (r.channel >= 0 && static_cast<std::size_t>(r.channel) <
+                              calibration->channel_offsets_rad.size()) {
+      phase = wrap_2pi(phase - calibration->channel_offsets_rad[r.channel]);
+      channel_covered = true;
+    }
+  }
+  Antenna& ant = ant_[r.antenna_id];
+  ant.rss.push_back(r.rss_dbm);
+  ant.phase.push_back(phase);
+  ant.channel.push_back(r.channel);
+  if (!channel_covered) ant.uncalibrated += 1;
+}
+
+Window WindowBuilder::finish(int index, double t0_s, double window_s) {
+  Window win;
+  win.index = index;
+  win.t_s = t0_s + (static_cast<double>(index) + 0.5) * window_s;
+  for (int a = 0; a < 2; ++a) {
+    Antenna& ant = ant_[a];
+    if (!ant.rss.empty()) {
+      double s = 0.0;
+      for (double v : ant.rss) s += v;
+      win.rss_dbm[a] = s / static_cast<double>(ant.rss.size());
+      win.rss_valid[a] = true;
+      win.read_count[a] = static_cast<int>(ant.rss.size());
+    }
+    if (const auto m = circular_mean(ant.phase)) {
+      win.phase_rad[a] = *m;
+      win.phase_valid[a] = true;
+      // Majority channel of the window's reads (hopping diagnostics).
+      win.channel[a] = ant.channel[ant.channel.size() / 2];
+      // Cross-hop comparison is only safe when every phase read fed
+      // through a calibrated channel (a single uncovered read would mix
+      // an unremoved RF-chain offset into the circular mean).
+      win.channel_calibrated[a] = ant.uncalibrated == 0;
+    }
+    ant.rss.clear();
+    ant.phase.clear();
+    ant.channel.clear();
+    ant.uncalibrated = 0;
+  }
+  return win;
+}
+
+PhaseGate::Verdict PhaseGate::gate(Window& win, int a) {
+  Verdict verdict;
+  if (!win.phase_valid[a]) return verdict;
+  Reference& ref = ref_[a];
+  const double wrapped = win.phase_rad[a];
+  if (ref.have && win.channel[a] != ref.channel &&
+      !(ref.calibrated && win.channel_calibrated[a])) {
+    // Frequency hop across an uncalibrated boundary: the per-channel
+    // offset makes this phase incomparable with the previous one; restart
+    // the comparison and the unwrapper at this window (the sample itself
+    // stays valid). When BOTH sides are channel-calibrated the offsets
+    // were already removed at bucketing time, so the comparison continues
+    // through the hop; the residual carrier-frequency term is small
+    // enough for the spurious threshold to absorb (DESIGN.md section 16).
+    verdict.fenced_from_channel = ref.channel;
+    ref.have = false;
+    ref.unwrapper.reset();
+  }
+  if (ref.have) {
+    // The comparison reference is the last *valid* window, which may be
+    // several windows back (reads drop out during deep mismatch).
+    // Legitimate phase slews up to the threshold per elapsed window;
+    // scaling the allowance by the gap keeps one spurious reading from
+    // cascading into rejecting the entire remaining stream.
+    const int gap = std::max(1, win.index - ref.index);
+    const double allowed = threshold_ * static_cast<double>(gap);
+    if (angle_dist(wrapped, ref.wrapped) > std::min(allowed, kPi)) {
+      // Reject the phase reading (keep RSS: the paper only rejects phase
+      // -- RSS remains physical during mismatch).
+      win.phase_valid[a] = false;
+      verdict.outcome = Outcome::kSpurious;
+      return verdict;
+    }
+  }
+  const std::uint64_t refused_before = ref.unwrapper.nonmonotone_rejected();
+  const double unwrapped = ref.unwrapper.push_at(wrapped, win.t_s);
+  if (ref.unwrapper.nonmonotone_rejected() != refused_before) {
+    // The unwrapper refused the sample (non-monotone window time): drop
+    // the phase so the stale unwrapped value cannot leak into the window,
+    // and keep the spurious-rejection reference at the last accepted
+    // sample so it stays in lockstep with the unwrapper's own reference.
+    win.phase_valid[a] = false;
+    verdict.outcome = Outcome::kNonMonotone;
+    return verdict;
+  }
+  ref.have = true;
+  ref.wrapped = wrapped;
+  ref.index = win.index;
+  ref.channel = win.channel[a];
+  ref.calibrated = win.channel_calibrated[a];
+  win.phase_rad[a] = unwrapped;
+  verdict.outcome = Outcome::kAccepted;
+  return verdict;
+}
+
 std::vector<Window> preprocess(const rfid::TagReportStream& reports,
                                const PolarDrawConfig& cfg,
                                const PhaseCalibration* calibration) {
@@ -36,160 +153,59 @@ std::vector<Window> preprocess(const rfid::TagReportStream& reports,
   if (reports.empty() || cfg.window_s <= 0.0) return out;
 
   // --- Step 1: window averaging ------------------------------------------
-  const double t0 = reports.front().timestamp_s;
-  // Accumulators indexed by window ordinal. The window count is known from
-  // the report span, so a contiguous vector replaces the former
-  // std::map<int, Acc>: bucketing a ~100 Hz stream is O(1) per read
-  // instead of O(log n), and the windows come out already ordered.
-  struct Acc {
-    std::vector<double> rss[2];
-    std::vector<double> phase[2];
-    std::vector<int> channel[2];
-    // Phase reads whose channel the calibration did NOT cover; any such
-    // read poisons the window for cross-hop comparison.
-    int uncalibrated[2] = {0, 0};
-  };
-  // A corrupt timestamp far past the stream start would otherwise size the
-  // bucket vector (and the output) absurdly; reads beyond the cap -- about
-  // 1.8 hours of stream at the 50 ms default -- are dropped, as are reads
-  // that predate the first report (negative window ordinal).
-  constexpr std::size_t kMaxWindows = 1u << 17;
-  double t_max = t0;
-  bool any_valid = false;
+  // The first admitted report (any antenna) is the window origin. Reads
+  // that predate it (negative window ordinal) are dropped.
+  std::vector<const rfid::TagReport*> reads;
+  reads.reserve(reports.size());
+  std::optional<double> origin;
+  double t_max = 0.0;
   for (const auto& r : reports) {
+    if (!admit_report(r)) continue;
+    if (!origin) {
+      origin = r.timestamp_s;
+      t_max = r.timestamp_s;
+    }
     if (r.antenna_id < 0 || r.antenna_id > 1) continue;
-    if (r.timestamp_s < t0) continue;
-    any_valid = true;
-    if (r.timestamp_s > t_max) t_max = r.timestamp_s;
+    if (r.timestamp_s < *origin) continue;
+    t_max = std::max(t_max, r.timestamp_s);
+    reads.push_back(&r);
   }
-  if (!any_valid) return out;
+  if (reads.empty()) return out;
+  const double t0 = *origin;
+  // Builders indexed by window ordinal: the window count is known from
+  // the report span, so bucketing a ~100 Hz stream is O(1) per read and
+  // the windows come out already ordered, whatever the report order. A
+  // corrupt timestamp far past the stream start would otherwise size the
+  // bucket vector (and the output) absurdly; reads beyond the cap -- about
+  // 1.8 hours of stream at the 50 ms default -- are dropped.
+  constexpr std::size_t kMaxWindows = 1u << 17;
   const double span_windows = (t_max - t0) / cfg.window_s;
   const std::size_t n_windows =
       1 + static_cast<std::size_t>(
               std::min(span_windows, static_cast<double>(kMaxWindows - 1)));
-  std::vector<Acc> buckets(n_windows);
-  for (const auto& r : reports) {
-    if (r.antenna_id < 0 || r.antenna_id > 1) continue;
-    const double w_f = (r.timestamp_s - t0) / cfg.window_s;
-    if (w_f < 0.0 || w_f >= static_cast<double>(n_windows)) continue;
-    const std::size_t w = static_cast<std::size_t>(w_f);
-    double phase = r.phase_rad;
-    bool channel_covered = false;
-    if (calibration != nullptr) {
-      if (static_cast<std::size_t>(r.antenna_id) <
-          calibration->port_offsets_rad.size()) {
-        phase = wrap_2pi(phase - calibration->port_offsets_rad[r.antenna_id]);
-      }
-      if (r.channel >= 0 &&
-          static_cast<std::size_t>(r.channel) <
-              calibration->channel_offsets_rad.size()) {
-        phase = wrap_2pi(phase - calibration->channel_offsets_rad[r.channel]);
-        channel_covered = true;
-      }
-    }
-    auto& acc = buckets[w];
-    acc.rss[r.antenna_id].push_back(r.rss_dbm);
-    acc.phase[r.antenna_id].push_back(phase);
-    acc.channel[r.antenna_id].push_back(r.channel);
-    if (!channel_covered) acc.uncalibrated[r.antenna_id] += 1;
-  }
-
-  out.reserve(n_windows);
-  for (std::size_t w = 0; w < n_windows; ++w) {
-    Window win;
-    win.index = static_cast<int>(w);
-    win.t_s = t0 + (static_cast<double>(w) + 0.5) * cfg.window_s;
-    const Acc& acc = buckets[w];
-    for (int a = 0; a < 2; ++a) {
-      const auto& rss = acc.rss[a];
-      if (!rss.empty()) {
-        double s = 0.0;
-        for (double v : rss) s += v;
-        win.rss_dbm[a] = s / static_cast<double>(rss.size());
-        win.rss_valid[a] = true;
-        win.read_count[a] = static_cast<int>(rss.size());
-      }
-      if (const auto m = circular_mean(acc.phase[a])) {
-        win.phase_rad[a] = *m;
-        win.phase_valid[a] = true;
-        // Majority channel of the window's reads (hopping diagnostics).
-        const auto& chs = acc.channel[a];
-        if (!chs.empty()) win.channel[a] = chs[chs.size() / 2];
-        // Cross-hop comparison is only safe when every phase read fed
-        // through a calibrated channel (a single uncovered read would mix
-        // an unremoved RF-chain offset into the circular mean).
-        win.channel_calibrated[a] = acc.uncalibrated[a] == 0;
-      }
-    }
-    out.push_back(win);
+  std::vector<WindowBuilder> buckets(n_windows);
+  for (const rfid::TagReport* r : reads) {
+    const double w_f = (r->timestamp_s - t0) / cfg.window_s;
+    if (w_f >= static_cast<double>(n_windows)) continue;
+    buckets[static_cast<std::size_t>(w_f)].add(*r, calibration);
   }
 
   // --- Step 2: spurious phase rejection + unwrap --------------------------
-  // Compare each window's (wrapped) phase against the previous *valid*
-  // window; jumps beyond the threshold are the cross-polarized reflection
-  // readings -- invalidate them. Surviving samples are unwrapped into a
-  // continuous series per antenna.
   std::uint64_t rejected = 0;
   std::uint64_t nonmonotone = 0;
-  for (int a = 0; a < 2; ++a) {
-    bool have_prev = false;
-    double prev_wrapped = 0.0;
-    int prev_index = 0;
-    int prev_channel = 0;
-    bool prev_calibrated = false;
-    PhaseUnwrapper unwrapper;
-    for (Window& win : out) {
-      if (!win.phase_valid[a]) continue;
-      const double wrapped = win.phase_rad[a];
-      if (have_prev && win.channel[a] != prev_channel &&
-          !(prev_calibrated && win.channel_calibrated[a])) {
-        // Frequency hop across an uncalibrated boundary: the per-channel
-        // offset makes this phase incomparable with the previous one;
-        // restart the comparison and the unwrapper at this window (the
-        // sample itself stays valid). When BOTH sides are channel-
-        // calibrated the offsets were already removed at bucketing time,
-        // so the comparison continues through the hop; the residual
-        // carrier-frequency term is small enough for the spurious
-        // threshold to absorb (DESIGN.md section 16).
-        have_prev = false;
-        unwrapper.reset();
+  PhaseGate gate(cfg.spurious_phase_threshold_rad);
+  out.reserve(n_windows);
+  for (std::size_t w = 0; w < n_windows; ++w) {
+    Window win = buckets[w].finish(static_cast<int>(w), t0, cfg.window_s);
+    for (int a = 0; a < 2; ++a) {
+      switch (gate.gate(win, a).outcome) {
+        case PhaseGate::Outcome::kSpurious: ++rejected; break;
+        case PhaseGate::Outcome::kNonMonotone: ++nonmonotone; break;
+        case PhaseGate::Outcome::kNoPhase:
+        case PhaseGate::Outcome::kAccepted: break;
       }
-      if (have_prev) {
-        // The comparison reference is the last *valid* window, which may
-        // be several windows back (reads drop out during deep mismatch).
-        // Legitimate phase slews up to the threshold per elapsed window;
-        // scaling the allowance by the gap keeps one spurious reading
-        // from cascading into rejecting the entire remaining stream.
-        const int gap = std::max(1, win.index - prev_index);
-        const double allowed =
-            cfg.spurious_phase_threshold_rad * static_cast<double>(gap);
-        if (angle_dist(wrapped, prev_wrapped) > std::min(allowed, kPi)) {
-          // Reject the current window's phase reading (keep RSS: the paper
-          // only rejects phase -- RSS remains physical during mismatch).
-          win.phase_valid[a] = false;
-          ++rejected;
-          continue;
-        }
-      }
-      const std::uint64_t rejected_before = unwrapper.nonmonotone_rejected();
-      const double unwrapped = unwrapper.push_at(wrapped, win.t_s);
-      if (unwrapper.nonmonotone_rejected() != rejected_before) {
-        // The unwrapper refused the sample (non-monotone window time):
-        // drop the phase so the stale unwrapped value cannot leak into the
-        // window, and keep the spurious-rejection reference (prev_*) at
-        // the last accepted sample so it stays in lockstep with the
-        // unwrapper's internal reference.
-        win.phase_valid[a] = false;
-        continue;
-      }
-      have_prev = true;
-      prev_wrapped = wrapped;
-      prev_index = win.index;
-      prev_channel = win.channel[a];
-      prev_calibrated = win.channel_calibrated[a];
-      win.phase_rad[a] = unwrapped;
     }
-    nonmonotone += unwrapper.nonmonotone_rejected();
+    out.push_back(win);
   }
   static const obs::Counter windows_counter("preprocess.windows");
   static const obs::Counter rejected_counter("preprocess.phase_rejected");

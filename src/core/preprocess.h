@@ -1,21 +1,26 @@
 // RFID data pre-processing (paper section 3.1).
 //
-// Two steps:
-//  1. Window averaging: raw per-read RSS/phase reports are bucketed into
-//     fixed windows (50 ms default) per antenna; RSS is averaged in dB and
-//     phase with a circular mean.
-//  2. Spurious data rejection: windows whose phase jumps from the previous
-//     window by more than a threshold (0.2 rad default) are flagged
-//     invalid -- these are the cross-polarized "reflection path" readings
-//     identified by the feasibility study (section 2).
+// Two steps, each a reusable piece shared by the batch pipeline
+// (preprocess() below) and the per-pen multi-pen pipeline
+// (core/association.h):
+//  1. Window averaging (WindowBuilder): raw per-read RSS/phase reports are
+//     bucketed into fixed windows (50 ms default) per antenna; RSS is
+//     averaged in dB and phase with a circular mean.
+//  2. Spurious data rejection (PhaseGate): windows whose phase jumps from
+//     the previous window by more than a threshold (0.2 rad in the paper)
+//     are flagged invalid -- these are the cross-polarized "reflection
+//     path" readings identified by the feasibility study (section 2).
+//     Surviving phases are unwrapped into a continuous series.
 //
-// The output is a time-aligned series of two-antenna windows; downstream
-// trackers consume only this.
+// Reports with a non-finite timestamp, RSS or phase never reach either
+// step (admit_report). The output is a time-aligned series of two-antenna
+// windows; downstream trackers consume only this.
 #pragma once
 
 #include <optional>
 #include <vector>
 
+#include "common/angles.h"
 #include "core/config.h"
 #include "rfid/tag_report.h"
 
@@ -62,7 +67,86 @@ struct PhaseCalibration {
   std::vector<double> channel_offsets_rad;
 };
 
-/// Runs both pre-processing steps over a raw report stream.
+/// The report screen both pipelines apply first: false for a report whose
+/// timestamp, RSS or phase is not finite, which is then counted under
+/// `preprocess.nonfinite_reports` and dropped before it can set a window
+/// origin, land in a window or refresh a pen's idle-close clock. The
+/// output therefore equals that of the same stream without the report.
+bool admit_report(const rfid::TagReport& r);
+
+/// Step 1 for one window: accumulates reads per antenna and finishes them
+/// into a Window. preprocess() keeps one per window ordinal; the
+/// associator reuses one per pen.
+class WindowBuilder {
+ public:
+  /// Adds a read from antenna 0 or 1. When `calibration` is given, its
+  /// port offset and -- if it covers the read's hop channel -- its channel
+  /// offset are subtracted from the phase.
+  void add(const rfid::TagReport& r, const PhaseCalibration* calibration);
+
+  /// True when no read was added since the last finish().
+  [[nodiscard]] bool empty() const {
+    return ant_[0].rss.empty() && ant_[1].rss.empty();
+  }
+
+  /// Finishes window `index` of a stream whose window 0 starts at `t0_s`:
+  /// mean RSS, circular-mean phase, majority channel and calibration
+  /// coverage per antenna. Clears the builder for the next window.
+  Window finish(int index, double t0_s, double window_s);
+
+ private:
+  struct Antenna {
+    std::vector<double> rss;
+    std::vector<double> phase;
+    std::vector<int> channel;
+    // Phase reads whose channel the calibration did NOT cover; any such
+    // read poisons the window for cross-hop comparison.
+    int uncalibrated = 0;
+  };
+  Antenna ant_[2];
+};
+
+/// Step 2 for one stream of windows: per antenna, the hop fence, the
+/// gap-scaled spurious-phase rejection and the unwrap, against the last
+/// accepted window. Callers keep their own counters and logs off the
+/// returned verdict.
+class PhaseGate {
+ public:
+  explicit PhaseGate(double spurious_threshold_rad)
+      : threshold_(spurious_threshold_rad) {}
+
+  enum class Outcome {
+    kNoPhase,      // the window had no phase on this antenna
+    kAccepted,     // phase_rad now holds the unwrapped value
+    kSpurious,     // jump beyond the gap-scaled threshold: phase dropped
+    kNonMonotone,  // window time not after the reference: phase dropped
+  };
+  struct Verdict {
+    Outcome outcome = Outcome::kNoPhase;
+    /// Set when a hop across an uncalibrated channel boundary restarted
+    /// the comparison at this window: the channel hopped away from.
+    std::optional<int> fenced_from_channel;
+  };
+
+  /// Gates antenna `a` of `win` in place. Windows must come in ordinal
+  /// order; a rejected phase leaves the reference where it was.
+  Verdict gate(Window& win, int a);
+
+ private:
+  struct Reference {
+    bool have = false;
+    double wrapped = 0.0;
+    int index = 0;
+    int channel = 0;
+    bool calibrated = false;
+    PhaseUnwrapper unwrapper;
+  };
+  double threshold_;
+  Reference ref_[2];
+};
+
+/// Runs both pre-processing steps over a raw report stream (any order:
+/// reads are bucketed by window ordinal from the first admitted report).
 /// Reports from antennas other than 0/1 are ignored (PolarDraw is a
 /// two-antenna system; baselines have their own ingestion).
 std::vector<Window> preprocess(const rfid::TagReportStream& reports,

@@ -1,6 +1,6 @@
 // Tests for tag-to-track association (core/association.h): event
-// sequencing, generation churn, the incremental-vs-batch pipeline replica,
-// and interleaving invariance.
+// sequencing, generation churn, equivalence with the batch pipeline, late
+// reports, and interleaving invariance.
 #include "core/association.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "common/angles.h"
+#include "core/motion_front_end.h"
 #include "core/polardraw.h"
+#include "obs/metrics.h"
 
 namespace polardraw::core {
 namespace {
@@ -177,59 +179,169 @@ TEST(Association, InterleavingInvariant) {
   expect_same(by_epc[0xB2], solo_b);
 }
 
-TEST(Association, MatchesBatchPipelineWindowForWindow) {
-  // The incremental replica must agree with the batch pipeline
-  // (preprocess + PolarDraw::track_windows) on every window's distance
-  // estimate and motion class for the same single-tag stream. Directions
-  // differ only by smoothing edges, so compare the motion type and the
-  // phase-derived quantities, which smoothing never touches.
-  PolarDrawConfig cfg;
-  // A stream with RSS swings (rotation windows), phase slews
-  // (translation windows) and a dropped window (gap).
+/// A single-tag stream with RSS swings (rotation windows), phase slews
+/// (translation windows) and an optional read gap. From window
+/// `hop_window` on, reads come from channel 13 with that channel's RF-chain
+/// offset added; before it, from channel 5.
+rfid::TagReportStream mixed_stream(int n_windows, int gap_window = -1,
+                                   int hop_window = -1) {
+  constexpr double kOff5 = 0.9, kOff13 = 2.6;
   rfid::TagReportStream stream;
-  for (int w = 0; w < 24; ++w) {
-    if (w == 11) continue;  // read gap
+  for (int w = 0; w < n_windows; ++w) {
+    if (w == gap_window) continue;  // read gap
+    const bool hopped = hop_window >= 0 && w >= hop_window;
+    const int ch = hopped ? 13 : 5;
+    const double off = hopped ? kOff13 : kOff5;
     const double swing = w % 5 == 0 ? 2.5 : 0.0;
     for (int k = 0; k < 3; ++k) {
       const double t = w * 0.05 + k * 0.015;
       stream.push_back(report(0xC4, t, 0, -40.0 - 0.3 * w + swing,
-                              1.0 + 0.06 * w));
+                              1.0 + 0.06 * w + off, ch));
       stream.push_back(report(0xC4, t + 0.002, 1, -48.0 + 0.2 * w - swing,
-                              2.0 - 0.05 * w));
+                              2.0 - 0.05 * w + off, ch));
     }
   }
+  return stream;
+}
 
-  const auto windows = preprocess(stream, cfg);
-  PolarDraw batch(cfg, Vec2{0.22, 1.25}, Vec2{0.78, 1.25}, 0.12);
-  const auto batch_res = batch.track_windows(windows);
+PhaseCalibration hop_calibration() {
+  PhaseCalibration cal;
+  cal.channel_offsets_rad.assign(20, 0.0);
+  cal.channel_offsets_rad[5] = 0.9;
+  cal.channel_offsets_rad[13] = 2.6;
+  return cal;
+}
 
-  TagTrackAssociator assoc(cfg);
-  auto events = assoc.push(stream);
-  const auto tail = assoc.flush();
-  events.insert(events.end(), tail.begin(), tail.end());
-  const auto obs = events_of_type(events, PenEventType::kObservation);
+void expect_same_direction(const DirectionEstimate& got,
+                           const DirectionEstimate& want, std::size_t i) {
+  EXPECT_EQ(static_cast<int>(got.type), static_cast<int>(want.type)) << i;
+  EXPECT_EQ(got.direction.x, want.direction.x) << "window " << i;
+  EXPECT_EQ(got.direction.y, want.direction.y) << "window " << i;
+  EXPECT_EQ(got.alpha_a_rad, want.alpha_a_rad) << "window " << i;
+  EXPECT_EQ(got.alpha_r_rad, want.alpha_r_rad) << "window " << i;
+  EXPECT_EQ(static_cast<int>(got.sense), static_cast<int>(want.sense)) << i;
+  EXPECT_EQ(static_cast<int>(got.sector), static_cast<int>(want.sector)) << i;
+  EXPECT_EQ(static_cast<int>(got.coarse), static_cast<int>(want.coarse)) << i;
+}
 
-  ASSERT_EQ(windows.size(), obs.size());
-  ASSERT_EQ(batch_res.diagnostics.size(), obs.size());
-  for (std::size_t i = 0; i < obs.size(); ++i) {
-    const auto& d = batch_res.diagnostics[i];
-    ASSERT_EQ(obs[i].t_s, d.t_s) << "window " << i;
-    ASSERT_EQ(static_cast<int>(obs[i].obs.direction.type),
-              static_cast<int>(d.motion))
-        << "window " << i;
-    ASSERT_EQ(obs[i].obs.distance.valid, d.distance.valid) << "window " << i;
-    ASSERT_EQ(obs[i].obs.distance.dl1_m, d.distance.dl1_m) << "window " << i;
-    ASSERT_EQ(obs[i].obs.distance.dl2_m, d.distance.dl2_m) << "window " << i;
-    ASSERT_EQ(obs[i].obs.distance.dtheta21, d.distance.dtheta21)
-        << "window " << i;
+void expect_same_distance(const DistanceEstimate& got,
+                          const DistanceEstimate& want, std::size_t i) {
+  EXPECT_EQ(got.valid, want.valid) << "window " << i;
+  EXPECT_EQ(got.lower_m, want.lower_m) << "window " << i;
+  EXPECT_EQ(got.upper_m, want.upper_m) << "window " << i;
+  EXPECT_EQ(got.dl1_m, want.dl1_m) << "window " << i;
+  EXPECT_EQ(got.dl2_m, want.dl2_m) << "window " << i;
+  EXPECT_EQ(got.dtheta21, want.dtheta21) << "window " << i;
+}
+
+TEST(Association, MatchesBatchPipelineWindowForWindow) {
+  // The associator (per-report windowing, one-window hold, flush at close)
+  // must hand the decoder exactly the observations the batch pipeline
+  // does: preprocess(), then every window pushed through a MotionFrontEnd
+  // and flushed -- what PolarDraw::track_windows decodes. Compared whole
+  // and bit for bit, smoothed directions included, on short streams (the
+  // smoothing edges), a gapped stream, and an uncalibrated and a
+  // calibrated hop.
+  PolarDrawConfig cfg;
+  const PhaseCalibration cal = hop_calibration();
+  struct Case {
+    const char* name;
+    rfid::TagReportStream stream;
+    const PhaseCalibration* calibration;
+  };
+  const Case cases[] = {
+      {"2 windows", mixed_stream(2), nullptr},
+      {"3 windows", mixed_stream(3), nullptr},
+      {"24 windows + gap", mixed_stream(24, 11), nullptr},
+      {"uncalibrated hop", mixed_stream(16, -1, 7), nullptr},
+      {"calibrated hop", mixed_stream(16, -1, 7), &cal},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto windows = preprocess(c.stream, cfg, c.calibration);
+    std::vector<TrackObservation> batch_obs;
+    MotionFrontEnd front(cfg);
+    for (const Window& w : windows) {
+      if (auto step = front.push(w); step.released) {
+        batch_obs.push_back(step.released->obs);
+      }
+    }
+    if (auto tail = front.flush()) batch_obs.push_back(tail->obs);
+    const PolarDraw batch(cfg, Vec2{0.22, 1.25}, Vec2{0.78, 1.25}, 0.12);
+    const auto batch_res = batch.track_windows(windows);
+
+    TagTrackAssociator assoc(cfg, {}, c.calibration);
+    auto events = assoc.push(c.stream);
+    const auto tail = assoc.flush();
+    events.insert(events.end(), tail.begin(), tail.end());
+    const auto obs = events_of_type(events, PenEventType::kObservation);
+
+    ASSERT_EQ(windows.size(), obs.size());
+    ASSERT_EQ(batch_obs.size(), obs.size());
+    ASSERT_EQ(batch_res.diagnostics.size(), obs.size());
+    for (std::size_t i = 0; i < obs.size(); ++i) {
+      ASSERT_EQ(obs[i].t_s, batch_res.diagnostics[i].t_s) << "window " << i;
+      EXPECT_EQ(obs[i].obs.has_phase, batch_obs[i].has_phase) << i;
+      expect_same_direction(obs[i].obs.direction, batch_obs[i].direction, i);
+      expect_same_distance(obs[i].obs.distance, batch_obs[i].distance, i);
+      // The batch diagnostics are the raw estimates of the same windows.
+      EXPECT_EQ(static_cast<int>(batch_res.diagnostics[i].motion),
+                static_cast<int>(obs[i].obs.direction.type))
+          << "window " << i;
+      expect_same_distance(batch_res.diagnostics[i].distance,
+                           obs[i].obs.distance, i);
+    }
+    // The Eq. 10 correction deltas must sum to the batch accumulator.
+    double corr = 0.0;
+    for (const auto& e :
+         events_of_type(events, PenEventType::kAzimuthCorrection)) {
+      corr += e.azimuth_delta_rad;
+    }
+    EXPECT_NEAR(corr, batch_res.azimuth_correction_rad, 1e-12);
   }
-  // The Eq. 10 correction deltas must sum to the batch accumulator.
-  double corr = 0.0;
-  for (const auto& e : events_of_type(events,
-                                      PenEventType::kAzimuthCorrection)) {
-    corr += e.azimuth_delta_rad;
+}
+
+TEST(Association, LateReportDroppedAndCounted) {
+  // A report for an already finalized window (or from before the track's
+  // first report) cannot reopen it: it is dropped, counted, and leaves
+  // the event stream exactly as if it had never arrived.
+  PolarDrawConfig cfg;
+  const auto clean = smooth_stream(0xA1, 0.0, 24);
+  const auto run = [&cfg](const rfid::TagReportStream& s) {
+    TagTrackAssociator assoc(cfg);
+    auto ev = assoc.push(s);
+    const auto tail = assoc.flush();
+    ev.insert(ev.end(), tail.begin(), tail.end());
+    return ev;
+  };
+  const auto expected = run(clean);
+
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  for (const double late_t : {0.26, -0.5}) {
+    SCOPED_TRACE(late_t);
+    // Injected after window 12's reads: window 5 (or pre-origin time) is
+    // long finalized.
+    rfid::TagReportStream injected = clean;
+    const auto at = injected.begin() + 12 * 8;
+    injected.insert(at, report(0xA1, late_t, 0, -90.0, 4.0));
+    reg.reset();
+    const auto got = run(injected);
+    EXPECT_EQ(reg.snapshot().counter("assoc.late_reports"), 1u);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(static_cast<int>(got[i].type),
+                static_cast<int>(expected[i].type));
+      ASSERT_EQ(got[i].t_s, expected[i].t_s);
+      ASSERT_EQ(got[i].obs.has_phase, expected[i].obs.has_phase);
+      expect_same_direction(got[i].obs.direction, expected[i].obs.direction,
+                            i);
+      expect_same_distance(got[i].obs.distance, expected[i].obs.distance, i);
+      ASSERT_EQ(got[i].azimuth_delta_rad, expected[i].azimuth_delta_rad);
+    }
   }
-  EXPECT_NEAR(corr, batch_res.azimuth_correction_rad, 1e-12);
+  reg.reset();
+  reg.set_enabled(false);
 }
 
 TEST(Association, CalibratedHopKeepsPhaseDeltasUsable) {

@@ -1,84 +1,14 @@
-// Tests for the Kalman tracker and the reference-tag calibration.
+// Tests for the reference-tag calibration.
 #include <gtest/gtest.h>
 
 #include "common/angles.h"
 #include "core/calibration.h"
-#include "core/kalman_tracker.h"
 #include "core/polardraw.h"
-#include "eval/harness.h"
 #include "recognition/procrustes.h"
 #include "sim/scene.h"
 
 namespace polardraw::core {
 namespace {
-
-PolarDrawConfig small_cfg() {
-  PolarDrawConfig cfg;
-  cfg.board_width_m = 0.4;
-  cfg.board_height_m = 0.3;
-  return cfg;
-}
-
-TrackObservation move_obs(Vec2 dir, double step) {
-  TrackObservation o;
-  o.direction.type = MotionType::kTranslational;
-  o.direction.direction = dir.normalized();
-  o.distance.lower_m = step;
-  o.distance.upper_m = 0.01;
-  o.distance.valid = true;
-  return o;
-}
-
-TEST(KalmanTracker, FollowsCommandedMotion) {
-  const auto cfg = small_cfg();
-  const KalmanTracker kf(cfg, {}, {0.1, 0.35}, {0.3, 0.35}, 0.12);
-  const Vec2 hint{0.1, 0.15};
-  std::vector<TrackObservation> obs(30, move_obs({1.0, 0.0}, 0.005));
-  const auto traj = kf.decode(obs, &hint);
-  ASSERT_EQ(traj.size(), 31u);
-  EXPECT_GT(traj.back().x - traj.front().x, 0.06);
-  EXPECT_NEAR(traj.back().y, traj.front().y, 0.04);
-}
-
-TEST(KalmanTracker, IdleDampsVelocity) {
-  const auto cfg = small_cfg();
-  const KalmanTracker kf(cfg, {}, {0.1, 0.35}, {0.3, 0.35}, 0.12);
-  const Vec2 hint{0.2, 0.15};
-  // Move, then go idle: the track must coast to a stop, not fly off.
-  std::vector<TrackObservation> obs(10, move_obs({1.0, 0.0}, 0.006));
-  obs.resize(40);  // 30 idle windows
-  const auto traj = kf.decode(obs, &hint);
-  const Vec2 at_stop = traj[12];
-  EXPECT_LT(traj.back().dist(at_stop), 0.05);
-}
-
-TEST(KalmanTracker, RespectsSpeedCap) {
-  const auto cfg = small_cfg();
-  const KalmanTracker kf(cfg, {}, {0.1, 0.35}, {0.3, 0.35}, 0.12);
-  const Vec2 hint{0.05, 0.15};
-  std::vector<TrackObservation> obs(20, move_obs({1.0, 0.0}, 0.02));
-  const auto traj = kf.decode(obs, &hint);
-  for (std::size_t i = 1; i < traj.size(); ++i) {
-    EXPECT_LE(traj[i].dist(traj[i - 1]),
-              cfg.vmax_mps * cfg.window_s + 1e-6);
-  }
-}
-
-TEST(KalmanTracker, EmptyObservations) {
-  const auto cfg = small_cfg();
-  const KalmanTracker kf(cfg, {}, {0.1, 0.35}, {0.3, 0.35}, 0.12);
-  EXPECT_TRUE(kf.decode({}).empty());
-}
-
-TEST(KalmanTracker, EndToEndViaConfigFlag) {
-  eval::TrialConfig cfg;
-  cfg.system = eval::System::kPolarDraw;
-  cfg.seed = 47;
-  cfg.algo.use_kalman_filter = true;
-  const auto res = eval::run_trial("O", cfg);
-  EXPECT_GT(res.trajectory.size(), 40u);
-  EXPECT_LT(res.procrustes_m, 0.15);
-}
 
 // ---------------------------------------------------------------------------
 // Reference-tag calibration

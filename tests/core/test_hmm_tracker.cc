@@ -156,7 +156,7 @@ TEST_F(HmmTest, InitialLocationOnMatchingHyperbola) {
   DistanceEstimator dist(cfg_);
   const Vec2 truth{0.25, 0.12};
   const double dtheta = dist.expected_dtheta21(truth, a1_, a2_, 0.12);
-  const Vec2 start = hmm_.initial_location(dtheta);
+  const Vec2 start = initial_location_on_field(cfg_, hmm_.field(), dtheta);
   const double err =
       angle_dist(dist.expected_dtheta21(start, a1_, a2_, 0.12), dtheta);
   EXPECT_LT(err, 0.2);
@@ -204,7 +204,7 @@ TEST_F(HmmTest, PhaselessLeadingWindowsBackfilledFromFirstPhaseSeed) {
 
   const auto traj = hmm_.decode(obs);
   ASSERT_EQ(traj.size(), 9u);
-  const Vec2 seed = hmm_.initial_location(dtheta);
+  const Vec2 seed = initial_location_on_field(cfg_, hmm_.field(), dtheta);
   // Root + 3 backfilled prefix positions, all pinned to the seed block.
   for (std::size_t i = 0; i <= 3; ++i) {
     EXPECT_NEAR(traj[i].x, seed.x, cfg_.block_m) << "position " << i;

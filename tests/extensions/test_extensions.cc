@@ -1,77 +1,15 @@
 // Tests for the paper's future-work extensions implemented here: the
-// particle-filter tracker, the language-model post-processor, the
-// multi-tag inventory, and the WISP touch sensor.
+// language-model post-processor, the multi-tag inventory, and the WISP
+// touch sensor.
 #include <gtest/gtest.h>
 
 #include "common/angles.h"
-#include "core/particle_tracker.h"
-#include "core/polardraw.h"
-#include "eval/harness.h"
 #include "recognition/language_model.h"
 #include "rfid/wisp.h"
 #include "sim/scene.h"
 
 namespace polardraw {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Particle filter
-// ---------------------------------------------------------------------------
-core::PolarDrawConfig small_cfg() {
-  core::PolarDrawConfig cfg;
-  cfg.board_width_m = 0.4;
-  cfg.board_height_m = 0.3;
-  return cfg;
-}
-
-core::TrackObservation move_obs(Vec2 dir, double step) {
-  core::TrackObservation o;
-  o.direction.type = core::MotionType::kTranslational;
-  o.direction.direction = dir.normalized();
-  o.distance.lower_m = step * 0.9;
-  o.distance.upper_m = 0.01;
-  o.distance.valid = true;
-  return o;
-}
-
-TEST(ParticleTracker, FollowsCommandedMotion) {
-  const auto cfg = small_cfg();
-  core::ParticleTracker pf(cfg, {}, {0.1, 0.35}, {0.3, 0.35}, 0.12, 5);
-  const Vec2 hint{0.1, 0.15};
-  std::vector<core::TrackObservation> obs(25, move_obs({1.0, 0.0}, 0.005));
-  const auto traj = pf.decode(obs, &hint);
-  ASSERT_EQ(traj.size(), 26u);
-  EXPECT_GT(traj.back().x - traj.front().x, 0.06);
-  EXPECT_NEAR(traj.back().y, traj.front().y, 0.05);
-}
-
-TEST(ParticleTracker, IdleHoldsPosition) {
-  const auto cfg = small_cfg();
-  core::ParticleTracker pf(cfg, {}, {0.1, 0.35}, {0.3, 0.35}, 0.12, 5);
-  const Vec2 hint{0.2, 0.15};
-  std::vector<core::TrackObservation> obs(20);  // all idle
-  const auto traj = pf.decode(obs, &hint);
-  for (const auto& p : traj) {
-    EXPECT_NEAR(p.x, 0.2, 0.06);
-    EXPECT_NEAR(p.y, 0.15, 0.06);
-  }
-}
-
-TEST(ParticleTracker, EmptyObservations) {
-  const auto cfg = small_cfg();
-  core::ParticleTracker pf(cfg, {}, {0.1, 0.35}, {0.3, 0.35}, 0.12);
-  EXPECT_TRUE(pf.decode({}).empty());
-}
-
-TEST(ParticleTracker, EndToEndViaConfigFlag) {
-  eval::TrialConfig cfg;
-  cfg.system = eval::System::kPolarDraw;
-  cfg.seed = 31;
-  cfg.algo.use_particle_filter = true;
-  const auto res = eval::run_trial("O", cfg);
-  EXPECT_GT(res.trajectory.size(), 40u);
-  EXPECT_LT(res.procrustes_m, 0.15);
-}
 
 // ---------------------------------------------------------------------------
 // Language model

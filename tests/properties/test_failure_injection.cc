@@ -2,9 +2,17 @@
 // crash or emit garbage structure, under hostile inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "common/angles.h"
+#include "core/association.h"
 #include "core/polardraw.h"
 #include "eval/harness.h"
+#include "obs/metrics.h"
 #include "recognition/classifier.h"
 #include "sim/scene.h"
 
@@ -104,6 +112,145 @@ TEST(FailureInjection, ExtremeRssValues) {
   }
   const auto res = tracker.track(reports);
   EXPECT_FALSE(res.trajectory.empty());
+}
+
+/// A writing-like single-pen stream: both antennas, slewing phase and
+/// RSS, `seconds` long at 200 reads/s.
+rfid::TagReportStream pen_stream(std::uint32_t epc, double seconds) {
+  rfid::TagReportStream out;
+  for (int i = 0; i * 0.005 < seconds; ++i) {
+    const double t = i * 0.005;
+    const int ant = i % 2;
+    const double rss = (ant == 0 ? -40.0 : -46.0) + 3.0 * std::sin(t * 2.1);
+    const double phase = ant == 0 ? 0.8 + 1.7 * t : 2.0 - 1.3 * t;
+    auto r = report(t, ant, rss, phase);
+    r.epc = epc;
+    out.push_back(r);
+  }
+  return out;
+}
+
+std::vector<core::PenEvent> run_associator(const rfid::TagReportStream& s,
+                                           std::vector<core::PenEvent>* tail) {
+  core::AssociatorConfig acfg;
+  acfg.idle_close_s = 0.5;
+  core::TagTrackAssociator assoc(core::PolarDrawConfig{}, acfg);
+  auto events = assoc.push(s);
+  *tail = assoc.flush();
+  return events;
+}
+
+void expect_same_events(const std::vector<core::PenEvent>& got,
+                        const std::vector<core::PenEvent>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(static_cast<int>(got[i].type), static_cast<int>(want[i].type));
+    EXPECT_EQ(got[i].session_id, want[i].session_id) << i;
+    EXPECT_EQ(got[i].t_s, want[i].t_s) << i;
+    EXPECT_EQ(got[i].obs.has_phase, want[i].obs.has_phase) << i;
+    EXPECT_EQ(got[i].obs.direction.direction, want[i].obs.direction.direction)
+        << i;
+    EXPECT_EQ(got[i].obs.distance.lower_m, want[i].obs.distance.lower_m) << i;
+    EXPECT_EQ(got[i].obs.distance.dtheta21, want[i].obs.distance.dtheta21)
+        << i;
+    EXPECT_EQ(got[i].azimuth_delta_rad, want[i].azimuth_delta_rad) << i;
+  }
+}
+
+TEST(FailureInjection, NonFiniteReportFieldsAreDropped) {
+  // A report with a NaN/inf timestamp, RSS or phase must vanish without a
+  // trace in both pipelines: the output equals that of the same stream
+  // with the report removed, and every drop is counted once. Cases: a NaN
+  // first report (would become the window origin), a NaN mid-stream
+  // timestamp (would be bucketed through an undefined cast), a NaN phase
+  // (would poison every later unwrapped phase), an inf RSS, and -- for
+  // the associator -- a NaN-timestamp last report of a pen (would stop
+  // its idle close forever).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+
+  // --- Batch: PolarDraw::track ---------------------------------------------
+  const auto clean = pen_stream(0xA1, 3.0);
+  auto dirty = clean;
+  auto bad = clean[0];
+  bad.timestamp_s = kNaN;
+  dirty.insert(dirty.begin(), bad);
+  bad = clean[300];
+  bad.timestamp_s = kNaN;
+  dirty.insert(dirty.begin() + 300, bad);
+  bad = clean[150];
+  bad.phase_rad = kNaN;
+  dirty.insert(dirty.begin() + 150, bad);
+  bad = clean[450];
+  bad.rss_dbm = kInf;
+  dirty.insert(dirty.begin() + 450, bad);
+
+  const auto tracker = default_tracker();
+  const auto want = tracker.track(clean);
+  reg.reset();
+  const auto got = tracker.track(dirty);
+  EXPECT_EQ(reg.snapshot().counter("preprocess.nonfinite_reports"), 4u);
+  ASSERT_FALSE(want.trajectory.empty());
+  EXPECT_EQ(got.trajectory, want.trajectory);
+  ASSERT_EQ(got.diagnostics.size(), want.diagnostics.size());
+  for (std::size_t i = 0; i < got.diagnostics.size(); ++i) {
+    EXPECT_EQ(got.diagnostics[i].t_s, want.diagnostics[i].t_s) << i;
+    EXPECT_EQ(static_cast<int>(got.diagnostics[i].motion),
+              static_cast<int>(want.diagnostics[i].motion))
+        << i;
+    EXPECT_EQ(got.diagnostics[i].distance.dtheta21,
+              want.diagnostics[i].distance.dtheta21)
+        << i;
+  }
+
+  // --- Associator: TagTrackAssociator --------------------------------------
+  // Pen A writes for 1 s; pen B keeps the stream alive for 3 s.
+  rfid::TagReportStream two = pen_stream(0xA1, 1.0);
+  const auto b = pen_stream(0xB2, 3.0);
+  two.insert(two.end(), b.begin(), b.end());
+  std::stable_sort(two.begin(), two.end(),
+                   [](const rfid::TagReport& x, const rfid::TagReport& y) {
+                     return x.timestamp_s < y.timestamp_s;
+                   });
+  rfid::TagReportStream two_dirty = two;
+  std::size_t last_a = 0;
+  for (std::size_t i = 0; i < two_dirty.size(); ++i) {
+    if (two_dirty[i].epc == 0xA1) last_a = i;
+  }
+  bad = two_dirty[last_a];
+  bad.timestamp_s = kNaN;  // pen A's last report
+  two_dirty.insert(two_dirty.begin() + static_cast<std::ptrdiff_t>(last_a) + 1,
+                   bad);
+  bad = two_dirty[400];
+  bad.phase_rad = kNaN;
+  two_dirty.insert(two_dirty.begin() + 400, bad);
+  bad = two_dirty[0];
+  bad.timestamp_s = kNaN;  // the stream's first report
+  two_dirty.insert(two_dirty.begin(), bad);
+
+  std::vector<core::PenEvent> want_tail, got_tail;
+  const auto want_events = run_associator(two, &want_tail);
+  reg.reset();
+  const auto got_events = run_associator(two_dirty, &got_tail);
+  EXPECT_EQ(reg.snapshot().counter("preprocess.nonfinite_reports"), 3u);
+  expect_same_events(got_events, want_events);
+  expect_same_events(got_tail, want_tail);
+  // Pen A idle-closed while pen B was still reporting, not at flush.
+  bool a_closed_live = false;
+  for (const auto& e : got_events) {
+    a_closed_live |= e.type == core::PenEventType::kClose && e.epc == 0xA1;
+  }
+  EXPECT_TRUE(a_closed_live);
+  std::size_t observations = 0;
+  for (const auto& e : got_events) {
+    observations += e.type == core::PenEventType::kObservation ? 1 : 0;
+  }
+  EXPECT_GT(observations, 60u);
+
+  reg.reset();
+  reg.set_enabled(false);
 }
 
 TEST(FailureInjection, DeafTagProducesNoReads) {
