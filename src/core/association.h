@@ -81,11 +81,10 @@ class TagTrackAssociator {
 
   /// Routes one report; reports must arrive in non-decreasing timestamp
   /// order (the reader's native order). A report that fails admit_report()
-  /// is dropped before anything else. A report older than its track's
-  /// current window (that window's predecessors are already finalized) or
-  /// than the track's first report is dropped and counted in
-  /// `assoc.late_reports`. Returns the events it triggered: idle closes of
-  /// stale tracks first (EPC order), then this report's own
+  /// is dropped first. A report that falls in an already finalized window
+  /// of its track, or before the track's first report, is dropped and
+  /// counted in `assoc.late_reports`. Returns the events it triggered:
+  /// idle closes of stale tracks first (EPC order), then this report's own
   /// open/observations.
   std::vector<PenEvent> push(const rfid::TagReport& report);
 

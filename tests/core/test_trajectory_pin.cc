@@ -141,6 +141,9 @@ TEST(TrajectoryPin, BatchLettersBitExact) {
   for (const Case& c : cases) {
     const auto res = track_letter(c.letter, c.seed, c.hopping);
     ASSERT_FALSE(res.trajectory.empty()) << c.letter;
+    // One diagnostic per window; the trajectory adds the decode's start
+    // point and drops the default 8-window warm-up.
+    EXPECT_EQ(res.diagnostics.size(), res.trajectory.size() + 7) << c.letter;
     EXPECT_EQ(res.rotational_windows, c.rotational) << c.letter;
     EXPECT_EQ(res.translational_windows, c.translational) << c.letter;
     EXPECT_EQ(res.idle_windows, c.idle) << c.letter;
