@@ -13,6 +13,12 @@
 // GoldenMetricsTest); this one hashes every bit of the trajectories, the
 // per-window diagnostics and the associator's events, so any refactor of
 // the front end that moves a single ulp fails here.
+//
+// A second group pins the streaming decode back end on the synthetic
+// decode testbed -- every committed StreamingDecoder position across seeds
+// and commit lags, plus windows whose distance upper bound spans the whole
+// board -- and the end-to-end letter/word accuracy, so a change to the
+// candidate-scoring kernel that moves one committed block fails here.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,7 +27,9 @@
 #include <vector>
 
 #include "core/association.h"
+#include "core/decode_testbed.h"
 #include "core/polardraw.h"
+#include "core/streaming_decoder.h"
 #include "eval/harness.h"
 #include "handwriting/synthesizer.h"
 #include "server/session_server.h"
@@ -248,6 +256,83 @@ TEST(TrajectoryPin, MultipenSessionsBitExact) {
       << "got 0x" << std::hex << events.value();
   EXPECT_EQ(sessions.value(), 0xdb4d71c233e4c59bull)
       << "got 0x" << std::hex << sessions.value();
+}
+
+/// Streams `tb` through a StreamingDecoder, polling after every push, and
+/// hashes every committed position. The per-window renormalization
+/// invariant (front max exactly 0 once seeded) is checked on the way.
+std::uint64_t hash_stream(const core::DecodeTestbed& tb, std::size_t lag,
+                          bool use_hint) {
+  const core::PolarDrawConfig cfg;
+  core::StreamingConfig scfg;
+  scfg.lag_windows = lag;
+  core::StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z, scfg, nullptr,
+                             use_hint ? &tb.start : nullptr);
+  std::vector<Vec2> out;
+  for (const auto& o : tb.obs) {
+    dec.push(o);
+    if (dec.seeded()) {
+      EXPECT_EQ(dec.front_logp_max(), 0.0f);
+    }
+    dec.poll(out);
+  }
+  dec.finish(out);
+  EXPECT_EQ(out.size(), tb.obs.size() + 1);
+  Hash h;
+  h.add(static_cast<std::uint64_t>(out.size()));
+  for (const Vec2& p : out) h.add(p);
+  return h.value();
+}
+
+TEST(TrajectoryPin, StreamingDecoderFuzzBitExact) {
+  const std::size_t lags[] = {1, 3, 7, 16, 61};
+  const std::uint64_t hashes[] = {
+      0x02e3cf25b8977eadull, 0x75ab88032f9afc56ull, 0x31fa03386e591239ull,
+      0x7e397f78cbd29653ull, 0x257ffb63b9990371ull, 0x37cd87b2c608a43full,
+      0x169a98ee9c05183eull, 0xd09b8f2055c4008aull, 0x3e6df79932af3dfeull,
+      0x355426c003ad204dull,
+  };
+  for (std::uint64_t seed = 20; seed < 30; ++seed) {
+    const std::size_t lag = lags[seed % 5];
+    const auto tb =
+        core::make_decode_testbed(core::PolarDrawConfig{}, 60, seed);
+    const std::uint64_t got = hash_stream(tb, lag, seed % 2 == 0);
+    EXPECT_EQ(got, hashes[seed - 20])
+        << "seed " << seed << " lag " << lag << " got 0x" << std::hex << got;
+  }
+}
+
+TEST(TrajectoryPin, BoardSpanningUpperBoundBitExact) {
+  // A distance upper bound far beyond the board makes every cell a
+  // candidate for a few windows; the decode must neither blow up nor
+  // change what it commits.
+  struct Case {
+    double upper_m;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {{5.0, 0xc16d834a4cb9ea2full},
+                        {100.0, 0xd30c50fe9e12e02eull}};
+  for (const Case& c : cases) {
+    auto tb = core::make_decode_testbed(core::PolarDrawConfig{}, 40, 7);
+    for (std::size_t i = 18; i <= 21; ++i) {
+      tb.obs[i].distance.upper_m = c.upper_m;
+    }
+    const std::uint64_t got = hash_stream(tb, 16, true);
+    EXPECT_EQ(got, c.hash)
+        << "upper_m " << c.upper_m << " got 0x" << std::hex << got;
+  }
+}
+
+TEST(TrajectoryPin, RecognitionAccuracyExact) {
+  // The fig. 13 (letters) / fig. 18 (words) metric end to end at small
+  // reps: synthesis, RFID sim, tracking and classification.
+  eval::TrialConfig cfg;
+  cfg.seed = 99;
+  eval::apply_system_layout(cfg);
+  const double letters = eval::letter_accuracy("AOXU", 2, cfg);
+  const double words = eval::word_accuracy(2, 1, cfg);
+  EXPECT_EQ(letters, 0.625) << std::hexfloat << letters;
+  EXPECT_EQ(words, 0.9) << std::hexfloat << words;
 }
 
 }  // namespace
