@@ -37,10 +37,9 @@ void add_window_rate(benchmark::State& state, int n_windows) {
   state.SetItemsProcessed(state.iterations() * n_windows);
 }
 
-void BM_HmmDecode(benchmark::State& state, bool smoke, DecodeKernel kernel) {
+void BM_HmmDecode(benchmark::State& state, bool smoke) {
   const int n = static_cast<int>(state.range(0));
-  auto cfg = bench_config(smoke);
-  cfg.decode_kernel = kernel;
+  const auto cfg = bench_config(smoke);
   const auto tb = make_decode_testbed(cfg, n, 42);
   const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
   for (auto _ : state) {
@@ -61,15 +60,12 @@ void BM_HmmTrackerConstruct(benchmark::State& state, bool smoke) {
 
 // Headline experiment for the JSON export: a fixed-rep decode loop on the
 // seeded testbed, independent of google-benchmark (which JSON-only mode
-// skips), recording decode throughput in windows/s for both beam-expansion
-// kernels. `windows_per_s` stays the scalar reference number (baseline
-// continuity); `vector_windows_per_s` is the vector path, each gated by
-// benchdiff's throughput tolerance. `vector_speedup` is informational
-// (unknown metric class: warn-only).
-double run_kernel_experiment(bool smoke, DecodeKernel kernel, int n,
-                             int reps) {
-  auto cfg = bench_config(smoke);
-  cfg.decode_kernel = kernel;
+// skips), recording decode throughput in windows/s (gated by benchdiff's
+// throughput tolerance).
+void run_experiment(bool smoke) {
+  const int n = smoke ? 16 : 200;
+  const int reps = (smoke ? 3 : 10) * bench::reps_scale();
+  const auto cfg = bench_config(smoke);
   const auto tb = make_decode_testbed(cfg, n, 42);
   const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
   std::size_t sink = 0;
@@ -80,26 +76,12 @@ double run_kernel_experiment(bool smoke, DecodeKernel kernel, int n,
   const double elapsed = watch.seconds();
   const double windows_per_s =
       elapsed > 0.0 ? static_cast<double>(reps) * n / elapsed : 0.0;
-  const char* name = kernel == DecodeKernel::kVector ? "vector" : "scalar";
-  std::cout << "HMM decode [" << name << "]: " << reps << " x " << n
-            << " windows (" << sink << " states) in " << fmt(elapsed, 3)
+  std::cout << "HMM decode: " << reps << " x " << n << " windows (" << sink
+            << " states) in " << fmt(elapsed, 3)
             << " s = " << fmt(windows_per_s, 0) << " windows/s.\n";
-  return windows_per_s;
-}
-
-void run_experiment(bool smoke) {
-  const int n = smoke ? 16 : 200;
-  const int reps = (smoke ? 3 : 10) * bench::reps_scale();
-  const double scalar_rate =
-      run_kernel_experiment(smoke, DecodeKernel::kScalar, n, reps);
-  const double vector_rate =
-      run_kernel_experiment(smoke, DecodeKernel::kVector, n, reps);
   bench::record_metric("windows", static_cast<double>(n));
   bench::record_metric("decode_reps", reps);
-  bench::record_metric("windows_per_s", scalar_rate);
-  bench::record_metric("vector_windows_per_s", vector_rate);
-  bench::record_metric("vector_speedup",
-                       scalar_rate > 0.0 ? vector_rate / scalar_rate : 0.0);
+  bench::record_metric("windows_per_s", windows_per_s);
 }
 
 }  // namespace
@@ -116,17 +98,8 @@ int main(int argc, char** argv) {
             : std::vector<std::int64_t>{50, 200, 800};
   for (const auto n : lengths) {
     benchmark::RegisterBenchmark(
-        "BM_HmmDecode/scalar",
-        [smoke](benchmark::State& s) {
-          BM_HmmDecode(s, smoke, DecodeKernel::kScalar);
-        })
-        ->Arg(n)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        "BM_HmmDecode/vector",
-        [smoke](benchmark::State& s) {
-          BM_HmmDecode(s, smoke, DecodeKernel::kVector);
-        })
+        "BM_HmmDecode",
+        [smoke](benchmark::State& s) { BM_HmmDecode(s, smoke); })
         ->Arg(n)
         ->Unit(benchmark::kMillisecond);
   }

@@ -8,8 +8,6 @@
 #include "bench_common.h"
 #include "channel/multipath.h"
 #include "common/angles.h"
-#include "core/decode_testbed.h"
-#include "core/hmm_tracker.h"
 #include "core/polardraw.h"
 #include "eval/harness.h"
 #include "handwriting/synthesizer.h"
@@ -95,27 +93,6 @@ static void BM_FullTrack(benchmark::State& state) {
       core::preprocess(fx.reports, fx.algo, &fx.cal).size());
 }
 BENCHMARK(BM_FullTrack);
-
-static void BM_ExpandKernelDecode(benchmark::State& state,
-                                  core::DecodeKernel kernel) {
-  // The two beam-expansion kernels (core/expand_kernel.h) head to head on
-  // the seeded decode testbed -- the isolated cost of the Eq. 8/11
-  // candidate-scoring loop that dominates BM_HmmDecode.
-  core::PolarDrawConfig cfg;
-  cfg.decode_kernel = kernel;
-  const auto tb = core::make_decode_testbed(cfg, 100, 42);
-  const core::HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(hmm.decode(tb.obs, &tb.start).size());
-  }
-  state.SetItemsProcessed(state.iterations() * 100);
-}
-BENCHMARK_CAPTURE(BM_ExpandKernelDecode, scalar,
-                  core::DecodeKernel::kScalar)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ExpandKernelDecode, vector,
-                  core::DecodeKernel::kVector)
-    ->Unit(benchmark::kMillisecond);
 
 static void BM_ViterbiBeamWidth(benchmark::State& state) {
   const auto& fx = Fixture::get();

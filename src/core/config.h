@@ -13,14 +13,6 @@
 
 namespace polardraw::core {
 
-/// Candidate-scoring kernel for the Viterbi beam expansion
-/// (core/expand_kernel.h). `kScalar` is the bit-exact reference path,
-/// pinned by the golden decode tests; `kVector` is the branchless SoA
-/// path that scores whole candidate rows per iteration and is held to the
-/// tolerance ladder (identical committed trajectories on the golden
-/// seeds, bounded per-window log-prob deviation) instead of bit identity.
-enum class DecodeKernel { kScalar, kVector };
-
 struct PolarDrawConfig {
   // ----- Pre-processing (section 3.1) -----
   /// Averaging window, seconds. Paper: 50 ms.
@@ -113,10 +105,6 @@ struct PolarDrawConfig {
   /// over the full grid is O(states^2); the beam keeps it real-time without
   /// changing results in practice).
   std::size_t beam_width = 600;
-
-  /// Which beam-expansion kernel scores candidate cells (see DecodeKernel).
-  /// Scalar is the reference; vector trades bit identity for throughput.
-  DecodeKernel decode_kernel = DecodeKernel::kScalar;
 
   /// Apply the final Eq. 10 trajectory rotation by the accumulated
   /// initial-azimuth correction.

@@ -21,11 +21,9 @@ constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
 ExpandKernel::ExpandKernel(const PolarDrawConfig& cfg, const PhaseField& field)
     : cfg_(cfg),
       field_(field),
-      kind_(cfg.decode_kernel),
       cols_(field.cols()),
       rows_(field.rows()),
-      best_slot_(field.cells()),
-      hyper_term_(field.cells()) {}
+      best_slot_(field.cells()) {}
 
 ExpandKernel::WindowTerms ExpandKernel::window_terms(
     const TrackObservation& o) const {
@@ -34,8 +32,12 @@ ExpandKernel::WindowTerms ExpandKernel::window_terms(
   // estimate degrades to "anywhere within the speed limit".
   w.lower_m = o.distance.valid ? o.distance.lower_m : 0.0;
   w.upper_m = std::max({o.distance.upper_m, w.lower_m, cfg_.block_m * 0.5});
-  w.reach_blocks =
-      std::max(1, static_cast<int>(std::ceil(w.upper_m / cfg_.block_m)));
+  // No displacement leaves the grid, so the reach is capped at its larger
+  // extent before the cast: a huge or non-finite bound (NaN fails the
+  // comparison and takes the cap) costs one board-sized table.
+  const double reach = std::ceil(w.upper_m / cfg_.block_m);
+  const double grid = static_cast<double>(std::max(cols_, rows_));
+  w.reach_blocks = std::max(1, static_cast<int>(reach <= grid ? reach : grid));
   w.out_thresh_m = w.upper_m + 0.5 * cfg_.block_m;
   w.quarter_block_m = 0.25 * cfg_.block_m;
   w.use_hyper =
@@ -71,9 +73,106 @@ void ExpandKernel::fill_dc_limits(const WindowTerms& w) {
   dc_lim_.assign(static_cast<std::size_t>(reach) + 1, 0);
   for (int dr = 0; dr <= reach; ++dr) {
     const double rem = r_blocks * r_blocks - static_cast<double>(dr) * dr;
+    if (rem <= 0.0) continue;  // stays 0
+    // Capped at the reach in double before the cast, as in window_terms.
+    const double root = std::sqrt(rem);
     dc_lim_[static_cast<std::size_t>(dr)] =
-        rem <= 0.0 ? 0
-                   : std::min(reach, static_cast<int>(std::sqrt(rem)) + 1);
+        std::min(reach, static_cast<int>(root < reach ? root : reach) + 1);
+  }
+}
+
+void ExpandKernel::fill_displacement_table(const WindowTerms& w) {
+  const int reach = w.reach_blocks;
+  const int t = 2 * reach + 1;
+  const std::size_t tt =
+      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
+  // disp_logw_ holds the finite direction/idle log-weight (0 where the
+  // displacement is annulus-rejected); the validity mask is folded into
+  // the same buffer as a second plane [tt, 2*tt): 0 for valid lanes, -inf
+  // for rejected ones, so a rejected candidate's score is -inf *after*
+  // the weight-floor clamp instead of being resurrected by it.
+  //
+  // Knife-edge displacements -- lattice distance within kEdgeEps of either
+  // annulus threshold -- are marked in disp_edge_ and kept valid here; the
+  // merge loop re-tests them with the exact center-difference arithmetic
+  // (see the header: upper_m is often an exact block multiple, putting
+  // out_thresh_m dead on the lattice, where position-dependent rounding
+  // noise of ~1e-16 decides acceptance cell by cell).
+  constexpr double kEdgeEps = 1e-12;
+  disp_logw_.assign(2 * tt, 0.0);
+  disp_edge_.assign(tt, 0);
+  for (int dr = -reach; dr <= reach; ++dr) {
+    const std::size_t row = static_cast<std::size_t>(dr + reach);
+    for (int dc = -reach; dc <= reach; ++dc) {
+      const std::size_t idx = row * static_cast<std::size_t>(t) +
+                              static_cast<std::size_t>(dc + reach);
+      // Exact block-lattice displacement (the grid is uniform, so the
+      // candidate-minus-previous center difference is dc/dr blocks up to
+      // rounding; the table snaps to the lattice).
+      const double rx = static_cast<double>(dc) * cfg_.block_m;
+      const double ry = static_cast<double>(dr) * cfg_.block_m;
+      const double step_m = std::sqrt(rx * rx + ry * ry);
+      const bool edge =
+          std::fabs(step_m - w.out_thresh_m) < kEdgeEps ||
+          std::fabs(step_m + w.quarter_block_m - w.lower_m) < kEdgeEps;
+      const bool valid = edge || (!(step_m > w.out_thresh_m) &&
+                                  !(step_m + w.quarter_block_m < w.lower_m));
+      double logw = 0.0;
+      if (valid) {
+        if (w.use_dir) {
+          // Direction-line term of Eq. 11: perpendicular distance from the
+          // candidate to the line through the previous location along the
+          // estimated direction, normalized by the max displacement.
+          // Candidates behind the motion direction are inconsistent with
+          // the estimated heading (half-plane factor 1/4).
+          const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
+          logw += std::log(std::max(1.0 - perp / w.dmax_m, kWeightFloor));
+          if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) {
+            logw += kLogQuarter;
+          }
+        }
+        if (w.idle_step_penalty) {
+          // No direction estimate this window: tie-break toward small
+          // steps (an undetected motion is a small motion), otherwise the
+          // annulus blocks tie and the argmax drifts.
+          const double frac = step_m / w.upper_m;
+          logw += -cfg_.unobserved_step_penalty * frac * frac;
+        }
+      }
+      disp_logw_[idx] = valid ? logw : 0.0;
+      disp_logw_[tt + idx] = valid ? 0.0 : kNegInf;
+      disp_edge_[idx] = edge ? 1 : 0;
+    }
+  }
+}
+
+void ExpandKernel::fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi,
+                                   int c_lo, int box_w) {
+  const double inv_4pi = 1.0 / (4.0 * kPi);
+  const double sharp = cfg_.hyperbola_sharpness;
+  for (int nr = r_lo; nr <= r_hi; ++nr) {
+    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
+    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
+    if (lo > hi) continue;
+    double* out = &hyper_logw_[static_cast<std::size_t>(nr - r_lo) *
+                                   static_cast<std::size_t>(box_w) +
+                               static_cast<std::size_t>(lo - c_lo)];
+    const std::size_t len = static_cast<std::size_t>(hi - lo) + 1;
+    if (!w.use_hyper) {
+      std::fill(out, out + len, 0.0);
+      continue;
+    }
+    const double* phase = field_.phase_row(nr) + lo;
+    // Eq. 11 hyperbola term 1 - |dtheta_meas - dtheta(x,y)| / (4*pi), with
+    // a branchless circular distance: phase and meas both live in
+    // [0, 2*pi), so it is min(|d|, 2*pi - |d|). log(term^sharp) =
+    // sharp * log(term), so no pow is needed.
+    for (std::size_t i = 0; i < len; ++i) {
+      const double d = std::fabs(phase[i] - w.meas_rad);
+      const double mismatch = std::min(d, kTwoPi - d);
+      const double term = std::max(1.0 - mismatch * inv_4pi, kWeightFloor);
+      out[i] = sharp * std::log(term);
+    }
   }
 }
 
@@ -91,237 +190,6 @@ void ExpandKernel::expand(const TrackObservation& o,
   cand_cell.clear();
   cand_logp.clear();
   cand_parent.clear();
-  if (kind_ == DecodeKernel::kVector) {
-    expand_vector(w, node_cell, node_logp, prev_begin, prev_end, cand_cell,
-                  cand_logp, cand_parent, stats);
-  } else {
-    expand_scalar(w, node_cell, node_logp, prev_begin, prev_end, cand_cell,
-                  cand_logp, cand_parent, stats);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Scalar reference path: a behavior-preserving lift of the historical
-// StreamingDecoder::step loop, pinned bit-identical by the golden tests.
-// ---------------------------------------------------------------------------
-
-void ExpandKernel::expand_scalar(const WindowTerms& w,
-                                 const std::vector<std::int32_t>& node_cell,
-                                 const std::vector<float>& node_logp,
-                                 std::size_t prev_begin, std::size_t prev_end,
-                                 std::vector<std::int32_t>& cand_cell,
-                                 std::vector<float>& cand_logp,
-                                 std::vector<std::int32_t>& cand_parent,
-                                 ExpandStats& stats) {
-  const PhaseField& field = field_;
-  const int reach = w.reach_blocks;
-  hyper_term_.clear();
-
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const std::int32_t pcell = node_cell[a];
-    const int pr = pcell / cols_;
-    const int pc = pcell % cols_;
-    const float plp = node_logp[a];
-    const double fx = field.center_x(pc);
-    const double fy = field.center_y(pr);
-    const int dr_lo = std::max(-reach, -pr);
-    const int dr_hi = std::min(reach, rows_ - 1 - pr);
-    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int nr = pr + dr;
-      const double ty = field.center_y(nr);
-      const double ddy = fy - ty;
-      const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
-      const int dc_lo = std::max(-lim, -pc);
-      const int dc_hi = std::min(lim, cols_ - 1 - pc);
-      const std::int32_t row_base = nr * cols_;
-      for (int dc = dc_lo; dc <= dc_hi; ++dc) {
-        const int nc = pc + dc;
-        const double tx = field.center_x(nc);
-        const double ddx = fx - tx;
-        const double step_m = std::sqrt(ddx * ddx + ddy * ddy);
-        // Annulus membership (Eq. 8); allow a quarter-block tolerance so
-        // the discretization cannot strand the chain, while keeping the
-        // lower bound binding (it is the phase-derived minimum motion).
-        if (step_m > w.out_thresh_m) {
-          ++stats.annulus_rejected;
-          continue;
-        }
-        if (step_m + w.quarter_block_m < w.lower_m) {
-          ++stats.annulus_rejected;
-          continue;
-        }
-        ++stats.expansions;
-
-        const std::size_t ncell = static_cast<std::size_t>(row_base + nc);
-        // Hyperbola term of Eq. 11: 1 - |dtheta_meas - dtheta(x,y)| /
-        // (4*pi), compared circularly against the cached field.
-        double weight;
-        if (w.use_hyper) {
-          if (hyper_term_.contains(ncell)) {
-            ++stats.hyper_hits;
-            weight = hyper_term_.get(ncell);
-          } else {
-            ++stats.hyper_misses;
-            const double mismatch =
-                angle_dist(field.phase_at_cell(ncell), w.meas_rad);
-            const double term =
-                std::max(1.0 - mismatch / (4.0 * kPi), kWeightFloor);
-            weight = cfg_.hyperbola_sharpness == 1.0
-                         ? term
-                         : std::pow(term, cfg_.hyperbola_sharpness);
-            hyper_term_.put(ncell, weight);
-          }
-        } else {
-          weight = 1.0;
-        }
-
-        // Direction-line term of Eq. 11: perpendicular distance from the
-        // candidate to the line through the previous location along the
-        // estimated moving direction, normalized by the max displacement.
-        if (w.use_dir) {
-          const double rx = tx - fx;
-          const double ry = ty - fy;
-          const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
-          double term = std::max(1.0 - perp / w.dmax_m, kWeightFloor);
-          // Half-plane preference: candidates behind the motion direction
-          // are inconsistent with the estimated heading.
-          if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) term *= 0.25;
-          weight *= term;
-        }
-
-        if (w.idle_step_penalty) {
-          // No direction estimate this window: tie-break toward small
-          // steps (an undetected motion is a small motion), otherwise
-          // the annulus blocks tie -- exactly along the hyperbola when
-          // phase is present, everywhere when it is not -- and the
-          // argmax drifts.
-          const double frac = step_m / w.upper_m;
-          weight *= std::exp(-cfg_.unobserved_step_penalty * frac * frac);
-        }
-
-        const float lp =
-            plp +
-            static_cast<float>(std::log(std::max(weight, kWeightFloor)));
-        if (!best_slot_.contains(ncell)) {
-          best_slot_.put(ncell, static_cast<std::int32_t>(cand_cell.size()));
-          cand_cell.push_back(static_cast<std::int32_t>(ncell));
-          cand_logp.push_back(lp);
-          cand_parent.push_back(static_cast<std::int32_t>(a));
-        } else {
-          const std::int32_t slot = best_slot_.get(ncell);
-          if (lp > cand_logp[static_cast<std::size_t>(slot)]) {
-            cand_logp[static_cast<std::size_t>(slot)] = lp;
-            cand_parent[static_cast<std::size_t>(slot)] =
-                static_cast<std::int32_t>(a);
-          }
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Vector path: branchless SoA scoring. All transcendental work happens in
-// two per-window precomputations; the per-candidate loop is three adds and
-// a max over contiguous lanes.
-// ---------------------------------------------------------------------------
-
-void ExpandKernel::fill_displacement_table(const WindowTerms& w) {
-  const int reach = w.reach_blocks;
-  const int t = 2 * reach + 1;
-  const std::size_t tt =
-      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
-  // disp_logw_ holds the finite direction/idle log-weight (0 where the
-  // displacement is annulus-rejected); the validity mask is folded into
-  // the same buffer as a second plane [tt, 2*tt): 0 for valid lanes, -inf
-  // for rejected ones, so a rejected candidate's score is -inf *after*
-  // the weight-floor clamp instead of being resurrected by it.
-  //
-  // Knife-edge displacements -- lattice distance within kEdgeEps of either
-  // annulus threshold -- are marked in disp_edge_ and kept valid here; the
-  // merge loop re-tests them with the scalar path's exact center-difference
-  // arithmetic. This matters in practice: upper_m is often an exact block
-  // multiple (vmax * window / block integral), putting out_thresh_m dead on
-  // the lattice, where the scalar path's position-dependent rounding noise
-  // (~1e-16) decides acceptance cell by cell.
-  constexpr double kEdgeEps = 1e-12;
-  disp_logw_.assign(2 * tt, 0.0);
-  disp_edge_.assign(tt, 0);
-  for (int dr = -reach; dr <= reach; ++dr) {
-    const std::size_t row = static_cast<std::size_t>(dr + reach);
-    for (int dc = -reach; dc <= reach; ++dc) {
-      const std::size_t idx = row * static_cast<std::size_t>(t) +
-                              static_cast<std::size_t>(dc + reach);
-      // Exact block-lattice displacement (the grid is uniform, so the
-      // candidate-minus-previous center difference is dc/dr blocks up to
-      // rounding; the vector path snaps to the lattice).
-      const double rx = static_cast<double>(dc) * cfg_.block_m;
-      const double ry = static_cast<double>(dr) * cfg_.block_m;
-      const double step_m = std::sqrt(rx * rx + ry * ry);
-      const bool edge =
-          std::fabs(step_m - w.out_thresh_m) < kEdgeEps ||
-          std::fabs(step_m + w.quarter_block_m - w.lower_m) < kEdgeEps;
-      const bool valid = edge || (!(step_m > w.out_thresh_m) &&
-                                  !(step_m + w.quarter_block_m < w.lower_m));
-      double logw = 0.0;
-      if (valid) {
-        if (w.use_dir) {
-          const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
-          logw += std::log(std::max(1.0 - perp / w.dmax_m, kWeightFloor));
-          if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) {
-            logw += kLogQuarter;
-          }
-        }
-        if (w.idle_step_penalty) {
-          const double frac = step_m / w.upper_m;
-          logw += -cfg_.unobserved_step_penalty * frac * frac;
-        }
-      }
-      disp_logw_[idx] = valid ? logw : 0.0;
-      disp_logw_[tt + idx] = valid ? 0.0 : kNegInf;
-      disp_edge_[idx] = edge ? 1 : 0;
-    }
-  }
-}
-
-void ExpandKernel::fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi,
-                                   int c_lo, int box_w, ExpandStats& stats) {
-  const double inv_4pi = 1.0 / (4.0 * kPi);
-  const double sharp = cfg_.hyperbola_sharpness;
-  for (int nr = r_lo; nr <= r_hi; ++nr) {
-    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
-    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
-    if (lo > hi) continue;
-    double* out = &hyper_logw_[static_cast<std::size_t>(nr - r_lo) *
-                                   static_cast<std::size_t>(box_w) +
-                               static_cast<std::size_t>(lo - c_lo)];
-    const std::size_t len = static_cast<std::size_t>(hi - lo) + 1;
-    if (!w.use_hyper) {
-      std::fill(out, out + len, 0.0);
-      continue;
-    }
-    const double* phase = field_.phase_row(nr) + lo;
-    stats.hyper_misses += len;
-    // Branchless circular distance: phase and meas both live in [0, 2*pi),
-    // so the circular distance is min(|d|, 2*pi - |d|). log(term^sharp)
-    // = sharp * log(term), so the scalar path's pow disappears.
-    for (std::size_t i = 0; i < len; ++i) {
-      const double d = std::fabs(phase[i] - w.meas_rad);
-      const double mismatch = std::min(d, kTwoPi - d);
-      const double term = std::max(1.0 - mismatch * inv_4pi, kWeightFloor);
-      out[i] = sharp * std::log(term);
-    }
-  }
-}
-
-void ExpandKernel::expand_vector(const WindowTerms& w,
-                                 const std::vector<std::int32_t>& node_cell,
-                                 const std::vector<float>& node_logp,
-                                 std::size_t prev_begin, std::size_t prev_end,
-                                 std::vector<std::int32_t>& cand_cell,
-                                 std::vector<float>& cand_logp,
-                                 std::vector<std::int32_t>& cand_parent,
-                                 ExpandStats& stats) {
   const int reach = w.reach_blocks;
   const int t = 2 * reach + 1;
   fill_displacement_table(w);
@@ -361,7 +229,7 @@ void ExpandKernel::expand_vector(const WindowTerms& w,
   const int box_w = c_hi - c_lo + 1;
   hyper_logw_.resize(static_cast<std::size_t>(r_hi - r_lo + 1) *
                      static_cast<std::size_t>(box_w));
-  fill_hyper_rows(w, r_lo, r_hi, c_lo, box_w, stats);
+  fill_hyper_rows(w, r_lo, r_hi, c_lo, box_w);
 
   const std::size_t tt =
       static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
@@ -405,11 +273,12 @@ void ExpandKernel::expand_vector(const WindowTerms& w,
             plp + std::max(hyp[i] + dtab[i], kLogWeightFloor) + mask[i]);
       }
 
-      // Merge per-cell bests through the generation scoreboard, in the
-      // same first-touch traversal order as the scalar path. Knife-edge
-      // lanes re-run the scalar path's exact center-difference annulus
-      // test so both kernels accept the same candidate set even when a
-      // threshold sits dead on the lattice.
+      // Merge per-cell bests through the generation scoreboard in
+      // first-touch traversal order. Knife-edge lanes re-run the exact
+      // center-difference annulus test (Eq. 8, with a quarter-block
+      // tolerance so the discretization cannot strand the chain while the
+      // phase-derived lower bound stays binding), so the accepted set does
+      // not depend on lattice rounding.
       const std::int32_t row_base = nr * cols_;
       const std::int32_t nc0 = static_cast<std::int32_t>(pc + dc_lo);
       const double fx = field_.center_x(pc);

@@ -1,38 +1,33 @@
 // Beam-expansion kernel: per-window candidate scoring for the Viterbi
 // decode (Eq. 8 annulus transition + Eq. 11 hyperbola/direction emission).
+// It is the decode's hot loop, and the throughput ceiling for batch eval,
+// the session server and multi-pen decode.
 //
-// Extracted from StreamingDecoder::step so the scoring loop -- the
-// throughput ceiling for batch eval, the session server, and batched
-// multi-pen decode -- can have two runtime-selectable implementations
-// behind one interface (PolarDrawConfig::decode_kernel):
+// Two per-window precomputations keep the per-candidate loop free of
+// transcendentals: (1) the hyperbola log-weight is evaluated once per
+// touched cell against contiguous PhaseField rows (log of the clamped
+// term, so pow(term, sharpness) becomes sharpness * log(term)); (2) every
+// displacement-dependent factor -- the annulus test, the direction
+// line/half-plane terms and the idle step penalty -- depends only on the
+// integer block displacement (dc, dr), so it collapses into a
+// (2*reach+1)^2 log-weight table with -inf marking annulus rejections. A
+// candidate is then scored with three adds and a max over contiguous
+// lanes, and per-cell bests merge through a generation scoreboard in
+// first-touch order.
 //
-//   * kScalar -- a behavior-preserving lift of the historical loop,
-//     pinned bit-identical to the golden decode tests. This is the
-//     reference semantics: per-candidate annulus test, per-cell
-//     hyperbola-term memo in a generation scoreboard, one log per
-//     accepted candidate.
+// Knife-edge re-test: the table measures displacements on the exact block
+// lattice, but the decode's annulus test is defined on block-center
+// differences, whose ~1e-16 rounding decides acceptance cell by cell when a
+// threshold sits on the lattice. That is the common case, not a corner:
+// the default upper bound vmax * window is an exact block multiple. Lattice
+// steps within 1e-12 of either threshold are therefore re-tested with the
+// center-difference arithmetic in the merge loop, so the kernel accepts
+// exactly the candidate set the golden decodes were captured with. Scores
+// differ from a per-candidate log(product) only by FP reassociation.
 //
-//   * kVector -- a branchless SoA path that scores contiguous candidate
-//     rows per iteration. Two per-window precomputations make the inner
-//     loop transcendental-free: (1) the hyperbola log-weight is evaluated
-//     once per touched cell against contiguous PhaseField rows (log of
-//     the clamped term, so pow(term, sharpness) becomes sharpness *
-//     log(term)); (2) every displacement-dependent factor -- the exact
-//     annulus test, the direction line/half-plane terms, and the idle
-//     step penalty -- depends only on the integer block displacement
-//     (dc, dr), so it collapses into a (2*reach+1)^2 log-weight table
-//     with -inf marking annulus rejections. A candidate is then scored
-//     with three adds and a max, and per-cell bests merge through the
-//     same generation scoreboard (outside the arithmetic loop) in the
-//     same first-touch order as the scalar path.
-//
-// Tolerance ladder (enforced by tests/core/test_expand_kernel.cc): the
-// scalar kernel is bit-identical to the goldens; the vector kernel
-// reassociates the log-weight sum (and snaps displacements to the exact
-// block lattice), so it is held to identical committed trajectories on
-// the golden seeds plus a bounded per-window log-prob deviation, not bit
-// identity. Both kernels share the candidate traversal order, so
-// tie-breaks resolve identically whenever the scored values agree.
+// tests/core/expand_reference.h keeps that per-candidate scalar loop as a
+// test-only oracle; tests/core/test_expand_kernel.cc holds this kernel to
+// it (same candidates, parents, order and tallies; log-probs within 1e-4).
 #pragma once
 
 #include <cstddef>
@@ -47,16 +42,10 @@
 
 namespace polardraw::core {
 
-/// Hot-loop tallies, accumulated across windows by the caller. The two
-/// kernels count expansions/annulus rejections identically; the hyperbola
-/// cache counters are scalar-path semantics (the vector path has no
-/// per-candidate memo -- it reports each precomputed cell as one miss and
-/// no hits).
+/// Hot-loop tallies, accumulated across windows by the caller.
 struct ExpandStats {
   std::uint64_t expansions = 0;
   std::uint64_t annulus_rejected = 0;
-  std::uint64_t hyper_hits = 0;
-  std::uint64_t hyper_misses = 0;
 };
 
 class ExpandKernel {
@@ -69,7 +58,7 @@ class ExpandKernel {
   /// one window and appends the best candidate per cell to the `cand_*`
   /// arrays (cleared first). Parents are absolute arena indices.
   /// Candidates are emitted in first-touch traversal order (ascending
-  /// parent, then row, then column) by both kernels.
+  /// parent, then row, then column).
   void expand(const TrackObservation& o,
               const std::vector<std::int32_t>& node_cell,
               const std::vector<float>& node_logp, std::size_t prev_begin,
@@ -77,11 +66,9 @@ class ExpandKernel {
               std::vector<float>& cand_logp,
               std::vector<std::int32_t>& cand_parent, ExpandStats& stats);
 
-  [[nodiscard]] DecodeKernel kind() const { return kind_; }
-
  private:
-  /// Per-window hoists shared by both paths; computed exactly as the
-  /// historical in-loop hoists so the scalar path stays bit-identical.
+  /// Per-window hoists, computed exactly as the historical in-loop hoists
+  /// so the knife-edge re-test reproduces its annulus decisions.
   struct WindowTerms {
     double lower_m = 0.0;
     double upper_m = 0.0;
@@ -99,24 +86,6 @@ class ExpandKernel {
 
   WindowTerms window_terms(const TrackObservation& o) const;
   void fill_dc_limits(const WindowTerms& w);
-
-  void expand_scalar(const WindowTerms& w,
-                     const std::vector<std::int32_t>& node_cell,
-                     const std::vector<float>& node_logp,
-                     std::size_t prev_begin, std::size_t prev_end,
-                     std::vector<std::int32_t>& cand_cell,
-                     std::vector<float>& cand_logp,
-                     std::vector<std::int32_t>& cand_parent,
-                     ExpandStats& stats);
-  void expand_vector(const WindowTerms& w,
-                     const std::vector<std::int32_t>& node_cell,
-                     const std::vector<float>& node_logp,
-                     std::size_t prev_begin, std::size_t prev_end,
-                     std::vector<std::int32_t>& cand_cell,
-                     std::vector<float>& cand_logp,
-                     std::vector<std::int32_t>& cand_parent,
-                     ExpandStats& stats);
-
   /// Builds the (2*reach+1)^2 displacement log-weight table (direction +
   /// idle terms, -inf on annulus rejection) plus the knife-edge flags for
   /// lattice distances that coincide with an annulus threshold.
@@ -124,19 +93,14 @@ class ExpandKernel {
   /// Evaluates the per-cell hyperbola log-weight over the union of
   /// per-row column spans touched by this window's beam.
   void fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi, int c_lo,
-                       int box_w, ExpandStats& stats);
+                       int box_w);
 
   const PolarDrawConfig cfg_;
   const PhaseField& field_;
-  const DecodeKernel kind_;
   const int cols_, rows_;
 
-  // --- Scalar-path scratch -------------------------------------------------
-  GenerationScoreboard<std::int32_t> best_slot_;
-  GenerationScoreboard<double> hyper_term_;
-  std::vector<int> dc_lim_;  // per-|dr| column reach (shared by both paths)
-
-  // --- Vector-path scratch -------------------------------------------------
+  GenerationScoreboard<std::int32_t> best_slot_;  // cell -> candidate slot
+  std::vector<int> dc_lim_;             // per-|dr| column reach
   std::vector<double> disp_logw_;       // (2r+1)^2 log-weights + -inf mask
   std::vector<unsigned char> disp_edge_;  // threshold-coincident lattice steps
   std::vector<double> hyper_logw_;      // per-cell hyperbola log-weight (box)

@@ -47,7 +47,7 @@ class PhaseField {
   double phase_at_cell(std::size_t cell) const { return phase_[cell]; }
 
   /// Contiguous row of wrapped expected phase differences (cols() values
-  /// starting at column 0). The vector beam-expansion kernel streams these
+  /// starting at column 0). The beam-expansion kernel streams these
   /// instead of doing per-cell lookups.
   const double* phase_row(int row) const {
     return &phase_[cell_index(0, row)];

@@ -191,7 +191,7 @@ void StreamingDecoder::step(const TrackObservation& o,
   static const obs::TraceName arg_occupancy("beam_occupancy");
 
   // Candidate scoring (Eq. 8 annulus + Eq. 11 emission) lives in the
-  // kernel module; which implementation runs is cfg_.decode_kernel.
+  // kernel module.
   kernel_.expand(o, node_cell_, node_logp_, prev_begin_, prev_end_,
                  cand_cell_, cand_logp_, cand_parent_, stats_);
 
@@ -222,7 +222,6 @@ void StreamingDecoder::step(const TrackObservation& o,
   for (std::size_t i = 1; i < cand_logp_.size(); ++i) {
     wmax = std::max(wmax, cand_logp_[i]);
   }
-  last_window_logp_max_ = wmax;
   total_logp_offset_ += static_cast<double>(wmax);
   for (float& lp : cand_logp_) lp -= wmax;
 
@@ -297,16 +296,12 @@ void StreamingDecoder::flush_metrics() {
   static const obs::Counter expansions_counter("hmm.beam_expansions");
   static const obs::Counter nodes_counter("hmm.beam_nodes");
   static const obs::Counter annulus_counter("hmm.annulus_rejected");
-  static const obs::Counter hyper_hits_counter("hmm.hyper_cache_hits");
-  static const obs::Counter hyper_misses_counter("hmm.hyper_cache_misses");
   static const obs::Counter starved_counter("hmm.starved_windows");
   static const obs::Gauge occupancy_gauge("hmm.beam_occupancy_peak");
   windows_counter.add(n_pushed_);
   expansions_counter.add(stats_.expansions);
   nodes_counter.add(n_beam_nodes_);
   annulus_counter.add(stats_.annulus_rejected);
-  hyper_hits_counter.add(stats_.hyper_hits);
-  hyper_misses_counter.add(stats_.hyper_misses);
   starved_counter.add(n_starved_);
   occupancy_gauge.set_max(static_cast<double>(beam_peak_));
 }

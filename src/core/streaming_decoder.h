@@ -26,15 +26,16 @@
 //
 // Determinism contract: decodes are a pure function of (config, geometry,
 // observation sequence, lag) -- independent of platform and standard
-// library. The two ingredients are (1) candidate scoring delegated to
-// core/expand_kernel.h, which emits candidates in a fixed first-touch
-// traversal order, and (2) beam pruning that orders candidates by
-// (log-prob descending, candidate index ascending) and sorts the kept
-// prefix, so neither the survivor set nor the arena order depends on how
-// std::nth_element resolves ties. Log-probs are renormalized every window
-// (the window max is subtracted before candidates enter the arena), so the
-// beam front's best node sits at exactly 0 and a session never loses float
-// resolution no matter how long it runs; argmax decisions are unchanged.
+// library. The two ingredients are (1) candidate scoring by the
+// beam-expansion kernel (core/expand_kernel.h), which emits candidates in
+// a fixed first-touch traversal order, and (2) beam pruning that orders
+// candidates by (log-prob descending, candidate index ascending) and sorts
+// the kept prefix, so neither the survivor set nor the arena order depends
+// on how std::nth_element resolves ties. Log-probs are renormalized every
+// window (the window max is subtracted before candidates enter the arena),
+// so the beam front's best node sits at exactly 0 and a session never
+// loses float resolution no matter how long it runs; argmax decisions are
+// unchanged.
 //
 // Seeding follows the tracker contract: an initial_hint seeds immediately;
 // otherwise the decoder waits for the first has_phase observation, seeds
@@ -140,12 +141,6 @@ class StreamingDecoder {
   /// decoded window (the per-window renormalization invariant; IEEE
   /// subtraction of the max from itself is exact). Test hook.
   [[nodiscard]] float front_logp_max() const;
-  /// Pre-renormalization log-prob of the best candidate in the most
-  /// recently decoded window, i.e. that window's score increment. Test
-  /// hook for the kernel-parity tolerance ladder.
-  [[nodiscard]] float last_window_logp_max() const {
-    return last_window_logp_max_;
-  }
   /// Sum of all per-window renormalization offsets: adding it to a front
   /// node's log-prob recovers the historical unnormalized value (in double,
   /// so the sum itself does not drift).
@@ -164,7 +159,7 @@ class StreamingDecoder {
   StreamingConfig stream_cfg_;
   std::shared_ptr<const PhaseField> field_;
   int cols_, rows_;
-  ExpandKernel kernel_;  // candidate scoring (scalar or vector path)
+  ExpandKernel kernel_;  // candidate scoring (Eq. 8 + Eq. 11)
 
   // --- Seeding ------------------------------------------------------------
   bool seeded_ = false;
@@ -200,7 +195,6 @@ class StreamingDecoder {
   std::vector<std::int32_t> order_;
 
   // Per-window renormalization state (see the determinism contract above).
-  float last_window_logp_max_ = 0.0f;
   double total_logp_offset_ = 0.0;
 
   // Hot-loop counters, flushed to the registry once per session.

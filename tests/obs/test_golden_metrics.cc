@@ -59,8 +59,6 @@ TEST_F(GoldenMetricsTest, PinnedCountersForFixedSeedTrial) {
       {"hmm.beam_expansions", 2131232},
       {"hmm.beam_nodes", 94705},
       {"hmm.annulus_rejected", 1703706},
-      {"hmm.hyper_cache_hits", 1764071},
-      {"hmm.hyper_cache_misses", 121281},
       {"hmm.starved_windows", 0},
   };
   for (const auto& [name, expected] : kGolden) {

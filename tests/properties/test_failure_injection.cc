@@ -10,10 +10,13 @@
 
 #include "common/angles.h"
 #include "core/association.h"
+#include "core/decode_testbed.h"
 #include "core/polardraw.h"
+#include "core/streaming_decoder.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "recognition/classifier.h"
+#include "server/session_server.h"
 #include "sim/scene.h"
 
 namespace polardraw {
@@ -249,6 +252,64 @@ TEST(FailureInjection, NonFiniteReportFieldsAreDropped) {
   }
   EXPECT_GT(observations, 60u);
 
+  reg.reset();
+  reg.set_enabled(false);
+}
+
+TEST(FailureInjection, HugeOrNonFiniteDistanceBoundStaysOnTheBoard) {
+  // A window's distance upper bound sets the decode's reach in blocks, and
+  // SessionServer::submit passes a client's observation through unchecked.
+  // A huge or non-finite bound must open the whole board to that step
+  // (never an out-of-range cast, an allocation failure or a starved
+  // window) and leave every committed position finite and on the board.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const core::PolarDrawConfig cfg;
+  const auto tb = core::make_decode_testbed(cfg, 20, 7);
+  const auto cells = static_cast<std::uint64_t>(
+      core::PhaseField(cfg, tb.a1, tb.a2, tb.antenna_z).cells());
+  const auto expect_on_board = [&](const std::vector<Vec2>& traj) {
+    ASSERT_EQ(traj.size(), tb.obs.size() + 1);
+    for (const Vec2& p : traj) {
+      ASSERT_TRUE(std::isfinite(p.x) && std::isfinite(p.y));
+      EXPECT_GE(p.x, 0.0);
+      EXPECT_LE(p.x, cfg.board_width_m);
+      EXPECT_GE(p.y, 0.0);
+      EXPECT_LE(p.y, cfg.board_height_m);
+    }
+  };
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  for (const double bound : {1e9, 1e300, kInf, kNaN}) {
+    SCOPED_TRACE(::testing::Message() << "upper_m " << bound);
+    auto obs = tb.obs;
+    obs[10].distance.upper_m = bound;
+    obs[11].distance.upper_m = bound;
+
+    reg.reset();
+    core::StreamingConfig scfg;
+    scfg.lag_windows = 4;
+    core::StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z, scfg, nullptr,
+                               &tb.start);
+    std::vector<Vec2> out;
+    for (const auto& o : obs) {
+      dec.push(o);
+      dec.poll(out);
+    }
+    dec.finish(out);
+    expect_on_board(out);
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("hmm.starved_windows"), 0u);
+    EXPECT_GE(snap.counter("hmm.beam_expansions"), 2 * cells);
+
+    server::SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z);
+    server.open(1, &tb.start);
+    for (const auto& o : obs) {
+      ASSERT_TRUE(server.submit(1, o));
+      server.pump();
+    }
+    expect_on_board(server.close(1));
+  }
   reg.reset();
   reg.set_enabled(false);
 }
