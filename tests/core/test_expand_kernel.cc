@@ -3,13 +3,14 @@
 // Parity against the oracle: tests/core/expand_reference.h keeps the
 // historical per-candidate scalar loop the golden decodes were captured
 // with. From the same beam front the production kernel must emit the same
-// candidate cells with the same parents in the same order, score them
-// within FP-reassociation tolerance, and tally expansions and annulus
-// rejections identically. Fronts come from Viterbi walks over the golden
-// testbeds and seeds 20-29, and from hand-placed beams on every board
-// corner and edge, under the lattice knife edges and bounds wider than the
-// board. Committed trajectories are pinned separately (test_hmm_golden,
-// TrajectoryPin).
+// candidate cells in the same order, score them within FP-reassociation
+// tolerance, pick the same parents (or, at an exact lattice tie, a parent
+// the oracle scores within that tolerance), and tally expansions and
+// annulus rejections identically. Fronts come from Viterbi walks over the
+// golden testbeds and seeds 20-29, and from hand-placed beams on every
+// board corner and edge, under the lattice knife edges and bounds wider
+// than the board. Committed trajectories are pinned separately
+// (test_hmm_golden, TrajectoryPin).
 //
 // Plus the two supporting units: the kernel-level direction-normalization
 // contract (a non-unit MotionEstimate::direction must decode exactly like
@@ -142,7 +143,7 @@ void walk_and_compare(const PolarDrawConfig& cfg, const DecodeTestbed& tb) {
     const Candidates c =
         expand_both(kernel, oracle, tb.obs[w], node_cell, node_logp, begin,
                     end);
-    if (::testing::Test::HasFailure()) return;  // first window only
+    if (::testing::Test::HasFailure()) return;  // report one window only
     if (c.cell.empty()) continue;  // starved: hold the front
     std::vector<std::size_t> order(c.cell.size());
     std::iota(order.begin(), order.end(), 0);
