@@ -22,9 +22,11 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Gaussian with the given mean / standard deviation.
+  /// Gaussian with the given mean / standard deviation; stddev 0 returns
+  /// `mean`. The standard normal draw is scaled here, as libstdc++ does
+  /// internally, because std::normal_distribution requires stddev > 0.
   double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] (inclusive).
@@ -35,11 +37,6 @@ class Rng {
   /// Bernoulli draw.
   bool chance(double p) {
     return std::bernoulli_distribution(p)(engine_);
-  }
-
-  /// Exponentially-distributed draw with the given rate (1/mean).
-  double exponential(double rate) {
-    return std::exponential_distribution<double>(rate)(engine_);
   }
 
   /// Picks a uniformly random element index for a container of size n.

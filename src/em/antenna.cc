@@ -18,11 +18,6 @@ double ReaderAntenna::gain_toward(const Vec3& target) const {
   return db_to_ratio(gain_dbi) * pattern;
 }
 
-double ReaderAntenna::board_polarization_angle() const {
-  const double a = std::atan2(polarization_axis.y, polarization_axis.x);
-  return fold_pi(a);
-}
-
 ReaderAntenna make_linear_antenna(const Vec3& position, double angle_from_x_rad,
                                   double gain_dbi) {
   ReaderAntenna a;

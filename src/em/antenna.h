@@ -58,10 +58,6 @@ struct ReaderAntenna {
   /// Linear-scale gain toward a target point, combining peak gain with a
   /// smooth raised-cosine rolloff off boresight. Returns 0 behind the panel.
   double gain_toward(const Vec3& target) const;
-
-  /// In-plane polarization angle: the angle of `polarization_axis` projected
-  /// onto the board plane (X-Y), measured from +X, folded to [0, pi).
-  double board_polarization_angle() const;
 };
 
 /// Builds a board-facing linear antenna whose polarization axis lies in the

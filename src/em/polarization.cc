@@ -37,8 +37,6 @@ double backscatter_malus_factor(double mismatch_rad) {
   return m * m;
 }
 
-double field_coupling(double mismatch_rad) { return std::cos(mismatch_rad); }
-
 std::complex<double> complex_field_coupling(double mismatch_rad,
                                             double xpd_db) {
   const double leak_amp = db_to_amplitude_ratio(-xpd_db);

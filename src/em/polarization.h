@@ -36,10 +36,6 @@ double malus_factor(double mismatch_rad);
 /// when the same antenna both illuminates and receives.
 double backscatter_malus_factor(double mismatch_rad);
 
-/// Amplitude (field) coupling factor cos(beta); used when accumulating
-/// complex path responses where power is formed after summation.
-double field_coupling(double mismatch_rad);
-
 /// Complex one-way field coupling of a real linear antenna with finite
 /// cross-polarization discrimination (XPD): the co-polar component couples
 /// with cos(beta) and the cross-polar component leaks in quadrature with

@@ -7,7 +7,6 @@
 #include "baselines/rfidraw.h"
 #include "baselines/tagoram.h"
 #include "common/seed.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/polardraw.h"
 #include "obs/metrics.h"
@@ -189,42 +188,6 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
   static const obs::Counter trials_counter("eval.trials");
   trial_hist.observe(out.wall_s);
   trials_counter.add();
-  return out;
-}
-
-std::vector<StageSummary> summarize_stages(
-    const std::vector<TrialResult>& results) {
-  struct Series {
-    const char* name;
-    double (*get)(const TrialResult&);
-  };
-  static constexpr Series kSeries[] = {
-      {"synth", [](const TrialResult& r) { return r.stages.synth_s; }},
-      {"reader", [](const TrialResult& r) { return r.stages.reader_s; }},
-      {"track", [](const TrialResult& r) { return r.stages.track_s; }},
-      {"classify", [](const TrialResult& r) { return r.stages.classify_s; }},
-      {"trial_wall", [](const TrialResult& r) { return r.wall_s; }},
-  };
-  std::vector<StageSummary> out;
-  out.reserve(std::size(kSeries));
-  for (const Series& s : kSeries) {
-    StageSummary sum;
-    sum.name = s.name;
-    sum.count = results.size();
-    std::vector<double> values;
-    values.reserve(results.size());
-    for (const TrialResult& r : results) {
-      const double v = s.get(r);
-      values.push_back(v);
-      sum.total_s += v;
-    }
-    if (!values.empty()) {
-      sum.mean_ms = 1e3 * sum.total_s / static_cast<double>(values.size());
-      sum.p95_ms = 1e3 * percentile(values, 95.0);
-      sum.p50_ms = 1e3 * percentile(std::move(values), 50.0);
-    }
-    out.push_back(std::move(sum));
-  }
   return out;
 }
 

@@ -59,22 +59,6 @@ struct TrialResult {
   StageTimings stages;                // wall_s broken down by stage
 };
 
-/// Percentile summary of one timing series across a trial batch.
-struct StageSummary {
-  std::string name;
-  std::size_t count = 0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double mean_ms = 0.0;
-  double total_s = 0.0;
-};
-
-/// Summarizes a result batch's per-stage timings -- one entry per stage of
-/// StageTimings plus "trial_wall" for TrialResult::wall_s -- for reporting
-/// and the benchmark JSON export.
-std::vector<StageSummary> summarize_stages(
-    const std::vector<TrialResult>& results);
-
 /// Runs one trial end to end. `text` may be a single letter or a word.
 TrialResult run_trial(const std::string& text, const TrialConfig& cfg);
 

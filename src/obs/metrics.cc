@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -15,128 +16,19 @@ namespace polardraw::obs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Live shard storage (DESIGN.md section 17).
+// Shard storage (DESIGN.md sections 11 and 17).
 //
-// Each thread accumulates into its own shard, exactly as before -- but the
-// slots are relaxed std::atomics in chunked, pointer-stable arrays, and
-// each shard carries a seqlock sequence counter. That combination is what
-// makes snapshot() legal mid-flight:
+// Each thread accumulates into its own LocalShard, guarded by a mutex of
+// its own. Only the owning thread writes, so the lock is uncontended except
+// while snapshot(), reset() or the thread-exit merge reads or rewrites the
+// shard; that is what makes every snapshot exact per shard while
+// instrumented work is in flight. Retired and merged data use the same
+// layout, so there is one merge routine.
 //
-//   * atomic slots: a reader never races a writer at the byte level
-//     (TSan-clean), and every individual field it reads is a real value
-//     some write produced;
-//   * pointer-stable chunks: the owner grows its shard by *publishing* new
-//     fixed-size chunks (release store of the chunk pointer), never by
-//     reallocating, so a concurrent reader cannot walk freed memory;
-//   * the seqlock: multi-field updates (a histogram's bucket + count + sum
-//     + min/max, a gauge's value + set flag) are bracketed by two plain
-//     sequence stores with release fences. A reader that observes a stable
-//     even sequence across its pass got a torn-free, point-in-time view.
-//     Under sustained writes it retries a bounded number of times and then
-//     accepts the last pass -- still per-field valid, merely not a single
-//     instant. Counter increments are single-slot and need no bracket.
-//
-// Writer cost per multi-field update: two plain stores and two release
-// fences (compiler barriers on x86) -- no locks, no atomic RMWs.
+// Lock order: registry mutex, then shard mutex. A writer never holds its
+// shard mutex while it takes the registry mutex.
 // ---------------------------------------------------------------------------
 
-constexpr std::size_t kChunkSlots = 64;
-constexpr std::size_t kMaxChunks = 64;
-/// Hard per-kind id capacity (4096). Ids beyond it are silently dropped
-/// from shards -- far above any realistic registry, and the alternative
-/// (growable flat arrays) would let a concurrent reader walk freed memory.
-constexpr std::size_t kMaxSlots = kChunkSlots * kMaxChunks;
-
-struct CounterChunk {
-  std::atomic<std::uint64_t> v[kChunkSlots];  // zero via value-init
-};
-
-struct GaugeSlot {
-  std::atomic<double> v{0.0};
-  std::atomic<std::uint32_t> set{0};
-};
-
-struct GaugeChunk {
-  GaugeSlot s[kChunkSlots];
-};
-
-/// Per-histogram live state; allocated and initialized by the owning
-/// thread on first observe, then published with a release store. `bounds`
-/// is immutable after publication, so the reader's plain reads of it are
-/// ordered by the pointer acquire.
-struct HistAtomic {
-  std::vector<double> bounds;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts;  // bounds.size() + 1
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-};
-
-struct HistChunk {
-  std::atomic<HistAtomic*> h[kChunkSlots];  // null via value-init
-  ~HistChunk() {
-    for (auto& p : h) delete p.load(std::memory_order_relaxed);
-  }
-};
-
-/// Fixed directory of lazily published chunks. The owner thread allocates
-/// a chunk on first touch and publishes it with a release store; readers
-/// load with acquire and treat a missing chunk as all-zero.
-template <typename Chunk>
-struct ChunkedArray {
-  std::atomic<Chunk*> chunks[kMaxChunks] = {};
-
-  ~ChunkedArray() {
-    for (auto& c : chunks) delete c.load(std::memory_order_relaxed);
-  }
-
-  /// Owner-side: chunk holding `idx`, allocated if needed; nullptr when
-  /// idx exceeds the fixed capacity.
-  Chunk* ensure(std::size_t idx) {
-    if (idx >= kMaxSlots) return nullptr;
-    auto& slot = chunks[idx / kChunkSlots];
-    Chunk* c = slot.load(std::memory_order_relaxed);
-    if (c == nullptr) {
-      c = new Chunk();
-      slot.store(c, std::memory_order_release);
-    }
-    return c;
-  }
-
-  /// Reader-side: chunk holding `idx`, or nullptr when never touched.
-  const Chunk* get(std::size_t idx) const {
-    if (idx >= kMaxSlots) return nullptr;
-    return chunks[idx / kChunkSlots].load(std::memory_order_acquire);
-  }
-};
-
-/// One thread's live accumulators (see the block comment above).
-struct Shard {
-  std::atomic<std::uint64_t> seq{0};
-  ChunkedArray<CounterChunk> counters;
-  ChunkedArray<GaugeChunk> gauges;
-  ChunkedArray<HistChunk> hists;
-
-  // Seqlock writer bracket (single writer: the owning thread). The odd
-  // store is published before the data writes and the even store after
-  // them, so a reader with a stable even sequence saw no mid-update data.
-  void write_begin() {
-    seq.store(seq.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-  }
-  void write_end() {
-    std::atomic_thread_fence(std::memory_order_release);
-    seq.store(seq.load(std::memory_order_relaxed) + 1,
-              std::memory_order_relaxed);
-  }
-};
-
-/// Merged (plain, single-threaded) view of a shard: the retired
-/// accumulator and every snapshot/merge scratch use this layout, which is
-/// exactly the pre-seqlock shard -- keeping the merge arithmetic and
-/// order, and with them the quiescent snapshot bits, unchanged.
 struct LocalHist {
   std::vector<std::uint64_t> counts;  // bounds.size() + 1; empty = untouched
   std::uint64_t count = 0;
@@ -152,8 +44,19 @@ struct LocalShard {
   std::vector<LocalHist> hists;
 };
 
+/// One thread's live accumulators.
+struct Shard {
+  pd::Mutex mu;
+  LocalShard data PD_GUARDED_BY(mu);
+  // Owning-thread data, deliberately outside the capability: the
+  // registered bounds of each histogram this thread has observed, cached
+  // on first use. They point into Registry::Impl::hist_bounds, a deque
+  // whose elements never move and never change after registration.
+  std::vector<const std::vector<double>*> bounds;
+};
+
 void merge_into(LocalShard& into, const LocalShard& from,
-                const std::vector<std::vector<double>>& hist_bounds) {
+                const std::deque<std::vector<double>>& hist_bounds) {
   if (into.counters.size() < from.counters.size()) {
     into.counters.resize(from.counters.size(), 0);
   }
@@ -186,103 +89,39 @@ void merge_into(LocalShard& into, const LocalShard& from,
   }
 }
 
-/// One seqlock-free pass over a live shard's atomics into `out`.
-void read_shard_once(const Shard& s, std::size_t n_counters,
-                     std::size_t n_gauges, std::size_t n_hists,
-                     LocalShard& out) {
-  out.counters.assign(std::min(n_counters, kMaxSlots), 0);
-  for (std::size_t i = 0; i < out.counters.size(); ++i) {
-    const CounterChunk* c = s.counters.get(i);
-    if (c != nullptr) {
-      out.counters[i] = c->v[i % kChunkSlots].load(std::memory_order_relaxed);
-    }
-  }
-  out.gauges.assign(std::min(n_gauges, kMaxSlots), 0.0);
-  out.gauge_set.assign(out.gauges.size(), 0);
-  for (std::size_t i = 0; i < out.gauges.size(); ++i) {
-    const GaugeChunk* c = s.gauges.get(i);
-    if (c == nullptr) continue;
-    const GaugeSlot& slot = c->s[i % kChunkSlots];
-    if (slot.set.load(std::memory_order_relaxed) != 0) {
-      out.gauges[i] = slot.v.load(std::memory_order_relaxed);
-      out.gauge_set[i] = 1;
-    }
-  }
-  out.hists.clear();
-  out.hists.resize(std::min(n_hists, kMaxSlots));
-  for (std::size_t i = 0; i < out.hists.size(); ++i) {
-    const HistChunk* c = s.hists.get(i);
-    if (c == nullptr) continue;
-    const HistAtomic* h =
-        c->h[i % kChunkSlots].load(std::memory_order_acquire);
-    if (h == nullptr) continue;
-    LocalHist& dst = out.hists[i];
-    const std::size_t n_buckets = h->bounds.size() + 1;
-    dst.counts.resize(n_buckets);
-    for (std::size_t b = 0; b < n_buckets; ++b) {
-      dst.counts[b] = h->counts[b].load(std::memory_order_relaxed);
-    }
-    dst.count = h->count.load(std::memory_order_relaxed);
-    dst.sum = h->sum.load(std::memory_order_relaxed);
-    dst.min = h->min.load(std::memory_order_relaxed);
-    dst.max = h->max.load(std::memory_order_relaxed);
-  }
-}
-
-/// Seqlock reader: retries until a pass saw a stable even sequence, then
-/// gives up after `kReadRetries` and accepts the (per-field valid, maybe
-/// not instantaneous) last pass. Quiescent shards succeed on the first
-/// pass with bits identical to an in-place read.
-constexpr int kReadRetries = 64;
-
-void read_shard(const Shard& s, std::size_t n_counters, std::size_t n_gauges,
-                std::size_t n_hists, LocalShard& out) {
-  for (int attempt = 0; attempt < kReadRetries; ++attempt) {
-    const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
-    if ((s1 & 1) != 0 && attempt + 1 < kReadRetries) continue;
-    read_shard_once(s, n_counters, n_gauges, n_hists, out);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) == s1) return;
-  }
-}
-
 }  // namespace
 
 struct Registry::Impl {
   mutable pd::Mutex mu;
   std::atomic<bool> enabled{false};
 
-  // Name -> id maps and per-id metadata.
+  // Name -> id maps (ids count up from 0 per kind) and histogram bounds
+  // by id.
   std::map<std::string, int> counter_ids PD_GUARDED_BY(mu);
   std::map<std::string, int> gauge_ids PD_GUARDED_BY(mu);
   std::map<std::string, int> hist_ids PD_GUARDED_BY(mu);
-  std::vector<std::string> counter_names PD_GUARDED_BY(mu);
-  std::vector<std::string> gauge_names PD_GUARDED_BY(mu);
-  std::vector<std::string> hist_names PD_GUARDED_BY(mu);
-  std::vector<std::vector<double>> hist_bounds PD_GUARDED_BY(mu);
+  std::deque<std::vector<double>> hist_bounds PD_GUARDED_BY(mu);
 
-  // Live per-thread shards plus the merged data of exited threads. The
-  // vector and the retired accumulator are guarded; the pointed-to shards
-  // are atomic storage read through the seqlock (see the top of this
-  // file), so holding mu alone is enough to snapshot them mid-flight.
+  // Live per-thread shards, in registration order, plus the merged data
+  // of exited threads.
   std::vector<Shard*> live PD_GUARDED_BY(mu);
   LocalShard retired PD_GUARDED_BY(mu);
 
   Shard& local_shard();
   void retire(Shard* s) {
     pd::MutexLock lock(mu);
-    LocalShard scratch;
-    read_shard(*s, counter_names.size(), gauge_names.size(),
-               hist_names.size(), scratch);
-    merge_into(retired, scratch, hist_bounds);
+    {
+      pd::MutexLock shard_lock(s->mu);
+      merge_into(retired, s->data, hist_bounds);
+    }
     live.erase(std::remove(live.begin(), live.end(), s), live.end());
   }
 };
 
 namespace {
 
-/// TLS holder: owns this thread's shard for the global registry and
-/// flushes it into the retired accumulator at thread exit.
+/// TLS holder: owns this thread's shard and flushes it into the retired
+/// accumulator at thread exit.
 struct TlsShard {
   Registry::Impl* owner = nullptr;
   std::unique_ptr<Shard> shard;
@@ -296,14 +135,7 @@ thread_local TlsShard tls_shard;
 }  // namespace
 
 Shard& Registry::Impl::local_shard() {
-  if (tls_shard.shard == nullptr || tls_shard.owner != this) {
-    // A thread holds one shard at a time; if a different registry owned the
-    // slot (only possible with a non-global instance), flush there first so
-    // its live list never dangles.
-    if (tls_shard.owner != nullptr && tls_shard.shard != nullptr) {
-      tls_shard.owner->retire(tls_shard.shard.get());
-      tls_shard.shard.reset();
-    }
+  if (tls_shard.shard == nullptr) {
     auto fresh = std::make_unique<Shard>();
     {
       pd::MutexLock lock(mu);
@@ -319,9 +151,7 @@ Registry::Registry() : impl_(new Impl) {}
 
 // The global registry is intentionally immortal (never destroyed), so
 // worker threads exiting at process teardown can always flush their
-// shards. The destructor exists only for completeness.
-Registry::~Registry() { delete impl_; }
-
+// shards.
 Registry& Registry::global() {
   static Registry* g = [] {
     auto* r = new Registry();
@@ -335,36 +165,28 @@ Registry& Registry::global() {
 
 int Registry::counter_id(const std::string& name) {
   pd::MutexLock lock(impl_->mu);
-  const auto it = impl_->counter_ids.find(name);
-  if (it != impl_->counter_ids.end()) return it->second;
-  const int id = static_cast<int>(impl_->counter_names.size());
-  impl_->counter_ids.emplace(name, id);
-  impl_->counter_names.push_back(name);
-  return id;
+  auto& ids = impl_->counter_ids;
+  return ids.try_emplace(name, static_cast<int>(ids.size())).first->second;
 }
 
 int Registry::gauge_id(const std::string& name) {
   pd::MutexLock lock(impl_->mu);
-  const auto it = impl_->gauge_ids.find(name);
-  if (it != impl_->gauge_ids.end()) return it->second;
-  const int id = static_cast<int>(impl_->gauge_names.size());
-  impl_->gauge_ids.emplace(name, id);
-  impl_->gauge_names.push_back(name);
-  return id;
+  auto& ids = impl_->gauge_ids;
+  return ids.try_emplace(name, static_cast<int>(ids.size())).first->second;
 }
 
 int Registry::histogram_id(const std::string& name,
                            const std::vector<double>& bounds) {
   pd::MutexLock lock(impl_->mu);
-  const auto it = impl_->hist_ids.find(name);
-  if (it != impl_->hist_ids.end()) return it->second;
-  const int id = static_cast<int>(impl_->hist_names.size());
-  impl_->hist_ids.emplace(name, id);
-  impl_->hist_names.push_back(name);
-  std::vector<double> sorted = bounds;
-  std::sort(sorted.begin(), sorted.end());
-  impl_->hist_bounds.push_back(std::move(sorted));
-  return id;
+  auto& ids = impl_->hist_ids;
+  const auto [it, inserted] =
+      ids.try_emplace(name, static_cast<int>(ids.size()));
+  if (inserted) {
+    std::vector<double> sorted = bounds;
+    std::sort(sorted.begin(), sorted.end());
+    impl_->hist_bounds.push_back(std::move(sorted));
+  }
+  return it->second;
 }
 
 void Registry::set_enabled(bool on) {
@@ -377,76 +199,60 @@ bool Registry::enabled() const {
 
 void Registry::counter_add(int id, std::uint64_t n) {
   Shard& s = impl_->local_shard();
-  CounterChunk* c = s.counters.ensure(static_cast<std::size_t>(id));
-  if (c == nullptr) return;  // beyond the fixed id capacity
-  auto& slot = c->v[static_cast<std::size_t>(id) % kChunkSlots];
-  // Single-slot update: atomic by itself, no seqlock bracket needed.
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
+  const auto idx = static_cast<std::size_t>(id);
+  pd::MutexLock lock(s.mu);
+  std::vector<std::uint64_t>& counters = s.data.counters;
+  if (idx >= counters.size()) counters.resize(idx + 1, 0);
+  counters[idx] += n;
 }
 
 void Registry::gauge_max(int id, double v) {
   Shard& s = impl_->local_shard();
-  GaugeChunk* c = s.gauges.ensure(static_cast<std::size_t>(id));
-  if (c == nullptr) return;
-  GaugeSlot& slot = c->s[static_cast<std::size_t>(id) % kChunkSlots];
-  s.write_begin();
-  const bool was_set = slot.set.load(std::memory_order_relaxed) != 0;
-  const double old = slot.v.load(std::memory_order_relaxed);
-  slot.v.store(was_set ? std::max(old, v) : v, std::memory_order_relaxed);
-  slot.set.store(1, std::memory_order_relaxed);
-  s.write_end();
+  const auto idx = static_cast<std::size_t>(id);
+  pd::MutexLock lock(s.mu);
+  LocalShard& d = s.data;
+  if (idx >= d.gauges.size()) {
+    d.gauges.resize(idx + 1, 0.0);
+    d.gauge_set.resize(idx + 1, 0);
+  }
+  d.gauges[idx] = d.gauge_set[idx] ? std::max(d.gauges[idx], v) : v;
+  d.gauge_set[idx] = 1;
 }
 
 void Registry::histogram_observe(int id, double v) {
   Shard& s = impl_->local_shard();
   const auto idx = static_cast<std::size_t>(id);
-  HistChunk* c = s.hists.ensure(idx);
-  if (c == nullptr) return;
-  auto& slot = c->h[idx % kChunkSlots];
-  HistAtomic* h = slot.load(std::memory_order_relaxed);
-  if (h == nullptr) {
-    // First observe of this histogram on this thread: copy the registered
-    // bounds under the lock, then publish the initialized record so a
-    // concurrent reader sees it fully formed or not at all.
-    auto fresh = std::make_unique<HistAtomic>();
-    {
-      pd::MutexLock lock(impl_->mu);
-      fresh->bounds = impl_->hist_bounds[idx];
-    }
-    fresh->counts = std::make_unique<std::atomic<std::uint64_t>[]>(
-        fresh->bounds.size() + 1);
-    h = fresh.release();
-    slot.store(h, std::memory_order_release);
+  if (idx >= s.bounds.size()) s.bounds.resize(idx + 1, nullptr);
+  if (s.bounds[idx] == nullptr) {
+    // First observe of this histogram on this thread; the shard mutex is
+    // not held yet, which keeps the registry -> shard lock order.
+    pd::MutexLock lock(impl_->mu);
+    s.bounds[idx] = &impl_->hist_bounds[idx];
   }
-  const auto it = std::lower_bound(h->bounds.begin(), h->bounds.end(), v);
-  auto& bucket = h->counts[static_cast<std::size_t>(it - h->bounds.begin())];
-  s.write_begin();
-  bucket.store(bucket.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-  h->count.store(h->count.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-  h->sum.store(h->sum.load(std::memory_order_relaxed) + v,
-               std::memory_order_relaxed);
-  h->min.store(std::min(h->min.load(std::memory_order_relaxed), v),
-               std::memory_order_relaxed);
-  h->max.store(std::max(h->max.load(std::memory_order_relaxed), v),
-               std::memory_order_relaxed);
-  s.write_end();
+  const std::vector<double>& bounds = *s.bounds[idx];
+  const auto bucket = static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+  pd::MutexLock lock(s.mu);
+  std::vector<LocalHist>& hists = s.data.hists;
+  if (idx >= hists.size()) hists.resize(idx + 1);
+  LocalHist& h = hists[idx];
+  if (h.counts.empty()) h.counts.assign(bounds.size() + 1, 0);
+  ++h.counts[bucket];
+  ++h.count;
+  h.sum += v;
+  h.min = std::min(h.min, v);
+  h.max = std::max(h.max, v);
 }
 
 Snapshot Registry::snapshot() const {
   pd::MutexLock lock(impl_->mu);
-  const std::size_t n_counters = impl_->counter_names.size();
-  const std::size_t n_gauges = impl_->gauge_names.size();
-  const std::size_t n_hists = impl_->hist_names.size();
-
+  // Retired data first, then live shards in registration order: a fixed
+  // merge order keeps quiescent snapshots bit-identical run to run.
   LocalShard merged;
   merge_into(merged, impl_->retired, impl_->hist_bounds);
-  LocalShard scratch;
-  for (const Shard* s : impl_->live) {
-    read_shard(*s, n_counters, n_gauges, n_hists, scratch);
-    merge_into(merged, scratch, impl_->hist_bounds);
+  for (Shard* s : impl_->live) {
+    pd::MutexLock shard_lock(s->mu);
+    merge_into(merged, s->data, impl_->hist_bounds);
   }
 
   Snapshot out;
@@ -483,41 +289,9 @@ Snapshot Registry::snapshot() const {
 void Registry::reset() {
   pd::MutexLock lock(impl_->mu);
   impl_->retired = LocalShard{};
-  // Rewrite every live shard's slots in place. This is the one operation
-  // that still demands quiescence: it stores to slots owned by other
-  // threads (atomics, so well-defined -- but a concurrent writer would
-  // interleave with the zeroing and the result would be meaningless).
   for (Shard* s : impl_->live) {
-    for (auto& cp : s->counters.chunks) {
-      CounterChunk* c = cp.load(std::memory_order_relaxed);
-      if (c == nullptr) continue;
-      for (auto& v : c->v) v.store(0, std::memory_order_relaxed);
-    }
-    for (auto& cp : s->gauges.chunks) {
-      GaugeChunk* c = cp.load(std::memory_order_relaxed);
-      if (c == nullptr) continue;
-      for (auto& g : c->s) {
-        g.v.store(0.0, std::memory_order_relaxed);
-        g.set.store(0, std::memory_order_relaxed);
-      }
-    }
-    for (auto& cp : s->hists.chunks) {
-      HistChunk* c = cp.load(std::memory_order_relaxed);
-      if (c == nullptr) continue;
-      for (auto& hp : c->h) {
-        HistAtomic* h = hp.load(std::memory_order_relaxed);
-        if (h == nullptr) continue;
-        for (std::size_t b = 0; b < h->bounds.size() + 1; ++b) {
-          h->counts[b].store(0, std::memory_order_relaxed);
-        }
-        h->count.store(0, std::memory_order_relaxed);
-        h->sum.store(0.0, std::memory_order_relaxed);
-        h->min.store(std::numeric_limits<double>::infinity(),
-                     std::memory_order_relaxed);
-        h->max.store(-std::numeric_limits<double>::infinity(),
-                     std::memory_order_relaxed);
-      }
-    }
+    pd::MutexLock shard_lock(s->mu);
+    s->data = LocalShard{};
   }
 }
 

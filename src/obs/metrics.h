@@ -16,19 +16,16 @@
 //     is touched.
 //
 // Shards are merged when their owning thread exits (thread_pool workers
-// join in the pool destructor) and read through a seqlock by snapshot().
+// join in the pool destructor) and read under their lock by snapshot().
 //
-// Concurrent reads (DESIGN.md section 17): every shard slot is a relaxed
-// std::atomic and each shard carries an epoch/seqlock sequence counter,
-// so snapshot() is safe to call while instrumented work is in flight --
-// a live statusz endpoint can read the registry mid-decode. Writers pay
-// two plain stores and two compiler fences per multi-field update (no
-// locks, no RMWs on the hot path); readers retry a bounded number of
-// times for a torn-free view and, under sustained writes, fall back to a
-// per-field-consistent view. In the quiescent case ("run_trials();
-// snapshot()") the sequence counters are stable and the result is
-// bit-identical to an in-place merge. reset() still requires quiescence:
-// it rewrites every live shard in place.
+// Concurrent reads (DESIGN.md section 17): each thread's shard is guarded
+// by its own mutex, which the owning thread takes for every update and
+// snapshot(), reset() and the thread-exit merge take while they read or
+// rewrite the shard. Both are therefore safe while instrumented work is in
+// flight -- a live statusz endpoint can read the registry mid-decode --
+// and every snapshot is exact per shard. The lock is uncontended except
+// during those reads. In the quiescent case ("run_trials(); snapshot()")
+// the merge order is fixed, so the result is bit-identical run to run.
 #pragma once
 
 #include <cstdint>
@@ -86,10 +83,8 @@ class Registry {
   /// POLARDRAW_METRICS environment variable is set to anything but "0".
   static Registry& global();
 
-  Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
-  ~Registry();
 
   /// Registers (or looks up) a metric; ids are stable for the registry's
   /// lifetime and shared by all threads. Re-registering a histogram name
@@ -107,12 +102,11 @@ class Registry {
   void gauge_max(int id, double v);  // merge rule: max across threads
   void histogram_observe(int id, double v);
 
-  /// Merges retired and live shards through the per-shard seqlock. Safe
-  /// to call while instrumented work is in flight (see file top);
-  /// bit-identical to the quiescent merge when nothing is writing.
+  /// Merges retired and live shards, each read under its lock. Safe to
+  /// call while instrumented work is in flight (see file top).
   [[nodiscard]] Snapshot snapshot() const;
-  /// Zeroes all accumulated data; registrations survive. Quiescence
-  /// required (rewrites live shards in place).
+  /// Zeroes all accumulated data; registrations survive. Safe to call
+  /// while instrumented work is in flight.
   void reset();
 
   // Implementation detail, public only so the thread-local shard holder in
@@ -120,6 +114,7 @@ class Registry {
   struct Impl;
 
  private:
+  Registry();  // global() is the only instance
   Impl* impl_;
 };
 

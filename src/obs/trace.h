@@ -43,12 +43,6 @@ class SpanSite {
 
 class ScopedSpan {
  public:
-  /// Metrics-only span (no trace event).
-  explicit ScopedSpan(const Histogram& hist)
-      : hist_(&hist), metrics_on_(Registry::global().enabled()) {
-    if (metrics_on_) start_ = Tracer::Clock::now();
-  }
-
   /// Histogram + paired trace event when the respective sink is enabled.
   explicit ScopedSpan(const SpanSite& site)
       : hist_(&site.histogram()),

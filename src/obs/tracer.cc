@@ -36,14 +36,15 @@ struct EventRec {
 };
 
 /// One thread's fixed-capacity ring. Only the owning thread writes;
-/// readers hold the tracer mutex after a quiescence handshake.
+/// readers hold the tracer mutex after a quiescence handshake. The buffer
+/// is reserved on the first recorded event, so a thread that only names
+/// its track costs no event storage.
 struct Ring {
-  explicit Ring(std::size_t cap) : capacity(cap) { buf.reserve(cap); }
+  explicit Ring(std::size_t cap) : capacity(cap) {}
 
   void reset(std::size_t cap) {
     buf.clear();
     buf.shrink_to_fit();
-    buf.reserve(cap);
     capacity = cap;
     next = 0;
     recorded = 0;
@@ -54,6 +55,7 @@ struct Ring {
     recorded.store(recorded.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
     if (buf.size() < capacity) {
+      if (buf.empty()) buf.reserve(capacity);
       buf.push_back(e);
       return;
     }
@@ -114,17 +116,21 @@ struct Tracer::Impl {
   int next_tid PD_GUARDED_BY(mu) = 0;
 
   Ring& local_ring();
+  /// Keeps an exited thread's ring for export, unless it never recorded
+  /// an event (pool workers name their track even with tracing off).
   void retire(std::unique_ptr<Ring> r) {
     pd::MutexLock lock(mu);
     live.erase(std::remove(live.begin(), live.end(), r.get()), live.end());
-    retired.push_back(std::move(r));
+    if (r->recorded.load(std::memory_order_relaxed) > 0) {
+      retired.push_back(std::move(r));
+    }
   }
 };
 
 namespace {
 
-/// TLS holder: owns this thread's ring for the global tracer and moves it
-/// into the retired list at thread exit so events outlive pool workers.
+/// TLS holder: owns this thread's ring and moves it into the retired list
+/// at thread exit so events outlive pool workers.
 struct TlsRing {
   Tracer::Impl* owner = nullptr;
   std::unique_ptr<Ring> ring;
@@ -138,10 +144,7 @@ thread_local TlsRing tls_ring;
 }  // namespace
 
 Ring& Tracer::Impl::local_ring() {
-  if (tls_ring.ring == nullptr || tls_ring.owner != this) {
-    if (tls_ring.owner != nullptr && tls_ring.ring != nullptr) {
-      tls_ring.owner->retire(std::move(tls_ring.ring));
-    }
+  if (tls_ring.ring == nullptr) {
     std::unique_ptr<Ring> fresh;
     {
       pd::MutexLock lock(mu);
@@ -160,8 +163,6 @@ Tracer::Tracer() : impl_(new Impl) {}
 
 // Like the metrics registry, the global tracer is immortal so worker
 // threads exiting at process teardown can always retire their rings.
-Tracer::~Tracer() { delete impl_; }
-
 Tracer& Tracer::global() {
   static Tracer* g = [] {
     auto* t = new Tracer();

@@ -22,8 +22,9 @@
 //     atomic load and a predictable branch; no clock is read.
 //
 // snapshot(), reset() and write_chrome_trace() require quiescence --
-// nothing instrumented may be in flight -- exactly like the registry's
-// snapshot()/reset() (the `run_trials(...); snapshot()` pattern is safe).
+// nothing instrumented may be in flight (the `run_trials(...); snapshot()`
+// pattern is safe). Unlike the registry's, ring contents are not locked:
+// recording stays lock-free. dropped_events() is the one live-safe read.
 //
 // Environment protocol: the global tracer starts enabled iff PD_TRACE_DIR
 // is set (bench::Session writes <dir>/TRACE_<name>.json on exit);
@@ -75,10 +76,8 @@ class Tracer {
   /// set; ring capacity from PD_TRACE_BUFFER_EVENTS.
   static Tracer& global();
 
-  Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-  ~Tracer();
 
   void set_enabled(bool on);
   /// One relaxed load; callers gate clock reads and arg capture on this.
@@ -121,8 +120,9 @@ class Tracer {
   void set_ring_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t ring_capacity() const;
 
-  /// Resolved view of every ring (live and retired), in tid order.
-  /// Quiescence required (see file top).
+  /// Resolved view of every ring, in tid order: live rings, and retired
+  /// rings that recorded at least one event. Quiescence required (see
+  /// file top).
   [[nodiscard]] std::vector<TraceThreadSnapshot> snapshot() const;
   /// Total events evicted across all rings since the last reset(). Unlike
   /// snapshot(), safe to call while recording is in flight (the per-ring
@@ -142,6 +142,7 @@ class Tracer {
   struct Impl;
 
  private:
+  Tracer();  // global() is the only instance
   Impl* impl_;
 };
 

@@ -60,8 +60,6 @@ class LetterClassifier {
   double word_score(const std::vector<Vec2>& trajectory,
                     const std::string& text) const;
 
-  std::size_t template_points() const { return points_; }
-
  private:
   std::size_t points_;
   struct Template {

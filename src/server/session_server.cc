@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -22,6 +23,22 @@ const std::vector<double>& latency_bounds_s() {
   static const std::vector<double> bounds =
       obs::log_spaced_bounds(1e-3, 10.0, 6);
   return bounds;
+}
+
+bool is_finite(const core::TrackObservation& o) {
+  return std::isfinite(o.distance.lower_m) &&
+         std::isfinite(o.distance.upper_m) &&
+         std::isfinite(o.distance.dtheta21) &&
+         std::isfinite(o.direction.direction.x) &&
+         std::isfinite(o.direction.direction.y);
+}
+
+/// The window MotionFrontEnd emits when it has no phase: idle direction,
+/// displacement bounded only by the speed limit.
+core::TrackObservation unobserved_window(const core::PolarDrawConfig& cfg) {
+  core::TrackObservation o;
+  o.distance.upper_m = cfg.vmax_mps * cfg.window_s;
+  return o;
 }
 
 }  // namespace
@@ -58,16 +75,19 @@ void SessionServer::open(SessionId id, const Vec2* initial_hint, double t_s) {
 bool SessionServer::submit(SessionId id, const core::TrackObservation& obs,
                            double t_s, std::uint64_t flow_id) {
   static const obs::Counter obs_counter("server.observations");
+  static const obs::Counter nonfinite_counter("server.nonfinite_observations");
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return false;
   Session& s = *it->second;
+  const bool finite = is_finite(obs);
+  if (!finite) nonfinite_counter.add(1);
   // polarlint-allow(R7): push-to-commit latency measurement only; the
   // timestamp never feeds the decode.
   const auto now = Clock::now();
   std::size_t depth = 0;
   {
     pd::MutexLock lock(s.mu);
-    s.mailbox.push_back(obs);
+    s.mailbox.push_back(finite ? obs : unobserved_window(cfg_));
     s.stamps.push_back(now);
     s.sim_times.push_back(t_s);
     s.flow_ids.push_back(flow_id);
@@ -272,47 +292,58 @@ std::vector<Vec2> SessionServer::close(SessionId id) {
   return traj;
 }
 
+SessionServer::LiveStatus SessionServer::live_status() const {
+  LiveStatus live;
+  live.sessions.reserve(sessions_.size());
+  for (const auto& [id, s] : sessions_) {
+    SessionStatus st;
+    st.id = id;
+    st.seeded = s->stat_seeded.load(std::memory_order_relaxed);
+    st.mailbox_depth = s->stat_mailbox_depth.load(std::memory_order_relaxed);
+    st.submitted = s->stat_submitted.load(std::memory_order_relaxed);
+    st.committed = s->stat_committed.load(std::memory_order_relaxed);
+    st.commit_lag = s->stat_commit_lag.load(std::memory_order_relaxed);
+    st.last_t_s = s->stat_last_t_s.load(std::memory_order_relaxed);
+    // Global sim "now": the newest observation across sessions -- the
+    // time base starvation is judged against.
+    live.now_t_s = std::max(live.now_t_s, st.last_t_s);
+    live.sessions.push_back(st);
+  }
+  for (SessionStatus& st : live.sessions) {
+    // A session is "lagging" when its decode backlog exceeds the fixed
+    // lag the decoder is entitled to hold.
+    st.lagging = st.commit_lag > server_cfg_.stream.lag_windows;
+    st.starved = live.now_t_s - st.last_t_s > server_cfg_.starved_after_s;
+    st.backpressured = st.mailbox_depth > server_cfg_.backpressure_depth;
+  }
+  return live;
+}
+
 std::string SessionServer::status() const {
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
   w.kv("schema", "polardraw.statusz.v1");
 
-  // Global sim "now": the newest observation across sessions -- the time
-  // base starvation is judged against.
-  double now_t_s = 0.0;
-  for (const auto& [id, s] : sessions_) {
-    now_t_s = std::max(now_t_s,
-                       s->stat_last_t_s.load(std::memory_order_relaxed));
-  }
-  w.kv("t_s", now_t_s);
+  const LiveStatus live = live_status();
+  w.kv("t_s", live.now_t_s);
   w.kv("session_count", static_cast<std::uint64_t>(sessions_.size()));
   w.kv("n_workers", pool_.size());
 
   w.key("sessions");
   w.begin_array();
-  for (const auto& [id, s] : sessions_) {
-    const std::size_t depth =
-        s->stat_mailbox_depth.load(std::memory_order_relaxed);
-    const std::size_t lag = s->stat_commit_lag.load(std::memory_order_relaxed);
-    const double last_t_s = s->stat_last_t_s.load(std::memory_order_relaxed);
+  for (const SessionStatus& st : live.sessions) {
     w.begin_object();
-    w.kv("id", static_cast<std::uint64_t>(id));
-    w.kv("seeded", s->stat_seeded.load(std::memory_order_relaxed));
-    w.kv("mailbox_depth", static_cast<std::uint64_t>(depth));
-    w.kv("submitted",
-         static_cast<std::uint64_t>(
-             s->stat_submitted.load(std::memory_order_relaxed)));
-    w.kv("committed",
-         static_cast<std::uint64_t>(
-             s->stat_committed.load(std::memory_order_relaxed)));
-    w.kv("commit_lag", static_cast<std::uint64_t>(lag));
-    w.kv("last_t_s", last_t_s);
-    // A session is "lagging" when its decode backlog exceeds the fixed
-    // lag the decoder is entitled to hold.
-    w.kv("lagging", lag > server_cfg_.stream.lag_windows);
-    w.kv("starved", now_t_s - last_t_s > server_cfg_.starved_after_s);
-    w.kv("backpressured", depth > server_cfg_.backpressure_depth);
+    w.kv("id", st.id);
+    w.kv("seeded", st.seeded);
+    w.kv("mailbox_depth", static_cast<std::uint64_t>(st.mailbox_depth));
+    w.kv("submitted", static_cast<std::uint64_t>(st.submitted));
+    w.kv("committed", static_cast<std::uint64_t>(st.committed));
+    w.kv("commit_lag", static_cast<std::uint64_t>(st.commit_lag));
+    w.kv("last_t_s", st.last_t_s);
+    w.kv("lagging", st.lagging);
+    w.kv("starved", st.starved);
+    w.kv("backpressured", st.backpressured);
     w.end_object();
   }
   w.end_array();
@@ -332,7 +363,7 @@ std::string SessionServer::status() const {
     w.end_object();
   }
 
-  // Registry totals: safe mid-flight through the seqlock read path.
+  // Registry totals: snapshot() locks each shard, so it is safe mid-flight.
   {
     const obs::Snapshot snap = obs::Registry::global().snapshot();
     w.key("registry");
@@ -375,22 +406,11 @@ HealthReport SessionServer::healthz() const {
     report.ok = false;
     report.reasons.push_back("rolling_p99_above_threshold");
   }
-  double now_t_s = 0.0;
-  for (const auto& [id, s] : sessions_) {
-    now_t_s = std::max(now_t_s,
-                       s->stat_last_t_s.load(std::memory_order_relaxed));
-  }
   bool backpressured = false;
   bool starved = false;
-  for (const auto& [id, s] : sessions_) {
-    if (s->stat_mailbox_depth.load(std::memory_order_relaxed) >
-        server_cfg_.backpressure_depth) {
-      backpressured = true;
-    }
-    if (now_t_s - s->stat_last_t_s.load(std::memory_order_relaxed) >
-        server_cfg_.starved_after_s) {
-      starved = true;
-    }
+  for (const SessionStatus& st : live_status().sessions) {
+    backpressured = backpressured || st.backpressured;
+    starved = starved || st.starved;
   }
   if (backpressured) {
     report.ok = false;

@@ -22,8 +22,8 @@
 // close(), committed() and session_count() touch the session map and must
 // not race pump() or each other. status()/healthz() are live-read safe:
 // they may run concurrently with submit() and pump() (they read atomic
-// per-session mirrors and the seqlock metrics registry), but not with
-// open()/close() (they walk the session map).
+// per-session mirrors and the metrics registry, whose snapshot locks each
+// thread shard), but not with open()/close() (they walk the session map).
 #pragma once
 
 #include <atomic>
@@ -98,7 +98,10 @@ class SessionServer {
   /// SLO window and starvation detection; never the decode) and `flow_id`
   /// the causal flow chain it belongs to (0 = unsampled). The two-arg
   /// form derives t_s from the session's submit ordinal and the window
-  /// length, which is exact for gap-free streams.
+  /// length, which is exact for gap-free streams. A window whose distance
+  /// bounds, dtheta21 or direction is not finite is queued as an
+  /// unobserved window instead (idle, no phase, bounded by the speed
+  /// limit) and counted in `server.nonfinite_observations`.
   bool submit(SessionId id, const core::TrackObservation& obs, double t_s,
               std::uint64_t flow_id = 0);
   bool submit(SessionId id, const core::TrackObservation& obs);
@@ -163,6 +166,27 @@ class SessionServer {
 
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// One session's statusz row: its atomic mirror read once, plus the
+  /// flags judged from it.
+  struct SessionStatus {
+    SessionId id = 0;
+    bool seeded = false;
+    std::size_t mailbox_depth = 0;
+    std::size_t submitted = 0;
+    std::size_t committed = 0;
+    std::size_t commit_lag = 0;
+    double last_t_s = 0.0;
+    bool lagging = false;
+    bool starved = false;
+    bool backpressured = false;
+  };
+  struct LiveStatus {
+    double now_t_s = 0.0;  // newest observation across sessions
+    std::vector<SessionStatus> sessions;  // id order
+  };
+  /// The live state status() reports and healthz() judges.
+  [[nodiscard]] LiveStatus live_status() const;
 
   struct Session {
     Session(const core::PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,

@@ -125,19 +125,40 @@ TEST_F(MetricsTest, SnapshotIsNameSorted) {
 }
 
 TEST_F(MetricsTest, ScopedSpanObservesOnlyWhenEnabled) {
-  const Histogram h("test.span_hist");
+  const SpanSite site("test.span_hist");
   {
-    const ScopedSpan span(h);
+    const ScopedSpan span(site);
   }
   EXPECT_EQ(Registry::global().snapshot().histogram("test.span_hist")->count,
             1u);
   Registry::global().set_enabled(false);
   {
-    const ScopedSpan span(h);
+    const ScopedSpan span(site);
   }
   Registry::global().set_enabled(true);
   EXPECT_EQ(Registry::global().snapshot().histogram("test.span_hist")->count,
             1u);
+}
+
+// Metric ids have no fixed cap: a shard grows to the largest id its
+// thread has touched, so ids past 4,096 of a kind are recorded too.
+TEST_F(MetricsTest, IdsPastTheOldSlotCapAreRecorded) {
+  constexpr int kIds = 4200;
+  std::vector<Counter> counters;
+  std::vector<Histogram> hists;
+  for (int i = 0; i < kIds; ++i) {
+    const std::string suffix = std::to_string(i);
+    counters.emplace_back("test.many_ids.counter_" + suffix);
+    hists.emplace_back("test.many_ids.hist_" + suffix,
+                       std::vector<double>{1.0});
+  }
+  counters.back().add(7);
+  hists.back().observe(0.5);
+  const Snapshot snap = Registry::global().snapshot();
+  EXPECT_EQ(snap.counter("test.many_ids.counter_4199"), 7u);
+  const HistogramSnapshot* h = snap.histogram("test.many_ids.hist_4199");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1u);
 }
 
 // The determinism contract: counter totals are identical whatever thread

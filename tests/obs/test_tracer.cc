@@ -271,6 +271,21 @@ TEST_F(TracerTest, ChromeTraceExportCarriesFlowBinding) {
   EXPECT_NE(json.find("\"id\": 7"), std::string::npos);
 }
 
+// Pool workers name their track even with tracing off. A ring that never
+// recorded an event must not outlive its thread: eval::run_trials builds a
+// pool per call, so keeping such rings would grow the tracer with every
+// sweep.
+TEST_F(TracerTest, SilentThreadsLeaveNoRings) {
+  Tracer& t = Tracer::global();
+  t.set_enabled(false);
+  const std::size_t before = t.snapshot().size();
+  for (int i = 0; i < 50; ++i) {
+    ThreadPool pool(4);
+    pool.parallel_for(8, [](std::size_t) {});
+  }
+  EXPECT_EQ(t.snapshot().size(), before);
+}
+
 TEST_F(TracerTest, PoolWorkersGetNamedTracks) {
   std::vector<int> slots(8, 0);
   {

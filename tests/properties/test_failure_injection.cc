@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/angles.h"
@@ -309,6 +311,80 @@ TEST(FailureInjection, HugeOrNonFiniteDistanceBoundStaysOnTheBoard) {
       server.pump();
     }
     expect_on_board(server.close(1));
+  }
+  reg.reset();
+  reg.set_enabled(false);
+}
+
+TEST(FailureInjection, NonFiniteObservationDecodesAsUnobservedWindow) {
+  // SessionServer::submit takes a client's finished observation. A NaN or
+  // inf distance bound, phase difference or direction component reaching
+  // the decoder would turn its beam scores NaN for the rest of the
+  // session. The server must decode such a window as one without phase
+  // (idle direction, speed-limit bound): its trajectory equals an
+  // isolated decode of the stream with that window replaced, and the
+  // replacement is counted once.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kBad = 18;
+  const core::PolarDrawConfig cfg;
+  const auto tb = core::make_decode_testbed(cfg, 40, 7);
+  server::SessionServerConfig server_cfg;
+  server_cfg.stream.lag_windows = 8;
+
+  auto replaced = tb.obs;
+  replaced[kBad] = core::TrackObservation{};
+  replaced[kBad].distance.upper_m = cfg.vmax_mps * cfg.window_s;
+  core::StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z,
+                             server_cfg.stream, nullptr, &tb.start);
+  std::vector<Vec2> want;
+  for (const auto& o : replaced) {
+    dec.push(o);
+    dec.poll(want);
+  }
+  dec.finish(want);
+  ASSERT_EQ(want.size(), tb.obs.size() + 1);
+
+  using Field = double& (*)(core::TrackObservation&);
+  const std::pair<const char*, Field> fields[] = {
+      {"lower_m",
+       [](core::TrackObservation& o) -> double& { return o.distance.lower_m; }},
+      {"upper_m",
+       [](core::TrackObservation& o) -> double& { return o.distance.upper_m; }},
+      {"dtheta21",
+       [](core::TrackObservation& o) -> double& {
+         return o.distance.dtheta21;
+       }},
+      {"direction.x",
+       [](core::TrackObservation& o) -> double& {
+         return o.direction.direction.x;
+       }},
+      {"direction.y",
+       [](core::TrackObservation& o) -> double& {
+         return o.direction.direction.y;
+       }},
+  };
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  for (const auto& [name, field] : fields) {
+    for (const double bad : {kNaN, kInf, -kInf}) {
+      SCOPED_TRACE(::testing::Message() << name << " = " << bad);
+      auto obs = tb.obs;
+      field(obs[kBad]) = bad;
+      reg.reset();
+      server::SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z,
+                                   server_cfg);
+      server.open(1, &tb.start);
+      for (const auto& o : obs) {
+        ASSERT_TRUE(server.submit(1, o));
+        server.pump();
+      }
+      const std::vector<Vec2> got = server.close(1);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Vec2)),
+                0);
+      EXPECT_EQ(reg.snapshot().counter("server.nonfinite_observations"), 1u);
+    }
   }
   reg.reset();
   reg.set_enabled(false);
