@@ -126,7 +126,7 @@ struct TlsShard {
   Registry::Impl* owner = nullptr;
   std::unique_ptr<Shard> shard;
   ~TlsShard() {
-    if (owner != nullptr && shard != nullptr) owner->retire(shard.get());
+    if (shard != nullptr) owner->retire(shard.get());
   }
 };
 

@@ -135,7 +135,7 @@ struct TlsRing {
   Tracer::Impl* owner = nullptr;
   std::unique_ptr<Ring> ring;
   ~TlsRing() {
-    if (owner != nullptr && ring != nullptr) owner->retire(std::move(ring));
+    if (ring != nullptr) owner->retire(std::move(ring));
   }
 };
 
