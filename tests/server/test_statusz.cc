@@ -15,6 +15,7 @@
 #include "json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/tracer.h"
 #include "server/session_server.h"
 
 namespace polardraw::server {
@@ -188,6 +189,161 @@ TEST(Statusz, HealthzPassesWhenQuietAndTripsOnLatencySlo) {
     EXPECT_EQ(report.reasons[0], "rolling_p99_above_threshold");
     server.close(1);
   }
+}
+
+/// Commit-stage report.flow ids recorded so far, sorted (quiescence
+/// required, so call between pumps).
+std::vector<std::uint64_t> commit_flow_ids() {
+  std::vector<std::uint64_t> ids;
+  for (const auto& ring : obs::Tracer::global().snapshot()) {
+    for (const auto& e : ring.events) {
+      if (e.ph == 'f' && e.name == "report.flow" && !e.args.empty() &&
+          e.args[0].value == static_cast<double>(obs::FlowStage::kCommit)) {
+        ids.push_back(e.flow_id);
+      }
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(Statusz, PositionToObservationMapPinned) {
+  // Every committed position is charged to the observation that created
+  // it. Relative to the decoder's seed root R (no originating window),
+  // position p comes from observation p for p < R and from observation
+  // p - 1 for p > R. That map decides the sim time of each rolling-window
+  // sample and the flow id of each commit event, so this pins all of them
+  // after every pump, with the per-session statusz fields alongside.
+  // Session 1 is hinted (R = 0); session 2 opens unhinted on a phaseless
+  // prefix, so its backfilled positions 0..R-1 map to their own windows.
+  const PolarDrawConfig cfg = small_config();
+  constexpr int kWindows = 30;
+  constexpr std::size_t kLag = 4;
+  constexpr int kPrefix = 5;
+  const auto hinted = make_decode_testbed(cfg, kWindows, 71);
+  auto prefixed = make_decode_testbed(cfg, kWindows, 72);
+  for (int w = 0; w < kPrefix; ++w) {
+    prefixed.obs[static_cast<std::size_t>(w)].has_phase = false;
+  }
+  ASSERT_TRUE(prefixed.obs[kPrefix].has_phase);
+
+  SessionServerConfig scfg;
+  scfg.stream.lag_windows = kLag;
+  scfg.n_workers = 2;
+  scfg.slo_window_s = 0.4;  // a fraction of either stream
+  scfg.slo_step_s = 0.1;
+  scfg.starved_after_s = 0.3;
+  SessionServer server(cfg, hinted.a1, hinted.a2, hinted.antenna_z, scfg);
+  server.open(1, &hinted.start);
+  server.open(2);
+
+  // Session 1 alternates the two-argument submit (sim time derived from
+  // the submit ordinal) with explicit times on the same grid; session 2
+  // runs on a faster clock, so session 1 falls behind by starved_after_s.
+  const auto t_hinted = [&](int w) {
+    return static_cast<double>(w) * cfg.window_s;
+  };
+  const auto t_prefixed = [](int w) { return 0.07 * w; };
+  const auto flow_of = [](SessionId id, int w) {
+    return obs::flow_sample_period() *
+           (100 * id + static_cast<std::uint64_t>(w) + 1);
+  };
+  // Flow ids of the observations behind positions [0, n_committed).
+  const auto mapped_flows = [&](SessionId id, std::size_t n_committed,
+                                std::size_t root) {
+    std::vector<std::uint64_t> flows;
+    for (std::size_t p = 0; p < n_committed; ++p) {
+      if (p == root) continue;
+      const int w = static_cast<int>(p < root ? p : p - 1);
+      if (id == 2 || w % 2 == 1) flows.push_back(flow_of(id, w));
+    }
+    return flows;
+  };
+  // rolling.count after each pump, captured before the session record
+  // was reworked.
+  const std::vector<double> kRollingCount = {0, 1, 5, 9, 10, 12, 9, 8,
+                                             7, 8, 7, 5, 6, 6, 7};
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.set_enabled(true);
+  tracer.reset();
+  const int kChunks[] = {2, 3, 1};
+  int n = 0;
+  for (std::size_t pump = 0; n < kWindows; ++pump) {
+    const int chunk = std::min(kChunks[pump % 3], kWindows - n);
+    for (int w = n; w < n + chunk; ++w) {
+      const auto i = static_cast<std::size_t>(w);
+      if (w % 2 == 0) {
+        ASSERT_TRUE(server.submit(1, hinted.obs[i]));
+      } else {
+        ASSERT_TRUE(
+            server.submit(1, hinted.obs[i], t_hinted(w), flow_of(1, w)));
+      }
+      ASSERT_TRUE(
+          server.submit(2, prefixed.obs[i], t_prefixed(w), flow_of(2, w)));
+    }
+    n += chunk;
+    server.pump();
+    SCOPED_TRACE("after pump " + std::to_string(pump) + ", " +
+                 std::to_string(n) + " windows");
+
+    // Expected state: n windows pushed, positions [0, n + 1 - lag)
+    // committed once the chain is seeded.
+    const auto n_pushed = static_cast<std::size_t>(n);
+    const std::size_t n_committed =
+        n_pushed + 1 > kLag ? n_pushed + 1 - kLag : 0;
+    const bool prefixed_seeded = n > kPrefix;
+    const double last_hinted = t_hinted(n - 1);
+    const double last_prefixed = t_prefixed(n - 1);
+    const double now = std::max(last_hinted, last_prefixed);
+    struct Expected {
+      bool seeded;
+      std::size_t committed;
+      double last_t_s;
+    };
+    const Expected expected[2] = {
+        {true, n_committed, last_hinted},
+        {prefixed_seeded, prefixed_seeded ? n_committed : 0, last_prefixed}};
+
+    const Value root = parse_status(server.status());
+    ASSERT_TRUE(validate_status_json(root).empty());
+    const Value* sessions = root.find("sessions");
+    ASSERT_EQ(sessions->array.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+      const Value& s = sessions->array[k];
+      const Expected& e = expected[k];
+      const std::size_t commit_lag = n_pushed - e.committed;
+      SCOPED_TRACE("session " + std::to_string(k + 1));
+      EXPECT_EQ(s.find("id")->number, static_cast<double>(k + 1));
+      EXPECT_EQ(s.find("seeded")->boolean, e.seeded);
+      EXPECT_EQ(s.find("mailbox_depth")->number, 0.0);
+      EXPECT_EQ(s.find("submitted")->number, static_cast<double>(n));
+      EXPECT_EQ(s.find("committed")->number,
+                static_cast<double>(e.committed));
+      EXPECT_EQ(s.find("commit_lag")->number,
+                static_cast<double>(commit_lag));
+      EXPECT_EQ(s.find("last_t_s")->number, e.last_t_s);
+      EXPECT_EQ(s.find("lagging")->boolean, commit_lag > kLag);
+      EXPECT_EQ(s.find("starved")->boolean,
+                now - e.last_t_s > scfg.starved_after_s);
+      EXPECT_FALSE(s.find("backpressured")->boolean);
+    }
+    ASSERT_LT(pump, kRollingCount.size());
+    EXPECT_EQ(root.find("rolling")->find("count")->number,
+              kRollingCount[pump]);
+
+    std::vector<std::uint64_t> flows = mapped_flows(1, n_committed, 0);
+    if (prefixed_seeded) {
+      const auto more = mapped_flows(2, n_committed, kPrefix);
+      flows.insert(flows.end(), more.begin(), more.end());
+    }
+    std::sort(flows.begin(), flows.end());
+    EXPECT_EQ(commit_flow_ids(), flows);
+  }
+  tracer.reset();
+  tracer.set_enabled(false);
+  server.close(1);
+  server.close(2);
 }
 
 TEST(Statusz, LogCountersSurfaceInTheDocument) {
