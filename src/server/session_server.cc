@@ -72,8 +72,8 @@ void SessionServer::open(SessionId id, const Vec2* initial_hint, double t_s) {
   }
 }
 
-bool SessionServer::submit(SessionId id, const core::TrackObservation& obs,
-                           double t_s, std::uint64_t flow_id) {
+bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
+                            std::optional<double> t_s, std::uint64_t flow_id) {
   static const obs::Counter obs_counter("server.observations");
   static const obs::Counter nonfinite_counter("server.nonfinite_observations");
   const auto it = sessions_.find(id);
@@ -85,47 +85,36 @@ bool SessionServer::submit(SessionId id, const core::TrackObservation& obs,
   // timestamp never feeds the decode.
   const auto now = Clock::now();
   std::size_t depth = 0;
+  bool log_backpressure = false;
   {
     pd::MutexLock lock(s.mu);
-    s.mailbox.push_back(finite ? obs : unobserved_window(cfg_));
-    s.stamps.push_back(now);
-    s.sim_times.push_back(t_s);
-    s.flow_ids.push_back(flow_id);
-    depth = s.mailbox.size();
-    s.stat_mailbox_depth.store(depth, std::memory_order_relaxed);
-    s.stat_submitted.store(s.stamps.size(), std::memory_order_relaxed);
-    s.stat_last_t_s.store(t_s, std::memory_order_relaxed);
+    // Derived sim time: submit ordinal x window length -- exact for
+    // gap-free streams, monotone always, so rolling windows stay sane for
+    // drivers that predate the timestamped overload.
+    if (!t_s) {
+      t_s = static_cast<double>(s.popped + s.pending.size()) * cfg_.window_s;
+    }
+    s.pending.push_back(
+        {finite ? obs : unobserved_window(cfg_), now, *t_s, flow_id});
+    depth = ++s.queued;
+    // Log the crossing once per episode; a drain re-arms it.
+    log_backpressure =
+        depth > server_cfg_.backpressure_depth && !s.backpressure_logged;
+    if (log_backpressure) s.backpressure_logged = true;
   }
   obs_counter.add(1);
   obs::record_report_flow('t', flow_id, obs::FlowStage::kSubmit);
-  if (depth > server_cfg_.backpressure_depth &&
-      !s.stat_backpressure_logged.exchange(true, std::memory_order_relaxed)) {
-    // Log the crossing once per episode; pump() re-arms after a drain.
-    auto& lg = obs::Logger::global();
-    if (lg.enabled()) {
-      lg.log(obs::LogLevel::kWarn, t_s, "server.backpressure",
-             [&](obs::JsonWriter& w) {
-               w.kv("session", id);
-               w.kv("mailbox_depth", static_cast<std::uint64_t>(depth));
-               w.kv("threshold", static_cast<std::uint64_t>(
-                                     server_cfg_.backpressure_depth));
-             });
-    }
+  auto& lg = obs::Logger::global();
+  if (log_backpressure && lg.enabled()) {
+    lg.log(obs::LogLevel::kWarn, *t_s, "server.backpressure",
+           [&](obs::JsonWriter& w) {
+             w.kv("session", id);
+             w.kv("mailbox_depth", static_cast<std::uint64_t>(depth));
+             w.kv("threshold", static_cast<std::uint64_t>(
+                                   server_cfg_.backpressure_depth));
+           });
   }
   return true;
-}
-
-bool SessionServer::submit(SessionId id, const core::TrackObservation& obs) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  // Derived sim time: submit ordinal x window length -- exact for
-  // gap-free streams, monotone always, so rolling windows stay sane for
-  // drivers that predate the timestamped overload.
-  const double t_s =
-      static_cast<double>(
-          it->second->stat_submitted.load(std::memory_order_relaxed)) *
-      cfg_.window_s;
-  return submit(id, obs, t_s, 0);
 }
 
 bool SessionServer::accumulate_azimuth_correction(SessionId id,
@@ -152,48 +141,41 @@ std::size_t SessionServer::pump() {
   active.reserve(sessions_.size());
   for (auto& [id, s] : sessions_) {
     pd::MutexLock lock(s->mu);
-    if (!s->mailbox.empty()) active.push_back(s.get());
+    if (s->queued > 0) active.push_back(s.get());
   }
 
   std::atomic<std::size_t> total{0};
   pool_.parallel_for(active.size(), [&](std::size_t i) {
     Session& s = *active[i];
-    // Hold the session mutex for the whole drain: a submit() landing
-    // mid-drain waits a moment instead of racing the stamps vector.
+    // Hold the session mutex for the whole drain: a submit() or a reader
+    // landing mid-drain waits a moment instead of racing the queue.
     pd::MutexLock lock(s.mu);
-    mailbox_gauge.set_max(static_cast<double>(s.mailbox.size()));
-    for (const core::TrackObservation& o : s.mailbox) s.decoder.push(o);
-    s.mailbox.clear();
+    mailbox_gauge.set_max(static_cast<double>(s.queued));
+    s.push_queued();
     const std::size_t base = s.committed.size();
     const std::size_t n = s.decoder.poll(s.committed);
     if (n > 0) {
       // polarlint-allow(R7): measurement only -- stamps the commit for the
       // push_to_commit_s histogram, never feeds the decode.
       const auto now = Clock::now();
-      // Position-to-observation mapping: the seed root (at the phaseless-
-      // prefix length for mid-stream seeds, 0 otherwise) has no originating
-      // window; backfilled prefix positions before it were created by the
-      // same-index observation, positions past it by the preceding one.
+      // The seed root has no originating window; every other position
+      // consumes the oldest pending observation (see Session::pending).
       const std::size_t seed_root = s.decoder.seed_root_position();
       for (std::size_t p = base; p < base + n; ++p) {
         if (p == seed_root) continue;
-        const std::size_t w = p < seed_root ? p : p - 1;
+        const Pending& e = s.pending.front();
         const double latency =
-            std::chrono::duration<double>(now - s.stamps[w]).count();
+            std::chrono::duration<double>(now - e.stamp).count();
         latency_hist.observe(latency);
-        s.latency_stash.emplace_back(s.sim_times[w], latency);
-        obs::record_report_flow('f', s.flow_ids[w], obs::FlowStage::kCommit);
+        s.latency_stash.emplace_back(e.t_s, latency);
+        obs::record_report_flow('f', e.flow_id, obs::FlowStage::kCommit);
+        s.pending.pop_front();
+        ++s.popped;
       }
       total.fetch_add(n, std::memory_order_relaxed);
     }
     lag_gauge.set_max(static_cast<double>(s.decoder.commit_lag()));
-    // Refresh the statusz mirror and re-arm the backpressure edge log.
-    s.stat_mailbox_depth.store(0, std::memory_order_relaxed);
-    s.stat_committed.store(s.committed.size(), std::memory_order_relaxed);
-    s.stat_commit_lag.store(s.decoder.commit_lag(),
-                            std::memory_order_relaxed);
-    s.stat_seeded.store(s.decoder.seeded(), std::memory_order_relaxed);
-    s.stat_backpressure_logged.store(false, std::memory_order_relaxed);
+    s.backpressure_logged = false;
   });
 
   // Feed the rolling SLO window on the calling thread, in session-id
@@ -245,10 +227,12 @@ std::size_t SessionServer::ingest(const std::vector<core::PenEvent>& events,
   return submitted;
 }
 
-const std::vector<Vec2>& SessionServer::committed(SessionId id) const {
-  static const std::vector<Vec2> kEmpty;
+std::vector<Vec2> SessionServer::committed(SessionId id) const {
   const auto it = sessions_.find(id);
-  return it == sessions_.end() ? kEmpty : it->second->committed;
+  if (it == sessions_.end()) return {};
+  Session& s = *it->second;
+  pd::MutexLock lock(s.mu);
+  return s.committed;
 }
 
 std::vector<Vec2> SessionServer::close(SessionId id) {
@@ -264,10 +248,9 @@ std::vector<Vec2> SessionServer::close(SessionId id) {
     // function of the session's full observation stream, so observations
     // still sitting in the mailbox must decode before the tail commits --
     // otherwise the result would depend on pump timing.
-    for (const core::TrackObservation& o : s.mailbox) s.decoder.push(o);
-    s.mailbox.clear();
+    s.push_queued();
     s.decoder.finish(s.committed);
-    last_t_s = s.sim_times.empty() ? 0.0 : s.sim_times.back();
+    last_t_s = s.pending.empty() ? 0.0 : s.pending.back().t_s;
     // Eq. 10: undo the accumulated initial-azimuth error. A whole-trajectory
     // rotation about the centroid, so it can only run once the trace is
     // complete -- committed positions are frozen in board frame until here.
@@ -296,14 +279,15 @@ SessionServer::LiveStatus SessionServer::live_status() const {
   LiveStatus live;
   live.sessions.reserve(sessions_.size());
   for (const auto& [id, s] : sessions_) {
+    pd::MutexLock lock(s->mu);
     SessionStatus st;
     st.id = id;
-    st.seeded = s->stat_seeded.load(std::memory_order_relaxed);
-    st.mailbox_depth = s->stat_mailbox_depth.load(std::memory_order_relaxed);
-    st.submitted = s->stat_submitted.load(std::memory_order_relaxed);
-    st.committed = s->stat_committed.load(std::memory_order_relaxed);
-    st.commit_lag = s->stat_commit_lag.load(std::memory_order_relaxed);
-    st.last_t_s = s->stat_last_t_s.load(std::memory_order_relaxed);
+    st.seeded = s->decoder.seeded();
+    st.mailbox_depth = s->queued;
+    st.submitted = s->popped + s->pending.size();
+    st.committed = s->committed.size();
+    st.commit_lag = s->decoder.commit_lag();
+    st.last_t_s = s->pending.empty() ? 0.0 : s->pending.back().t_s;
     // Global sim "now": the newest observation across sessions -- the
     // time base starvation is judged against.
     live.now_t_s = std::max(live.now_t_s, st.last_t_s);

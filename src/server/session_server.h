@@ -17,20 +17,21 @@
 // pump() ran on 1 worker or 8, and identical to decoding each pen in
 // isolation. Worker count changes wall-clock only.
 //
-// Threading rules: submit()/accumulate_azimuth_correction() may run
-// concurrently with pump() (per-session mutexes order them); open(),
-// close(), committed() and session_count() touch the session map and must
-// not race pump() or each other. status()/healthz() are live-read safe:
-// they may run concurrently with submit() and pump() (they read atomic
-// per-session mirrors and the metrics registry, whose snapshot locks each
-// thread shard), but not with open()/close() (they walk the session map).
+// Threading rules: every per-session field is guarded by that session's
+// mutex, so submit(), accumulate_azimuth_correction(), committed(),
+// status() and healthz() may all run concurrently with pump() and with
+// each other; the last three may wait while a pump worker drains the
+// session they read. open(), close() and session_count() change or size
+// the session map that every call walks, so they must not race any other
+// call. Lock order: status_mu_, then a session's mutex, never the reverse.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,8 +104,12 @@ class SessionServer {
   /// unobserved window instead (idle, no phase, bounded by the speed
   /// limit) and counted in `server.nonfinite_observations`.
   bool submit(SessionId id, const core::TrackObservation& obs, double t_s,
-              std::uint64_t flow_id = 0);
-  bool submit(SessionId id, const core::TrackObservation& obs);
+              std::uint64_t flow_id = 0) {
+    return enqueue(id, obs, t_s, flow_id);
+  }
+  bool submit(SessionId id, const core::TrackObservation& obs) {
+    return enqueue(id, obs, std::nullopt, 0);
+  }
 
   /// Feeds the session's Eq. 10 azimuth-rotation accumulator (e.g. from a
   /// per-session rotation tracker); applied to the whole trajectory at
@@ -118,8 +123,9 @@ class SessionServer {
   /// Returns the number of positions committed across all sessions.
   std::size_t pump();
 
-  /// Positions committed so far for a session (empty for unknown ids).
-  [[nodiscard]] const std::vector<Vec2>& committed(SessionId id) const;
+  /// Copy of the positions committed so far for a session (empty for
+  /// unknown ids).
+  [[nodiscard]] std::vector<Vec2> committed(SessionId id) const;
 
   /// Drains any observations still queued in the mailbox, finishes the
   /// session's decode (committing the batch-equivalent tail), applies the
@@ -153,9 +159,9 @@ class SessionServer {
   /// per-session state (seeded/lagging/starved/backpressured flags,
   /// mailbox depth, commit lag, committed count, last sim time), the
   /// rolling latency window (count, p50/p99/mean/max), registry counter
-  /// totals, trace drop counts, and log emit/suppress counts. Safe to
-  /// call while submit()/pump() are in flight; must not race
-  /// open()/close() (see threading rules at the top).
+  /// totals, trace drop counts, and log emit/suppress counts. Reads each
+  /// session under its mutex, so it is safe while submit()/pump() are in
+  /// flight; must not race open()/close() (see threading rules at the top).
   [[nodiscard]] std::string status() const;
 
   /// healthz: explicit-threshold verdict over the same live state --
@@ -167,8 +173,8 @@ class SessionServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One session's statusz row: its atomic mirror read once, plus the
-  /// flags judged from it.
+  /// One session's statusz row, read under its mutex, plus the flags
+  /// judged from it.
   struct SessionStatus {
     SessionId id = 0;
     bool seeded = false;
@@ -188,6 +194,14 @@ class SessionServer {
   /// The live state status() reports and healthz() judges.
   [[nodiscard]] LiveStatus live_status() const;
 
+  /// A submitted observation, kept until the position it created commits.
+  struct Pending {
+    core::TrackObservation obs;
+    Clock::time_point stamp;  // submit wall time (push-to-commit latency)
+    double t_s = 0.0;         // sim time (rolling window, starvation)
+    std::uint64_t flow_id = 0;  // causal flow chain (0 = unsampled)
+  };
+
   struct Session {
     Session(const core::PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
             double antenna_z, const core::StreamingConfig& scfg,
@@ -196,44 +210,41 @@ class SessionServer {
         : decoder(cfg, a1, a2, antenna_z, scfg, std::move(field),
                   initial_hint) {}
 
-    /// Guards the decoder and mailbox/stamps against submit() racing this
-    /// session's drain.
+    /// Guards every field below against submit(), the readers and this
+    /// session's drain racing each other.
     pd::Mutex mu;
     core::StreamingDecoder decoder PD_GUARDED_BY(mu);
-    std::vector<core::TrackObservation> mailbox PD_GUARDED_BY(mu);
-    /// Submit timestamp of every observation ever queued. Relative to the
-    /// decoder's seed_root_position() R (which has no originating window),
-    /// output position p was created by observation p for p < R (the
-    /// backfilled phaseless prefix) and by observation p - 1 for p > R --
-    /// which is what makes push-to-commit latency (including the lag wait)
-    /// measurable.
-    std::vector<Clock::time_point> stamps PD_GUARDED_BY(mu);
-    /// Simulation timestamp and causal flow id of every observation ever
-    /// queued, parallel to `stamps` (rolling-window time base and 'f'
-    /// flow-event linkage; observational only).
-    std::vector<double> sim_times PD_GUARDED_BY(mu);
-    std::vector<std::uint64_t> flow_ids PD_GUARDED_BY(mu);
-    /// (sim_t_s, latency_s) pairs committed by the last drain; workers
-    /// append under mu, the pump caller moves them into the rolling
-    /// window afterwards in session-id order (deterministic merge).
+    /// Observations whose positions have not committed, oldest first (at
+    /// most lag + mailbox + unseeded prefix); the newest `queued` are the
+    /// mailbox. Relative to the decoder's seed_root_position() R, which
+    /// has no originating window, position p comes from observation p for
+    /// p < R (the backfilled phaseless prefix) and from observation p - 1
+    /// for p > R, so every other commit pops the front. The last submit's
+    /// position is within the lag, so it is always the back.
+    std::deque<Pending> pending PD_GUARDED_BY(mu);
+    std::size_t queued PD_GUARDED_BY(mu) = 0;
+    std::size_t popped PD_GUARDED_BY(mu) = 0;  // + pending.size() = submits
+    /// (sim_t_s, latency_s) pairs committed by the last drain; the pump
+    /// caller moves them into the rolling window afterwards in session-id
+    /// order (deterministic merge).
     std::vector<std::pair<double, double>> latency_stash PD_GUARDED_BY(mu);
-    /// Deliberately outside the capability: pump()/close() append under mu,
-    /// but committed() hands out a const reference without it -- the
-    /// documented phase contract (header threading rules) is that readers
-    /// never overlap pump()/close(), which no lock annotation can express.
-    std::vector<Vec2> committed;
+    std::vector<Vec2> committed PD_GUARDED_BY(mu);
+    /// Set when a submit logs server.backpressure; a drain re-arms it.
+    bool backpressure_logged PD_GUARDED_BY(mu) = false;
 
-    // Live statusz mirror: written under mu at submit/drain time, read
-    // lock-free by status()/healthz() so introspection never blocks (or
-    // is blocked by) a mid-flight drain.
-    std::atomic<std::size_t> stat_mailbox_depth{0};
-    std::atomic<std::size_t> stat_submitted{0};
-    std::atomic<std::size_t> stat_committed{0};
-    std::atomic<std::size_t> stat_commit_lag{0};
-    std::atomic<bool> stat_seeded{false};
-    std::atomic<double> stat_last_t_s{0.0};
-    std::atomic<bool> stat_backpressure_logged{false};
+    /// Feeds the mailbox to the decoder.
+    void push_queued() PD_REQUIRES(mu) {
+      for (auto e = pending.end() - static_cast<std::ptrdiff_t>(queued);
+           e != pending.end(); ++e) {
+        decoder.push(e->obs);
+      }
+      queued = 0;
+    }
   };
+
+  /// Both submit() overloads; no `t_s` derives it from the submit count.
+  bool enqueue(SessionId id, const core::TrackObservation& obs,
+               std::optional<double> t_s, std::uint64_t flow_id);
 
   core::PolarDrawConfig cfg_;
   Vec2 a1_, a2_;

@@ -1,0 +1,112 @@
+// Bounded-history soak (DESIGN.md section 13): over a long session the
+// server's heap may grow only by the committed trajectory. This executable
+// replaces the global operator new/delete with a live-byte counter, so it
+// holds this one test and nothing else.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "core/decode_testbed.h"
+#include "server/session_server.h"
+
+namespace {
+
+std::atomic<std::int64_t> g_live_bytes{0};
+
+// Each block starts with its size in a header one max_align_t wide, so the
+// unsized delete can subtract it and the payload keeps its alignment.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
+void* counted_alloc(std::size_t n) {
+  void* raw = std::malloc(n + kHeader);
+  if (raw == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(raw) = n;
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(n),
+                         std::memory_order_relaxed);
+  return static_cast<char*>(raw) + kHeader;
+}
+
+void* counted_alloc_nothrow(std::size_t n) noexcept {
+  try {
+    return counted_alloc(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  void* raw = static_cast<char*>(p) - kHeader;
+  g_live_bytes.fetch_sub(
+      static_cast<std::int64_t>(*static_cast<std::size_t*>(raw)),
+      std::memory_order_relaxed);
+  std::free(raw);
+}
+
+}  // namespace
+
+// Every non-aligned form, so no block reaches a runtime's own delete (the
+// sanitizers ship their own replacements for each one).
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc_nothrow(n);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+
+namespace polardraw::server {
+namespace {
+
+TEST(SessionMemory, HistoryStaysBoundedOverALongSession) {
+  // One pen streams 10^5 windows at lag 16 with one pump per window. From
+  // 2*10^4 to 10^5 windows the committed trajectory's capacity grows from
+  // 32,768 to 131,072 positions of 16 B, i.e. by 1.57 MB. Anything kept
+  // per observation past its commit (24 B a window for a stamp, a sim
+  // time and a flow id) would add about 2.4 MB more.
+  core::PolarDrawConfig cfg;
+  cfg.board_width_m = 0.4;
+  cfg.board_height_m = 0.3;
+  cfg.block_m = 0.01;
+  cfg.beam_width = 150;
+  const core::DecodeTestbed tb = core::make_decode_testbed(cfg, 1000, 3);
+  SessionServerConfig scfg;
+  scfg.stream.lag_windows = 16;
+  scfg.n_workers = 1;
+  SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
+  server.open(1, &tb.start);
+
+  constexpr std::size_t kWindows = 100000, kMark = 20000;
+  std::int64_t at_mark = 0;
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    ASSERT_TRUE(server.submit(1, tb.obs[w % tb.obs.size()],
+                              static_cast<double>(w) * cfg.window_s));
+    server.pump();
+    if (w + 1 == kMark) at_mark = g_live_bytes.load();
+  }
+  const std::int64_t growth = g_live_bytes.load() - at_mark;
+  RecordProperty("live_heap_growth_bytes", std::to_string(growth));
+  EXPECT_LE(growth, 2'000'000) << "live heap grew by " << growth
+                               << " B between " << kMark << " and "
+                               << kWindows << " windows";
+  EXPECT_EQ(server.close(1).size(), kWindows + 1);
+}
+
+}  // namespace
+}  // namespace polardraw::server

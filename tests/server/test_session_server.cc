@@ -212,6 +212,51 @@ TEST(SessionServer, AzimuthCorrectionAppliedOnClose) {
   expect_bit_identical(traj, expected);
 }
 
+TEST(SessionServer, CommittedIsReadableDuringPump) {
+  // committed() locks the session, so a reader may poll it while pump()
+  // drains (runs under TSan in CI). Positions are frozen once committed,
+  // so every copy it returns is a prefix of the closed trajectory.
+  const PolarDrawConfig cfg = small_config();
+  const int kWindows = 60;
+  const auto tb = make_decode_testbed(cfg, kWindows, 13);
+  SessionServerConfig scfg;
+  scfg.stream.lag_windows = 4;
+  scfg.n_workers = 2;
+  SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
+  server.open(1, &tb.start);
+  std::atomic<bool> done{false};
+  std::atomic<bool> started{false};
+  std::vector<std::vector<Vec2>> reads;  // one per distinct length
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::vector<Vec2> r = server.committed(1);
+      started.store(true, std::memory_order_release);
+      if (reads.empty() || r.size() != reads.back().size()) {
+        reads.push_back(std::move(r));
+      }
+    }
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (const auto& o : tb.obs) {
+    server.submit(1, o);
+    server.pump();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  const std::vector<Vec2> traj = server.close(1);
+  ASSERT_FALSE(reads.empty());
+  std::size_t prev = 0;
+  for (const auto& r : reads) {
+    ASSERT_GE(r.size(), prev);  // committed positions are never retracted
+    ASSERT_LE(r.size(), traj.size());
+    expect_bit_identical(
+        r, std::vector<Vec2>(traj.begin(),
+                             traj.begin() + static_cast<std::ptrdiff_t>(
+                                                r.size())));
+    prev = r.size();
+  }
+}
+
 TEST(SessionServer, UnknownSessionIsRejected) {
   const PolarDrawConfig cfg = small_config();
   SessionServer server(cfg, {0.1, 0.35}, {0.3, 0.35}, 0.12);

@@ -191,6 +191,23 @@ TEST(Statusz, HealthzPassesWhenQuietAndTripsOnLatencySlo) {
   }
 }
 
+TEST(Statusz, HintedSessionIsSeededBeforeItsFirstPump) {
+  // A hint seeds the decoder when the session opens, so statusz reports
+  // it seeded at once; an unhinted session waits for a phase window.
+  const PolarDrawConfig cfg = small_config();
+  const auto tb = make_decode_testbed(cfg, 4, 9);
+  SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z);
+  server.open(1, &tb.start);
+  server.open(2);
+  const Value root = parse_status(server.status());
+  const Value* sessions = root.find("sessions");
+  ASSERT_EQ(sessions->array.size(), 2u);
+  EXPECT_TRUE(sessions->array[0].find("seeded")->boolean);
+  EXPECT_FALSE(sessions->array[1].find("seeded")->boolean);
+  server.close(1);
+  server.close(2);
+}
+
 /// Commit-stage report.flow ids recorded so far, sorted (quiescence
 /// required, so call between pumps).
 std::vector<std::uint64_t> commit_flow_ids() {
