@@ -50,7 +50,7 @@ SweepResult run_sweep(bool print) {
   const auto reports = scene.run(trace);
   core::PolarDrawConfig cfg;
   cfg.gamma_rad = scene_cfg.gamma_rad;
-  const core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto windows = core::preprocess(reports, cfg, &cal);
 
   core::RotationTracker tracker(cfg);

@@ -48,7 +48,7 @@ Outcome run_one(char letter, std::uint64_t seed) {
   const auto trace =
       handwriting::synthesize(std::string(1, letter), cfg.synth, rng);
   const auto reports = scene.run(trace);
-  const core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto apos = scene.antenna_board_positions();
   const auto truth = handwriting::flatten_strokes(trace.ground_truth);
 

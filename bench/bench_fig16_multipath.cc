@@ -35,7 +35,7 @@ double run_with_bystander(double distance_m, bool walking, int reps,
       const auto trace =
           handwriting::synthesize(std::string(1, c), cfg.synth, rng);
       const auto reports = scene.run(trace);
-      const core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+      const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
       const auto apos = scene.antenna_board_positions();
       core::PolarDraw tracker(cfg.algo, apos[0], apos[1], 0.12);
       const auto traj = tracker.track(reports, &cal).trajectory;

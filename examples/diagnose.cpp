@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   cfg.gamma_rad = scene_cfg.gamma_rad;
   const auto apos = scene.antenna_board_positions();
   core::PolarDraw tracker(cfg, apos[0], apos[1], scene_cfg.antenna_standoff_m);
-  core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto result = tracker.track(reports, &cal);
 
   // Ground-truth velocity at window centers.

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   algo.gamma_rad = scene_cfg.gamma_rad;
   const auto apos = scene.antenna_board_positions();
   core::PolarDraw tracker(algo, apos[0], apos[1], 0.12);
-  const core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
 
   // Consume the stream in 1-second chunks, as a UI would.
   const double t_end = reports.back().timestamp_s;

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   core::PolarDrawConfig algo;
   algo.gamma_rad = scene_cfg.gamma_rad;
   const auto apos = scene.antenna_board_positions();
-  const core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const recognition::LetterClassifier classifier;
 
   const std::map<std::uint32_t, std::string> truth{

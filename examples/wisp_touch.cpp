@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   algo.gamma_rad = scene_cfg.gamma_rad;
   const auto apos = scene.antenna_board_positions();
   core::PolarDraw tracker(algo, apos[0], apos[1], 0.12);
-  const core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto result = tracker.track(reports, &cal);
 
   // WISP accelerometer stream + touch detection, windowed like the tracker.

@@ -102,7 +102,7 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
   // --- Track ---------------------------------------------------------------
   // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
   stage_start = std::chrono::steady_clock::now();
-  const core::PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   switch (cfg.system) {
     case System::kPolarDraw:
     case System::kPolarDrawNoPol:

@@ -80,7 +80,7 @@ TEST(Pipeline, WindowCountsConsistent) {
   Rng rng(cfg.seed * 7919 + 13);
   const auto trace = handwriting::synthesize("B", cfg.synth, rng);
   const auto reports = scene.run(trace);
-  const PhaseCalibration cal{scene.reader().port_phase_offsets()};
+  const PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto apos = scene.antenna_board_positions();
   PolarDraw tracker(cfg.algo, apos[0], apos[1], 0.12);
   const auto result = tracker.track(reports, &cal);

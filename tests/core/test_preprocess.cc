@@ -154,7 +154,7 @@ TEST(Preprocess, CalibrationSubtractsPortOffsets) {
   for (int w = 0; w < 3; ++w) {
     reports.push_back(report(w * 0.05, 0, -40.0, 1.5));
   }
-  PhaseCalibration cal{{0.5, 0.0}};
+  PhaseCalibration cal{{0.5, 0.0}, {}};
   const auto windows = preprocess(reports, cfg, &cal);
   EXPECT_NEAR(wrap_2pi(windows[0].phase_rad[0]), 1.0, 1e-9);
 }
