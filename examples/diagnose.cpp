@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   core::PolarDrawConfig cfg;
   cfg.gamma_rad = scene_cfg.gamma_rad;
   const auto apos = scene.antenna_board_positions();
-  core::PolarDraw tracker(cfg, apos[0], apos[1], scene_cfg.antenna_standoff_m);
+  core::PolarDraw tracker(cfg, apos[0], apos[1],
+                          scene.antennas()[0].position.z);
   core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto result = tracker.track(reports, &cal);
 

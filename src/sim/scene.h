@@ -29,8 +29,12 @@ struct SceneConfig {
   double board_width_m = 1.0;
   double board_height_m = 0.6;
 
-  /// Antenna standoff from the board plane, meters (tag-to-reader distance
-  /// knob of Table 5 / Fig. 22).
+  /// Tag-to-reader distance, meters (the knob of Table 5 / Fig. 22). In
+  /// the two-antenna rigs it is the in-plane distance from the
+  /// writing-block center up to the antenna line, and the mounts sit
+  /// 0.12 m out of the board plane: that height, antennas()[i].position.z,
+  /// is the trackers' `antenna_z`. The four-antenna baseline rigs stand
+  /// this far off the board plane, facing it.
   double antenna_standoff_m = 1.0;
 
   /// Inter-antenna polarization half-angle gamma (radians; Table 8 knob).
