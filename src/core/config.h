@@ -36,7 +36,7 @@ struct PolarDrawConfig {
   /// RSS-change threshold separating rotational from translational motion,
   /// dB per window. The paper tuned delta = 2 dBm for its writers; the
   /// synthetic wrist rotates more smoothly, so the substrate's optimum is
-  /// lower (bench_ablation_design sweeps this).
+  /// lower.
   double rotation_rss_delta_db = 1.0;
 
   // ----- Rotational tracking (section 3.3.1) -----
@@ -46,8 +46,7 @@ struct PolarDrawConfig {
   /// Per-antenna RSS-change threshold gating the azimuth step (Eq. 4).
   /// The paper tuned 1.5 dBm on its hardware; on this substrate one
   /// antenna always sits near its flat response peak during mid-sector
-  /// rotation, so a lower per-antenna gate tracks markedly better
-  /// (bench_ablation_design sweeps this).
+  /// rotation, so a lower per-antenna gate tracks markedly better.
   double delta_beta_gate_db = 0.5;
 
   // ----- Distance estimation (section 3.4) -----
