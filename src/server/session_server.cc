@@ -91,11 +91,10 @@ bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
     // Derived sim time: submit ordinal x window length -- exact for
     // gap-free streams, monotone always, so rolling windows stay sane for
     // drivers that predate the timestamped overload.
-    if (!t_s) {
-      t_s = static_cast<double>(s.popped + s.pending.size()) * cfg_.window_s;
-    }
+    if (!t_s) t_s = static_cast<double>(s.submitted) * cfg_.window_s;
     s.pending.push_back(
         {finite ? obs : unobserved_window(cfg_), now, *t_s, flow_id});
+    ++s.submitted;
     depth = ++s.queued;
     // Log the crossing once per episode; a drain re-arms it.
     log_backpressure =
@@ -170,7 +169,6 @@ std::size_t SessionServer::pump() {
         s.latency_stash.emplace_back(e.t_s, latency);
         obs::record_report_flow('f', e.flow_id, obs::FlowStage::kCommit);
         s.pending.pop_front();
-        ++s.popped;
       }
       total.fetch_add(n, std::memory_order_relaxed);
     }
@@ -284,7 +282,7 @@ SessionServer::LiveStatus SessionServer::live_status() const {
     st.id = id;
     st.seeded = s->decoder.seeded();
     st.mailbox_depth = s->queued;
-    st.submitted = s->popped + s->pending.size();
+    st.submitted = s->submitted;
     st.committed = s->committed.size();
     st.commit_lag = s->decoder.commit_lag();
     st.last_t_s = s->pending.empty() ? 0.0 : s->pending.back().t_s;

@@ -223,7 +223,7 @@ class SessionServer {
     /// position is within the lag, so it is always the back.
     std::deque<Pending> pending PD_GUARDED_BY(mu);
     std::size_t queued PD_GUARDED_BY(mu) = 0;
-    std::size_t popped PD_GUARDED_BY(mu) = 0;  // + pending.size() = submits
+    std::size_t submitted PD_GUARDED_BY(mu) = 0;
     /// (sim_t_s, latency_s) pairs committed by the last drain; the pump
     /// caller moves them into the rolling window afterwards in session-id
     /// order (deterministic merge).
