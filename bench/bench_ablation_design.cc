@@ -79,18 +79,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_ViterbiVsGreedy(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 2);
-  cfg.algo.use_viterbi = state.range(0) == 1;
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("O", cfg).procrustes_m);
-  }
-}
-BENCHMARK(BM_ViterbiVsGreedy)->Arg(0)->Arg(1);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("ablation_design");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -1,14 +1,12 @@
 // Shared scaffolding for the experiment benches.
 //
 // Every bench binary reproduces one table or figure from the paper: it
-// runs the experiment, prints the paper-style rows (plus the paper's
-// numbers for side-by-side comparison), and then runs a google-benchmark
-// micro-timing of the kernel that dominates that experiment. All binaries
-// run standalone with no arguments; PD_BENCH_REPS scales the trial count
-// (default keeps the full suite to a few minutes on one core).
+// runs the experiment and prints the paper-style rows (plus the paper's
+// numbers for side-by-side comparison). Speed is polarbench's job
+// (bench/suite); these binaries report what the figure reports. All
+// binaries run standalone with no arguments; PD_BENCH_REPS scales the
+// trial count (default keeps the full suite to a few minutes on one core).
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -44,10 +42,6 @@ inline bool env_flag(const char* name) {
 
 /// Smoke mode (PD_BENCH_SMOKE): tiny configurations, seconds not minutes.
 inline bool smoke_mode() { return env_flag("PD_BENCH_SMOKE"); }
-
-/// JSON-only mode (PD_BENCH_JSON_ONLY): the benchjson runner wants the
-/// experiment + BENCH_<name>.json and skips the google-benchmark timings.
-inline bool json_only_mode() { return env_flag("PD_BENCH_JSON_ONLY"); }
 
 /// Headline metrics recorded by the experiment sections for the JSON
 /// export (insertion-ordered; re-recording a key overwrites its value).
@@ -118,29 +112,6 @@ class TrialTimes {
   std::vector<double> times_;
 };
 
-/// Writes <dir>/STATUS_<bench>.json from a statusz document (the
-/// SessionServer::status() string) captured mid-run, so CI can validate
-/// the live-introspection schema against a real in-flight server
-/// (`benchjson --validate-status`). The document is written verbatim —
-/// it is already JSON. No-op (returns true) without PD_BENCH_JSON_DIR;
-/// returns false when the file cannot be written.
-inline bool write_status_json(const std::string& bench,
-                              const std::string& status_doc) {
-  const char* dir = std::getenv("PD_BENCH_JSON_DIR");
-  if (dir == nullptr) return true;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path = std::string(dir) + "/STATUS_" + bench + ".json";
-  std::ofstream os(path);
-  if (!os) {
-    std::cerr << "bench: PD_BENCH_JSON_DIR is not writable, cannot write "
-              << path << "\n";
-    return false;
-  }
-  os << status_doc << "\n";
-  return os.good();
-}
-
 /// Prints the standard bench banner.
 inline void banner(const std::string& id, const std::string& title) {
   std::cout << "==============================================================\n"
@@ -148,35 +119,21 @@ inline void banner(const std::string& id, const std::string& title) {
             << "==============================================================\n";
 }
 
-/// Runs the registered google-benchmark timings (after the experiment).
-inline int run_microbench(int argc, char** argv) {
-  // Keep micro-timings short; the experiment above is the real payload.
-  int fake_argc = 2;
-  char arg0[] = "bench";
-  char arg1[] = "--benchmark_min_time=0.05";
-  char* fake_argv[] = {argc > 0 ? argv[0] : arg0, arg1, nullptr};
-  ::benchmark::Initialize(&fake_argc, fake_argv);
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  return 0;
-}
-
 /// One bench binary's JSON-export session (DESIGN.md section 11).
 ///
-/// Construct before the experiment, finish() after it:
+/// Construct before the experiment, write_json() after it:
 ///
-///   int main(int argc, char** argv) {
-///     bench::Session session("fig13");
+///   int main() {
+///     const bench::Session session("fig13");
 ///     run_experiment();                 // bench::record_metric(...) inside
-///     return session.finish(argc, argv);
+///     return session.write_json() ? 0 : 1;
 ///   }
 ///
 /// When PD_BENCH_JSON_DIR is set the constructor enables (and resets) the
 /// metrics registry so the pipeline's spans and counters accumulate, and
-/// finish() writes <dir>/BENCH_<name>.json: git SHA (PD_GIT_SHA), run
+/// write_json() writes <dir>/BENCH_<name>.json: git SHA (PD_GIT_SHA), run
 /// config, the recorded headline metrics, all registry counters/gauges,
-/// and per-stage span percentiles. finish() then runs the registered
-/// google-benchmark timings unless PD_BENCH_JSON_ONLY is set.
+/// and per-stage span percentiles.
 class Session {
  public:
   explicit Session(std::string name) : name_(std::move(name)) {
@@ -193,12 +150,12 @@ class Session {
     }
   }
 
-  /// True when finish() will write BENCH_<name>.json.
+  /// True when write_json() will write BENCH_<name>.json.
   [[nodiscard]] static bool json_enabled() {
     return std::getenv("PD_BENCH_JSON_DIR") != nullptr;
   }
 
-  /// True when finish() will write TRACE_<name>.json (DESIGN.md sec. 12).
+  /// True when write_json() will write TRACE_<name>.json (DESIGN.md sec. 12).
   [[nodiscard]] static bool trace_enabled() {
     return std::getenv("PD_TRACE_DIR") != nullptr;
   }
@@ -286,15 +243,6 @@ class Session {
     w.end_object();
     os << "\n";
     return os.good() && trace_ok;
-  }
-
-  /// Writes the JSON export, then runs the registered microbenchmarks
-  /// (skipped in JSON-only mode). Returns the process exit code.
-  int finish(int argc, char** argv) const {
-    const bool ok = write_json();
-    if (json_only_mode()) return ok ? 0 : 1;
-    const int rc = run_microbench(argc, argv);
-    return ok ? rc : 1;
   }
 
  private:

@@ -165,25 +165,9 @@ static void run_experiment() {
                "substrate.\n\n";
 }
 
-static void BM_BigramDecode(benchmark::State& state) {
-  const recognition::WordCorrector corrector{recognition::BigramModel{}, 1.5};
-  std::vector<std::vector<recognition::LetterHypothesis>> positions;
-  for (char c : std::string("HOUSE")) {
-    std::vector<recognition::LetterHypothesis> hyps{{c, 0.0}};
-    for (char alt : handwriting::alphabet()) {
-      if (alt != c) hyps.push_back({alt, 2.0});
-    }
-    positions.push_back(std::move(hyps));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(corrector.decode(positions));
-  }
-}
-BENCHMARK(BM_BigramDecode);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("ext_nlp");
   run_experiment();
   run_dictionary_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -38,16 +38,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_TrackLetter(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::run_trial("W", cfg).trajectory);
-  }
-}
-BENCHMARK(BM_TrackLetter);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig02");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -98,23 +98,10 @@ void translation_experiment() {
 
 }  // namespace
 
-static void BM_Interrogate(benchmark::State& state) {
-  auto reader = make_rig(9);
-  em::Tag tag;
-  tag.position = Vec3{0.0, 0.0, 0.0};
-  tag.dipole_axis = Vec3{0.0, 0.0, 1.0};
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 0.01;
-    benchmark::DoNotOptimize(reader.interrogate(0, tag, t));
-  }
-}
-BENCHMARK(BM_Interrogate);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig03");
   bench::banner("Figure 3", "Feasibility study: polarization vs RSS/phase");
   rotation_experiment();
   translation_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

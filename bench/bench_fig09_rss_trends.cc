@@ -98,16 +98,9 @@ SweepResult run_sweep(bool print) {
 
 }  // namespace
 
-static void BM_RotationSweepDecode(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_sweep(false).consistent);
-  }
-}
-BENCHMARK(BM_RotationSweepDecode);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig09");
   bench::banner("Figure 9", "Two-antenna RSS trends while writing (gamma=30)");
   run_sweep(true);
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -108,16 +108,8 @@ static void run_experiment() {
                "straightened by the correction.\n\n";
 }
 
-static void BM_TrackOneLetter(benchmark::State& state) {
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_one('S', ++seed).post_cm);
-  }
-}
-BENCHMARK(BM_TrackOneLetter);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig10");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

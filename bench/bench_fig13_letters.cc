@@ -46,17 +46,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_LetterTrial(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 3);
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("E", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_LetterTrial);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig13");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -75,20 +75,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_ConfusionBookkeeping(benchmark::State& state) {
-  recognition::ConfusionMatrix cm;
-  int i = 0;
-  for (auto _ : state) {
-    cm.record(static_cast<char>('A' + (i % 26)),
-              static_cast<char>('A' + ((i * 7) % 26)));
-    benchmark::DoNotOptimize(cm.overall_accuracy());
-    ++i;
-  }
-}
-BENCHMARK(BM_ConfusionBookkeeping);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig14");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -44,18 +44,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_InAirTrial(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 5);
-  cfg.synth.in_air = true;
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("U", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_InAirTrial);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig15");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -63,25 +63,8 @@ static void run_experiment() {
                "dynamic ~83% at 30 cm.\n\n";
 }
 
-static void BM_BystanderChannelEval(benchmark::State& state) {
-  auto channel = channel::make_office_channel(5);
-  channel.add(channel::make_bystander_walking(0.3, Vec3{0.5, 0.25, 0.0}));
-  em::ReaderAntenna ant = em::make_linear_antenna(Vec3{0.2, 1.25, 0.12}, 1.83);
-  ant.boresight = Vec3{0.0, -1.0, 0.0};
-  em::Tag tag;
-  tag.position = Vec3{0.5, 0.25, 0.0};
-  tag.dipole_axis = Vec3{0.2, 0.3, 0.93};
-  em::TxConfig tx;
-  double t = 0.0;
-  for (auto _ : state) {
-    t += 0.01;
-    benchmark::DoNotOptimize(channel.evaluate(ant, tag, tx, t).response);
-  }
-}
-BENCHMARK(BM_BystanderChannelEval);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig16");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

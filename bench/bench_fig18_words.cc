@@ -37,17 +37,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_WordTrial(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 70);
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("SUN", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_WordTrial);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig18");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -7,8 +7,6 @@
 // comparable but slightly behind the four-antenna rigs.
 #include "bench_common.h"
 
-#include "recognition/procrustes.h"
-
 using namespace polardraw;
 
 static void run_experiment() {
@@ -58,18 +56,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_ProcrustesScoring(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 5);
-  const auto res = eval::run_trial("M", cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(recognition::procrustes_distance(
-        res.ground_truth, res.trajectory));
-  }
-}
-BENCHMARK(BM_ProcrustesScoring);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig19");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -41,19 +41,8 @@ static void run_experiment() {
                "start and end of the trajectory.\n\n";
 }
 
-static void BM_AsciiRender(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 4242);
-  const auto res = eval::run_trial("B", cfg);
-  std::vector<std::pair<double, double>> xy;
-  for (const auto& p : res.trajectory) xy.emplace_back(p.x, p.y);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ascii_plot(xy, 44, 14));
-  }
-}
-BENCHMARK(BM_AsciiRender);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig20");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

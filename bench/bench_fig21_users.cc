@@ -41,18 +41,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_StiffUserTrial(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 2);
-  cfg.synth.user = handwriting::user_style(2);
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("L", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_StiffUserTrial);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("fig21");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -27,20 +27,8 @@ static void print_table() {
             << "\n\n";
 }
 
-// Micro-timing: the cost table is static, so time the table renderer.
-static void BM_TableRender(benchmark::State& state) {
-  for (auto _ : state) {
-    Table t({"a", "b"});
-    for (int i = 0; i < 16; ++i) t.add_row_values({1.0 * i, 2.0 * i});
-    std::ostringstream os;
-    t.print(os);
-    benchmark::DoNotOptimize(os.str());
-  }
-}
-BENCHMARK(BM_TableRender);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("tab01");
   print_table();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

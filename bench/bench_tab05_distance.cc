@@ -35,16 +35,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_TrialAtOneMeter(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::run_trial("A", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_TrialAtOneMeter);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("tab05");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

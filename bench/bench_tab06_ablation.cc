@@ -44,17 +44,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_AblatedTrial(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDrawNoPol, 8);
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("O", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_AblatedTrial);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("tab06");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

@@ -36,18 +36,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_TrialNegativeElevation(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 6);
-  cfg.algo.alpha_e_rad = deg2rad(-30.0);
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("C", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_TrialNegativeElevation);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("tab07");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

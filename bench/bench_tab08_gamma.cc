@@ -37,18 +37,8 @@ static void run_experiment() {
   std::cout << "\n";
 }
 
-static void BM_TrialWideGamma(benchmark::State& state) {
-  auto cfg = bench::default_trial(eval::System::kPolarDraw, 3);
-  cfg.scene.gamma_rad = deg2rad(60.0);
-  for (auto _ : state) {
-    cfg.seed += 1;
-    benchmark::DoNotOptimize(eval::run_trial("U", cfg).all_correct);
-  }
-}
-BENCHMARK(BM_TrialWideGamma);
-
-int main(int argc, char** argv) {
+int main() {
   const bench::Session session("tab08");
   run_experiment();
-  return session.finish(argc, argv);
+  return session.write_json() ? 0 : 1;
 }

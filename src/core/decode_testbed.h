@@ -1,9 +1,10 @@
 // Seeded synthetic observation streams for the decode hot path.
 //
-// Shared by bench_hmm_decode and the golden determinism tests: both need
-// repeatable TrackObservation sequences that exercise every emission term
-// (direction lines, annulus bounds, hyperbola matches, idle windows,
-// missing-phase windows) without paying for the full scene simulation.
+// Shared by polarbench's decode and server workloads and the golden
+// determinism tests: all need repeatable TrackObservation sequences that
+// exercise every emission term (direction lines, annulus bounds, hyperbola
+// matches, idle windows, missing-phase windows) without paying for the
+// full scene simulation.
 // The stream is a pure function of (config, window count, seed).
 #pragma once
 

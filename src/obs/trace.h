@@ -6,8 +6,8 @@
 // Chrome 'X' complete event on the calling thread's track. Both sinks
 // share a single steady_clock read per endpoint. When both subsystems are
 // disabled the constructor takes two relaxed loads and no clock is read,
-// so instrumentation can stay compiled into hot paths (bench_hmm_decode
-// guards the overhead budget).
+// so instrumentation can stay compiled into hot paths (polarbench's
+// obs.trace_overhead_fraction measures what it costs when on).
 //
 //   void preprocess(...) {
 //     static const obs::SpanSite site("core.preprocess");

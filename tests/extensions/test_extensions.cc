@@ -3,7 +3,13 @@
 // touch sensor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/angles.h"
+#include "handwriting/synthesizer.h"
 #include "recognition/language_model.h"
 #include "rfid/wisp.h"
 #include "sim/scene.h"
@@ -99,6 +105,64 @@ TEST(MultiTag, PopulationSharesReadBudget) {
   EXPECT_EQ(a + b, static_cast<int>(reports.size()));
   // Roughly even split of the slot budget.
   EXPECT_NEAR(static_cast<double>(a) / (a + b), 0.5, 0.12);
+}
+
+// Eight pens share one Gen2 inventory under churn: two arrive late (their
+// traces start at their entry time) and one leaves early. The MAC must
+// spread the slot budget evenly over the pens present: the Jain index of
+// per-pen reads per present second, (sum r)^2 / (N sum r^2), stays near 1,
+// and no pen starves.
+TEST(MultiTag, EightPenChurnStaysFair) {
+  sim::SceneConfig scfg;
+  scfg.seed = 77;
+  scfg.reader.frequency_hopping = true;
+  scfg.reader.auto_select_modulation = false;
+  sim::Scene scene(scfg);
+
+  constexpr double kAirS = 2.0;
+  const std::string letters = "MZANKWOS";
+  Rng rng(9);
+  std::vector<handwriting::WritingTrace> traces;
+  std::vector<rfid::TagEntry> tags;
+  traces.reserve(letters.size());
+  for (std::size_t p = 0; p < letters.size(); ++p) {
+    handwriting::SynthesisConfig synth;
+    synth.auto_center = false;
+    synth.origin = {0.08 + 0.11 * static_cast<double>(p % 4),
+                    p < 4 ? 0.12 : 0.38};
+    synth.user = handwriting::user_style(1 + static_cast<int>(p % 4));
+    traces.push_back(
+        handwriting::synthesize(std::string(1, letters[p]), synth, rng));
+    const double t_enter = p >= 6 ? 0.3 * kAirS : 0.0;
+    const double t_leave = p == 0 ? 0.7 * kAirS : 1e300;
+    const auto* trace = &traces.back();
+    tags.push_back(rfid::TagEntry{
+        0xA0u + static_cast<std::uint32_t>(p),
+        [trace, t_enter](double t) {
+          return sim::tag_at_time(*trace, t - t_enter);
+        },
+        t_enter, t_leave});
+  }
+
+  const auto reports = scene.reader().inventory_population(tags, 0.0, kAirS);
+  std::vector<int> reads(tags.size(), 0);
+  for (const auto& r : reports) {
+    ASSERT_GE(r.epc, 0xA0u);
+    ASSERT_LT(r.epc - 0xA0u, tags.size());
+    ++reads[r.epc - 0xA0u];
+  }
+  double sum = 0.0, sum_sq = 0.0, min_rate = 1e300;
+  for (std::size_t p = 0; p < tags.size(); ++p) {
+    const double present_s =
+        std::min(tags[p].t_leave_s, kAirS) - tags[p].t_enter_s;
+    const double rate = reads[p] / present_s;
+    sum += rate;
+    sum_sq += rate * rate;
+    min_rate = std::min(min_rate, rate);
+  }
+  const double jain = sum * sum / (static_cast<double>(tags.size()) * sum_sq);
+  EXPECT_GE(jain, 0.90);
+  EXPECT_GE(min_rate, 0.8);
 }
 
 TEST(MultiTag, EmptyPopulation) {

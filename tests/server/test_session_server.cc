@@ -1,8 +1,8 @@
 // Session-server determinism and lifecycle tests (DESIGN.md §13).
 //
-// The load pattern mirrors bench_streaming: N synthetic pens from the
-// decode testbed, reports interleaved round-robin, pump() called on a
-// fixed cadence. The pinned contracts: interleaving changes nothing (each
+// The load pattern mirrors polarbench's server workloads: N synthetic
+// pens from the decode testbed, reports interleaved round-robin, pump()
+// called on a fixed cadence. The pinned contracts: interleaving changes nothing (each
 // session decodes exactly as it would in isolation), worker count changes
 // nothing (1 worker and 8 produce bit-identical trajectories and counter
 // aggregates), close() flushes the batch-equivalent tail, and the Eq. 10

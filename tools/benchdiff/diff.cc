@@ -13,42 +13,24 @@ using benchjson::Value;
 
 namespace {
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-/// Last dotted segment, e.g. "p95_ms" from "stages.core.hmm_decode.p95_ms".
+/// Last dotted segment, e.g. "accuracy" from "metrics.accuracy".
 std::string last_segment(const std::string& key) {
   const std::size_t dot = key.rfind('.');
   return dot == std::string::npos ? key : key.substr(dot + 1);
 }
 
-/// Flattens the numeric leaves we sentinel: headline metrics, registry
-/// counters, per-stage percentiles, and the top-level wall clock. Config
-/// and gauges are environment descriptions, not trajectories, so they are
+/// Flattens the numeric leaves we sentinel: headline metrics and registry
+/// counters. Config and gauges are environment descriptions, and the wall
+/// clock and per-stage span timings depend on the machine, so they are
 /// deliberately not compared.
 void flatten(const Value& doc,
              std::vector<std::pair<std::string, double>>& out) {
-  if (const Value* wall = doc.find("wall_s"); wall && wall->is_number()) {
-    out.emplace_back("wall_s", wall->number);
-  }
   for (const char* section : {"metrics", "counters"}) {
     const Value* obj = doc.find(section);
     if (obj == nullptr || !obj->is_object()) continue;
     for (const auto& [k, v] : obj->object) {
       if (v.is_number()) {
         out.emplace_back(std::string(section) + "." + k, v.number);
-      }
-    }
-  }
-  if (const Value* stages = doc.find("stages"); stages && stages->is_object()) {
-    for (const auto& [stage, entry] : stages->object) {
-      if (!entry.is_object()) continue;
-      for (const auto& [k, v] : entry.object) {
-        if (v.is_number()) {
-          out.emplace_back("stages." + stage + "." + k, v.number);
-        }
       }
     }
   }
@@ -76,44 +58,10 @@ Verdict judge(MetricClass cls, double old_v, double new_v,
       if (std::fabs(diff) <= th.accuracy_abs_tol) return Verdict::kUnchanged;
       return diff < 0.0 ? Verdict::kRegressed : Verdict::kImproved;
     }
-    case MetricClass::kThroughput:
-    case MetricClass::kTime: {
-      if (old_v < 0.0 || new_v < 0.0) {
-        // Negative durations/rates are malformed exports, not trends.
-        return old_v == new_v ? Verdict::kUnchanged : Verdict::kInfo;
-      }
-      if (old_v == 0.0 || new_v == 0.0) {
-        // The degradation factor divides by whichever side anchors it, so
-        // a legitimate zero (a sub-resolution smoke timing, an idle-path
-        // rate) used to collapse to inf/NaN and a silently-passing kInfo.
-        // Zero-adjacent comparisons are judged by absolute drift instead.
-        if (std::fabs(new_v - old_v) <= th.zero_perf_abs_tol) {
-          return Verdict::kUnchanged;
-        }
-        const bool grew = new_v > old_v;
-        if (cls == MetricClass::kThroughput) {
-          return grew ? Verdict::kImproved : Verdict::kRegressed;
-        }
-        return grew ? Verdict::kRegressed : Verdict::kImproved;
-      }
-      // Judge by the degradation *factor*, symmetric in log space: with
-      // tol t, up to (1+t)x worse passes in either unit (time growing or
-      // throughput shrinking). A plain relative delta cannot express
-      // "allow a 5x-slower machine" for time without disabling the
-      // throughput gate entirely, since a throughput drop is capped at
-      // -100% while a slowdown is unbounded.
-      const double worse_factor =
-          cls == MetricClass::kThroughput ? old_v / new_v : new_v / old_v;
-      if (worse_factor > 1.0 + th.perf_rel_tol) return Verdict::kRegressed;
-      if (1.0 / worse_factor > 1.0 + th.perf_rel_tol) {
-        return Verdict::kImproved;
-      }
-      return Verdict::kUnchanged;
-    }
     case MetricClass::kCount:
-      // A count change means the experiment shape changed (config drift,
-      // trial-count edit); that wants eyes, not a hard failure.
-      return old_v == new_v ? Verdict::kUnchanged : Verdict::kWarning;
+      // Counters are the same at any thread count and on any machine, so
+      // a change means the code (or the experiment's shape) changed.
+      return old_v == new_v ? Verdict::kUnchanged : Verdict::kRegressed;
     case MetricClass::kUnknown:
       return old_v == new_v ? Verdict::kUnchanged : Verdict::kInfo;
   }
@@ -122,7 +70,7 @@ Verdict judge(MetricClass cls, double old_v, double new_v,
 
 std::string fmt_num(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
+  std::snprintf(buf, sizeof buf, "%.12g", v);
   return buf;
 }
 
@@ -131,7 +79,6 @@ const char* verdict_word(Verdict v) {
     case Verdict::kUnchanged: return "unchanged";
     case Verdict::kImproved: return "improved";
     case Verdict::kRegressed: return "**REGRESSED**";
-    case Verdict::kWarning: return "warning";
     case Verdict::kInfo: return "info";
     case Verdict::kNew: return "new";
   }
@@ -141,8 +88,6 @@ const char* verdict_word(Verdict v) {
 const char* class_word(MetricClass c) {
   switch (c) {
     case MetricClass::kAccuracy: return "accuracy";
-    case MetricClass::kThroughput: return "throughput";
-    case MetricClass::kTime: return "time";
     case MetricClass::kCount: return "count";
     case MetricClass::kUnknown: return "unknown";
   }
@@ -165,15 +110,11 @@ std::size_t Report::count(Verdict v) const {
 }
 
 MetricClass classify_metric(const std::string& key) {
-  const std::string leaf = last_segment(key);
-  if (leaf.find("accuracy") != std::string::npos) return MetricClass::kAccuracy;
-  if (ends_with(leaf, "_per_s")) return MetricClass::kThroughput;
-  if (leaf == "count" || leaf == "trials" || leaf == "windows" ||
-      leaf == "decode_reps" || key.rfind("counters.", 0) == 0) {
+  if (key.rfind("counters.", 0) == 0 || key == "metrics.trials") {
     return MetricClass::kCount;
   }
-  if (ends_with(leaf, "_ms") || ends_with(leaf, "_s") || leaf == "wall_s") {
-    return MetricClass::kTime;
+  if (last_segment(key).find("accuracy") != std::string::npos) {
+    return MetricClass::kAccuracy;
   }
   return MetricClass::kUnknown;
 }
@@ -197,9 +138,8 @@ void compare_docs(const std::string& file, const Value& old_doc,
     d.new_value = find_value(new_kv, key, found);
     if (!found) {
       d.missing_new = true;
-      d.verdict = d.cls == MetricClass::kCount || d.cls == MetricClass::kUnknown
-                      ? Verdict::kWarning
-                      : Verdict::kRegressed;
+      d.verdict = d.cls == MetricClass::kUnknown ? Verdict::kInfo
+                                                 : Verdict::kRegressed;
     } else {
       d.verdict = judge(d.cls, old_v, d.new_value, th);
     }
@@ -289,9 +229,7 @@ std::string to_markdown(const Report& report, const Thresholds& th) {
   std::ostringstream os;
   os << "# benchdiff report\n\n";
   os << "Thresholds: accuracy abs tol " << fmt_num(th.accuracy_abs_tol)
-     << ", perf rel tol " << fmt_num(th.perf_rel_tol)
-     << ", zero-baseline perf abs tol " << fmt_num(th.zero_perf_abs_tol)
-     << ".\n\n";
+     << "; counters and metrics.trials exact.\n\n";
 
   for (const auto& e : report.errors) os << "- ERROR: " << e << "\n";
   for (const auto& f : report.missing_files) {
@@ -307,11 +245,10 @@ std::string to_markdown(const Report& report, const Thresholds& th) {
 
   os << "| file | metric | class | old | new | delta | verdict |\n"
      << "|---|---|---|---:|---:|---:|---|\n";
-  // Regressions first, then warnings, so a failing CI log leads with the
-  // offending metric.
-  const Verdict order[] = {Verdict::kRegressed, Verdict::kWarning,
-                           Verdict::kImproved, Verdict::kNew,
-                           Verdict::kInfo,     Verdict::kUnchanged};
+  // Regressions first, so a failing CI log leads with the offending metric.
+  const Verdict order[] = {Verdict::kRegressed, Verdict::kImproved,
+                           Verdict::kNew,       Verdict::kInfo,
+                           Verdict::kUnchanged};
   for (Verdict want : order) {
     for (const auto& d : report.deltas) {
       if (d.verdict != want) continue;
@@ -320,11 +257,6 @@ std::string to_markdown(const Report& report, const Thresholds& th) {
          << (d.missing_new ? "missing" : fmt_num(d.new_value)) << " | ";
       if (d.missing_old || d.missing_new) {
         os << "-";
-      } else if (d.old_value != 0.0 && (d.cls == MetricClass::kThroughput ||
-                                        d.cls == MetricClass::kTime)) {
-        os << fmt_num(100.0 * (d.new_value - d.old_value) /
-                      std::fabs(d.old_value))
-           << "%";
       } else {
         os << fmt_num(d.new_value - d.old_value);
       }
@@ -333,7 +265,6 @@ std::string to_markdown(const Report& report, const Thresholds& th) {
   }
 
   os << "\nSummary: " << report.count(Verdict::kRegressed) << " regressed, "
-     << report.count(Verdict::kWarning) << " warnings, "
      << report.count(Verdict::kImproved) << " improved, "
      << report.count(Verdict::kUnchanged) << " unchanged, "
      << report.count(Verdict::kNew) << " new, "

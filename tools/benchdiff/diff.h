@@ -1,13 +1,13 @@
 // benchdiff: the bench-trajectory regression sentinel (DESIGN.md sec. 12).
 //
 // Compares two directories of BENCH_*.json exports (an "old" baseline and
-// a "new" candidate) metric by metric and classifies each delta as
-// improved / unchanged / regressed under direction-aware, per-class noise
-// thresholds. Accuracy metrics are deterministic under pinned seeds, so
-// they get a tight absolute tolerance; throughput and time metrics are
-// machine-dependent, so they get a generous relative tolerance; count
-// metrics (trial/window totals) only warn, since a count change usually
-// means the configs differ rather than the code got slower.
+// a "new" candidate) metric by metric and judges only what is the same on
+// every machine. Accuracy metrics are deterministic under pinned seeds, so
+// they get a tight absolute tolerance. Registry counters and the trial
+// count are exact: any change or disappearance fails, because the ledger
+// counters (hmm.* per window, preprocess.*, rfid.*) do not depend on the
+// machine or the thread count. Everything else (trial wall times, gauges)
+// is reported as information. Speed is polarbench's job (bench/suite).
 #pragma once
 
 #include <string>
@@ -19,42 +19,27 @@ namespace polardraw::benchdiff {
 
 /// How a metric is judged. Direction encodes which way "worse" points.
 enum class MetricClass {
-  kAccuracy,    // higher is better, absolute tolerance (deterministic)
-  kThroughput,  // higher is better, relative tolerance (*_per_s)
-  kTime,        // lower is better, relative tolerance (*_ms, *_s, wall_s)
-  kCount,       // informational; a change warns but never fails
-  kUnknown,     // informational only
+  kAccuracy,  // higher is better, absolute tolerance (deterministic)
+  kCount,     // exact: counters.* and metrics.trials; any change fails
+  kUnknown,   // informational only
 };
 
 /// Verdict for a single metric delta. kNew marks a metric present only in
 /// the candidate (a freshly added export) — surfaced explicitly in the
 /// markdown so new instrumentation is visible in review, never a failure.
-enum class Verdict { kUnchanged, kImproved, kRegressed, kWarning, kInfo, kNew };
+enum class Verdict { kUnchanged, kImproved, kRegressed, kInfo, kNew };
 
-/// Noise thresholds. A delta within tolerance is kUnchanged; beyond it,
-/// the direction decides improved vs regressed.
+/// Noise thresholds. An accuracy delta within tolerance is kUnchanged;
+/// beyond it, the direction decides improved vs regressed.
 struct Thresholds {
   /// Absolute tolerance for accuracy-class metrics (fractions in [0,1]).
   double accuracy_abs_tol = 0.01;
-  /// Degradation-factor tolerance for throughput- and time-class metrics:
-  /// a metric may be up to (1 + tol)x worse (slower, or lower-throughput)
-  /// before it regresses, and (1 + tol)x better before it counts as
-  /// improved. The default absorbs scheduler noise on one machine;
-  /// cross-machine CI gates pass a larger value (see ci.yml).
-  double perf_rel_tol = 0.5;
-  /// Absolute tolerance, in the metric's own unit, used for throughput-
-  /// and time-class metrics when either side is exactly zero. A zero
-  /// baseline cannot anchor a degradation factor (the ratio divides by
-  /// it), and a zero usually means the quantity sits below timer
-  /// resolution, so nearby values compare as noise and anything beyond
-  /// the tolerance is judged by direction.
-  double zero_perf_abs_tol = 0.5;
 };
 
 /// One compared metric.
 struct MetricDelta {
-  std::string file;    // e.g. "BENCH_hmm_decode.json"
-  std::string key;     // dotted path, e.g. "metrics.windows_per_s"
+  std::string file;    // e.g. "BENCH_fig13.json"
+  std::string key;     // dotted path, e.g. "counters.hmm.windows"
   MetricClass cls = MetricClass::kUnknown;
   Verdict verdict = Verdict::kInfo;
   bool missing_old = false;
@@ -78,7 +63,8 @@ struct Report {
 };
 
 /// Classifies a dotted metric path (e.g. "metrics.accuracy",
-/// "stages.core.hmm_decode.p95_ms") by suffix convention.
+/// "counters.hmm.windows"): a leaf naming accuracy is kAccuracy, counters
+/// and metrics.trials are kCount, anything else is kUnknown.
 [[nodiscard]] MetricClass classify_metric(const std::string& key);
 
 /// Compares two parsed BENCH_*.json documents; appends deltas to `out`.

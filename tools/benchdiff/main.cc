@@ -3,8 +3,7 @@
 //
 // Usage:
 //   benchdiff <old_dir> <new_dir> [--out <report.md>]
-//             [--perf-rel-tol <x>] [--accuracy-abs-tol <x>]
-//             [--zero-perf-abs-tol <x>]
+//             [--accuracy-abs-tol <x>]
 //
 // Prints the markdown delta report to stdout (and to --out when given).
 // Exit codes: 0 clean, 1 regression detected, 2 usage error.
@@ -20,8 +19,7 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " <old_dir> <new_dir> [--out <report.md>]"
-               " [--perf-rel-tol <x>] [--accuracy-abs-tol <x>]"
-               " [--zero-perf-abs-tol <x>]\n";
+               " [--accuracy-abs-tol <x>]\n";
   return 2;
 }
 
@@ -45,12 +43,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--perf-rel-tol" && i + 1 < argc) {
-      if (!parse_tol(argv[++i], th.perf_rel_tol)) return usage(argv[0]);
     } else if (arg == "--accuracy-abs-tol" && i + 1 < argc) {
       if (!parse_tol(argv[++i], th.accuracy_abs_tol)) return usage(argv[0]);
-    } else if (arg == "--zero-perf-abs-tol" && i + 1 < argc) {
-      if (!parse_tol(argv[++i], th.zero_perf_abs_tol)) return usage(argv[0]);
     } else if (old_dir.empty()) {
       old_dir = arg;
     } else if (new_dir.empty()) {

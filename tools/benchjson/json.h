@@ -62,11 +62,12 @@ struct ParseResult {
 [[nodiscard]] std::vector<std::string> validate_chrome_trace(
     const Value& root);
 
-/// Checks a parsed STATUS_*.json document (SessionServer::status(), schema
-/// "polardraw.statusz.v1"): top-level schema/t_s/session_count/sessions,
-/// per-session required members with the seeded/lagging/starved/
-/// backpressured flags as booleans, the rolling block (count, p50_s,
-/// p99_s), registry.counters as numbers, and trace.dropped_events.
+/// Checks a parsed statusz document (SessionServer::status(), schema
+/// "polardraw.statusz.v1"; test_statusz runs it on live servers):
+/// top-level schema/t_s/session_count/sessions, per-session required
+/// members with the seeded/lagging/starved/backpressured flags as
+/// booleans, the rolling block (count, p50_s, p99_s), registry.counters
+/// as numbers, and trace.dropped_events.
 /// Returns human-readable problems; empty means valid.
 [[nodiscard]] std::vector<std::string> validate_status_json(const Value& root);
 

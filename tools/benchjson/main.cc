@@ -5,7 +5,6 @@
 //   benchjson [--smoke] [--bench-dir <dir>] [--out-dir <dir>]
 //             [--filter <substr>] [--check]
 //   benchjson --validate-trace <file.json>
-//   benchjson --validate-status <file.json>
 //
 //   --smoke      set PD_BENCH_SMOKE=1 (tiny configurations, CI-speed)
 //   --bench-dir  directory holding the bench_* executables
@@ -16,14 +15,10 @@
 //   --check      skip running; only validate the JSON already in --out-dir
 //   --validate-trace  parse one Chrome trace-event file (TRACE_*.json) and
 //                check it against validate_chrome_trace(); exit 0 iff valid
-//   --validate-status  parse one statusz file (STATUS_*.json, as written
-//                mid-run by the server benches) and check it against
-//                validate_status_json(); exit 0 iff valid
 //
 // Exit code 0 iff every selected binary ran successfully and every JSON
 // file in the output directory passes validate_bench_json(). Each binary
-// runs with PD_BENCH_JSON_ONLY=1 (experiment + JSON, no google-benchmark
-// timings) and PD_GIT_SHA set from `git rev-parse` when available.
+// runs with PD_GIT_SHA set from `git rev-parse` when available.
 #include <sys/wait.h>
 
 #include <algorithm>
@@ -42,7 +37,6 @@ namespace fs = std::filesystem;
 using polardraw::benchjson::parse;
 using polardraw::benchjson::validate_bench_json;
 using polardraw::benchjson::validate_chrome_trace;
-using polardraw::benchjson::validate_status_json;
 
 namespace {
 
@@ -59,9 +53,7 @@ int usage(const char* argv0) {
             << " [--smoke] [--bench-dir <dir>] [--out-dir <dir>]"
                " [--filter <substr>] [--check]\n"
                "       "
-            << argv0 << " --validate-trace <file.json>\n"
-               "       "
-            << argv0 << " --validate-status <file.json>\n";
+            << argv0 << " --validate-trace <file.json>\n";
   return 2;
 }
 
@@ -113,7 +105,6 @@ std::vector<fs::path> discover_benches(const Options& opt) {
 
 bool run_benches(const Options& opt, const std::vector<fs::path>& benches) {
   ::setenv("PD_BENCH_JSON_DIR", opt.out_dir.c_str(), 1);
-  ::setenv("PD_BENCH_JSON_ONLY", "1", 1);
   if (opt.smoke) {
     ::setenv("PD_BENCH_SMOKE", "1", 1);
   }
@@ -167,31 +158,6 @@ int validate_trace_file(const std::string& path) {
     return 0;
   }
   std::cout << "trace " << path << " ... INVALID\n";
-  for (const auto& p : problems) std::cout << "     " << p << "\n";
-  return 1;
-}
-
-/// --validate-status: parse + schema-check one statusz document.
-int validate_status_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    std::cerr << "benchjson: cannot read " << path << "\n";
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const auto parsed = parse(buf.str());
-  if (!parsed.ok) {
-    std::cout << "status " << path << " ... PARSE ERROR (" << parsed.error
-              << ")\n";
-    return 1;
-  }
-  const auto problems = validate_status_json(parsed.root);
-  if (problems.empty()) {
-    std::cout << "status " << path << " ... valid\n";
-    return 0;
-  }
-  std::cout << "status " << path << " ... INVALID\n";
   for (const auto& p : problems) std::cout << "     " << p << "\n";
   return 1;
 }
@@ -259,8 +225,6 @@ int main(int argc, char** argv) {
       opt.filter = argv[++i];
     } else if (arg == "--validate-trace" && i + 1 < argc) {
       return validate_trace_file(argv[++i]);
-    } else if (arg == "--validate-status" && i + 1 < argc) {
-      return validate_status_file(argv[++i]);
     } else {
       return usage(argv[0]);
     }
