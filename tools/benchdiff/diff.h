@@ -6,8 +6,9 @@
 // they get a tight absolute tolerance. Registry counters and the trial
 // count are exact: any change or disappearance fails, because the ledger
 // counters (hmm.* per window, preprocess.*, rfid.*) do not depend on the
-// machine or the thread count. Everything else (trial wall times, gauges)
-// is reported as information. Speed is polarbench's job (bench/suite).
+// machine or the thread count. Every other metric (trial wall times, say)
+// is reported as info; gauges, wall_s and span timings are not compared.
+// Speed is polarbench's job (bench/suite).
 #pragma once
 
 #include <string>
