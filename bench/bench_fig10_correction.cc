@@ -50,12 +50,13 @@ Outcome run_one(char letter, std::uint64_t seed) {
   const auto reports = scene.run(trace);
   const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto apos = scene.antenna_board_positions();
+  const double antenna_z = scene.antennas()[0].position.z;
   const auto truth = handwriting::flatten_strokes(trace.ground_truth);
 
   static const recognition::LetterClassifier classifier;
   Outcome out;
   {
-    core::PolarDraw tracker(cfg.algo, apos[0], apos[1], 0.12);
+    core::PolarDraw tracker(cfg.algo, apos[0], apos[1], antenna_z);
     const auto res = tracker.track(reports, &cal);
     out.correction_deg = rad2deg(res.azimuth_correction_rad);
     out.post_cm = clamped_distance(truth, res.trajectory);
@@ -64,7 +65,7 @@ Outcome run_one(char letter, std::uint64_t seed) {
   {
     auto algo = cfg.algo;
     algo.apply_rotation_correction = false;
-    core::PolarDraw tracker(algo, apos[0], apos[1], 0.12);
+    core::PolarDraw tracker(algo, apos[0], apos[1], antenna_z);
     const auto res = tracker.track(reports, &cal);
     out.pre_cm = clamped_distance(truth, res.trajectory);
     out.pre_ok = classifier.classify(res.trajectory).letter == letter;

@@ -37,7 +37,8 @@ double run_with_bystander(double distance_m, bool walking, int reps,
       const auto reports = scene.run(trace);
       const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
       const auto apos = scene.antenna_board_positions();
-      core::PolarDraw tracker(cfg.algo, apos[0], apos[1], 0.12);
+      core::PolarDraw tracker(cfg.algo, apos[0], apos[1],
+                              scene.antennas()[0].position.z);
       const auto traj = tracker.track(reports, &cal).trajectory;
       static const recognition::LetterClassifier classifier;
       ++total;

@@ -62,7 +62,8 @@ int main(int argc, char** argv) {
   const std::map<std::uint32_t, std::string> truth{
       {0xA1, letter_a}, {0xB2, letter_b}};
   for (const auto& [epc, stream] : streams) {
-    core::PolarDraw tracker(algo, apos[0], apos[1], 0.12);
+    core::PolarDraw tracker(algo, apos[0], apos[1],
+                            scene.antennas()[0].position.z);
     const auto res = tracker.track(stream, &cal);
     const auto cls = classifier.classify(res.trajectory);
     std::cout << "\nPen EPC 0x" << std::hex << epc << std::dec << ": "

@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   core::PolarDrawConfig algo;
   algo.gamma_rad = scene_cfg.gamma_rad;
   const auto apos = scene.antenna_board_positions();
-  core::PolarDraw tracker(algo, apos[0], apos[1], 0.12);
+  core::PolarDraw tracker(algo, apos[0], apos[1],
+                          scene.antennas()[0].position.z);
   const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
   const auto result = tracker.track(reports, &cal);
 

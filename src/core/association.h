@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/hmm_tracker.h"
+#include "core/motion.h"
 #include "core/motion_front_end.h"
 #include "core/preprocess.h"
 #include "rfid/tag_report.h"

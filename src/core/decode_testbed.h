@@ -17,7 +17,7 @@
 #include "common/vec.h"
 #include "core/config.h"
 #include "core/distance_estimator.h"
-#include "core/hmm_tracker.h"
+#include "core/motion.h"
 
 namespace polardraw::core {
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include "common/vec.h"
+#include "core/distance_estimator.h"
 
 namespace polardraw::core {
 
@@ -32,6 +33,13 @@ struct DirectionEstimate {
   RotationSense sense = RotationSense::kNone;
   Sector sector = Sector::kUnknown;
   BoardDirection coarse = BoardDirection::kNone;
+};
+
+/// One fused observation per window, as consumed by the HMM decode.
+struct TrackObservation {
+  DirectionEstimate direction;
+  DistanceEstimate distance;
+  bool has_phase = false;  // both antennas had valid phase this window
 };
 
 inline Vec2 to_vector(BoardDirection d) {

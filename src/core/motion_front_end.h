@@ -1,6 +1,6 @@
 // Per-window motion front end (paper sections 3.3-3.4), shared by the
-// batch pipeline (PolarDraw::track_windows pushes every window, then
-// flushes) and the multi-pen associator (one instance per pen).
+// batch pipeline (PolarDraw::track pushes every window, then flushes) and
+// the multi-pen associator (one instance per pen).
 //
 // For each gated Window it differences RSS and unwrapped phase against the
 // previous valid window per antenna, classifies the motion by the RSS-trend
@@ -18,7 +18,6 @@
 #include "common/vec.h"
 #include "core/config.h"
 #include "core/distance_estimator.h"
-#include "core/hmm_tracker.h"
 #include "core/motion.h"
 #include "core/preprocess.h"
 #include "core/rotation_tracker.h"

@@ -6,8 +6,8 @@
 // center -- is a pure function of (antenna layout, grid). The decoder used
 // to re-evaluate it (two sqrts plus a wrap) for every candidate block of
 // every window; this cache computes the whole rows x cols table of wrapped
-// expected phase differences once, and every decoder on the layout (the
-// batch HMM, each streaming session) shares it read-only. The same
+// expected phase differences once, and every decoder on the layout (a
+// batch track, each server session) shares it read-only. The same
 // precomputation trick is standard in hyperbolic-positioning systems with
 // static anchor geometry.
 #pragma once
@@ -22,8 +22,8 @@ namespace polardraw::core {
 
 class PhaseField {
  public:
-  /// Builds the field for one (antenna layout, grid) pair. Grid dimensions
-  /// derive from the board extent and block size exactly as the HMM's.
+  /// Builds the field for one (antenna layout, grid) pair. This is the
+  /// decode grid: board extent over block size per axis, at least 1.
   PhaseField(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2, double antenna_z);
 
   int cols() const { return cols_; }
@@ -31,7 +31,7 @@ class PhaseField {
   std::size_t cells() const { return phase_.size(); }
   double block_m() const { return block_m_; }
 
-  /// Center of block (col, row), identical to HmmTracker::block_center.
+  /// Center of block (col, row): the position the decoder emits for it.
   Vec2 block_center(int col, int row) const {
     return Vec2{cx_[static_cast<std::size_t>(col)],
                 cy_[static_cast<std::size_t>(row)]};

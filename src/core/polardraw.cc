@@ -1,9 +1,14 @@
 #include "core/polardraw.h"
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "common/angles.h"
-#include "core/hmm_tracker.h"
+#include "core/phase_field.h"
+#include "core/rotation_tracker.h"
+#include "core/streaming_decoder.h"
+#include "obs/trace.h"
 
 namespace polardraw::core {
 
@@ -12,11 +17,7 @@ PolarDraw::PolarDraw(PolarDrawConfig cfg, Vec2 a1, Vec2 a2, double antenna_z)
 
 TrackingResult PolarDraw::track(const rfid::TagReportStream& reports,
                                 const PhaseCalibration* calibration) const {
-  return track_windows(preprocess(reports, cfg_, calibration));
-}
-
-TrackingResult PolarDraw::track_windows(
-    const std::vector<Window>& windows) const {
+  const std::vector<Window> windows = preprocess(reports, cfg_, calibration);
   TrackingResult result;
   if (windows.size() < 2) return result;
 
@@ -38,8 +39,18 @@ TrackingResult PolarDraw::track_windows(
   if (auto tail = front.flush()) observations.push_back(tail->obs);
 
   // --- Decode + final rotation correction ----------------------------------
-  const HmmTracker hmm(cfg_, a1_, a2_, antenna_z_);
-  std::vector<Vec2> traj = hmm.decode(observations);
+  // The phase field is built before the span opens, so core.hmm_decode
+  // times the Viterbi pass alone.
+  auto field = std::make_shared<const PhaseField>(cfg_, a1_, a2_, antenna_z_);
+  std::vector<Vec2> traj;
+  {
+    static const obs::SpanSite span_site("core.hmm_decode");
+    static const obs::TraceName arg_windows("windows");
+    obs::ScopedSpan span(span_site);
+    span.arg(arg_windows, static_cast<double>(observations.size()));
+    traj = decode_full_lag(cfg_, a1_, a2_, antenna_z_, observations, nullptr,
+                           std::move(field));
+  }
 
   // Tag-offset compensation: the decoded trajectory is the tag's; project
   // back to the pen tip using the tracked orientation. Only the
@@ -57,14 +68,10 @@ TrackingResult PolarDraw::track_windows(
       traj[i] -= Vec2{ce * std::cos(azimuth), se} * cfg_.tag_offset_m;
     }
   }
+  // Eq. 10: the azimuth error tilts the whole recovered trajectory.
   result.azimuth_correction_rad = front.accumulated_correction();
-  if (cfg_.use_polarization && cfg_.apply_rotation_correction &&
-      std::fabs(result.azimuth_correction_rad) > 1e-9) {
-    // Eq. 10: the azimuth error tilts the whole recovered trajectory;
-    // rotate it back. The rotation-angle error equals the azimuth error to
-    // first order in the writing model.
-    traj = HmmTracker::rotate_trajectory(traj, result.azimuth_correction_rad);
-  }
+  traj = correct_initial_azimuth(cfg_, std::move(traj),
+                                 result.azimuth_correction_rad);
   if (cfg_.warmup_windows > 0 &&
       traj.size() > static_cast<std::size_t>(cfg_.warmup_windows) + 8) {
     traj.erase(traj.begin(), traj.begin() + cfg_.warmup_windows);

@@ -47,10 +47,6 @@ class PolarDraw {
   TrackingResult track(const rfid::TagReportStream& reports,
                        const PhaseCalibration* calibration = nullptr) const;
 
-  /// Tracks from already pre-processed windows (used by tests and by the
-  /// ablation harness to share pre-processing between variants).
-  TrackingResult track_windows(const std::vector<Window>& windows) const;
-
   const PolarDrawConfig& config() const { return cfg_; }
 
  private:

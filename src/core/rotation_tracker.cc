@@ -215,4 +215,20 @@ DirectionEstimate RotationTracker::step(double ds1, double ds2) {
   return est;
 }
 
+std::vector<Vec2> correct_initial_azimuth(const PolarDrawConfig& cfg,
+                                          std::vector<Vec2> traj,
+                                          double alpha_r_error_rad) {
+  if (!cfg.use_polarization || !cfg.apply_rotation_correction ||
+      std::fabs(alpha_r_error_rad) <= 1e-9 || traj.empty()) {
+    return traj;
+  }
+  Vec2 centroid;
+  for (const Vec2& p : traj) centroid += p;
+  centroid = centroid / static_cast<double>(traj.size());
+  for (Vec2& p : traj) {
+    p = centroid + (p - centroid).rotated(-alpha_r_error_rad);
+  }
+  return traj;
+}
+
 }  // namespace polardraw::core

@@ -6,11 +6,14 @@
 // incrementally (Eqs. 2-4), (c) correct the initial-azimuth error when the
 // pen crosses a sector boundary, and (d) convert alpha_a to the board
 // rotation angle alpha_r (Eq. 1) whose perpendicular is the motion
-// direction.
+// direction. correct_initial_azimuth applies the accumulated correction to
+// a finished trajectory (Eq. 10).
 #pragma once
 
 #include <optional>
+#include <vector>
 
+#include "common/vec.h"
 #include "core/config.h"
 #include "core/motion.h"
 
@@ -77,5 +80,16 @@ class RotationTracker {
   double correction_ = 0.0;
   bool correction_locked_ = false;
 };
+
+/// Eq. 10: rotates a finished trajectory about its centroid by
+/// `-alpha_r_error_rad` to undo the accumulated initial-azimuth error (the
+/// rotation-angle error equals the azimuth error to first order in the
+/// writing model). Applies only when `cfg` enables both use_polarization
+/// and apply_rotation_correction and |alpha_r_error_rad| > 1e-9; otherwise
+/// the trajectory comes back untouched, since even a zero-angle rotation
+/// perturbs low bits through the centroid round trip.
+std::vector<Vec2> correct_initial_azimuth(const PolarDrawConfig& cfg,
+                                          std::vector<Vec2> traj,
+                                          double alpha_r_error_rad);
 
 }  // namespace polardraw::core

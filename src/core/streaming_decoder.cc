@@ -6,12 +6,58 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "common/angles.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace polardraw::core {
+
+Vec2 initial_location_on_field(const PolarDrawConfig& cfg,
+                               const PhaseField& field, double dtheta21) {
+  // Scan the cached field for blocks whose expected inter-antenna phase
+  // difference matches the measurement; among matches prefer the one
+  // nearest the board center (the paper picks a point on a candidate
+  // hyperbola arbitrarily -- absolute position is unobservable; only
+  // trajectory shape matters).
+  const Vec2 center{cfg.board_width_m / 2.0, cfg.board_height_m / 2.0};
+  const double target = wrap_2pi(dtheta21);
+  double best_score = std::numeric_limits<double>::infinity();
+  Vec2 best = center;
+  for (int r = 0; r < field.rows(); ++r) {
+    for (int c = 0; c < field.cols(); ++c) {
+      const double mismatch = angle_dist(field.phase_at(c, r), target);
+      // The center-distance term only adds; skip the sqrt when the phase
+      // mismatch alone already loses.
+      if (mismatch * 2.0 >= best_score) continue;
+      const Vec2 p = field.block_center(c, r);
+      const double score = mismatch * 2.0 + p.dist(center);
+      if (score < best_score) {
+        best_score = score;
+        best = p;
+      }
+    }
+  }
+  return best;
+}
+
+std::vector<Vec2> decode_full_lag(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
+                                  double antenna_z,
+                                  const std::vector<TrackObservation>& obs,
+                                  const Vec2* initial_hint,
+                                  std::shared_ptr<const PhaseField> field) {
+  std::vector<Vec2> traj;
+  if (obs.empty()) return traj;
+  StreamingConfig scfg;
+  scfg.lag_windows = obs.size() + 1;
+  StreamingDecoder decoder(cfg, a1, a2, antenna_z, scfg, std::move(field),
+                           initial_hint);
+  for (const TrackObservation& o : obs) decoder.push(o);
+  traj.reserve(obs.size() + 1);
+  decoder.finish(traj);
+  return traj;
+}
 
 StreamingDecoder::StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1,
                                    Vec2 a2, double antenna_z,

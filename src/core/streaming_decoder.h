@@ -1,15 +1,15 @@
-// Fixed-lag streaming Viterbi decoder (DESIGN.md section 13).
+// Fixed-lag streaming Viterbi decoder (DESIGN.md section 13): the one
+// decode of the paper's grid HMM (section 3.5 + appendix).
 //
-// The batch tracker (core/hmm_tracker.h) sees the whole observation
-// sequence before it decodes; a live whiteboard cannot wait for the pen to
-// stop. This class runs the same forward recursion -- same SoA beam arena,
-// same generation-stamped scoreboards, same annulus/hyperbola/direction
-// emission, same pruning and tie-breaks -- but accepts one TrackObservation
-// at a time via push() and releases pen positions with bounded latency via
-// poll(): a position is committed once the beam front has advanced at
-// least `lag_windows` past it, by backtracing from the current most
-// probable front node. Committed positions are frozen -- they are emitted
-// exactly once and never revised.
+// The whiteboard is discretized into equal blocks; the hidden state is the
+// pen's block at each window. Candidates are scored by the beam-expansion
+// kernel (core/expand_kernel.h: Eq. 8 annulus transition, Eq. 11
+// hyperbola and direction-line emission). This class accepts one
+// TrackObservation at a time via push() and releases pen positions with
+// bounded latency via poll(): a position is committed once the beam front
+// has advanced at least `lag_windows` past it, by backtracing from the
+// current most probable front node. Committed positions are frozen -- they
+// are emitted exactly once and never revised.
 //
 // Internal state is retained across pushes, so history is never
 // re-decoded: the arena only grows at the front, and once positions
@@ -19,10 +19,11 @@
 // length.
 //
 // Equivalence contract, pinned by tests/core/test_streaming_decoder.cc:
-// with lag >= the sequence length, push-all + finish() is bit-identical to
-// HmmTracker::decode (which is itself implemented as exactly that loop).
-// Smaller lags trade accuracy for latency; the tolerance ladder in the
-// same test bounds the degradation.
+// with lag >= the sequence length, push-all + finish() is the classic
+// batch Viterbi backtrace. decode_full_lag() below is exactly that loop;
+// the batch pipeline (PolarDraw::track) runs it, so batch and streaming
+// share one forward pass. Smaller lags trade accuracy for latency; the
+// tolerance ladder in the same test bounds the degradation.
 //
 // Determinism contract: decodes are a pure function of (config, geometry,
 // observation sequence, lag) -- independent of platform and standard
@@ -37,14 +38,14 @@
 // loses float resolution no matter how long it runs; argmax decisions are
 // unchanged.
 //
-// Seeding follows the tracker contract: an initial_hint seeds immediately;
-// otherwise the decoder waits for the first has_phase observation, seeds
-// from its hyperbola field, and backfills the phaseless prefix with the
+// Seeding: an initial_hint seeds immediately; otherwise the decoder waits
+// for the first has_phase observation, seeds from its hyperbola field
+// (initial_location_on_field), and backfills the phaseless prefix with the
 // seed position (the seed describes the pen *at* that first phase window,
-// so decoding the prefix from it -- what the batch tracker used to do --
-// let the chain drift off the measured hyperbola before the anchor
-// arrived). A stream that ends without any phase observation falls back to
-// the legacy board-center seed and decodes the buffered windows normally.
+// so decoding the prefix from it let the chain drift off the measured
+// hyperbola before the anchor arrived). A stream that ends without any
+// phase observation falls back to the board-center seed and decodes the
+// buffered windows normally.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +55,7 @@
 #include "common/vec.h"
 #include "core/config.h"
 #include "core/expand_kernel.h"
-#include "core/hmm_tracker.h"
+#include "core/motion.h"
 #include "core/phase_field.h"
 
 namespace polardraw::core {
@@ -75,9 +76,11 @@ struct StreamingConfig {
 
 class StreamingDecoder {
  public:
-  /// Same geometry contract as HmmTracker; `field` optionally shares a
-  /// pre-built phase-difference cache across sessions. `initial_hint`
-  /// (when non-null) seeds the chain immediately, as in the batch decode.
+  /// `a1`, `a2`: antenna positions projected on the board plane;
+  /// `antenna_z`: common standoff of the antennas from the board. `field`
+  /// optionally shares a pre-built phase-difference cache for that layout
+  /// across decoders (built here when absent). `initial_hint` (when
+  /// non-null) seeds the chain immediately.
   StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
                    double antenna_z, StreamingConfig stream_cfg = {},
                    std::shared_ptr<const PhaseField> field = nullptr,
@@ -127,9 +130,9 @@ class StreamingDecoder {
   /// Eq. 10 azimuth-correction accumulator, retained across pushes so a
   /// session can carry the rotation-tracker correction without re-decoding
   /// history. The decoder only stores it; the session layer applies
-  /// HmmTracker::rotate_trajectory to the full trace at close time
-  /// (committed positions are frozen, and Eq. 10 is a whole-trajectory
-  /// rotation about the centroid).
+  /// correct_initial_azimuth (core/rotation_tracker.h) to the full trace at
+  /// close time (committed positions are frozen, and Eq. 10 is a
+  /// whole-trajectory rotation about the centroid).
   void accumulate_azimuth_correction(double delta_rad) {
     azimuth_correction_rad_ += delta_rad;
   }
@@ -189,7 +192,7 @@ class StreamingDecoder {
   std::vector<Vec2> committed_buf_;  // committed, awaiting poll()
   std::vector<Vec2> backtrace_scratch_;
 
-  // Scratch reused across steps (see HmmTracker::decode history).
+  // Scratch reused across steps.
   std::vector<std::int32_t> cand_cell_, cand_parent_;
   std::vector<float> cand_logp_;
   std::vector<std::int32_t> order_;
@@ -204,5 +207,26 @@ class StreamingDecoder {
   std::uint64_t n_beam_nodes_ = 0;
   std::uint64_t beam_peak_ = 0;
 };
+
+/// Hyperbolic bootstrap (section 3.5 "Initial location estimation"): picks
+/// a board point whose expected inter-antenna phase difference matches
+/// `dtheta21`, preferring points near the board center. Deterministic;
+/// absolute position is unobservable from two antennas, so any consistent
+/// point serves.
+Vec2 initial_location_on_field(const PolarDrawConfig& cfg,
+                               const PhaseField& field, double dtheta21);
+
+/// Batch decode: the most likely block-center trajectory for a whole
+/// observation sequence (one position for the seed plus one per window;
+/// empty for an empty sequence). Runs the decoder at lag n + 1, so nothing
+/// commits before finish(), whose backtrace is the classic Viterbi one.
+/// Same geometry, field and hint contract as the StreamingDecoder
+/// constructor.
+std::vector<Vec2> decode_full_lag(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
+                                  double antenna_z,
+                                  const std::vector<TrackObservation>& obs,
+                                  const Vec2* initial_hint = nullptr,
+                                  std::shared_ptr<const PhaseField> field =
+                                      nullptr);
 
 }  // namespace polardraw::core

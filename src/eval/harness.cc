@@ -110,7 +110,8 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
       const auto apos = scene.antenna_board_positions();
       // Antennas sit above the board; the tracker needs their board-plane
       // positions and the standoff that lifts them off the writing plane.
-      core::PolarDraw tracker(cfg.algo, apos[0], apos[1], 0.12);
+      core::PolarDraw tracker(cfg.algo, apos[0], apos[1],
+                              scene.antennas()[0].position.z);
       out.trajectory = tracker.track(reports, &cal).trajectory;
       break;
     }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/rotation_tracker.h"
 #include "obs/json_writer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -249,16 +250,12 @@ std::vector<Vec2> SessionServer::close(SessionId id) {
     s.push_queued();
     s.decoder.finish(s.committed);
     last_t_s = s.pending.empty() ? 0.0 : s.pending.back().t_s;
-    // Eq. 10: undo the accumulated initial-azimuth error. A whole-trajectory
-    // rotation about the centroid, so it can only run once the trace is
-    // complete -- committed positions are frozen in board frame until here.
-    // With no correction the trajectory is returned untouched: even a
-    // zero-angle rotation perturbs low bits through the centroid round trip,
-    // which would break the bit-identity contract with the batch decode.
-    const double alpha_rad = s.decoder.azimuth_correction_rad();
-    traj = alpha_rad == 0.0
-               ? std::move(s.committed)
-               : core::HmmTracker::rotate_trajectory(s.committed, alpha_rad);
+    // Eq. 10: undo the accumulated initial-azimuth error, under the same
+    // gate as the batch pipeline. A whole-trajectory rotation about the
+    // centroid, so it can only run once the trace is complete -- committed
+    // positions are frozen in board frame until here.
+    traj = core::correct_initial_azimuth(cfg_, std::move(s.committed),
+                                         s.decoder.azimuth_correction_rad());
   }
   sessions_.erase(it);
   closed_counter.add(1);

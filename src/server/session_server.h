@@ -40,7 +40,6 @@
 #include "common/vec.h"
 #include "core/association.h"
 #include "core/config.h"
-#include "core/hmm_tracker.h"
 #include "core/phase_field.h"
 #include "core/streaming_decoder.h"
 #include "obs/rolling.h"
@@ -113,7 +112,8 @@ class SessionServer {
 
   /// Feeds the session's Eq. 10 azimuth-rotation accumulator (e.g. from a
   /// per-session rotation tracker); applied to the whole trajectory at
-  /// close(). Returns false for an unknown session.
+  /// close() when the config enables it. Returns false for an unknown
+  /// session.
   bool accumulate_azimuth_correction(SessionId id, double delta_rad);
 
   /// Drains every non-empty mailbox across the pool: pushes the queued
@@ -129,7 +129,9 @@ class SessionServer {
 
   /// Drains any observations still queued in the mailbox, finishes the
   /// session's decode (committing the batch-equivalent tail), applies the
-  /// accumulated Eq. 10 rotation, erases the session, and returns the
+  /// accumulated Eq. 10 rotation through core::correct_initial_azimuth (the
+  /// batch pipeline's gate: only with use_polarization and
+  /// apply_rotation_correction on), erases the session, and returns the
   /// final trajectory -- a function of the full observation stream,
   /// independent of pump() timing.
   std::vector<Vec2> close(SessionId id);

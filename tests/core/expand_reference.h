@@ -23,7 +23,7 @@
 #include "common/vec.h"
 #include "core/config.h"
 #include "core/expand_kernel.h"
-#include "core/hmm_tracker.h"
+#include "core/motion.h"
 #include "core/phase_field.h"
 #include "core/scoreboard.h"
 

@@ -238,7 +238,7 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
   // The associator (per-report windowing, one-window hold, flush at close)
   // must hand the decoder exactly the observations the batch pipeline
   // does: preprocess(), then every window pushed through a MotionFrontEnd
-  // and flushed -- what PolarDraw::track_windows decodes. Compared whole
+  // and flushed -- what PolarDraw::track decodes. Compared whole
   // and bit for bit, smoothed directions included, on short streams (the
   // smoothing edges), a gapped stream, and an uncalibrated and a
   // calibrated hop.
@@ -268,7 +268,7 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
     }
     if (auto tail = front.flush()) batch_obs.push_back(tail->obs);
     const PolarDraw batch(cfg, Vec2{0.22, 1.25}, Vec2{0.78, 1.25}, 0.12);
-    const auto batch_res = batch.track_windows(windows);
+    const auto batch_res = batch.track(c.stream, c.calibration);
 
     TagTrackAssociator assoc(cfg, {}, c.calibration);
     auto events = assoc.push(c.stream);

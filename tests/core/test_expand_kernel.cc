@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "core/decode_testbed.h"
-#include "core/hmm_tracker.h"
 #include "core/scoreboard.h"
+#include "core/streaming_decoder.h"
 #include "expand_reference.h"
 
 namespace polardraw::core {
@@ -267,9 +267,8 @@ TEST(ExpandKernel, NonUnitDirectionDecodesLikeItsNormalizedSelf) {
 
   const Vec2 a1{0.1, 0.35}, a2{0.3, 0.35};
   const Vec2 start{0.1, 0.15};
-  const HmmTracker hmm(cfg, a1, a2, 0.12);
-  const auto scaled = hmm.decode(scaled_obs, &start);
-  const auto unit = hmm.decode(unit_obs, &start);
+  const auto scaled = decode_full_lag(cfg, a1, a2, 0.12, scaled_obs, &start);
+  const auto unit = decode_full_lag(cfg, a1, a2, 0.12, unit_obs, &start);
   ASSERT_EQ(scaled.size(), unit.size());
   for (std::size_t i = 0; i < unit.size(); ++i) {
     EXPECT_EQ(scaled[i].x, unit[i].x) << "position " << i;

@@ -1,8 +1,15 @@
-#include "core/hmm_tracker.h"
-
+// Behaviour of the batch HMM decode (section 3.5): decode_full_lag runs
+// the streaming decoder over a whole sequence at full lag, on small
+// hand-built observation streams.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/angles.h"
+#include "core/distance_estimator.h"
+#include "core/phase_field.h"
+#include "core/streaming_decoder.h"
 
 namespace polardraw::core {
 namespace {
@@ -23,7 +30,12 @@ class HmmTest : public ::testing::Test {
       : cfg_(small_config()),
         a1_{0.1, 0.35},
         a2_{0.3, 0.35},
-        hmm_(cfg_, a1_, a2_, 0.12) {}
+        field_(std::make_shared<const PhaseField>(cfg_, a1_, a2_, 0.12)) {}
+
+  std::vector<Vec2> decode(const std::vector<TrackObservation>& obs,
+                           const Vec2* hint = nullptr) const {
+    return decode_full_lag(cfg_, a1_, a2_, 0.12, obs, hint, field_);
+  }
 
   /// Builds an observation that moves the pen `step` meters along `dir`.
   TrackObservation move(Vec2 dir, double step) const {
@@ -39,25 +51,25 @@ class HmmTest : public ::testing::Test {
 
   PolarDrawConfig cfg_;
   Vec2 a1_, a2_;
-  HmmTracker hmm_;
+  std::shared_ptr<const PhaseField> field_;
 };
 
 TEST_F(HmmTest, GridDimensions) {
-  EXPECT_EQ(hmm_.cols(), 40);
-  EXPECT_EQ(hmm_.rows(), 30);
-  const Vec2 c = hmm_.block_center(0, 0);
+  EXPECT_EQ(field_->cols(), 40);
+  EXPECT_EQ(field_->rows(), 30);
+  const Vec2 c = field_->block_center(0, 0);
   EXPECT_NEAR(c.x, 0.005, 1e-12);
   EXPECT_NEAR(c.y, 0.005, 1e-12);
 }
 
 TEST_F(HmmTest, EmptyObservationsEmptyTrajectory) {
-  EXPECT_TRUE(hmm_.decode({}).empty());
+  EXPECT_TRUE(decode({}).empty());
 }
 
 TEST_F(HmmTest, StartsAtHint) {
   const Vec2 hint{0.22, 0.18};
   std::vector<TrackObservation> obs(3);  // idle windows
-  const auto traj = hmm_.decode(obs, &hint);
+  const auto traj = decode(obs, &hint);
   ASSERT_EQ(traj.size(), 4u);
   EXPECT_NEAR(traj[0].x, 0.22, cfg_.block_m);
   EXPECT_NEAR(traj[0].y, 0.18, cfg_.block_m);
@@ -66,7 +78,7 @@ TEST_F(HmmTest, StartsAtHint) {
 TEST_F(HmmTest, IdleObservationsHoldPosition) {
   const Vec2 hint{0.2, 0.15};
   std::vector<TrackObservation> obs(10);  // no direction, no phase
-  const auto traj = hmm_.decode(obs, &hint);
+  const auto traj = decode(obs, &hint);
   for (const auto& p : traj) {
     EXPECT_NEAR(p.x, 0.2, 0.03);
     EXPECT_NEAR(p.y, 0.15, 0.03);
@@ -76,7 +88,7 @@ TEST_F(HmmTest, IdleObservationsHoldPosition) {
 TEST_F(HmmTest, FollowsCommandedDirection) {
   const Vec2 hint{0.1, 0.15};
   std::vector<TrackObservation> obs(20, move({1.0, 0.0}, 0.005));
-  const auto traj = hmm_.decode(obs, &hint);
+  const auto traj = decode(obs, &hint);
   ASSERT_EQ(traj.size(), 21u);
   // Net displacement to the right by roughly 20 * 5 mm.
   EXPECT_GT(traj.back().x - traj.front().x, 0.07);
@@ -92,7 +104,7 @@ TEST_F(HmmTest, AnnulusLowerBoundForcesMovement) {
   o.distance.valid = true;
   o.has_phase = false;
   std::vector<TrackObservation> obs(10, o);
-  const auto traj = hmm_.decode(obs, &hint);
+  const auto traj = decode(obs, &hint);
   double path_len = 0.0;
   for (std::size_t i = 1; i < traj.size(); ++i) {
     path_len += traj[i].dist(traj[i - 1]);
@@ -103,7 +115,7 @@ TEST_F(HmmTest, AnnulusLowerBoundForcesMovement) {
 TEST_F(HmmTest, SpeedLimitRespected) {
   const Vec2 hint{0.2, 0.15};
   std::vector<TrackObservation> obs(15, move({0.0, 1.0}, 0.008));
-  const auto traj = hmm_.decode(obs, &hint);
+  const auto traj = decode(obs, &hint);
   const double max_step = cfg_.vmax_mps * cfg_.window_s + cfg_.block_m;
   for (std::size_t i = 1; i < traj.size(); ++i) {
     EXPECT_LE(traj[i].dist(traj[i - 1]), max_step + 1e-9);
@@ -113,7 +125,7 @@ TEST_F(HmmTest, SpeedLimitRespected) {
 TEST_F(HmmTest, StaysOnBoard) {
   const Vec2 hint{0.38, 0.28};
   std::vector<TrackObservation> obs(40, move({1.0, 1.0}, 0.008));
-  const auto traj = hmm_.decode(obs, &hint);
+  const auto traj = decode(obs, &hint);
   for (const auto& p : traj) {
     EXPECT_GE(p.x, 0.0);
     EXPECT_LE(p.x, cfg_.board_width_m);
@@ -131,7 +143,6 @@ TEST_F(HmmTest, HyperbolaTermAnchorsLaterally) {
 
   PolarDrawConfig strong = cfg_;
   strong.hyperbola_sharpness = 40.0;
-  HmmTracker hmm(strong, a1_, a2_, 0.12);
 
   TrackObservation o;
   o.distance.lower_m = 0.0;
@@ -142,7 +153,7 @@ TEST_F(HmmTest, HyperbolaTermAnchorsLaterally) {
   std::vector<TrackObservation> obs(60, o);
 
   const Vec2 hint{0.12, 0.15};
-  const auto traj = hmm.decode(obs, &hint);
+  const auto traj = decode_full_lag(strong, a1_, a2_, 0.12, obs, &hint);
   // The hyperbola field pulls along x; the end should be much closer to
   // the target's expected phase than the start was.
   const double end_err = angle_dist(
@@ -156,28 +167,10 @@ TEST_F(HmmTest, InitialLocationOnMatchingHyperbola) {
   DistanceEstimator dist(cfg_);
   const Vec2 truth{0.25, 0.12};
   const double dtheta = dist.expected_dtheta21(truth, a1_, a2_, 0.12);
-  const Vec2 start = initial_location_on_field(cfg_, hmm_.field(), dtheta);
+  const Vec2 start = initial_location_on_field(cfg_, *field_, dtheta);
   const double err =
       angle_dist(dist.expected_dtheta21(start, a1_, a2_, 0.12), dtheta);
   EXPECT_LT(err, 0.2);
-}
-
-TEST(RotateTrajectory, RotatesAboutCentroid) {
-  const std::vector<Vec2> traj{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
-  const auto rotated = HmmTracker::rotate_trajectory(traj, kPi / 2.0);
-  ASSERT_EQ(rotated.size(), 3u);
-  // Centroid (1, 0) is fixed; endpoints rotate -90 degrees around it.
-  EXPECT_NEAR(rotated[1].x, 1.0, 1e-9);
-  EXPECT_NEAR(rotated[1].y, 0.0, 1e-9);
-  EXPECT_NEAR(rotated[0].x, 1.0, 1e-9);
-  EXPECT_NEAR(rotated[0].y, 1.0, 1e-9);
-}
-
-TEST(RotateTrajectory, ZeroAngleIdentity) {
-  const std::vector<Vec2> traj{{0.3, 0.4}, {0.5, 0.1}};
-  const auto r = HmmTracker::rotate_trajectory(traj, 0.0);
-  EXPECT_NEAR(r[0].x, 0.3, 1e-12);
-  EXPECT_NEAR(r[1].y, 0.1, 1e-12);
 }
 
 TEST_F(HmmTest, PhaselessLeadingWindowsBackfilledFromFirstPhaseSeed) {
@@ -189,7 +182,7 @@ TEST_F(HmmTest, PhaselessLeadingWindowsBackfilledFromFirstPhaseSeed) {
   const Vec2 target{0.12, 0.1};
   const int tc = static_cast<int>(target.x / cfg_.block_m);
   const int tr = static_cast<int>(target.y / cfg_.block_m);
-  const double dtheta = hmm_.field().phase_at(tc, tr);
+  const double dtheta = field_->phase_at(tc, tr);
 
   std::vector<TrackObservation> obs;
   for (int i = 0; i < 3; ++i) obs.push_back(move({1.0, 0.0}, 0.006));
@@ -202,9 +195,9 @@ TEST_F(HmmTest, PhaselessLeadingWindowsBackfilledFromFirstPhaseSeed) {
     obs.push_back(o);
   }
 
-  const auto traj = hmm_.decode(obs);
+  const auto traj = decode(obs);
   ASSERT_EQ(traj.size(), 9u);
-  const Vec2 seed = initial_location_on_field(cfg_, hmm_.field(), dtheta);
+  const Vec2 seed = initial_location_on_field(cfg_, *field_, dtheta);
   // Root + 3 backfilled prefix positions, all pinned to the seed block.
   for (std::size_t i = 0; i <= 3; ++i) {
     EXPECT_NEAR(traj[i].x, seed.x, cfg_.block_m) << "position " << i;
@@ -217,7 +210,6 @@ TEST_F(HmmTest, PhaselessLeadingWindowsBackfilledFromFirstPhaseSeed) {
 TEST(GreedyAblation, ProducesSameLengthTrajectory) {
   PolarDrawConfig cfg = small_config();
   cfg.use_viterbi = false;
-  HmmTracker hmm(cfg, {0.1, 0.35}, {0.3, 0.35}, 0.12);
   TrackObservation o;
   o.direction.type = MotionType::kTranslational;
   o.direction.direction = {1.0, 0.0};
@@ -226,7 +218,9 @@ TEST(GreedyAblation, ProducesSameLengthTrajectory) {
   o.distance.valid = true;
   std::vector<TrackObservation> obs(12, o);
   const Vec2 hint{0.15, 0.2};
-  EXPECT_EQ(hmm.decode(obs, &hint).size(), 13u);
+  const auto traj =
+      decode_full_lag(cfg, {0.1, 0.35}, {0.3, 0.35}, 0.12, obs, &hint);
+  EXPECT_EQ(traj.size(), 13u);
 }
 
 }  // namespace

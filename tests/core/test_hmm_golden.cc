@@ -1,6 +1,6 @@
 // Golden-trajectory determinism tests for the Viterbi decode hot path.
 //
-// Each case runs HmmTracker::decode on a seeded synthetic observation
+// Each case runs decode_full_lag on a seeded synthetic observation
 // stream (core/decode_testbed.h) and compares the decoded block sequence
 // against a recorded golden sequence. The goldens were captured from the
 // pre-optimization decoder (PR 1 state, unordered_map scoreboard, inline
@@ -9,14 +9,15 @@
 //
 // If a deliberate semantic change ever invalidates a golden, the failure
 // message prints the new sequence in paste-able form.
-#include "core/hmm_tracker.h"
-
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "core/decode_testbed.h"
+#include "core/phase_field.h"
+#include "core/streaming_decoder.h"
 
 namespace polardraw::core {
 namespace {
@@ -49,8 +50,8 @@ void expect_golden(const PolarDrawConfig& cfg, int n_windows,
                    std::uint64_t seed, bool use_hint,
                    const std::vector<int>& golden) {
   const auto tb = make_decode_testbed(cfg, n_windows, seed);
-  const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
-  const auto traj = hmm.decode(tb.obs, use_hint ? &tb.start : nullptr);
+  const auto traj = decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs,
+                                    use_hint ? &tb.start : nullptr);
   const auto cells = to_cells(traj, cfg);
   ASSERT_EQ(cells.size(), static_cast<std::size_t>(n_windows) + 1);
   EXPECT_EQ(cells, golden) << "decoded sequence changed; new sequence:\n"
@@ -122,12 +123,16 @@ TEST(HmmGolden, GreedyAblationSeed4) {
 }
 
 TEST(HmmGolden, DecodeIsRepeatable) {
-  // Two decodes of the same stream must agree exactly (no hidden state).
+  // Two decodes of the same stream over one shared phase field must agree
+  // exactly (no hidden state).
   const PolarDrawConfig cfg;
   const auto tb = make_decode_testbed(cfg, 50, 9);
-  const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
-  const auto a = hmm.decode(tb.obs, &tb.start);
-  const auto b = hmm.decode(tb.obs, &tb.start);
+  const auto field =
+      std::make_shared<const PhaseField>(cfg, tb.a1, tb.a2, tb.antenna_z);
+  const auto a = decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs,
+                                 &tb.start, field);
+  const auto b = decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs,
+                                 &tb.start, field);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].x, b[i].x);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/angles.h"
 
 namespace polardraw::core {
@@ -184,6 +186,31 @@ TEST(RotationTracker, AzimuthClampedToSectorUnion) {
   for (int i = 0; i < 20; ++i) tracker.step(-3.0, -1.0);
   ASSERT_TRUE(tracker.azimuth().has_value());
   EXPECT_GE(*tracker.azimuth(), cfg.gamma_rad - 1e-9);
+}
+
+TEST(RotateTrajectory, RotatesAboutCentroid) {
+  const std::vector<Vec2> traj{{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}};
+  const auto rotated =
+      correct_initial_azimuth(PolarDrawConfig{}, traj, kPi / 2.0);
+  ASSERT_EQ(rotated.size(), 3u);
+  // Centroid (1, 0) is fixed; endpoints rotate -90 degrees around it.
+  EXPECT_NEAR(rotated[1].x, 1.0, 1e-9);
+  EXPECT_NEAR(rotated[1].y, 0.0, 1e-9);
+  EXPECT_NEAR(rotated[0].x, 1.0, 1e-9);
+  EXPECT_NEAR(rotated[0].y, 1.0, 1e-9);
+}
+
+TEST(RotateTrajectory, ZeroAngleIdentity) {
+  // Below the 1e-9 rad gate the trajectory comes back bit for bit.
+  const std::vector<Vec2> traj{{0.3, 0.4}, {0.5, 0.1}};
+  for (const double alpha_rad : {0.0, 1e-10, -1e-9}) {
+    const auto r = correct_initial_azimuth(PolarDrawConfig{}, traj, alpha_rad);
+    ASSERT_EQ(r.size(), traj.size());
+    for (std::size_t i = 0; i < traj.size(); ++i) {
+      EXPECT_EQ(r[i].x, traj[i].x) << alpha_rad;
+      EXPECT_EQ(r[i].y, traj[i].y) << alpha_rad;
+    }
+  }
 }
 
 }  // namespace

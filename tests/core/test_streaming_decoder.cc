@@ -1,8 +1,9 @@
 // Fixed-lag equivalence suite for the streaming decoder (DESIGN.md §13).
 //
 // The contract under test: with lag >= sequence length, push-all +
-// finish() is bit-identical to the batch HmmTracker::decode on the same
-// observations (same testbed configs as tests/core/test_hmm_golden.cc);
+// finish() is bit-identical to the batch decode (decode_full_lag, lag
+// n + 1) on the same observations (same testbed configs as
+// tests/core/test_hmm_golden.cc);
 // committed positions are frozen at push time, so the emitted stream does
 // not depend on poll cadence and an already-polled prefix never changes;
 // arena compaction is invisible in the output; and shrinking the lag
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "core/decode_testbed.h"
-#include "core/hmm_tracker.h"
 
 namespace polardraw::core {
 namespace {
@@ -83,8 +83,9 @@ double mean_deviation(const std::vector<Vec2>& a, const std::vector<Vec2>& b) {
 TEST(StreamingDecoder, LagAtLeastLenBitIdenticalToBatchOnGoldenTraces) {
   for (const GoldenCase& gc : golden_cases()) {
     const auto tb = make_decode_testbed(gc.cfg, gc.n_windows, gc.seed);
-    const HmmTracker hmm(gc.cfg, tb.a1, tb.a2, tb.antenna_z);
-    const auto batch = hmm.decode(tb.obs, gc.use_hint ? &tb.start : nullptr);
+    const auto batch = decode_full_lag(gc.cfg, tb.a1, tb.a2, tb.antenna_z,
+                                       tb.obs,
+                                       gc.use_hint ? &tb.start : nullptr);
     const auto streamed =
         stream_decode(gc, static_cast<std::size_t>(gc.n_windows));
     expect_bit_identical(streamed, batch);
@@ -160,8 +161,8 @@ TEST(StreamingDecoder, ToleranceLadderBoundsAccuracyVsLag) {
   // bounds that tightens as the lag grows and reaches zero at full lag.
   const GoldenCase gc{PolarDrawConfig{}, 100, 1, true};
   const auto tb = make_decode_testbed(gc.cfg, gc.n_windows, gc.seed);
-  const HmmTracker hmm(gc.cfg, tb.a1, tb.a2, tb.antenna_z);
-  const auto batch = hmm.decode(tb.obs, &tb.start);
+  const auto batch =
+      decode_full_lag(gc.cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start);
 
   const struct {
     std::size_t lag;
@@ -188,8 +189,8 @@ TEST(StreamingDecoder, LagOneDefaultCompactionMatchesBatch) {
   // repeatedly with the frontier step as the new root.
   const GoldenCase gc{PolarDrawConfig{}, 100, 1, true};
   const auto tb = make_decode_testbed(gc.cfg, gc.n_windows, gc.seed);
-  const HmmTracker hmm(gc.cfg, tb.a1, tb.a2, tb.antenna_z);
-  const auto batch = hmm.decode(tb.obs, &tb.start);
+  const auto batch =
+      decode_full_lag(gc.cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start);
   const auto streamed = stream_decode(gc, 1);
   ASSERT_EQ(streamed.size(), batch.size());
   // lag 1 commits from a one-window-lookahead front, so values may differ
@@ -238,8 +239,8 @@ TEST(StreamingDecoder, MidStreamSeedReportsRootPositionAndBackfills) {
     EXPECT_EQ(out[p].x, out[first_phase].x) << "position " << p;
     EXPECT_EQ(out[p].y, out[first_phase].y) << "position " << p;
   }
-  const HmmTracker hmm(gc.cfg, tb.a1, tb.a2, tb.antenna_z);
-  expect_bit_identical(out, hmm.decode(tb.obs));
+  expect_bit_identical(
+      out, decode_full_lag(gc.cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs));
 }
 
 TEST(StreamingDecoder, PhaselessStreamFallsBackToBatchBehavior) {
@@ -260,8 +261,7 @@ TEST(StreamingDecoder, PhaselessStreamFallsBackToBatchBehavior) {
   const std::vector<TrackObservation> obs(12, o);
 
   const Vec2 a1{0.1, 0.35}, a2{0.3, 0.35};
-  const HmmTracker hmm(cfg, a1, a2, 0.12);
-  const auto batch = hmm.decode(obs);
+  const auto batch = decode_full_lag(cfg, a1, a2, 0.12, obs);
 
   StreamingConfig scfg;
   scfg.lag_windows = 4;

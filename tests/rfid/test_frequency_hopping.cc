@@ -68,9 +68,8 @@ TEST(FrequencyHopping, PreprocessRestartsAcrossHops) {
       reports.push_back(r);
     }
   }
-  const auto windows = core::preprocess(reports, cfg);
   core::PolarDraw tracker(cfg, {0.22, 1.25}, {0.78, 1.25}, 0.12);
-  const auto result = tracker.track_windows(windows);
+  const auto result = tracker.track(reports);
   // A 2.5 rad apparent jump would demand ~6.5 cm of phantom motion; with
   // the hop guard the track stays nearly still.
   double travel = 0.0;

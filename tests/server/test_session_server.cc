@@ -6,7 +6,7 @@
 // session decodes exactly as it would in isolation), worker count changes
 // nothing (1 worker and 8 produce bit-identical trajectories and counter
 // aggregates), close() flushes the batch-equivalent tail, and the Eq. 10
-// azimuth correction is applied on close.
+// azimuth correction is applied on close under the batch pipeline's gate.
 #include "server/session_server.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +23,8 @@
 
 #include "common/rng.h"
 #include "core/decode_testbed.h"
+#include "core/rotation_tracker.h"
+#include "core/streaming_decoder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -32,8 +34,8 @@ namespace polardraw::server {
 namespace {
 
 using core::DecodeTestbed;
-using core::HmmTracker;
 using core::PolarDrawConfig;
+using core::decode_full_lag;
 using core::make_decode_testbed;
 
 PolarDrawConfig small_config() {
@@ -103,9 +105,9 @@ TEST(SessionServer, InterleavedSessionsMatchIsolatedBatchDecode) {
   for (int p = 0; p < kPens; ++p) {
     const auto tb =
         make_decode_testbed(cfg, kWindows, static_cast<std::uint64_t>(p) + 1);
-    const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
-    expect_bit_identical(trajs[static_cast<std::size_t>(p)],
-                         hmm.decode(tb.obs, &tb.start));
+    expect_bit_identical(
+        trajs[static_cast<std::size_t>(p)],
+        decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start));
   }
 }
 
@@ -186,8 +188,9 @@ TEST(SessionServer, CloseDrainsUnpumpedMailbox) {
   }
   // No final pump: the second half of the stream is still in the mailbox.
   const auto traj = server.close(3);
-  const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
-  expect_bit_identical(traj, hmm.decode(tb.obs, &tb.start));
+  expect_bit_identical(
+      traj,
+      decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start));
 }
 
 TEST(SessionServer, AzimuthCorrectionAppliedOnClose) {
@@ -204,12 +207,38 @@ TEST(SessionServer, AzimuthCorrectionAppliedOnClose) {
   server.pump();
   const auto traj = server.close(1);
 
-  const HmmTracker hmm(cfg, tb.a1, tb.a2, tb.antenna_z);
   // 0.2 + 0.1 on purpose: the server saw two increments, and the sum is
   // not the double literal 0.3.
-  const auto expected =
-      HmmTracker::rotate_trajectory(hmm.decode(tb.obs, &tb.start), 0.2 + 0.1);
+  const auto expected = core::correct_initial_azimuth(
+      cfg, decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start),
+      0.2 + 0.1);
   expect_bit_identical(traj, expected);
+}
+
+TEST(SessionServer, CloseFollowsRotationCorrectionConfig) {
+  // Eq. 10 runs under the batch pipeline's gate: with either switch off,
+  // close() ignores the accumulated correction and returns the isolated
+  // full-lag decode bit for bit.
+  PolarDrawConfig no_correction = small_config();
+  no_correction.apply_rotation_correction = false;
+  PolarDrawConfig no_polarization = small_config();
+  no_polarization.use_polarization = false;
+  for (const PolarDrawConfig& cfg : {no_correction, no_polarization}) {
+    SCOPED_TRACE(cfg.use_polarization ? "apply_rotation_correction = false"
+                                      : "use_polarization = false");
+    const auto tb = make_decode_testbed(cfg, 20, 5);
+    SessionServerConfig scfg;
+    scfg.stream.lag_windows = 32;
+    scfg.n_workers = 1;
+    SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
+    server.open(1, &tb.start);
+    for (const auto& o : tb.obs) server.submit(1, o);
+    server.accumulate_azimuth_correction(1, 0.2);
+    server.pump();
+    expect_bit_identical(
+        server.close(1),
+        decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start));
+  }
 }
 
 TEST(SessionServer, CommittedIsReadableDuringPump) {

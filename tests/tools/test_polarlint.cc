@@ -495,9 +495,9 @@ TEST(R7Clock, Suppressed) {
 
 TEST(R8Layering, FiresOnBackEdge) {
   const auto vs =
-      lint_source("src/em/tag.cc", "#include \"core/hmm_tracker.h\"\n");
+      lint_source("src/em/tag.cc", "#include \"core/streaming_decoder.h\"\n");
   ASSERT_EQ(count_rule(vs, "R8"), 1);
-  EXPECT_EQ(vs[0].key, "core/hmm_tracker.h");
+  EXPECT_EQ(vs[0].key, "core/streaming_decoder.h");
 }
 
 TEST(R8Layering, AcceptsDownwardAndSelfEdges) {
@@ -529,14 +529,14 @@ TEST(R8Layering, IgnoresSystemTestAndUnknownIncludes) {
             0);
   // Non-src/ files (tests, bench, tools) may include anything.
   EXPECT_EQ(count_rule(lint_source("tests/em/test_tag.cc",
-                                   "#include \"core/hmm_tracker.h\"\n"),
+                                   "#include \"core/streaming_decoder.h\"\n"),
                        "R8"),
             0);
 }
 
 TEST(R8Layering, CommentedOutIncludeIgnored) {
   const auto vs =
-      lint_source("src/em/tag.cc", "// #include \"core/hmm_tracker.h\"\n");
+      lint_source("src/em/tag.cc", "// #include \"core/streaming_decoder.h\"\n");
   EXPECT_EQ(count_rule(vs, "R8"), 0);
 }
 
@@ -544,7 +544,7 @@ TEST(R8Layering, Suppressed) {
   const auto vs = lint_source(
       "src/em/tag.cc",
       "// polarlint-allow(R8): transitional edge, tracked in ROADMAP\n"
-      "#include \"core/hmm_tracker.h\"\n");
+      "#include \"core/streaming_decoder.h\"\n");
   EXPECT_EQ(count_rule(vs, "R8"), 0);
 }
 
@@ -652,17 +652,6 @@ TEST(Tokenizer, IdentifierWords) {
             (std::vector<std::string>{"alpha", "e", "rad"}));
   EXPECT_EQ(identifier_words("elevation_offset_rad_"),
             (std::vector<std::string>{"elevation", "offset", "rad"}));
-}
-
-TEST(Tokenizer, BaselineKeyStableAcrossLineMoves) {
-  const auto a = lint_source("src/foo.h",
-                             "struct P {\n  double elevation;\n};\n");
-  const auto b = lint_source("src/foo.h",
-                             "struct P {\n\n\n  double elevation;\n};\n");
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(a[0].baseline_key(), b[0].baseline_key());
-  EXPECT_NE(a[0].line, b[0].line);
 }
 
 }  // namespace

@@ -2,19 +2,18 @@
 // documented in polarlint.h and DESIGN.md section 10.
 //
 // Usage:
-//   polarlint [--root DIR] [--baseline FILE] [--fail-stale]
-//             [--max-baseline-entries N] PATH...
+//   polarlint [--root DIR] PATH...
 //
 // PATH arguments are files or directories (recursed for .h/.hpp/.cc/.cpp).
 // Violations are reported as `path:line: [Rn] message`, with paths relative
-// to --root (which is also how the baseline file keys them).
+// to --root. Any violation fails the run; a justified exception takes an
+// allow directive at its site (see polarlint.h).
 //
-// Exit codes: 0 clean, 1 violations / ratchet failure, 2 usage error.
+// Exit codes: 0 clean, 1 violations, 2 usage error.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,9 +50,6 @@ std::string relative_to(const fs::path& file, const fs::path& root) {
 
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
-  fs::path baseline_path;
-  bool fail_stale = false;
-  long max_baseline = -1;
   std::vector<fs::path> inputs;
 
   for (int i = 1; i < argc; ++i) {
@@ -67,15 +63,8 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       root = next();
-    } else if (arg == "--baseline") {
-      baseline_path = next();
-    } else if (arg == "--fail-stale") {
-      fail_stale = true;
-    } else if (arg == "--max-baseline-entries") {
-      max_baseline = std::stol(next());
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: polarlint [--root DIR] [--baseline FILE] "
-                   "[--fail-stale] [--max-baseline-entries N] PATH...\n";
+      std::cout << "usage: polarlint [--root DIR] PATH...\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "polarlint: unknown flag " << arg << "\n";
@@ -105,62 +94,17 @@ int main(int argc, char** argv) {
   }
   std::sort(files.begin(), files.end());
 
-  std::set<std::string> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::cerr << "polarlint: cannot read baseline " << baseline_path << "\n";
-      return 2;
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      while (!line.empty() && (line.back() == '\r' || line.back() == '\n'))
-        line.pop_back();
-      if (line.empty() || line[0] == '#') continue;
-      baseline.insert(line);
-    }
-  }
-
-  std::set<std::string> used_baseline;
-  std::vector<polarlint::Violation> fresh;
-  std::size_t baselined = 0;
+  std::size_t violations = 0;
   for (const fs::path& f : files) {
-    const std::string rel = relative_to(f, root);
-    for (polarlint::Violation& v : polarlint::lint_source(rel, slurp(f))) {
-      if (baseline.count(v.baseline_key())) {
-        used_baseline.insert(v.baseline_key());
-        ++baselined;
-      } else {
-        fresh.push_back(std::move(v));
-      }
+    for (const polarlint::Violation& v :
+         polarlint::lint_source(relative_to(f, root), slurp(f))) {
+      std::cout << v.path << ":" << v.line << ": [" << v.rule << "] "
+                << v.message << "\n";
+      ++violations;
     }
   }
 
-  for (const auto& v : fresh)
-    std::cout << v.path << ":" << v.line << ": [" << v.rule << "] "
-              << v.message << "\n";
-
-  std::vector<std::string> stale;
-  for (const auto& e : baseline)
-    if (!used_baseline.count(e)) stale.push_back(e);
-
-  bool fail = !fresh.empty();
-  if (fail_stale && !stale.empty()) {
-    fail = true;
-    std::cout << "polarlint: " << stale.size()
-              << " stale baseline entr" << (stale.size() == 1 ? "y" : "ies")
-              << " (violation fixed -- ratchet down by deleting the line):\n";
-    for (const auto& e : stale) std::cout << "  " << e << "\n";
-  }
-  if (max_baseline >= 0 && static_cast<long>(baseline.size()) > max_baseline) {
-    fail = true;
-    std::cout << "polarlint: baseline grew to " << baseline.size()
-              << " entries (max " << max_baseline
-              << "); fix new violations instead of baselining them\n";
-  }
-
-  std::cout << "polarlint: " << files.size() << " files, " << fresh.size()
-            << " violation" << (fresh.size() == 1 ? "" : "s") << " ("
-            << baselined << " baselined, " << stale.size() << " stale)\n";
-  return fail ? 1 : 0;
+  std::cout << "polarlint: " << files.size() << " files, " << violations
+            << " violation" << (violations == 1 ? "" : "s") << "\n";
+  return violations == 0 ? 0 : 1;
 }

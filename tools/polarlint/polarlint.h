@@ -23,8 +23,7 @@
 //   R3  every double struct field or function parameter whose name says it
 //       holds an angle or a power must carry a _rad / _deg / _dbm / _db /
 //       _dbi / _mw suffix. Every declarator of a comma-chained declaration
-//       is checked. Pre-existing names are grandfathered in the baseline
-//       file and ratcheted down.
+//       is checked.
 //   R4  no std::rand / srand / std::random_device outside common/rng.h and
 //       common/seed.h (determinism guard: seeds always derive from the
 //       harness, never from entropy or global state).
@@ -75,14 +74,10 @@ struct Violation {
   int line = 0;         // 1-based
   std::string key;      // rule-specific stable payload (identifier or line)
   std::string message;  // human-readable explanation
-
-  /// Stable identity used by the baseline file: "Rn|path|key". Line numbers
-  /// are deliberately excluded so unrelated edits do not churn the baseline.
-  std::string baseline_key() const { return rule + "|" + path + "|" + key; }
 };
 
-/// Lints one translation unit. `path` is used for reporting, baseline keys
-/// and the per-file exemptions (common/angles.h may fmod, common/units.h may
+/// Lints one translation unit. `path` is used for reporting and the
+/// per-file exemptions (common/angles.h may fmod, common/units.h may
 /// pow10, common/rng.h + common/seed.h may touch entropy).
 std::vector<Violation> lint_source(std::string_view path, std::string_view content);
 
