@@ -16,9 +16,10 @@
 //
 // A second group pins the streaming decode back end on the synthetic
 // decode testbed -- every committed StreamingDecoder position across seeds
-// and commit lags, plus windows whose distance upper bound spans the whole
-// board -- and the end-to-end letter/word accuracy, so a change to the
-// candidate-scoring kernel that moves one committed block fails here.
+// and commit lags, windows whose distance upper bound spans the whole
+// board, and streams with an exact tie at every beam cut -- and the
+// end-to-end letter/word accuracy, so a change to the candidate-scoring
+// kernel or the prune that moves one committed block fails here.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -320,6 +321,40 @@ TEST(TrajectoryPin, BoardSpanningUpperBoundBitExact) {
     const std::uint64_t got = hash_stream(tb, 16, true);
     EXPECT_EQ(got, c.hash)
         << "upper_m " << c.upper_m << " got 0x" << std::hex << got;
+  }
+}
+
+TEST(TrajectoryPin, TiedBeamCutBitExact) {
+  // Idle, phaseless, direction-free windows score a candidate by its step
+  // length alone, so cells at the same lattice distance from a parent tie
+  // exactly, and the prune must break a tie at the beam cut by candidate
+  // index. With a zero lower bound the best step is no step, so the decode
+  // holds still; a lower bound of 1.5 blocks forces a step every window,
+  // and the tie order decides the path. On both streams every one of the
+  // 115 windows with more candidates than the beam holds has a tie at the
+  // cut.
+  const core::PolarDrawConfig cfg;
+  struct Case {
+    double lower_m;
+    std::size_t lag;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {0.0, 1, 0x9c8b88cfca5fe065ull},   {0.0, 4, 0x9c8b88cfca5fe065ull},
+      {0.0, 121, 0x9c8b88cfca5fe065ull}, {0.006, 1, 0x9a1e60b85a280cc8ull},
+      {0.006, 4, 0x9a1e60b85a280cc8ull}, {0.006, 121, 0x9a1e60b85a280cc8ull},
+  };
+  for (const Case& c : cases) {
+    auto tb = core::make_decode_testbed(cfg, 120, 3);
+    for (core::TrackObservation& o : tb.obs) {
+      o.direction.type = core::MotionType::kIdle;
+      o.direction.direction = Vec2{0.0, 0.0};
+      o.has_phase = false;
+      o.distance.lower_m = c.lower_m;
+    }
+    const std::uint64_t got = hash_stream(tb, c.lag, true);
+    EXPECT_EQ(got, c.hash) << "lower_m " << c.lower_m << " lag " << c.lag
+                           << " got 0x" << std::hex << got;
   }
 }
 
