@@ -22,8 +22,7 @@ ExpandKernel::ExpandKernel(const PolarDrawConfig& cfg, const PhaseField& field)
     : cfg_(cfg),
       field_(field),
       cols_(field.cols()),
-      rows_(field.rows()),
-      best_slot_(field.cells()) {}
+      rows_(field.rows()) {}
 
 ExpandKernel::WindowTerms ExpandKernel::window_terms(
     const TrackObservation& o) const {
@@ -186,7 +185,6 @@ void ExpandKernel::expand(const TrackObservation& o,
                           ExpandStats& stats) {
   const WindowTerms w = window_terms(o);
   fill_dc_limits(w);
-  best_slot_.clear();
   cand_cell.clear();
   cand_logp.clear();
   cand_parent.clear();
@@ -227,19 +225,38 @@ void ExpandKernel::expand(const TrackObservation& o,
     }
   }
   const int box_w = c_hi - c_lo + 1;
-  hyper_logw_.resize(static_cast<std::size_t>(r_hi - r_lo + 1) *
-                     static_cast<std::size_t>(box_w));
+  const std::size_t box = static_cast<std::size_t>(r_hi - r_lo + 1) *
+                          static_cast<std::size_t>(box_w);
+  hyper_logw_.resize(box);
+  box_logp_.resize(box);
+  box_parent_.resize(box);
+  box_first_.resize(box);
   fill_hyper_rows(w, r_lo, r_hi, c_lo, box_w);
+  // Only cells inside the row spans can be touched, so only they reset.
+  for (int nr = r_lo; nr <= r_hi; ++nr) {
+    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
+    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
+    if (lo > hi) continue;
+    const std::size_t off =
+        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w) +
+        static_cast<std::size_t>(lo - c_lo);
+    const std::size_t len = static_cast<std::size_t>(hi - lo) + 1;
+    std::fill_n(box_logp_.begin() + static_cast<std::ptrdiff_t>(off), len,
+                kNegInfF);
+    std::fill_n(box_first_.begin() + static_cast<std::ptrdiff_t>(off), len,
+                -1);
+  }
 
   const std::size_t tt =
       static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
-  lane_logp_.resize(static_cast<std::size_t>(t));
+  std::uint64_t visited = 0, accepted = 0;
 
   for (std::size_t a = prev_begin; a < prev_end; ++a) {
     const std::int32_t pcell = node_cell[a];
     const int pr = pcell / cols_;
     const int pc = pcell % cols_;
     const double plp = static_cast<double>(node_logp[a]);
+    const auto parent = static_cast<std::int32_t>(a);
     const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows_ - 1 - pr);
     for (int dr = dr_lo; dr <= dr_hi; ++dr) {
@@ -250,6 +267,7 @@ void ExpandKernel::expand(const TrackObservation& o,
       const int len = dc_hi - dc_lo + 1;
       if (len <= 0) continue;
       const std::size_t lenz = static_cast<std::size_t>(len);
+      visited += lenz;
 
       const std::size_t trow = static_cast<std::size_t>(dr + reach);
       const std::size_t tcol0 = static_cast<std::size_t>(dc_lo + reach);
@@ -259,65 +277,89 @@ void ExpandKernel::expand(const TrackObservation& o,
           &disp_logw_[tt + trow * static_cast<std::size_t>(t) + tcol0];
       const unsigned char* edge =
           &disp_edge_[trow * static_cast<std::size_t>(t) + tcol0];
-      const double* hyp =
-          &hyper_logw_[static_cast<std::size_t>(nr - r_lo) *
-                           static_cast<std::size_t>(box_w) +
-                       static_cast<std::size_t>(pc + dc_lo - c_lo)];
-      float* lanes = lane_logp_.data();
+      const std::size_t box0 =
+          static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w) +
+          static_cast<std::size_t>(pc + dc_lo - c_lo);
+      const double* hyp = &hyper_logw_[box0];
+      float* best = &box_logp_[box0];
+      std::int32_t* best_parent = &box_parent_[box0];
+      std::int32_t* first = &box_first_[box0];
 
-      // Branchless scoring: weight floor clamps the finite log-weight sum
-      // (exactly log(max(w, floor)) up to reassociation); the mask plane
-      // then forces annulus-rejected lanes to -inf.
-      for (std::size_t i = 0; i < lenz; ++i) {
-        lanes[i] = static_cast<float>(
-            plp + std::max(hyp[i] + dtab[i], kLogWeightFloor) + mask[i]);
-      }
-
-      // Merge per-cell bests through the generation scoreboard in
-      // first-touch traversal order. Knife-edge lanes re-run the exact
-      // center-difference annulus test (Eq. 8, with a quarter-block
-      // tolerance so the discretization cannot strand the chain while the
-      // phase-derived lower bound stays binding), so the accepted set does
-      // not depend on lattice rounding.
-      const std::int32_t row_base = nr * cols_;
       const std::int32_t nc0 = static_cast<std::int32_t>(pc + dc_lo);
       const double fx = field_.center_x(pc);
       const double fy = field_.center_y(pr);
       const double ddy_exact = fy - field_.center_y(nr);
+      // One fused pass per lane. Scoring is branchless: the weight floor
+      // clamps the finite log-weight sum (exactly log(max(w, floor)) up to
+      // reassociation) and the mask plane then forces annulus-rejected
+      // lanes to -inf. Knife-edge lanes re-run the exact center-difference
+      // annulus test (Eq. 8, with a quarter-block tolerance so the
+      // discretization cannot strand the chain while the phase-derived
+      // lower bound stays binding), so the accepted set does not depend on
+      // lattice rounding. The update is branchless too: the first accepted
+      // lane to touch a cell takes it whatever its score (NaN included),
+      // and a later one replaces it only when strictly greater.
       for (std::size_t i = 0; i < lenz; ++i) {
-        const float lp = lanes[i];
-        if (lp == kNegInfF) {  // annulus-rejected lane
-          ++stats.annulus_rejected;
-          continue;
-        }
-        if (edge[i] != 0) {
+        const float lp = static_cast<float>(
+            plp + std::max(hyp[i] + dtab[i], kLogWeightFloor) + mask[i]);
+        bool acc = lp != kNegInfF;
+        if (edge[i] != 0 && acc) {
           const double ddx =
               fx - field_.center_x(nc0 + static_cast<std::int32_t>(i));
           const double step_m =
               std::sqrt(ddx * ddx + ddy_exact * ddy_exact);
-          if (step_m > w.out_thresh_m ||
-              step_m + w.quarter_block_m < w.lower_m) {
-            ++stats.annulus_rejected;
-            continue;
-          }
+          acc = !(step_m > w.out_thresh_m ||
+                  step_m + w.quarter_block_m < w.lower_m);
         }
-        ++stats.expansions;
-        const std::size_t ncell = static_cast<std::size_t>(
-            row_base + nc0 + static_cast<std::int32_t>(i));
-        if (!best_slot_.contains(ncell)) {
-          best_slot_.put(ncell, static_cast<std::int32_t>(cand_cell.size()));
-          cand_cell.push_back(static_cast<std::int32_t>(ncell));
-          cand_logp.push_back(lp);
-          cand_parent.push_back(static_cast<std::int32_t>(a));
-        } else {
-          const std::int32_t slot = best_slot_.get(ncell);
-          if (lp > cand_logp[static_cast<std::size_t>(slot)]) {
-            cand_logp[static_cast<std::size_t>(slot)] = lp;
-            cand_parent[static_cast<std::size_t>(slot)] =
-                static_cast<std::int32_t>(a);
-          }
-        }
+        const std::int32_t f = first[i];
+        const bool take = acc && (f < 0 || lp > best[i]);
+        best[i] = take ? lp : best[i];
+        best_parent[i] = take ? parent : best_parent[i];
+        first[i] = acc && f < 0 ? parent : f;
+        accepted += acc ? 1u : 0u;
       }
+    }
+  }
+  stats.expansions += accepted;
+  stats.annulus_rejected += visited - accepted;
+
+  // Emission in first-touch traversal order (ascending first accepting
+  // parent, then row, then column): a counting sort on the first parent
+  // over a row-major scan of the spans.
+  const std::size_t n_parents = prev_end - prev_begin;
+  parent_count_.assign(n_parents + 1, 0);
+  for (int nr = r_lo; nr <= r_hi; ++nr) {
+    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
+    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
+    const std::size_t row0 =
+        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w);
+    for (int nc = lo; nc <= hi; ++nc) {
+      const std::int32_t f =
+          box_first_[row0 + static_cast<std::size_t>(nc - c_lo)];
+      if (f >= 0) ++parent_count_[static_cast<std::size_t>(f) - prev_begin + 1];
+    }
+  }
+  for (std::size_t k = 1; k <= n_parents; ++k) {
+    parent_count_[k] += parent_count_[k - 1];
+  }
+  const std::size_t n_cand = parent_count_[n_parents];
+  cand_cell.resize(n_cand);
+  cand_logp.resize(n_cand);
+  cand_parent.resize(n_cand);
+  for (int nr = r_lo; nr <= r_hi; ++nr) {
+    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
+    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
+    const std::size_t row0 =
+        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w);
+    for (int nc = lo; nc <= hi; ++nc) {
+      const std::size_t b = row0 + static_cast<std::size_t>(nc - c_lo);
+      const std::int32_t f = box_first_[b];
+      if (f < 0) continue;
+      const std::size_t slot =
+          parent_count_[static_cast<std::size_t>(f) - prev_begin]++;
+      cand_cell[slot] = nr * cols_ + nc;
+      cand_logp[slot] = box_logp_[b];
+      cand_parent[slot] = box_parent_[b];
     }
   }
 }

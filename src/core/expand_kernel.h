@@ -11,9 +11,12 @@
 // line/half-plane terms and the idle step penalty -- depends only on the
 // integer block displacement (dc, dr), so it collapses into a
 // (2*reach+1)^2 log-weight table with -inf marking annulus rejections. A
-// candidate is then scored with three adds and a max over contiguous
-// lanes, and per-cell bests merge through a generation scoreboard in
-// first-touch order.
+// candidate is then scored with three adds and a max over contiguous lanes
+// and, in the same pass, merged into per-cell arrays over the bounding box
+// of the window's candidates: the best log-prob, its parent, and the first
+// parent that accepted the cell. A counting sort on that first parent then
+// emits the cells in first-touch order. All per-window scratch is sized by
+// that box, never by the board.
 //
 // Knife-edge re-test: the table measures displacements on the exact block
 // lattice, but the decode's annulus test is defined on block-center
@@ -38,7 +41,6 @@
 #include "core/config.h"
 #include "core/motion.h"
 #include "core/phase_field.h"
-#include "core/scoreboard.h"
 
 namespace polardraw::core {
 
@@ -99,13 +101,17 @@ class ExpandKernel {
   const PhaseField& field_;
   const int cols_, rows_;
 
-  GenerationScoreboard<std::int32_t> best_slot_;  // cell -> candidate slot
   std::vector<int> dc_lim_;             // per-|dr| column reach
   std::vector<double> disp_logw_;       // (2r+1)^2 log-weights + -inf mask
   std::vector<unsigned char> disp_edge_;  // threshold-coincident lattice steps
-  std::vector<double> hyper_logw_;      // per-cell hyperbola log-weight (box)
   std::vector<int> row_span_lo_, row_span_hi_;   // touched columns per row
-  std::vector<float> lane_logp_;        // per-lane scored log-probs (row seg)
+  // Per-cell arrays over the bounding box of the row spans. They grow to
+  // the largest box a window has needed and never shrink.
+  std::vector<double> hyper_logw_;         // hyperbola log-weight
+  std::vector<float> box_logp_;            // best log-prob so far, -inf
+  std::vector<std::int32_t> box_parent_;   // its parent (arena index)
+  std::vector<std::int32_t> box_first_;    // first accepting parent, -1
+  std::vector<std::size_t> parent_count_;  // emission counting sort
 };
 
 }  // namespace polardraw::core

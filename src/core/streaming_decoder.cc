@@ -3,9 +3,10 @@
 // polarlint: hot-path -- no node-based hash maps in the decode loop.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "common/angles.h"
@@ -13,6 +14,44 @@
 #include "obs/trace.h"
 
 namespace polardraw::core {
+
+namespace {
+
+/// Radix key of a renormalized log-prob that ascends as the log-prob
+/// descends. Adding +0.0f turns -0 into +0, so the two tie as they compare
+/// equal. A negative float's bits already ascend as it descends; a
+/// non-negative one flips its low 31 bits, which puts it ahead of every
+/// negative one, largest first.
+std::uint32_t descending_key(float logp) {
+  const auto bits = std::bit_cast<std::uint32_t>(logp + 0.0f);
+  return bits ^ (((bits >> 31) - 1u) & 0x7FFFFFFFu);
+}
+
+/// Stable LSD radix sort of `v` on its high 32 bits: four 8-bit passes,
+/// counted in one sweep. `tmp` is scratch.
+void radix_sort_high_word(std::vector<std::uint64_t>& v,
+                          std::vector<std::uint64_t>& tmp) {
+  std::array<std::array<std::uint32_t, 256>, 4> offset{};
+  for (const std::uint64_t x : v) {
+    for (std::size_t p = 0; p < 4; ++p) {
+      ++offset[p][(x >> (32 + 8 * p)) & 0xFFu];
+    }
+  }
+  tmp.resize(v.size());
+  for (std::size_t p = 0; p < 4; ++p) {
+    std::uint32_t sum = 0;
+    for (std::uint32_t& o : offset[p]) {
+      const std::uint32_t count = o;
+      o = sum;
+      sum += count;
+    }
+    const std::size_t shift = 32 + 8 * p;
+    for (const std::uint64_t x : v) tmp[offset[p][(x >> shift) & 0xFFu]++] = x;
+    v.swap(tmp);
+  }
+}
+
+}  // namespace
 
 Vec2 initial_location_on_field(const PolarDrawConfig& cfg,
                                const PhaseField& field, double dtheta21) {
@@ -271,31 +310,24 @@ void StreamingDecoder::step(const TrackObservation& o,
   total_logp_offset_ += static_cast<double>(wmax);
   for (float& lp : cand_logp_) lp -= wmax;
 
-  // Beam pruning: keep the most probable states. Selection runs on an
-  // index buffer so the SoA candidate arrays are gathered once. The
-  // comparator tie-breaks equal log-probs on candidate index and the kept
-  // prefix is sorted, so the survivor set *and* its arena order are a pure
-  // function of the scored values -- not of how the standard library's
-  // nth_element partitions ties (the determinism contract in the header).
-  const auto better = [&](std::int32_t x, std::int32_t y) {
-    const float lx = cand_logp_[static_cast<std::size_t>(x)];
-    const float ly = cand_logp_[static_cast<std::size_t>(y)];
-    return lx > ly || (lx == ly && x < y);
-  };
+  // Beam pruning: keep the beam_width most probable candidates, ordered
+  // by (log-prob descending, candidate index ascending), so the survivor
+  // set *and* its arena order are a pure function of the scored values
+  // (the determinism contract in the header). A stable radix sort on the
+  // descending key, started in index order, yields exactly that order; a
+  // NaN score sorts where its bits put it.
   const std::size_t n_cand = cand_cell_.size();
   const std::size_t new_begin = node_cell_.size();
   if (n_cand > cfg_.beam_width) {
-    order_.resize(n_cand);
-    std::iota(order_.begin(), order_.end(), 0);
-    std::nth_element(
-        order_.begin(),
-        order_.begin() + static_cast<std::ptrdiff_t>(cfg_.beam_width),
-        order_.end(), better);
-    std::sort(order_.begin(),
-              order_.begin() + static_cast<std::ptrdiff_t>(cfg_.beam_width),
-              better);
+    prune_keys_.resize(n_cand);
+    for (std::size_t i = 0; i < n_cand; ++i) {
+      prune_keys_[i] =
+          (static_cast<std::uint64_t>(descending_key(cand_logp_[i])) << 32) |
+          i;
+    }
+    radix_sort_high_word(prune_keys_, prune_tmp_);
     for (std::size_t i = 0; i < cfg_.beam_width; ++i) {
-      const auto s = static_cast<std::size_t>(order_[i]);
+      const auto s = static_cast<std::size_t>(prune_keys_[i] & 0xFFFFFFFFu);
       node_cell_.push_back(cand_cell_[s]);
       node_logp_.push_back(cand_logp_[s]);
       node_parent_.push_back(cand_parent_[s]);

@@ -29,10 +29,14 @@
 // observation sequence, lag) -- independent of platform and standard
 // library. The two ingredients are (1) candidate scoring by the
 // beam-expansion kernel (core/expand_kernel.h), which emits candidates in
-// a fixed first-touch traversal order, and (2) beam pruning that orders
-// candidates by (log-prob descending, candidate index ascending) and sorts
-// the kept prefix, so neither the survivor set nor the arena order depends
-// on how std::nth_element resolves ties. Log-probs are renormalized every
+// a fixed first-touch traversal order, and (2) beam pruning that keeps the
+// first beam_width candidates in (log-prob descending, candidate index
+// ascending) order, found by a stable radix sort on a key made from the
+// log-prob's bits, so the survivor set and the arena order are a pure
+// function of the scored values. A NaN score, which only a non-finite
+// observation pushed straight into the decoder can produce, sorts at a
+// fixed place set by its bits: a positive NaN ahead of every number, a
+// negative one behind them all. Log-probs are renormalized every
 // window (the window max is subtracted before candidates enter the arena),
 // so the beam front's best node sits at exactly 0 and a session never
 // loses float resolution no matter how long it runs; argmax decisions are
@@ -195,7 +199,7 @@ class StreamingDecoder {
   // Scratch reused across steps.
   std::vector<std::int32_t> cand_cell_, cand_parent_;
   std::vector<float> cand_logp_;
-  std::vector<std::int32_t> order_;
+  std::vector<std::uint64_t> prune_keys_, prune_tmp_;  // (key << 32) | index
 
   // Per-window renormalization state (see the determinism contract above).
   double total_logp_offset_ = 0.0;

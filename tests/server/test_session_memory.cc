@@ -1,7 +1,8 @@
-// Bounded-history soak (DESIGN.md section 13): over a long session the
-// server's heap may grow only by the committed trajectory. This executable
-// replaces the global operator new/delete with a live-byte counter, so it
-// holds this one test and nothing else.
+// Session memory (DESIGN.md section 13): over a long session the server's
+// heap may grow only by the committed trajectory, and a session's own
+// footprint follows the beam, not the board. This executable replaces the
+// global operator new/delete with a live-byte counter, so it holds these
+// two tests and nothing else.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -106,6 +107,55 @@ TEST(SessionMemory, HistoryStaysBoundedOverALongSession) {
                                << " B between " << kMark << " and "
                                << kWindows << " windows";
   EXPECT_EQ(server.close(1).size(), kWindows + 1);
+}
+
+TEST(SessionMemory, SessionFootprintDoesNotScaleWithTheBoard) {
+  // One session streams the same 400 windows on the default 1 m x 0.6 m
+  // board (250 x 150 cells) and on a 2 m x 1.2 m one (500 x 300). The
+  // server's shared phase field is board-sized; a session's decode scratch
+  // is sized by the beam's bounding box, so opening a session costs a few
+  // KB and its heap after 400 windows is the same on both boards.
+  const core::PolarDrawConfig small_board;
+  const core::DecodeTestbed tb = core::make_decode_testbed(small_board, 400, 3);
+  core::PolarDrawConfig big_board = small_board;
+  big_board.board_width_m = 2.0;
+  big_board.board_height_m = 1.2;
+
+  struct Footprint {
+    std::int64_t at_open = 0;
+    std::int64_t after_stream = 0;
+  };
+  const auto measure = [&](const core::PolarDrawConfig& cfg) {
+    SessionServerConfig scfg;
+    scfg.n_workers = 1;
+    SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
+    const std::int64_t before = g_live_bytes.load();
+    server.open(1, &tb.start);
+    Footprint f;
+    f.at_open = g_live_bytes.load() - before;
+    for (std::size_t w = 0; w < tb.obs.size(); ++w) {
+      EXPECT_TRUE(server.submit(1, tb.obs[w],
+                                static_cast<double>(w) * cfg.window_s));
+      server.pump();
+    }
+    f.after_stream = g_live_bytes.load() - before;
+    EXPECT_EQ(server.close(1).size(), tb.obs.size() + 1);
+    return f;
+  };
+  const Footprint small = measure(small_board);
+  const Footprint big = measure(big_board);
+  RecordProperty("open_bytes_small_board", std::to_string(small.at_open));
+  RecordProperty("open_bytes_big_board", std::to_string(big.at_open));
+  RecordProperty("session_bytes_small_board",
+                 std::to_string(small.after_stream));
+  RecordProperty("session_bytes_big_board", std::to_string(big.after_stream));
+  EXPECT_LT(small.at_open, 16 * 1024);
+  EXPECT_LT(big.at_open, 16 * 1024);
+  const std::int64_t diff = big.after_stream - small.after_stream;
+  EXPECT_LT(diff < 0 ? -diff : diff, 64 * 1024)
+      << "after " << tb.obs.size() << " windows a session holds "
+      << small.after_stream << " B on the default board and "
+      << big.after_stream << " B on the big one";
 }
 
 }  // namespace
