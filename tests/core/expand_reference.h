@@ -25,7 +25,7 @@
 #include "core/expand_kernel.h"
 #include "core/motion.h"
 #include "core/phase_field.h"
-#include "core/scoreboard.h"
+#include "scoreboard.h"
 
 namespace polardraw::core::testing {
 

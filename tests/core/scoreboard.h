@@ -1,13 +1,16 @@
-// Dense per-cell scoreboard with O(1) bulk reset via generation stamps.
-// polarlint: hot-path -- no node-based hash maps in the decode loop.
+// Test-only dense per-cell scoreboard with O(1) bulk reset via generation
+// stamps: the oracle in expand_reference.h merges its candidates through
+// it, as the historical decode loop did. The production kernel merges in
+// arrays over the window's bounding box instead (core/expand_kernel.h), so
+// no board-sized table lives in a decoder.
 //
-// The Viterbi forward pass needs "best incoming candidate per grid cell"
-// for every window. A hash map pays allocation and hashing on the hot
-// path; a plain dense array pays an O(cells) clear per window. This keeps
-// the dense array but stamps each entry with the generation it was written
-// in: clear() just bumps the generation counter, and an entry is live only
-// if its stamp matches. The full wipe happens only when the 32-bit counter
-// wraps (once per ~4 billion windows).
+// The forward pass needs "best incoming candidate per grid cell" for every
+// window. A hash map pays allocation and hashing per probe; a plain dense
+// array pays an O(cells) clear per window. This keeps the dense array but
+// stamps each entry with the generation it was written in: clear() just
+// bumps the generation counter, and an entry is live only if its stamp
+// matches. The full wipe happens only when the 32-bit counter wraps (once
+// per ~4 billion windows).
 #pragma once
 
 #include <algorithm>
@@ -15,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-namespace polardraw::core {
+namespace polardraw::core::testing {
 
 template <typename Value>
 class GenerationScoreboard {
@@ -59,4 +62,4 @@ class GenerationScoreboard {
   std::uint32_t gen_ = 1;
 };
 
-}  // namespace polardraw::core
+}  // namespace polardraw::core::testing

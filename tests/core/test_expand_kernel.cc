@@ -14,7 +14,8 @@
 //
 // Plus the two supporting units: the kernel-level direction-normalization
 // contract (a non-unit MotionEstimate::direction must decode exactly like
-// its normalized self), and the GenerationScoreboard wrap path.
+// its normalized self), and the wrap path of the oracle's
+// GenerationScoreboard.
 #include "core/expand_kernel.h"
 
 #include <gtest/gtest.h>
@@ -27,9 +28,9 @@
 #include <vector>
 
 #include "core/decode_testbed.h"
-#include "core/scoreboard.h"
 #include "core/streaming_decoder.h"
 #include "expand_reference.h"
+#include "scoreboard.h"
 
 namespace polardraw::core {
 namespace {
@@ -277,7 +278,7 @@ TEST(ExpandKernel, NonUnitDirectionDecodesLikeItsNormalizedSelf) {
 }
 
 TEST(GenerationScoreboard, CounterWrapFallsBackToFullWipe) {
-  GenerationScoreboard<std::int32_t> sb(8);
+  testing::GenerationScoreboard<std::int32_t> sb(8);
   sb.put(3, 42);
   EXPECT_TRUE(sb.contains(3));
 

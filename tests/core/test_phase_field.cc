@@ -1,5 +1,5 @@
-// Tests for the precomputed phase-difference field and the generation
-// scoreboard backing the Viterbi decode hot path.
+// Tests for the precomputed phase-difference field and for the generation
+// scoreboard the kernel oracle (expand_reference.h) merges through.
 #include "core/phase_field.h"
 
 #include <gtest/gtest.h>
@@ -7,7 +7,7 @@
 #include <cstdint>
 
 #include "core/distance_estimator.h"
-#include "core/scoreboard.h"
+#include "scoreboard.h"
 
 namespace polardraw::core {
 namespace {
@@ -78,7 +78,7 @@ TEST(PhaseFieldDegenerate, SingleCellGrid) {
 // GenerationScoreboard
 // ---------------------------------------------------------------------------
 TEST(Scoreboard, PutGetContains) {
-  GenerationScoreboard<std::int32_t> board(8);
+  testing::GenerationScoreboard<std::int32_t> board(8);
   EXPECT_EQ(board.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) EXPECT_FALSE(board.contains(i));
   board.put(3, 42);
@@ -90,7 +90,7 @@ TEST(Scoreboard, PutGetContains) {
 }
 
 TEST(Scoreboard, ClearInvalidatesWithoutTouchingStorage) {
-  GenerationScoreboard<std::int32_t> board(64);
+  testing::GenerationScoreboard<std::int32_t> board(64);
   for (std::size_t i = 0; i < 64; ++i) board.put(i, static_cast<int>(i));
   board.clear();
   for (std::size_t i = 0; i < 64; ++i) EXPECT_FALSE(board.contains(i));
@@ -102,7 +102,7 @@ TEST(Scoreboard, ClearInvalidatesWithoutTouchingStorage) {
 }
 
 TEST(Scoreboard, ManyGenerationsStayIsolated) {
-  GenerationScoreboard<std::int32_t> board(4);
+  testing::GenerationScoreboard<std::int32_t> board(4);
   for (int gen = 0; gen < 10000; ++gen) {
     const std::size_t cell = static_cast<std::size_t>(gen) % 4;
     board.put(cell, gen);
@@ -114,7 +114,7 @@ TEST(Scoreboard, ManyGenerationsStayIsolated) {
 }
 
 TEST(Scoreboard, ResizeResetsEverything) {
-  GenerationScoreboard<double> board(2);
+  testing::GenerationScoreboard<double> board(2);
   board.put(0, 1.5);
   board.resize(16);
   EXPECT_EQ(board.size(), 16u);

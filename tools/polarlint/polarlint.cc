@@ -746,7 +746,8 @@ std::vector<Violation> lint_source(std::string_view path,
     if (directives.hot_path && t.text == "unordered_map") {
       emit("R5", t.line, line_key(t.line),
            "std::unordered_map in a `polarlint: hot-path` file; use a dense "
-           "array / flat structure (see core/scoreboard.h)");
+           "array / flat structure (see the box-local merge arrays in "
+           "core/expand_kernel.h)");
     }
 
     // R6a: unordered containers are banned in core/ and server/ --

@@ -28,7 +28,7 @@
 //       common/seed.h (determinism guard: seeds always derive from the
 //       harness, never from entropy or global state).
 //   R5  no std::unordered_map in files tagged `// polarlint: hot-path`
-//       (the PR-2 scoreboard lesson: node-based maps wreck the decode loop).
+//       (node-based maps wreck the decode loop; dense arrays keep it fast).
 //   R6  determinism of pruning in core/ and server/: std::sort /
 //       std::stable_sort / std::partial_sort / std::nth_element over
 //       float/double keys must use an index-tie-broken comparator (the PR-7
