@@ -250,6 +250,9 @@ void ExpandKernel::expand(const TrackObservation& o,
   const std::size_t tt =
       static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
   std::uint64_t visited = 0, accepted = 0;
+  // parent_count_[k + 1]: cells first accepted by arena node prev_begin + k.
+  const std::size_t n_parents = prev_end - prev_begin;
+  parent_count_.assign(n_parents + 1, 0);
 
   for (std::size_t a = prev_begin; a < prev_end; ++a) {
     const std::int32_t pcell = node_cell[a];
@@ -257,6 +260,7 @@ void ExpandKernel::expand(const TrackObservation& o,
     const int pc = pcell % cols_;
     const double plp = static_cast<double>(node_logp[a]);
     const auto parent = static_cast<std::int32_t>(a);
+    std::size_t first_touches = 0;
     const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows_ - 1 - pr);
     for (int dr = dr_lo; dr <= dr_hi; ++dr) {
@@ -311,14 +315,16 @@ void ExpandKernel::expand(const TrackObservation& o,
           acc = !(step_m > w.out_thresh_m ||
                   step_m + w.quarter_block_m < w.lower_m);
         }
-        const std::int32_t f = first[i];
-        const bool take = acc && (f < 0 || lp > best[i]);
+        const bool first_touch = acc && first[i] < 0;
+        const bool take = first_touch || (acc && lp > best[i]);
         best[i] = take ? lp : best[i];
         best_parent[i] = take ? parent : best_parent[i];
-        first[i] = acc && f < 0 ? parent : f;
+        first[i] = first_touch ? parent : first[i];
         accepted += acc ? 1u : 0u;
+        first_touches += first_touch ? 1u : 0u;
       }
     }
+    parent_count_[a - prev_begin + 1] = first_touches;
   }
   stats.expansions += accepted;
   stats.annulus_rejected += visited - accepted;
@@ -326,19 +332,6 @@ void ExpandKernel::expand(const TrackObservation& o,
   // Emission in first-touch traversal order (ascending first accepting
   // parent, then row, then column): a counting sort on the first parent
   // over a row-major scan of the spans.
-  const std::size_t n_parents = prev_end - prev_begin;
-  parent_count_.assign(n_parents + 1, 0);
-  for (int nr = r_lo; nr <= r_hi; ++nr) {
-    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
-    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
-    const std::size_t row0 =
-        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w);
-    for (int nc = lo; nc <= hi; ++nc) {
-      const std::int32_t f =
-          box_first_[row0 + static_cast<std::size_t>(nc - c_lo)];
-      if (f >= 0) ++parent_count_[static_cast<std::size_t>(f) - prev_begin + 1];
-    }
-  }
   for (std::size_t k = 1; k <= n_parents; ++k) {
     parent_count_[k] += parent_count_[k - 1];
   }
