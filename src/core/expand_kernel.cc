@@ -145,18 +145,22 @@ void ExpandKernel::fill_displacement_table(const WindowTerms& w) {
   }
 }
 
-void ExpandKernel::fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi,
-                                   int c_lo, int box_w) {
+void ExpandKernel::fill_box_rows(const WindowTerms& w, int r_lo, int r_hi,
+                                 int c_lo, int box_w) {
   const double inv_4pi = 1.0 / (4.0 * kPi);
   const double sharp = cfg_.hyperbola_sharpness;
   for (int nr = r_lo; nr <= r_hi; ++nr) {
     const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
     const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
     if (lo > hi) continue;
-    double* out = &hyper_logw_[static_cast<std::size_t>(nr - r_lo) *
-                                   static_cast<std::size_t>(box_w) +
-                               static_cast<std::size_t>(lo - c_lo)];
+    const std::size_t off =
+        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w) +
+        static_cast<std::size_t>(lo - c_lo);
     const std::size_t len = static_cast<std::size_t>(hi - lo) + 1;
+    // Only cells inside the spans can be touched, so only they reset.
+    std::fill_n(&box_logp_[off], len, kNegInfF);
+    std::fill_n(&box_first_[off], len, -1);
+    double* out = &hyper_logw_[off];
     if (!w.use_hyper) {
       std::fill(out, out + len, 0.0);
       continue;
@@ -231,21 +235,7 @@ void ExpandKernel::expand(const TrackObservation& o,
   box_logp_.resize(box);
   box_parent_.resize(box);
   box_first_.resize(box);
-  fill_hyper_rows(w, r_lo, r_hi, c_lo, box_w);
-  // Only cells inside the row spans can be touched, so only they reset.
-  for (int nr = r_lo; nr <= r_hi; ++nr) {
-    const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
-    const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
-    if (lo > hi) continue;
-    const std::size_t off =
-        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w) +
-        static_cast<std::size_t>(lo - c_lo);
-    const std::size_t len = static_cast<std::size_t>(hi - lo) + 1;
-    std::fill_n(box_logp_.begin() + static_cast<std::ptrdiff_t>(off), len,
-                kNegInfF);
-    std::fill_n(box_first_.begin() + static_cast<std::ptrdiff_t>(off), len,
-                -1);
-  }
+  fill_box_rows(w, r_lo, r_hi, c_lo, box_w);
 
   const std::size_t tt =
       static_cast<std::size_t>(t) * static_cast<std::size_t>(t);

@@ -92,10 +92,11 @@ class ExpandKernel {
   /// idle terms, -inf on annulus rejection) plus the knife-edge flags for
   /// lattice distances that coincide with an annulus threshold.
   void fill_displacement_table(const WindowTerms& w);
-  /// Evaluates the per-cell hyperbola log-weight over the union of
-  /// per-row column spans touched by this window's beam.
-  void fill_hyper_rows(const WindowTerms& w, int r_lo, int r_hi, int c_lo,
-                       int box_w);
+  /// Over the union of per-row column spans touched by this window's
+  /// beam: evaluates the per-cell hyperbola log-weight and resets the merge
+  /// arrays.
+  void fill_box_rows(const WindowTerms& w, int r_lo, int r_hi, int c_lo,
+                     int box_w);
 
   const PolarDrawConfig cfg_;
   const PhaseField& field_;
