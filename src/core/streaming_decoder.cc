@@ -283,8 +283,7 @@ void StreamingDecoder::step(const TrackObservation& o,
   if (cand_cell_.empty()) {
     ++n_starved_;
     // Chain starved (e.g. all motion rejected) -- hold the most probable
-    // surviving state. (Pre-PR2 this held prev.front(), which after
-    // nth_element pruning is an arbitrary survivor.)
+    // surviving state.
     std::size_t best = prev_begin_;
     for (std::size_t a = prev_begin_ + 1; a < prev_end_; ++a) {
       if (node_logp_[a] > node_logp_[best]) best = a;
