@@ -179,19 +179,11 @@ void ExpandKernel::fill_box_rows(const WindowTerms& w, int r_lo, int r_hi,
   }
 }
 
-void ExpandKernel::expand(const TrackObservation& o,
-                          const std::vector<std::int32_t>& node_cell,
-                          const std::vector<float>& node_logp,
-                          std::size_t prev_begin, std::size_t prev_end,
-                          std::vector<std::int32_t>& cand_cell,
-                          std::vector<float>& cand_logp,
-                          std::vector<std::int32_t>& cand_parent,
-                          ExpandStats& stats) {
+void ExpandKernel::expand(const TrackObservation& o, const Beam& prev,
+                          Beam& cand, ExpandStats& stats) {
   const WindowTerms w = window_terms(o);
   fill_dc_limits(w);
-  cand_cell.clear();
-  cand_logp.clear();
-  cand_parent.clear();
+  cand.resize(0);
   const int reach = w.reach_blocks;
   const int t = 2 * reach + 1;
   fill_displacement_table(w);
@@ -201,8 +193,9 @@ void ExpandKernel::expand(const TrackObservation& o,
   row_span_lo_.assign(static_cast<std::size_t>(rows_), cols_);
   row_span_hi_.assign(static_cast<std::size_t>(rows_), -1);
   int r_lo = rows_, r_hi = -1;
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const std::int32_t pcell = node_cell[a];
+  const std::size_t n_parents = prev.size();
+  for (std::size_t a = 0; a < n_parents; ++a) {
+    const std::int32_t pcell = prev.cell[a];
     const int pr = pcell / cols_;
     const int pc = pcell % cols_;
     const int dr_lo = std::max(-reach, -pr);
@@ -240,15 +233,14 @@ void ExpandKernel::expand(const TrackObservation& o,
   const std::size_t tt =
       static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
   std::uint64_t visited = 0, accepted = 0;
-  // parent_count_[k + 1]: cells first accepted by arena node prev_begin + k.
-  const std::size_t n_parents = prev_end - prev_begin;
+  // parent_count_[a + 1]: cells first accepted by prev's node a.
   parent_count_.assign(n_parents + 1, 0);
 
-  for (std::size_t a = prev_begin; a < prev_end; ++a) {
-    const std::int32_t pcell = node_cell[a];
+  for (std::size_t a = 0; a < n_parents; ++a) {
+    const std::int32_t pcell = prev.cell[a];
     const int pr = pcell / cols_;
     const int pc = pcell % cols_;
-    const double plp = static_cast<double>(node_logp[a]);
+    const double plp = static_cast<double>(prev.logp[a]);
     const auto parent = static_cast<std::int32_t>(a);
     std::size_t first_touches = 0;
     const int dr_lo = std::max(-reach, -pr);
@@ -314,7 +306,7 @@ void ExpandKernel::expand(const TrackObservation& o,
         first_touches += first_touch ? 1u : 0u;
       }
     }
-    parent_count_[a - prev_begin + 1] = first_touches;
+    parent_count_[a + 1] = first_touches;
   }
   stats.expansions += accepted;
   stats.annulus_rejected += visited - accepted;
@@ -325,10 +317,7 @@ void ExpandKernel::expand(const TrackObservation& o,
   for (std::size_t k = 1; k <= n_parents; ++k) {
     parent_count_[k] += parent_count_[k - 1];
   }
-  const std::size_t n_cand = parent_count_[n_parents];
-  cand_cell.resize(n_cand);
-  cand_logp.resize(n_cand);
-  cand_parent.resize(n_cand);
+  cand.resize(parent_count_[n_parents]);
   for (int nr = r_lo; nr <= r_hi; ++nr) {
     const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
     const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
@@ -338,11 +327,10 @@ void ExpandKernel::expand(const TrackObservation& o,
       const std::size_t b = row0 + static_cast<std::size_t>(nc - c_lo);
       const std::int32_t f = box_first_[b];
       if (f < 0) continue;
-      const std::size_t slot =
-          parent_count_[static_cast<std::size_t>(f) - prev_begin]++;
-      cand_cell[slot] = nr * cols_ + nc;
-      cand_logp[slot] = box_logp_[b];
-      cand_parent[slot] = box_parent_[b];
+      const std::size_t slot = parent_count_[static_cast<std::size_t>(f)]++;
+      cand.cell[slot] = nr * cols_ + nc;
+      cand.logp[slot] = box_logp_[b];
+      cand.parent[slot] = box_parent_[b];
     }
   }
 }

@@ -44,6 +44,22 @@
 
 namespace polardraw::core {
 
+/// One beam step, structure-of-arrays: the nodes a window keeps (or the
+/// candidates it scores). parent[i] indexes the step before; -1 marks the
+/// seed.
+struct Beam {
+  std::vector<std::int32_t> cell;
+  std::vector<float> logp;
+  std::vector<std::int32_t> parent;
+
+  [[nodiscard]] std::size_t size() const { return cell.size(); }
+  void resize(std::size_t n) {
+    cell.resize(n);
+    logp.resize(n);
+    parent.resize(n);
+  }
+};
+
 /// Hot-loop tallies, accumulated across windows by the caller.
 struct ExpandStats {
   std::uint64_t expansions = 0;
@@ -55,18 +71,13 @@ class ExpandKernel {
   /// `field` must outlive the kernel (the decoder owns both).
   ExpandKernel(const PolarDrawConfig& cfg, const PhaseField& field);
 
-  /// Scores every candidate cell reachable from the previous beam
-  /// (arena nodes [prev_begin, prev_end) of `node_cell`/`node_logp`) for
-  /// one window and appends the best candidate per cell to the `cand_*`
-  /// arrays (cleared first). Parents are absolute arena indices.
-  /// Candidates are emitted in first-touch traversal order (ascending
-  /// parent, then row, then column).
-  void expand(const TrackObservation& o,
-              const std::vector<std::int32_t>& node_cell,
-              const std::vector<float>& node_logp, std::size_t prev_begin,
-              std::size_t prev_end, std::vector<std::int32_t>& cand_cell,
-              std::vector<float>& cand_logp,
-              std::vector<std::int32_t>& cand_parent, ExpandStats& stats);
+  /// Scores every candidate cell reachable from the beam `prev` for one
+  /// window and writes the best candidate per cell to `cand` (its old
+  /// contents are dropped). Parents index `prev`. Candidates are emitted
+  /// in first-touch traversal order (ascending parent, then row, then
+  /// column).
+  void expand(const TrackObservation& o, const Beam& prev, Beam& cand,
+              ExpandStats& stats);
 
  private:
   /// Per-window hoists, computed exactly as the historical in-loop hoists
@@ -110,7 +121,7 @@ class ExpandKernel {
   // the largest box a window has needed and never shrink.
   std::vector<double> hyper_logw_;         // hyperbola log-weight
   std::vector<float> box_logp_;            // best log-prob so far, -inf
-  std::vector<std::int32_t> box_parent_;   // its parent (arena index)
+  std::vector<std::int32_t> box_parent_;   // its parent (index into prev)
   std::vector<std::int32_t> box_first_;    // first accepting parent, -1
   std::vector<std::size_t> parent_count_;  // emission counting sort
 };

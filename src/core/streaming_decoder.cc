@@ -27,6 +27,15 @@ std::uint32_t descending_key(float logp) {
   return bits ^ (((bits >> 31) - 1u) & 0x7FFFFFFFu);
 }
 
+/// Index of the first most probable node of a non-empty beam.
+std::size_t best_node(const Beam& b) {
+  std::size_t best = 0;
+  for (std::size_t a = 1; a < b.size(); ++a) {
+    if (b.logp[a] > b.logp[best]) best = a;
+  }
+  return best;
+}
+
 /// Stable LSD radix sort of `v` on its high 32 bits: four 8-bit passes,
 /// counted in one sweep. `tmp` is scratch.
 void radix_sort_high_word(std::vector<std::uint64_t>& v,
@@ -112,7 +121,10 @@ StreamingDecoder::StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1,
       rows_(field_->rows()),
       kernel_(cfg_, *field_) {
   stream_cfg_.lag_windows = std::max<std::size_t>(stream_cfg_.lag_windows, 1);
-  if (initial_hint != nullptr) {
+  // A non-finite hint names no board cell; the chain waits for its first
+  // phase window as if unhinted.
+  if (initial_hint != nullptr && std::isfinite(initial_hint->x) &&
+      std::isfinite(initial_hint->y)) {
     seed_at(*initial_hint, 0);
   }
 }
@@ -120,20 +132,28 @@ StreamingDecoder::StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1,
 StreamingDecoder::~StreamingDecoder() { flush_metrics(); }
 
 void StreamingDecoder::seed_at(Vec2 start, std::size_t prefix_windows) {
-  const int c0 = std::clamp(static_cast<int>(start.x / cfg_.block_m), 0,
-                            cols_ - 1);
-  const int r0 = std::clamp(static_cast<int>(start.y / cfg_.block_m), 0,
-                            rows_ - 1);
+  // Clamped to the grid in double before the cast, so a finite start of
+  // any size seeds at the nearest board cell.
+  const auto clamped = [](double v, int hi) {
+    return static_cast<int>(std::clamp(v, 0.0, static_cast<double>(hi)));
+  };
+  const int c0 = clamped(start.x / cfg_.block_m, cols_ - 1);
+  const int r0 = clamped(start.y / cfg_.block_m, rows_ - 1);
   seed_center_ = field_->block_center(c0, r0);
-  node_cell_.push_back(r0 * cols_ + c0);
-  node_logp_.push_back(0.0f);
-  node_parent_.push_back(-1);
-  prev_begin_ = 0;
-  prev_end_ = 1;
-  step_begin_.push_back(0);
-  arena_base_out_ = prefix_windows;
+  Beam& root = next_step();
+  root.cell.push_back(r0 * cols_ + c0);
+  root.logp.push_back(0.0f);
+  root.parent.push_back(-1);
+  first_pos_ = prefix_windows;
   seed_root_pos_ = prefix_windows;
   seeded_ = true;
+}
+
+Beam& StreamingDecoder::next_step() {
+  if (n_steps_ == steps_.size()) steps_.emplace_back();
+  Beam& b = steps_[n_steps_++];
+  b.resize(0);
+  return b;
 }
 
 void StreamingDecoder::push(const TrackObservation& obs) {
@@ -164,7 +184,7 @@ void StreamingDecoder::push(const TrackObservation& obs) {
   const std::size_t total = n_pushed_ + 1;
   if (total > stream_cfg_.lag_windows) {
     commit_upto(total - stream_cfg_.lag_windows, committed_buf_);
-    maybe_compact();
+    release_committed_steps();
   }
 }
 
@@ -202,71 +222,36 @@ std::size_t StreamingDecoder::finish(std::vector<Vec2>& out) {
 std::size_t StreamingDecoder::commit_upto(std::size_t target,
                                           std::vector<Vec2>& out) {
   if (target <= n_committed_) return 0;
-  // Positions at or past the arena root need a backtrace from the current
-  // most probable front node; everything before the root is the backfilled
-  // seed prefix.
-  if (target > arena_base_out_) {
-    std::size_t best = prev_begin_;
-    for (std::size_t a = prev_begin_ + 1; a < prev_end_; ++a) {
-      if (node_logp_[a] > node_logp_[best]) best = a;
-    }
-    backtrace_scratch_.clear();
-    for (std::int32_t a = static_cast<std::int32_t>(best); a >= 0;
-         a = node_parent_[static_cast<std::size_t>(a)]) {
-      const std::int32_t cell = node_cell_[static_cast<std::size_t>(a)];
-      backtrace_scratch_.push_back(
-          field_->block_center(cell % cols_, cell / cols_));
-    }
-    std::reverse(backtrace_scratch_.begin(), backtrace_scratch_.end());
-  }
   const std::size_t from = n_committed_;
-  for (std::size_t i = from; i < target; ++i) {
-    out.push_back(i < arena_base_out_
-                      ? seed_center_
-                      : backtrace_scratch_[i - arena_base_out_]);
+  const std::size_t base = out.size();
+  // Positions before the first live step are the backfilled seed prefix;
+  // the rest come from a backtrace from the most probable front node,
+  // which stops at the commit frontier.
+  out.resize(base + (target - from), seed_center_);
+  std::size_t a = best_node(steps_[n_steps_ - 1]);
+  for (std::size_t s = n_steps_; s-- > 0 && first_pos_ + s >= from;) {
+    const Beam& b = steps_[s];
+    if (first_pos_ + s < target) {
+      const std::int32_t cell = b.cell[a];
+      out[base + (first_pos_ + s - from)] =
+          field_->block_center(cell % cols_, cell / cols_);
+    }
+    a = static_cast<std::size_t>(b.parent[a]);
   }
   n_committed_ = target;
   return target - from;
 }
 
-void StreamingDecoder::maybe_compact() {
-  // Steps whose output position is already committed can never be read
-  // again (future commits backtrace only down to the commit frontier), so
-  // once enough of them pile up the arena prefix is dropped and parent
-  // indices rebased. The retained nodes keep their cells, log-probs, and
-  // relative order, so the forward recursion and every future commit are
-  // unchanged -- pinned by the compaction-invariance test.
-  if (n_committed_ <= arena_base_out_) return;
-  const std::size_t k = n_committed_ - arena_base_out_;
-  if (k == 0 || k >= step_begin_.size()) return;
-  const std::size_t offset = step_begin_[k];
-  if (offset <= stream_cfg_.compact_node_threshold) return;
-
-  node_cell_.erase(node_cell_.begin(),
-                   node_cell_.begin() + static_cast<std::ptrdiff_t>(offset));
-  node_logp_.erase(node_logp_.begin(),
-                   node_logp_.begin() + static_cast<std::ptrdiff_t>(offset));
-  node_parent_.erase(
-      node_parent_.begin(),
-      node_parent_.begin() + static_cast<std::ptrdiff_t>(offset));
-  // Step k becomes the new root step. With lag 1 it is also the frontier
-  // (last) step, which has no successor entry in step_begin_ -- its end is
-  // the arena end.
-  const std::size_t root_end = k + 1 < step_begin_.size()
-                                   ? step_begin_[k + 1]
-                                   : node_cell_.size() + offset;
-  const std::size_t new_root_end = root_end - offset;
-  for (std::size_t a = 0; a < node_parent_.size(); ++a) {
-    node_parent_[a] = a < new_root_end
-                          ? -1
-                          : node_parent_[a] - static_cast<std::int32_t>(offset);
-  }
-  step_begin_.erase(step_begin_.begin(),
-                    step_begin_.begin() + static_cast<std::ptrdiff_t>(k));
-  for (std::size_t& b : step_begin_) b -= offset;
-  prev_begin_ -= offset;
-  prev_end_ -= offset;
-  arena_base_out_ += k;
+void StreamingDecoder::release_committed_steps() {
+  // A step whose position is committed is never read again: later commits
+  // backtrace only down to the commit frontier. The frontier can still sit
+  // inside the backfilled prefix, before the first step.
+  if (n_committed_ <= first_pos_) return;
+  const std::size_t k = n_committed_ - first_pos_;
+  std::rotate(steps_.begin(), steps_.begin() + static_cast<std::ptrdiff_t>(k),
+              steps_.begin() + static_cast<std::ptrdiff_t>(n_steps_));
+  n_steps_ -= k;
+  first_pos_ += k;
 }
 
 void StreamingDecoder::step(const TrackObservation& o,
@@ -277,24 +262,21 @@ void StreamingDecoder::step(const TrackObservation& o,
 
   // Candidate scoring (Eq. 8 annulus + Eq. 11 emission) lives in the
   // kernel module.
-  kernel_.expand(o, node_cell_, node_logp_, prev_begin_, prev_end_,
-                 cand_cell_, cand_logp_, cand_parent_, stats_);
+  const Beam& prev = steps_[n_steps_ - 1];
+  kernel_.expand(o, prev, cand_, stats_);
 
-  if (cand_cell_.empty()) {
+  if (cand_.size() == 0) {
     ++n_starved_;
     // Chain starved (e.g. all motion rejected) -- hold the most probable
     // surviving state.
-    std::size_t best = prev_begin_;
-    for (std::size_t a = prev_begin_ + 1; a < prev_end_; ++a) {
-      if (node_logp_[a] > node_logp_[best]) best = a;
-    }
-    cand_cell_.push_back(node_cell_[best]);
-    cand_logp_.push_back(node_logp_[best]);
-    cand_parent_.push_back(static_cast<std::int32_t>(best));
+    const std::size_t best = best_node(prev);
+    cand_.cell.push_back(prev.cell[best]);
+    cand_.logp.push_back(prev.logp[best]);
+    cand_.parent.push_back(static_cast<std::int32_t>(best));
   }
 
   // Per-window renormalization: subtract the window's best score before
-  // the candidates enter the arena. node_logp_ is float and strictly
+  // the candidates enter the step. Log-probs are float and strictly
   // decreasing, so an unnormalized session loses the resolution that
   // separates beam candidates after ~1e4 windows; after renormalization
   // the front max is exactly 0.0f every window (x - x is exact in IEEE)
@@ -302,58 +284,49 @@ void StreamingDecoder::step(const TrackObservation& o,
   // length. Subtracting one common float from all candidates is monotone,
   // so the argmax chain -- and therefore every committed position -- is
   // preserved; ties it creates are resolved by the index tie-break below.
-  float wmax = cand_logp_[0];
-  for (std::size_t i = 1; i < cand_logp_.size(); ++i) {
-    wmax = std::max(wmax, cand_logp_[i]);
+  float wmax = cand_.logp[0];
+  for (std::size_t i = 1; i < cand_.size(); ++i) {
+    wmax = std::max(wmax, cand_.logp[i]);
   }
   total_logp_offset_ += static_cast<double>(wmax);
-  for (float& lp : cand_logp_) lp -= wmax;
+  for (float& lp : cand_.logp) lp -= wmax;
 
   // Beam pruning: keep the beam_width most probable candidates, ordered
   // by (log-prob descending, candidate index ascending), so the survivor
-  // set *and* its arena order are a pure function of the scored values
-  // (the determinism contract in the header). A stable radix sort on the
-  // descending key, started in index order, yields exactly that order; a
-  // NaN score sorts where its bits put it.
-  const std::size_t n_cand = cand_cell_.size();
-  const std::size_t new_begin = node_cell_.size();
+  // set *and* its order within the step are a pure function of the scored
+  // values (the determinism contract in the header). A stable radix sort
+  // on the descending key, started in index order, yields exactly that
+  // order; a NaN score sorts where its bits put it. Survivors are written
+  // by index, so a step's capacity stays at the beam width.
+  const std::size_t n_cand = cand_.size();
+  Beam& next = next_step();  // may move the steps: `prev` is not read below
   if (n_cand > cfg_.beam_width) {
     prune_keys_.resize(n_cand);
     for (std::size_t i = 0; i < n_cand; ++i) {
       prune_keys_[i] =
-          (static_cast<std::uint64_t>(descending_key(cand_logp_[i])) << 32) |
+          (static_cast<std::uint64_t>(descending_key(cand_.logp[i])) << 32) |
           i;
     }
     radix_sort_high_word(prune_keys_, prune_tmp_);
+    next.resize(cfg_.beam_width);
     for (std::size_t i = 0; i < cfg_.beam_width; ++i) {
       const auto s = static_cast<std::size_t>(prune_keys_[i] & 0xFFFFFFFFu);
-      node_cell_.push_back(cand_cell_[s]);
-      node_logp_.push_back(cand_logp_[s]);
-      node_parent_.push_back(cand_parent_[s]);
+      next.cell[i] = cand_.cell[s];
+      next.logp[i] = cand_.logp[s];
+      next.parent[i] = cand_.parent[s];
     }
   } else {
-    node_cell_.insert(node_cell_.end(), cand_cell_.begin(), cand_cell_.end());
-    node_logp_.insert(node_logp_.end(), cand_logp_.begin(), cand_logp_.end());
-    node_parent_.insert(node_parent_.end(), cand_parent_.begin(),
-                        cand_parent_.end());
+    next = cand_;
   }
-  if (!cfg_.use_viterbi && node_cell_.size() - new_begin > 1) {
+  if (!cfg_.use_viterbi && next.size() > 1) {
     // Greedy ablation: collapse the beam to the single best state.
-    std::size_t best = new_begin;
-    for (std::size_t a = new_begin + 1; a < node_cell_.size(); ++a) {
-      if (node_logp_[a] > node_logp_[best]) best = a;
-    }
-    node_cell_[new_begin] = node_cell_[best];
-    node_logp_[new_begin] = node_logp_[best];
-    node_parent_[new_begin] = node_parent_[best];
-    node_cell_.resize(new_begin + 1);
-    node_logp_.resize(new_begin + 1);
-    node_parent_.resize(new_begin + 1);
+    const std::size_t best = best_node(next);
+    next.cell[0] = next.cell[best];
+    next.logp[0] = next.logp[best];
+    next.parent[0] = next.parent[best];
+    next.resize(1);
   }
-  prev_begin_ = new_begin;
-  prev_end_ = node_cell_.size();
-  step_begin_.push_back(new_begin);
-  const std::uint64_t occupancy = prev_end_ - prev_begin_;
+  const std::uint64_t occupancy = next.size();
   n_beam_nodes_ += occupancy;
   if (occupancy > beam_peak_) beam_peak_ = occupancy;
   obs::Tracer& tracer = obs::Tracer::global();
@@ -384,12 +357,9 @@ void StreamingDecoder::flush_metrics() {
 }
 
 float StreamingDecoder::front_logp_max() const {
-  if (prev_end_ <= prev_begin_) return 0.0f;
-  float best = node_logp_[prev_begin_];
-  for (std::size_t a = prev_begin_ + 1; a < prev_end_; ++a) {
-    best = std::max(best, node_logp_[a]);
-  }
-  return best;
+  if (n_steps_ == 0) return 0.0f;
+  const Beam& front = steps_[n_steps_ - 1];
+  return front.logp[best_node(front)];
 }
 
 }  // namespace polardraw::core

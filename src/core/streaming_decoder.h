@@ -12,11 +12,11 @@
 // are emitted exactly once and never revised.
 //
 // Internal state is retained across pushes, so history is never
-// re-decoded: the arena only grows at the front, and once positions
-// commit, the arena prefix behind the commit frontier is compacted away
-// (absolute parent indices rebased, frontier nodes become roots), keeping
-// a session's memory proportional to the lag rather than the stroke
-// length.
+// re-decoded. Each decoded window is one Beam whose parents index the step
+// before. Only the steps a later commit can still read stay live: once a
+// commit passes a step it moves to the back of the step store for reuse,
+// so while it streams a decoder holds at most lag + 1 steps and a
+// session's memory follows the lag rather than the stroke length.
 //
 // Equivalence contract, pinned by tests/core/test_streaming_decoder.cc:
 // with lag >= the sequence length, push-all + finish() is the classic
@@ -32,12 +32,12 @@
 // a fixed first-touch traversal order, and (2) beam pruning that keeps the
 // first beam_width candidates in (log-prob descending, candidate index
 // ascending) order, found by a stable radix sort on a key made from the
-// log-prob's bits, so the survivor set and the arena order are a pure
-// function of the scored values. A NaN score, which only a non-finite
+// log-prob's bits, so the survivor set and its order within the step are
+// a pure function of the scored values. A NaN score, which only a non-finite
 // observation pushed straight into the decoder can produce, sorts at a
 // fixed place set by its bits: a positive NaN ahead of every number, a
 // negative one behind them all. Log-probs are renormalized every
-// window (the window max is subtracted before candidates enter the arena),
+// window (the window max is subtracted before candidates enter the step),
 // so the beam front's best node sits at exactly 0 and a session never
 // loses float resolution no matter how long it runs; argmax decisions are
 // unchanged.
@@ -70,12 +70,9 @@ struct StreamingConfig {
   /// Commit lag L in windows (clamped to >= 1): poll() freezes positions
   /// at least L windows behind the beam front. A lag >= the sequence
   /// length reproduces the batch decode bit for bit; smaller lags bound
-  /// push-to-commit latency at the cost of commit accuracy.
+  /// push-to-commit latency at the cost of commit accuracy. While it
+  /// streams, a decoder holds at most lag + 1 beam steps.
   std::size_t lag_windows = 16;
-  /// Arena nodes allowed behind the commit frontier before the arena is
-  /// compacted. Smaller values bound memory tighter at the cost of more
-  /// frequent rebase passes; compaction never changes emitted positions.
-  std::size_t compact_node_threshold = 4096;
 };
 
 class StreamingDecoder {
@@ -84,7 +81,8 @@ class StreamingDecoder {
   /// `antenna_z`: common standoff of the antennas from the board. `field`
   /// optionally shares a pre-built phase-difference cache for that layout
   /// across decoders (built here when absent). `initial_hint` (when
-  /// non-null) seeds the chain immediately.
+  /// non-null) seeds the chain immediately at the board cell nearest it;
+  /// a hint with a non-finite coordinate counts as no hint.
   StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
                    double antenna_z, StreamingConfig stream_cfg = {},
                    std::shared_ptr<const PhaseField> field = nullptr,
@@ -157,9 +155,12 @@ class StreamingDecoder {
   void seed_at(Vec2 start, std::size_t prefix_windows);
   /// One forward Viterbi step; `window_index` is a trace arg only.
   void step(const TrackObservation& o, std::size_t window_index);
+  /// A cleared step after the live ones (a reused slot when there is one).
+  Beam& next_step();
   /// Emits positions [n_committed_, target) from a front backtrace.
   std::size_t commit_upto(std::size_t target, std::vector<Vec2>& out);
-  void maybe_compact();
+  /// Moves the steps no later commit can read to the back for reuse.
+  void release_committed_steps();
   void flush_metrics();
 
   PolarDrawConfig cfg_;
@@ -178,27 +179,22 @@ class StreamingDecoder {
   /// releases the buffer).
   std::vector<TrackObservation> unseeded_prefix_;
 
-  // --- Beam arena (all surviving nodes of all retained steps, flat SoA) ---
-  std::vector<std::int32_t> node_cell_;
-  std::vector<float> node_logp_;
-  std::vector<std::int32_t> node_parent_;
-  std::size_t prev_begin_ = 0, prev_end_ = 0;
-  /// Arena offset where each retained step begins; step s holds the state
-  /// after output position arena_base_out_ + s.
-  std::vector<std::size_t> step_begin_;
-  /// Output-position index of the arena's root step (grows on compaction).
-  std::size_t arena_base_out_ = 0;
+  // --- Step store --------------------------------------------------------
+  /// steps_[s] for s < n_steps_ is live and holds output position
+  /// first_pos_ + s, oldest first; steps_[n_steps_ - 1] is the beam front.
+  /// The slots past n_steps_ are released steps kept for their capacity.
+  std::vector<Beam> steps_;
+  std::size_t n_steps_ = 0;
+  std::size_t first_pos_ = 0;
 
   // --- Bookkeeping ---------------------------------------------------------
   std::size_t n_pushed_ = 0;
   std::size_t n_committed_ = 0;  // total ever committed, drained or not
   double azimuth_correction_rad_ = 0.0;
   std::vector<Vec2> committed_buf_;  // committed, awaiting poll()
-  std::vector<Vec2> backtrace_scratch_;
 
   // Scratch reused across steps.
-  std::vector<std::int32_t> cand_cell_, cand_parent_;
-  std::vector<float> cand_logp_;
+  Beam cand_;
   std::vector<std::uint64_t> prune_keys_, prune_tmp_;  // (key << 32) | index
 
   // Per-window renormalization state (see the determinism contract above).

@@ -16,7 +16,12 @@ RollingWindow::RollingWindow(double window_s, double step_s,
 }
 
 std::int64_t RollingWindow::step_index(double t_s) const {
-  return static_cast<std::int64_t>(std::floor(t_s / step_s_));
+  // Saturated at +-2^62 in double before the cast, so a huge or infinite
+  // time (or a NaN, which fails the first comparison) names a step, and
+  // the step arithmetic on now_index_ cannot overflow.
+  constexpr double kCap = 0x1p62;
+  const double q = std::floor(t_s / step_s_);
+  return static_cast<std::int64_t>(q > -kCap ? (q < kCap ? q : kCap) : -kCap);
 }
 
 RollingWindow::Step& RollingWindow::step_for(std::int64_t index) {

@@ -59,6 +59,12 @@ SessionServer::SessionServer(const core::PolarDrawConfig& cfg, Vec2 a1,
 
 void SessionServer::open(SessionId id, const Vec2* initial_hint, double t_s) {
   static const obs::Counter opened_counter("server.sessions_opened");
+  static const obs::Counter nonfinite_counter("server.nonfinite_hints");
+  // The decoder treats a hint with a non-finite coordinate as no hint.
+  const bool nonfinite_hint =
+      initial_hint != nullptr &&
+      !(std::isfinite(initial_hint->x) && std::isfinite(initial_hint->y));
+  if (nonfinite_hint) nonfinite_counter.add(1);
   sessions_[id] = std::make_unique<Session>(cfg_, a1_, a2_, antenna_z_,
                                             server_cfg_.stream, field_,
                                             initial_hint);
@@ -68,7 +74,7 @@ void SessionServer::open(SessionId id, const Vec2* initial_hint, double t_s) {
     lg.log(obs::LogLevel::kInfo, t_s, "server.session_open",
            [&](obs::JsonWriter& w) {
              w.kv("session", id);
-             w.kv("hinted", initial_hint != nullptr);
+             w.kv("hinted", initial_hint != nullptr && !nonfinite_hint);
            });
   }
 }
@@ -77,11 +83,18 @@ bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
                             std::optional<double> t_s, std::uint64_t flow_id) {
   static const obs::Counter obs_counter("server.observations");
   static const obs::Counter nonfinite_counter("server.nonfinite_observations");
+  static const obs::Counter nonfinite_t_counter("server.nonfinite_timestamps");
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return false;
   Session& s = *it->second;
   const bool finite = is_finite(obs);
   if (!finite) nonfinite_counter.add(1);
+  // A non-finite time would poison the rolling window and statusz; it is
+  // derived below as if the two-argument overload had been called.
+  if (t_s && !std::isfinite(*t_s)) {
+    nonfinite_t_counter.add(1);
+    t_s.reset();
+  }
   // polarlint-allow(R7): push-to-commit latency measurement only; the
   // timestamp never feeds the decode.
   const auto now = Clock::now();

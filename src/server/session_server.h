@@ -49,7 +49,7 @@ namespace polardraw::server {
 using SessionId = std::uint64_t;
 
 struct SessionServerConfig {
-  /// Per-session fixed-lag decoder knobs (lag, compaction threshold).
+  /// Per-session fixed-lag decoder knobs (the commit lag).
   core::StreamingConfig stream;
   /// Pool size for pump(); defaults to POLARDRAW_THREADS / hardware.
   int n_workers = ThreadPool::default_thread_count();
@@ -86,9 +86,11 @@ class SessionServer {
   SessionServer(const core::PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
                 double antenna_z, SessionServerConfig server_cfg = {});
 
-  /// Starts a session; `initial_hint` optionally seeds its chain. Opening
-  /// an id that is already open replaces the old session. `t_s` is the
-  /// session's opening sim time (log/statusz annotation only).
+  /// Starts a session; `initial_hint` optionally seeds its chain. A hint
+  /// with a non-finite coordinate counts as no hint (the session seeds from
+  /// its first phase window) and is counted in `server.nonfinite_hints`.
+  /// Opening an id that is already open replaces the old session. `t_s` is
+  /// the session's opening sim time (log/statusz annotation only).
   void open(SessionId id, const Vec2* initial_hint = nullptr,
             double t_s = 0.0);
 
@@ -98,10 +100,11 @@ class SessionServer {
   /// SLO window and starvation detection; never the decode) and `flow_id`
   /// the causal flow chain it belongs to (0 = unsampled). The two-arg
   /// form derives t_s from the session's submit ordinal and the window
-  /// length, which is exact for gap-free streams. A window whose distance
-  /// bounds, dtheta21 or direction is not finite is queued as an
-  /// unobserved window instead (idle, no phase, bounded by the speed
-  /// limit) and counted in `server.nonfinite_observations`.
+  /// length, which is exact for gap-free streams; a non-finite `t_s` is
+  /// derived the same way and counted in `server.nonfinite_timestamps`. A
+  /// window whose distance bounds, dtheta21 or direction is not finite is
+  /// queued as an unobserved window instead (idle, no phase, bounded by
+  /// the speed limit) and counted in `server.nonfinite_observations`.
   bool submit(SessionId id, const core::TrackObservation& obs, double t_s,
               std::uint64_t flow_id = 0) {
     return enqueue(id, obs, t_s, flow_id);

@@ -41,28 +41,22 @@ class ExpandReference {
         hyper_term_(field.cells()) {}
 
   /// Same contract as ExpandKernel::expand.
-  void expand(const TrackObservation& o,
-              const std::vector<std::int32_t>& node_cell,
-              const std::vector<float>& node_logp, std::size_t prev_begin,
-              std::size_t prev_end, std::vector<std::int32_t>& cand_cell,
-              std::vector<float>& cand_logp,
-              std::vector<std::int32_t>& cand_parent, ExpandStats& stats) {
+  void expand(const TrackObservation& o, const Beam& prev, Beam& cand,
+              ExpandStats& stats) {
     const WindowTerms w = window_terms(o);
     fill_dc_limits(w);
     best_slot_.clear();
-    cand_cell.clear();
-    cand_logp.clear();
-    cand_parent.clear();
+    cand.resize(0);
 
     const PhaseField& field = field_;
     const int reach = w.reach_blocks;
     hyper_term_.clear();
 
-    for (std::size_t a = prev_begin; a < prev_end; ++a) {
-      const std::int32_t pcell = node_cell[a];
+    for (std::size_t a = 0; a < prev.size(); ++a) {
+      const std::int32_t pcell = prev.cell[a];
       const int pr = pcell / cols_;
       const int pc = pcell % cols_;
-      const float plp = node_logp[a];
+      const float plp = prev.logp[a];
       const double fx = field.center_x(pc);
       const double fy = field.center_y(pr);
       const int dr_lo = std::max(-reach, -pr);
@@ -142,16 +136,15 @@ class ExpandReference {
               plp +
               static_cast<float>(std::log(std::max(weight, kWeightFloor)));
           if (!best_slot_.contains(ncell)) {
-            best_slot_.put(ncell,
-                           static_cast<std::int32_t>(cand_cell.size()));
-            cand_cell.push_back(static_cast<std::int32_t>(ncell));
-            cand_logp.push_back(lp);
-            cand_parent.push_back(static_cast<std::int32_t>(a));
+            best_slot_.put(ncell, static_cast<std::int32_t>(cand.size()));
+            cand.cell.push_back(static_cast<std::int32_t>(ncell));
+            cand.logp.push_back(lp);
+            cand.parent.push_back(static_cast<std::int32_t>(a));
           } else {
             const std::int32_t slot = best_slot_.get(ncell);
-            if (lp > cand_logp[static_cast<std::size_t>(slot)]) {
-              cand_logp[static_cast<std::size_t>(slot)] = lp;
-              cand_parent[static_cast<std::size_t>(slot)] =
+            if (lp > cand.logp[static_cast<std::size_t>(slot)]) {
+              cand.logp[static_cast<std::size_t>(slot)] = lp;
+              cand.parent[static_cast<std::size_t>(slot)] =
                   static_cast<std::int32_t>(a);
             }
           }

@@ -59,41 +59,32 @@ std::vector<GoldenCase> golden_cases() {
   return cases;
 }
 
-struct Candidates {
-  std::vector<std::int32_t> cell, parent;
-  std::vector<float> logp;
+struct Candidates : Beam {
   ExpandStats stats;
 };
 
-/// The oracle's score for reaching `cell` from arena node `parent` alone.
+/// The oracle's score for reaching `cell` from `prev`'s node `parent` alone.
 float oracle_score(testing::ExpandReference& oracle, const TrackObservation& o,
-                   const std::vector<std::int32_t>& node_cell,
-                   const std::vector<float>& node_logp, std::int32_t parent,
-                   std::int32_t cell) {
-  Candidates one;
+                   const Beam& prev, std::int32_t parent, std::int32_t cell) {
   const auto a = static_cast<std::size_t>(parent);
-  oracle.expand(o, node_cell, node_logp, a, a + 1, one.cell, one.logp,
-                one.parent, one.stats);
+  const Beam node{{prev.cell[a]}, {prev.logp[a]}, {-1}};
+  Candidates one;
+  oracle.expand(o, node, one, one.stats);
   const auto it = std::find(one.cell.begin(), one.cell.end(), cell);
   return it == one.cell.end()
              ? -std::numeric_limits<float>::infinity()
              : one.logp[static_cast<std::size_t>(it - one.cell.begin())];
 }
 
-/// Expands one window from arena nodes [begin, end) with both the
-/// production kernel and the oracle, checks that they agree, and returns
-/// the production candidates.
+/// Expands one window from the beam `front` with both the production
+/// kernel and the oracle, checks that they agree, and returns the
+/// production candidates.
 Candidates expand_both(ExpandKernel& kernel, testing::ExpandReference& oracle,
-                       const TrackObservation& o,
-                       const std::vector<std::int32_t>& node_cell,
-                       const std::vector<float>& node_logp, std::size_t begin,
-                       std::size_t end) {
+                       const TrackObservation& o, const Beam& front) {
   constexpr float kTol = 1e-4f;
   Candidates want, got;
-  oracle.expand(o, node_cell, node_logp, begin, end, want.cell, want.logp,
-                want.parent, want.stats);
-  kernel.expand(o, node_cell, node_logp, begin, end, got.cell, got.logp,
-                got.parent, got.stats);
+  oracle.expand(o, front, want, want.stats);
+  kernel.expand(o, front, got, got.stats);
   EXPECT_EQ(got.stats.expansions, want.stats.expansions);
   EXPECT_EQ(got.stats.annulus_rejected, want.stats.annulus_rejected);
   EXPECT_EQ(got.cell.size(), want.cell.size());
@@ -107,8 +98,8 @@ Candidates expand_both(ExpandKernel& kernel, testing::ExpandReference& oracle,
       // or so in center-difference arithmetic, so reassociation may pick
       // either one. A different parent is accepted only if the oracle
       // scores it within tolerance of its own best.
-      if (std::fabs(oracle_score(oracle, o, node_cell, node_logp,
-                                 got.parent[i], got.cell[i]) -
+      if (std::fabs(oracle_score(oracle, o, front, got.parent[i],
+                                 got.cell[i]) -
                     want.logp[i]) <= kTol) {
         continue;
       }
@@ -136,14 +127,10 @@ void walk_and_compare(const PolarDrawConfig& cfg, const DecodeTestbed& tb) {
                             field.cols() - 1);
   const int r0 = std::clamp(static_cast<int>(tb.start.y / cfg.block_m), 0,
                             field.rows() - 1);
-  std::vector<std::int32_t> node_cell = {r0 * field.cols() + c0};
-  std::vector<float> node_logp = {0.0f};
-  std::size_t begin = 0, end = 1;
+  Beam front{{r0 * field.cols() + c0}, {0.0f}, {-1}};
   for (std::size_t w = 0; w < tb.obs.size(); ++w) {
     SCOPED_TRACE(::testing::Message() << "window " << w);
-    const Candidates c =
-        expand_both(kernel, oracle, tb.obs[w], node_cell, node_logp, begin,
-                    end);
+    const Candidates c = expand_both(kernel, oracle, tb.obs[w], front);
     if (::testing::Test::HasFailure()) return;  // report one window only
     if (c.cell.empty()) continue;  // starved: hold the front
     std::vector<std::size_t> order(c.cell.size());
@@ -155,12 +142,12 @@ void walk_and_compare(const PolarDrawConfig& cfg, const DecodeTestbed& tb) {
     const std::size_t keep =
         cfg.use_viterbi ? std::min(order.size(), cfg.beam_width) : 1;
     const float wmax = c.logp[order[0]];
-    begin = node_cell.size();
+    front.resize(keep);
     for (std::size_t k = 0; k < keep; ++k) {
-      node_cell.push_back(c.cell[order[k]]);
-      node_logp.push_back(c.logp[order[k]] - wmax);
+      front.cell[k] = c.cell[order[k]];
+      front.logp[k] = c.logp[order[k]] - wmax;
+      front.parent[k] = c.parent[order[k]];
     }
-    end = node_cell.size();
   }
 }
 
@@ -198,10 +185,11 @@ void placed_fronts_and_compare() {
                           {-1.0, 100.0}};
 
   for (std::size_t f = 0; f < fronts.size(); ++f) {
-    const std::vector<std::int32_t>& node_cell = fronts[f];
-    std::vector<float> node_logp;
-    for (std::size_t i = 0; i < node_cell.size(); ++i) {
-      node_logp.push_back(-0.25f * static_cast<float>(i));
+    Beam front;
+    front.cell = fronts[f];
+    for (std::size_t i = 0; i < front.size(); ++i) {
+      front.logp.push_back(-0.25f * static_cast<float>(i));
+      front.parent.push_back(-1);
     }
     for (const Bound& b : bounds) {
       for (const TrackObservation& base : tb.obs) {
@@ -217,8 +205,7 @@ void placed_fronts_and_compare() {
                        << "front " << f << " lower " << o.distance.lower_m
                        << " upper " << o.distance.upper_m << " variant "
                        << variant);
-          expand_both(kernel, oracle, o, node_cell, node_logp, 0,
-                      node_cell.size());
+          expand_both(kernel, oracle, o, front);
         }
       }
     }

@@ -6,8 +6,8 @@
 // tests/core/test_hmm_golden.cc);
 // committed positions are frozen at push time, so the emitted stream does
 // not depend on poll cadence and an already-polled prefix never changes;
-// arena compaction is invisible in the output; and shrinking the lag
-// degrades commit accuracy in a bounded (tolerance-laddered) way.
+// and shrinking the lag degrades commit accuracy in a bounded
+// (tolerance-laddered) way.
 #include "core/streaming_decoder.h"
 
 #include <gtest/gtest.h>
@@ -46,12 +46,10 @@ std::vector<GoldenCase> golden_cases() {
 
 /// Streams the testbed through a decoder with the given lag, polling after
 /// every push, and returns the full committed trajectory.
-std::vector<Vec2> stream_decode(const GoldenCase& gc, std::size_t lag,
-                                std::size_t compact_threshold = 4096) {
+std::vector<Vec2> stream_decode(const GoldenCase& gc, std::size_t lag) {
   const auto tb = make_decode_testbed(gc.cfg, gc.n_windows, gc.seed);
   StreamingConfig scfg;
   scfg.lag_windows = lag;
-  scfg.compact_node_threshold = compact_threshold;
   StreamingDecoder dec(gc.cfg, tb.a1, tb.a2, tb.antenna_z, scfg, nullptr,
                        gc.use_hint ? &tb.start : nullptr);
   std::vector<Vec2> out;
@@ -142,19 +140,6 @@ TEST(StreamingDecoder, PolledPrefixIsStable) {
   EXPECT_EQ(dec.committed(), drained.size());
 }
 
-TEST(StreamingDecoder, CompactionDoesNotChangeOutput) {
-  // Aggressive compaction (threshold 0 compacts after every commit) must
-  // be invisible next to an effectively-infinite threshold. lag 1 is the
-  // regression case where the commit frontier touches the beam front, so
-  // compaction promotes the frontier step itself to arena root.
-  for (std::size_t lag : {1u, 4u, 16u}) {
-    const GoldenCase gc{PolarDrawConfig{}, 100, 1, true};
-    const auto no_compact = stream_decode(gc, lag, 1u << 30);
-    const auto compact_always = stream_decode(gc, lag, 0);
-    expect_bit_identical(compact_always, no_compact);
-  }
-}
-
 TEST(StreamingDecoder, ToleranceLadderBoundsAccuracyVsLag) {
   // Shrinking the lag commits positions from a less-informed beam front;
   // the mean deviation from the batch decode must stay inside a ladder of
@@ -183,10 +168,9 @@ TEST(StreamingDecoder, ToleranceLadderBoundsAccuracyVsLag) {
   }
 }
 
-TEST(StreamingDecoder, LagOneDefaultCompactionMatchesBatch) {
-  // Default compaction threshold at the minimum legal lag: the trace is
-  // long enough that the arena prefix crosses the threshold and compacts
-  // repeatedly with the frontier step as the new root.
+TEST(StreamingDecoder, LagOneMatchesBatchTail) {
+  // The minimum legal lag: every commit reaches the beam front, so the
+  // front is the only step left live between windows.
   const GoldenCase gc{PolarDrawConfig{}, 100, 1, true};
   const auto tb = make_decode_testbed(gc.cfg, gc.n_windows, gc.seed);
   const auto batch =

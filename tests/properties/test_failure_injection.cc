@@ -390,6 +390,81 @@ TEST(FailureInjection, NonFiniteObservationDecodesAsUnobservedWindow) {
   reg.set_enabled(false);
 }
 
+TEST(FailureInjection, NonFiniteOrHugeHintSeedsOnTheBoard) {
+  // SessionServer::open passes a client's hint straight to the decoder,
+  // which turns it into a seed cell. A NaN or infinite coordinate names no
+  // cell, so the decoder must wait for its first phase window exactly as
+  // if unhinted. A huge finite hint seeds at the board cell it points to,
+  // clamped to the grid (never through an out-of-range float-to-int
+  // cast).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const core::PolarDrawConfig cfg;
+  auto tb = core::make_decode_testbed(cfg, 40, 7);
+  // Two phaseless windows first, so the wait for a phase window shows.
+  tb.obs[0].has_phase = false;
+  tb.obs[1].has_phase = false;
+  std::size_t first_phase = 2;
+  while (!tb.obs[first_phase].has_phase) ++first_phase;
+  core::StreamingConfig scfg;
+  scfg.lag_windows = 4;
+  const auto decode = [&](const Vec2* hint) {
+    const bool seeds_at_once = hint != nullptr && std::isfinite(hint->x) &&
+                               std::isfinite(hint->y);
+    core::StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z, scfg, nullptr,
+                               hint);
+    std::vector<Vec2> out;
+    for (std::size_t w = 0; w < tb.obs.size(); ++w) {
+      EXPECT_EQ(dec.seeded(), seeds_at_once || w > first_phase)
+          << "before window " << w;
+      dec.push(tb.obs[w]);
+      dec.poll(out);
+    }
+    dec.finish(out);
+    return out;
+  };
+  const auto expect_same = [](const std::vector<Vec2>& got,
+                              const std::vector<Vec2>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Vec2)),
+              0);
+  };
+
+  const std::vector<Vec2> unhinted = decode(nullptr);
+  for (const Vec2 hint : {Vec2{kNaN, 0.3}, Vec2{0.5, kNaN}, Vec2{kInf, 0.3},
+                          Vec2{0.5, -kInf}, Vec2{-kInf, kNaN}}) {
+    SCOPED_TRACE(::testing::Message() << "hint " << hint.x << ", " << hint.y);
+    expect_same(decode(&hint), unhinted);
+  }
+
+  const core::PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
+  const Vec2 low_right = field.block_center(field.cols() - 1, 0);
+  const Vec2 high_left = field.block_center(0, field.rows() - 1);
+  {
+    SCOPED_TRACE("hint (1e300, -1e300)");
+    const Vec2 huge{1e300, -1e300};
+    expect_same(decode(&huge), decode(&low_right));
+  }
+  {
+    SCOPED_TRACE("hint (-1e300, 1e300)");
+    const Vec2 huge{-1e300, 1e300};
+    expect_same(decode(&huge), decode(&high_left));
+  }
+
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  server::SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z);
+  const Vec2 nan_hint{kNaN, kNaN};
+  server.open(1, &nan_hint);
+  server.open(2, &tb.start);
+  EXPECT_EQ(reg.snapshot().counter("server.nonfinite_hints"), 1u);
+  server.close(1);
+  server.close(2);
+  reg.reset();
+  reg.set_enabled(false);
+}
+
 TEST(FailureInjection, DeafTagProducesNoReads) {
   sim::SceneConfig cfg;
   cfg.seed = 5;

@@ -1,18 +1,23 @@
 // Session memory (DESIGN.md section 13): over a long session the server's
-// heap may grow only by the committed trajectory, and a session's own
-// footprint follows the beam, not the board. This executable replaces the
-// global operator new/delete with a live-byte counter, so it holds these
-// two tests and nothing else.
+// heap may grow only by the committed trajectory, a session's own
+// footprint follows the beam, not the board, and a decoder holds only the
+// beam steps its lag can still commit. This executable replaces the global
+// operator new/delete with a live-byte counter, so it holds these three
+// tests and nothing else.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "core/decode_testbed.h"
+#include "core/phase_field.h"
+#include "core/streaming_decoder.h"
 #include "server/session_server.h"
 
 namespace {
@@ -156,6 +161,43 @@ TEST(SessionMemory, SessionFootprintDoesNotScaleWithTheBoard) {
       << "after " << tb.obs.size() << " windows a session holds "
       << small.after_stream << " B on the default board and "
       << big.after_stream << " B on the big one";
+}
+
+TEST(SessionMemory, DecoderHoldsOnlyItsLag) {
+  // A decoder keeps the lag + 1 beam steps a commit can still read and
+  // reuses the ones a commit has passed, so its heap follows the lag, not
+  // the number of windows behind the commit frontier. One decoder at beam
+  // 50 on the default board streams 400 hinted windows over a shared phase
+  // field, polled into a vector reserved beforehand. The steps take 600 B
+  // each, 1.2 KB at lag 1 and 10.2 KB at lag 16; the rest is scratch sized
+  // by the beam's bounding box.
+  core::PolarDrawConfig cfg;
+  cfg.beam_width = 50;
+  const core::DecodeTestbed tb = core::make_decode_testbed(cfg, 400, 3);
+  const auto field = std::make_shared<const core::PhaseField>(
+      cfg, tb.a1, tb.a2, tb.antenna_z);
+  std::vector<Vec2> out;
+  out.reserve(tb.obs.size() + 1);
+  for (const std::size_t lag : {std::size_t{1}, std::size_t{16}}) {
+    SCOPED_TRACE(::testing::Message() << "lag " << lag);
+    out.clear();
+    core::StreamingConfig scfg;
+    scfg.lag_windows = lag;
+    const std::int64_t before = g_live_bytes.load();
+    core::StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z, scfg, field,
+                               &tb.start);
+    for (const auto& o : tb.obs) {
+      dec.push(o);
+      dec.poll(out);
+    }
+    const std::int64_t held = g_live_bytes.load() - before;
+    RecordProperty("decoder_bytes_lag_" + std::to_string(lag),
+                   std::to_string(held));
+    EXPECT_LT(held, 48 * 1024)
+        << "a lag-" << lag << " decoder holds " << held << " B after "
+        << tb.obs.size() << " windows";
+    EXPECT_EQ(out.size(), tb.obs.size() + 1 - lag);
+  }
 }
 
 }  // namespace

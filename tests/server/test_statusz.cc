@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -189,6 +190,71 @@ TEST(Statusz, HealthzPassesWhenQuietAndTripsOnLatencySlo) {
     EXPECT_EQ(report.reasons[0], "rolling_p99_above_threshold");
     server.close(1);
   }
+}
+
+TEST(Statusz, NonFiniteTimestampsAreDerivedAndCounted) {
+  // submit()'s t_s feeds the rolling SLO window and statusz. A NaN or inf
+  // one takes the time the two-argument overload derives (submit ordinal x
+  // window length) and is counted, so statusz stays valid JSON and the
+  // rolling window keeps every sample: healthz can still trip on latency.
+  // A huge finite time saturates the window's step index, so later
+  // samples still count.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const PolarDrawConfig cfg = small_config();
+  const auto tb = make_decode_testbed(cfg, 20, 7);
+  SessionServerConfig scfg;
+  scfg.stream.lag_windows = 2;
+  scfg.n_workers = 1;
+  scfg.healthz_p99_s = -1.0;  // any sample in the window trips healthz
+  const auto rolling_count = [](const Value& root) {
+    return root.find("rolling")->find("count")->number;
+  };
+  // Streams the testbed at times w * window_s, with `bad` at windows 5-7,
+  // checks statusz against the schema after every window, and returns the
+  // document after the last pump.
+  const auto run = [&](const std::vector<double>& bad, HealthReport* health) {
+    SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
+    server.open(1, &tb.start);
+    for (std::size_t w = 0; w < tb.obs.size(); ++w) {
+      double t_s = static_cast<double>(w) * cfg.window_s;
+      if (w >= 5 && w - 5 < bad.size()) t_s = bad[w - 5];
+      EXPECT_TRUE(server.submit(1, tb.obs[w], t_s));
+      const auto problems = validate_status_json(parse_status(server.status()));
+      EXPECT_TRUE(problems.empty()) << "window " << w << ": " << problems.size()
+                                    << " problems, first: "
+                                    << (problems.empty() ? "" : problems[0]);
+      server.pump();
+    }
+    *health = server.healthz();
+    const Value root = parse_status(server.status());
+    server.close(1);
+    return root;
+  };
+
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  HealthReport health;
+  const Value finite = run({}, &health);
+  reg.reset();
+  const Value root = run({kNaN, kInf, -kInf}, &health);
+  const Value* counter = root.find("registry")->find("counters")->find(
+      "server.nonfinite_timestamps");
+  EXPECT_DOUBLE_EQ(counter != nullptr ? counter->number : 0.0, 3.0);
+  EXPECT_GT(rolling_count(finite), 0.0);
+  EXPECT_DOUBLE_EQ(rolling_count(root), rolling_count(finite));
+  EXPECT_NE(std::find(health.reasons.begin(), health.reasons.end(),
+                      "rolling_p99_above_threshold"),
+            health.reasons.end());
+
+  // 1e300 at window 5: its sample commits at the pump of window 7, and
+  // every later pump adds one more.
+  const Value huge = run({1e300}, &health);
+  EXPECT_DOUBLE_EQ(rolling_count(huge),
+                   static_cast<double>(tb.obs.size() - 7));
+  reg.reset();
+  reg.set_enabled(false);
 }
 
 TEST(Statusz, HintedSessionIsSeededBeforeItsFirstPump) {
