@@ -7,9 +7,11 @@
 // predictions. The *differential* form scores position pairs using phase
 // changes between consecutive windows, which cancels per-port phase
 // offsets and the tag's unknown reflection phase. We decode the most
-// likely block sequence with the same Viterbi beam engine PolarDraw uses,
-// so the comparison isolates the measurement model (4 circular antennas,
-// phase only) rather than the search machinery.
+// likely block sequence with baselines::grid_beam_decode, the grid Viterbi
+// beam search it shares with RF-IDraw -- not PolarDraw's StreamingDecoder.
+// The eval harness gives it PolarDraw's board grid, window length and
+// speed limit, so the comparison mostly isolates the measurement model
+// (4 circular antennas, phase only).
 #pragma once
 
 #include <vector>
