@@ -34,6 +34,10 @@ const obs::Counter& late_reports_counter() {
   static const obs::Counter c("assoc.late_reports");
   return c;
 }
+const obs::Counter& far_reports_counter() {
+  static const obs::Counter c("assoc.far_reports");
+  return c;
+}
 }  // namespace
 
 /// Per-pen state: the shared window builder, phase gate and motion front
@@ -132,6 +136,15 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
                                      : open_track(r.epc, r.timestamp_s, out);
   if (cfg_.window_s <= 0.0) return;
   const double w_f = (r.timestamp_s - track.t0) / cfg_.window_s;
+  if (w_f - static_cast<double>(track.cur_window) >
+      static_cast<double>(kMaxWindows)) {
+    // Far past the track's current window (a corrupt or jumped clock):
+    // finalizing every window up to it would flood the session with empty
+    // windows and turn the pen's later reports into late ones. Compared in
+    // double, so the cast below cannot overflow.
+    far_reports_counter().add(1);
+    return;
+  }
   const int w = w_f < 0.0 ? -1 : static_cast<int>(w_f);
   if (w < track.cur_window) {
     // Before the track's origin, or for a window already finalized:

@@ -83,7 +83,9 @@ class TagTrackAssociator {
   /// order (the reader's native order). A report that fails admit_report()
   /// is dropped first. A report that falls in an already finalized window
   /// of its track, or before the track's first report, is dropped and
-  /// counted in `assoc.late_reports`. Returns the events it triggered:
+  /// counted in `assoc.late_reports`; one more than kMaxWindows windows
+  /// past its track's current window is dropped and counted in
+  /// `assoc.far_reports`. Returns the events it triggered:
   /// idle closes of stale tracks first (EPC order), then this report's own
   /// open/observations.
   std::vector<PenEvent> push(const rfid::TagReport& report);

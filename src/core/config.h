@@ -101,8 +101,10 @@ struct PolarDrawConfig {
   /// them). 0 returns everything.
   int warmup_windows = 8;
   /// Beam width: max live states kept per Viterbi step (pure-paper Viterbi
-  /// over the full grid is O(states^2); the beam keeps it real-time without
-  /// changing results in practice).
+  /// over the full grid is O(states^2)). It trades decode cost, linear in
+  /// the width, for accuracy: fig13 letter accuracy (A-Z x 10 reps, seed
+  /// 777) reads 0.835 / 0.873 / 0.892 / 0.885 at beam 300 / 600 / 1200 /
+  /// 2400.
   std::size_t beam_width = 600;
 
   /// Apply the final Eq. 10 trajectory rotation by the accumulated

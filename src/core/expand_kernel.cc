@@ -14,8 +14,36 @@ namespace {
 constexpr double kWeightFloor = 1e-6;  // keeps log-probabilities finite
 const double kLogWeightFloor = std::log(kWeightFloor);
 const double kLogQuarter = std::log(0.25);
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNegInf = -kInf;
 constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
+
+/// The exact Eq. 8 annulus test on a block-center difference, with a
+/// quarter-block tolerance so the discretization cannot strand the chain
+/// while the phase-derived lower bound stays binding. Only knife-edge
+/// lanes run it (see the header).
+inline bool annulus_holds(double ddx, double ddy, double out_thresh_m,
+                          double quarter_block_m, double lower_m) {
+  const double step_m = std::sqrt(ddx * ddx + ddy * ddy);
+  return !(step_m > out_thresh_m || step_m + quarter_block_m < lower_m);
+}
+
+/// The box merge rule, shared by both walks, for the cell at `i` of the
+/// merge arrays: the first accepted lane to touch a cell takes it whatever
+/// its score (NaN included), and a later one replaces it only when
+/// strictly greater. Counts accepted lanes and first touches.
+inline void merge_lane(float lp, bool acc, std::int32_t parent, float* best,
+                       std::int32_t* best_parent, std::int32_t* first,
+                       std::ptrdiff_t i, std::uint64_t& accepted,
+                       std::size_t& first_touches) {
+  const bool first_touch = acc && first[i] < 0;
+  const bool take = first_touch || (acc && lp > best[i]);
+  best[i] = take ? lp : best[i];
+  best_parent[i] = take ? parent : best_parent[i];
+  first[i] = first_touch ? parent : first[i];
+  accepted += acc ? 1u : 0u;
+  first_touches += first_touch ? 1u : 0u;
+}
 }  // namespace
 
 ExpandKernel::ExpandKernel(const PolarDrawConfig& cfg, const PhaseField& field)
@@ -145,10 +173,11 @@ void ExpandKernel::fill_displacement_table(const WindowTerms& w) {
   }
 }
 
-void ExpandKernel::fill_box_rows(const WindowTerms& w, int r_lo, int r_hi,
+bool ExpandKernel::fill_box_rows(const WindowTerms& w, int r_lo, int r_hi,
                                  int c_lo, int box_w) {
   const double inv_4pi = 1.0 / (4.0 * kPi);
   const double sharp = cfg_.hyperbola_sharpness;
+  bool below_inf = true;
   for (int nr = r_lo; nr <= r_hi; ++nr) {
     const int lo = row_span_lo_[static_cast<std::size_t>(nr)];
     const int hi = row_span_hi_[static_cast<std::size_t>(nr)];
@@ -175,6 +204,34 @@ void ExpandKernel::fill_box_rows(const WindowTerms& w, int r_lo, int r_hi,
       const double mismatch = std::min(d, kTwoPi - d);
       const double term = std::max(1.0 - mismatch * inv_4pi, kWeightFloor);
       out[i] = sharp * std::log(term);
+      if (!(out[i] < kInf)) below_inf = false;
+    }
+  }
+  return below_inf;
+}
+
+void ExpandKernel::fill_lanes(int reach, int box_w) {
+  const int t = 2 * reach + 1;
+  const std::size_t tt =
+      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
+  lanes_.clear();
+  edge_lanes_.clear();
+  ring_lanes_ = 0;
+  for (int dr = -reach; dr <= reach; ++dr) {
+    const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
+    ring_lanes_ += static_cast<std::uint64_t>(2 * lim + 1);
+    for (int dc = -lim; dc <= lim; ++dc) {
+      const std::size_t k =
+          static_cast<std::size_t>(dr + reach) * static_cast<std::size_t>(t) +
+          static_cast<std::size_t>(dc + reach);
+      if (disp_logw_[tt + k] != 0.0) continue;  // annulus-rejected
+      const std::ptrdiff_t off =
+          static_cast<std::ptrdiff_t>(dr) * box_w + dc;
+      if (disp_edge_[k] != 0) {
+        edge_lanes_.push_back({off, disp_logw_[k], dr, dc});
+      } else {
+        lanes_.push_back({off, disp_logw_[k]});
+      }
     }
   }
 }
@@ -189,29 +246,45 @@ void ExpandKernel::expand(const TrackObservation& o, const Beam& prev,
   fill_displacement_table(w);
 
   // Union of per-row column spans touched by this window's beam, bounding
-  // the hyperbola precompute to (a superset of) the candidate set.
-  row_span_lo_.assign(static_cast<std::size_t>(rows_), cols_);
-  row_span_hi_.assign(static_cast<std::size_t>(rows_), -1);
-  int r_lo = rows_, r_hi = -1;
+  // the hyperbola precompute to (a superset of) the candidate set. It is
+  // the hull of the per-parent spans: each occupied parent row's leftmost
+  // and rightmost parent column, widened by the per-row column reach.
+  const std::size_t rows = static_cast<std::size_t>(rows_);
+  parent_row_lo_.assign(rows, cols_);
+  parent_row_hi_.assign(rows, -1);
+  int pr_lo = rows_, pr_hi = -1;
   const std::size_t n_parents = prev.size();
   for (std::size_t a = 0; a < n_parents; ++a) {
     const std::int32_t pcell = prev.cell[a];
     const int pr = pcell / cols_;
     const int pc = pcell % cols_;
+    const std::size_t prz = static_cast<std::size_t>(pr);
+    parent_row_lo_[prz] = std::min(parent_row_lo_[prz], pc);
+    parent_row_hi_[prz] = std::max(parent_row_hi_[prz], pc);
+    pr_lo = std::min(pr_lo, pr);
+    pr_hi = std::max(pr_hi, pr);
+  }
+  if (pr_hi < pr_lo) return;  // empty beam: nothing to expand
+
+  row_span_lo_.assign(rows, cols_);
+  row_span_hi_.assign(rows, -1);
+  for (int pr = pr_lo; pr <= pr_hi; ++pr) {
+    const int pc_lo = parent_row_lo_[static_cast<std::size_t>(pr)];
+    const int pc_hi = parent_row_hi_[static_cast<std::size_t>(pr)];
+    if (pc_lo > pc_hi) continue;
     const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows_ - 1 - pr);
     for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int nr = pr + dr;
       const int lim = dc_lim_[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
-      const std::size_t nrz = static_cast<std::size_t>(nr);
-      row_span_lo_[nrz] = std::min(row_span_lo_[nrz], std::max(0, pc - lim));
+      const std::size_t nrz = static_cast<std::size_t>(pr + dr);
+      row_span_lo_[nrz] =
+          std::min(row_span_lo_[nrz], std::max(0, pc_lo - lim));
       row_span_hi_[nrz] =
-          std::max(row_span_hi_[nrz], std::min(cols_ - 1, pc + lim));
-      r_lo = std::min(r_lo, nr);
-      r_hi = std::max(r_hi, nr);
+          std::max(row_span_hi_[nrz], std::min(cols_ - 1, pc_hi + lim));
     }
   }
-  if (r_hi < r_lo) return;  // empty beam: nothing to expand
+  const int r_lo = std::max(0, pr_lo - reach);
+  const int r_hi = std::min(rows_ - 1, pr_hi + reach);
 
   int c_lo = cols_, c_hi = -1;
   for (int nr = r_lo; nr <= r_hi; ++nr) {
@@ -228,10 +301,17 @@ void ExpandKernel::expand(const TrackObservation& o, const Beam& prev,
   box_logp_.resize(box);
   box_parent_.resize(box);
   box_first_.resize(box);
-  fill_box_rows(w, r_lo, r_hi, c_lo, box_w);
+  // An annulus-rejected lane scores -inf, and so is never accepted, unless
+  // its parent's log-prob or its cell's hyperbola term is NaN or +inf (the
+  // mask plane's -inf then yields NaN, which the merge accepts). Only then
+  // can the lane lists, which leave rejected lanes out, differ from the
+  // table walk, so such parents and windows take the table walk.
+  const bool hyper_below_inf = fill_box_rows(w, r_lo, r_hi, c_lo, box_w);
+  bool lanes_filled = false;
 
   const std::size_t tt =
       static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
+  const std::size_t bw = static_cast<std::size_t>(box_w);
   std::uint64_t visited = 0, accepted = 0;
   // parent_count_[a + 1]: cells first accepted by prev's node a.
   parent_count_.assign(n_parents + 1, 0);
@@ -243,6 +323,52 @@ void ExpandKernel::expand(const TrackObservation& o, const Beam& prev,
     const double plp = static_cast<double>(prev.logp[a]);
     const auto parent = static_cast<std::int32_t>(a);
     std::size_t first_touches = 0;
+    const double fx = field_.center_x(pc);
+    const double fy = field_.center_y(pr);
+
+    if (hyper_below_inf && plp < kInf && pr >= reach && pr + reach < rows_ &&
+        pc >= reach && pc + reach < cols_) {
+      // Interior parent: its whole ring lies on the board, so it walks the
+      // window's lane lists with no clipping. Rejected lanes are left out
+      // of the lists and would score -inf, so the ring's lane count is
+      // what the table walk would have visited.
+      if (!lanes_filled) {
+        fill_lanes(reach, box_w);
+        lanes_filled = true;
+      }
+      visited += ring_lanes_;
+      const std::size_t base =
+          static_cast<std::size_t>(pr - r_lo) * bw +
+          static_cast<std::size_t>(pc - c_lo);
+      const double* hyp = hyper_logw_.data() + base;
+      float* best = box_logp_.data() + base;
+      std::int32_t* best_parent = box_parent_.data() + base;
+      std::int32_t* first = box_first_.data() + base;
+      // The + 0.0 is the mask plane's value on a valid lane: it turns a -0
+      // sum into +0, exactly as the table walk does.
+      for (const Lane& l : lanes_) {
+        const float lp = static_cast<float>(
+            plp + std::max(hyp[l.off] + l.logw, kLogWeightFloor) + 0.0);
+        merge_lane(lp, lp != kNegInfF, parent, best, best_parent, first,
+                   l.off, accepted, first_touches);
+      }
+      for (const EdgeLane& e : edge_lanes_) {
+        const float lp = static_cast<float>(
+            plp + std::max(hyp[e.off] + e.logw, kLogWeightFloor) + 0.0);
+        const bool acc =
+            lp != kNegInfF &&
+            annulus_holds(fx - field_.center_x(pc + e.dc),
+                          fy - field_.center_y(pr + e.dr), w.out_thresh_m,
+                          w.quarter_block_m, w.lower_m);
+        merge_lane(lp, acc, parent, best, best_parent, first, e.off,
+                   accepted, first_touches);
+      }
+      parent_count_[a + 1] = first_touches;
+      continue;
+    }
+
+    // Border parent: the table walk, one row segment of its ring at a time,
+    // clipped to the board.
     const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows_ - 1 - pr);
     for (int dr = dr_lo; dr <= dr_hi; ++dr) {
@@ -263,47 +389,31 @@ void ExpandKernel::expand(const TrackObservation& o, const Beam& prev,
           &disp_logw_[tt + trow * static_cast<std::size_t>(t) + tcol0];
       const unsigned char* edge =
           &disp_edge_[trow * static_cast<std::size_t>(t) + tcol0];
-      const std::size_t box0 =
-          static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w) +
-          static_cast<std::size_t>(pc + dc_lo - c_lo);
+      const std::size_t box0 = static_cast<std::size_t>(nr - r_lo) * bw +
+                               static_cast<std::size_t>(pc + dc_lo - c_lo);
       const double* hyp = &hyper_logw_[box0];
       float* best = &box_logp_[box0];
       std::int32_t* best_parent = &box_parent_[box0];
       std::int32_t* first = &box_first_[box0];
 
       const std::int32_t nc0 = static_cast<std::int32_t>(pc + dc_lo);
-      const double fx = field_.center_x(pc);
-      const double fy = field_.center_y(pr);
       const double ddy_exact = fy - field_.center_y(nr);
-      // One fused pass per lane. Scoring is branchless: the weight floor
-      // clamps the finite log-weight sum (exactly log(max(w, floor)) up to
-      // reassociation) and the mask plane then forces annulus-rejected
-      // lanes to -inf. Knife-edge lanes re-run the exact center-difference
-      // annulus test (Eq. 8, with a quarter-block tolerance so the
-      // discretization cannot strand the chain while the phase-derived
-      // lower bound stays binding), so the accepted set does not depend on
-      // lattice rounding. The update is branchless too: the first accepted
-      // lane to touch a cell takes it whatever its score (NaN included),
-      // and a later one replaces it only when strictly greater.
+      // Scoring is branchless: the weight floor clamps the finite
+      // log-weight sum (exactly log(max(w, floor)) up to reassociation)
+      // and the mask plane then forces annulus-rejected lanes to -inf.
+      // Knife-edge lanes re-run the exact center-difference annulus test,
+      // so the accepted set does not depend on lattice rounding.
       for (std::size_t i = 0; i < lenz; ++i) {
         const float lp = static_cast<float>(
             plp + std::max(hyp[i] + dtab[i], kLogWeightFloor) + mask[i]);
         bool acc = lp != kNegInfF;
         if (edge[i] != 0 && acc) {
-          const double ddx =
-              fx - field_.center_x(nc0 + static_cast<std::int32_t>(i));
-          const double step_m =
-              std::sqrt(ddx * ddx + ddy_exact * ddy_exact);
-          acc = !(step_m > w.out_thresh_m ||
-                  step_m + w.quarter_block_m < w.lower_m);
+          acc = annulus_holds(
+              fx - field_.center_x(nc0 + static_cast<std::int32_t>(i)),
+              ddy_exact, w.out_thresh_m, w.quarter_block_m, w.lower_m);
         }
-        const bool first_touch = acc && first[i] < 0;
-        const bool take = first_touch || (acc && lp > best[i]);
-        best[i] = take ? lp : best[i];
-        best_parent[i] = take ? parent : best_parent[i];
-        first[i] = first_touch ? parent : first[i];
-        accepted += acc ? 1u : 0u;
-        first_touches += first_touch ? 1u : 0u;
+        merge_lane(lp, acc, parent, best, best_parent, first,
+                   static_cast<std::ptrdiff_t>(i), accepted, first_touches);
       }
     }
     parent_count_[a + 1] = first_touches;

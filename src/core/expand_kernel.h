@@ -11,12 +11,23 @@
 // line/half-plane terms and the idle step penalty -- depends only on the
 // integer block displacement (dc, dr), so it collapses into a
 // (2*reach+1)^2 log-weight table with -inf marking annulus rejections. A
-// candidate is then scored with three adds and a max over contiguous lanes
-// and, in the same pass, merged into per-cell arrays over the bounding box
-// of the window's candidates: the best log-prob, its parent, and the first
-// parent that accepted the cell. A counting sort on that first parent then
-// emits the cells in first-touch order. All per-window scratch is sized by
-// that box, never by the board.
+// candidate is then scored with three adds and a max and, in the same
+// pass, merged into per-cell arrays over the bounding box of the window's
+// candidates: the best log-prob, its parent, and the first parent that
+// accepted the cell. A counting sort on that first parent then emits the
+// cells in first-touch order. All per-window scratch is sized by that box,
+// never by the board.
+//
+// Two walks feed the one merge. A parent whose whole ring (|dr| <= reach,
+// |dc| <= dc_lim[|dr|]) lies on the board walks the window's ring as a
+// flat list of lanes, each a box offset and a table log-weight, with the
+// annulus rejections left out and the knife-edge lanes in a short list of
+// their own. A parent near the board edge walks the table row by row,
+// clipped to the board. Within one parent each cell is touched at most
+// once, so the lane order cannot change a merge, and parents still run in
+// index order: both walks produce the same bits. A NaN or +inf parent
+// log-prob or hyperbola term turns a masked lane's -inf into a NaN the
+// merge accepts, so such parents and windows take the table walk too.
 //
 // Knife-edge re-test: the table measures displacements on the exact block
 // lattice, but the decode's annulus test is defined on block-center
@@ -105,9 +116,14 @@ class ExpandKernel {
   void fill_displacement_table(const WindowTerms& w);
   /// Over the union of per-row column spans touched by this window's
   /// beam: evaluates the per-cell hyperbola log-weight and resets the merge
-  /// arrays.
-  void fill_box_rows(const WindowTerms& w, int r_lo, int r_hi, int c_lo,
+  /// arrays. Returns false if any log-weight is NaN or +inf.
+  bool fill_box_rows(const WindowTerms& w, int r_lo, int r_hi, int c_lo,
                      int box_w);
+  /// Flattens the ring (|dr| <= reach, |dc| <= dc_lim_[|dr|]) into the
+  /// lane lists interior parents walk, with box offsets for a box
+  /// `box_w` wide: annulus-valid lanes in lanes_, knife-edge ones in
+  /// edge_lanes_, rejected ones left out but counted in ring_lanes_.
+  void fill_lanes(int reach, int box_w);
 
   const PolarDrawConfig cfg_;
   const PhaseField& field_;
@@ -116,7 +132,21 @@ class ExpandKernel {
   std::vector<int> dc_lim_;             // per-|dr| column reach
   std::vector<double> disp_logw_;       // (2r+1)^2 log-weights + -inf mask
   std::vector<unsigned char> disp_edge_;  // threshold-coincident lattice steps
+  std::vector<int> parent_row_lo_, parent_row_hi_;  // parent columns per row
   std::vector<int> row_span_lo_, row_span_hi_;   // touched columns per row
+  // The ring as lane lists, for parents whose ring lies on the board.
+  struct Lane {
+    std::ptrdiff_t off;  // dr * box_w + dc
+    double logw;         // disp_logw_ entry
+  };
+  struct EdgeLane {
+    std::ptrdiff_t off;
+    double logw;
+    int dr, dc;  // for the center-difference re-test
+  };
+  std::vector<Lane> lanes_;
+  std::vector<EdgeLane> edge_lanes_;
+  std::uint64_t ring_lanes_ = 0;  // every lane of the ring, rejected too
   // Per-cell arrays over the bounding box of the row spans. They grow to
   // the largest box a window has needed and never shrink.
   std::vector<double> hyper_logw_;         // hyperbola log-weight

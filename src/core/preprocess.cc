@@ -174,11 +174,8 @@ std::vector<Window> preprocess(const rfid::TagReportStream& reports,
   const double t0 = *origin;
   // Builders indexed by window ordinal: the window count is known from
   // the report span, so bucketing a ~100 Hz stream is O(1) per read and
-  // the windows come out already ordered, whatever the report order. A
-  // corrupt timestamp far past the stream start would otherwise size the
-  // bucket vector (and the output) absurdly; reads beyond the cap -- about
-  // 1.8 hours of stream at the 50 ms default -- are dropped.
-  constexpr std::size_t kMaxWindows = 1u << 17;
+  // the windows come out already ordered, whatever the report order. Reads
+  // beyond kMaxWindows windows past the origin are dropped.
   const double span_windows = (t_max - t0) / cfg.window_s;
   const std::size_t n_windows =
       1 + static_cast<std::size_t>(

@@ -17,6 +17,7 @@
 // windows; downstream trackers consume only this.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -66,6 +67,14 @@ struct PhaseCalibration {
   std::vector<double> port_offsets_rad;
   std::vector<double> channel_offsets_rad;
 };
+
+/// The furthest a report may land past its stream's origin in preprocess(),
+/// or past its track's current window in the associator, in windows:
+/// about 1.8 hours of stream at the 50 ms default. A corrupt timestamp
+/// beyond it would otherwise size preprocess()'s window buckets absurdly,
+/// or make the associator finalize that many empty windows, so such
+/// reports are dropped.
+inline constexpr std::size_t kMaxWindows = std::size_t{1} << 17;
 
 /// The report screen both pipelines apply first: false for a report whose
 /// timestamp, RSS or phase is not finite, which is then counted under

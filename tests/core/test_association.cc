@@ -1,12 +1,13 @@
 // Tests for tag-to-track association (core/association.h): event
 // sequencing, generation churn, equivalence with the batch pipeline, late
-// reports, and interleaving invariance.
+// and far-future reports, and interleaving invariance.
 #include "core/association.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -338,6 +339,52 @@ TEST(Association, LateReportDroppedAndCounted) {
                             i);
       expect_same_distance(got[i].obs.distance, expected[i].obs.distance, i);
       ASSERT_EQ(got[i].azimuth_delta_rad, expected[i].azimuth_delta_rad);
+    }
+  }
+  reg.reset();
+  reg.set_enabled(false);
+}
+
+TEST(Association, FarFutureReportDroppedAndCounted) {
+  // With idle close off, a report far past its track's current window (a
+  // jumped clock) must not make the track finalize every empty window up
+  // to it -- 200,000 of them for a jump to 1e4 s, an int overflow at 1e9 s
+  // -- nor turn the pen's later reports into late ones. It is dropped and
+  // counted, and the event stream is that of the stream without it.
+  PolarDrawConfig cfg;
+  AssociatorConfig acfg;
+  acfg.idle_close_s = std::numeric_limits<double>::infinity();
+  auto clean = smooth_stream(0xA2, 0.0, 20);
+  const auto later = smooth_stream(0xA2, 1.01, 20);
+  clean.insert(clean.end(), later.begin(), later.end());
+  const auto run = [&cfg, &acfg](const rfid::TagReportStream& s) {
+    TagTrackAssociator assoc(cfg, acfg);
+    auto ev = assoc.push(s);
+    const auto tail = assoc.flush();
+    ev.insert(ev.end(), tail.begin(), tail.end());
+    return ev;
+  };
+  const auto expected = run(clean);
+
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  for (const double far_t : {1e4, 1e9}) {
+    SCOPED_TRACE(far_t);
+    rfid::TagReportStream injected = clean;
+    injected.insert(injected.begin() + 20 * 8,
+                    report(0xA2, far_t, 0, -45.0, 1.0));
+    reg.reset();
+    const auto got = run(injected);
+    EXPECT_LT(events_of_type(got, PenEventType::kObservation).size(), 100u);
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("assoc.far_reports"), 1u);
+    EXPECT_EQ(snap.counter("assoc.late_reports"), 0u);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(static_cast<int>(got[i].type),
+                static_cast<int>(expected[i].type));
+      ASSERT_EQ(got[i].t_s, expected[i].t_s);
+      ASSERT_EQ(got[i].obs.has_phase, expected[i].obs.has_phase);
     }
   }
   reg.reset();

@@ -7,15 +7,15 @@
 // tolerance, pick the same parents (or, at an exact lattice tie, a parent
 // the oracle scores within that tolerance), and tally expansions and
 // annulus rejections identically. Fronts come from Viterbi walks over the
-// golden testbeds and seeds 20-29, and from hand-placed beams on every
-// board corner and edge, under the lattice knife edges and bounds wider
-// than the board. Committed trajectories are pinned separately
+// golden testbeds and seeds 20-29, and from hand-placed beams on and near
+// every board corner and edge, under the lattice knife edges and bounds
+// wider than the board. Committed trajectories are pinned separately
 // (test_hmm_golden, TrajectoryPin).
 //
-// Plus the two supporting units: the kernel-level direction-normalization
+// Plus the supporting units: the kernel-level direction-normalization
 // contract (a non-unit MotionEstimate::direction must decode exactly like
-// its normalized self), and the wrap path of the oracle's
-// GenerationScoreboard.
+// its normalized self), the NaN-score rule both of the kernel's walks
+// keep, and the wrap path of the oracle's GenerationScoreboard.
 #include "core/expand_kernel.h"
 
 #include <gtest/gtest.h>
@@ -151,9 +151,11 @@ void walk_and_compare(const PolarDrawConfig& cfg, const DecodeTestbed& tb) {
   }
 }
 
-/// Hand-placed beam fronts: a small cluster mid-board, and one node on
-/// every corner and edge midpoint, so the traversal clips against all four
-/// board edges.
+/// Hand-placed beam fronts: a small cluster mid-board; one node on every
+/// corner and edge midpoint, so the traversal clips against all four board
+/// edges; nodes a few blocks in from each edge and corner; and a cluster
+/// by the left edge that mixes parents whose ring lies on the board with
+/// parents whose ring is clipped.
 void placed_fronts_and_compare() {
   const PolarDrawConfig cfg;
   const auto tb = make_decode_testbed(cfg, 4, 11);
@@ -163,12 +165,30 @@ void placed_fronts_and_compare() {
   const int cols = field.cols(), rows = field.rows();
   const auto cell = [cols](int c, int r) { return r * cols + c; };
 
+  // Nodes 1-4 blocks in from every edge midpoint and along every corner's
+  // diagonal: under the default bounds (reach 3) they straddle the switch
+  // between the clipped table walk and the interior lane lists.
+  std::vector<std::int32_t> near_edges;
+  for (int k = 1; k <= 4; ++k) {
+    for (const int c : {k, cols - 1 - k}) {
+      near_edges.push_back(cell(c, rows / 2));
+      for (const int r : {k, rows - 1 - k}) near_edges.push_back(cell(c, r));
+    }
+    near_edges.push_back(cell(cols / 2, k));
+    near_edges.push_back(cell(cols / 2, rows - 1 - k));
+  }
+  const int mr = rows / 2;
   const std::vector<std::vector<std::int32_t>> fronts = {
       {cell(cols / 2, rows / 2), cell(cols / 2 + 3, rows / 2),
        cell(cols / 2 + 1, rows / 2 + 2)},
       {cell(0, 0), cell(cols - 1, 0), cell(0, rows - 1),
        cell(cols - 1, rows - 1), cell(cols / 2, 0), cell(cols / 2, rows - 1),
        cell(0, rows / 2), cell(cols - 1, rows / 2)},
+      near_edges,
+      // Interior and border parents alternating, rings overlapping, so both
+      // walks merge into the same cells in parent order.
+      {cell(3, mr), cell(2, mr), cell(4, mr + 1), cell(1, mr - 1),
+       cell(5, mr - 2), cell(0, mr + 2), cell(3, mr + 3), cell(2, mr - 3)},
   };
   // Distance bounds (a negative value keeps the testbed's own). 0.01 m is
   // the default lattice knife edge: the outer threshold upper + block/2
@@ -261,6 +281,51 @@ TEST(ExpandKernel, NonUnitDirectionDecodesLikeItsNormalizedSelf) {
   for (std::size_t i = 0; i < unit.size(); ++i) {
     EXPECT_EQ(scaled[i].x, unit[i].x) << "position " << i;
     EXPECT_EQ(scaled[i].y, unit[i].y) << "position " << i;
+  }
+}
+
+TEST(ExpandKernel, NanScoresReachPastTheAnnulusInBothWalks) {
+  // The mask plane rejects a lane by adding -inf to its score, so a NaN
+  // parent log-prob or hyperbola term makes every lane of the ring a NaN
+  // candidate, which the merge accepts. Hostile sessions decode under that
+  // rule, so a parent whose ring lies on the board must keep it although
+  // its lane lists leave rejected lanes out, exactly as a parent whose ring
+  // the board edge clips does.
+  const PolarDrawConfig cfg;
+  const auto tb = make_decode_testbed(cfg, 1, 11);
+  const PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
+  ExpandKernel kernel(cfg, field);
+  const int cols = field.cols(), rows = field.rows();
+  // 2.75 blocks: reach 3, outer threshold 3.25 blocks, off every lattice
+  // knife edge, so an annulus rejection is decided by the mask alone.
+  TrackObservation o;
+  o.direction.type = MotionType::kTranslational;
+  o.direction.direction = Vec2{1.0, 0.0};
+  o.distance.lower_m = 0.0;
+  o.distance.upper_m = 2.75 * cfg.block_m;
+  o.distance.valid = true;
+  o.has_phase = true;
+  o.distance.dtheta21 = 1.0;
+  TrackObservation nan_phase = o;
+  nan_phase.distance.dtheta21 = std::numeric_limits<double>::quiet_NaN();
+  const float nan_logp = std::numeric_limits<float>::quiet_NaN();
+
+  for (const int c : {cols / 2, 1}) {
+    SCOPED_TRACE(::testing::Message() << "column " << c);
+    const Beam front{{(rows / 2) * cols + c}, {0.0f}, {-1}};
+    const Beam nan_front{{(rows / 2) * cols + c}, {nan_logp}, {-1}};
+    Candidates finite, nan_parent, nan_hyper;
+    kernel.expand(o, front, finite, finite.stats);
+    kernel.expand(o, nan_front, nan_parent, nan_parent.stats);
+    kernel.expand(nan_phase, front, nan_hyper, nan_hyper.stats);
+    ASSERT_GT(finite.stats.annulus_rejected, 0u);
+    const std::uint64_t ring =
+        finite.stats.expansions + finite.stats.annulus_rejected;
+    for (const Candidates* c_nan : {&nan_parent, &nan_hyper}) {
+      EXPECT_EQ(c_nan->stats.annulus_rejected, 0u);
+      EXPECT_EQ(c_nan->stats.expansions, ring);
+      EXPECT_EQ(c_nan->size(), ring);
+    }
   }
 }
 
