@@ -30,14 +30,6 @@ const obs::Counter& phase_rejected_counter() {
   static const obs::Counter c("assoc.phase_rejected");
   return c;
 }
-const obs::Counter& late_reports_counter() {
-  static const obs::Counter c("assoc.late_reports");
-  return c;
-}
-const obs::Counter& far_reports_counter() {
-  static const obs::Counter c("assoc.far_reports");
-  return c;
-}
 }  // namespace
 
 /// Per-pen state: the shared window builder, phase gate and motion front
@@ -48,18 +40,16 @@ struct TagTrackAssociator::Track {
       : epc(epc_),
         generation(gen),
         session_id(make_session_id(epc_, gen)),
-        t0(t_first),
         last_report_s(t_first),
+        builder(cfg.window_s),
         gate(cfg.spurious_phase_threshold_rad),
         front(cfg) {}
 
   std::uint32_t epc;
   std::uint32_t generation;
   std::uint64_t session_id;
-  double t0;             // generation's first report time (window origin)
   double last_report_s;  // latest report routed to this generation
 
-  int cur_window = 0;  // ordinal of the window `builder` is filling
   WindowBuilder builder;
   PhaseGate gate;
   MotionFrontEnd front;
@@ -135,30 +125,12 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
   Track& track = it != tracks_.end() ? *it->second
                                      : open_track(r.epc, r.timestamp_s, out);
   if (cfg_.window_s <= 0.0) return;
-  const double w_f = (r.timestamp_s - track.t0) / cfg_.window_s;
-  if (w_f - static_cast<double>(track.cur_window) >
-      static_cast<double>(kMaxWindows)) {
-    // Far past the track's current window (a corrupt or jumped clock):
-    // finalizing every window up to it would flood the session with empty
-    // windows and turn the pen's later reports into late ones. Compared in
-    // double, so the cast below cannot overflow.
-    far_reports_counter().add(1);
-    return;
-  }
-  const int w = w_f < 0.0 ? -1 : static_cast<int>(w_f);
-  if (w < track.cur_window) {
-    // Before the track's origin, or for a window already finalized:
-    // windows are never reopened, so the report cannot be placed.
-    late_reports_counter().add(1);
-    return;
-  }
-  // Report belongs to a later window: finalize the current one and run any
-  // intervening empty windows through the pipeline (the batch preprocess
+  finished_.clear();
+  if (!track.builder.add(r, &calibration_, finished_)) return;
+  // The report first finished the windows before its own: run them through
+  // the pipeline, empty gap windows included (the batch preprocess
   // materializes those too -- downstream sees the gap as idle windows).
-  while (track.cur_window < w) {
-    finalize_window(track, out);
-  }
-  track.builder.add(r, &calibration_);
+  for (Window& win : finished_) finalize_window(track, win, out);
   // First sampled report to land in this window carries the flow chain.
   if (track.flow_serial == 0 && obs::flow_sampled(r.serial)) {
     track.flow_serial = r.serial;
@@ -166,11 +138,11 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
   track.last_report_s = r.timestamp_s;
 }
 
-void TagTrackAssociator::finalize_window(Track& track,
+void TagTrackAssociator::finalize_window(Track& track, Window& win,
                                          std::vector<PenEvent>& out) {
-  if (track.builder.empty()) empty_windows_counter().add(1);
-  Window win = track.builder.finish(track.cur_window++, track.t0,
-                                    cfg_.window_s);
+  if (win.read_count[0] == 0 && win.read_count[1] == 0) {
+    empty_windows_counter().add(1);
+  }
   const std::uint64_t flow_serial = std::exchange(track.flow_serial, 0);
   obs::record_report_flow('t', flow_serial, obs::FlowStage::kWindow);
 
@@ -234,7 +206,9 @@ void TagTrackAssociator::emit_observation(const Track& track,
 
 void TagTrackAssociator::close_track(Track& track, std::vector<PenEvent>& out) {
   // A partially-filled window still holds reads: run it through.
-  if (!track.builder.empty()) finalize_window(track, out);
+  finished_.clear();
+  track.builder.flush(finished_);
+  for (Window& win : finished_) finalize_window(track, win, out);
   if (auto tail = track.front.flush()) emit_observation(track, *tail, out);
   PenEvent ev;
   ev.type = PenEventType::kClose;

@@ -3,13 +3,13 @@
 // The multi-pen pipeline (paper section 7, "Extending to multi-user case")
 // demultiplexes one MAC-arbitrated report stream into per-pen tracks.
 // The associator itself is routing and lifecycle only: each EPC's track
-// runs the same three pieces as the batch pipeline -- a WindowBuilder and
-// a PhaseGate (core/preprocess.h) and a MotionFrontEnd
-// (core/motion_front_end.h) -- fed window by window as the pen's reports
-// arrive. It emits `PenEvent`s -- open / observation / azimuth-correction
-// / close -- that map one-to-one onto the server::SessionServer API, so a
-// reader frontend can drive many concurrent decoders from a single
-// interleaved stream.
+// runs the same three pieces as the batch pipeline -- a WindowBuilder (the
+// window clock, with its late- and far-report drops) and a PhaseGate
+// (core/preprocess.h) and a MotionFrontEnd (core/motion_front_end.h) --
+// fed window by window as the pen's reports arrive. It emits `PenEvent`s
+// -- open / observation / azimuth-correction / close -- that map
+// one-to-one onto the server::SessionServer API, so a reader frontend can
+// drive many concurrent decoders from a single interleaved stream.
 //
 // Pen lifecycle: a session opens at an EPC's first report and closes when
 // its reports stop for `idle_close_s` of stream time (the pen left the
@@ -81,13 +81,12 @@ class TagTrackAssociator {
 
   /// Routes one report; reports must arrive in non-decreasing timestamp
   /// order (the reader's native order). A report that fails admit_report()
-  /// is dropped first. A report that falls in an already finalized window
-  /// of its track, or before the track's first report, is dropped and
-  /// counted in `assoc.late_reports`; one more than kMaxWindows windows
-  /// past its track's current window is dropped and counted in
-  /// `assoc.far_reports`. Returns the events it triggered:
-  /// idle closes of stale tracks first (EPC order), then this report's own
-  /// open/observations.
+  /// is dropped first. Its track's WindowBuilder drops and counts, under
+  /// `preprocess.late_reports` and `preprocess.far_reports`, a report for
+  /// an already finalized window or from before the track's first report,
+  /// and one more than kMaxWindows windows past the track's current
+  /// window. Returns the events it triggered: idle closes of stale tracks
+  /// first (EPC order), then this report's own open/observations.
   std::vector<PenEvent> push(const rfid::TagReport& report);
 
   /// Convenience: pushes a whole (time-ordered) stream.
@@ -116,9 +115,9 @@ class TagTrackAssociator {
   /// Closes every track whose last report is older than idle_close_s at
   /// stream time `t_s`; scans in EPC order for determinism.
   void close_stale(double t_s, std::vector<PenEvent>& out);
-  /// Finalizes the window being filled: gate it, push it through the
-  /// front end and emit what that releases.
-  void finalize_window(Track& track, std::vector<PenEvent>& out);
+  /// Finalizes a window the track's builder finished: gate it, push it
+  /// through the front end and emit what that releases.
+  void finalize_window(Track& track, Window& win, std::vector<PenEvent>& out);
   /// Emits a released observation; it carries the held window's flow id.
   static void emit_observation(const Track& track,
                                const TimedObservation& released,
@@ -132,6 +131,8 @@ class TagTrackAssociator {
   std::map<std::uint32_t, std::unique_ptr<Track>> tracks_;
   /// Next generation per EPC (survives closes within this associator).
   std::map<std::uint32_t, std::uint32_t> generations_;
+  /// Windows a builder finished on the current report or close; reused.
+  std::vector<Window> finished_;
 };
 
 }  // namespace polardraw::core

@@ -43,7 +43,9 @@ class PolarDraw {
   /// `a1`, `a2`: board-plane antenna positions; `antenna_z`: standoff.
   PolarDraw(PolarDrawConfig cfg, Vec2 a1, Vec2 a2, double antenna_z);
 
-  /// Tracks a full writing session from raw reports.
+  /// Tracks a full writing session from raw, time-ordered reports (the
+  /// reader's native order): preprocess() drops and counts a read that
+  /// arrives after its window was finished.
   TrackingResult track(const rfid::TagReportStream& reports,
                        const PhaseCalibration* calibration = nullptr) const;
 

@@ -36,8 +36,29 @@ bool admit_report(const rfid::TagReport& r) {
   return false;
 }
 
-void WindowBuilder::add(const rfid::TagReport& r,
-                        const PhaseCalibration* calibration) {
+bool WindowBuilder::add(const rfid::TagReport& r,
+                        const PhaseCalibration* calibration,
+                        std::vector<Window>& finished) {
+  if (!t0_) t0_ = r.timestamp_s;
+  const double w_f = (r.timestamp_s - *t0_) / window_s_;
+  if (w_f - static_cast<double>(cur_window_) >
+      static_cast<double>(kMaxWindows)) {
+    // A corrupt or jumped clock. Compared in double, so the cast below
+    // cannot overflow.
+    static const obs::Counter far_counter("preprocess.far_reports");
+    far_counter.add(1);
+    return false;
+  }
+  const int w = w_f < 0.0 ? -1 : static_cast<int>(w_f);
+  if (w < cur_window_) {
+    // Before window 0, or for a finished window: never reopened.
+    static const obs::Counter late_counter("preprocess.late_reports");
+    late_counter.add(1);
+    return false;
+  }
+  // Finish the windows before the read's own; gap windows come out empty.
+  while (cur_window_ < w) finished.push_back(finish());
+
   double phase = r.phase_rad;
   bool channel_covered = false;
   if (calibration != nullptr) {
@@ -56,12 +77,19 @@ void WindowBuilder::add(const rfid::TagReport& r,
   ant.phase.push_back(phase);
   ant.channel.push_back(r.channel);
   if (!channel_covered) ant.uncalibrated += 1;
+  return true;
 }
 
-Window WindowBuilder::finish(int index, double t0_s, double window_s) {
+void WindowBuilder::flush(std::vector<Window>& finished) {
+  if (!ant_[0].rss.empty() || !ant_[1].rss.empty()) {
+    finished.push_back(finish());
+  }
+}
+
+Window WindowBuilder::finish() {
   Window win;
-  win.index = index;
-  win.t_s = t0_s + (static_cast<double>(index) + 0.5) * window_s;
+  win.index = cur_window_++;
+  win.t_s = *t0_ + (static_cast<double>(win.index) + 0.5) * window_s_;
   for (int a = 0; a < 2; ++a) {
     Antenna& ant = ant_[a];
     if (!ant.rss.empty()) {
@@ -150,50 +178,22 @@ std::vector<Window> preprocess(const rfid::TagReportStream& reports,
   static const obs::SpanSite span_site("core.preprocess");
   const obs::ScopedSpan span(span_site);
   std::vector<Window> out;
-  if (reports.empty() || cfg.window_s <= 0.0) return out;
+  if (cfg.window_s <= 0.0) return out;
 
   // --- Step 1: window averaging ------------------------------------------
-  // The first admitted report (any antenna) is the window origin. Reads
-  // that predate it (negative window ordinal) are dropped.
-  std::vector<const rfid::TagReport*> reads;
-  reads.reserve(reports.size());
-  std::optional<double> origin;
-  double t_max = 0.0;
+  WindowBuilder builder(cfg.window_s);
   for (const auto& r : reports) {
     if (!admit_report(r)) continue;
-    if (!origin) {
-      origin = r.timestamp_s;
-      t_max = r.timestamp_s;
-    }
     if (r.antenna_id < 0 || r.antenna_id > 1) continue;
-    if (r.timestamp_s < *origin) continue;
-    t_max = std::max(t_max, r.timestamp_s);
-    reads.push_back(&r);
+    builder.add(r, calibration, out);
   }
-  if (reads.empty()) return out;
-  const double t0 = *origin;
-  // Builders indexed by window ordinal: the window count is known from
-  // the report span, so bucketing a ~100 Hz stream is O(1) per read and
-  // the windows come out already ordered, whatever the report order. Reads
-  // beyond kMaxWindows windows past the origin are dropped.
-  const double span_windows = (t_max - t0) / cfg.window_s;
-  const std::size_t n_windows =
-      1 + static_cast<std::size_t>(
-              std::min(span_windows, static_cast<double>(kMaxWindows - 1)));
-  std::vector<WindowBuilder> buckets(n_windows);
-  for (const rfid::TagReport* r : reads) {
-    const double w_f = (r->timestamp_s - t0) / cfg.window_s;
-    if (w_f >= static_cast<double>(n_windows)) continue;
-    buckets[static_cast<std::size_t>(w_f)].add(*r, calibration);
-  }
+  builder.flush(out);
 
   // --- Step 2: spurious phase rejection + unwrap --------------------------
   std::uint64_t rejected = 0;
   std::uint64_t nonmonotone = 0;
   PhaseGate gate(cfg.spurious_phase_threshold_rad);
-  out.reserve(n_windows);
-  for (std::size_t w = 0; w < n_windows; ++w) {
-    Window win = buckets[w].finish(static_cast<int>(w), t0, cfg.window_s);
+  for (Window& win : out) {
     for (int a = 0; a < 2; ++a) {
       switch (gate.gate(win, a).outcome) {
         case PhaseGate::Outcome::kSpurious: ++rejected; break;
@@ -202,7 +202,6 @@ std::vector<Window> preprocess(const rfid::TagReportStream& reports,
         case PhaseGate::Outcome::kAccepted: break;
       }
     }
-    out.push_back(win);
   }
   static const obs::Counter windows_counter("preprocess.windows");
   static const obs::Counter rejected_counter("preprocess.phase_rejected");

@@ -3,8 +3,9 @@
 // Two steps, each a reusable piece shared by the batch pipeline
 // (preprocess() below) and the per-pen multi-pen pipeline
 // (core/association.h):
-//  1. Window averaging (WindowBuilder): raw per-read RSS/phase reports are
-//     bucketed into fixed windows (50 ms default) per antenna; RSS is
+//  1. Window averaging (WindowBuilder): the window clock of one
+//     time-ordered report stream. Raw per-read RSS/phase reports are
+//     placed into fixed windows (50 ms default) per antenna; RSS is
 //     averaged in dB and phase with a circular mean.
 //  2. Spurious data rejection (PhaseGate): windows whose phase jumps from
 //     the previous window by more than a threshold (0.2 rad in the paper)
@@ -68,12 +69,10 @@ struct PhaseCalibration {
   std::vector<double> channel_offsets_rad;
 };
 
-/// The furthest a report may land past its stream's origin in preprocess(),
-/// or past its track's current window in the associator, in windows:
-/// about 1.8 hours of stream at the 50 ms default. A corrupt timestamp
-/// beyond it would otherwise size preprocess()'s window buckets absurdly,
-/// or make the associator finalize that many empty windows, so such
-/// reports are dropped.
+/// The furthest a report may land past its WindowBuilder's current window,
+/// in windows: about 1.8 hours of stream at the 50 ms default. A corrupt
+/// timestamp beyond it would otherwise make the builder finish that many
+/// empty windows, so such reports are dropped.
 inline constexpr std::size_t kMaxWindows = std::size_t{1} << 17;
 
 /// The report screen both pipelines apply first: false for a report whose
@@ -83,27 +82,34 @@ inline constexpr std::size_t kMaxWindows = std::size_t{1} << 17;
 /// output therefore equals that of the same stream without the report.
 bool admit_report(const rfid::TagReport& r);
 
-/// Step 1 for one window: accumulates reads per antenna and finishes them
-/// into a Window. preprocess() keeps one per window ordinal; the
-/// associator reuses one per pen.
+/// Step 1 for one stream: the window clock. Window 0 starts at the first
+/// placed read; a read for a later window first finishes every earlier
+/// one (gap windows come out empty), and a finished window is never
+/// reopened. preprocess() runs one over the whole stream; the associator
+/// runs one per pen.
 class WindowBuilder {
  public:
-  /// Adds a read from antenna 0 or 1. When `calibration` is given, its
-  /// port offset and -- if it covers the read's hop channel -- its channel
-  /// offset are subtracted from the phase.
-  void add(const rfid::TagReport& r, const PhaseCalibration* calibration);
+  explicit WindowBuilder(double window_s) : window_s_(window_s) {}
 
-  /// True when no read was added since the last finish().
-  [[nodiscard]] bool empty() const {
-    return ant_[0].rss.empty() && ant_[1].rss.empty();
-  }
+  /// Places a read from antenna 0 or 1, appending the windows it finishes
+  /// to `finished`. When `calibration` is given, its port offset and -- if
+  /// it covers the read's hop channel -- its channel offset are subtracted
+  /// from the phase. Returns false, placing nothing, for a read more than
+  /// kMaxWindows windows past the current window (counted in
+  /// `preprocess.far_reports`) or for an earlier window or from before
+  /// window 0 (counted in `preprocess.late_reports`).
+  bool add(const rfid::TagReport& r, const PhaseCalibration* calibration,
+           std::vector<Window>& finished);
 
-  /// Finishes window `index` of a stream whose window 0 starts at `t0_s`:
-  /// mean RSS, circular-mean phase, majority channel and calibration
-  /// coverage per antenna. Clears the builder for the next window.
-  Window finish(int index, double t0_s, double window_s);
+  /// Finishes the current window into `finished` if it holds a read.
+  void flush(std::vector<Window>& finished);
 
  private:
+  /// Finishes the current window: mean RSS, circular-mean phase, majority
+  /// channel and calibration coverage per antenna. Clears the builder and
+  /// advances the clock to the next window.
+  Window finish();
+
   struct Antenna {
     std::vector<double> rss;
     std::vector<double> phase;
@@ -112,6 +118,9 @@ class WindowBuilder {
     // read poisons the window for cross-hop comparison.
     int uncalibrated = 0;
   };
+  double window_s_;
+  std::optional<double> t0_;  // window 0's start, set by the first read
+  int cur_window_ = 0;        // ordinal of the window being filled
   Antenna ant_[2];
 };
 
@@ -154,10 +163,11 @@ class PhaseGate {
   Reference ref_[2];
 };
 
-/// Runs both pre-processing steps over a raw report stream (any order:
-/// reads are bucketed by window ordinal from the first admitted report).
-/// Reports from antennas other than 0/1 are ignored (PolarDraw is a
-/// two-antenna system; baselines have their own ingestion).
+/// Runs both pre-processing steps over a raw, time-ordered report stream
+/// (the reader's native order), through one WindowBuilder: a read that
+/// arrives after its window was finished is dropped and counted. Reports
+/// from antennas other than 0/1 are ignored (PolarDraw is a two-antenna
+/// system; baselines have their own ingestion).
 std::vector<Window> preprocess(const rfid::TagReportStream& reports,
                                const PolarDrawConfig& cfg,
                                const PhaseCalibration* calibration = nullptr);

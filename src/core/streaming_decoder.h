@@ -9,7 +9,10 @@
 // bounded latency via poll(): a position is committed once the beam front
 // has advanced at least `lag_windows` past it, by backtracing from the
 // current most probable front node. Committed positions are frozen -- they
-// are emitted exactly once and never revised.
+// are emitted exactly once and never revised. The decoder holds decode
+// state only: the Eq. 10 initial-azimuth correction rotates the finished
+// trajectory, so its callers (PolarDraw::track, SessionServer::close)
+// carry and apply it.
 //
 // Internal state is retained across pushes, so history is never
 // re-decoded. Each decoded window is one Beam whose parents index the step
@@ -129,19 +132,6 @@ class StreamingDecoder {
     return seed_root_pos_;
   }
 
-  /// Eq. 10 azimuth-correction accumulator, retained across pushes so a
-  /// session can carry the rotation-tracker correction without re-decoding
-  /// history. The decoder only stores it; the session layer applies
-  /// correct_initial_azimuth (core/rotation_tracker.h) to the full trace at
-  /// close time (committed positions are frozen, and Eq. 10 is a
-  /// whole-trajectory rotation about the centroid).
-  void accumulate_azimuth_correction(double delta_rad) {
-    azimuth_correction_rad_ += delta_rad;
-  }
-  [[nodiscard]] double azimuth_correction_rad() const {
-    return azimuth_correction_rad_;
-  }
-
   /// Largest log-prob in the current beam front: exactly 0.0f after every
   /// decoded window (the per-window renormalization invariant; IEEE
   /// subtraction of the max from itself is exact). Test hook.
@@ -190,7 +180,6 @@ class StreamingDecoder {
   // --- Bookkeeping ---------------------------------------------------------
   std::size_t n_pushed_ = 0;
   std::size_t n_committed_ = 0;  // total ever committed, drained or not
-  double azimuth_correction_rad_ = 0.0;
   std::vector<Vec2> committed_buf_;  // committed, awaiting poll()
 
   // Scratch reused across steps.

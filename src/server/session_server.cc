@@ -136,7 +136,7 @@ bool SessionServer::accumulate_azimuth_correction(SessionId id,
   if (it == sessions_.end()) return false;
   Session& s = *it->second;
   pd::MutexLock lock(s.mu);
-  s.decoder.accumulate_azimuth_correction(delta_rad);
+  s.azimuth_correction_rad += delta_rad;
   return true;
 }
 
@@ -268,7 +268,7 @@ std::vector<Vec2> SessionServer::close(SessionId id) {
     // centroid, so it can only run once the trace is complete -- committed
     // positions are frozen in board frame until here.
     traj = core::correct_initial_azimuth(cfg_, std::move(s.committed),
-                                         s.decoder.azimuth_correction_rad());
+                                         s.azimuth_correction_rad);
   }
   sessions_.erase(it);
   closed_counter.add(1);

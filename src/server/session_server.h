@@ -234,6 +234,10 @@ class SessionServer {
     /// order (deterministic merge).
     std::vector<std::pair<double, double>> latency_stash PD_GUARDED_BY(mu);
     std::vector<Vec2> committed PD_GUARDED_BY(mu);
+    /// Eq. 10 initial-azimuth correction accumulated so far; applied to
+    /// the whole trajectory at close() (committed positions are frozen,
+    /// and Eq. 10 rotates the full trace about its centroid).
+    double azimuth_correction_rad PD_GUARDED_BY(mu) = 0.0;
     /// Set when a submit logs server.backpressure; a drain re-arms it.
     bool backpressure_logged PD_GUARDED_BY(mu) = false;
 

@@ -241,25 +241,49 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
   // does: preprocess(), then every window pushed through a MotionFrontEnd
   // and flushed -- what PolarDraw::track decodes. Compared whole
   // and bit for bit, smoothed directions included, on short streams (the
-  // smoothing edges), a gapped stream, and an uncalibrated and a
-  // calibrated hop.
+  // smoothing edges), a gapped stream, an uncalibrated and a calibrated
+  // hop, and the gapped stream with a late and a far-future read, which
+  // both pipelines' window clock drops and counts alike.
   PolarDrawConfig cfg;
   const PhaseCalibration cal = hop_calibration();
+  AssociatorConfig no_idle_close;
+  no_idle_close.idle_close_s = std::numeric_limits<double>::infinity();
+  rfid::TagReportStream hostile = mixed_stream(24, 11);
+  // After window 12's reads (window 11 is the gap): window 5 is finished.
+  hostile.insert(hostile.begin() + 12 * 6,
+                 report(0xC4, 0.26, 0, -90.0, 4.0, 5));
+  hostile.push_back(report(0xC4, hostile.back().timestamp_s + 1e4, 1, -45.0,
+                           0.5, 5));
   struct Case {
     const char* name;
     rfid::TagReportStream stream;
     const PhaseCalibration* calibration;
+    AssociatorConfig acfg;
+    std::uint64_t late_and_far;  // drops of each kind, per pass
   };
   const Case cases[] = {
-      {"2 windows", mixed_stream(2), nullptr},
-      {"3 windows", mixed_stream(3), nullptr},
-      {"24 windows + gap", mixed_stream(24, 11), nullptr},
-      {"uncalibrated hop", mixed_stream(16, -1, 7), nullptr},
-      {"calibrated hop", mixed_stream(16, -1, 7), &cal},
+      {"2 windows", mixed_stream(2), nullptr, {}, 0},
+      {"3 windows", mixed_stream(3), nullptr, {}, 0},
+      {"24 windows + gap", mixed_stream(24, 11), nullptr, {}, 0},
+      {"uncalibrated hop", mixed_stream(16, -1, 7), nullptr, {}, 0},
+      {"calibrated hop", mixed_stream(16, -1, 7), &cal, {}, 0},
+      // Idle close off keeps the far read away from the associator's
+      // idle-close scan, which no batch pass has.
+      {"late + far reads", hostile, nullptr, no_idle_close, 1},
+  };
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  const auto expect_drops = [&reg](std::uint64_t n, const char* pass) {
+    const auto snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("preprocess.late_reports"), n) << pass;
+    EXPECT_EQ(snap.counter("preprocess.far_reports"), n) << pass;
+    reg.reset();
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
+    reg.reset();
     const auto windows = preprocess(c.stream, cfg, c.calibration);
+    expect_drops(c.late_and_far, "preprocess");
     std::vector<TrackObservation> batch_obs;
     MotionFrontEnd front(cfg);
     for (const Window& w : windows) {
@@ -270,11 +294,13 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
     if (auto tail = front.flush()) batch_obs.push_back(tail->obs);
     const PolarDraw batch(cfg, Vec2{0.22, 1.25}, Vec2{0.78, 1.25}, 0.12);
     const auto batch_res = batch.track(c.stream, c.calibration);
+    expect_drops(c.late_and_far, "track");
 
-    TagTrackAssociator assoc(cfg, {}, c.calibration);
+    TagTrackAssociator assoc(cfg, c.acfg, c.calibration);
     auto events = assoc.push(c.stream);
     const auto tail = assoc.flush();
     events.insert(events.end(), tail.begin(), tail.end());
+    expect_drops(c.late_and_far, "associator");
     const auto obs = events_of_type(events, PenEventType::kObservation);
 
     ASSERT_EQ(windows.size(), obs.size());
@@ -300,6 +326,8 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
     }
     EXPECT_NEAR(corr, batch_res.azimuth_correction_rad, 1e-12);
   }
+  reg.reset();
+  reg.set_enabled(false);
 }
 
 TEST(Association, LateReportDroppedAndCounted) {
@@ -328,7 +356,7 @@ TEST(Association, LateReportDroppedAndCounted) {
     injected.insert(at, report(0xA1, late_t, 0, -90.0, 4.0));
     reg.reset();
     const auto got = run(injected);
-    EXPECT_EQ(reg.snapshot().counter("assoc.late_reports"), 1u);
+    EXPECT_EQ(reg.snapshot().counter("preprocess.late_reports"), 1u);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(static_cast<int>(got[i].type),
@@ -377,8 +405,8 @@ TEST(Association, FarFutureReportDroppedAndCounted) {
     const auto got = run(injected);
     EXPECT_LT(events_of_type(got, PenEventType::kObservation).size(), 100u);
     const auto snap = reg.snapshot();
-    EXPECT_EQ(snap.counter("assoc.far_reports"), 1u);
-    EXPECT_EQ(snap.counter("assoc.late_reports"), 0u);
+    EXPECT_EQ(snap.counter("preprocess.far_reports"), 1u);
+    EXPECT_EQ(snap.counter("preprocess.late_reports"), 0u);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(static_cast<int>(got[i].type),

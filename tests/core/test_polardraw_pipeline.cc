@@ -90,6 +90,38 @@ TEST(Pipeline, WindowCountsConsistent) {
   EXPECT_GT(result.translational_windows, 0);
 }
 
+TEST(Pipeline, FarFutureReportLeavesTheTrackUnchanged) {
+  // One report stamped 10^4 s past a letter's last (a jumped reader
+  // clock) is dropped by the window clock: the track is that of the
+  // letter without it, instead of ~10^5 empty windows decoded.
+  eval::TrialConfig cfg;
+  cfg.system = eval::System::kPolarDraw;
+  cfg.seed = 777;
+  eval::apply_system_layout(cfg);
+  cfg.scene.seed = cfg.seed;
+  sim::Scene scene(cfg.scene);
+  Rng rng(cfg.seed * 7919 + 13);
+  const auto trace = handwriting::synthesize("A", cfg.synth, rng);
+  const auto reports = scene.run(trace);
+  ASSERT_FALSE(reports.empty());
+  auto hostile = reports;
+  hostile.push_back(reports.back());
+  hostile.back().timestamp_s += 1e4;
+  const PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
+  const auto apos = scene.antenna_board_positions();
+  const PolarDraw tracker(cfg.algo, apos[0], apos[1],
+                          scene.antennas()[0].position.z);
+  const auto want = tracker.track(reports, &cal);
+  const auto got = tracker.track(hostile, &cal);
+  ASSERT_GT(want.trajectory.size(), 40u);
+  EXPECT_EQ(got.diagnostics.size(), want.diagnostics.size());
+  ASSERT_EQ(got.trajectory.size(), want.trajectory.size());
+  for (std::size_t i = 0; i < want.trajectory.size(); ++i) {
+    EXPECT_EQ(got.trajectory[i].x, want.trajectory[i].x) << i;
+    EXPECT_EQ(got.trajectory[i].y, want.trajectory[i].y) << i;
+  }
+}
+
 TEST(Pipeline, BaselinesTrackToo) {
   for (auto sys : {eval::System::kTagoram2, eval::System::kTagoram4,
                    eval::System::kRfIdraw4}) {

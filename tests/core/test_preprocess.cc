@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/angles.h"
+#include "obs/metrics.h"
 
 namespace polardraw::core {
 namespace {
@@ -289,13 +290,18 @@ TEST(Preprocess, EmptyStreamEmptyResult) {
 TEST(Preprocess, ReportsBeforeStreamStartAreDropped) {
   PolarDrawConfig cfg;
   rfid::TagReportStream reports;
-  // An unsorted stream whose later entries predate the first report would
-  // index a negative window ordinal; those reads must be skipped, not
-  // bucketed out of range.
+  // A read that predates window 0 would index a negative window ordinal;
+  // it must be dropped and counted, not bucketed out of range.
   reports.push_back(report(1.00, 0, -40.0, 1.0));
   reports.push_back(report(0.40, 0, -90.0, 2.5));  // before t0
   reports.push_back(report(1.01, 1, -50.0, 2.0));
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
   const auto windows = preprocess(reports, cfg);
+  EXPECT_EQ(reg.snapshot().counter("preprocess.late_reports"), 1u);
+  reg.reset();
+  reg.set_enabled(false);
   ASSERT_EQ(windows.size(), 1u);
   EXPECT_TRUE(windows[0].both_rss_valid());
   EXPECT_NEAR(windows[0].rss_dbm[0], -40.0, 1e-9);  // -90 dropped, not mixed
@@ -306,18 +312,32 @@ TEST(Preprocess, FarFutureTimestampDoesNotExplodeWindowCount) {
   rfid::TagReportStream reports;
   reports.push_back(report(0.00, 0, -40.0, 1.0));
   reports.push_back(report(0.01, 1, -50.0, 2.0));
-  // A corrupt timestamp ~3 years into the stream: the window count must
-  // stay capped instead of allocating one window per 50 ms of the span.
+  const auto clean = preprocess(reports, cfg);
+  // A corrupt timestamp ~3 years into the stream: it is dropped and
+  // counted instead of finishing one empty window per 50 ms of the span,
+  // so the output is that of the stream without it.
   reports.push_back(report(1e8, 0, -60.0, 0.5));
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
   const auto windows = preprocess(reports, cfg);
-  ASSERT_FALSE(windows.empty());
-  EXPECT_LE(windows.size(), (1u << 17));
+  EXPECT_EQ(reg.snapshot().counter("preprocess.far_reports"), 1u);
+  reg.reset();
+  reg.set_enabled(false);
+  ASSERT_EQ(clean.size(), 1u);
+  ASSERT_EQ(windows.size(), 1u);
   EXPECT_TRUE(windows[0].both_rss_valid());
+  EXPECT_EQ(windows[0].t_s, clean[0].t_s);
+  for (int a = 0; a < 2; ++a) {
+    EXPECT_EQ(windows[0].read_count[a], clean[0].read_count[a]);
+    EXPECT_EQ(windows[0].rss_dbm[a], clean[0].rss_dbm[a]);
+    EXPECT_EQ(windows[0].phase_rad[a], clean[0].phase_rad[a]);
+  }
 }
 
 TEST(Preprocess, LongStreamBucketsStayOrdinal) {
-  // The vector-bucketed fast path must agree with the definition: read k
-  // at time t lands in window floor((t - t0) / window_s).
+  // The window clock must agree with the definition: read k at time t
+  // lands in window floor((t - t0) / window_s).
   PolarDrawConfig cfg;
   rfid::TagReportStream reports;
   for (int k = 0; k < 400; ++k) {

@@ -333,15 +333,5 @@ TEST(StreamingDecoder, LongStreamKeepsResolutionViaRenormalization) {
   EXPECT_LE(mean_deviation(long_out, chunked_out), 4.0 * cfg.block_m);
 }
 
-TEST(StreamingDecoder, AzimuthCorrectionAccumulates) {
-  const PolarDrawConfig cfg;
-  const auto tb = make_decode_testbed(cfg, 1, 7);
-  StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z);
-  EXPECT_EQ(dec.azimuth_correction_rad(), 0.0);
-  dec.accumulate_azimuth_correction(0.25);
-  dec.accumulate_azimuth_correction(-0.1);
-  EXPECT_DOUBLE_EQ(dec.azimuth_correction_rad(), 0.15);
-}
-
 }  // namespace
 }  // namespace polardraw::core
