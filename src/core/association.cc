@@ -127,9 +127,8 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
   if (cfg_.window_s <= 0.0) return;
   finished_.clear();
   if (!track.builder.add(r, &calibration_, finished_)) return;
-  // The report first finished the windows before its own: run them through
-  // the pipeline, empty gap windows included (the batch preprocess
-  // materializes those too -- downstream sees the gap as idle windows).
+  // Run the windows the report finished through the pipeline, empty gap
+  // windows included: downstream sees a gap as idle windows, as in batch.
   for (Window& win : finished_) finalize_window(track, win, out);
   // First sampled report to land in this window carries the flow chain.
   if (track.flow_serial == 0 && obs::flow_sampled(r.serial)) {
