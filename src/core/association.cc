@@ -124,7 +124,6 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
   auto it = tracks_.find(r.epc);
   Track& track = it != tracks_.end() ? *it->second
                                      : open_track(r.epc, r.timestamp_s, out);
-  if (cfg_.window_s <= 0.0) return;
   finished_.clear();
   if (!track.builder.add(r, &calibration_, finished_)) return;
   // Run the windows the report finished through the pipeline, empty gap

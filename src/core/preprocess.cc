@@ -39,12 +39,14 @@ bool admit_report(const rfid::TagReport& r) {
 bool WindowBuilder::add(const rfid::TagReport& r,
                         const PhaseCalibration* calibration,
                         std::vector<Window>& finished) {
+  if (!(window_s_ > 0.0)) return false;  // no window length, no clock
   if (!t0_) t0_ = r.timestamp_s;
   const double w_f = (r.timestamp_s - *t0_) / window_s_;
   if (w_f - static_cast<double>(cur_window_) >
-      static_cast<double>(kMaxWindows)) {
-    // A corrupt or jumped clock. Compared in double, so the cast below
-    // cannot overflow.
+          static_cast<double>(kMaxWindows) ||
+      w_f >= static_cast<double>(max_windows_)) {
+    // A corrupt or jumped clock, or past the cap. Compared in double, so
+    // the cast below cannot overflow.
     static const obs::Counter far_counter("preprocess.far_reports");
     far_counter.add(1);
     return false;
@@ -178,10 +180,11 @@ std::vector<Window> preprocess(const rfid::TagReportStream& reports,
   static const obs::SpanSite span_site("core.preprocess");
   const obs::ScopedSpan span(span_site);
   std::vector<Window> out;
-  if (cfg.window_s <= 0.0) return out;
 
   // --- Step 1: window averaging ------------------------------------------
-  WindowBuilder builder(cfg.window_s);
+  // Capped at kMaxWindows windows in all, so that jumps each under the
+  // builder's per-read bound cannot add up to more.
+  WindowBuilder builder(cfg.window_s, kMaxWindows);
   for (const auto& r : reports) {
     if (!admit_report(r)) continue;
     if (r.antenna_id < 0 || r.antenna_id > 1) continue;

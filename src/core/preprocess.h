@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -72,7 +73,8 @@ struct PhaseCalibration {
 /// The furthest a report may land past its WindowBuilder's current window,
 /// in windows: about 1.8 hours of stream at the 50 ms default. A corrupt
 /// timestamp beyond it would otherwise make the builder finish that many
-/// empty windows, so such reports are dropped.
+/// empty windows, so such reports are dropped. preprocess() also caps its
+/// whole output at this many windows.
 inline constexpr std::size_t kMaxWindows = std::size_t{1} << 17;
 
 /// The report screen both pipelines apply first: false for a report whose
@@ -89,14 +91,21 @@ bool admit_report(const rfid::TagReport& r);
 /// runs one per pen.
 class WindowBuilder {
  public:
-  explicit WindowBuilder(double window_s) : window_s_(window_s) {}
+  /// The clock never opens window `max_windows` or later. preprocess(),
+  /// which holds every window at once, passes kMaxWindows; the associator
+  /// finalizes each window as it goes and leaves the clock uncapped.
+  explicit WindowBuilder(
+      double window_s,
+      std::size_t max_windows = std::numeric_limits<std::size_t>::max())
+      : window_s_(window_s), max_windows_(max_windows) {}
 
   /// Places a read from antenna 0 or 1, appending the windows it finishes
   /// to `finished`. When `calibration` is given, its port offset and -- if
   /// it covers the read's hop channel -- its channel offset are subtracted
-  /// from the phase. Returns false, placing nothing, for a read more than
-  /// kMaxWindows windows past the current window (counted in
-  /// `preprocess.far_reports`) or for an earlier window or from before
+  /// from the phase. Returns false, placing nothing, when the window
+  /// length is not positive; for a read more than kMaxWindows windows past
+  /// the current window or at window `max_windows` or later (counted in
+  /// `preprocess.far_reports`); or for an earlier window or from before
   /// window 0 (counted in `preprocess.late_reports`).
   bool add(const rfid::TagReport& r, const PhaseCalibration* calibration,
            std::vector<Window>& finished);
@@ -119,6 +128,7 @@ class WindowBuilder {
     int uncalibrated = 0;
   };
   double window_s_;
+  std::size_t max_windows_;
   std::optional<double> t0_;  // window 0's start, set by the first read
   int cur_window_ = 0;        // ordinal of the window being filled
   Antenna ant_[2];
@@ -165,9 +175,10 @@ class PhaseGate {
 
 /// Runs both pre-processing steps over a raw, time-ordered report stream
 /// (the reader's native order), through one WindowBuilder: a read that
-/// arrives after its window was finished is dropped and counted. Reports
-/// from antennas other than 0/1 are ignored (PolarDraw is a two-antenna
-/// system; baselines have their own ingestion).
+/// arrives after its window was finished is dropped and counted, and the
+/// output holds at most kMaxWindows windows. Reports from antennas other
+/// than 0/1 are ignored (PolarDraw is a two-antenna system; baselines
+/// have their own ingestion).
 std::vector<Window> preprocess(const rfid::TagReportStream& reports,
                                const PolarDrawConfig& cfg,
                                const PhaseCalibration* calibration = nullptr);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/angles.h"
 #include "obs/metrics.h"
 
@@ -332,6 +334,49 @@ TEST(Preprocess, FarFutureTimestampDoesNotExplodeWindowCount) {
     EXPECT_EQ(windows[0].read_count[a], clean[0].read_count[a]);
     EXPECT_EQ(windows[0].rss_dbm[a], clean[0].rss_dbm[a]);
     EXPECT_EQ(windows[0].phase_rad[a], clean[0].phase_rad[a]);
+  }
+}
+
+TEST(Preprocess, ChainedJumpsStayWithinTheWindowCap) {
+  // Each jump lands under kMaxWindows past the current window, so the
+  // per-read far rule alone would place both and finish 240,001 windows.
+  // The output is capped at kMaxWindows windows from window 0: the first
+  // jump is placed, the second is dropped as far, and the real read
+  // after the first jump comes late and is dropped too.
+  PolarDrawConfig cfg;
+  rfid::TagReportStream reports;
+  reports.push_back(report(0.00, 0, -40.0, 1.0));
+  reports.push_back(report(0.01, 1, -50.0, 2.0));
+  reports.push_back(report(6000.01, 0, -60.0, 0.5));   // window 120,000
+  reports.push_back(report(0.02, 0, -70.0, 1.5));      // window 0, finished
+  reports.push_back(report(12000.01, 0, -60.0, 0.5));  // window 240,000
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  const auto windows = preprocess(reports, cfg);
+  const auto snap = reg.snapshot();
+  reg.reset();
+  reg.set_enabled(false);
+  EXPECT_EQ(snap.counter("preprocess.far_reports"), 1u);
+  EXPECT_EQ(snap.counter("preprocess.late_reports"), 1u);
+  ASSERT_EQ(windows.size(), 120001u);
+  EXPECT_LE(windows.size(), kMaxWindows);
+  EXPECT_EQ(windows[0].read_count[0], 1);
+  EXPECT_EQ(windows[0].rss_dbm[0], -40.0);
+  EXPECT_EQ(windows.back().index, 120000);
+  EXPECT_EQ(windows.back().read_count[0], 1);
+}
+
+TEST(Preprocess, NonPositiveWindowLengthGivesNoWindows) {
+  rfid::TagReportStream reports;
+  reports.push_back(report(0.00, 0, -40.0, 1.0));
+  reports.push_back(report(0.01, 1, -50.0, 2.0));
+  for (const double window_s :
+       {0.0, -0.05, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(window_s);
+    PolarDrawConfig cfg;
+    cfg.window_s = window_s;
+    EXPECT_TRUE(preprocess(reports, cfg).empty());
   }
 }
 
