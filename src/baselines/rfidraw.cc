@@ -25,60 +25,24 @@ std::vector<Vec2> RfIdrawTracker::track(
   if (windows.size() < 2) return {};
 
   const auto link_len = [this](const Vec2& p, int a) {
-    const auto& ant = antennas_[static_cast<std::size_t>(a)];
-    const double dx = p.x - ant.position.x;
-    const double dy = p.y - ant.position.y;
-    const double dz = ant.position.z;
-    return std::sqrt(dx * dx + dy * dy + dz * dz);
+    return link_length(p, antennas_[static_cast<std::size_t>(a)]);
   };
 
-  // Per-step observations: spatial pair differences (calibrated, wrapped)
-  // and per-port temporal deltas.
-  struct StepObs {
-    std::vector<double> pair_diff;   // per pair; NaN if unavailable
-    std::vector<double> dtheta;      // per port; NaN if unavailable
-  };
-  std::vector<StepObs> steps;
-  steps.reserve(windows.size() - 1);
-  std::vector<double> prev_phase(static_cast<std::size_t>(ports), 0.0);
-  std::vector<int> prev_window(static_cast<std::size_t>(ports), -1000);
-  for (int a = 0; a < ports; ++a) {
-    const auto ai = static_cast<std::size_t>(a);
-    if (windows[0].phase_valid[ai]) {
-      prev_phase[ai] = windows[0].phase_rad[ai];
-      prev_window[ai] = 0;
-    }
-  }
+  // Per-step observations: spatial pair differences (calibrated, wrapped;
+  // [step][pair], NaN if unavailable) and per-port temporal deltas.
+  std::vector<std::vector<double>> pair_diff;
   for (std::size_t w = 1; w < windows.size(); ++w) {
-    StepObs so;
-    so.pair_diff.assign(pairs_.size(),
-                        std::numeric_limits<double>::quiet_NaN());
-    so.dtheta.assign(static_cast<std::size_t>(ports),
-                     std::numeric_limits<double>::quiet_NaN());
+    std::vector<double>& d = pair_diff.emplace_back(
+        pairs_.size(), std::numeric_limits<double>::quiet_NaN());
     for (std::size_t pi = 0; pi < pairs_.size(); ++pi) {
-      const auto [i, j] = pairs_[pi];
-      const auto ii = static_cast<std::size_t>(i);
-      const auto jj = static_cast<std::size_t>(j);
+      const auto ii = static_cast<std::size_t>(pairs_[pi].first);
+      const auto jj = static_cast<std::size_t>(pairs_[pi].second);
       if (windows[w].phase_valid[ii] && windows[w].phase_valid[jj]) {
-        so.pair_diff[pi] =
-            windows[w].phase_rad[jj] - windows[w].phase_rad[ii];
+        d[pi] = windows[w].phase_rad[jj] - windows[w].phase_rad[ii];
       }
     }
-    for (int a = 0; a < ports; ++a) {
-      const auto ai = static_cast<std::size_t>(a);
-      // Only adjacent-window differentials: a delta spanning a read gap
-      // covers several moves and cannot be scored against one transition.
-      if (windows[w].phase_valid[ai] &&
-          prev_window[ai] == static_cast<int>(w) - 1) {
-        so.dtheta[ai] = windows[w].phase_rad[ai] - prev_phase[ai];
-      }
-      if (windows[w].phase_valid[ai]) {
-        prev_phase[ai] = windows[w].phase_rad[ai];
-        prev_window[ai] = static_cast<int>(w);
-      }
-    }
-    steps.push_back(std::move(so));
   }
+  const std::vector<std::vector<double>> dtheta = phase_deltas(windows);
 
   // Initial fix: grid argmax of the spatial (AoA) coherence on the first
   // window with all pairs observed -- RF-IDraw localizes before tracking.
@@ -117,15 +81,14 @@ std::vector<Vec2> RfIdrawTracker::track(
 
   const auto scorer = [&](std::size_t t, const Vec2& from,
                           const Vec2& to) -> double {
-    const StepObs& so = steps[t];
     double score = 0.0;
     int used = 0;
     // AoA / hyperbola term: the candidate must lie where each array's
     // spatial phase difference matches. The cosine handles the 2k*pi
     // ambiguity exactly the way grating lobes do; the fine/coarse pairing
     // plus temporal continuity selects among lobes.
-    for (std::size_t pi = 0; pi < so.pair_diff.size(); ++pi) {
-      const double m = so.pair_diff[pi];
+    for (std::size_t pi = 0; pi < pair_diff[t].size(); ++pi) {
+      const double m = pair_diff[t][pi];
       if (std::isnan(m)) continue;
       const auto [i, j] = pairs_[pi];
       const double expected =
@@ -136,8 +99,8 @@ std::vector<Vec2> RfIdrawTracker::track(
     // Temporal stabilizer: per-port differential coherence (as in any
     // phase tracker; RF-IDraw's virtual-touch-screen demo also tracks
     // continuously rather than re-localizing from scratch).
-    for (std::size_t a = 0; a < so.dtheta.size(); ++a) {
-      const double m = so.dtheta[a];
+    for (std::size_t a = 0; a < dtheta[t].size(); ++a) {
+      const double m = dtheta[t][a];
       if (std::isnan(m)) continue;
       const double expected =
           4.0 * kPi *
@@ -151,7 +114,7 @@ std::vector<Vec2> RfIdrawTracker::track(
     return score;
   };
 
-  return grid_beam_decode(cfg_.grid, start, steps.size(), scorer);
+  return grid_beam_decode(cfg_.grid, start, dtheta.size(), scorer);
 }
 
 }  // namespace polardraw::baselines

@@ -17,42 +17,7 @@ std::vector<Vec2> TagoramTracker::track(
   const auto windows =
       window_reports(reports, ports, cfg_.grid.window_s, nullptr);
   if (windows.size() < 2) return {};
-
-  // Precompute per-window phase deltas (vs previous valid window per port).
-  struct StepObs {
-    std::vector<double> dtheta;  // per port; NaN if unavailable
-  };
-  std::vector<StepObs> steps;
-  steps.reserve(windows.size() - 1);
-  std::vector<double> prev_phase(static_cast<std::size_t>(ports), 0.0);
-  std::vector<int> prev_window(static_cast<std::size_t>(ports), -1000);
-  // Initialize from the first window.
-  for (int a = 0; a < ports; ++a) {
-    if (windows[0].phase_valid[static_cast<std::size_t>(a)]) {
-      prev_phase[static_cast<std::size_t>(a)] =
-          windows[0].phase_rad[static_cast<std::size_t>(a)];
-      prev_window[static_cast<std::size_t>(a)] = 0;
-    }
-  }
-  for (std::size_t w = 1; w < windows.size(); ++w) {
-    StepObs so;
-    so.dtheta.assign(static_cast<std::size_t>(ports),
-                     std::numeric_limits<double>::quiet_NaN());
-    for (int a = 0; a < ports; ++a) {
-      const auto ai = static_cast<std::size_t>(a);
-      // Only adjacent-window differentials: a delta spanning a read gap
-      // covers several moves and cannot be scored against one transition.
-      if (windows[w].phase_valid[ai] &&
-          prev_window[ai] == static_cast<int>(w) - 1) {
-        so.dtheta[ai] = windows[w].phase_rad[ai] - prev_phase[ai];
-      }
-      if (windows[w].phase_valid[ai]) {
-        prev_phase[ai] = windows[w].phase_rad[ai];
-        prev_window[ai] = static_cast<int>(w);
-      }
-    }
-    steps.push_back(std::move(so));
-  }
+  const std::vector<std::vector<double>> dtheta = phase_deltas(windows);
 
   // Start at the board center: with phase-only measurements the absolute
   // position is resolvable only up to hologram ambiguities, and the
@@ -60,24 +25,17 @@ std::vector<Vec2> TagoramTracker::track(
   const Vec2 start{cfg_.grid.board_width_m / 2.0,
                    cfg_.grid.board_height_m / 2.0};
 
-  const auto link_len = [this](const Vec2& p, const em::ReaderAntenna& ant) {
-    const double dx = p.x - ant.position.x;
-    const double dy = p.y - ant.position.y;
-    const double dz = ant.position.z;
-    return std::sqrt(dx * dx + dy * dy + dz * dz);
-  };
-
   const auto scorer = [&](std::size_t t, const Vec2& from,
                           const Vec2& to) -> double {
-    const StepObs& so = steps[t];
     double score = 0.0;
     int used = 0;
-    for (std::size_t a = 0; a < so.dtheta.size(); ++a) {
-      const double m = so.dtheta[a];
+    for (std::size_t a = 0; a < dtheta[t].size(); ++a) {
+      const double m = dtheta[t][a];
       if (std::isnan(m)) continue;
-      const double expected =
-          4.0 * kPi * (link_len(to, antennas_[a]) - link_len(from, antennas_[a])) /
-          cfg_.wavelength_m;
+      const double expected = 4.0 * kPi *
+                              (link_length(to, antennas_[a]) -
+                               link_length(from, antennas_[a])) /
+                              cfg_.wavelength_m;
       // Coherence of measured vs predicted phase change; differential, so
       // port offsets cancel.
       score += cfg_.coherence_weight * (std::cos(m - expected) - 1.0);
@@ -87,7 +45,7 @@ std::vector<Vec2> TagoramTracker::track(
     return score;
   };
 
-  return grid_beam_decode(cfg_.grid, start, steps.size(), scorer);
+  return grid_beam_decode(cfg_.grid, start, dtheta.size(), scorer);
 }
 
 }  // namespace polardraw::baselines

@@ -1,28 +1,42 @@
 #include "baselines/windowing.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "common/angles.h"
+#include "obs/metrics.h"
 
 namespace polardraw::baselines {
 
 std::vector<MultiWindow> window_reports(
     const rfid::TagReportStream& reports, int num_ports, double window_s,
     const std::vector<double>* port_offsets) {
+  static const obs::Counter far_counter("preprocess.far_reports");
   std::vector<MultiWindow> out;
-  if (reports.empty() || num_ports <= 0 || window_s <= 0.0) return out;
+  if (num_ports <= 0 || window_s <= 0.0) return out;
+  const auto first =
+      std::find_if(reports.begin(), reports.end(), rfid::admit_report);
+  if (first == reports.end()) return out;
 
-  const double t0 = reports.front().timestamp_s;
+  const double t0 = first->timestamp_s;
   struct Acc {
     std::vector<std::vector<double>> phase;
     std::vector<std::vector<double>> rss;
   };
   std::map<int, Acc> buckets;
-  for (const auto& r : reports) {
+  for (auto it = first; it != reports.end(); ++it) {
+    const rfid::TagReport& r = *it;
+    if (!rfid::admit_report(r)) continue;
     if (r.antenna_id < 0 || r.antenna_id >= num_ports) continue;
-    const int w = static_cast<int>((r.timestamp_s - t0) / window_s);
-    auto& acc = buckets[w];
+    // Compared in double, so the cast below cannot overflow.
+    const double w_f = (r.timestamp_s - t0) / window_s;
+    if (!(w_f >= 0.0 && w_f < static_cast<double>(rfid::kMaxWindows))) {
+      far_counter.add(1);
+      continue;
+    }
+    auto& acc = buckets[static_cast<int>(w_f)];
     if (acc.phase.empty()) {
       acc.phase.resize(static_cast<std::size_t>(num_ports));
       acc.rss.resize(static_cast<std::size_t>(num_ports));
@@ -76,6 +90,30 @@ std::vector<MultiWindow> window_reports(
     out.push_back(std::move(win));
   }
   return out;
+}
+
+std::vector<std::vector<double>> phase_deltas(
+    const std::vector<MultiWindow>& windows) {
+  std::vector<std::vector<double>> deltas;
+  for (std::size_t w = 1; w < windows.size(); ++w) {
+    const MultiWindow& prev = windows[w - 1];
+    const MultiWindow& cur = windows[w];
+    std::vector<double>& d = deltas.emplace_back(
+        cur.phase_rad.size(), std::numeric_limits<double>::quiet_NaN());
+    for (std::size_t a = 0; a < d.size(); ++a) {
+      if (cur.phase_valid[a] && prev.phase_valid[a]) {
+        d[a] = cur.phase_rad[a] - prev.phase_rad[a];
+      }
+    }
+  }
+  return deltas;
+}
+
+double link_length(const Vec2& p, const em::ReaderAntenna& antenna) {
+  const double dx = p.x - antenna.position.x;
+  const double dy = p.y - antenna.position.y;
+  const double dz = antenna.position.z;
+  return std::sqrt(dx * dx + dy * dy + dz * dz);
 }
 
 }  // namespace polardraw::baselines

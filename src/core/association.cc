@@ -69,7 +69,7 @@ TagTrackAssociator::~TagTrackAssociator() = default;
 
 std::vector<PenEvent> TagTrackAssociator::push(const rfid::TagReport& r) {
   std::vector<PenEvent> out;
-  if (!admit_report(r)) return out;
+  if (!rfid::admit_report(r)) return out;
   close_stale(r.timestamp_s, out);
   route(r, out);
   return out;
@@ -79,7 +79,7 @@ std::vector<PenEvent> TagTrackAssociator::push(
     const rfid::TagReportStream& reports) {
   std::vector<PenEvent> out;
   for (const auto& r : reports) {
-    if (!admit_report(r)) continue;
+    if (!rfid::admit_report(r)) continue;
     close_stale(r.timestamp_s, out);
     route(r, out);
   }

@@ -80,13 +80,14 @@ class TagTrackAssociator {
   TagTrackAssociator& operator=(TagTrackAssociator&&) = default;
 
   /// Routes one report; reports must arrive in non-decreasing timestamp
-  /// order (the reader's native order). A report that fails admit_report()
-  /// is dropped first. Its track's WindowBuilder drops and counts, under
-  /// `preprocess.late_reports` and `preprocess.far_reports`, a report for
-  /// an already finalized window or from before the track's first report,
-  /// and one more than kMaxWindows windows past the track's current
-  /// window. Returns the events it triggered: idle closes of stale tracks
-  /// first (EPC order), then this report's own open/observations.
+  /// order (the reader's native order). A report that fails
+  /// rfid::admit_report() is dropped first. Its track's WindowBuilder
+  /// drops and counts, under `preprocess.late_reports` and
+  /// `preprocess.far_reports`, a report for an already finalized window or
+  /// from before the track's first report, and one more than
+  /// rfid::kMaxWindows windows past the track's current window. Returns
+  /// the events it triggered: idle closes of stale tracks first (EPC
+  /// order), then this report's own open/observations.
   std::vector<PenEvent> push(const rfid::TagReport& report);
 
   /// Convenience: pushes a whole (time-ordered) stream.

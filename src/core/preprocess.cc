@@ -26,16 +26,6 @@ std::optional<double> circular_mean(const std::vector<double>& phases) {
   return wrap_2pi(std::atan2(sy, sx));
 }
 
-bool admit_report(const rfid::TagReport& r) {
-  if (std::isfinite(r.timestamp_s) && std::isfinite(r.rss_dbm) &&
-      std::isfinite(r.phase_rad)) {
-    return true;
-  }
-  static const obs::Counter nonfinite_counter("preprocess.nonfinite_reports");
-  nonfinite_counter.add(1);
-  return false;
-}
-
 bool WindowBuilder::add(const rfid::TagReport& r,
                         const PhaseCalibration* calibration,
                         std::vector<Window>& finished) {
@@ -43,7 +33,7 @@ bool WindowBuilder::add(const rfid::TagReport& r,
   if (!t0_) t0_ = r.timestamp_s;
   const double w_f = (r.timestamp_s - *t0_) / window_s_;
   if (w_f - static_cast<double>(cur_window_) >
-          static_cast<double>(kMaxWindows) ||
+          static_cast<double>(rfid::kMaxWindows) ||
       w_f >= static_cast<double>(max_windows_)) {
     // A corrupt or jumped clock, or past the cap. Compared in double, so
     // the cast below cannot overflow.
@@ -182,11 +172,11 @@ std::vector<Window> preprocess(const rfid::TagReportStream& reports,
   std::vector<Window> out;
 
   // --- Step 1: window averaging ------------------------------------------
-  // Capped at kMaxWindows windows in all, so that jumps each under the
-  // builder's per-read bound cannot add up to more.
-  WindowBuilder builder(cfg.window_s, kMaxWindows);
+  // Capped at rfid::kMaxWindows windows in all, so that jumps each under
+  // the builder's per-read bound cannot add up to more.
+  WindowBuilder builder(cfg.window_s, rfid::kMaxWindows);
   for (const auto& r : reports) {
-    if (!admit_report(r)) continue;
+    if (!rfid::admit_report(r)) continue;
     if (r.antenna_id < 0 || r.antenna_id > 1) continue;
     builder.add(r, calibration, out);
   }

@@ -14,8 +14,8 @@
 //     Surviving phases are unwrapped into a continuous series.
 //
 // Reports with a non-finite timestamp, RSS or phase never reach either
-// step (admit_report). The output is a time-aligned series of two-antenna
-// windows; downstream trackers consume only this.
+// step (rfid::admit_report). The output is a time-aligned series of
+// two-antenna windows; downstream trackers consume only this.
 #pragma once
 
 #include <cstddef>
@@ -70,20 +70,6 @@ struct PhaseCalibration {
   std::vector<double> channel_offsets_rad;
 };
 
-/// The furthest a report may land past its WindowBuilder's current window,
-/// in windows: about 1.8 hours of stream at the 50 ms default. A corrupt
-/// timestamp beyond it would otherwise make the builder finish that many
-/// empty windows, so such reports are dropped. preprocess() also caps its
-/// whole output at this many windows.
-inline constexpr std::size_t kMaxWindows = std::size_t{1} << 17;
-
-/// The report screen both pipelines apply first: false for a report whose
-/// timestamp, RSS or phase is not finite, which is then counted under
-/// `preprocess.nonfinite_reports` and dropped before it can set a window
-/// origin, land in a window or refresh a pen's idle-close clock. The
-/// output therefore equals that of the same stream without the report.
-bool admit_report(const rfid::TagReport& r);
-
 /// Step 1 for one stream: the window clock. Window 0 starts at the first
 /// placed read; a read for a later window first finishes every earlier
 /// one (gap windows come out empty), and a finished window is never
@@ -92,8 +78,8 @@ bool admit_report(const rfid::TagReport& r);
 class WindowBuilder {
  public:
   /// The clock never opens window `max_windows` or later. preprocess(),
-  /// which holds every window at once, passes kMaxWindows; the associator
-  /// finalizes each window as it goes and leaves the clock uncapped.
+  /// which holds every window at once, passes rfid::kMaxWindows; the
+  /// associator finalizes each window as it goes and leaves it uncapped.
   explicit WindowBuilder(
       double window_s,
       std::size_t max_windows = std::numeric_limits<std::size_t>::max())
@@ -103,10 +89,10 @@ class WindowBuilder {
   /// to `finished`. When `calibration` is given, its port offset and -- if
   /// it covers the read's hop channel -- its channel offset are subtracted
   /// from the phase. Returns false, placing nothing, when the window
-  /// length is not positive; for a read more than kMaxWindows windows past
-  /// the current window or at window `max_windows` or later (counted in
-  /// `preprocess.far_reports`); or for an earlier window or from before
-  /// window 0 (counted in `preprocess.late_reports`).
+  /// length is not positive; for a read more than rfid::kMaxWindows
+  /// windows past the current window or at window `max_windows` or later
+  /// (counted in `preprocess.far_reports`); or for an earlier window or
+  /// from before window 0 (counted in `preprocess.late_reports`).
   bool add(const rfid::TagReport& r, const PhaseCalibration* calibration,
            std::vector<Window>& finished);
 
@@ -176,9 +162,9 @@ class PhaseGate {
 /// Runs both pre-processing steps over a raw, time-ordered report stream
 /// (the reader's native order), through one WindowBuilder: a read that
 /// arrives after its window was finished is dropped and counted, and the
-/// output holds at most kMaxWindows windows. Reports from antennas other
-/// than 0/1 are ignored (PolarDraw is a two-antenna system; baselines
-/// have their own ingestion).
+/// output holds at most rfid::kMaxWindows windows. Reports from antennas
+/// other than 0/1 are ignored (PolarDraw is a two-antenna system;
+/// baselines have their own ingestion).
 std::vector<Window> preprocess(const rfid::TagReportStream& reports,
                                const PolarDrawConfig& cfg,
                                const PhaseCalibration* calibration = nullptr);

@@ -103,6 +103,12 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
   // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
   stage_start = std::chrono::steady_clock::now();
   const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
+  // The baselines decode on PolarDraw's board grid, window and speed limit.
+  const baselines::GridConfig grid{.board_width_m = cfg.scene.board_width_m,
+                                   .board_height_m = cfg.scene.board_height_m,
+                                   .block_m = cfg.algo.block_m,
+                                   .vmax_mps = cfg.algo.vmax_mps,
+                                   .window_s = cfg.algo.window_s};
   switch (cfg.system) {
     case System::kPolarDraw:
     case System::kPolarDrawNoPol:
@@ -118,11 +124,7 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
     case System::kTagoram2:
     case System::kTagoram4: {
       baselines::TagoramConfig tcfg;
-      tcfg.grid.board_width_m = cfg.scene.board_width_m;
-      tcfg.grid.board_height_m = cfg.scene.board_height_m;
-      tcfg.grid.window_s = cfg.algo.window_s;
-      tcfg.grid.vmax_mps = cfg.algo.vmax_mps;
-      tcfg.grid.block_m = cfg.algo.block_m;
+      tcfg.grid = grid;
       tcfg.wavelength_m = cfg.algo.wavelength_m;
       baselines::TagoramTracker tracker(tcfg, scene.antennas());
       out.trajectory = tracker.track(reports);
@@ -130,11 +132,7 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
     }
     case System::kRfIdraw4: {
       baselines::RfIdrawConfig rcfg;
-      rcfg.grid.board_width_m = cfg.scene.board_width_m;
-      rcfg.grid.board_height_m = cfg.scene.board_height_m;
-      rcfg.grid.window_s = cfg.algo.window_s;
-      rcfg.grid.vmax_mps = cfg.algo.vmax_mps;
-      rcfg.grid.block_m = cfg.algo.block_m;
+      rcfg.grid = grid;
       rcfg.wavelength_m = cfg.algo.wavelength_m;
       baselines::RfIdrawTracker tracker(
           rcfg, scene.antennas(), {{0, 1}, {2, 3}},

@@ -4,6 +4,7 @@
 // hands (timestamp, antenna, RSS, phase) tuples to the C# tracker.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -25,5 +26,18 @@ struct TagReport {
 };
 
 using TagReportStream = std::vector<TagReport>;
+
+/// The report screen every windowing pipeline applies first: false for a
+/// report whose timestamp, RSS or phase is not finite, which is then
+/// counted under `preprocess.nonfinite_reports` and dropped before it can
+/// set a window origin, land in a window or refresh a pen's idle-close
+/// clock. The output therefore equals that of the same stream without it.
+bool admit_report(const TagReport& r);
+
+/// The furthest a report may land from its window clock, in windows: about
+/// 1.8 hours of stream at the 50 ms default. A corrupt timestamp beyond it
+/// would otherwise open that many empty windows, so such reports are
+/// dropped and counted under `preprocess.far_reports`.
+inline constexpr std::size_t kMaxWindows = std::size_t{1} << 17;
 
 }  // namespace polardraw::rfid

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/grid_search.h"
 #include "baselines/rfidraw.h"
 #include "baselines/tagoram.h"
 #include "baselines/windowing.h"
 #include "common/angles.h"
+#include "obs/metrics.h"
 
 namespace polardraw::baselines {
 namespace {
@@ -65,6 +68,66 @@ TEST(Windowing, DegenerateInputs) {
   EXPECT_TRUE(window_reports({}, 2, 0.05).empty());
   EXPECT_TRUE(window_reports({report(0, 0, 1)}, 0, 0.05).empty());
   EXPECT_TRUE(window_reports({report(0, 0, 1)}, 2, 0.0).empty());
+}
+
+TEST(Windowing, HostileReadsLeaveTheWindowsUnchanged) {
+  // A NaN-timestamp first read (it would set window 0), a read at 1e4 s
+  // (200,000 windows past the stream) and a NaN-phase read (it would turn
+  // its port's unwrapped phase NaN for good) must each vanish: the stream
+  // windows exactly as without them, and each drop is counted.
+  rfid::TagReportStream clean;
+  for (int w = 0; w < 40; ++w) {
+    for (int a = 0; a < 4; ++a) {
+      clean.push_back(report(0.01 + w * 0.05 + a * 0.01, a, 0.3 * w + a,
+                             -40.0 - a));
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  rfid::TagReport nan_time = report(0.0, 0, 1.0);
+  nan_time.timestamp_s = nan;
+  rfid::TagReport far = report(1e4, 1, 1.0);
+  rfid::TagReport nan_phase = report(1.0, 2, 1.0);
+  nan_phase.phase_rad = nan;
+  const auto with = [&clean](const rfid::TagReport& r, std::size_t at) {
+    rfid::TagReportStream s = clean;
+    s.insert(s.begin() + static_cast<std::ptrdiff_t>(at), r);
+    return s;
+  };
+  rfid::TagReportStream all = with(nan_phase, 80);
+  all.insert(all.begin() + 60, far);
+  all.insert(all.begin(), nan_time);
+  struct Case {
+    const char* name;
+    rfid::TagReportStream stream;
+    std::uint64_t nonfinite, far;
+  };
+  const Case cases[] = {{"NaN first timestamp", with(nan_time, 0), 1, 0},
+                        {"far timestamp", with(far, 60), 0, 1},
+                        {"NaN phase", with(nan_phase, 80), 1, 0},
+                        {"all three", all, 2, 1}};
+
+  const auto expected = window_reports(clean, 4, 0.05);
+  ASSERT_EQ(expected.size(), 40u);
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    reg.reset();
+    const auto got = window_reports(c.stream, 4, 0.05);
+    const obs::Snapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counter("preprocess.nonfinite_reports"), c.nonfinite);
+    EXPECT_EQ(snap.counter("preprocess.far_reports"), c.far);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t w = 0; w < got.size(); ++w) {
+      EXPECT_EQ(got[w].t_s, expected[w].t_s) << w;
+      EXPECT_EQ(got[w].phase_rad, expected[w].phase_rad) << w;
+      EXPECT_EQ(got[w].rss_dbm, expected[w].rss_dbm) << w;
+      EXPECT_EQ(got[w].phase_valid, expected[w].phase_valid) << w;
+      EXPECT_EQ(got[w].rss_valid, expected[w].rss_valid) << w;
+    }
+  }
+  reg.reset();
+  reg.set_enabled(false);
 }
 
 TEST(GridBeam, FollowsScoreGradient) {

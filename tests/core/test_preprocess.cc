@@ -360,7 +360,7 @@ TEST(Preprocess, ChainedJumpsStayWithinTheWindowCap) {
   EXPECT_EQ(snap.counter("preprocess.far_reports"), 1u);
   EXPECT_EQ(snap.counter("preprocess.late_reports"), 1u);
   ASSERT_EQ(windows.size(), 120001u);
-  EXPECT_LE(windows.size(), kMaxWindows);
+  EXPECT_LE(windows.size(), rfid::kMaxWindows);
   EXPECT_EQ(windows[0].read_count[0], 1);
   EXPECT_EQ(windows[0].rss_dbm[0], -40.0);
   EXPECT_EQ(windows.back().index, 120000);
