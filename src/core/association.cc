@@ -55,7 +55,6 @@ struct TagTrackAssociator::Track {
   MotionFrontEnd front;
   std::uint64_t flow_serial = 0;  // first sampled report in `builder`
   std::uint64_t held_flow = 0;    // flow id of the front end's held window
-  double emitted_correction = 0.0;
 };
 
 TagTrackAssociator::TagTrackAssociator(const PolarDrawConfig& cfg,
@@ -173,19 +172,6 @@ void TagTrackAssociator::finalize_window(Track& track, Window& win,
   const MotionFrontEnd::Step step = track.front.push(win);
   if (step.released) emit_observation(track, *step.released, out);
   track.held_flow = flow_serial;
-
-  // --- Azimuth-correction delta (Eq. 10 accumulator) ----------------------
-  const double corr = track.front.accumulated_correction();
-  if (corr != track.emitted_correction) {
-    PenEvent ev;
-    ev.type = PenEventType::kAzimuthCorrection;
-    ev.session_id = track.session_id;
-    ev.epc = track.epc;
-    ev.t_s = win.t_s;
-    ev.azimuth_delta_rad = corr - track.emitted_correction;
-    out.push_back(ev);
-    track.emitted_correction = corr;
-  }
 }
 
 void TagTrackAssociator::emit_observation(const Track& track,
@@ -213,6 +199,7 @@ void TagTrackAssociator::close_track(Track& track, std::vector<PenEvent>& out) {
   ev.session_id = track.session_id;
   ev.epc = track.epc;
   ev.t_s = track.last_report_s;
+  ev.azimuth_correction_rad = track.front.azimuth_correction_rad();
   out.push_back(ev);
   closed_counter().add(1);
 }

@@ -7,9 +7,12 @@
 // window clock, with its late- and far-report drops) and a PhaseGate
 // (core/preprocess.h) and a MotionFrontEnd (core/motion_front_end.h) --
 // fed window by window as the pen's reports arrive. It emits `PenEvent`s
-// -- open / observation / azimuth-correction / close -- that map
-// one-to-one onto the server::SessionServer API, so a reader frontend can
-// drive many concurrent decoders from a single interleaved stream.
+// -- open / observation / close -- that map one-to-one onto the
+// server::SessionServer API, so a reader frontend can drive many
+// concurrent decoders from a single interleaved stream. The close event
+// carries the track's Eq. 10 angle, which is set once, at the pen's first
+// sector crossing, so the live path rotates a closed trajectory exactly
+// as PolarDraw::track rotates a batch one.
 //
 // Pen lifecycle: a session opens at an EPC's first report and closes when
 // its reports stop for `idle_close_s` of stream time (the pen left the
@@ -44,20 +47,22 @@ struct AssociatorConfig {
   double idle_close_s = 1.0;
 };
 
-enum class PenEventType { kOpen, kObservation, kAzimuthCorrection, kClose };
+enum class PenEventType { kOpen, kObservation, kClose };
 
-/// One associator output event. Apply in order:
-///   kOpen               -> SessionServer::open(session_id)
-///   kObservation        -> SessionServer::submit(session_id, obs)
-///   kAzimuthCorrection  -> SessionServer::accumulate_azimuth_correction
-///   kClose              -> SessionServer::close(session_id)
+/// One associator output event. Apply in order (SessionServer::ingest):
+///   kOpen         -> SessionServer::open(session_id)
+///   kObservation  -> SessionServer::submit(session_id, obs)
+///   kClose        -> SessionServer::close(session_id), then Eq. 10 by
+///                    azimuth_correction_rad on the trajectory it returns
 struct PenEvent {
   PenEventType type = PenEventType::kObservation;
   std::uint64_t session_id = 0;
   std::uint32_t epc = 0;
   double t_s = 0.0;  // window center (observation) or report time
-  TrackObservation obs;            // kObservation only
-  double azimuth_delta_rad = 0.0;  // kAzimuthCorrection only
+  TrackObservation obs;  // kObservation only
+  /// kClose only: the track's Eq. 10 initial-azimuth correction
+  /// (MotionFrontEnd::azimuth_correction_rad), radians.
+  double azimuth_correction_rad = 0.0;
   /// Causal flow id (kObservation only): the serial of a flow-sampled
   /// report that fed this observation's window, 0 when none was sampled.
   /// Observational only -- carried so SessionServer can link the

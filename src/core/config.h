@@ -107,8 +107,8 @@ struct PolarDrawConfig {
   /// 2400.
   std::size_t beam_width = 600;
 
-  /// Apply the final Eq. 10 trajectory rotation by the accumulated
-  /// initial-azimuth correction.
+  /// Apply the final Eq. 10 trajectory rotation by the initial-azimuth
+  /// correction.
   bool apply_rotation_correction = true;
 
   // ----- Ablations -----

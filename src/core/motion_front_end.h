@@ -59,9 +59,10 @@ class MotionFrontEnd {
   /// (empty when nothing is held).
   std::optional<TimedObservation> flush();
 
-  /// Eq. 10 initial-azimuth correction accumulated so far, radians.
-  [[nodiscard]] double accumulated_correction() const {
-    return rotation_.accumulated_correction();
+  /// Eq. 10 initial-azimuth correction, radians: set once, at the first
+  /// sector crossing; 0 before it.
+  [[nodiscard]] double azimuth_correction_rad() const {
+    return rotation_.azimuth_correction_rad();
   }
 
  private:

@@ -69,7 +69,7 @@ TrackingResult PolarDraw::track(const rfid::TagReportStream& reports,
     }
   }
   // Eq. 10: the azimuth error tilts the whole recovered trajectory.
-  result.azimuth_correction_rad = front.accumulated_correction();
+  result.azimuth_correction_rad = front.azimuth_correction_rad();
   traj = correct_initial_azimuth(cfg_, std::move(traj),
                                  result.azimuth_correction_rad);
   if (cfg_.warmup_windows > 0 &&

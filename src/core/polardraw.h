@@ -34,7 +34,7 @@ struct TrackingResult {
   int rotational_windows = 0;
   int translational_windows = 0;
   int idle_windows = 0;
-  /// Accumulated initial-azimuth correction applied via Eq. 10 (radians).
+  /// Initial-azimuth correction applied via Eq. 10 (radians).
   double azimuth_correction_rad = 0.0;
 };
 

@@ -10,14 +10,6 @@ namespace polardraw::core {
 
 RotationTracker::RotationTracker(const PolarDrawConfig& cfg) : cfg_(cfg) {}
 
-void RotationTracker::reset() {
-  started_ = false;
-  alpha_a_rad_ = 0.0;
-  sector_ = Sector::kUnknown;
-  correction_ = 0.0;
-  correction_locked_ = false;
-}
-
 std::optional<RotationTracker::TrendDecision> RotationTracker::classify_trend(
     double ds1, double ds2) const {
   // Table 3. Antenna 1 (index 0) is polarized at pi/2 + gamma, antenna 2

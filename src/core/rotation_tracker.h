@@ -3,11 +3,11 @@
 // Jointly analyzes the RSS trends of the two differently-polarized antennas
 // to (a) break the rotation-direction and azimuthal-angle ambiguities via
 // the sector logic of Fig. 8(c) / Table 3, (b) track the azimuth alpha_a
-// incrementally (Eqs. 2-4), (c) correct the initial-azimuth error when the
-// pen crosses a sector boundary, and (d) convert alpha_a to the board
+// incrementally (Eqs. 2-4), (c) estimate the initial-azimuth error at the
+// pen's first sector crossing, and (d) convert alpha_a to the board
 // rotation angle alpha_r (Eq. 1) whose perpendicular is the motion
-// direction. correct_initial_azimuth applies the accumulated correction to
-// a finished trajectory (Eq. 10).
+// direction. correct_initial_azimuth applies that estimate to a finished
+// trajectory (Eq. 10).
 #pragma once
 
 #include <optional>
@@ -28,17 +28,15 @@ class RotationTracker {
   /// kRotational only when the trends decode to a consistent sector.
   DirectionEstimate step(double delta_s1_db, double delta_s2_db);
 
-  /// Total initial-azimuth correction accumulated from sector crossings
-  /// (the alpha-tilde of section 3.3.1), radians. The final trajectory
+  /// The initial-azimuth error alpha-tilde of section 3.3.1, radians: set
+  /// once, at the first sector crossing; 0 before it. The final trajectory
   /// rotation (Eq. 10) uses this.
-  double accumulated_correction() const { return correction_; }
+  double azimuth_correction_rad() const { return correction_; }
 
   /// Current azimuth estimate (radians), if tracking has started.
   std::optional<double> azimuth() const {
     return started_ ? std::optional<double>(alpha_a_rad_) : std::nullopt;
   }
-
-  void reset();
 
   /// Classifies RSS trends per Table 3. Returns nullopt when the pattern
   /// is inconsistent (e.g. equal-magnitude same-sign changes too close to
@@ -82,7 +80,7 @@ class RotationTracker {
 };
 
 /// Eq. 10: rotates a finished trajectory about its centroid by
-/// `-alpha_r_error_rad` to undo the accumulated initial-azimuth error (the
+/// `-alpha_r_error_rad` to undo the initial-azimuth error (the
 /// rotation-angle error equals the azimuth error to first order in the
 /// writing model). Applies only when `cfg` enables both use_polarization
 /// and apply_rotation_correction and |alpha_r_error_rad| > 1e-9; otherwise

@@ -11,7 +11,7 @@
 // current most probable front node. Committed positions are frozen -- they
 // are emitted exactly once and never revised. The decoder holds decode
 // state only: the Eq. 10 initial-azimuth correction rotates the finished
-// trajectory, so its callers (PolarDraw::track, SessionServer::close)
+// trajectory, so its callers (PolarDraw::track, SessionServer::ingest)
 // carry and apply it.
 //
 // Internal state is retained across pushes, so history is never

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -79,8 +80,8 @@ void SessionServer::open(SessionId id, const Vec2* initial_hint, double t_s) {
   }
 }
 
-bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
-                            std::optional<double> t_s, std::uint64_t flow_id) {
+bool SessionServer::submit(SessionId id, const core::TrackObservation& obs,
+                           std::optional<double> t_s, std::uint64_t flow_id) {
   static const obs::Counter obs_counter("server.observations");
   static const obs::Counter nonfinite_counter("server.nonfinite_observations");
   static const obs::Counter nonfinite_t_counter("server.nonfinite_timestamps");
@@ -90,11 +91,9 @@ bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
   const bool finite = is_finite(obs);
   if (!finite) nonfinite_counter.add(1);
   // A non-finite time would poison the rolling window and statusz; it is
-  // derived below as if the two-argument overload had been called.
-  if (t_s && !std::isfinite(*t_s)) {
-    nonfinite_t_counter.add(1);
-    t_s.reset();
-  }
+  // derived below as if none had been given.
+  double sim_t_s = t_s.value_or(std::numeric_limits<double>::quiet_NaN());
+  if (t_s && !std::isfinite(sim_t_s)) nonfinite_t_counter.add(1);
   // polarlint-allow(R7): push-to-commit latency measurement only; the
   // timestamp never feeds the decode.
   const auto now = Clock::now();
@@ -104,10 +103,12 @@ bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
     pd::MutexLock lock(s.mu);
     // Derived sim time: submit ordinal x window length -- exact for
     // gap-free streams, monotone always, so rolling windows stay sane for
-    // drivers that predate the timestamped overload.
-    if (!t_s) t_s = static_cast<double>(s.submitted) * cfg_.window_s;
+    // drivers that give no timestamp.
+    if (!std::isfinite(sim_t_s)) {
+      sim_t_s = static_cast<double>(s.submitted) * cfg_.window_s;
+    }
     s.pending.push_back(
-        {finite ? obs : unobserved_window(cfg_), now, *t_s, flow_id});
+        {finite ? obs : unobserved_window(cfg_), now, sim_t_s, flow_id});
     ++s.submitted;
     depth = ++s.queued;
     // Log the crossing once per episode; a drain re-arms it.
@@ -119,7 +120,7 @@ bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
   obs::record_report_flow('t', flow_id, obs::FlowStage::kSubmit);
   auto& lg = obs::Logger::global();
   if (log_backpressure && lg.enabled()) {
-    lg.log(obs::LogLevel::kWarn, *t_s, "server.backpressure",
+    lg.log(obs::LogLevel::kWarn, sim_t_s, "server.backpressure",
            [&](obs::JsonWriter& w) {
              w.kv("session", id);
              w.kv("mailbox_depth", static_cast<std::uint64_t>(depth));
@@ -127,16 +128,6 @@ bool SessionServer::enqueue(SessionId id, const core::TrackObservation& obs,
                                    server_cfg_.backpressure_depth));
            });
   }
-  return true;
-}
-
-bool SessionServer::accumulate_azimuth_correction(SessionId id,
-                                                 double delta_rad) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  Session& s = *it->second;
-  pd::MutexLock lock(s.mu);
-  s.azimuth_correction_rad += delta_rad;
   return true;
 }
 
@@ -223,14 +214,15 @@ std::size_t SessionServer::ingest(const std::vector<core::PenEvent>& events,
       case core::PenEventType::kObservation:
         if (submit(ev.session_id, ev.obs, ev.t_s, ev.flow_id)) ++submitted;
         break;
-      case core::PenEventType::kAzimuthCorrection:
-        accumulate_azimuth_correction(ev.session_id, ev.azimuth_delta_rad);
-        break;
       case core::PenEventType::kClose: {
         std::vector<Vec2> traj = close(ev.session_id);
         if (closed != nullptr) {
-          closed->push_back(ClosedSession{ev.session_id, ev.epc,
-                                          std::move(traj)});
+          // Eq. 10 on the finished trace, as PolarDraw::track after its
+          // decode.
+          closed->push_back(ClosedSession{
+              ev.session_id, ev.epc,
+              core::correct_initial_azimuth(cfg_, std::move(traj),
+                                            ev.azimuth_correction_rad)});
         }
         break;
       }
@@ -263,12 +255,7 @@ std::vector<Vec2> SessionServer::close(SessionId id) {
     s.push_queued();
     s.decoder.finish(s.committed);
     last_t_s = s.pending.empty() ? 0.0 : s.pending.back().t_s;
-    // Eq. 10: undo the accumulated initial-azimuth error, under the same
-    // gate as the batch pipeline. A whole-trajectory rotation about the
-    // centroid, so it can only run once the trace is complete -- committed
-    // positions are frozen in board frame until here.
-    traj = core::correct_initial_azimuth(cfg_, std::move(s.committed),
-                                         s.azimuth_correction_rad);
+    traj = std::move(s.committed);
   }
   sessions_.erase(it);
   closed_counter.add(1);

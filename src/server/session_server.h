@@ -18,12 +18,12 @@
 // isolation. Worker count changes wall-clock only.
 //
 // Threading rules: every per-session field is guarded by that session's
-// mutex, so submit(), accumulate_azimuth_correction(), committed(),
-// status() and healthz() may all run concurrently with pump() and with
-// each other; the last three may wait while a pump worker drains the
-// session they read. open(), close() and session_count() change or size
-// the session map that every call walks, so they must not race any other
-// call. Lock order: status_mu_, then a session's mutex, never the reverse.
+// mutex, so submit(), committed(), status() and healthz() may all run
+// concurrently with pump() and with each other; the last three may wait
+// while a pump worker drains the session they read. open(), close(),
+// ingest() and session_count() change or size the session map that every
+// call walks, so they must not race any other call. Lock order:
+// status_mu_, then a session's mutex, never the reverse.
 #pragma once
 
 #include <chrono>
@@ -98,26 +98,16 @@ class SessionServer {
   /// decoded at the next pump(). Returns false for an unknown session.
   /// `t_s` is the observation's simulation timestamp (drives the rolling
   /// SLO window and starvation detection; never the decode) and `flow_id`
-  /// the causal flow chain it belongs to (0 = unsampled). The two-arg
-  /// form derives t_s from the session's submit ordinal and the window
+  /// the causal flow chain it belongs to (0 = unsampled). Without `t_s`
+  /// the time is derived from the session's submit ordinal and the window
   /// length, which is exact for gap-free streams; a non-finite `t_s` is
   /// derived the same way and counted in `server.nonfinite_timestamps`. A
   /// window whose distance bounds, dtheta21 or direction is not finite is
   /// queued as an unobserved window instead (idle, no phase, bounded by
   /// the speed limit) and counted in `server.nonfinite_observations`.
-  bool submit(SessionId id, const core::TrackObservation& obs, double t_s,
-              std::uint64_t flow_id = 0) {
-    return enqueue(id, obs, t_s, flow_id);
-  }
-  bool submit(SessionId id, const core::TrackObservation& obs) {
-    return enqueue(id, obs, std::nullopt, 0);
-  }
-
-  /// Feeds the session's Eq. 10 azimuth-rotation accumulator (e.g. from a
-  /// per-session rotation tracker); applied to the whole trajectory at
-  /// close() when the config enables it. Returns false for an unknown
-  /// session.
-  bool accumulate_azimuth_correction(SessionId id, double delta_rad);
+  bool submit(SessionId id, const core::TrackObservation& obs,
+              std::optional<double> t_s = std::nullopt,
+              std::uint64_t flow_id = 0);
 
   /// Drains every non-empty mailbox across the pool: pushes the queued
   /// windows through each session's decoder and appends the newly frozen
@@ -131,12 +121,11 @@ class SessionServer {
   [[nodiscard]] std::vector<Vec2> committed(SessionId id) const;
 
   /// Drains any observations still queued in the mailbox, finishes the
-  /// session's decode (committing the batch-equivalent tail), applies the
-  /// accumulated Eq. 10 rotation through core::correct_initial_azimuth (the
-  /// batch pipeline's gate: only with use_polarization and
-  /// apply_rotation_correction on), erases the session, and returns the
-  /// final trajectory -- a function of the full observation stream,
-  /// independent of pump() timing.
+  /// session's decode (committing the batch-equivalent tail), erases the
+  /// session, and returns its committed trajectory -- a function of the
+  /// full observation stream, independent of pump() timing, that extends
+  /// every copy committed() returned. It is not rotated: Eq. 10 is applied
+  /// by whoever holds the angle (ingest() for associator sessions).
   std::vector<Vec2> close(SessionId id);
 
   /// A session finished via an associator kClose event.
@@ -147,13 +136,14 @@ class SessionServer {
   };
 
   /// Applies a TagTrackAssociator event batch in order: kOpen -> open(),
-  /// kObservation -> submit(), kAzimuthCorrection ->
-  /// accumulate_azimuth_correction(), kClose -> close() (the final
-  /// trajectory is appended to `closed` when non-null). This is the glue
-  /// that turns an EPC-keyed report stream into per-pen decodes; call it
-  /// from the control thread (open/close threading rules apply) and pump()
-  /// on whatever cadence suits. Returns the number of observations
-  /// submitted.
+  /// kObservation -> submit(), kClose -> close(). When `closed` is
+  /// non-null, each closed trajectory is appended to it after Eq. 10 by
+  /// the event's angle, through core::correct_initial_azimuth (the batch
+  /// pipeline's gate: only with use_polarization and
+  /// apply_rotation_correction on). This is the glue that turns an
+  /// EPC-keyed report stream into per-pen decodes; call it from the
+  /// control thread (open/close threading rules apply) and pump() on
+  /// whatever cadence suits. Returns the number of observations submitted.
   std::size_t ingest(const std::vector<core::PenEvent>& events,
                      std::vector<ClosedSession>* closed = nullptr);
 
@@ -234,10 +224,6 @@ class SessionServer {
     /// order (deterministic merge).
     std::vector<std::pair<double, double>> latency_stash PD_GUARDED_BY(mu);
     std::vector<Vec2> committed PD_GUARDED_BY(mu);
-    /// Eq. 10 initial-azimuth correction accumulated so far; applied to
-    /// the whole trajectory at close() (committed positions are frozen,
-    /// and Eq. 10 rotates the full trace about its centroid).
-    double azimuth_correction_rad PD_GUARDED_BY(mu) = 0.0;
     /// Set when a submit logs server.backpressure; a drain re-arms it.
     bool backpressure_logged PD_GUARDED_BY(mu) = false;
 
@@ -250,10 +236,6 @@ class SessionServer {
       queued = 0;
     }
   };
-
-  /// Both submit() overloads; no `t_s` derives it from the submit count.
-  bool enqueue(SessionId id, const core::TrackObservation& obs,
-               std::optional<double> t_s, std::uint64_t flow_id);
 
   core::PolarDrawConfig cfg_;
   Vec2 a1_, a2_;

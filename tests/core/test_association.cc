@@ -173,7 +173,8 @@ TEST(Association, InterleavingInvariant) {
                 want[i].obs.direction.direction.x);
       ASSERT_EQ(got[i].obs.direction.direction.y,
                 want[i].obs.direction.direction.y);
-      ASSERT_EQ(got[i].azimuth_delta_rad, want[i].azimuth_delta_rad);
+      ASSERT_EQ(got[i].azimuth_correction_rad,
+                want[i].azimuth_correction_rad);
     }
   };
   expect_same(by_epc[0xA1], solo_a);
@@ -318,13 +319,11 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
       expect_same_distance(batch_res.diagnostics[i].distance,
                            obs[i].obs.distance, i);
     }
-    // The Eq. 10 correction deltas must sum to the batch accumulator.
-    double corr = 0.0;
-    for (const auto& e :
-         events_of_type(events, PenEventType::kAzimuthCorrection)) {
-      corr += e.azimuth_delta_rad;
-    }
-    EXPECT_NEAR(corr, batch_res.azimuth_correction_rad, 1e-12);
+    // The one close carries the batch pipeline's Eq. 10 angle exactly.
+    const auto closes = events_of_type(events, PenEventType::kClose);
+    ASSERT_EQ(closes.size(), 1u);
+    EXPECT_EQ(closes[0].azimuth_correction_rad,
+              batch_res.azimuth_correction_rad);
   }
   reg.reset();
   reg.set_enabled(false);
@@ -366,7 +365,8 @@ TEST(Association, LateReportDroppedAndCounted) {
       expect_same_direction(got[i].obs.direction, expected[i].obs.direction,
                             i);
       expect_same_distance(got[i].obs.distance, expected[i].obs.distance, i);
-      ASSERT_EQ(got[i].azimuth_delta_rad, expected[i].azimuth_delta_rad);
+      ASSERT_EQ(got[i].azimuth_correction_rad,
+                expected[i].azimuth_correction_rad);
     }
   }
   reg.reset();

@@ -151,7 +151,7 @@ TEST(RotationTracker, GateBlocksWeakSteps) {
   EXPECT_NEAR(est.alpha_a_rad, az0, 1e-12);
 }
 
-TEST(RotationTracker, SectorCrossingAccumulatesCorrection) {
+TEST(RotationTracker, FirstSectorCrossingSetsTheCorrection) {
   auto cfg = config();
   cfg.delta_beta_rad = deg2rad(10.0);
   cfg.delta_beta_gate_db = 0.1;
@@ -160,21 +160,26 @@ TEST(RotationTracker, SectorCrossingAccumulatesCorrection) {
   // rotate clockwise until the pattern flips to a sector-2 signature.
   tracker.step(1.0, 3.0);
   for (int i = 0; i < 4; ++i) tracker.step(1.0, 3.0);
-  EXPECT_EQ(tracker.accumulated_correction(), 0.0);
+  EXPECT_EQ(tracker.azimuth_correction_rad(), 0.0);
   // Sector-2 clockwise signature: ds1 < 0, ds2 > 0 -- impossible in
   // sector 1, so the tracker snaps to the boundary and records the error.
   tracker.step(-2.0, 2.0);
-  EXPECT_NE(tracker.accumulated_correction(), 0.0);
+  const double correction = tracker.azimuth_correction_rad();
+  EXPECT_NE(correction, 0.0);
   ASSERT_TRUE(tracker.azimuth().has_value());
-}
 
-TEST(RotationTracker, ResetClearsState) {
-  RotationTracker tracker(config());
-  tracker.step(-2.0, 2.0);
-  EXPECT_TRUE(tracker.azimuth().has_value());
-  tracker.reset();
-  EXPECT_FALSE(tracker.azimuth().has_value());
-  EXPECT_EQ(tracker.accumulated_correction(), 0.0);
+  // Rotate on, clockwise, through sector 2 (105 -> 65 deg) and then with
+  // sector 3's clockwise signature (both RSS falling) to 45 deg.
+  for (int i = 0; i < 3; ++i) tracker.step(-2.0, 2.0);
+  for (int i = 0; i < 2; ++i) tracker.step(-3.0, -1.0);
+  ASSERT_EQ(tracker.sector_of(*tracker.azimuth()), Sector::kSector3);
+  EXPECT_EQ(tracker.azimuth_correction_rad(), correction);
+  // The sector-2 clockwise pattern is impossible in sector 3: a second
+  // crossing. Too weak to step, so the azimuth stays where it re-snaps,
+  // on the 2|3 boundary; the correction stays the first crossing's.
+  tracker.step(-0.05, 0.05);
+  EXPECT_EQ(*tracker.azimuth(), kPi / 2.0 - cfg.gamma_rad);
+  EXPECT_EQ(tracker.azimuth_correction_rad(), correction);
 }
 
 TEST(RotationTracker, AzimuthClampedToSectorUnion) {

@@ -225,7 +225,7 @@ TEST(TrajectoryPin, MultipenSessionsBitExact) {
       events.add(e.obs.direction);
       events.add(e.obs.distance);
       events.add(e.obs.has_phase);
-      events.add(e.azimuth_delta_rad);
+      events.add(e.azimuth_correction_rad);
     }
   };
   constexpr std::size_t kChunk = 32;

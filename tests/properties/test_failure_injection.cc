@@ -158,7 +158,8 @@ void expect_same_events(const std::vector<core::PenEvent>& got,
     EXPECT_EQ(got[i].obs.distance.lower_m, want[i].obs.distance.lower_m) << i;
     EXPECT_EQ(got[i].obs.distance.dtheta21, want[i].obs.distance.dtheta21)
         << i;
-    EXPECT_EQ(got[i].azimuth_delta_rad, want[i].azimuth_delta_rad) << i;
+    EXPECT_EQ(got[i].azimuth_correction_rad, want[i].azimuth_correction_rad)
+        << i;
   }
 }
 

@@ -5,8 +5,8 @@
 // called on a fixed cadence. The pinned contracts: interleaving changes nothing (each
 // session decodes exactly as it would in isolation), worker count changes
 // nothing (1 worker and 8 produce bit-identical trajectories and counter
-// aggregates), close() flushes the batch-equivalent tail, and the Eq. 10
-// azimuth correction is applied on close under the batch pipeline's gate.
+// aggregates), close() flushes the batch-equivalent tail, and ingest()
+// applies a kClose event's Eq. 10 angle under the batch pipeline's gate.
 #include "server/session_server.h"
 
 #include <gtest/gtest.h>
@@ -193,7 +193,23 @@ TEST(SessionServer, CloseDrainsUnpumpedMailbox) {
       decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start));
 }
 
+/// Closes `id` through ingest() with a kClose event carrying `angle_rad`,
+/// as the associator emits it, and returns the trajectory handed out.
+std::vector<Vec2> close_via_ingest(SessionServer& server, SessionId id,
+                                   double angle_rad) {
+  core::PenEvent close_event;
+  close_event.type = core::PenEventType::kClose;
+  close_event.session_id = id;
+  close_event.azimuth_correction_rad = angle_rad;
+  std::vector<SessionServer::ClosedSession> closed;
+  server.ingest({close_event}, &closed);
+  EXPECT_EQ(closed.size(), 1u);
+  return closed.empty() ? std::vector<Vec2>{} : closed[0].trajectory;
+}
+
 TEST(SessionServer, AzimuthCorrectionAppliedOnClose) {
+  // ingest() rotates the trajectory close() returns by the kClose event's
+  // Eq. 10 angle, as PolarDraw::track rotates its decode.
   const PolarDrawConfig cfg = small_config();
   const auto tb = make_decode_testbed(cfg, 20, 5);
   SessionServerConfig scfg;
@@ -202,23 +218,18 @@ TEST(SessionServer, AzimuthCorrectionAppliedOnClose) {
   SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
   server.open(1, &tb.start);
   for (const auto& o : tb.obs) server.submit(1, o);
-  server.accumulate_azimuth_correction(1, 0.2);
-  server.accumulate_azimuth_correction(1, 0.1);
   server.pump();
-  const auto traj = server.close(1);
-
-  // 0.2 + 0.1 on purpose: the server saw two increments, and the sum is
-  // not the double literal 0.3.
-  const auto expected = core::correct_initial_azimuth(
-      cfg, decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start),
-      0.2 + 0.1);
-  expect_bit_identical(traj, expected);
+  const auto decoded =
+      decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start);
+  const auto expected = core::correct_initial_azimuth(cfg, decoded, 0.3);
+  ASSERT_NE(expected[0], decoded[0]);  // the angle really rotates
+  expect_bit_identical(close_via_ingest(server, 1, 0.3), expected);
 }
 
 TEST(SessionServer, CloseFollowsRotationCorrectionConfig) {
   // Eq. 10 runs under the batch pipeline's gate: with either switch off,
-  // close() ignores the accumulated correction and returns the isolated
-  // full-lag decode bit for bit.
+  // ingest() ignores the kClose angle and hands out the isolated full-lag
+  // decode bit for bit.
   PolarDrawConfig no_correction = small_config();
   no_correction.apply_rotation_correction = false;
   PolarDrawConfig no_polarization = small_config();
@@ -233,10 +244,9 @@ TEST(SessionServer, CloseFollowsRotationCorrectionConfig) {
     SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
     server.open(1, &tb.start);
     for (const auto& o : tb.obs) server.submit(1, o);
-    server.accumulate_azimuth_correction(1, 0.2);
     server.pump();
     expect_bit_identical(
-        server.close(1),
+        close_via_ingest(server, 1, 0.2),
         decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start));
   }
 }
@@ -290,7 +300,6 @@ TEST(SessionServer, UnknownSessionIsRejected) {
   const PolarDrawConfig cfg = small_config();
   SessionServer server(cfg, {0.1, 0.35}, {0.3, 0.35}, 0.12);
   EXPECT_FALSE(server.submit(99, core::TrackObservation{}));
-  EXPECT_FALSE(server.accumulate_azimuth_correction(99, 0.1));
   EXPECT_TRUE(server.committed(99).empty());
   EXPECT_TRUE(server.close(99).empty());
   EXPECT_EQ(server.pump(), 0u);
@@ -449,8 +458,9 @@ TEST(MultipenFuzz, WorkerCountAndPumpCadenceBitIdentical) {
 
 TEST(MultipenFuzz, IngestMatchesManualEventApplication) {
   // ingest() is pure glue: applying the same event batch by hand through
-  // open/submit/accumulate/close must give identical trajectories, and
-  // the returned count must equal the observation events submitted.
+  // open/submit/close, then Eq. 10 by the kClose angle, must give
+  // identical trajectories, and the returned count must equal the
+  // observation events submitted.
   const PolarDrawConfig cfg = small_config();
   const auto stream = make_fuzz_stream(7, /*n_tags=*/4, /*duration_s=*/2.0);
   core::AssociatorConfig acfg;
@@ -479,12 +489,9 @@ TEST(MultipenFuzz, IngestMatchesManualEventApplication) {
         EXPECT_TRUE(manual.submit(e.session_id, e.obs));
         ++observation_events;
         break;
-      case core::PenEventType::kAzimuthCorrection:
-        EXPECT_TRUE(manual.accumulate_azimuth_correction(
-            e.session_id, e.azimuth_delta_rad));
-        break;
       case core::PenEventType::kClose:
-        expected[e.session_id] = manual.close(e.session_id);
+        expected[e.session_id] = core::correct_initial_azimuth(
+            cfg, manual.close(e.session_id), e.azimuth_correction_rad);
         break;
     }
   }
@@ -500,10 +507,10 @@ TEST(MultipenFuzz, IngestMatchesManualEventApplication) {
 }
 
 TEST(MultipenFuzz, SoakSubmitConcurrentWithPump) {
-  // The documented-legal race: submit()/accumulate_azimuth_correction()
-  // from an ingest thread while the control thread pump()s. Per-session
-  // mailbox mutexes order the two, so the result must still equal the
-  // batch decode. Run under TSan in CI (multi-pen soak step).
+  // The documented-legal race: submit() from an ingest thread while the
+  // control thread pump()s. Per-session mailbox mutexes order the two, so
+  // the result must still equal the batch decode. Run under TSan in CI
+  // (multi-pen soak step).
   const PolarDrawConfig cfg = small_config();
   const int kPens = 4, kWindows = 40;
   std::vector<DecodeTestbed> pens;
@@ -527,7 +534,6 @@ TEST(MultipenFuzz, SoakSubmitConcurrentWithPump) {
             static_cast<SessionId>(p),
             pens[static_cast<std::size_t>(p)].obs[static_cast<std::size_t>(w)]);
       }
-      server.accumulate_azimuth_correction(0, 0.01);
     }
     done.store(true, std::memory_order_release);
   });
@@ -552,7 +558,6 @@ TEST(MultipenFuzz, SoakSubmitConcurrentWithPump) {
           static_cast<SessionId>(p),
           pens[static_cast<std::size_t>(p)].obs[static_cast<std::size_t>(w)]);
     }
-    reference.accumulate_azimuth_correction(0, 0.01);
     if (w % 5 == 0) reference.pump();
   }
   reference.pump();
