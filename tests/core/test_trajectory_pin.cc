@@ -253,7 +253,7 @@ TEST(TrajectoryPin, MultipenSessionsBitExact) {
   EXPECT_EQ(observations, 166);
   EXPECT_EQ(phase_observations, 134);
   EXPECT_EQ(closed.size(), 4u);
-  EXPECT_EQ(events.value(), 0xdc0a343d5f01a49cull)
+  EXPECT_EQ(events.value(), 0xf239cfc9d2937226ull)
       << "got 0x" << std::hex << events.value();
   EXPECT_EQ(sessions.value(), 0xdb4d71c233e4c59bull)
       << "got 0x" << std::hex << sessions.value();
