@@ -13,7 +13,6 @@ namespace polardraw::baselines {
 std::vector<MultiWindow> window_reports(
     const rfid::TagReportStream& reports, int num_ports, double window_s,
     const std::vector<double>* port_offsets) {
-  static const obs::Counter far_counter("preprocess.far_reports");
   std::vector<MultiWindow> out;
   if (num_ports <= 0 || window_s <= 0.0) return out;
   const auto first =
@@ -33,6 +32,7 @@ std::vector<MultiWindow> window_reports(
     // Compared in double, so the cast below cannot overflow.
     const double w_f = (r.timestamp_s - t0) / window_s;
     if (!(w_f >= 0.0 && w_f < static_cast<double>(rfid::kMaxWindows))) {
+      static const obs::Counter far_counter("preprocess.far_reports");
       far_counter.add(1);
       continue;
     }

@@ -10,9 +10,7 @@
 // -- open / observation / close -- that map one-to-one onto the
 // server::SessionServer API, so a reader frontend can drive many
 // concurrent decoders from a single interleaved stream. The close event
-// carries the track's Eq. 10 angle, which is set once, at the pen's first
-// sector crossing, so the live path rotates a closed trajectory exactly
-// as PolarDraw::track rotates a batch one.
+// carries the track's Eq. 10 angle, set once at its first sector crossing.
 //
 // Pen lifecycle: a session opens at an EPC's first report and closes when
 // its reports stop for `idle_close_s` of stream time (the pen left the

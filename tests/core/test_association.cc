@@ -206,6 +206,23 @@ rfid::TagReportStream mixed_stream(int n_windows, int gap_window = -1,
   return stream;
 }
 
+/// A pen rotating clockwise at a steady rate: antenna 0's RSS falls and
+/// antenna 1's rises by 1.5 dB a window, a sector-2 pattern that carries
+/// the tracked azimuth across the sector 2|3 boundary, so the first sector
+/// crossing sets a non-zero Eq. 10 correction.
+rfid::TagReportStream rotating_stream(int n_windows) {
+  rfid::TagReportStream stream;
+  for (int w = 0; w < n_windows; ++w) {
+    for (int k = 0; k < 3; ++k) {
+      const double t = w * 0.05 + k * 0.015;
+      stream.push_back(report(0xC4, t, 0, -40.0 - 1.5 * w, 1.0 + 0.06 * w));
+      stream.push_back(
+          report(0xC4, t + 0.002, 1, -60.0 + 1.5 * w, 2.0 - 0.05 * w));
+    }
+  }
+  return stream;
+}
+
 PhaseCalibration hop_calibration() {
   PhaseCalibration cal;
   cal.channel_offsets_rad.assign(20, 0.0);
@@ -243,8 +260,9 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
   // and flushed -- what PolarDraw::track decodes. Compared whole
   // and bit for bit, smoothed directions included, on short streams (the
   // smoothing edges), a gapped stream, an uncalibrated and a calibrated
-  // hop, and the gapped stream with a late and a far-future read, which
-  // both pipelines' window clock drops and counts alike.
+  // hop, the gapped stream with a late and a far-future read, which both
+  // pipelines' window clock drops and counts alike, and a rotating pen
+  // whose close carries a non-zero Eq. 10 angle.
   PolarDrawConfig cfg;
   const PhaseCalibration cal = hop_calibration();
   AssociatorConfig no_idle_close;
@@ -271,6 +289,7 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
       // Idle close off keeps the far read away from the associator's
       // idle-close scan, which no batch pass has.
       {"late + far reads", hostile, nullptr, no_idle_close, 1},
+      {"sector crossing", rotating_stream(16), nullptr, {}, 0},
   };
   obs::Registry& reg = obs::Registry::global();
   reg.set_enabled(true);
@@ -280,6 +299,7 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
     EXPECT_EQ(snap.counter("preprocess.far_reports"), n) << pass;
     reg.reset();
   };
+  int crossings = 0;  // cases whose close carries a non-zero angle
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     reg.reset();
@@ -324,7 +344,9 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
     ASSERT_EQ(closes.size(), 1u);
     EXPECT_EQ(closes[0].azimuth_correction_rad,
               batch_res.azimuth_correction_rad);
+    if (closes[0].azimuth_correction_rad != 0.0) ++crossings;
   }
+  EXPECT_EQ(crossings, 1);  // the rotating pen's; the rest never cross
   reg.reset();
   reg.set_enabled(false);
 }
