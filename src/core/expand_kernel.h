@@ -16,7 +16,9 @@
 // candidates: the best log-prob, its parent, and the first parent that
 // accepted the cell. A counting sort on that first parent then emits the
 // cells in first-touch order. All per-window scratch is sized by that box,
-// never by the board.
+// never by the board, and belongs to the calling thread: one set per
+// thread, reused by every decoder the thread runs, so a decoder holds no
+// scratch of its own. Nothing in it carries from one window to the next.
 //
 // Two walks feed the one merge. A parent whose whole ring (|dr| <= reach,
 // |dc| <= dc_lim[|dr|]) lies on the board walks the window's ring as a
@@ -48,7 +50,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/vec.h"
 #include "core/config.h"
 #include "core/motion.h"
 #include "core/phase_field.h"
@@ -77,83 +78,15 @@ struct ExpandStats {
   std::uint64_t annulus_rejected = 0;
 };
 
-class ExpandKernel {
- public:
-  /// `field` must outlive the kernel (the decoder owns both).
-  ExpandKernel(const PolarDrawConfig& cfg, const PhaseField& field);
-
-  /// Scores every candidate cell reachable from the beam `prev` for one
-  /// window and writes the best candidate per cell to `cand` (its old
-  /// contents are dropped). Parents index `prev`. Candidates are emitted
-  /// in first-touch traversal order (ascending parent, then row, then
-  /// column).
-  void expand(const TrackObservation& o, const Beam& prev, Beam& cand,
-              ExpandStats& stats);
-
- private:
-  /// Per-window hoists, computed exactly as the historical in-loop hoists
-  /// so the knife-edge re-test reproduces its annulus decisions.
-  struct WindowTerms {
-    double lower_m = 0.0;
-    double upper_m = 0.0;
-    double out_thresh_m = 0.0;
-    double quarter_block_m = 0.0;
-    int reach_blocks = 1;
-    bool use_hyper = false;
-    double meas_rad = 0.0;
-    bool use_dir = false;
-    Vec2 dir;
-    double dmax_m = 0.0;
-    double back_thresh_m = 0.0;
-    bool idle_step_penalty = false;
-  };
-
-  WindowTerms window_terms(const TrackObservation& o) const;
-  void fill_dc_limits(const WindowTerms& w);
-  /// Builds the (2*reach+1)^2 displacement log-weight table (direction +
-  /// idle terms, -inf on annulus rejection) plus the knife-edge flags for
-  /// lattice distances that coincide with an annulus threshold.
-  void fill_displacement_table(const WindowTerms& w);
-  /// Over the union of per-row column spans touched by this window's
-  /// beam: evaluates the per-cell hyperbola log-weight and resets the merge
-  /// arrays. Returns false if any log-weight is NaN or +inf.
-  bool fill_box_rows(const WindowTerms& w, int r_lo, int r_hi, int c_lo,
-                     int box_w);
-  /// Flattens the ring (|dr| <= reach, |dc| <= dc_lim_[|dr|]) into the
-  /// lane lists interior parents walk, with box offsets for a box
-  /// `box_w` wide: annulus-valid lanes in lanes_, knife-edge ones in
-  /// edge_lanes_, rejected ones left out but counted in ring_lanes_.
-  void fill_lanes(int reach, int box_w);
-
-  const PolarDrawConfig cfg_;
-  const PhaseField& field_;
-  const int cols_, rows_;
-
-  std::vector<int> dc_lim_;             // per-|dr| column reach
-  std::vector<double> disp_logw_;       // (2r+1)^2 log-weights + -inf mask
-  std::vector<unsigned char> disp_edge_;  // threshold-coincident lattice steps
-  std::vector<int> parent_row_lo_, parent_row_hi_;  // parent columns per row
-  std::vector<int> row_span_lo_, row_span_hi_;   // touched columns per row
-  // The ring as lane lists, for parents whose ring lies on the board.
-  struct Lane {
-    std::ptrdiff_t off;  // dr * box_w + dc
-    double logw;         // disp_logw_ entry
-  };
-  struct EdgeLane {
-    std::ptrdiff_t off;
-    double logw;
-    int dr, dc;  // for the center-difference re-test
-  };
-  std::vector<Lane> lanes_;
-  std::vector<EdgeLane> edge_lanes_;
-  std::uint64_t ring_lanes_ = 0;  // every lane of the ring, rejected too
-  // Per-cell arrays over the bounding box of the row spans. They grow to
-  // the largest box a window has needed and never shrink.
-  std::vector<double> hyper_logw_;         // hyperbola log-weight
-  std::vector<float> box_logp_;            // best log-prob so far, -inf
-  std::vector<std::int32_t> box_parent_;   // its parent (index into prev)
-  std::vector<std::int32_t> box_first_;    // first accepting parent, -1
-  std::vector<std::size_t> parent_count_;  // emission counting sort
-};
+/// Scores every candidate cell reachable from the beam `prev` for one
+/// window and writes the best candidate per cell to `cand` (its old
+/// contents are dropped). Parents index `prev`; cells index `field`'s
+/// grid. Candidates are emitted in first-touch traversal order (ascending
+/// parent, then row, then column). Every buffer it needs besides `cand`
+/// is the calling thread's, reset or overwritten before it is read, so
+/// the call is a pure function of its arguments.
+void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
+                 const TrackObservation& o, const Beam& prev, Beam& cand,
+                 ExpandStats& stats);
 
 }  // namespace polardraw::core

@@ -60,6 +60,17 @@ void radix_sort_high_word(std::vector<std::uint64_t>& v,
   }
 }
 
+/// The prune's buffers: the window's candidates and the radix keys that
+/// rank them. Like the kernel's scratch (core/expand_kernel.cc), one set
+/// per thread serves every decoder the thread runs; each window overwrites
+/// what it reads, and the survivors are copied into the decoder's own step.
+struct PruneScratch {
+  Beam cand;
+  std::vector<std::uint64_t> keys, tmp;  // (key << 32) | index
+};
+
+thread_local PruneScratch tls_prune;
+
 }  // namespace
 
 Vec2 initial_location_on_field(const PolarDrawConfig& cfg,
@@ -118,8 +129,7 @@ StreamingDecoder::StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1,
                  ? std::move(field)
                  : std::make_shared<const PhaseField>(cfg, a1, a2, antenna_z)),
       cols_(field_->cols()),
-      rows_(field_->rows()),
-      kernel_(cfg_, *field_) {
+      rows_(field_->rows()) {
   stream_cfg_.lag_windows = std::max<std::size_t>(stream_cfg_.lag_windows, 1);
   // A non-finite hint names no board cell; the chain waits for its first
   // phase window as if unhinted.
@@ -262,17 +272,19 @@ void StreamingDecoder::step(const TrackObservation& o,
 
   // Candidate scoring (Eq. 8 annulus + Eq. 11 emission) lives in the
   // kernel module.
+  PruneScratch& scratch = tls_prune;
+  Beam& cand = scratch.cand;
   const Beam& prev = steps_[n_steps_ - 1];
-  kernel_.expand(o, prev, cand_, stats_);
+  expand_beam(cfg_, *field_, o, prev, cand, stats_);
 
-  if (cand_.size() == 0) {
+  if (cand.size() == 0) {
     ++n_starved_;
     // Chain starved (e.g. all motion rejected) -- hold the most probable
     // surviving state.
     const std::size_t best = best_node(prev);
-    cand_.cell.push_back(prev.cell[best]);
-    cand_.logp.push_back(prev.logp[best]);
-    cand_.parent.push_back(static_cast<std::int32_t>(best));
+    cand.cell.push_back(prev.cell[best]);
+    cand.logp.push_back(prev.logp[best]);
+    cand.parent.push_back(static_cast<std::int32_t>(best));
   }
 
   // Per-window renormalization: subtract the window's best score before
@@ -284,12 +296,12 @@ void StreamingDecoder::step(const TrackObservation& o,
   // length. Subtracting one common float from all candidates is monotone,
   // so the argmax chain -- and therefore every committed position -- is
   // preserved; ties it creates are resolved by the index tie-break below.
-  float wmax = cand_.logp[0];
-  for (std::size_t i = 1; i < cand_.size(); ++i) {
-    wmax = std::max(wmax, cand_.logp[i]);
+  float wmax = cand.logp[0];
+  for (std::size_t i = 1; i < cand.size(); ++i) {
+    wmax = std::max(wmax, cand.logp[i]);
   }
   total_logp_offset_ += static_cast<double>(wmax);
-  for (float& lp : cand_.logp) lp -= wmax;
+  for (float& lp : cand.logp) lp -= wmax;
 
   // Beam pruning: keep the beam_width most probable candidates, ordered
   // by (log-prob descending, candidate index ascending), so the survivor
@@ -298,25 +310,25 @@ void StreamingDecoder::step(const TrackObservation& o,
   // on the descending key, started in index order, yields exactly that
   // order; a NaN score sorts where its bits put it. Survivors are written
   // by index, so a step's capacity stays at the beam width.
-  const std::size_t n_cand = cand_.size();
+  const std::size_t n_cand = cand.size();
   Beam& next = next_step();  // may move the steps: `prev` is not read below
   if (n_cand > cfg_.beam_width) {
-    prune_keys_.resize(n_cand);
+    scratch.keys.resize(n_cand);
     for (std::size_t i = 0; i < n_cand; ++i) {
-      prune_keys_[i] =
-          (static_cast<std::uint64_t>(descending_key(cand_.logp[i])) << 32) |
+      scratch.keys[i] =
+          (static_cast<std::uint64_t>(descending_key(cand.logp[i])) << 32) |
           i;
     }
-    radix_sort_high_word(prune_keys_, prune_tmp_);
+    radix_sort_high_word(scratch.keys, scratch.tmp);
     next.resize(cfg_.beam_width);
     for (std::size_t i = 0; i < cfg_.beam_width; ++i) {
-      const auto s = static_cast<std::size_t>(prune_keys_[i] & 0xFFFFFFFFu);
-      next.cell[i] = cand_.cell[s];
-      next.logp[i] = cand_.logp[s];
-      next.parent[i] = cand_.parent[s];
+      const auto s = static_cast<std::size_t>(scratch.keys[i] & 0xFFFFFFFFu);
+      next.cell[i] = cand.cell[s];
+      next.logp[i] = cand.logp[s];
+      next.parent[i] = cand.parent[s];
     }
   } else {
-    next = cand_;
+    next = cand;
   }
   if (!cfg_.use_viterbi && next.size() > 1) {
     // Greedy ablation: collapse the beam to the single best state.

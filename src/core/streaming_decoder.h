@@ -19,7 +19,13 @@
 // before. Only the steps a later commit can still read stay live: once a
 // commit passes a step it moves to the back of the step store for reuse,
 // so while it streams a decoder holds at most lag + 1 steps and a
-// session's memory follows the lag rather than the stroke length.
+// session's memory follows the lag rather than the stroke length. What a
+// window needs only while it is decoded -- the kernel's tables and box
+// arrays, the candidates and the prune's radix keys -- is the calling
+// thread's: one set per thread, shared by every decoder the thread runs
+// and reset or overwritten before each window reads it. A decoder owns
+// only what outlives a window: its steps, its seed state, its commit
+// buffer and its counters.
 //
 // Equivalence contract, pinned by tests/core/test_streaming_decoder.cc:
 // with lag >= the sequence length, push-all + finish() is the classic
@@ -29,8 +35,9 @@
 // tolerance ladder in the same test bounds the degradation.
 //
 // Determinism contract: decodes are a pure function of (config, geometry,
-// observation sequence, lag) -- independent of platform and standard
-// library. The two ingredients are (1) candidate scoring by the
+// observation sequence, lag) -- independent of platform, standard library,
+// and of which thread decodes which window, or what else that thread
+// decoded before. The two ingredients are (1) candidate scoring by the
 // beam-expansion kernel (core/expand_kernel.h), which emits candidates in
 // a fixed first-touch traversal order, and (2) beam pruning that keeps the
 // first beam_width candidates in (log-prob descending, candidate index
@@ -157,7 +164,6 @@ class StreamingDecoder {
   StreamingConfig stream_cfg_;
   std::shared_ptr<const PhaseField> field_;
   int cols_, rows_;
-  ExpandKernel kernel_;  // candidate scoring (Eq. 8 + Eq. 11)
 
   // --- Seeding ------------------------------------------------------------
   bool seeded_ = false;
@@ -181,10 +187,6 @@ class StreamingDecoder {
   std::size_t n_pushed_ = 0;
   std::size_t n_committed_ = 0;  // total ever committed, drained or not
   std::vector<Vec2> committed_buf_;  // committed, awaiting poll()
-
-  // Scratch reused across steps.
-  Beam cand_;
-  std::vector<std::uint64_t> prune_keys_, prune_tmp_;  // (key << 32) | index
 
   // Per-window renormalization state (see the determinism contract above).
   double total_logp_offset_ = 0.0;

@@ -11,11 +11,12 @@
 //
 // Determinism contract, pinned by tests/server/test_session_server.cc:
 // each session's decode is a sequential function of its own observation
-// stream, sessions share no mutable state (the phase field is read-only),
-// and the obs registry merges per-thread shards commutatively -- so
-// committed trajectories and metric aggregates are bit-identical whether
-// pump() ran on 1 worker or 8, and identical to decoding each pen in
-// isolation. Worker count changes wall-clock only.
+// stream; sessions share the read-only phase field and, on each worker, the
+// worker's decode scratch, which carries nothing from one window to the
+// next (core/streaming_decoder.h); and the obs registry merges per-thread
+// shards commutatively -- so committed trajectories and metric aggregates
+// are bit-identical whether pump() ran on 1 worker or 8, and identical to
+// decoding each pen in isolation. Worker count changes wall-clock only.
 //
 // Threading rules: every per-session field is guarded by that session's
 // mutex, so submit(), committed(), status() and healthz() may all run

@@ -40,7 +40,7 @@ class ExpandReference {
         best_slot_(field.cells()),
         hyper_term_(field.cells()) {}
 
-  /// Same contract as ExpandKernel::expand.
+  /// Same contract as expand_beam (core/expand_kernel.h).
   void expand(const TrackObservation& o, const Beam& prev, Beam& cand,
               ExpandStats& stats) {
     const WindowTerms w = window_terms(o);

@@ -79,12 +79,13 @@ float oracle_score(testing::ExpandReference& oracle, const TrackObservation& o,
 /// Expands one window from the beam `front` with both the production
 /// kernel and the oracle, checks that they agree, and returns the
 /// production candidates.
-Candidates expand_both(ExpandKernel& kernel, testing::ExpandReference& oracle,
+Candidates expand_both(const PolarDrawConfig& cfg, const PhaseField& field,
+                       testing::ExpandReference& oracle,
                        const TrackObservation& o, const Beam& front) {
   constexpr float kTol = 1e-4f;
   Candidates want, got;
   oracle.expand(o, front, want, want.stats);
-  kernel.expand(o, front, got, got.stats);
+  expand_beam(cfg, field, o, front, got, got.stats);
   EXPECT_EQ(got.stats.expansions, want.stats.expansions);
   EXPECT_EQ(got.stats.annulus_rejected, want.stats.annulus_rejected);
   EXPECT_EQ(got.cell.size(), want.cell.size());
@@ -121,7 +122,6 @@ Candidates expand_both(ExpandKernel& kernel, testing::ExpandReference& oracle,
 /// window's expansion is checked against the oracle from the same front.
 void walk_and_compare(const PolarDrawConfig& cfg, const DecodeTestbed& tb) {
   const PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
-  ExpandKernel kernel(cfg, field);
   testing::ExpandReference oracle(cfg, field);
   const int c0 = std::clamp(static_cast<int>(tb.start.x / cfg.block_m), 0,
                             field.cols() - 1);
@@ -130,7 +130,7 @@ void walk_and_compare(const PolarDrawConfig& cfg, const DecodeTestbed& tb) {
   Beam front{{r0 * field.cols() + c0}, {0.0f}, {-1}};
   for (std::size_t w = 0; w < tb.obs.size(); ++w) {
     SCOPED_TRACE(::testing::Message() << "window " << w);
-    const Candidates c = expand_both(kernel, oracle, tb.obs[w], front);
+    const Candidates c = expand_both(cfg, field, oracle, tb.obs[w], front);
     if (::testing::Test::HasFailure()) return;  // report one window only
     if (c.cell.empty()) continue;  // starved: hold the front
     std::vector<std::size_t> order(c.cell.size());
@@ -160,7 +160,6 @@ void placed_fronts_and_compare() {
   const PolarDrawConfig cfg;
   const auto tb = make_decode_testbed(cfg, 4, 11);
   const PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
-  ExpandKernel kernel(cfg, field);
   testing::ExpandReference oracle(cfg, field);
   const int cols = field.cols(), rows = field.rows();
   const auto cell = [cols](int c, int r) { return r * cols + c; };
@@ -225,7 +224,7 @@ void placed_fronts_and_compare() {
                        << "front " << f << " lower " << o.distance.lower_m
                        << " upper " << o.distance.upper_m << " variant "
                        << variant);
-          expand_both(kernel, oracle, o, front);
+          expand_both(cfg, field, oracle, o, front);
         }
       }
     }
@@ -294,7 +293,6 @@ TEST(ExpandKernel, NanScoresReachPastTheAnnulusInBothWalks) {
   const PolarDrawConfig cfg;
   const auto tb = make_decode_testbed(cfg, 1, 11);
   const PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
-  ExpandKernel kernel(cfg, field);
   const int cols = field.cols(), rows = field.rows();
   // 2.75 blocks: reach 3, outer threshold 3.25 blocks, off every lattice
   // knife edge, so an annulus rejection is decided by the mask alone.
@@ -315,9 +313,9 @@ TEST(ExpandKernel, NanScoresReachPastTheAnnulusInBothWalks) {
     const Beam front{{(rows / 2) * cols + c}, {0.0f}, {-1}};
     const Beam nan_front{{(rows / 2) * cols + c}, {nan_logp}, {-1}};
     Candidates finite, nan_parent, nan_hyper;
-    kernel.expand(o, front, finite, finite.stats);
-    kernel.expand(o, nan_front, nan_parent, nan_parent.stats);
-    kernel.expand(nan_phase, front, nan_hyper, nan_hyper.stats);
+    expand_beam(cfg, field, o, front, finite, finite.stats);
+    expand_beam(cfg, field, o, nan_front, nan_parent, nan_parent.stats);
+    expand_beam(cfg, field, nan_phase, front, nan_hyper, nan_hyper.stats);
     ASSERT_GT(finite.stats.annulus_rejected, 0u);
     const std::uint64_t ring =
         finite.stats.expansions + finite.stats.annulus_rejected;

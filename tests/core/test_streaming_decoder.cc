@@ -7,15 +7,24 @@
 // committed positions are frozen at push time, so the emitted stream does
 // not depend on poll cadence and an already-polled prefix never changes;
 // and shrinking the lag degrades commit accuracy in a bounded
-// (tolerance-laddered) way.
+// (tolerance-laddered) way. Decoders share their thread's decode scratch,
+// so interleaving them, on one thread or across a pool, must change no
+// trajectory and no hmm.* tally.
 #include "core/streaming_decoder.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/decode_testbed.h"
+#include "obs/metrics.h"
 
 namespace polardraw::core {
 namespace {
@@ -331,6 +340,125 @@ TEST(StreamingDecoder, LongStreamKeepsResolutionViaRenormalization) {
   // boundary, so equality is up to a small re-anchoring deviation; a
   // resolution-starved long session fails this by drifting unboundedly.
   EXPECT_LE(mean_deviation(long_out, chunked_out), 4.0 * cfg.block_m);
+}
+
+/// One pen of the interleaving test: its board and beam, its stream, and
+/// whether it is hinted.
+struct InterleavedPen {
+  PolarDrawConfig cfg;
+  DecodeTestbed tb;
+  bool use_hint = true;
+};
+
+/// The hmm.* counters and gauges of a snapshot, by name.
+std::vector<std::pair<std::string, double>> hmm_tallies(
+    const obs::Snapshot& snap) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const auto& [name, value] : snap.counters) {
+    if (name.rfind("hmm.", 0) == 0) {
+      out.emplace_back(name, static_cast<double>(value));
+    }
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    if (name.rfind("hmm.", 0) == 0) out.emplace_back(name, value);
+  }
+  return out;
+}
+
+TEST(StreamingDecoder, InterleavedDecodersMatchIsolatedDecodes) {
+  // Every decoder on a thread expands its windows in that thread's one
+  // set of scratch buffers, so a window must read nothing an earlier
+  // window left there, its own or another decoder's. Five pens stream
+  // round-robin, one window at a time: two on the default board (one
+  // unhinted), one whose every sixth window has a 100 m upper bound and
+  // every sixth a NaN one (each spans the board, so its table and box
+  // arrays grow to the whole grid between the others' windows), one on a
+  // 2 m x 1.2 m board and one on the 5 mm golden board. They run once on
+  // this thread and once on a 4-thread pool, whose threads take whichever
+  // pen comes next, so pens move between threads from window to window.
+  // Each pen's trajectory and hmm.* tallies must equal its decode alone on
+  // a fresh thread, bit for bit.
+  constexpr int kWindows = 60;
+  constexpr std::size_t kLag = 8;
+  std::vector<InterleavedPen> pens;
+  const PolarDrawConfig board;
+  pens.push_back({board, make_decode_testbed(board, kWindows, 1), true});
+  pens.push_back({board, make_decode_testbed(board, kWindows, 2), false});
+  PolarDrawConfig hostile = board;
+  hostile.beam_width = 50;  // a board-wide window costs beam x grid lanes
+  pens.push_back({hostile, make_decode_testbed(hostile, kWindows, 3), true});
+  for (std::size_t w = 2; w < pens.back().tb.obs.size(); w += 6) {
+    pens.back().tb.obs[w].distance.upper_m = 100.0;
+    if (w + 3 < pens.back().tb.obs.size()) {
+      pens.back().tb.obs[w + 3].distance.upper_m =
+          std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+  PolarDrawConfig big = board;
+  big.board_width_m = 2.0;
+  big.board_height_m = 1.2;
+  pens.push_back({big, make_decode_testbed(big, kWindows, 4), true});
+  PolarDrawConfig fine;
+  fine.board_width_m = 0.5;
+  fine.board_height_m = 0.4;
+  fine.block_m = 0.005;
+  fine.beam_width = 200;
+  fine.hyperbola_sharpness = 1.0;
+  pens.push_back({fine, make_decode_testbed(fine, kWindows, 5), true});
+
+  StreamingConfig scfg;
+  scfg.lag_windows = kLag;
+  const auto make_decoder = [&](const InterleavedPen& pen) {
+    return std::make_unique<StreamingDecoder>(
+        pen.cfg, pen.tb.a1, pen.tb.a2, pen.tb.antenna_z, scfg, nullptr,
+        pen.use_hint ? &pen.tb.start : nullptr);
+  };
+  obs::Registry& reg = obs::Registry::global();
+  const bool metrics_were_on = reg.enabled();
+  reg.set_enabled(true);
+
+  // Reference: each pen alone, on a thread whose scratch starts cold.
+  std::vector<std::vector<Vec2>> alone(pens.size());
+  std::vector<std::vector<std::pair<std::string, double>>> alone_tallies;
+  for (std::size_t p = 0; p < pens.size(); ++p) {
+    reg.reset();
+    std::thread([&] {
+      const auto dec = make_decoder(pens[p]);
+      for (const auto& o : pens[p].tb.obs) {
+        dec->push(o);
+        dec->poll(alone[p]);
+      }
+      dec->finish(alone[p]);
+    }).join();
+    alone_tallies.push_back(hmm_tallies(reg.snapshot()));
+    ASSERT_FALSE(alone_tallies.back().empty());
+    ASSERT_EQ(alone[p].size(), static_cast<std::size_t>(kWindows) + 1);
+  }
+
+  for (const int n_threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << n_threads << " thread(s)");
+    ThreadPool pool(n_threads);
+    std::vector<std::unique_ptr<StreamingDecoder>> decoders;
+    for (const InterleavedPen& pen : pens) {
+      decoders.push_back(make_decoder(pen));
+    }
+    std::vector<std::vector<Vec2>> out(pens.size());
+    for (std::size_t w = 0; w < static_cast<std::size_t>(kWindows); ++w) {
+      pool.parallel_for(pens.size(), [&](std::size_t p) {
+        decoders[p]->push(pens[p].tb.obs[w]);
+        decoders[p]->poll(out[p]);
+      });
+    }
+    for (std::size_t p = 0; p < pens.size(); ++p) {
+      SCOPED_TRACE(::testing::Message() << "pen " << p);
+      reg.reset();
+      decoders[p]->finish(out[p]);
+      EXPECT_EQ(hmm_tallies(reg.snapshot()), alone_tallies[p]);
+      expect_bit_identical(out[p], alone[p]);
+    }
+  }
+  reg.reset();
+  reg.set_enabled(metrics_were_on);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Session memory (DESIGN.md section 13): over a long session the server's
 // heap may grow only by the committed trajectory, a session's own
-// footprint follows the beam, not the board, and a decoder holds only the
-// beam steps its lag can still commit. This executable replaces the global
-// operator new/delete with a live-byte counter, so it holds these three
-// tests and nothing else.
+// footprint follows the beam, not the board, a decoder holds only the beam
+// steps its lag can still commit, and the decode scratch is the thread's,
+// so hostile sessions share one board-sized set. This executable replaces
+// the global operator new/delete with a live-byte counter, so it holds
+// these four tests and nothing else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -80,6 +83,20 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace polardraw::server {
 namespace {
 
+/// What one session may hold after 400 default-board windows at the
+/// default lag 16 and beam 600: its 17 beam steps (600 nodes of 12 B
+/// each, 122.4 KB), its committed trajectory and its queue.
+constexpr std::int64_t kSessionBytes = 150 * 1024;
+
+/// Decodes `tb` once on this thread, untimed. The decode scratch belongs
+/// to the thread and grows to the largest window it has expanded, so the
+/// first decode on a thread pays for it; warming it first leaves a
+/// session's own heap to be measured.
+void warm_thread_scratch(const core::PolarDrawConfig& cfg,
+                         const core::DecodeTestbed& tb) {
+  core::decode_full_lag(cfg, tb.a1, tb.a2, tb.antenna_z, tb.obs, &tb.start);
+}
+
 TEST(SessionMemory, HistoryStaysBoundedOverALongSession) {
   // One pen streams 10^5 windows at lag 16 with one pump per window. From
   // 2*10^4 to 10^5 windows the committed trajectory's capacity grows from
@@ -117,9 +134,10 @@ TEST(SessionMemory, HistoryStaysBoundedOverALongSession) {
 TEST(SessionMemory, SessionFootprintDoesNotScaleWithTheBoard) {
   // One session streams the same 400 windows on the default 1 m x 0.6 m
   // board (250 x 150 cells) and on a 2 m x 1.2 m one (500 x 300). The
-  // server's shared phase field is board-sized; a session's decode scratch
-  // is sized by the beam's bounding box, so opening a session costs a few
-  // KB and its heap after 400 windows is the same on both boards.
+  // server's shared phase field is board-sized and the decode scratch is
+  // the thread's (warmed before each mark), so opening a session costs a
+  // few hundred bytes and its heap after 400 windows is its lag's beam
+  // steps, the same on both boards.
   const core::PolarDrawConfig small_board;
   const core::DecodeTestbed tb = core::make_decode_testbed(small_board, 400, 3);
   core::PolarDrawConfig big_board = small_board;
@@ -134,6 +152,7 @@ TEST(SessionMemory, SessionFootprintDoesNotScaleWithTheBoard) {
     SessionServerConfig scfg;
     scfg.n_workers = 1;
     SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
+    warm_thread_scratch(cfg, tb);
     const std::int64_t before = g_live_bytes.load();
     server.open(1, &tb.start);
     Footprint f;
@@ -154,10 +173,13 @@ TEST(SessionMemory, SessionFootprintDoesNotScaleWithTheBoard) {
   RecordProperty("session_bytes_small_board",
                  std::to_string(small.after_stream));
   RecordProperty("session_bytes_big_board", std::to_string(big.after_stream));
-  EXPECT_LT(small.at_open, 16 * 1024);
-  EXPECT_LT(big.at_open, 16 * 1024);
+  EXPECT_LT(small.at_open, 2 * 1024);
+  EXPECT_LT(big.at_open, 2 * 1024);
+  EXPECT_LT(small.after_stream, kSessionBytes)
+      << "after " << tb.obs.size() << " windows a session holds "
+      << small.after_stream << " B on the default board";
   const std::int64_t diff = big.after_stream - small.after_stream;
-  EXPECT_LT(diff < 0 ? -diff : diff, 64 * 1024)
+  EXPECT_LT(diff < 0 ? -diff : diff, 4 * 1024)
       << "after " << tb.obs.size() << " windows a session holds "
       << small.after_stream << " B on the default board and "
       << big.after_stream << " B on the big one";
@@ -169,8 +191,8 @@ TEST(SessionMemory, DecoderHoldsOnlyItsLag) {
   // the number of windows behind the commit frontier. One decoder at beam
   // 50 on the default board streams 400 hinted windows over a shared phase
   // field, polled into a vector reserved beforehand. The steps take 600 B
-  // each, 1.2 KB at lag 1 and 10.2 KB at lag 16; the rest is scratch sized
-  // by the beam's bounding box.
+  // each, 1.2 KB at lag 1 and 10.2 KB at lag 16. The decode scratch is the
+  // thread's, warmed before each mark, so it is not counted.
   core::PolarDrawConfig cfg;
   cfg.beam_width = 50;
   const core::DecodeTestbed tb = core::make_decode_testbed(cfg, 400, 3);
@@ -183,6 +205,7 @@ TEST(SessionMemory, DecoderHoldsOnlyItsLag) {
     out.clear();
     core::StreamingConfig scfg;
     scfg.lag_windows = lag;
+    warm_thread_scratch(cfg, tb);
     const std::int64_t before = g_live_bytes.load();
     core::StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z, scfg, field,
                                &tb.start);
@@ -193,10 +216,65 @@ TEST(SessionMemory, DecoderHoldsOnlyItsLag) {
     const std::int64_t held = g_live_bytes.load() - before;
     RecordProperty("decoder_bytes_lag_" + std::to_string(lag),
                    std::to_string(held));
-    EXPECT_LT(held, 48 * 1024)
+    EXPECT_LT(held, 16 * 1024)
         << "a lag-" << lag << " decoder holds " << held << " B after "
         << tb.obs.size() << " windows";
     EXPECT_EQ(out.size(), tb.obs.size() + 1 - lag);
+  }
+}
+
+TEST(SessionMemory, HostileBoundsCostOneScratchPerThread) {
+  // A window whose upper bound spans the board (100 m) expands over a
+  // board-sized displacement table and box arrays, plus a candidate per
+  // cell and its radix keys: about 6.1 MB on the default 250 x 150 grid.
+  // Those buffers are the decoding thread's, reused by every session it
+  // serves, so eight sessions on a one-worker server that each take one
+  // such window hold one set between them, not one each. Each session
+  // takes a 100 m window, then 40 testbed windows, and stays open.
+  const core::PolarDrawConfig cfg;
+  constexpr int kSessions = 8;
+  constexpr int kWindows = 41;
+  std::vector<core::DecodeTestbed> pens;
+  for (int p = 0; p < kSessions; ++p) {
+    pens.push_back(core::make_decode_testbed(
+        cfg, kWindows, static_cast<std::uint64_t>(p) + 1));
+    pens.back().obs[0].distance.upper_m = 100.0;
+  }
+  SessionServerConfig scfg;
+  scfg.n_workers = 1;
+  SessionServer server(cfg, pens[0].a1, pens[0].a2, pens[0].antenna_z, scfg);
+  const std::int64_t before = g_live_bytes.load();
+  for (int p = 0; p < kSessions; ++p) {
+    server.open(static_cast<SessionId>(p),
+                &pens[static_cast<std::size_t>(p)].start);
+  }
+  for (std::size_t w = 0; w < static_cast<std::size_t>(kWindows); ++w) {
+    for (int p = 0; p < kSessions; ++p) {
+      ASSERT_TRUE(server.submit(static_cast<SessionId>(p),
+                                pens[static_cast<std::size_t>(p)].obs[w],
+                                static_cast<double>(w) * cfg.window_s));
+    }
+    server.pump();
+  }
+  const std::int64_t held = g_live_bytes.load() - before;
+
+  // One board-spanning window's scratch: the (2 * reach + 1)^2 table
+  // (two planes of doubles and a byte of edge flags per displacement, with
+  // the reach capped at the grid's larger extent), and per cell 20 B of box
+  // arrays, a 12 B candidate and two 8 B radix keys. A vector that grows by
+  // resize() may double its capacity, so the per-cell arrays count twice.
+  const std::int64_t cols = std::llround(cfg.board_width_m / cfg.block_m);
+  const std::int64_t rows = std::llround(cfg.board_height_m / cfg.block_m);
+  const std::int64_t t = 2 * std::max(cols, rows) + 1;
+  const std::int64_t board_scratch =
+      t * t * 17 + 2 * cols * rows * (20 + 12 + 16);
+  RecordProperty("hostile_sessions_bytes", std::to_string(held));
+  EXPECT_LT(held, board_scratch + kSessions * kSessionBytes)
+      << kSessions << " sessions that each took a 100 m window hold " << held
+      << " B; one board-sized scratch is " << board_scratch << " B";
+  for (int p = 0; p < kSessions; ++p) {
+    EXPECT_EQ(server.close(static_cast<SessionId>(p)).size(),
+              static_cast<std::size_t>(kWindows) + 1);
   }
 }
 
