@@ -15,13 +15,13 @@ RfIdrawTracker::RfIdrawTracker(RfIdrawConfig cfg,
     : cfg_(cfg),
       antennas_(std::move(antennas)),
       pairs_(std::move(pairs)),
-      offsets_(std::move(port_phase_offsets)) {}
+      calibration_{std::move(port_phase_offsets), {}} {}
 
 std::vector<Vec2> RfIdrawTracker::track(
     const rfid::TagReportStream& reports) const {
   const int ports = static_cast<int>(antennas_.size());
   const auto windows =
-      window_reports(reports, ports, cfg_.grid.window_s, &offsets_);
+      window_reports(reports, ports, cfg_.grid.window_s, &calibration_);
   if (windows.size() < 2) return {};
 
   const auto link_len = [this](const Vec2& p, int a) {

@@ -19,6 +19,7 @@
 #include "common/vec.h"
 #include "em/antenna.h"
 #include "rfid/tag_report.h"
+#include "rfid/window_clock.h"
 
 namespace polardraw::baselines {
 
@@ -50,7 +51,7 @@ class RfIdrawTracker {
   RfIdrawConfig cfg_;
   std::vector<em::ReaderAntenna> antennas_;
   std::vector<std::pair<int, int>> pairs_;
-  std::vector<double> offsets_;
+  rfid::PhaseCalibration calibration_;  // port offsets only
 };
 
 }  // namespace polardraw::baselines

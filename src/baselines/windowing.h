@@ -1,10 +1,10 @@
-// N-antenna window aggregation shared by the baseline trackers.
+// N-antenna windowing shared by the baseline trackers.
 //
-// Unlike PolarDraw's two-antenna preprocessing (core/preprocess.h), the
-// baselines run with 2-8 antenna ports, so this module aggregates reports
-// into fixed windows for an arbitrary port count and unwraps each port's
-// phase across windows. It also holds the two measurement-model pieces
-// both trackers score with: per-port phase deltas and link lengths.
+// The baselines run with 2-8 antenna ports. They window reports with the
+// same clock as PolarDraw (rfid/window_clock.h) at their port count, and
+// unwrap each port's phase across windows without PolarDraw's spurious
+// gate or hop fence. This module also holds the two measurement-model
+// pieces both trackers score with: per-port phase deltas and link lengths.
 #pragma once
 
 #include <vector>
@@ -12,6 +12,7 @@
 #include "common/vec.h"
 #include "em/antenna.h"
 #include "rfid/tag_report.h"
+#include "rfid/window_clock.h"
 
 namespace polardraw::baselines {
 
@@ -21,23 +22,15 @@ struct MultiWindow {
   std::vector<double> rss_dbm;     // per port
   std::vector<bool> phase_valid;   // per port
   std::vector<bool> rss_valid;     // per port
-
-  bool all_phase_valid() const {
-    for (bool v : phase_valid)
-      if (!v) return false;
-    return !phase_valid.empty();
-  }
 };
 
-/// Aggregates a report stream into windows of `window_s` seconds across
-/// `num_ports` antenna ports. Optional per-port phase offsets (calibration)
-/// are subtracted before unwrapping. Reports rfid::admit_report refuses
-/// are skipped; window 0 starts at the first admitted report, and a
-/// report outside [0, rfid::kMaxWindows) windows of it is dropped and
-/// counted under `preprocess.far_reports`.
+/// Windows a time-ordered report stream through one rfid::WindowClock of
+/// `num_ports` ports and `window_s` seconds, capped at rfid::kMaxWindows
+/// windows, and unwraps each port's circular-mean phase across windows.
+/// The optional calibration is subtracted before the mean.
 std::vector<MultiWindow> window_reports(
     const rfid::TagReportStream& reports, int num_ports, double window_s,
-    const std::vector<double>* port_offsets = nullptr);
+    const rfid::PhaseCalibration* calibration = nullptr);
 
 /// Per-port phase change of each window against the one before it, for
 /// windows 1..n-1 ([step][port]); NaN unless both windows hold the port's

@@ -32,7 +32,7 @@ const obs::Counter& phase_rejected_counter() {
 }
 }  // namespace
 
-/// Per-pen state: the shared window builder, phase gate and motion front
+/// Per-pen state: the shared window clock, phase gate and motion front
 /// end, plus the routing, lifecycle and flow-id bookkeeping around them.
 struct TagTrackAssociator::Track {
   Track(const PolarDrawConfig& cfg, std::uint32_t epc_, std::uint32_t gen,
@@ -41,7 +41,7 @@ struct TagTrackAssociator::Track {
         generation(gen),
         session_id(make_session_id(epc_, gen)),
         last_report_s(t_first),
-        builder(cfg.window_s),
+        clock(2, cfg.window_s),
         gate(cfg.spurious_phase_threshold_rad),
         front(cfg) {}
 
@@ -50,10 +50,10 @@ struct TagTrackAssociator::Track {
   std::uint64_t session_id;
   double last_report_s;  // latest report routed to this generation
 
-  WindowBuilder builder;
+  rfid::WindowClock clock;
   PhaseGate gate;
   MotionFrontEnd front;
-  std::uint64_t flow_serial = 0;  // first sampled report in `builder`
+  std::uint64_t flow_serial = 0;  // first sampled report in `clock`
   std::uint64_t held_flow = 0;    // flow id of the front end's held window
 };
 
@@ -123,11 +123,12 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
   auto it = tracks_.find(r.epc);
   Track& track = it != tracks_.end() ? *it->second
                                      : open_track(r.epc, r.timestamp_s, out);
-  finished_.clear();
-  if (!track.builder.add(r, &calibration_, finished_)) return;
-  // Run the windows the report finished through the pipeline, empty gap
+  // Run the windows the report finishes through the pipeline, empty gap
   // windows included: downstream sees a gap as idle windows, as in batch.
-  for (Window& win : finished_) finalize_window(track, win, out);
+  const auto finalize = [&](const rfid::ClockWindow& finished) {
+    finalize_window(track, finished, out);
+  };
+  if (!track.clock.add(r, &calibration_, finalize)) return;
   // First sampled report to land in this window carries the flow chain.
   if (track.flow_serial == 0 && obs::flow_sampled(r.serial)) {
     track.flow_serial = r.serial;
@@ -135,8 +136,10 @@ void TagTrackAssociator::route(const rfid::TagReport& r,
   track.last_report_s = r.timestamp_s;
 }
 
-void TagTrackAssociator::finalize_window(Track& track, Window& win,
+void TagTrackAssociator::finalize_window(Track& track,
+                                         const rfid::ClockWindow& finished,
                                          std::vector<PenEvent>& out) {
+  Window win = to_window(finished);
   if (win.read_count[0] == 0 && win.read_count[1] == 0) {
     empty_windows_counter().add(1);
   }
@@ -190,9 +193,9 @@ void TagTrackAssociator::emit_observation(const Track& track,
 
 void TagTrackAssociator::close_track(Track& track, std::vector<PenEvent>& out) {
   // A partially-filled window still holds reads: run it through.
-  finished_.clear();
-  track.builder.flush(finished_);
-  for (Window& win : finished_) finalize_window(track, win, out);
+  track.clock.flush([&](const rfid::ClockWindow& finished) {
+    finalize_window(track, finished, out);
+  });
   if (auto tail = track.front.flush()) emit_observation(track, *tail, out);
   PenEvent ev;
   ev.type = PenEventType::kClose;

@@ -3,10 +3,10 @@
 // The multi-pen pipeline (paper section 7, "Extending to multi-user case")
 // demultiplexes one MAC-arbitrated report stream into per-pen tracks.
 // The associator itself is routing and lifecycle only: each EPC's track
-// runs the same three pieces as the batch pipeline -- a WindowBuilder (the
-// window clock, with its late- and far-report drops) and a PhaseGate
-// (core/preprocess.h) and a MotionFrontEnd (core/motion_front_end.h) --
-// fed window by window as the pen's reports arrive. It emits `PenEvent`s
+// runs the same three pieces as the batch pipeline -- a two-port
+// rfid::WindowClock, a PhaseGate (core/preprocess.h) and a MotionFrontEnd
+// (core/motion_front_end.h) -- fed window by window as the pen's reports
+// arrive. It emits `PenEvent`s
 // -- open / observation / close -- that map one-to-one onto the
 // server::SessionServer API, so a reader frontend can drive many
 // concurrent decoders from a single interleaved stream. The close event
@@ -35,6 +35,7 @@
 #include "core/motion_front_end.h"
 #include "core/preprocess.h"
 #include "rfid/tag_report.h"
+#include "rfid/window_clock.h"
 
 namespace polardraw::core {
 
@@ -84,13 +85,10 @@ class TagTrackAssociator {
 
   /// Routes one report; reports must arrive in non-decreasing timestamp
   /// order (the reader's native order). A report that fails
-  /// rfid::admit_report() is dropped first. Its track's WindowBuilder
-  /// drops and counts, under `preprocess.late_reports` and
-  /// `preprocess.far_reports`, a report for an already finalized window or
-  /// from before the track's first report, and one more than
-  /// rfid::kMaxWindows windows past the track's current window. Returns
-  /// the events it triggered: idle closes of stale tracks first (EPC
-  /// order), then this report's own open/observations.
+  /// rfid::admit_report() is dropped first; its track's window clock drops
+  /// and counts late and far reads (rfid/window_clock.h). Returns the
+  /// events it triggered: idle closes of stale tracks first (EPC order),
+  /// then this report's own open/observations.
   std::vector<PenEvent> push(const rfid::TagReport& report);
 
   /// Convenience: pushes a whole (time-ordered) stream.
@@ -119,9 +117,10 @@ class TagTrackAssociator {
   /// Closes every track whose last report is older than idle_close_s at
   /// stream time `t_s`; scans in EPC order for determinism.
   void close_stale(double t_s, std::vector<PenEvent>& out);
-  /// Finalizes a window the track's builder finished: gate it, push it
+  /// Finalizes a window the track's clock finished: gate it, push it
   /// through the front end and emit what that releases.
-  void finalize_window(Track& track, Window& win, std::vector<PenEvent>& out);
+  void finalize_window(Track& track, const rfid::ClockWindow& finished,
+                       std::vector<PenEvent>& out);
   /// Emits a released observation; it carries the held window's flow id.
   static void emit_observation(const Track& track,
                                const TimedObservation& released,
@@ -135,8 +134,6 @@ class TagTrackAssociator {
   std::map<std::uint32_t, std::unique_ptr<Track>> tracks_;
   /// Next generation per EPC (survives closes within this associator).
   std::map<std::uint32_t, std::uint32_t> generations_;
-  /// Windows a builder finished on the current report or close; reused.
-  std::vector<Window> finished_;
 };
 
 }  // namespace polardraw::core

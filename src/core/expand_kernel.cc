@@ -363,10 +363,11 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
   const int box_w = c_hi - c_lo + 1;
   const std::size_t box = static_cast<std::size_t>(r_hi - r_lo + 1) *
                           static_cast<std::size_t>(box_w);
-  s.hyper_logw.resize(box);
-  s.box_logp.resize(box);
-  s.box_parent.resize(box);
-  s.box_first.resize(box);
+  // A box never spans more than the board.
+  resize_within(s.hyper_logw, box, field.cells());
+  resize_within(s.box_logp, box, field.cells());
+  resize_within(s.box_parent, box, field.cells());
+  resize_within(s.box_first, box, field.cells());
   // An annulus-rejected lane scores -inf, and so is never accepted, unless
   // its parent's log-prob or its cell's hyperbola term is NaN or +inf (the
   // mask plane's -inf then yields NaN, which the merge accepts). Only then

@@ -22,13 +22,9 @@ MotionFrontEnd::Step MotionFrontEnd::push(const Window& w) {
   double dtheta[2] = {0.0, 0.0};
   bool dtheta_ok = true;
   for (int a = 0; a < 2; ++a) {
-    // A frequency hop re-bases the phase (per-channel offset); a delta
-    // across the hop boundary is not motion -- unless both sides are
-    // channel-calibrated, in which case the offsets were already removed
-    // at bucketing time and the delta is comparable.
-    if (w.phase_valid[a] && have_phase_[a] &&
-        (w.channel[a] == prev_channel_[a] ||
-         (prev_calibrated_[a] && w.channel_calibrated[a]))) {
+    // A frequency hop that PhaseGate fenced re-based the phase (an
+    // uncalibrated per-channel offset): the delta across it is not motion.
+    if (w.phase_valid[a] && have_phase_[a] && !w.hop_fenced[a]) {
       dtheta[a] = w.phase_rad[a] - prev_phase_rad_[a];
     } else {
       dtheta_ok = false;
@@ -76,8 +72,6 @@ MotionFrontEnd::Step MotionFrontEnd::push(const Window& w) {
     if (w.phase_valid[a]) {
       prev_phase_rad_[a] = w.phase_rad[a];
       have_phase_[a] = true;
-      prev_channel_[a] = w.channel[a];
-      prev_calibrated_[a] = w.channel_calibrated[a];
     }
   }
 

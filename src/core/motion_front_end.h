@@ -52,7 +52,8 @@ class MotionFrontEnd {
     std::optional<TimedObservation> released;
   };
 
-  /// Feeds the next window (phases already gated by PhaseGate).
+  /// Feeds the next window (phases already gated by PhaseGate, which marks
+  /// the windows its hop fence restarts).
   Step push(const Window& w);
 
   /// Releases the held last window, smoothed with its left neighbour only
@@ -81,8 +82,6 @@ class MotionFrontEnd {
   bool have_rss_[2] = {false, false};
   double prev_phase_rad_[2] = {0.0, 0.0};
   bool have_phase_[2] = {false, false};
-  int prev_channel_[2] = {0, 0};
-  bool prev_calibrated_[2] = {false, false};
 
   // The one-window smoothing hold: the last pushed window's observation
   // and the raw direction of the window before it.

@@ -46,7 +46,7 @@ void radix_sort_high_word(std::vector<std::uint64_t>& v,
       ++offset[p][(x >> (32 + 8 * p)) & 0xFFu];
     }
   }
-  tmp.resize(v.size());
+  resize_within(tmp, v.size(), v.capacity());
   for (std::size_t p = 0; p < 4; ++p) {
     std::uint32_t sum = 0;
     for (std::uint32_t& o : offset[p]) {
@@ -313,7 +313,7 @@ void StreamingDecoder::step(const TrackObservation& o,
   const std::size_t n_cand = cand.size();
   Beam& next = next_step();  // may move the steps: `prev` is not read below
   if (n_cand > cfg_.beam_width) {
-    scratch.keys.resize(n_cand);
+    resize_within(scratch.keys, n_cand, field_->cells());  // a key per cell
     for (std::size_t i = 0; i < n_cand; ++i) {
       scratch.keys[i] =
           (static_cast<std::uint64_t>(descending_key(cand.logp[i])) << 32) |

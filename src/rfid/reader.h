@@ -133,7 +133,7 @@ class Reader {
 
   /// Stable RF-chain phase offset of a hop channel (radians): the same
   /// channel always gets the same offset, in any dwell, so per-channel
-  /// calibration (core::PhaseCalibration::channel_offsets_rad) can subtract
+  /// calibration (PhaseCalibration::channel_offsets_rad) can subtract
   /// it and phase comparisons may continue across a calibrated hop.
   static double hop_channel_offset_rad(int channel);
 

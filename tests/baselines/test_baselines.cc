@@ -7,6 +7,7 @@
 #include "baselines/tagoram.h"
 #include "baselines/windowing.h"
 #include "common/angles.h"
+#include "core/preprocess.h"
 #include "obs/metrics.h"
 
 namespace polardraw::baselines {
@@ -31,7 +32,7 @@ TEST(Windowing, AggregatesPerPort) {
   const auto windows = window_reports(reports, 3, 0.05);
   ASSERT_EQ(windows.size(), 4u);
   for (const auto& w : windows) {
-    EXPECT_TRUE(w.all_phase_valid());
+    EXPECT_EQ(w.phase_valid, std::vector<bool>(3, true));
     EXPECT_EQ(w.phase_rad.size(), 3u);
   }
 }
@@ -49,25 +50,40 @@ TEST(Windowing, UnwrapsPerPort) {
   }
 }
 
-TEST(Windowing, OffsetsSubtracted) {
-  rfid::TagReportStream reports{report(0.0, 0, 1.7)};
-  const std::vector<double> offsets{0.7};
-  const auto windows = window_reports(reports, 1, 0.05, &offsets);
-  EXPECT_NEAR(wrap_2pi(windows[0].phase_rad[0]), 1.0, 1e-9);
-}
-
 TEST(Windowing, MissingPortMarkedInvalid) {
   rfid::TagReportStream reports{report(0.0, 0, 1.0)};
   const auto windows = window_reports(reports, 2, 0.05);
   EXPECT_TRUE(windows[0].phase_valid[0]);
   EXPECT_FALSE(windows[0].phase_valid[1]);
-  EXPECT_FALSE(windows[0].all_phase_valid());
 }
 
 TEST(Windowing, DegenerateInputs) {
   EXPECT_TRUE(window_reports({}, 2, 0.05).empty());
   EXPECT_TRUE(window_reports({report(0, 0, 1)}, 0, 0.05).empty());
-  EXPECT_TRUE(window_reports({report(0, 0, 1)}, 2, 0.0).empty());
+}
+
+/// Four ports, 40 windows, one read per port per window.
+rfid::TagReportStream clean_stream() {
+  rfid::TagReportStream reports;
+  for (int w = 0; w < 40; ++w) {
+    for (int a = 0; a < 4; ++a) {
+      reports.push_back(report(0.01 + w * 0.05 + a * 0.01, a, 0.3 * w + a,
+                               -40.0 - a));
+    }
+  }
+  return reports;
+}
+
+void expect_same_windows(const std::vector<MultiWindow>& got,
+                         const std::vector<MultiWindow>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t w = 0; w < got.size(); ++w) {
+    EXPECT_EQ(got[w].t_s, want[w].t_s) << w;
+    EXPECT_EQ(got[w].phase_rad, want[w].phase_rad) << w;
+    EXPECT_EQ(got[w].rss_dbm, want[w].rss_dbm) << w;
+    EXPECT_EQ(got[w].phase_valid, want[w].phase_valid) << w;
+    EXPECT_EQ(got[w].rss_valid, want[w].rss_valid) << w;
+  }
 }
 
 TEST(Windowing, HostileReadsLeaveTheWindowsUnchanged) {
@@ -75,13 +91,7 @@ TEST(Windowing, HostileReadsLeaveTheWindowsUnchanged) {
   // (200,000 windows past the stream) and a NaN-phase read (it would turn
   // its port's unwrapped phase NaN for good) must each vanish: the stream
   // windows exactly as without them, and each drop is counted.
-  rfid::TagReportStream clean;
-  for (int w = 0; w < 40; ++w) {
-    for (int a = 0; a < 4; ++a) {
-      clean.push_back(report(0.01 + w * 0.05 + a * 0.01, a, 0.3 * w + a,
-                             -40.0 - a));
-    }
-  }
+  const rfid::TagReportStream clean = clean_stream();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   rfid::TagReport nan_time = report(0.0, 0, 1.0);
   nan_time.timestamp_s = nan;
@@ -117,17 +127,59 @@ TEST(Windowing, HostileReadsLeaveTheWindowsUnchanged) {
     const obs::Snapshot snap = reg.snapshot();
     EXPECT_EQ(snap.counter("preprocess.nonfinite_reports"), c.nonfinite);
     EXPECT_EQ(snap.counter("preprocess.far_reports"), c.far);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t w = 0; w < got.size(); ++w) {
-      EXPECT_EQ(got[w].t_s, expected[w].t_s) << w;
-      EXPECT_EQ(got[w].phase_rad, expected[w].phase_rad) << w;
-      EXPECT_EQ(got[w].rss_dbm, expected[w].rss_dbm) << w;
-      EXPECT_EQ(got[w].phase_valid, expected[w].phase_valid) << w;
-      EXPECT_EQ(got[w].rss_valid, expected[w].rss_valid) << w;
-    }
+    expect_same_windows(got, expected);
   }
   reg.reset();
   reg.set_enabled(false);
+}
+
+TEST(Windowing, OutOfOrderReadIsDroppedAsLate) {
+  // A read for window 10 arriving among window 25's reads: its window is
+  // finished, so it is dropped and counted instead of being bucketed, and
+  // the stream windows exactly as without it.
+  const rfid::TagReportStream clean = clean_stream();
+  rfid::TagReportStream stream = clean;
+  stream.insert(stream.begin() + 101, report(0.52, 1, 9.0, -70.0));
+  const auto expected = window_reports(clean, 4, 0.05);
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  const auto got = window_reports(stream, 4, 0.05);
+  EXPECT_EQ(reg.snapshot().counter("preprocess.late_reports"), 1u);
+  reg.reset();
+  reg.set_enabled(false);
+  expect_same_windows(got, expected);
+}
+
+TEST(Windowing, AgreesWithPreprocessOnACleanStream) {
+  // Both run the one window clock: at two ports, on a stream the phase
+  // gate accepts whole, window_reports and preprocess() agree on window
+  // times, which ports were read, RSS means and unwrapped phases.
+  // MultiWindow keeps no read count; read presence is compared instead.
+  rfid::TagReportStream reports;
+  for (int w = 0; w < 60; ++w) {
+    if (w % 7 == 3) continue;  // a read gap on both ports
+    for (int k = 0; k < 1 + w % 3; ++k) {
+      const double t = 0.002 + w * 0.05 + k * 0.013;
+      reports.push_back(report(t, 0, 0.4 * w + 0.01 * k, -40.0 - 0.1 * w));
+      if (w % 5 != 1) {
+        reports.push_back(report(t + 0.004, 1, 1.0 + 0.3 * w, -50.0 + k));
+      }
+    }
+  }
+  const core::PolarDrawConfig cfg;
+  const auto batch = core::preprocess(reports, cfg);
+  const auto windows = window_reports(reports, 2, cfg.window_s);
+  ASSERT_EQ(windows.size(), batch.size());
+  for (std::size_t w = 0; w < windows.size(); ++w) {
+    EXPECT_EQ(windows[w].t_s, batch[w].t_s) << w;
+    for (std::size_t a = 0; a < 2; ++a) {
+      EXPECT_EQ(windows[w].rss_valid[a], batch[w].read_count[a] > 0) << w;
+      EXPECT_EQ(windows[w].rss_dbm[a], batch[w].rss_dbm[a]) << w;
+      EXPECT_EQ(windows[w].phase_valid[a], batch[w].phase_valid[a]) << w;
+      EXPECT_EQ(windows[w].phase_rad[a], batch[w].phase_rad[a]) << w;
+    }
+  }
 }
 
 TEST(GridBeam, FollowsScoreGradient) {

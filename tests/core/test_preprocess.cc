@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
-
 #include "common/angles.h"
-#include "obs/metrics.h"
 
 namespace polardraw::core {
 namespace {
@@ -17,47 +14,6 @@ rfid::TagReport report(double t, int ant, double rss_dbm, double phase_rad) {
   r.rss_dbm = rss_dbm;
   r.phase_rad = wrap_2pi(phase_rad);
   return r;
-}
-
-TEST(CircularMean, SimpleAverage) {
-  const auto m = circular_mean({0.1, 0.3});
-  ASSERT_TRUE(m.has_value());
-  EXPECT_NEAR(*m, 0.2, 1e-9);
-}
-
-TEST(CircularMean, HandlesWrap) {
-  // 0.1 and 2*pi - 0.1 average to 0, not pi.
-  const auto m = circular_mean({0.1, kTwoPi - 0.1});
-  ASSERT_TRUE(m.has_value());
-  EXPECT_NEAR(*m, 0.0, 1e-9);
-}
-
-TEST(CircularMean, EmptyIsNullopt) {
-  EXPECT_FALSE(circular_mean({}).has_value());
-}
-
-TEST(CircularMean, NearCancellationIsNullopt) {
-  // Antipodal pairs cancel exactly in real arithmetic but leave a
-  // resultant of rounding-noise magnitude in floating point; the mean
-  // direction of that noise is meaningless and must be rejected rather
-  // than returned as if it carried information.
-  EXPECT_FALSE(circular_mean({0.3, 0.3 + kPi}).has_value());
-  // Uniformly spread phases (4 points a quarter-turn apart).
-  EXPECT_FALSE(
-      circular_mean({0.1, 0.1 + kPi / 2, 0.1 + kPi, 0.1 + 3 * kPi / 2})
-          .has_value());
-  // Many near-uniform samples: per-term rounding error grows with n, and
-  // so must the rejection threshold.
-  std::vector<double> uniform;
-  for (int i = 0; i < 1000; ++i) uniform.push_back(kTwoPi * i / 1000.0);
-  EXPECT_FALSE(circular_mean(uniform).has_value());
-}
-
-TEST(CircularMean, TightClusterSurvivesTheNoiseFloor) {
-  // A genuinely concentrated set must not be swallowed by the epsilon.
-  const auto m = circular_mean({1.0, 1.0, 1.0, 1.0});
-  ASSERT_TRUE(m.has_value());
-  EXPECT_NEAR(*m, 1.0, 1e-12);
 }
 
 TEST(Preprocess, WindowsAggregateBothAntennas) {
@@ -80,18 +36,6 @@ TEST(Preprocess, WindowsAggregateBothAntennas) {
     EXPECT_NEAR(windows[w].rss_dbm[1], -50.0 - w, 1e-9);
     EXPECT_EQ(windows[w].read_count[0], 4);
   }
-}
-
-TEST(Preprocess, EmptyWindowsMarkedInvalid) {
-  PolarDrawConfig cfg;
-  rfid::TagReportStream reports;
-  reports.push_back(report(0.0, 0, -40.0, 1.0));
-  reports.push_back(report(0.2, 0, -40.0, 1.0));  // 4 windows later
-  const auto windows = preprocess(reports, cfg);
-  ASSERT_EQ(windows.size(), 5u);
-  EXPECT_TRUE(windows[0].rss_valid[0]);
-  EXPECT_FALSE(windows[1].rss_valid[0]);
-  EXPECT_FALSE(windows[2].both_rss_valid());
 }
 
 TEST(Preprocess, SpuriousJumpRejected) {
@@ -149,17 +93,6 @@ TEST(Preprocess, UnwrapsAcrossWindows) {
     prev = win.phase_rad[0];
   }
   EXPECT_GT(prev, 10.0);  // far beyond one wrap
-}
-
-TEST(Preprocess, CalibrationSubtractsPortOffsets) {
-  PolarDrawConfig cfg;
-  rfid::TagReportStream reports;
-  for (int w = 0; w < 3; ++w) {
-    reports.push_back(report(w * 0.05, 0, -40.0, 1.5));
-  }
-  PhaseCalibration cal{{0.5, 0.0}, {}};
-  const auto windows = preprocess(reports, cfg, &cal);
-  EXPECT_NEAR(wrap_2pi(windows[0].phase_rad[0]), 1.0, 1e-9);
 }
 
 rfid::TagReport channel_report(double t, int ant, double phase_rad,
@@ -273,6 +206,28 @@ TEST(PreprocessHop, UncoveredChannelPoisonsWindowCalibration) {
   EXPECT_TRUE(windows[1].channel_calibrated[0]);
 }
 
+TEST(PreprocessHop, GateMarksOnlyTheWindowItFences) {
+  // The motion front end skips a phase delta on PhaseGate's mark alone, so
+  // the mark sits on the first window after an uncalibrated hop and
+  // nowhere else, and a calibrated hop leaves it unset.
+  PolarDrawConfig cfg;
+  PhaseCalibration cal;
+  cal.channel_offsets_rad.assign(20, 0.0);
+  rfid::TagReportStream reports;
+  for (int w = 0; w < 8; ++w) {
+    reports.push_back(
+        channel_report(w * 0.05, 0, 1.0 + 0.02 * w, w >= 4 ? 13 : 5));
+  }
+  const auto fenced = preprocess(reports, cfg);
+  const auto calibrated = preprocess(reports, cfg, &cal);
+  ASSERT_EQ(fenced.size(), 8u);
+  ASSERT_EQ(calibrated.size(), 8u);
+  for (std::size_t w = 0; w < 8; ++w) {
+    EXPECT_EQ(fenced[w].hop_fenced[0], w == 4) << w;
+    EXPECT_FALSE(calibrated[w].hop_fenced[0]) << w;
+  }
+}
+
 TEST(Preprocess, IgnoresForeignAntennas) {
   PolarDrawConfig cfg;
   rfid::TagReportStream reports;
@@ -287,116 +242,6 @@ TEST(Preprocess, IgnoresForeignAntennas) {
 TEST(Preprocess, EmptyStreamEmptyResult) {
   PolarDrawConfig cfg;
   EXPECT_TRUE(preprocess({}, cfg).empty());
-}
-
-TEST(Preprocess, ReportsBeforeStreamStartAreDropped) {
-  PolarDrawConfig cfg;
-  rfid::TagReportStream reports;
-  // A read that predates window 0 would index a negative window ordinal;
-  // it must be dropped and counted, not bucketed out of range.
-  reports.push_back(report(1.00, 0, -40.0, 1.0));
-  reports.push_back(report(0.40, 0, -90.0, 2.5));  // before t0
-  reports.push_back(report(1.01, 1, -50.0, 2.0));
-  obs::Registry& reg = obs::Registry::global();
-  reg.set_enabled(true);
-  reg.reset();
-  const auto windows = preprocess(reports, cfg);
-  EXPECT_EQ(reg.snapshot().counter("preprocess.late_reports"), 1u);
-  reg.reset();
-  reg.set_enabled(false);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_TRUE(windows[0].both_rss_valid());
-  EXPECT_NEAR(windows[0].rss_dbm[0], -40.0, 1e-9);  // -90 dropped, not mixed
-}
-
-TEST(Preprocess, FarFutureTimestampDoesNotExplodeWindowCount) {
-  PolarDrawConfig cfg;
-  rfid::TagReportStream reports;
-  reports.push_back(report(0.00, 0, -40.0, 1.0));
-  reports.push_back(report(0.01, 1, -50.0, 2.0));
-  const auto clean = preprocess(reports, cfg);
-  // A corrupt timestamp ~3 years into the stream: it is dropped and
-  // counted instead of finishing one empty window per 50 ms of the span,
-  // so the output is that of the stream without it.
-  reports.push_back(report(1e8, 0, -60.0, 0.5));
-  obs::Registry& reg = obs::Registry::global();
-  reg.set_enabled(true);
-  reg.reset();
-  const auto windows = preprocess(reports, cfg);
-  EXPECT_EQ(reg.snapshot().counter("preprocess.far_reports"), 1u);
-  reg.reset();
-  reg.set_enabled(false);
-  ASSERT_EQ(clean.size(), 1u);
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_TRUE(windows[0].both_rss_valid());
-  EXPECT_EQ(windows[0].t_s, clean[0].t_s);
-  for (int a = 0; a < 2; ++a) {
-    EXPECT_EQ(windows[0].read_count[a], clean[0].read_count[a]);
-    EXPECT_EQ(windows[0].rss_dbm[a], clean[0].rss_dbm[a]);
-    EXPECT_EQ(windows[0].phase_rad[a], clean[0].phase_rad[a]);
-  }
-}
-
-TEST(Preprocess, ChainedJumpsStayWithinTheWindowCap) {
-  // Each jump lands under kMaxWindows past the current window, so the
-  // per-read far rule alone would place both and finish 240,001 windows.
-  // The output is capped at kMaxWindows windows from window 0: the first
-  // jump is placed, the second is dropped as far, and the real read
-  // after the first jump comes late and is dropped too.
-  PolarDrawConfig cfg;
-  rfid::TagReportStream reports;
-  reports.push_back(report(0.00, 0, -40.0, 1.0));
-  reports.push_back(report(0.01, 1, -50.0, 2.0));
-  reports.push_back(report(6000.01, 0, -60.0, 0.5));   // window 120,000
-  reports.push_back(report(0.02, 0, -70.0, 1.5));      // window 0, finished
-  reports.push_back(report(12000.01, 0, -60.0, 0.5));  // window 240,000
-  obs::Registry& reg = obs::Registry::global();
-  reg.set_enabled(true);
-  reg.reset();
-  const auto windows = preprocess(reports, cfg);
-  const auto snap = reg.snapshot();
-  reg.reset();
-  reg.set_enabled(false);
-  EXPECT_EQ(snap.counter("preprocess.far_reports"), 1u);
-  EXPECT_EQ(snap.counter("preprocess.late_reports"), 1u);
-  ASSERT_EQ(windows.size(), 120001u);
-  EXPECT_LE(windows.size(), rfid::kMaxWindows);
-  EXPECT_EQ(windows[0].read_count[0], 1);
-  EXPECT_EQ(windows[0].rss_dbm[0], -40.0);
-  EXPECT_EQ(windows.back().index, 120000);
-  EXPECT_EQ(windows.back().read_count[0], 1);
-}
-
-TEST(Preprocess, NonPositiveWindowLengthGivesNoWindows) {
-  rfid::TagReportStream reports;
-  reports.push_back(report(0.00, 0, -40.0, 1.0));
-  reports.push_back(report(0.01, 1, -50.0, 2.0));
-  for (const double window_s :
-       {0.0, -0.05, std::numeric_limits<double>::quiet_NaN()}) {
-    SCOPED_TRACE(window_s);
-    PolarDrawConfig cfg;
-    cfg.window_s = window_s;
-    EXPECT_TRUE(preprocess(reports, cfg).empty());
-  }
-}
-
-TEST(Preprocess, LongStreamBucketsStayOrdinal) {
-  // The window clock must agree with the definition: read k at time t
-  // lands in window floor((t - t0) / window_s).
-  PolarDrawConfig cfg;
-  rfid::TagReportStream reports;
-  for (int k = 0; k < 400; ++k) {
-    reports.push_back(report(0.013 * k, 0, -40.0, 1.0));
-  }
-  const auto windows = preprocess(reports, cfg);
-  const double span = 0.013 * 399;
-  ASSERT_EQ(windows.size(), static_cast<std::size_t>(span / cfg.window_s) + 1);
-  int reads = 0;
-  for (const auto& w : windows) {
-    EXPECT_EQ(w.index, &w - windows.data());
-    reads += w.read_count[0];
-  }
-  EXPECT_EQ(reads, 400);
 }
 
 }  // namespace

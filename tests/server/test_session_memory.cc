@@ -261,13 +261,12 @@ TEST(SessionMemory, HostileBoundsCostOneScratchPerThread) {
   // One board-spanning window's scratch: the (2 * reach + 1)^2 table
   // (two planes of doubles and a byte of edge flags per displacement, with
   // the reach capped at the grid's larger extent), and per cell 20 B of box
-  // arrays, a 12 B candidate and two 8 B radix keys. A vector that grows by
-  // resize() may double its capacity, so the per-cell arrays count twice.
+  // arrays, a 12 B candidate and two 8 B radix keys. The per-cell arrays
+  // grow to exactly a window's need, so they count once.
   const std::int64_t cols = std::llround(cfg.board_width_m / cfg.block_m);
   const std::int64_t rows = std::llround(cfg.board_height_m / cfg.block_m);
   const std::int64_t t = 2 * std::max(cols, rows) + 1;
-  const std::int64_t board_scratch =
-      t * t * 17 + 2 * cols * rows * (20 + 12 + 16);
+  const std::int64_t board_scratch = t * t * 17 + cols * rows * (20 + 12 + 16);
   RecordProperty("hostile_sessions_bytes", std::to_string(held));
   EXPECT_LT(held, board_scratch + kSessions * kSessionBytes)
       << kSessions << " sessions that each took a 100 m window hold " << held
@@ -276,6 +275,14 @@ TEST(SessionMemory, HostileBoundsCostOneScratchPerThread) {
     EXPECT_EQ(server.close(static_cast<SessionId>(p)).size(),
               static_cast<std::size_t>(kWindows) + 1);
   }
+  // With every session closed, what stays is the worker's scratch: the
+  // board-sized set, its per-row, per-reach and per-beam buffers (about
+  // 8 KB here) and the server's own bookkeeping, less than one session.
+  const std::int64_t closed = g_live_bytes.load() - before;
+  RecordProperty("hostile_closed_bytes", std::to_string(closed));
+  EXPECT_LT(closed, board_scratch + kSessionBytes)
+      << "after every session closed " << closed
+      << " B stay; one board-sized scratch is " << board_scratch << " B";
 }
 
 }  // namespace
