@@ -50,16 +50,27 @@ TEST(Windowing, UnwrapsPerPort) {
   }
 }
 
+TEST(Windowing, OffsetsSubtracted) {
+  rfid::TagReportStream reports{report(0.0, 0, 1.7)};
+  rfid::PhaseCalibration calibration;
+  calibration.port_offsets_rad = {0.7};
+  const auto windows = window_reports(reports, 1, 0.05, &calibration);
+  ASSERT_EQ(windows.size(), 1u);
+  EXPECT_NEAR(wrap_2pi(windows[0].phase_rad[0]), 1.0, 1e-9);
+}
+
 TEST(Windowing, MissingPortMarkedInvalid) {
   rfid::TagReportStream reports{report(0.0, 0, 1.0)};
   const auto windows = window_reports(reports, 2, 0.05);
   EXPECT_TRUE(windows[0].phase_valid[0]);
   EXPECT_FALSE(windows[0].phase_valid[1]);
+  EXPECT_FALSE(windows[0].rss_valid[1]);
 }
 
 TEST(Windowing, DegenerateInputs) {
   EXPECT_TRUE(window_reports({}, 2, 0.05).empty());
   EXPECT_TRUE(window_reports({report(0, 0, 1)}, 0, 0.05).empty());
+  EXPECT_TRUE(window_reports({report(0, 0, 1)}, 2, 0.0).empty());
 }
 
 /// Four ports, 40 windows, one read per port per window.
