@@ -20,6 +20,10 @@
 // board, and streams with an exact tie at every beam cut -- and the
 // end-to-end letter/word accuracy, so a change to the candidate-scoring
 // kernel or the prune that moves one committed block fails here.
+//
+// A third pins the two baselines end to end: every position Tagoram and
+// RF-IDraw decode for fixed-seed letters through eval::run_trial, so a
+// change to their windowing, scoring or beam search shows here.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -355,6 +359,39 @@ TEST(TrajectoryPin, TiedBeamCutBitExact) {
     const std::uint64_t got = hash_stream(tb, c.lag, true);
     EXPECT_EQ(got, c.hash) << "lower_m " << c.lower_m << " lag " << c.lag
                            << " got 0x" << std::hex << got;
+  }
+}
+
+TEST(TrajectoryPin, BaselinesBitExact) {
+  struct Case {
+    eval::System system;
+    char letter;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {eval::System::kTagoram2, 'C', 61, 0x45223c3033e7af15ull},
+      {eval::System::kTagoram2, 'M', 62, 0xbc3095a6c3acfcafull},
+      {eval::System::kTagoram2, 'S', 63, 0x8defc99459e95bd9ull},
+      {eval::System::kTagoram4, 'C', 61, 0x11cdcbc1d88bba4full},
+      {eval::System::kTagoram4, 'M', 62, 0xcac52ef76d554d7cull},
+      {eval::System::kTagoram4, 'S', 63, 0x1500354c0dc52a7bull},
+      {eval::System::kRfIdraw4, 'C', 61, 0x7f31f8b5b94150cdull},
+      {eval::System::kRfIdraw4, 'M', 62, 0xa15eed9c8b87b3e4ull},
+      {eval::System::kRfIdraw4, 'S', 63, 0x67e36701ae65edb4ull},
+  };
+  for (const Case& c : cases) {
+    eval::TrialConfig cfg;
+    cfg.system = c.system;
+    cfg.seed = c.seed;
+    const auto res = eval::run_trial(std::string(1, c.letter), cfg);
+    ASSERT_GT(res.trajectory.size(), 10u) << c.letter;
+    Hash h;
+    h.add(static_cast<std::uint64_t>(res.trajectory.size()));
+    for (const Vec2& p : res.trajectory) h.add(p);
+    EXPECT_EQ(h.value(), c.hash) << eval::to_string(c.system) << " "
+                                 << c.letter << " got 0x" << std::hex
+                                 << h.value();
   }
 }
 
