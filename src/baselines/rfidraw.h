@@ -45,8 +45,6 @@ class RfIdrawTracker {
 
   std::vector<Vec2> track(const rfid::TagReportStream& reports) const;
 
-  const RfIdrawConfig& config() const { return cfg_; }
-
  private:
   RfIdrawConfig cfg_;
   std::vector<em::ReaderAntenna> antennas_;

@@ -8,10 +8,11 @@
 // changes between consecutive windows, which cancels per-port phase
 // offsets and the tag's unknown reflection phase. We decode the most
 // likely block sequence with baselines::grid_beam_decode, the grid Viterbi
-// beam search it shares with RF-IDraw -- not PolarDraw's StreamingDecoder.
-// The eval harness gives it PolarDraw's board grid, window length and
-// speed limit, so the comparison mostly isolates the measurement model
-// (4 circular antennas, phase only).
+// search it shares with RF-IDraw, which scores moves from per-cell phase
+// tables (the hologram) and prunes with PolarDraw's own beam prune. The
+// eval harness gives it PolarDraw's board grid, window length, speed
+// limit and beam width, so the comparison mostly isolates the measurement
+// model (4 circular antennas, phase only).
 #pragma once
 
 #include <vector>
@@ -36,8 +37,6 @@ class TagoramTracker {
 
   /// Recovers the trajectory from a raw report stream.
   std::vector<Vec2> track(const rfid::TagReportStream& reports) const;
-
-  const TagoramConfig& config() const { return cfg_; }
 
  private:
   TagoramConfig cfg_;

@@ -1,10 +1,7 @@
-// N-antenna windowing shared by the baseline trackers.
-//
-// The baselines run with 2-8 antenna ports. They window reports with the
-// same clock as PolarDraw (rfid/window_clock.h) at their port count, and
-// unwrap each port's phase across windows without PolarDraw's spurious
-// gate or hop fence. This module also holds the two measurement-model
-// pieces both trackers score with: per-port phase deltas and link lengths.
+// N-antenna windowing shared by the baseline trackers: PolarDraw's window
+// clock (rfid/window_clock.h) at the rig's 2-8 ports, each port's phase
+// unwrapped across windows without PolarDraw's spurious gate or hop fence,
+// per-port phase deltas, and the link lengths the grid search tabulates.
 #pragma once
 
 #include <vector>

@@ -46,41 +46,14 @@
 // it (same candidates, parents, order and tallies; log-probs within 1e-4).
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "common/beam.h"
 #include "core/config.h"
 #include "core/motion.h"
 #include "core/phase_field.h"
 
 namespace polardraw::core {
-
-/// Resizes `v` to `n`, doubling its capacity to grow but never past
-/// max(n, `limit`): the per-thread decode scratch keeps what it reaches.
-template <class T>
-void resize_within(std::vector<T>& v, std::size_t n, std::size_t limit) {
-  if (n > v.capacity())
-    v.reserve(std::max(n, std::min(2 * v.capacity(), limit)));
-  v.resize(n);
-}
-
-/// One beam step, structure-of-arrays: the nodes a window keeps (or the
-/// candidates it scores). parent[i] indexes the step before; -1 marks the
-/// seed.
-struct Beam {
-  std::vector<std::int32_t> cell;
-  std::vector<float> logp;
-  std::vector<std::int32_t> parent;
-
-  [[nodiscard]] std::size_t size() const { return cell.size(); }
-  void resize(std::size_t n) {  // a step or candidate set needs exactly n
-    resize_within(cell, n, n);
-    resize_within(logp, n, n);
-    resize_within(parent, n, n);
-  }
-};
 
 /// Hot-loop tallies, accumulated across windows by the caller.
 struct ExpandStats {

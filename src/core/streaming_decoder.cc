@@ -3,8 +3,6 @@
 // polarlint: hot-path -- no node-based hash maps in the decode loop.
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -14,64 +12,6 @@
 #include "obs/trace.h"
 
 namespace polardraw::core {
-
-namespace {
-
-/// Radix key of a renormalized log-prob that ascends as the log-prob
-/// descends. Adding +0.0f turns -0 into +0, so the two tie as they compare
-/// equal. A negative float's bits already ascend as it descends; a
-/// non-negative one flips its low 31 bits, which puts it ahead of every
-/// negative one, largest first.
-std::uint32_t descending_key(float logp) {
-  const auto bits = std::bit_cast<std::uint32_t>(logp + 0.0f);
-  return bits ^ (((bits >> 31) - 1u) & 0x7FFFFFFFu);
-}
-
-/// Index of the first most probable node of a non-empty beam.
-std::size_t best_node(const Beam& b) {
-  std::size_t best = 0;
-  for (std::size_t a = 1; a < b.size(); ++a) {
-    if (b.logp[a] > b.logp[best]) best = a;
-  }
-  return best;
-}
-
-/// Stable LSD radix sort of `v` on its high 32 bits: four 8-bit passes,
-/// counted in one sweep. `tmp` is scratch.
-void radix_sort_high_word(std::vector<std::uint64_t>& v,
-                          std::vector<std::uint64_t>& tmp) {
-  std::array<std::array<std::uint32_t, 256>, 4> offset{};
-  for (const std::uint64_t x : v) {
-    for (std::size_t p = 0; p < 4; ++p) {
-      ++offset[p][(x >> (32 + 8 * p)) & 0xFFu];
-    }
-  }
-  resize_within(tmp, v.size(), v.capacity());
-  for (std::size_t p = 0; p < 4; ++p) {
-    std::uint32_t sum = 0;
-    for (std::uint32_t& o : offset[p]) {
-      const std::uint32_t count = o;
-      o = sum;
-      sum += count;
-    }
-    const std::size_t shift = 32 + 8 * p;
-    for (const std::uint64_t x : v) tmp[offset[p][(x >> shift) & 0xFFu]++] = x;
-    v.swap(tmp);
-  }
-}
-
-/// The prune's buffers: the window's candidates and the radix keys that
-/// rank them. Like the kernel's scratch (core/expand_kernel.cc), one set
-/// per thread serves every decoder the thread runs; each window overwrites
-/// what it reads, and the survivors are copied into the decoder's own step.
-struct PruneScratch {
-  Beam cand;
-  std::vector<std::uint64_t> keys, tmp;  // (key << 32) | index
-};
-
-thread_local PruneScratch tls_prune;
-
-}  // namespace
 
 Vec2 initial_location_on_field(const PolarDrawConfig& cfg,
                                const PhaseField& field, double dtheta21) {
@@ -272,8 +212,7 @@ void StreamingDecoder::step(const TrackObservation& o,
 
   // Candidate scoring (Eq. 8 annulus + Eq. 11 emission) lives in the
   // kernel module.
-  PruneScratch& scratch = tls_prune;
-  Beam& cand = scratch.cand;
+  Beam& cand = thread_candidates();  // the survivors move to our own step
   const Beam& prev = steps_[n_steps_ - 1];
   expand_beam(cfg_, *field_, o, prev, cand, stats_);
 
@@ -287,57 +226,14 @@ void StreamingDecoder::step(const TrackObservation& o,
     cand.parent.push_back(static_cast<std::int32_t>(best));
   }
 
-  // Per-window renormalization: subtract the window's best score before
-  // the candidates enter the step. Log-probs are float and strictly
-  // decreasing, so an unnormalized session loses the resolution that
-  // separates beam candidates after ~1e4 windows; after renormalization
-  // the front max is exactly 0.0f every window (x - x is exact in IEEE)
-  // and resolution is bounded by the beam's spread, not the session
-  // length. Subtracting one common float from all candidates is monotone,
-  // so the argmax chain -- and therefore every committed position -- is
-  // preserved; ties it creates are resolved by the index tie-break below.
-  float wmax = cand.logp[0];
-  for (std::size_t i = 1; i < cand.size(); ++i) {
-    wmax = std::max(wmax, cand.logp[i]);
-  }
-  total_logp_offset_ += static_cast<double>(wmax);
-  for (float& lp : cand.logp) lp -= wmax;
-
-  // Beam pruning: keep the beam_width most probable candidates, ordered
-  // by (log-prob descending, candidate index ascending), so the survivor
-  // set *and* its order within the step are a pure function of the scored
-  // values (the determinism contract in the header). A stable radix sort
-  // on the descending key, started in index order, yields exactly that
-  // order; a NaN score sorts where its bits put it. Survivors are written
-  // by index, so a step's capacity stays at the beam width.
-  const std::size_t n_cand = cand.size();
+  // Renormalize and prune (common/beam.h): the survivor set and its order
+  // are a pure function of the scored values (the determinism contract in
+  // the header), and the subtracted window max accumulates in the offset.
+  // The greedy ablation keeps only the single best state.
   Beam& next = next_step();  // may move the steps: `prev` is not read below
-  if (n_cand > cfg_.beam_width) {
-    resize_within(scratch.keys, n_cand, field_->cells());  // a key per cell
-    for (std::size_t i = 0; i < n_cand; ++i) {
-      scratch.keys[i] =
-          (static_cast<std::uint64_t>(descending_key(cand.logp[i])) << 32) |
-          i;
-    }
-    radix_sort_high_word(scratch.keys, scratch.tmp);
-    next.resize(cfg_.beam_width);
-    for (std::size_t i = 0; i < cfg_.beam_width; ++i) {
-      const auto s = static_cast<std::size_t>(scratch.keys[i] & 0xFFFFFFFFu);
-      next.cell[i] = cand.cell[s];
-      next.logp[i] = cand.logp[s];
-      next.parent[i] = cand.parent[s];
-    }
-  } else {
-    next = cand;
-  }
-  if (!cfg_.use_viterbi && next.size() > 1) {
-    // Greedy ablation: collapse the beam to the single best state.
-    const std::size_t best = best_node(next);
-    next.cell[0] = next.cell[best];
-    next.logp[0] = next.logp[best];
-    next.parent[0] = next.parent[best];
-    next.resize(1);
-  }
+  total_logp_offset_ += static_cast<double>(
+      prune_beam(cand, cfg_.use_viterbi ? cfg_.beam_width : 1,
+                 field_->cells(), next));
   const std::uint64_t occupancy = next.size();
   n_beam_nodes_ += occupancy;
   if (occupancy > beam_peak_) beam_peak_ = occupancy;

@@ -39,18 +39,11 @@
 // and of which thread decodes which window, or what else that thread
 // decoded before. The two ingredients are (1) candidate scoring by the
 // beam-expansion kernel (core/expand_kernel.h), which emits candidates in
-// a fixed first-touch traversal order, and (2) beam pruning that keeps the
-// first beam_width candidates in (log-prob descending, candidate index
-// ascending) order, found by a stable radix sort on a key made from the
-// log-prob's bits, so the survivor set and its order within the step are
-// a pure function of the scored values. A NaN score, which only a non-finite
-// observation pushed straight into the decoder can produce, sorts at a
-// fixed place set by its bits: a positive NaN ahead of every number, a
-// negative one behind them all. Log-probs are renormalized every
-// window (the window max is subtracted before candidates enter the step),
-// so the beam front's best node sits at exactly 0 and a session never
-// loses float resolution no matter how long it runs; argmax decisions are
-// unchanged.
+// a fixed first-touch traversal order, and (2) the prune it shares with
+// the baselines' grid search (common/beam.h), whose survivors are a pure
+// function of the scored values, NaN included (only a non-finite
+// observation pushed straight into the decoder makes one). It renormalizes
+// every window: the front's best node sits at exactly 0.
 //
 // Seeding: an initial_hint seeds immediately; otherwise the decoder waits
 // for the first has_phase observation, seeds from its hyperbola field

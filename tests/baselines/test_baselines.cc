@@ -193,27 +193,67 @@ TEST(Windowing, AgreesWithPreprocessOnACleanStream) {
   }
 }
 
-TEST(GridBeam, FollowsScoreGradient) {
+/// Four circular antennas 1 m off a 0.4 x 0.3 m board, above and below it.
+std::vector<em::ReaderAntenna> grid_rig() {
+  std::vector<em::ReaderAntenna> rig;
+  for (const Vec3 p : {Vec3{0.0, 0.4, 1.0}, Vec3{0.4, 0.4, 1.0},
+                       Vec3{0.0, -0.1, 1.0}, Vec3{0.4, -0.1, 1.0}}) {
+    rig.push_back(em::make_circular_antenna(p));
+  }
+  return rig;
+}
+
+/// Noise-free per-port phase changes k(L_a(path[t+1]) - L_a(path[t])).
+PhaseSteps ideal_steps(const std::vector<em::ReaderAntenna>& rig,
+                       const std::vector<Vec2>& path, double lambda) {
+  PhaseSteps steps;
+  steps.port_weight = 2.0;
+  for (std::size_t t = 1; t < path.size(); ++t) {
+    std::vector<double>& d = steps.port_deltas.emplace_back();
+    for (const em::ReaderAntenna& ant : rig) {
+      d.push_back(4.0 * kPi *
+                  (link_length(path[t], ant) - link_length(path[t - 1], ant)) /
+                  lambda);
+    }
+  }
+  return steps;
+}
+
+GridConfig small_grid() {
   GridConfig cfg;
   cfg.board_width_m = 0.4;
   cfg.board_height_m = 0.3;
   cfg.block_m = 0.01;
-  // Reward moving right.
-  const auto scorer = [](std::size_t, const Vec2& from, const Vec2& to) {
-    return (to.x - from.x) * 100.0;
-  };
-  const auto traj = grid_beam_decode(cfg, {0.05, 0.15}, 20, scorer);
-  ASSERT_EQ(traj.size(), 21u);
-  EXPECT_GT(traj.back().x, traj.front().x + 0.1);
+  return cfg;
+}
+
+TEST(GridBeam, FollowsScoreGradient) {
+  // A tag moving one block right per window, from block (5, 15): the
+  // coherence score peaks on the measured move, and the decode lands on
+  // every block of the path.
+  const GridConfig cfg = small_grid();
+  const double lambda = 0.3276;
+  std::vector<Vec2> path;
+  for (int t = 0; t <= 20; ++t) path.push_back({0.055 + 0.01 * t, 0.155});
+  const auto rig = grid_rig();
+  const auto traj =
+      grid_beam_decode(cfg, path[0], rig, lambda, ideal_steps(rig, path, lambda));
+  ASSERT_EQ(traj.size(), path.size());
+  for (std::size_t t = 0; t < path.size(); ++t) {
+    EXPECT_LT(traj[t].dist(path[t]), 1e-9) << t;
+  }
 }
 
 TEST(GridBeam, RespectsSpeedLimit) {
-  GridConfig cfg;
-  cfg.block_m = 0.01;
-  const auto scorer = [](std::size_t, const Vec2&, const Vec2& to) {
-    return to.x;  // run right as fast as possible
-  };
-  const auto traj = grid_beam_decode(cfg, {0.05, 0.15}, 10, scorer);
+  // The phases say 3 cm per window, three times the speed limit.
+  const GridConfig cfg = small_grid();
+  const double lambda = 0.3276;
+  std::vector<Vec2> path;
+  for (int t = 0; t <= 10; ++t) path.push_back({0.055 + 0.03 * t, 0.155});
+  const auto rig = grid_rig();
+  const auto traj =
+      grid_beam_decode(cfg, path[0], rig, lambda, ideal_steps(rig, path, lambda));
+  ASSERT_EQ(traj.size(), path.size());
   const double max_step = cfg.vmax_mps * cfg.window_s + cfg.block_m;
   for (std::size_t i = 1; i < traj.size(); ++i) {
     EXPECT_LE(traj[i].dist(traj[i - 1]), max_step);
@@ -221,10 +261,9 @@ TEST(GridBeam, RespectsSpeedLimit) {
 }
 
 TEST(GridBeam, ZeroStepsJustStart) {
-  GridConfig cfg;
-  const auto traj = grid_beam_decode(
-      cfg, {0.2, 0.2}, 0,
-      [](std::size_t, const Vec2&, const Vec2&) { return 0.0; });
+  const GridConfig cfg;
+  const auto traj =
+      grid_beam_decode(cfg, {0.2, 0.2}, grid_rig(), 0.3276, PhaseSteps{});
   ASSERT_EQ(traj.size(), 1u);
   EXPECT_NEAR(traj[0].x, 0.2, cfg.block_m);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "common/seed.h"
 #include "eval/harness.h"
@@ -129,6 +130,38 @@ TEST(BatchHarness, WordAccuracyIdenticalAcrossThreadCounts) {
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t k = 0; k < serial.size(); ++k) {
     EXPECT_TRUE(same_outcome(serial[k], threaded[k])) << "trial " << k;
+  }
+}
+
+// PolarDraw's streaming decoder and the baselines' grid decode prune
+// through one per-thread set of radix keys (common/beam.h). In a batch
+// that interleaves the three systems, every trial must decode exactly as
+// it does alone on a fresh thread, whichever decoders its worker ran
+// before it.
+TEST(BatchHarness, MixedSystemsMatchIsolatedTrials) {
+  const System systems[3] = {System::kPolarDraw, System::kTagoram4,
+                             System::kRfIdraw4};
+  const std::string letters = "CMOSUWZAE";
+  std::vector<TrialSpec> specs;
+  for (const char c : letters) {
+    TrialSpec spec{std::string(1, c), TrialConfig{}};
+    spec.cfg.system = systems[specs.size() % 3];
+    spec.cfg.seed = trial_seed(505, specs.size());
+    specs.push_back(std::move(spec));
+  }
+  std::vector<TrialResult> alone(specs.size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    std::thread([&] { alone[k] = run_trial(specs[k].text, specs[k].cfg); })
+        .join();
+  }
+  for (const int threads : {1, 8}) {
+    const auto batch = run_trials(specs, threads);
+    ASSERT_EQ(batch.size(), specs.size());
+    for (std::size_t k = 0; k < specs.size(); ++k) {
+      EXPECT_TRUE(same_outcome(batch[k], alone[k]))
+          << "trial " << k << " (" << to_string(specs[k].cfg.system)
+          << ") at " << threads << " threads";
+    }
   }
 }
 
