@@ -104,7 +104,7 @@ struct PolarDrawConfig {
   /// over the full grid is O(states^2)). It trades decode cost, linear in
   /// the width, for accuracy: fig13 letter accuracy (A-Z x 10 reps, seed
   /// 777) reads 0.835 / 0.873 / 0.892 / 0.885 at beam 300 / 600 / 1200 /
-  /// 2400.
+  /// 2400. eval::run_trial gives the two baselines' beams the same width.
   std::size_t beam_width = 600;
 
   /// Apply the final Eq. 10 trajectory rotation by the initial-azimuth

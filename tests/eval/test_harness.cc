@@ -88,6 +88,22 @@ TEST(RunTrial, LowercaseInputJudgedCaseInsensitively) {
   }
 }
 
+TEST(RunTrial, BeamWidthSetsTheBaselinesBeams) {
+  // One knob, cfg.algo.beam_width, sets the beam of all three systems: a
+  // one-node beam decodes a baseline greedily, so its trajectory moves
+  // off the default beam's.
+  for (const System system : {System::kTagoram4, System::kRfIdraw4}) {
+    TrialConfig cfg;
+    cfg.system = system;
+    cfg.seed = 74;
+    const auto wide = run_trial("S", cfg);
+    cfg.algo.beam_width = 1;
+    const auto greedy = run_trial("S", cfg);
+    ASSERT_EQ(greedy.trajectory.size(), wide.trajectory.size());
+    EXPECT_NE(greedy.trajectory, wide.trajectory) << to_string(system);
+  }
+}
+
 TEST(LetterAccuracy, DeterministicForSameConfig) {
   TrialConfig cfg;
   cfg.system = System::kPolarDraw;
