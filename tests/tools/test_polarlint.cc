@@ -422,7 +422,9 @@ TEST(R6Sort, UnorderedContainerBannedInScope) {
   const std::string use = "std::unordered_set<int> seen;\n";
   EXPECT_EQ(count_rule(lint_source("src/core/foo.cc", use), "R6"), 1);
   EXPECT_EQ(count_rule(lint_source("src/server/foo.cc", use), "R6"), 1);
-  EXPECT_EQ(count_rule(lint_source("src/baselines/foo.cc", use), "R6"), 0);
+  EXPECT_EQ(count_rule(lint_source("src/baselines/foo.cc", use), "R6"), 1);
+  EXPECT_EQ(count_rule(lint_source("src/common/beam.cc", use), "R6"), 1);
+  EXPECT_EQ(count_rule(lint_source("src/common/stats.cc", use), "R6"), 0);
 }
 
 TEST(R6Sort, Suppressed) {

@@ -602,9 +602,14 @@ std::vector<Violation> lint_source(std::string_view path,
   const bool exempt_r2 = path_ends_with(path, "common/units.h");
   const bool exempt_r4 = path_ends_with(path, "common/rng.h") ||
                          path_ends_with(path, "common/seed.h");
-  // R6 polices the decode-critical directories only.
+  // R6 polices the decode-critical code only: PolarDraw's decode and
+  // server, the baselines' decode, and the beam prune they share (not all
+  // of common/, whose stats sort doubles for percentiles).
   const bool scope_r6 = path_starts_with(path, "src/core/") ||
-                        path_starts_with(path, "src/server/");
+                        path_starts_with(path, "src/server/") ||
+                        path_starts_with(path, "src/baselines/") ||
+                        path_ends_with(path, "common/beam.h") ||
+                        path_ends_with(path, "common/beam.cc");
   // R7: clocks may be read by the observability layer (src/obs and its
   // tests), the pool's trace plumbing, and benchmarks. EXCEPT the
   // sim-time-driven obs modules: the rolling SLO window and the
@@ -750,7 +755,7 @@ std::vector<Violation> lint_source(std::string_view path,
            "core/expand_kernel.h)");
     }
 
-    // R6a: unordered containers are banned in core/ and server/ --
+    // R6a: unordered containers are banned in the R6 scope --
     // iteration order is implementation-defined and must never feed
     // decoded output.
     if (scope_r6 && (t.text == "unordered_map" || t.text == "unordered_set" ||
@@ -758,7 +763,7 @@ std::vector<Violation> lint_source(std::string_view path,
                      t.text == "unordered_multiset")) {
       emit("R6", t.line, line_key(t.line),
            "std::" + t.text +
-               " in a decode-critical directory; iteration order is "
+               " in decode-critical code; iteration order is "
                "implementation-defined and must not feed decoded output "
                "(use a sorted or dense structure)");
     }
