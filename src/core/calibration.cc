@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/angles.h"
+#include "rfid/window_clock.h"
 
 namespace polardraw::core {
 
@@ -17,7 +18,9 @@ std::optional<CalibrationResult> calibrate_from_reference(
   // keeps a window's phases.
   std::vector<rfid::PortSums> residuals(ports);
   for (const auto& r : reports) {
-    if (r.antenna_id < 0 || static_cast<std::size_t>(r.antenna_id) >= ports) {
+    // A NaN phase would turn its port's offset, and so every read, NaN.
+    if (!rfid::admit_report(r) || r.antenna_id < 0 ||
+        static_cast<std::size_t>(r.antenna_id) >= ports) {
       continue;
     }
     const double dist =

@@ -40,7 +40,8 @@ struct CalibrationResult {
 
 /// Estimates per-port phase offsets from reads of a static reference tag:
 /// offset_j = circular_mean(measured_j) - 4*pi*|antenna_j - tag| / lambda.
-/// Returns nullopt if any port has fewer than `min_reads` reads.
+/// Drops (and counts) reads rfid::admit_report refuses. Returns nullopt
+/// if any port has fewer than `min_reads` reads.
 std::optional<CalibrationResult> calibrate_from_reference(
     const rfid::TagReportStream& reports, const CalibrationSetup& setup,
     int min_reads = 10);

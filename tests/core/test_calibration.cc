@@ -1,9 +1,12 @@
 // Tests for the reference-tag calibration.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/angles.h"
 #include "core/calibration.h"
 #include "core/polardraw.h"
+#include "obs/metrics.h"
 #include "recognition/procrustes.h"
 #include "sim/scene.h"
 
@@ -104,6 +107,45 @@ TEST(Calibration, RejectsInsufficientData) {
   EXPECT_FALSE(calibrate_from_reference({}, setup).has_value());
   EXPECT_FALSE(
       calibrate_from_reference(few, CalibrationSetup{}).has_value());
+}
+
+TEST(Calibration, SkipsNonFiniteReads) {
+  // Read 7's NaN phase would turn port 1's offset NaN. It is dropped and
+  // counted instead: the offsets, spreads and read counts are exactly
+  // those of the stream without it.
+  CalibrationSetup setup;
+  setup.tag_position = Vec3{0.5, 0.25, 0.0};
+  setup.antenna_positions = {Vec3{0.2, 1.25, 0.12}, Vec3{0.8, 1.25, 0.12}};
+  rfid::TagReportStream clean, with_nan;
+  for (int i = 0; i < 40; ++i) {
+    rfid::TagReport r;
+    r.timestamp_s = 0.01 * i;
+    r.antenna_id = i % 2;
+    r.phase_rad = wrap_2pi(1.0 + 2.0 * r.antenna_id + 0.05 * (i % 5));
+    if (i == 7) {
+      r.phase_rad = std::numeric_limits<double>::quiet_NaN();
+    } else {
+      clean.push_back(r);
+    }
+    with_nan.push_back(r);
+  }
+  const auto want = calibrate_from_reference(clean, setup);
+  ASSERT_TRUE(want.has_value());
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  const auto got = calibrate_from_reference(with_nan, setup);
+  const std::uint64_t dropped =
+      reg.snapshot().counter("preprocess.nonfinite_reports");
+  reg.reset();
+  reg.set_enabled(false);
+  EXPECT_EQ(dropped, 1u);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->calibration.port_offsets_rad,
+            want->calibration.port_offsets_rad);
+  EXPECT_EQ(got->residual_std_rad, want->residual_std_rad);
+  EXPECT_EQ(got->reads_used, want->reads_used);
+  EXPECT_EQ(got->reads_used, (std::vector<int>{20, 19}));
 }
 
 }  // namespace
