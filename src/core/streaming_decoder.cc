@@ -212,7 +212,7 @@ void StreamingDecoder::step(const TrackObservation& o,
 
   // Candidate scoring (Eq. 8 annulus + Eq. 11 emission) lives in the
   // kernel module.
-  Beam& cand = thread_candidates();  // the survivors move to our own step
+  Beam& cand = thread_candidates();  // survivors are copied to our step
   const Beam& prev = steps_[n_steps_ - 1];
   expand_beam(cfg_, *field_, o, prev, cand, stats_);
 
