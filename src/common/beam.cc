@@ -10,13 +10,12 @@ namespace polardraw {
 namespace {
 
 /// Radix key of a renormalized log-prob that ascends as the log-prob
-/// descends. Adding +0.0f turns -0 into +0, so the two tie as they compare
-/// equal. A negative float's bits already ascend as it descends; a
-/// non-negative one flips its low 31 bits, which puts it ahead of every
-/// negative one, largest first.
+/// descends. A renormalized log-prob is at most 0, and a negative float's
+/// bits already ascend as it descends; adding +0.0f turns -0 into +0, whose
+/// bits are 0, so the two tie as they compare equal and lead every
+/// negative one.
 std::uint32_t descending_key(float logp) {
-  const auto bits = std::bit_cast<std::uint32_t>(logp + 0.0f);
-  return bits ^ (((bits >> 31) - 1u) & 0x7FFFFFFFu);
+  return std::bit_cast<std::uint32_t>(logp + 0.0f);
 }
 
 /// Stable LSD radix sort of `v` on its high 32 bits: four 8-bit passes,

@@ -42,11 +42,10 @@ std::size_t best_node(const Beam& b);
 /// window and hands to prune_beam.
 Beam& thread_candidates();
 
-/// Subtracts the largest log-prob of the non-empty `cand` (and returns
-/// it), then writes to `next` every candidate in index order when there
-/// are at most `width`, else the first `width` in (log-prob descending,
-/// index ascending) order; a positive NaN sorts first, a negative one
-/// last. `cells` caps the radix keys' growth.
+/// Subtracts the largest log-prob of the non-empty, NaN-free `cand` (and
+/// returns it), then writes to `next` every candidate in index order when
+/// there are at most `width`, else the first `width` in (log-prob
+/// descending, index ascending) order. `cells` caps the radix keys' growth.
 float prune_beam(Beam& cand, std::size_t width, std::size_t cells,
                  Beam& next);
 

@@ -15,8 +15,7 @@ namespace {
 constexpr double kWeightFloor = 1e-6;  // keeps log-probabilities finite
 const double kLogWeightFloor = std::log(kWeightFloor);
 const double kLogQuarter = std::log(0.25);
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNegInf = -kInf;
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
 
 /// The exact Eq. 8 annulus test on a block-center difference, with a
@@ -30,9 +29,11 @@ inline bool annulus_holds(double ddx, double ddy, double out_thresh_m,
 }
 
 /// The box merge rule, shared by both walks, for the cell at `i` of the
-/// merge arrays: the first accepted lane to touch a cell takes it whatever
-/// its score (NaN included), and a later one replaces it only when
-/// strictly greater. Counts accepted lanes and first touches.
+/// merge arrays: an accepted lane takes the cell when its score is
+/// strictly greater. Scores are finite and a cell starts at -inf, so a
+/// first touch always takes it; saying so lets GCC store all three arrays
+/// in one block on a first touch (without it the decode ran 8% slower).
+/// Counts accepted lanes and first touches.
 inline void merge_lane(float lp, bool acc, std::int32_t parent, float* best,
                        std::int32_t* best_parent, std::int32_t* first,
                        std::ptrdiff_t i, std::uint64_t& accepted,
@@ -105,8 +106,7 @@ WindowTerms window_terms(const PolarDrawConfig& cfg, int cols, int rows,
   w.lower_m = o.distance.valid ? o.distance.lower_m : 0.0;
   w.upper_m = std::max({o.distance.upper_m, w.lower_m, cfg.block_m * 0.5});
   // No displacement leaves the grid, so the reach is capped at its larger
-  // extent before the cast: a huge or non-finite bound (NaN fails the
-  // comparison and takes the cap) costs one board-sized table.
+  // extent before the cast: a huge bound costs one board-sized table.
   const double reach = std::ceil(w.upper_m / cfg.block_m);
   const double grid = static_cast<double>(std::max(cols, rows));
   w.reach_blocks = std::max(1, static_cast<int>(reach <= grid ? reach : grid));
@@ -225,13 +225,12 @@ void fill_displacement_table(const PolarDrawConfig& cfg, const WindowTerms& w,
 
 /// Over the union of per-row column spans touched by this window's
 /// beam: evaluates the per-cell hyperbola log-weight and resets the merge
-/// arrays. Returns false if any log-weight is NaN or +inf.
-bool fill_box_rows(const PolarDrawConfig& cfg, const PhaseField& field,
+/// arrays.
+void fill_box_rows(const PolarDrawConfig& cfg, const PhaseField& field,
                    const WindowTerms& w, int r_lo, int r_hi, int c_lo,
                    int box_w, ExpandScratch& s) {
   const double inv_4pi = 1.0 / (4.0 * kPi);
   const double sharp = cfg.hyperbola_sharpness;
-  bool below_inf = true;
   for (int nr = r_lo; nr <= r_hi; ++nr) {
     const int lo = s.row_span_lo[static_cast<std::size_t>(nr)];
     const int hi = s.row_span_hi[static_cast<std::size_t>(nr)];
@@ -258,10 +257,8 @@ bool fill_box_rows(const PolarDrawConfig& cfg, const PhaseField& field,
       const double mismatch = std::min(d, kTwoPi - d);
       const double term = std::max(1.0 - mismatch * inv_4pi, kWeightFloor);
       out[i] = sharp * std::log(term);
-      if (!(out[i] < kInf)) below_inf = false;
     }
   }
-  return below_inf;
 }
 
 /// Flattens the ring (|dr| <= reach, |dc| <= dc_lim[|dr|]) into the lane
@@ -368,13 +365,7 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
   resize_within(s.box_logp, box, field.cells());
   resize_within(s.box_parent, box, field.cells());
   resize_within(s.box_first, box, field.cells());
-  // An annulus-rejected lane scores -inf, and so is never accepted, unless
-  // its parent's log-prob or its cell's hyperbola term is NaN or +inf (the
-  // mask plane's -inf then yields NaN, which the merge accepts). Only then
-  // can the lane lists, which leave rejected lanes out, differ from the
-  // table walk, so such parents and windows take the table walk.
-  const bool hyper_below_inf =
-      fill_box_rows(cfg, field, w, r_lo, r_hi, c_lo, box_w, s);
+  fill_box_rows(cfg, field, w, r_lo, r_hi, c_lo, box_w, s);
   bool lanes_filled = false;
   std::uint64_t ring_lanes = 0;  // every lane of the ring, rejected too
 
@@ -395,8 +386,8 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
     const double fx = field.center_x(pc);
     const double fy = field.center_y(pr);
 
-    if (hyper_below_inf && plp < kInf && pr >= reach && pr + reach < rows &&
-        pc >= reach && pc + reach < cols) {
+    if (pr >= reach && pr + reach < rows && pc >= reach &&
+        pc + reach < cols) {
       // Interior parent: its whole ring lies on the board, so it walks the
       // window's lane lists with no clipping. Rejected lanes are left out
       // of the lists and would score -inf, so the ring's lane count is

@@ -25,11 +25,12 @@
 // flat list of lanes, each a box offset and a table log-weight, with the
 // annulus rejections left out and the knife-edge lanes in a short list of
 // their own. A parent near the board edge walks the table row by row,
-// clipped to the board. Within one parent each cell is touched at most
-// once, so the lane order cannot change a merge, and parents still run in
-// index order: both walks produce the same bits. A NaN or +inf parent
-// log-prob or hyperbola term turns a masked lane's -inf into a NaN the
-// merge accepts, so such parents and windows take the table walk too.
+// clipped to the board. The parent's position alone chooses the walk:
+// every score is finite (StreamingDecoder::push screens each window), so
+// a rejected lane scores -inf in the table walk and is never accepted,
+// exactly as if it were left out. Within one parent each cell is touched
+// at most once, so the lane order cannot change a merge, and parents still
+// run in index order: both walks produce the same bits.
 //
 // Knife-edge re-test: the table measures displacements on the exact block
 // lattice, but the decode's annulus test is defined on block-center

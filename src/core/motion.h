@@ -42,6 +42,15 @@ struct TrackObservation {
   bool has_phase = false;  // both antennas had valid phase this window
 };
 
+/// The window without phase: idle, no hyperbola, displacement in [0, vmax *
+/// window]. MotionFrontEnd starts each phaseless window from it, and
+/// StreamingDecoder::push decodes a window that is not finite as it.
+inline TrackObservation unobserved_window(const PolarDrawConfig& cfg) {
+  TrackObservation o;
+  o.distance.upper_m = cfg.vmax_mps * cfg.window_s;
+  return o;
+}
+
 inline Vec2 to_vector(BoardDirection d) {
   switch (d) {
     case BoardDirection::kUp: return {0.0, 1.0};

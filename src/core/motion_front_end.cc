@@ -49,18 +49,14 @@ MotionFrontEnd::Step MotionFrontEnd::push(const Window& w) {
   }
 
   // --- Displacement bounds + hyperbola --------------------------------------
-  TrackObservation obs;
+  // Without phase this window, displacement is bounded only by the speed
+  // limit.
+  TrackObservation obs = unobserved_window(cfg_);
   obs.direction = dir;
   if (dtheta_ok && w.both_phase_valid()) {
     obs.distance = distance_.estimate(dtheta[0], dtheta[1], w.phase_rad[0],
                                       w.phase_rad[1]);
     obs.has_phase = true;
-  } else {
-    // No phase this window: displacement bounded only by the speed limit.
-    obs.distance.lower_m = 0.0;
-    obs.distance.upper_m = cfg_.vmax_mps * cfg_.window_s;
-    obs.distance.valid = false;
-    obs.has_phase = false;
   }
 
   // --- Roll the "previous valid" state --------------------------------------

@@ -73,9 +73,10 @@ StreamingDecoder::StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1,
   stream_cfg_.lag_windows = std::max<std::size_t>(stream_cfg_.lag_windows, 1);
   // A non-finite hint names no board cell; the chain waits for its first
   // phase window as if unhinted.
-  if (initial_hint != nullptr && std::isfinite(initial_hint->x) &&
-      std::isfinite(initial_hint->y)) {
-    seed_at(*initial_hint, 0);
+  if (initial_hint != nullptr) {
+    nonfinite_hint_ =
+        !(std::isfinite(initial_hint->x) && std::isfinite(initial_hint->y));
+    if (!nonfinite_hint_) seed_at(*initial_hint, 0);
   }
 }
 
@@ -106,8 +107,17 @@ Beam& StreamingDecoder::next_step() {
   return b;
 }
 
-void StreamingDecoder::push(const TrackObservation& obs) {
+void StreamingDecoder::push(const TrackObservation& pushed) {
   if (finished_) return;
+  // The one screen for hostile windows: past it every number the decode
+  // reads is finite, and so is every score the kernel and the prune see.
+  const DistanceEstimate& d = pushed.distance;
+  const Vec2& dir = pushed.direction.direction;
+  const bool finite = std::isfinite(d.lower_m) && std::isfinite(d.upper_m) &&
+                      std::isfinite(d.dtheta21) && std::isfinite(dir.x) &&
+                      std::isfinite(dir.y);
+  if (!finite) ++n_nonfinite_observations_;
+  const TrackObservation obs = finite ? pushed : unobserved_window(cfg_);
   ++n_pushed_;
   if (!seeded_) {
     if (!obs.has_phase) {
@@ -262,6 +272,15 @@ void StreamingDecoder::flush_metrics() {
   annulus_counter.add(stats_.annulus_rejected);
   starved_counter.add(n_starved_);
   occupancy_gauge.set_max(static_cast<double>(beam_peak_));
+  // Registered on first use: only a run with hostile input exports them.
+  if (n_nonfinite_observations_ > 0) {
+    static const obs::Counter screened_counter("hmm.nonfinite_observations");
+    screened_counter.add(n_nonfinite_observations_);
+  }
+  if (nonfinite_hint_) {
+    static const obs::Counter hint_counter("hmm.nonfinite_hints");
+    hint_counter.add(1);
+  }
 }
 
 float StreamingDecoder::front_logp_max() const {

@@ -41,9 +41,10 @@
 // beam-expansion kernel (core/expand_kernel.h), which emits candidates in
 // a fixed first-touch traversal order, and (2) the prune it shares with
 // the baselines' grid search (common/beam.h), whose survivors are a pure
-// function of the scored values, NaN included (only a non-finite
-// observation pushed straight into the decoder makes one). It renormalizes
-// every window: the front's best node sits at exactly 0.
+// function of the scored values. It renormalizes every window: the
+// front's best node sits at exactly 0. push() is the one screen for
+// hostile windows: it decodes a window that is not finite as the
+// unobserved window, so every score past it is finite.
 //
 // Seeding: an initial_hint seeds immediately; otherwise the decoder waits
 // for the first has_phase observation, seeds from its hyperbola field
@@ -85,7 +86,8 @@ class StreamingDecoder {
   /// optionally shares a pre-built phase-difference cache for that layout
   /// across decoders (built here when absent). `initial_hint` (when
   /// non-null) seeds the chain immediately at the board cell nearest it;
-  /// a hint with a non-finite coordinate counts as no hint.
+  /// a hint with a non-finite coordinate counts as no hint and is tallied
+  /// in `hmm.nonfinite_hints`.
   StreamingDecoder(const PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
                    double antenna_z, StreamingConfig stream_cfg = {},
                    std::shared_ptr<const PhaseField> field = nullptr,
@@ -95,7 +97,10 @@ class StreamingDecoder {
   ~StreamingDecoder();  // flushes the hmm.* metric counters if needed
 
   /// Feeds the next window's observation. One forward Viterbi step (or a
-  /// buffered no-op while the decoder is still waiting for its seed).
+  /// buffered no-op while the decoder is still waiting for its seed). A
+  /// window whose distance bounds, dtheta21 or direction is not finite is
+  /// replaced by unobserved_window(cfg) (core/motion.h) before it is
+  /// buffered, seeds or decodes, and tallied in `hmm.nonfinite_observations`.
   void push(const TrackObservation& obs);
 
   /// Drains every committed-but-undelivered block-center position into
@@ -190,6 +195,8 @@ class StreamingDecoder {
   std::uint64_t n_starved_ = 0;
   std::uint64_t n_beam_nodes_ = 0;
   std::uint64_t beam_peak_ = 0;
+  std::uint64_t n_nonfinite_observations_ = 0;
+  bool nonfinite_hint_ = false;
 };
 
 /// Hyperbolic bootstrap (section 3.5 "Initial location estimation"): picks

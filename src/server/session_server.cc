@@ -27,22 +27,6 @@ const std::vector<double>& latency_bounds_s() {
   return bounds;
 }
 
-bool is_finite(const core::TrackObservation& o) {
-  return std::isfinite(o.distance.lower_m) &&
-         std::isfinite(o.distance.upper_m) &&
-         std::isfinite(o.distance.dtheta21) &&
-         std::isfinite(o.direction.direction.x) &&
-         std::isfinite(o.direction.direction.y);
-}
-
-/// The window MotionFrontEnd emits when it has no phase: idle direction,
-/// displacement bounded only by the speed limit.
-core::TrackObservation unobserved_window(const core::PolarDrawConfig& cfg) {
-  core::TrackObservation o;
-  o.distance.upper_m = cfg.vmax_mps * cfg.window_s;
-  return o;
-}
-
 }  // namespace
 
 SessionServer::SessionServer(const core::PolarDrawConfig& cfg, Vec2 a1,
@@ -60,22 +44,21 @@ SessionServer::SessionServer(const core::PolarDrawConfig& cfg, Vec2 a1,
 
 void SessionServer::open(SessionId id, const Vec2* initial_hint, double t_s) {
   static const obs::Counter opened_counter("server.sessions_opened");
-  static const obs::Counter nonfinite_counter("server.nonfinite_hints");
-  // The decoder treats a hint with a non-finite coordinate as no hint.
-  const bool nonfinite_hint =
-      initial_hint != nullptr &&
-      !(std::isfinite(initial_hint->x) && std::isfinite(initial_hint->y));
-  if (nonfinite_hint) nonfinite_counter.add(1);
-  sessions_[id] = std::make_unique<Session>(cfg_, a1_, a2_, antenna_z_,
-                                            server_cfg_.stream, field_,
-                                            initial_hint);
+  std::unique_ptr<Session>& s = sessions_[id];
+  s = std::make_unique<Session>(cfg_, a1_, a2_, antenna_z_,
+                                server_cfg_.stream, field_, initial_hint);
   opened_counter.add(1);
   auto& lg = obs::Logger::global();
   if (lg.enabled()) {
+    bool hinted = false;
+    {
+      pd::MutexLock lock(s->mu);
+      hinted = s->decoder.seeded();  // a finite hint seeds at once
+    }
     lg.log(obs::LogLevel::kInfo, t_s, "server.session_open",
            [&](obs::JsonWriter& w) {
              w.kv("session", id);
-             w.kv("hinted", initial_hint != nullptr && !nonfinite_hint);
+             w.kv("hinted", hinted);
            });
   }
 }
@@ -83,13 +66,10 @@ void SessionServer::open(SessionId id, const Vec2* initial_hint, double t_s) {
 bool SessionServer::submit(SessionId id, const core::TrackObservation& obs,
                            std::optional<double> t_s, std::uint64_t flow_id) {
   static const obs::Counter obs_counter("server.observations");
-  static const obs::Counter nonfinite_counter("server.nonfinite_observations");
   static const obs::Counter nonfinite_t_counter("server.nonfinite_timestamps");
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return false;
   Session& s = *it->second;
-  const bool finite = is_finite(obs);
-  if (!finite) nonfinite_counter.add(1);
   // A non-finite time would poison the rolling window and statusz; it is
   // derived below as if none had been given.
   double sim_t_s = t_s.value_or(std::numeric_limits<double>::quiet_NaN());
@@ -107,8 +87,7 @@ bool SessionServer::submit(SessionId id, const core::TrackObservation& obs,
     if (!std::isfinite(sim_t_s)) {
       sim_t_s = static_cast<double>(s.submitted) * cfg_.window_s;
     }
-    s.pending.push_back(
-        {finite ? obs : unobserved_window(cfg_), now, sim_t_s, flow_id});
+    s.pending.push_back({obs, now, sim_t_s, flow_id});
     ++s.submitted;
     depth = ++s.queued;
     // Log the crossing once per episode; a drain re-arms it.

@@ -87,11 +87,13 @@ class SessionServer {
   SessionServer(const core::PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
                 double antenna_z, SessionServerConfig server_cfg = {});
 
-  /// Starts a session; `initial_hint` optionally seeds its chain. A hint
-  /// with a non-finite coordinate counts as no hint (the session seeds from
-  /// its first phase window) and is counted in `server.nonfinite_hints`.
-  /// Opening an id that is already open replaces the old session. `t_s` is
-  /// the session's opening sim time (log/statusz annotation only).
+  /// Starts a session; `initial_hint` optionally seeds its chain. The
+  /// session's decoder screens the hint: one with a non-finite coordinate
+  /// counts as no hint (the session seeds from its first phase window) and
+  /// is tallied in `hmm.nonfinite_hints`. The open log's `hinted` says
+  /// whether the decoder seeded. Opening an id that is already open
+  /// replaces the old session. `t_s` is the session's opening sim time
+  /// (log/statusz annotation only).
   void open(SessionId id, const Vec2* initial_hint = nullptr,
             double t_s = 0.0);
 
@@ -102,10 +104,10 @@ class SessionServer {
   /// the causal flow chain it belongs to (0 = unsampled). Without `t_s`
   /// the time is derived from the session's submit ordinal and the window
   /// length, which is exact for gap-free streams; a non-finite `t_s` is
-  /// derived the same way and counted in `server.nonfinite_timestamps`. A
-  /// window whose distance bounds, dtheta21 or direction is not finite is
-  /// queued as an unobserved window instead (idle, no phase, bounded by
-  /// the speed limit) and counted in `server.nonfinite_observations`.
+  /// derived the same way and counted in `server.nonfinite_timestamps`.
+  /// The window is queued as given: the session's decoder decodes one
+  /// whose distance bounds, dtheta21 or direction is not finite as the
+  /// unobserved window and tallies it in `hmm.nonfinite_observations`.
   bool submit(SessionId id, const core::TrackObservation& obs,
               std::optional<double> t_s = std::nullopt,
               std::uint64_t flow_id = 0);

@@ -14,8 +14,8 @@
 //
 // Plus the supporting units: the kernel-level direction-normalization
 // contract (a non-unit MotionEstimate::direction must decode exactly like
-// its normalized self), the NaN-score rule both of the kernel's walks
-// keep, and the wrap path of the oracle's GenerationScoreboard.
+// its normalized self) and the wrap path of the oracle's
+// GenerationScoreboard.
 #include "core/expand_kernel.h"
 
 #include <gtest/gtest.h>
@@ -280,50 +280,6 @@ TEST(ExpandKernel, NonUnitDirectionDecodesLikeItsNormalizedSelf) {
   for (std::size_t i = 0; i < unit.size(); ++i) {
     EXPECT_EQ(scaled[i].x, unit[i].x) << "position " << i;
     EXPECT_EQ(scaled[i].y, unit[i].y) << "position " << i;
-  }
-}
-
-TEST(ExpandKernel, NanScoresReachPastTheAnnulusInBothWalks) {
-  // The mask plane rejects a lane by adding -inf to its score, so a NaN
-  // parent log-prob or hyperbola term makes every lane of the ring a NaN
-  // candidate, which the merge accepts. Hostile sessions decode under that
-  // rule, so a parent whose ring lies on the board must keep it although
-  // its lane lists leave rejected lanes out, exactly as a parent whose ring
-  // the board edge clips does.
-  const PolarDrawConfig cfg;
-  const auto tb = make_decode_testbed(cfg, 1, 11);
-  const PhaseField field(cfg, tb.a1, tb.a2, tb.antenna_z);
-  const int cols = field.cols(), rows = field.rows();
-  // 2.75 blocks: reach 3, outer threshold 3.25 blocks, off every lattice
-  // knife edge, so an annulus rejection is decided by the mask alone.
-  TrackObservation o;
-  o.direction.type = MotionType::kTranslational;
-  o.direction.direction = Vec2{1.0, 0.0};
-  o.distance.lower_m = 0.0;
-  o.distance.upper_m = 2.75 * cfg.block_m;
-  o.distance.valid = true;
-  o.has_phase = true;
-  o.distance.dtheta21 = 1.0;
-  TrackObservation nan_phase = o;
-  nan_phase.distance.dtheta21 = std::numeric_limits<double>::quiet_NaN();
-  const float nan_logp = std::numeric_limits<float>::quiet_NaN();
-
-  for (const int c : {cols / 2, 1}) {
-    SCOPED_TRACE(::testing::Message() << "column " << c);
-    const Beam front{{(rows / 2) * cols + c}, {0.0f}, {-1}};
-    const Beam nan_front{{(rows / 2) * cols + c}, {nan_logp}, {-1}};
-    Candidates finite, nan_parent, nan_hyper;
-    expand_beam(cfg, field, o, front, finite, finite.stats);
-    expand_beam(cfg, field, o, nan_front, nan_parent, nan_parent.stats);
-    expand_beam(cfg, field, nan_phase, front, nan_hyper, nan_hyper.stats);
-    ASSERT_GT(finite.stats.annulus_rejected, 0u);
-    const std::uint64_t ring =
-        finite.stats.expansions + finite.stats.annulus_rejected;
-    for (const Candidates* c_nan : {&nan_parent, &nan_hyper}) {
-      EXPECT_EQ(c_nan->stats.annulus_rejected, 0u);
-      EXPECT_EQ(c_nan->stats.expansions, ring);
-      EXPECT_EQ(c_nan->size(), ring);
-    }
   }
 }
 

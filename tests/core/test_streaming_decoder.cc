@@ -9,7 +9,8 @@
 // and shrinking the lag degrades commit accuracy in a bounded
 // (tolerance-laddered) way. Decoders share their thread's decode scratch,
 // so interleaving them, on one thread or across a pool, must change no
-// trajectory and no hmm.* tally.
+// trajectory and no hmm.* tally. push() decodes a window that is not
+// finite as the unobserved window.
 #include "core/streaming_decoder.h"
 
 #include <gtest/gtest.h>
@@ -281,6 +282,100 @@ TEST(StreamingDecoder, EmptyStreamCommitsNothing) {
   EXPECT_TRUE(out.empty());
 }
 
+TEST(StreamingDecoder, NonFiniteWindowDecodesAsUnobserved) {
+  // push() is the one screen for hostile windows. A window whose bounds,
+  // dtheta21 or direction is not finite must decode exactly as the
+  // unobserved window, be tallied once, and leave every later score
+  // finite, so the front max stays exactly 0. Unscreened, a NaN dtheta21,
+  // direction or upper bound turns the beam NaN for good, and an infinite
+  // upper bound or a NaN lower bound lifts that bound.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::size_t kBad = 40;
+  constexpr int kWindows = 300;
+  const PolarDrawConfig cfg;
+  using Spoil = void (*)(TrackObservation&);
+  const std::pair<const char*, Spoil> cases[] = {
+      {"NaN dtheta21",
+       [](TrackObservation& o) {
+         o.has_phase = true;
+         o.distance.valid = true;
+         o.distance.dtheta21 = kNaN;
+       }},
+      {"NaN upper_m", [](TrackObservation& o) { o.distance.upper_m = kNaN; }},
+      {"+inf upper_m", [](TrackObservation& o) { o.distance.upper_m = kInf; }},
+      {"NaN lower_m",
+       [](TrackObservation& o) {
+         o.distance.valid = true;
+         o.distance.lower_m = kNaN;
+       }},
+      {"+inf direction.x",
+       [](TrackObservation& o) {
+         o.direction.type = MotionType::kTranslational;
+         o.direction.direction.x = kInf;
+       }},
+  };
+
+  const DecodeTestbed layout = make_decode_testbed(cfg, 0, 1);
+  const auto field = std::make_shared<const PhaseField>(
+      cfg, layout.a1, layout.a2, layout.antenna_z);
+  const auto decode = [&](const std::vector<TrackObservation>& obs,
+                          std::size_t lag, const Vec2* hint) {
+    StreamingConfig scfg;
+    scfg.lag_windows = lag;
+    StreamingDecoder dec(cfg, layout.a1, layout.a2, layout.antenna_z, scfg,
+                         field, hint);
+    std::vector<Vec2> out;
+    std::size_t off_zero = 0;  // pushes that leave the front max off 0
+    for (const auto& o : obs) {
+      dec.push(o);
+      if (dec.front_logp_max() != 0.0f) ++off_zero;
+      dec.poll(out);
+    }
+    dec.finish(out);
+    EXPECT_EQ(off_zero, 0u) << "pushes whose front max is not exactly 0";
+    return out;
+  };
+
+  obs::Registry& reg = obs::Registry::global();
+  const bool metrics_were_on = reg.enabled();
+  reg.set_enabled(true);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const DecodeTestbed tb = make_decode_testbed(cfg, kWindows, seed);
+    std::vector<TrackObservation> replaced = tb.obs;
+    replaced[kBad] = unobserved_window(cfg);
+    for (const std::size_t lag : {std::size_t{16}, std::size_t{kWindows + 1}}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " lag " << lag);
+      reg.reset();
+      const std::vector<Vec2> want = decode(replaced, lag, &tb.start);
+      EXPECT_EQ(reg.snapshot().counter("hmm.nonfinite_observations"), 0u);
+      for (const auto& [name, spoil] : cases) {
+        SCOPED_TRACE(name);
+        std::vector<TrackObservation> obs = tb.obs;
+        spoil(obs[kBad]);
+        reg.reset();
+        expect_bit_identical(decode(obs, lag, &tb.start), want);
+        EXPECT_EQ(reg.snapshot().counter("hmm.nonfinite_observations"), 1u);
+      }
+    }
+  }
+  reg.reset();
+  reg.set_enabled(metrics_were_on);
+
+  // Unhinted, a phase window with a NaN dtheta21 names no hyperbola, so
+  // the chain must not seed on it.
+  const DecodeTestbed tb = make_decode_testbed(cfg, kWindows, 1);
+  std::vector<TrackObservation> obs = tb.obs;
+  cases[0].second(obs[0]);
+  StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z, {}, field);
+  dec.push(obs[0]);
+  EXPECT_FALSE(dec.seeded());
+  std::vector<TrackObservation> replaced = tb.obs;
+  replaced[0] = unobserved_window(cfg);
+  expect_bit_identical(decode(obs, kWindows + 1, nullptr),
+                       decode(replaced, kWindows + 1, nullptr));
+}
+
 TEST(StreamingDecoder, LongStreamKeepsResolutionViaRenormalization) {
   // The float log-prob drift bugfix: node_logp_ is float and every window
   // subtracts a score, so an unnormalized 1e4-window session would push
@@ -350,12 +445,14 @@ struct InterleavedPen {
   bool use_hint = true;
 };
 
-/// The hmm.* counters and gauges of a snapshot, by name.
+/// The hmm.* counters and gauges of a snapshot, by name. A counter at 0 is
+/// the same tally whether or not an earlier decode registered it, so it is
+/// left out.
 std::vector<std::pair<std::string, double>> hmm_tallies(
     const obs::Snapshot& snap) {
   std::vector<std::pair<std::string, double>> out;
   for (const auto& [name, value] : snap.counters) {
-    if (name.rfind("hmm.", 0) == 0) {
+    if (name.rfind("hmm.", 0) == 0 && value != 0) {
       out.emplace_back(name, static_cast<double>(value));
     }
   }
@@ -370,10 +467,11 @@ TEST(StreamingDecoder, InterleavedDecodersMatchIsolatedDecodes) {
   // set of scratch buffers, so a window must read nothing an earlier
   // window left there, its own or another decoder's. Five pens stream
   // round-robin, one window at a time: two on the default board (one
-  // unhinted), one whose every sixth window has a 100 m upper bound and
-  // every sixth a NaN one (each spans the board, so its table and box
-  // arrays grow to the whole grid between the others' windows), one on a
-  // 2 m x 1.2 m board and one on the 5 mm golden board. They run once on
+  // unhinted), one whose every sixth window has a 100 m upper bound (it
+  // spans the board, so its table and box arrays grow to the whole grid
+  // between the others' windows) and every sixth a NaN one (which the
+  // decoder screens and tallies), one on a 2 m x 1.2 m board and one on
+  // the 5 mm golden board. They run once on
   // this thread and once on a 4-thread pool, whose threads take whichever
   // pen comes next, so pens move between threads from window to window.
   // Each pen's trajectory and hmm.* tallies must equal its decode alone on

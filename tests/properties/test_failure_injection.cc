@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "core/polardraw.h"
 #include "core/streaming_decoder.h"
 #include "eval/harness.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "recognition/classifier.h"
 #include "server/session_server.h"
@@ -262,9 +265,10 @@ TEST(FailureInjection, NonFiniteReportFieldsAreDropped) {
 TEST(FailureInjection, HugeOrNonFiniteDistanceBoundStaysOnTheBoard) {
   // A window's distance upper bound sets the decode's reach in blocks, and
   // SessionServer::submit passes a client's observation through unchecked.
-  // A huge or non-finite bound must open the whole board to that step
-  // (never an out-of-range cast, an allocation failure or a starved
-  // window) and leave every committed position finite and on the board.
+  // A huge bound must open the whole board to that step, and the decoder
+  // decodes a non-finite one as the unobserved window; neither may cause
+  // an out-of-range cast, an allocation failure or a starved window, and
+  // every committed position stays finite and on the board.
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const core::PolarDrawConfig cfg;
@@ -318,13 +322,13 @@ TEST(FailureInjection, HugeOrNonFiniteDistanceBoundStaysOnTheBoard) {
 }
 
 TEST(FailureInjection, NonFiniteObservationDecodesAsUnobservedWindow) {
-  // SessionServer::submit takes a client's finished observation. A NaN or
-  // inf distance bound, phase difference or direction component reaching
-  // the decoder would turn its beam scores NaN for the rest of the
-  // session. The server must decode such a window as one without phase
-  // (idle direction, speed-limit bound): its trajectory equals an
-  // isolated decode of the stream with that window replaced, and the
-  // replacement is counted once.
+  // SessionServer::submit takes a client's finished observation and queues
+  // it as given. A NaN or inf distance bound, phase difference or
+  // direction component reaching the kernel would turn its beam scores NaN
+  // for the rest of the session. The session's decoder must decode such a
+  // window as one without phase (idle direction, speed-limit bound): its
+  // trajectory equals an isolated decode of the stream with that window
+  // replaced, and the replacement is counted once.
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr std::size_t kBad = 18;
@@ -384,7 +388,7 @@ TEST(FailureInjection, NonFiniteObservationDecodesAsUnobservedWindow) {
       ASSERT_EQ(got.size(), want.size());
       EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Vec2)),
                 0);
-      EXPECT_EQ(reg.snapshot().counter("server.nonfinite_observations"), 1u);
+      EXPECT_EQ(reg.snapshot().counter("hmm.nonfinite_observations"), 1u);
     }
   }
   reg.reset();
@@ -393,7 +397,7 @@ TEST(FailureInjection, NonFiniteObservationDecodesAsUnobservedWindow) {
 
 TEST(FailureInjection, NonFiniteOrHugeHintSeedsOnTheBoard) {
   // SessionServer::open passes a client's hint straight to the decoder,
-  // which turns it into a seed cell. A NaN or infinite coordinate names no
+  // which screens it and turns it into a seed cell. A NaN or infinite coordinate names no
   // cell, so the decoder must wait for its first phase window exactly as
   // if unhinted. A huge finite hint seeds at the board cell it points to,
   // clamped to the grid (never through an out-of-range float-to-int
@@ -457,11 +461,21 @@ TEST(FailureInjection, NonFiniteOrHugeHintSeedsOnTheBoard) {
   reg.reset();
   server::SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z);
   const Vec2 nan_hint{kNaN, kNaN};
+  std::ostringstream log_lines;
+  obs::Logger& lg = obs::Logger::global();
+  lg.set_sink(&log_lines);
   server.open(1, &nan_hint);
   server.open(2, &tb.start);
-  EXPECT_EQ(reg.snapshot().counter("server.nonfinite_hints"), 1u);
+  lg.set_sink(nullptr);
+  // open() logs whether the session's decoder seeded on its hint.
+  EXPECT_NE(log_lines.str().find("\"session\":1,\"hinted\":false"),
+            std::string::npos);
+  EXPECT_NE(log_lines.str().find("\"session\":2,\"hinted\":true"),
+            std::string::npos);
+  // The decoders tally the hint with their other hmm.* counters, at close.
   server.close(1);
   server.close(2);
+  EXPECT_EQ(reg.snapshot().counter("hmm.nonfinite_hints"), 1u);
   reg.reset();
   reg.set_enabled(false);
 }
