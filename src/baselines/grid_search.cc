@@ -14,8 +14,7 @@ namespace polardraw::baselines {
 
 std::vector<Vec2> grid_beam_decode(
     const GridConfig& cfg, const Vec2& start,
-    const std::vector<em::ReaderAntenna>& antennas, double wavelength_m,
-    const PhaseSteps& steps) {
+    const std::vector<em::ReaderAntenna>& antennas, const PhaseSteps& steps) {
   const int cols = std::max(1, static_cast<int>(cfg.board_width_m / cfg.block_m));
   const int rows = std::max(1, static_cast<int>(cfg.board_height_m / cfg.block_m));
   const auto cells = static_cast<std::size_t>(cols * rows);
@@ -37,7 +36,8 @@ std::vector<Vec2> grid_beam_decode(
     double* phase = &kl[cell * width];
     const Vec2 p = center(static_cast<std::int32_t>(cell));
     for (std::size_t a = 0; a < antennas.size(); ++a) {
-      phase[pairs + a] = 4.0 * kPi * link_length(p, antennas[a]) / wavelength_m;
+      phase[pairs + a] =
+          4.0 * kPi * link_length(p, antennas[a]) / cfg.wavelength_m;
     }
     for (std::size_t q = 0; q < pairs; ++q) {
       const auto [i, j] = steps.pairs[q];

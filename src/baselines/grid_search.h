@@ -16,9 +16,12 @@
 
 #include "common/vec.h"
 #include "em/antenna.h"
+#include "em/constants.h"
 
 namespace polardraw::baselines {
 
+/// Everything a baseline tracker is configured with: the board grid, the
+/// window, the speed limit, the beam width and the carrier wavelength.
 struct GridConfig {
   double board_width_m = 1.0;
   double board_height_m = 0.6;
@@ -26,6 +29,7 @@ struct GridConfig {
   double vmax_mps = 0.2;
   double window_s = 0.05;
   std::size_t beam_width = 600;
+  double wavelength_m = em::kDefaultWavelength;
 };
 
 /// What a decode scores, one row per step (the move from one window to
@@ -46,7 +50,6 @@ struct PhaseSteps {
 /// nothing was measured. Returns steps + 1 positions (block centers).
 std::vector<Vec2> grid_beam_decode(
     const GridConfig& cfg, const Vec2& start,
-    const std::vector<em::ReaderAntenna>& antennas, double wavelength_m,
-    const PhaseSteps& steps);
+    const std::vector<em::ReaderAntenna>& antennas, const PhaseSteps& steps);
 
 }  // namespace polardraw::baselines

@@ -10,7 +10,9 @@
 // noting its accuracy is below the published 8-antenna system; we model
 // that same 4-antenna build. Inter-antenna (spatial) phase comparisons need
 // per-port calibration, which the constructor takes -- real deployments
-// obtain it with a reference tag.
+// obtain it with a reference tag. Like Tagoram it is configured by one
+// GridConfig (baselines/grid_search.h); its pair and temporal weights are
+// constants of the method.
 #pragma once
 
 #include <vector>
@@ -23,30 +25,18 @@
 
 namespace polardraw::baselines {
 
-struct RfIdrawConfig {
-  GridConfig grid;
-  double wavelength_m = 0.3276;
-  /// Sharpness of the per-pair hyperbola coherence term. Kept moderate:
-  /// the widely-spaced pairs have grating lobes, and over-weighting them
-  /// lets a wrong lobe capture the track.
-  double coherence_weight = 0.5;
-  /// Weight of the temporal (per-port differential) term that stabilizes
-  /// tracking between AoA updates.
-  double temporal_weight = 2.0;
-};
-
 class RfIdrawTracker {
  public:
   /// `pairs` lists antenna index pairs forming the arrays, e.g.
   /// {{0,1},{2,3}} for two 2-element arrays.
-  RfIdrawTracker(RfIdrawConfig cfg, std::vector<em::ReaderAntenna> antennas,
+  RfIdrawTracker(GridConfig cfg, std::vector<em::ReaderAntenna> antennas,
                  std::vector<std::pair<int, int>> pairs,
                  std::vector<double> port_phase_offsets);
 
   std::vector<Vec2> track(const rfid::TagReportStream& reports) const;
 
  private:
-  RfIdrawConfig cfg_;
+  GridConfig cfg_;
   std::vector<em::ReaderAntenna> antennas_;
   std::vector<std::pair<int, int>> pairs_;
   rfid::PhaseCalibration calibration_;  // port offsets only

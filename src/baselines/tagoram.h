@@ -9,10 +9,11 @@
 // offsets and the tag's unknown reflection phase. We decode the most
 // likely block sequence with baselines::grid_beam_decode, the grid Viterbi
 // search it shares with RF-IDraw, which scores moves from per-cell phase
-// tables (the hologram) and prunes with PolarDraw's own beam prune. The
-// eval harness gives it PolarDraw's board grid, window length, speed
-// limit and beam width, so the comparison mostly isolates the measurement
-// model (4 circular antennas, phase only).
+// tables (the hologram) and prunes with PolarDraw's own beam prune. Its
+// one GridConfig comes from the eval harness with PolarDraw's board grid,
+// window length, speed limit, beam width and wavelength, so the comparison
+// mostly isolates the measurement model (4 circular antennas, phase only);
+// the coherence weight is a constant of the method.
 #pragma once
 
 #include <vector>
@@ -24,22 +25,15 @@
 
 namespace polardraw::baselines {
 
-struct TagoramConfig {
-  GridConfig grid;
-  double wavelength_m = 0.3276;
-  /// Sharpness of the per-antenna coherence term.
-  double coherence_weight = 2.0;
-};
-
 class TagoramTracker {
  public:
-  TagoramTracker(TagoramConfig cfg, std::vector<em::ReaderAntenna> antennas);
+  TagoramTracker(GridConfig cfg, std::vector<em::ReaderAntenna> antennas);
 
   /// Recovers the trajectory from a raw report stream.
   std::vector<Vec2> track(const rfid::TagReportStream& reports) const;
 
  private:
-  TagoramConfig cfg_;
+  GridConfig cfg_;
   std::vector<em::ReaderAntenna> antennas_;
 };
 

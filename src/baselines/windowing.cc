@@ -18,15 +18,10 @@ std::vector<MultiWindow> window_reports(
     MultiWindow& win = out.emplace_back();
     win.t_s = finished.t_s;
     win.phase_rad.assign(ports, 0.0);
-    win.rss_dbm.assign(ports, -150.0);
     win.phase_valid.assign(ports, false);
-    win.rss_valid.assign(ports, false);
     for (std::size_t a = 0; a < ports; ++a) {
-      const rfid::PortSums& port = finished.ports[a];
-      if (port.reads == 0) continue;
-      win.rss_dbm[a] = port.mean_rss_dbm();
-      win.rss_valid[a] = true;
-      if (const auto m = port.mean_phase_rad()) {
+      // A port without reads has no mean phase.
+      if (const auto m = finished.ports[a].mean_phase_rad()) {
         win.phase_rad[a] = unwrappers[a].push(*m);
         win.phase_valid[a] = true;
       }

@@ -13,12 +13,11 @@
 
 namespace polardraw::baselines {
 
+/// One window's phases, all a baseline tracker reads of it.
 struct MultiWindow {
   double t_s = 0.0;
   std::vector<double> phase_rad;   // unwrapped, per port
-  std::vector<double> rss_dbm;     // per port
   std::vector<bool> phase_valid;   // per port
-  std::vector<bool> rss_valid;     // per port
 };
 
 /// Windows a time-ordered report stream through one rfid::WindowClock of

@@ -103,14 +103,15 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
   // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
   stage_start = std::chrono::steady_clock::now();
   const core::PhaseCalibration cal{scene.reader().port_phase_offsets(), {}};
-  // The baselines decode on PolarDraw's board grid, window, speed limit
-  // and beam width.
+  // The baselines decode on PolarDraw's board grid, window, speed limit,
+  // beam width and wavelength.
   const baselines::GridConfig grid{.board_width_m = cfg.scene.board_width_m,
                                    .board_height_m = cfg.scene.board_height_m,
                                    .block_m = cfg.algo.block_m,
                                    .vmax_mps = cfg.algo.vmax_mps,
                                    .window_s = cfg.algo.window_s,
-                                   .beam_width = cfg.algo.beam_width};
+                                   .beam_width = cfg.algo.beam_width,
+                                   .wavelength_m = cfg.algo.wavelength_m};
   switch (cfg.system) {
     case System::kPolarDraw:
     case System::kPolarDrawNoPol:
@@ -125,16 +126,13 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
     }
     case System::kTagoram2:
     case System::kTagoram4: {
-      const baselines::TagoramTracker tracker(
-          {.grid = grid, .wavelength_m = cfg.algo.wavelength_m},
-          scene.antennas());
+      const baselines::TagoramTracker tracker(grid, scene.antennas());
       out.trajectory = tracker.track(reports);
       break;
     }
     case System::kRfIdraw4: {
       const baselines::RfIdrawTracker tracker(
-          {.grid = grid, .wavelength_m = cfg.algo.wavelength_m},
-          scene.antennas(), {{0, 1}, {2, 3}},
+          grid, scene.antennas(), {{0, 1}, {2, 3}},
           scene.reader().port_phase_offsets());
       out.trajectory = tracker.track(reports);
       break;

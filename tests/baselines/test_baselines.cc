@@ -64,7 +64,6 @@ TEST(Windowing, MissingPortMarkedInvalid) {
   const auto windows = window_reports(reports, 2, 0.05);
   EXPECT_TRUE(windows[0].phase_valid[0]);
   EXPECT_FALSE(windows[0].phase_valid[1]);
-  EXPECT_FALSE(windows[0].rss_valid[1]);
 }
 
 TEST(Windowing, DegenerateInputs) {
@@ -91,9 +90,7 @@ void expect_same_windows(const std::vector<MultiWindow>& got,
   for (std::size_t w = 0; w < got.size(); ++w) {
     EXPECT_EQ(got[w].t_s, want[w].t_s) << w;
     EXPECT_EQ(got[w].phase_rad, want[w].phase_rad) << w;
-    EXPECT_EQ(got[w].rss_dbm, want[w].rss_dbm) << w;
     EXPECT_EQ(got[w].phase_valid, want[w].phase_valid) << w;
-    EXPECT_EQ(got[w].rss_valid, want[w].rss_valid) << w;
   }
 }
 
@@ -165,8 +162,7 @@ TEST(Windowing, OutOfOrderReadIsDroppedAsLate) {
 TEST(Windowing, AgreesWithPreprocessOnACleanStream) {
   // Both run the one window clock: at two ports, on a stream the phase
   // gate accepts whole, window_reports and preprocess() agree on window
-  // times, which ports were read, RSS means and unwrapped phases.
-  // MultiWindow keeps no read count; read presence is compared instead.
+  // times, which ports have a phase and the unwrapped phases.
   rfid::TagReportStream reports;
   for (int w = 0; w < 60; ++w) {
     if (w % 7 == 3) continue;  // a read gap on both ports
@@ -185,8 +181,6 @@ TEST(Windowing, AgreesWithPreprocessOnACleanStream) {
   for (std::size_t w = 0; w < windows.size(); ++w) {
     EXPECT_EQ(windows[w].t_s, batch[w].t_s) << w;
     for (std::size_t a = 0; a < 2; ++a) {
-      EXPECT_EQ(windows[w].rss_valid[a], batch[w].read_count[a] > 0) << w;
-      EXPECT_EQ(windows[w].rss_dbm[a], batch[w].rss_dbm[a]) << w;
       EXPECT_EQ(windows[w].phase_valid[a], batch[w].phase_valid[a]) << w;
       EXPECT_EQ(windows[w].phase_rad[a], batch[w].phase_rad[a]) << w;
     }
@@ -232,12 +226,11 @@ TEST(GridBeam, FollowsScoreGradient) {
   // coherence score peaks on the measured move, and the decode lands on
   // every block of the path.
   const GridConfig cfg = small_grid();
-  const double lambda = 0.3276;
   std::vector<Vec2> path;
   for (int t = 0; t <= 20; ++t) path.push_back({0.055 + 0.01 * t, 0.155});
   const auto rig = grid_rig();
-  const auto traj =
-      grid_beam_decode(cfg, path[0], rig, lambda, ideal_steps(rig, path, lambda));
+  const auto traj = grid_beam_decode(cfg, path[0], rig,
+                                     ideal_steps(rig, path, cfg.wavelength_m));
   ASSERT_EQ(traj.size(), path.size());
   for (std::size_t t = 0; t < path.size(); ++t) {
     EXPECT_LT(traj[t].dist(path[t]), 1e-9) << t;
@@ -247,12 +240,11 @@ TEST(GridBeam, FollowsScoreGradient) {
 TEST(GridBeam, RespectsSpeedLimit) {
   // The phases say 3 cm per window, three times the speed limit.
   const GridConfig cfg = small_grid();
-  const double lambda = 0.3276;
   std::vector<Vec2> path;
   for (int t = 0; t <= 10; ++t) path.push_back({0.055 + 0.03 * t, 0.155});
   const auto rig = grid_rig();
-  const auto traj =
-      grid_beam_decode(cfg, path[0], rig, lambda, ideal_steps(rig, path, lambda));
+  const auto traj = grid_beam_decode(cfg, path[0], rig,
+                                     ideal_steps(rig, path, cfg.wavelength_m));
   ASSERT_EQ(traj.size(), path.size());
   const double max_step = cfg.vmax_mps * cfg.window_s + cfg.block_m;
   for (std::size_t i = 1; i < traj.size(); ++i) {
@@ -263,7 +255,7 @@ TEST(GridBeam, RespectsSpeedLimit) {
 TEST(GridBeam, ZeroStepsJustStart) {
   const GridConfig cfg;
   const auto traj =
-      grid_beam_decode(cfg, {0.2, 0.2}, grid_rig(), 0.3276, PhaseSteps{});
+      grid_beam_decode(cfg, {0.2, 0.2}, grid_rig(), PhaseSteps{});
   ASSERT_EQ(traj.size(), 1u);
   EXPECT_NEAR(traj[0].x, 0.2, cfg.block_m);
 }
@@ -282,7 +274,7 @@ void run_synthetic_track(int ports, MakeTracker make_tracker) {
     ant.boresight = Vec3{0.0, 0.0, -1.0};
     rig.push_back(ant);
   }
-  const double lambda = 0.3276;
+  const double lambda = GridConfig{}.wavelength_m;
   rfid::TagReportStream reports;
   // Tag glides right 20 cm over 2 s; reads at 100 Hz round-robin. The
   // glide must cover at least a grid block per window or per-window
@@ -308,8 +300,7 @@ void run_synthetic_track(int ports, MakeTracker make_tracker) {
 TEST(Tagoram, TracksGlidingTagFourAntennas) {
   run_synthetic_track(4, [](const std::vector<em::ReaderAntenna>& rig) {
     return [rig](const rfid::TagReportStream& reports) {
-      TagoramConfig cfg;
-      TagoramTracker tracker(cfg, rig);
+      TagoramTracker tracker(GridConfig{}, rig);
       return tracker.track(reports);
     };
   });
@@ -328,7 +319,7 @@ TEST(Tagoram, TwoAntennasRecoverHorizontalMotion) {
     ant.boresight = Vec3{0.0, 0.0, -1.0};
     rig.push_back(ant);
   }
-  const double lambda = 0.3276;
+  const double lambda = GridConfig{}.wavelength_m;
   rfid::TagReportStream reports;
   for (int i = 0; i < 200; ++i) {
     const double t = i * 0.01;
@@ -341,24 +332,22 @@ TEST(Tagoram, TwoAntennasRecoverHorizontalMotion) {
         std::sqrt(dx * dx + dy * dy + ant.position.z * ant.position.z);
     reports.push_back(report(t, port, 4.0 * kPi * l / lambda));
   }
-  TagoramConfig cfg;
-  TagoramTracker tracker(cfg, rig);
+  TagoramTracker tracker(GridConfig{}, rig);
   const auto traj = tracker.track(reports);
   ASSERT_GT(traj.size(), 10u);
   EXPECT_NEAR(traj.back().x - traj.front().x, 0.20, 0.07);
 }
 
 TEST(Tagoram, EmptyStreamEmptyTrajectory) {
-  TagoramConfig cfg;
-  TagoramTracker tracker(cfg, {em::make_circular_antenna(Vec3{0, 0, 1})});
+  TagoramTracker tracker(GridConfig{},
+                         {em::make_circular_antenna(Vec3{0, 0, 1})});
   EXPECT_TRUE(tracker.track({}).empty());
 }
 
 TEST(RfIdraw, TracksGlidingTag) {
   run_synthetic_track(4, [](const std::vector<em::ReaderAntenna>& rig) {
     return [rig](const rfid::TagReportStream& reports) {
-      RfIdrawConfig cfg;
-      RfIdrawTracker tracker(cfg, rig, {{0, 1}, {2, 3}},
+      RfIdrawTracker tracker(GridConfig{}, rig, {{0, 1}, {2, 3}},
                              std::vector<double>(4, 0.0));
       return tracker.track(reports);
     };
@@ -366,8 +355,7 @@ TEST(RfIdraw, TracksGlidingTag) {
 }
 
 TEST(RfIdraw, EmptyStreamEmptyTrajectory) {
-  RfIdrawConfig cfg;
-  RfIdrawTracker tracker(cfg,
+  RfIdrawTracker tracker(GridConfig{},
                          {em::make_circular_antenna(Vec3{0, 0, 1}),
                           em::make_circular_antenna(Vec3{0.2, 0, 1})},
                          {{0, 1}}, {0.0, 0.0});
