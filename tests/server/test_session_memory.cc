@@ -1,10 +1,11 @@
 // Session memory (DESIGN.md section 13): over a long session the server's
 // heap may grow only by the committed trajectory, a session's own
 // footprint follows the beam, not the board, a decoder holds only the beam
-// steps its lag can still commit, and the decode scratch is the thread's,
-// so hostile sessions share one board-sized set. This executable replaces
-// the global operator new/delete with a live-byte counter, so it holds
-// these four tests and nothing else.
+// steps its lag can still commit, the decode scratch is the thread's, so
+// hostile sessions share one board-sized set, and a pen's front end
+// allocates nothing per window once warm. This executable replaces the
+// global operator new/delete with a live-byte and allocation counter, so
+// it holds these five tests and nothing else.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,14 +19,20 @@
 #include <string>
 #include <vector>
 
+#include "common/angles.h"
 #include "core/decode_testbed.h"
+#include "core/motion_front_end.h"
 #include "core/phase_field.h"
+#include "core/preprocess.h"
 #include "core/streaming_decoder.h"
+#include "obs/metrics.h"
+#include "rfid/window_clock.h"
 #include "server/session_server.h"
 
 namespace {
 
 std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_allocations{0};
 
 // Each block starts with its size in a header one max_align_t wide, so the
 // unsized delete can subtract it and the payload keeps its alignment.
@@ -37,6 +44,7 @@ void* counted_alloc(std::size_t n) {
   *static_cast<std::size_t*>(raw) = n;
   g_live_bytes.fetch_add(static_cast<std::int64_t>(n),
                          std::memory_order_relaxed);
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
   return static_cast<char*>(raw) + kHeader;
 }
 
@@ -283,6 +291,62 @@ TEST(SessionMemory, HostileBoundsCostOneScratchPerThread) {
   EXPECT_LT(closed, board_scratch + kSessionBytes)
       << "after every session closed " << closed
       << " B stay; one board-sized scratch is " << board_scratch << " B";
+}
+
+TEST(SessionMemory, PenFrontEndAllocatesNothingPerWindow) {
+  // A pen's front end -- the window clock, to_window, PhaseGate and
+  // MotionFrontEnd, chained as the associator chains them -- keeps fixed
+  // state and reuses the clock's one window buffer, so once warm it
+  // allocates nothing per window. One pen's two-port stream takes 8 reads
+  // a window and hops channel every 8 windows over four channels (the
+  // fourth uncalibrated, so hops to and from it fence), while its phases
+  // ramp and its RSS swings (about 840 rotational, 1,460 translational and
+  // 100 idle windows). After 200 warm-up windows, windows 201-2,400 must
+  // allocate nothing, with metrics on and off.
+  const core::PolarDrawConfig cfg;
+  constexpr int kWarmup = 200, kWindows = 2400, kReadsPerWindow = 8;
+  rfid::TagReportStream reads;
+  for (int i = 0; i < kWindows * kReadsPerWindow; ++i) {
+    rfid::TagReport r;
+    r.timestamp_s = (i + 0.5) * cfg.window_s / kReadsPerWindow;
+    r.antenna_id = i % 2;
+    r.channel = i / (8 * kReadsPerWindow) % 4;
+    const double t = r.timestamp_s;
+    r.rss_dbm = -45.0 + 3.0 * std::sin(7.0 * t + r.antenna_id);
+    r.phase_rad =
+        wrap_2pi(3.0 * std::sin(0.9 * t + 2.0 * r.antenna_id) + 0.5 * t);
+    reads.push_back(r);
+  }
+  const rfid::PhaseCalibration calibration{{0.3, -0.2}, {0.0, 0.4, -0.3}};
+
+  obs::Registry& reg = obs::Registry::global();
+  const bool metrics_were_on = reg.enabled();
+  for (const bool metrics : {true, false}) {
+    SCOPED_TRACE(metrics ? "metrics on" : "metrics off");
+    reg.set_enabled(metrics);
+    rfid::WindowClock clock(2, cfg.window_s);
+    core::PhaseGate gate(cfg.spurious_phase_threshold_rad);
+    core::MotionFrontEnd front(cfg);
+    int finished = 0;
+    int released = 0;
+    std::int64_t at_warm = 0;
+    const auto finish = [&](const rfid::ClockWindow& w) {
+      core::Window win = core::to_window(w);
+      for (int a = 0; a < 2; ++a) gate.gate(win, a);
+      if (front.push(win).released) ++released;
+      if (++finished == kWarmup) at_warm = g_allocations.load();
+    };
+    for (const rfid::TagReport& r : reads) clock.add(r, &calibration, finish);
+    clock.flush(finish);
+    if (front.flush()) ++released;
+    const std::int64_t allocations = g_allocations.load() - at_warm;
+    EXPECT_EQ(finished, kWindows);
+    EXPECT_EQ(released, kWindows);
+    EXPECT_EQ(allocations, 0) << "windows " << kWarmup + 1 << "-" << kWindows
+                              << " allocated " << allocations << " times";
+  }
+  reg.reset();
+  reg.set_enabled(metrics_were_on);
 }
 
 }  // namespace
