@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 #include <numbers>
 #include <vector>
 
@@ -76,39 +75,16 @@ class PhaseUnwrapper {
     return unwrapped_;
   }
 
-  /// Feeds the next wrapped sample taken at time `t_s`. Unwrapping
-  /// differences *consecutive* samples, so it assumes monotone sample
-  /// time; a duplicated or out-of-order report (exactly what interleaved
-  /// multi-session readers produce) would difference two phases whose true
-  /// order is unknown and shift the accumulated branch by a bogus step.
-  /// Such a sample (t_s <= the previous accepted sample's time) is
-  /// rejected: the unwrapped value and the comparison reference stay
-  /// unchanged, and nonmonotone_rejected() ticks. The first sample after
-  /// construction or reset() accepts any time.
-  double push_at(double wrapped_phase_rad, double t_s) {
-    if (has_prev_ && t_s <= prev_t_s_) {
-      ++n_nonmonotone_;
-      return unwrapped_;
-    }
-    prev_t_s_ = t_s;
-    return push(wrapped_phase_rad);
-  }
-
   void reset() { has_prev_ = false; unwrapped_ = 0.0; }
   [[nodiscard]] bool has_value() const { return has_prev_; }
   [[nodiscard]] double value() const { return unwrapped_; }
-  /// Samples rejected by push_at() for non-monotone time; survives reset()
-  /// so a caller can report a whole stream's total.
-  [[nodiscard]] std::uint64_t nonmonotone_rejected() const {
-    return n_nonmonotone_;
-  }
+  /// The last wrapped sample pushed (meaningful while has_value()).
+  [[nodiscard]] double last_wrapped() const { return prev_wrapped_; }
 
  private:
   bool has_prev_ = false;
   double prev_wrapped_ = 0.0;
-  double prev_t_s_ = 0.0;
   double unwrapped_ = 0.0;
-  std::uint64_t n_nonmonotone_ = 0;
 };
 
 }  // namespace polardraw

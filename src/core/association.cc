@@ -1,5 +1,6 @@
 #include "core/association.h"
 
+#include <optional>
 #include <utility>
 
 #include "obs/json_writer.h"
@@ -24,10 +25,6 @@ const obs::Counter& observations_counter() {
 }
 const obs::Counter& empty_windows_counter() {
   static const obs::Counter c("assoc.empty_windows");
-  return c;
-}
-const obs::Counter& phase_rejected_counter() {
-  static const obs::Counter c("assoc.phase_rejected");
   return c;
 }
 }  // namespace
@@ -146,28 +143,17 @@ void TagTrackAssociator::finalize_window(Track& track,
   const std::uint64_t flow_serial = std::exchange(track.flow_serial, 0);
   obs::record_report_flow('t', flow_serial, obs::FlowStage::kWindow);
 
+  auto& lg = obs::Logger::global();
   for (int a = 0; a < 2; ++a) {
-    const PhaseGate::Verdict verdict = track.gate.gate(win, a);
-    auto& lg = obs::Logger::global();
-    if (verdict.fenced_from_channel && lg.enabled()) {
+    const std::optional<int> fenced_from = track.gate.gate(win, a);
+    if (fenced_from && lg.enabled()) {
       lg.log(obs::LogLevel::kInfo, win.t_s, "assoc.hop_fence",
              [&](obs::JsonWriter& w) {
                w.kv("session", track.session_id);
                w.kv("antenna", a);
                w.kv("window", win.index);
-               w.kv("from_channel", *verdict.fenced_from_channel);
+               w.kv("from_channel", *fenced_from);
                w.kv("to_channel", win.channel[a]);
-             });
-    }
-    if (verdict.outcome == PhaseGate::Outcome::kSpurious) {
-      phase_rejected_counter().add(1);
-    } else if (verdict.outcome == PhaseGate::Outcome::kNonMonotone &&
-               lg.enabled()) {
-      lg.log(obs::LogLevel::kWarn, win.t_s, "assoc.non_monotone",
-             [&](obs::JsonWriter& w) {
-               w.kv("session", track.session_id);
-               w.kv("antenna", a);
-               w.kv("window", win.index);
              });
     }
   }

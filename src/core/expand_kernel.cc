@@ -115,19 +115,10 @@ WindowTerms window_terms(const PolarDrawConfig& cfg, int cols, int rows,
   w.use_hyper =
       cfg.use_hyperbola_constraint && o.has_phase && o.distance.valid;
   w.meas_rad = w.use_hyper ? wrap_2pi(o.distance.dtheta21) : 0.0;
+  // The direction is unit or zero (StreamingDecoder::push normalizes it).
   w.use_dir = o.direction.type != MotionType::kIdle &&
               o.direction.direction.norm_sq() > 0.0;
   w.dir = o.direction.direction;
-  if (w.use_dir) {
-    // The half-plane test below compares rx*dir.x + ry*dir.y -- a dot
-    // product scaled by |dir| -- against a threshold in meters, and the
-    // perpendicular-distance term divides by dmax_m assuming |dir| = 1.
-    // Every in-tree producer emits unit vectors, but the contract is
-    // enforced here: a non-unit direction is normalized (the tolerance
-    // leaves bit-exact already-normalized vectors untouched).
-    const double n2 = w.dir.norm_sq();
-    if (std::fabs(n2 - 1.0) > 1e-9) w.dir = w.dir / std::sqrt(n2);
-  }
   w.dmax_m = std::max(o.distance.upper_m, cfg.block_m);
   w.back_thresh_m = -0.25 * cfg.block_m;
   w.idle_step_penalty =

@@ -65,7 +65,10 @@ struct ExpandStats {
 /// Scores every candidate cell reachable from the beam `prev` for one
 /// window and writes the best candidate per cell to `cand` (its old
 /// contents are dropped). Parents index `prev`; cells index `field`'s
-/// grid. Candidates are emitted in first-touch traversal order (ascending
+/// grid. `o` is a window as StreamingDecoder::push hands it on: every
+/// number finite and the direction unit or zero (the emission's
+/// half-plane threshold and perpendicular-distance scale are in meters).
+/// Candidates are emitted in first-touch traversal order (ascending
 /// parent, then row, then column). Every buffer it needs besides `cand`
 /// is the calling thread's, reset or overwritten before it is read, so
 /// the call is a pure function of its arguments.

@@ -30,12 +30,25 @@ Window to_window(const rfid::ClockWindow& finished) {
   return win;
 }
 
-PhaseGate::Verdict PhaseGate::gate(Window& win, int a) {
-  Verdict verdict;
-  if (!win.phase_valid[a]) return verdict;
+namespace {
+const obs::Counter& phase_rejected_counter() {
+  static const obs::Counter c("preprocess.phase_rejected");
+  return c;
+}
+}  // namespace
+
+PhaseGate::PhaseGate(double spurious_threshold_rad)
+    : threshold_(spurious_threshold_rad) {
+  phase_rejected_counter();  // exports carry the key even at 0
+}
+
+std::optional<int> PhaseGate::gate(Window& win, int a) {
+  if (!win.phase_valid[a]) return std::nullopt;
   Reference& ref = ref_[a];
+  PhaseUnwrapper& unwrapper = ref.unwrapper;
   const double wrapped = win.phase_rad[a];
-  if (ref.have && win.channel[a] != ref.channel &&
+  std::optional<int> fenced_from;
+  if (unwrapper.has_value() && win.channel[a] != ref.channel &&
       !(ref.calibrated && win.channel_calibrated[a])) {
     // Frequency hop across an uncalibrated boundary: the per-channel
     // offset makes this phase incomparable with the previous one; restart
@@ -44,12 +57,11 @@ PhaseGate::Verdict PhaseGate::gate(Window& win, int a) {
     // were already removed at bucketing time, so the comparison continues
     // through the hop; the residual carrier-frequency term is small
     // enough for the spurious threshold to absorb (DESIGN.md section 16).
-    verdict.fenced_from_channel = ref.channel;
+    fenced_from = ref.channel;
     win.hop_fenced[a] = true;
-    ref.have = false;
-    ref.unwrapper.reset();
+    unwrapper.reset();
   }
-  if (ref.have) {
+  if (unwrapper.has_value()) {
     // The comparison reference is the last *valid* window, which may be
     // several windows back (reads drop out during deep mismatch).
     // Legitimate phase slews up to the threshold per elapsed window;
@@ -57,33 +69,20 @@ PhaseGate::Verdict PhaseGate::gate(Window& win, int a) {
     // cascading into rejecting the entire remaining stream.
     const int gap = std::max(1, win.index - ref.index);
     const double allowed = threshold_ * static_cast<double>(gap);
-    if (angle_dist(wrapped, ref.wrapped) > std::min(allowed, kPi)) {
+    if (angle_dist(wrapped, unwrapper.last_wrapped()) >
+        std::min(allowed, kPi)) {
       // Reject the phase reading (keep RSS: the paper only rejects phase
       // -- RSS remains physical during mismatch).
       win.phase_valid[a] = false;
-      verdict.outcome = Outcome::kSpurious;
-      return verdict;
+      phase_rejected_counter().add(1);
+      return std::nullopt;
     }
   }
-  const std::uint64_t refused_before = ref.unwrapper.nonmonotone_rejected();
-  const double unwrapped = ref.unwrapper.push_at(wrapped, win.t_s);
-  if (ref.unwrapper.nonmonotone_rejected() != refused_before) {
-    // The unwrapper refused the sample (non-monotone window time): drop
-    // the phase so the stale unwrapped value cannot leak into the window,
-    // and keep the spurious-rejection reference at the last accepted
-    // sample so it stays in lockstep with the unwrapper's own reference.
-    win.phase_valid[a] = false;
-    verdict.outcome = Outcome::kNonMonotone;
-    return verdict;
-  }
-  ref.have = true;
-  ref.wrapped = wrapped;
+  win.phase_rad[a] = unwrapper.push(wrapped);
   ref.index = win.index;
   ref.channel = win.channel[a];
   ref.calibrated = win.channel_calibrated[a];
-  win.phase_rad[a] = unwrapped;
-  verdict.outcome = Outcome::kAccepted;
-  return verdict;
+  return fenced_from;
 }
 
 std::vector<Window> preprocess(const rfid::TagReportStream& reports,
@@ -92,37 +91,19 @@ std::vector<Window> preprocess(const rfid::TagReportStream& reports,
   static const obs::SpanSite span_site("core.preprocess");
   const obs::ScopedSpan span(span_site);
   std::vector<Window> out;
-
-  // --- Step 1: window averaging ------------------------------------------
-  // Capped at rfid::kMaxWindows windows in all, so that jumps each under
-  // the clock's per-read bound cannot add up to more.
+  // Step 1 (window averaging) is the clock, capped at rfid::kMaxWindows
+  // windows in all so that jumps each under its per-read bound cannot add
+  // up to more; step 2 gates each window as the clock finishes it.
   rfid::WindowClock clock(2, cfg.window_s, rfid::kMaxWindows);
-  const auto keep = [&out](const rfid::ClockWindow& finished) {
-    out.push_back(to_window(finished));
+  PhaseGate gate(cfg.spurious_phase_threshold_rad);
+  const auto keep = [&out, &gate](const rfid::ClockWindow& finished) {
+    Window& win = out.emplace_back(to_window(finished));
+    for (int a = 0; a < 2; ++a) gate.gate(win, a);
   };
   for (const auto& r : reports) clock.add(r, calibration, keep);
   clock.flush(keep);
-
-  // --- Step 2: spurious phase rejection + unwrap --------------------------
-  std::uint64_t rejected = 0;
-  std::uint64_t nonmonotone = 0;
-  PhaseGate gate(cfg.spurious_phase_threshold_rad);
-  for (Window& win : out) {
-    for (int a = 0; a < 2; ++a) {
-      switch (gate.gate(win, a).outcome) {
-        case PhaseGate::Outcome::kSpurious: ++rejected; break;
-        case PhaseGate::Outcome::kNonMonotone: ++nonmonotone; break;
-        case PhaseGate::Outcome::kNoPhase:
-        case PhaseGate::Outcome::kAccepted: break;
-      }
-    }
-  }
   static const obs::Counter windows_counter("preprocess.windows");
-  static const obs::Counter rejected_counter("preprocess.phase_rejected");
-  static const obs::Counter nonmonotone_counter("preprocess.nonmonotone_reports");
   windows_counter.add(out.size());
-  rejected_counter.add(rejected);
-  nonmonotone_counter.add(nonmonotone);
   return out;
 }
 

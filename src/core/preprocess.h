@@ -63,34 +63,23 @@ Window to_window(const rfid::ClockWindow& finished);
 /// Step 2 for one stream of windows: per antenna, the hop fence, the
 /// gap-scaled spurious-phase rejection and the unwrap, against the last
 /// accepted window. The gate alone decides the fence and marks the window
-/// it fences (Window::hop_fenced); callers keep their own counters and
-/// logs off the returned verdict.
+/// it fences (Window::hop_fenced), and it counts each rejected phase in
+/// `preprocess.phase_rejected`, registered when a gate is built.
 class PhaseGate {
  public:
-  explicit PhaseGate(double spurious_threshold_rad)
-      : threshold_(spurious_threshold_rad) {}
+  explicit PhaseGate(double spurious_threshold_rad);
 
-  enum class Outcome {
-    kNoPhase,      // the window had no phase on this antenna
-    kAccepted,     // phase_rad now holds the unwrapped value
-    kSpurious,     // jump beyond the gap-scaled threshold: phase dropped
-    kNonMonotone,  // window time not after the reference: phase dropped
-  };
-  struct Verdict {
-    Outcome outcome = Outcome::kNoPhase;
-    /// Set with the window's hop_fenced mark: the channel hopped away
-    /// from.
-    std::optional<int> fenced_from_channel;
-  };
-
-  /// Gates antenna `a` of `win` in place. Windows must come in ordinal
-  /// order; a rejected phase leaves the reference where it was.
-  Verdict gate(Window& win, int a);
+  /// Gates antenna `a` of `win` in place: a phase that jumps beyond the
+  /// gap-scaled threshold is dropped and leaves the reference where it
+  /// was; an accepted one is unwrapped. Windows come from one WindowClock,
+  /// which finishes them in increasing ordinal and drops late reads, so
+  /// the gate needs no time-order check of its own. Returns the channel a
+  /// hop fence restarted the comparison from, when it fenced this window.
+  std::optional<int> gate(Window& win, int a);
 
  private:
+  /// The last accepted window; the unwrapper holds its wrapped phase.
   struct Reference {
-    bool have = false;
-    double wrapped = 0.0;
     int index = 0;
     int channel = 0;
     bool calibrated = false;
@@ -101,10 +90,11 @@ class PhaseGate {
 };
 
 /// Runs both pre-processing steps over a raw, time-ordered report stream
-/// (the reader's native order), through one two-port WindowClock capped at
-/// rfid::kMaxWindows windows: a read that arrives after its window was
-/// finished is dropped and counted. Reports from antennas other than 0/1
-/// are ignored (PolarDraw is a two-antenna system).
+/// (the reader's native order) in one pass: one two-port WindowClock
+/// capped at rfid::kMaxWindows windows, whose callback gates each window
+/// it finishes. A read that arrives after its window was finished is
+/// dropped and counted. Reports from antennas other than 0/1 are ignored
+/// (PolarDraw is a two-antenna system).
 std::vector<Window> preprocess(const rfid::TagReportStream& reports,
                                const PolarDrawConfig& cfg,
                                const PhaseCalibration* calibration = nullptr);

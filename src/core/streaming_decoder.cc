@@ -117,7 +117,20 @@ void StreamingDecoder::push(const TrackObservation& pushed) {
                       std::isfinite(d.dtheta21) && std::isfinite(dir.x) &&
                       std::isfinite(dir.y);
   if (!finite) ++n_nonfinite_observations_;
-  const TrackObservation obs = finite ? pushed : unobserved_window(cfg_);
+  TrackObservation obs = finite ? pushed : unobserved_window(cfg_);
+  // The emission's half-plane threshold and perpendicular-distance scale
+  // are in meters, so the kernel reads a unit or zero direction. A
+  // non-unit one is first scaled by an exact power of two, so its square
+  // can neither overflow nor underflow; where it did neither anyway, the
+  // result equals the plain division by its norm. The tolerance leaves
+  // already-normalized vectors untouched.
+  Vec2& unit = obs.direction.direction;
+  const double larger = std::max(std::fabs(unit.x), std::fabs(unit.y));
+  if (larger > 0.0 && std::fabs(unit.norm_sq() - 1.0) > 1e-9) {
+    const int e = std::ilogb(larger);
+    unit = Vec2{std::ldexp(unit.x, -e), std::ldexp(unit.y, -e)};
+    unit = unit / std::sqrt(unit.norm_sq());
+  }
   ++n_pushed_;
   if (!seeded_) {
     if (!obs.has_phase) {

@@ -44,7 +44,8 @@
 // function of the scored values. It renormalizes every window: the
 // front's best node sits at exactly 0. push() is the one screen for
 // hostile windows: it decodes a window that is not finite as the
-// unobserved window, so every score past it is finite.
+// unobserved window, so every score past it is finite, and it hands the
+// kernel unit or zero directions.
 //
 // Seeding: an initial_hint seeds immediately; otherwise the decoder waits
 // for the first has_phase observation, seeds from its hyperbola field
@@ -101,6 +102,8 @@ class StreamingDecoder {
   /// window whose distance bounds, dtheta21 or direction is not finite is
   /// replaced by unobserved_window(cfg) (core/motion.h) before it is
   /// buffered, seeds or decodes, and tallied in `hmm.nonfinite_observations`.
+  /// A non-zero direction is normalized to unit length, without overflow
+  /// or underflow however large or small it is.
   void push(const TrackObservation& obs);
 
   /// Drains every committed-but-undelivered block-center position into

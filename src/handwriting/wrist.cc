@@ -10,12 +10,6 @@ namespace polardraw::handwriting {
 WristModel::WristModel(WristStyle style, Rng rng)
     : style_(style), rng_(rng) {}
 
-void WristModel::reset() {
-  started_ = false;
-  elevation_offset_rad_ = 0.0;
-  azimuth_rad_ = kPi / 2.0;
-}
-
 double WristModel::azimuth_from_rotation(double alpha_r_rad, double alpha_e_rad,
                                          double min_azimuth_rad) {
   // cos(alpha_a) = tan(alpha_e_rad) / tan(alpha_r_rad). Fold alpha_r_rad to [0, pi)

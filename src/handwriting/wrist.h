@@ -62,8 +62,6 @@ class WristModel {
   /// orientation at that instant.
   em::PenAngles step(const PathSample& sample);
 
-  void reset();
-
   const WristStyle& style() const { return style_; }
   const Vec2& pivot() const { return pivot_; }
 

@@ -126,9 +126,4 @@ void JsonWriter::value(bool b) {
   os_ << (b ? "true" : "false");
 }
 
-void JsonWriter::null() {
-  pre_value();
-  os_ << "null";
-}
-
 }  // namespace polardraw::obs

@@ -40,7 +40,6 @@ class JsonWriter {
   void value(std::int64_t v);
   void value(int v) { value(static_cast<std::int64_t>(v)); }
   void value(bool b);
-  void null();
 
   /// Convenience: key + value in one call.
   template <typename T>

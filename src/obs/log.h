@@ -1,9 +1,9 @@
 // Structured, rate-limited JSON-lines logging (DESIGN.md section 17).
 //
-// Server lifecycle events (session open/close, hop-fence, non-monotone
-// drop, backpressure) emit one JSON object per line:
+// Server lifecycle events (session open/close, hop-fence, backpressure)
+// emit one JSON object per line:
 //
-//   {"t_s":12.35,"level":"warn","event":"assoc.non_monotone","epc":...}
+//   {"t_s":12.35,"level":"info","event":"assoc.hop_fence","session":...}
 //
 // Three properties, mirroring the metrics registry contract:
 //

@@ -203,63 +203,5 @@ TEST(PhaseUnwrapper, ResetClearsState) {
   EXPECT_NEAR(u.push(5.0), 5.0, 1e-12);
 }
 
-TEST(PhaseUnwrapper, PushAtMonotoneTimeMatchesPush) {
-  // With strictly increasing timestamps, push_at must be push: same
-  // branch, same values, including across a wrap seam.
-  std::vector<double> wrapped;
-  for (int i = 0; i < 80; ++i) {
-    wrapped.push_back(wrap_2pi(2.9 * i));  // wraps on nearly every step
-  }
-  PhaseUnwrapper timed, untimed;
-  for (std::size_t i = 0; i < wrapped.size(); ++i) {
-    const double a = timed.push_at(wrapped[i], 0.05 * static_cast<double>(i));
-    const double b = untimed.push(wrapped[i]);
-    EXPECT_EQ(a, b) << "at " << i;
-  }
-  EXPECT_EQ(timed.nonmonotone_rejected(), 0u);
-}
-
-TEST(PhaseUnwrapper, DuplicateTimestampRejectedAtWrapSeam) {
-  // Park the series just below the 2*pi seam, then replay the same
-  // timestamp with a reading from just above the seam. Differencing the
-  // pair would step the branch by ~-2*pi even though time never advanced;
-  // the duplicate must leave the unwrapped value untouched.
-  PhaseUnwrapper u;
-  u.push_at(6.2, 1.0);
-  const double before = u.push_at(6.28, 2.0);
-  const double after = u.push_at(0.01, 2.0);  // same t, across the seam
-  EXPECT_EQ(after, before);
-  EXPECT_EQ(u.value(), before);
-  EXPECT_EQ(u.nonmonotone_rejected(), 1u);
-  // The comparison reference is also unchanged: the next in-order sample
-  // differences against 6.28, not against the rejected 0.01.
-  const double next = u.push_at(6.27, 3.0);
-  EXPECT_NEAR(next, before - 0.01, 1e-12);
-}
-
-TEST(PhaseUnwrapper, ReorderedInputRejectedAndCounted) {
-  PhaseUnwrapper u;
-  u.push_at(1.0, 10.0);
-  u.push_at(1.5, 11.0);
-  const double settled = u.value();
-  // A late-arriving pair from an earlier interleaving slot.
-  EXPECT_EQ(u.push_at(4.0, 9.5), settled);
-  EXPECT_EQ(u.push_at(4.2, 10.5), settled);
-  EXPECT_EQ(u.nonmonotone_rejected(), 2u);
-  // In-order traffic resumes unharmed.
-  EXPECT_NEAR(u.push_at(1.6, 12.0), settled + 0.1, 1e-12);
-}
-
-TEST(PhaseUnwrapper, ResetAcceptsAnyTimeAndKeepsRejectCount) {
-  PhaseUnwrapper u;
-  u.push_at(1.0, 5.0);
-  u.push_at(1.2, 4.0);  // rejected
-  EXPECT_EQ(u.nonmonotone_rejected(), 1u);
-  u.reset();
-  // A fresh stream may legitimately restart the clock.
-  EXPECT_NEAR(u.push_at(2.0, 0.5), 2.0, 1e-12);
-  EXPECT_EQ(u.nonmonotone_rejected(), 1u);  // total survives reset()
-}
-
 }  // namespace
 }  // namespace polardraw

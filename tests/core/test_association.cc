@@ -261,8 +261,9 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
   // and bit for bit, smoothed directions included, on short streams (the
   // smoothing edges), a gapped stream, an uncalibrated and a calibrated
   // hop, the gapped stream with a late and a far-future read, which both
-  // pipelines' window clock drops and counts alike, and a rotating pen
-  // whose close carries a non-zero Eq. 10 angle.
+  // pipelines' window clock drops and counts alike, a spurious phase,
+  // which both pipelines' PhaseGate rejects and counts alike, and a
+  // rotating pen whose close carries a non-zero Eq. 10 angle.
   PolarDrawConfig cfg;
   const PhaseCalibration cal = hop_calibration();
   AssociatorConfig no_idle_close;
@@ -273,6 +274,11 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
                  report(0xC4, 0.26, 0, -90.0, 4.0, 5));
   hostile.push_back(report(0xC4, hostile.back().timestamp_s + 1e4, 1, -45.0,
                            0.5, 5));
+  // Window 8's antenna-0 phase jumps 1.5 rad, far past the 0.2 rad gate.
+  rfid::TagReportStream spiked = mixed_stream(16);
+  for (std::size_t i = 8 * 6; i < 9 * 6; i += 2) {
+    spiked[i].phase_rad = wrap_2pi(spiked[i].phase_rad + 1.5);
+  }
   struct Case {
     const char* name;
     rfid::TagReportStream stream;
@@ -289,22 +295,26 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
       // Idle close off keeps the far read away from the associator's
       // idle-close scan, which no batch pass has.
       {"late + far reads", hostile, nullptr, no_idle_close, 1},
+      {"spurious phase", spiked, nullptr, {}, 0},
       {"sector crossing", rotating_stream(16), nullptr, {}, 0},
   };
   obs::Registry& reg = obs::Registry::global();
   reg.set_enabled(true);
-  const auto expect_drops = [&reg](std::uint64_t n, const char* pass) {
+  // Checks a pass's clock drops; returns its spurious-phase rejections.
+  const auto end_pass = [&reg](std::uint64_t n, const char* pass) {
     const auto snap = reg.snapshot();
     EXPECT_EQ(snap.counter("preprocess.late_reports"), n) << pass;
     EXPECT_EQ(snap.counter("preprocess.far_reports"), n) << pass;
     reg.reset();
+    return snap.counter("preprocess.phase_rejected");
   };
   int crossings = 0;  // cases whose close carries a non-zero angle
+  int rejecting = 0;  // cases with a spurious-phase rejection
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     reg.reset();
     const auto windows = preprocess(c.stream, cfg, c.calibration);
-    expect_drops(c.late_and_far, "preprocess");
+    const std::uint64_t rejected = end_pass(c.late_and_far, "preprocess");
     std::vector<TrackObservation> batch_obs;
     MotionFrontEnd front(cfg);
     for (const Window& w : windows) {
@@ -315,13 +325,14 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
     if (auto tail = front.flush()) batch_obs.push_back(tail->obs);
     const PolarDraw batch(cfg, Vec2{0.22, 1.25}, Vec2{0.78, 1.25}, 0.12);
     const auto batch_res = batch.track(c.stream, c.calibration);
-    expect_drops(c.late_and_far, "track");
+    EXPECT_EQ(end_pass(c.late_and_far, "track"), rejected);
 
     TagTrackAssociator assoc(cfg, c.acfg, c.calibration);
     auto events = assoc.push(c.stream);
     const auto tail = assoc.flush();
     events.insert(events.end(), tail.begin(), tail.end());
-    expect_drops(c.late_and_far, "associator");
+    EXPECT_EQ(end_pass(c.late_and_far, "associator"), rejected);
+    if (rejected > 0) ++rejecting;
     const auto obs = events_of_type(events, PenEventType::kObservation);
 
     ASSERT_EQ(windows.size(), obs.size());
@@ -347,6 +358,7 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
     if (closes[0].azimuth_correction_rad != 0.0) ++crossings;
   }
   EXPECT_EQ(crossings, 1);  // the rotating pen's; the rest never cross
+  EXPECT_EQ(rejecting, 1);  // the spiked pen's; the rest reject nothing
   reg.reset();
   reg.set_enabled(false);
 }

@@ -12,9 +12,9 @@
 // wider than the board. Committed trajectories are pinned separately
 // (test_hmm_golden, TrajectoryPin).
 //
-// Plus the supporting units: the kernel-level direction-normalization
-// contract (a non-unit MotionEstimate::direction must decode exactly like
-// its normalized self) and the wrap path of the oracle's
+// Plus the supporting units: the direction-normalization contract (a
+// non-unit MotionEstimate::direction, however large or small, must decode
+// exactly like its normalized self) and the wrap path of the oracle's
 // GenerationScoreboard.
 #include "core/expand_kernel.h"
 
@@ -248,8 +248,10 @@ TEST(ExpandKernelParity, KernelsAgreeOnCandidateSetAndStats) {
 TEST(ExpandKernel, NonUnitDirectionDecodesLikeItsNormalizedSelf) {
   // The emission's half-plane threshold and perpendicular-distance scale
   // are in meters, so MotionEstimate::direction must be unit length; the
-  // kernel enforces it. Scaling every direction by 4 (a power of two, so
-  // the renormalization is FP-exact) must change nothing.
+  // decoder's door (StreamingDecoder::push) normalizes it. Scaling every
+  // direction by a power of two must change nothing: by 4, where the
+  // renormalization is FP-exact, and by 2^600 and 2^-600, whose squares
+  // overflow and underflow.
   PolarDrawConfig cfg;
   cfg.board_width_m = 0.4;
   cfg.board_height_m = 0.3;
@@ -266,20 +268,24 @@ TEST(ExpandKernel, NonUnitDirectionDecodesLikeItsNormalizedSelf) {
   up.direction.direction = Vec2{0.0, 1.0};
   std::vector<TrackObservation> unit_obs;
   for (int i = 0; i < 12; ++i) unit_obs.push_back(i % 3 == 2 ? up : right);
-  std::vector<TrackObservation> scaled_obs = unit_obs;
-  for (auto& o : scaled_obs) {
-    o.direction.direction =
-        Vec2{o.direction.direction.x * 4.0, o.direction.direction.y * 4.0};
-  }
 
   const Vec2 a1{0.1, 0.35}, a2{0.3, 0.35};
   const Vec2 start{0.1, 0.15};
-  const auto scaled = decode_full_lag(cfg, a1, a2, 0.12, scaled_obs, &start);
   const auto unit = decode_full_lag(cfg, a1, a2, 0.12, unit_obs, &start);
-  ASSERT_EQ(scaled.size(), unit.size());
-  for (std::size_t i = 0; i < unit.size(); ++i) {
-    EXPECT_EQ(scaled[i].x, unit[i].x) << "position " << i;
-    EXPECT_EQ(scaled[i].y, unit[i].y) << "position " << i;
+  for (const double scale :
+       {4.0, std::ldexp(1.0, 600), std::ldexp(1.0, -600)}) {
+    SCOPED_TRACE(::testing::Message() << "scale " << scale);
+    std::vector<TrackObservation> scaled_obs = unit_obs;
+    for (auto& o : scaled_obs) {
+      o.direction.direction = Vec2{o.direction.direction.x * scale,
+                                   o.direction.direction.y * scale};
+    }
+    const auto scaled = decode_full_lag(cfg, a1, a2, 0.12, scaled_obs, &start);
+    ASSERT_EQ(scaled.size(), unit.size());
+    for (std::size_t i = 0; i < unit.size(); ++i) {
+      EXPECT_EQ(scaled[i].x, unit[i].x) << "position " << i;
+      EXPECT_EQ(scaled[i].y, unit[i].y) << "position " << i;
+    }
   }
 }
 

@@ -10,7 +10,8 @@
 // (tolerance-laddered) way. Decoders share their thread's decode scratch,
 // so interleaving them, on one thread or across a pool, must change no
 // trajectory and no hmm.* tally. push() decodes a window that is not
-// finite as the unobserved window.
+// finite as the unobserved window, and a window that leaves no candidate
+// holds the front's best state.
 #include "core/streaming_decoder.h"
 
 #include <gtest/gtest.h>
@@ -374,6 +375,44 @@ TEST(StreamingDecoder, NonFiniteWindowDecodesAsUnobserved) {
   replaced[0] = unobserved_window(cfg);
   expect_bit_identical(decode(obs, kWindows + 1, nullptr),
                        decode(replaced, kWindows + 1, nullptr));
+}
+
+TEST(StreamingDecoder, StarvedWindowHoldsTheBestState) {
+  // A finite window can still leave no candidate: a lower bound beyond the
+  // board rejects every displacement. The decoder then holds the front's
+  // most probable state (the window's position repeats the one before),
+  // tallies the window in hmm.starved_windows, and keeps the front max at
+  // exactly 0.
+  constexpr std::size_t kStarved = 10;
+  const PolarDrawConfig cfg;
+  DecodeTestbed tb = make_decode_testbed(cfg, 20, 7);
+  tb.obs[kStarved].distance.lower_m = 5.0;
+  tb.obs[kStarved].distance.upper_m = 5.0;
+  obs::Registry& reg = obs::Registry::global();
+  const bool metrics_were_on = reg.enabled();
+  reg.set_enabled(true);
+  for (const std::size_t lag : {std::size_t{4}, tb.obs.size() + 1}) {
+    SCOPED_TRACE(::testing::Message() << "lag " << lag);
+    reg.reset();
+    StreamingConfig scfg;
+    scfg.lag_windows = lag;
+    StreamingDecoder dec(cfg, tb.a1, tb.a2, tb.antenna_z, scfg, nullptr,
+                         &tb.start);
+    std::vector<Vec2> out;
+    for (const auto& o : tb.obs) {
+      dec.push(o);
+      EXPECT_EQ(dec.front_logp_max(), 0.0f);
+      dec.poll(out);
+    }
+    dec.finish(out);
+    EXPECT_EQ(reg.snapshot().counter("hmm.starved_windows"), 1u);
+    // Position i + 1 is the state after window i.
+    ASSERT_EQ(out.size(), tb.obs.size() + 1);
+    EXPECT_EQ(out[kStarved + 1].x, out[kStarved].x);
+    EXPECT_EQ(out[kStarved + 1].y, out[kStarved].y);
+  }
+  reg.reset();
+  reg.set_enabled(metrics_were_on);
 }
 
 TEST(StreamingDecoder, LongStreamKeepsResolutionViaRenormalization) {

@@ -287,12 +287,7 @@ TEST(FailureInjection, HugeOrNonFiniteDistanceBoundStaysOnTheBoard) {
   };
   obs::Registry& reg = obs::Registry::global();
   reg.set_enabled(true);
-  for (const double bound : {1e9, 1e300, kInf, kNaN}) {
-    SCOPED_TRACE(::testing::Message() << "upper_m " << bound);
-    auto obs = tb.obs;
-    obs[10].distance.upper_m = bound;
-    obs[11].distance.upper_m = bound;
-
+  const auto decode = [&](const std::vector<core::TrackObservation>& obs) {
     reg.reset();
     core::StreamingConfig scfg;
     scfg.lag_windows = 4;
@@ -305,9 +300,25 @@ TEST(FailureInjection, HugeOrNonFiniteDistanceBoundStaysOnTheBoard) {
     }
     dec.finish(out);
     expect_on_board(out);
-    const auto snap = reg.snapshot();
+    return reg.snapshot();
+  };
+  const std::uint64_t unchanged =
+      decode(tb.obs).counter("hmm.beam_expansions");
+  for (const double bound : {1e9, 1e300, kInf, kNaN}) {
+    SCOPED_TRACE(::testing::Message() << "upper_m " << bound);
+    auto obs = tb.obs;
+    obs[10].distance.upper_m = bound;
+    obs[11].distance.upper_m = bound;
+
+    const auto snap = decode(obs);
     EXPECT_EQ(snap.counter("hmm.starved_windows"), 0u);
-    EXPECT_GE(snap.counter("hmm.beam_expansions"), 2 * cells);
+    if (std::isfinite(bound)) {
+      // Each of the two windows opens the whole board: at least one
+      // expansion per cell more than the unchanged stream, each.
+      EXPECT_GE(snap.counter("hmm.beam_expansions"), unchanged + 2 * cells);
+    } else {
+      EXPECT_EQ(snap.counter("hmm.nonfinite_observations"), 2u);
+    }
 
     server::SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z);
     server.open(1, &tb.start);

@@ -446,8 +446,8 @@ TEST(MultipenFuzz, WorkerCountAndPumpCadenceBitIdentical) {
     }
     for (const char* name :
          {"assoc.sessions_opened", "assoc.sessions_closed",
-          "assoc.observations", "assoc.phase_rejected", "server.observations",
-          "server.sessions_closed", "hmm.windows"}) {
+          "assoc.observations", "preprocess.phase_rejected",
+          "server.observations", "server.sessions_closed", "hmm.windows"}) {
       EXPECT_EQ(snap1.counter(name), snap8.counter(name))
           << name << " seed " << seed;
     }
