@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 
 #include "common/angles.h"
@@ -15,7 +16,6 @@ namespace {
 constexpr double kWeightFloor = 1e-6;  // keeps log-probabilities finite
 const double kLogWeightFloor = std::log(kWeightFloor);
 const double kLogQuarter = std::log(0.25);
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
 
 /// The exact Eq. 8 annulus test on a block-center difference, with a
@@ -28,12 +28,14 @@ inline bool annulus_holds(double ddx, double ddy, double out_thresh_m,
   return !(step_m > out_thresh_m || step_m + quarter_block_m < lower_m);
 }
 
-/// The box merge rule, shared by both walks, for the cell at `i` of the
+/// The box merge rule, shared by every lane, for the cell at `i` of the
 /// merge arrays: an accepted lane takes the cell when its score is
 /// strictly greater. Scores are finite and a cell starts at -inf, so a
 /// first touch always takes it; saying so lets GCC store all three arrays
 /// in one block on a first touch (without it the decode ran 8% slower).
-/// Counts accepted lanes and first touches.
+/// The first parent is stored under an `if`: as a ternary, GCC 12 turned
+/// it into a load and a store on every lane of a walk (board-spanning
+/// windows ran about 25% slower). Counts accepted lanes and first touches.
 inline void merge_lane(float lp, bool acc, std::int32_t parent, float* best,
                        std::int32_t* best_parent, std::int32_t* first,
                        std::ptrdiff_t i, std::uint64_t& accepted,
@@ -42,7 +44,7 @@ inline void merge_lane(float lp, bool acc, std::int32_t parent, float* best,
   const bool take = first_touch || (acc && lp > best[i]);
   best[i] = take ? lp : best[i];
   best_parent[i] = take ? parent : best_parent[i];
-  first[i] = first_touch ? parent : first[i];
+  if (first_touch) first[i] = parent;
   accepted += acc ? 1u : 0u;
   first_touches += first_touch ? 1u : 0u;
 }
@@ -64,15 +66,23 @@ struct WindowTerms {
   bool idle_step_penalty = false;
 };
 
-// The ring as lane lists, for parents whose ring lies on the board.
+// The ring as lane lists, row by row in ascending column.
 struct Lane {
   std::ptrdiff_t off;  // dr * box_w + dc
-  double logw;         // disp_logw entry
+  double logw;         // direction and idle log-weight
 };
 struct EdgeLane {
   std::ptrdiff_t off;
   double logw;
-  int dr, dc;  // for the center-difference re-test
+  int dr, dc;  // for the board check and the center-difference re-test
+};
+/// One row dr of the ring: its column reach, and where its lanes sit. The
+/// row's lanes are the columns b <= |dc| <= a, in ascending order from
+/// lanes[first]; a < b when it has none.
+struct RingRow {
+  int lim = 0;  // dc_lim[|dr|]
+  int a = -1, b = 0;
+  std::size_t first = 0;
 };
 
 /// Every buffer one window needs besides expand_beam's arguments. A thread
@@ -81,9 +91,7 @@ struct EdgeLane {
 /// window, or one decoder, to the next. The buffers grow to the largest
 /// window the thread has expanded and never shrink.
 struct ExpandScratch {
-  std::vector<int> dc_lim;                // per-|dr| column reach
-  std::vector<double> disp_logw;          // (2r+1)^2 log-weights + -inf mask
-  std::vector<unsigned char> disp_edge;   // threshold-coincident lattice steps
+  std::vector<RingRow> ring;              // per dr + reach
   std::vector<int> parent_row_lo, parent_row_hi;  // parent columns per row
   std::vector<int> row_span_lo, row_span_hi;      // touched columns per row
   std::vector<Lane> lanes;
@@ -106,7 +114,7 @@ WindowTerms window_terms(const PolarDrawConfig& cfg, int cols, int rows,
   w.lower_m = o.distance.valid ? o.distance.lower_m : 0.0;
   w.upper_m = std::max({o.distance.upper_m, w.lower_m, cfg.block_m * 0.5});
   // No displacement leaves the grid, so the reach is capped at its larger
-  // extent before the cast: a huge bound costs one board-sized table.
+  // extent before the cast: a huge bound costs one board-sized ring.
   const double reach = std::ceil(w.upper_m / cfg.block_m);
   const double grid = static_cast<double>(std::max(cols, rows));
   w.reach_blocks = std::max(1, static_cast<int>(reach <= grid ? reach : grid));
@@ -126,92 +134,29 @@ WindowTerms window_terms(const PolarDrawConfig& cfg, int cols, int rows,
   return w;
 }
 
-void fill_dc_limits(const PolarDrawConfig& cfg, const WindowTerms& w,
-                    ExpandScratch& s) {
+/// Sets each ring row's column reach and returns the ring's lane count.
+std::uint64_t fill_dc_limits(const PolarDrawConfig& cfg, const WindowTerms& w,
+                             ExpandScratch& s) {
   // Integer annulus bound: a candidate |dc| blocks away horizontally and
   // |dr| vertically is at least ~sqrt(dc^2+dr^2) blocks out, so columns
   // beyond this limit cannot pass the exact outer-radius test (the +1
   // absorbs block-center rounding). Rows stay within [-reach, reach].
   const int reach = w.reach_blocks;
   const double r_blocks = w.out_thresh_m / cfg.block_m;
-  s.dc_lim.assign(static_cast<std::size_t>(reach) + 1, 0);
-  for (int dr = 0; dr <= reach; ++dr) {
-    const double rem = r_blocks * r_blocks - static_cast<double>(dr) * dr;
-    if (rem <= 0.0) continue;  // stays 0
-    // Capped at the reach in double before the cast, as in window_terms.
-    const double root = std::sqrt(rem);
-    s.dc_lim[static_cast<std::size_t>(dr)] =
-        std::min(reach, static_cast<int>(root < reach ? root : reach) + 1);
-  }
-}
-
-/// Builds the (2*reach+1)^2 displacement log-weight table (direction +
-/// idle terms, -inf on annulus rejection) plus the knife-edge flags for
-/// lattice distances that coincide with an annulus threshold.
-void fill_displacement_table(const PolarDrawConfig& cfg, const WindowTerms& w,
-                             ExpandScratch& s) {
-  const int reach = w.reach_blocks;
-  const int t = 2 * reach + 1;
-  const std::size_t tt =
-      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
-  // disp_logw holds the finite direction/idle log-weight (0 where the
-  // displacement is annulus-rejected); the validity mask is folded into
-  // the same buffer as a second plane [tt, 2*tt): 0 for valid lanes, -inf
-  // for rejected ones, so a rejected candidate's score is -inf *after*
-  // the weight-floor clamp instead of being resurrected by it.
-  //
-  // Knife-edge displacements -- lattice distance within kEdgeEps of either
-  // annulus threshold -- are marked in disp_edge and kept valid here; the
-  // merge loop re-tests them with the exact center-difference arithmetic
-  // (see the header: upper_m is often an exact block multiple, putting
-  // out_thresh_m dead on the lattice, where position-dependent rounding
-  // noise of ~1e-16 decides acceptance cell by cell).
-  constexpr double kEdgeEps = 1e-12;
-  s.disp_logw.assign(2 * tt, 0.0);
-  s.disp_edge.assign(tt, 0);
+  s.ring.assign(2 * static_cast<std::size_t>(reach) + 1, RingRow{});
+  std::uint64_t ring_lanes = 0;
   for (int dr = -reach; dr <= reach; ++dr) {
-    const std::size_t row = static_cast<std::size_t>(dr + reach);
-    for (int dc = -reach; dc <= reach; ++dc) {
-      const std::size_t idx = row * static_cast<std::size_t>(t) +
-                              static_cast<std::size_t>(dc + reach);
-      // Exact block-lattice displacement (the grid is uniform, so the
-      // candidate-minus-previous center difference is dc/dr blocks up to
-      // rounding; the table snaps to the lattice).
-      const double rx = static_cast<double>(dc) * cfg.block_m;
-      const double ry = static_cast<double>(dr) * cfg.block_m;
-      const double step_m = std::sqrt(rx * rx + ry * ry);
-      const bool edge =
-          std::fabs(step_m - w.out_thresh_m) < kEdgeEps ||
-          std::fabs(step_m + w.quarter_block_m - w.lower_m) < kEdgeEps;
-      const bool valid = edge || (!(step_m > w.out_thresh_m) &&
-                                  !(step_m + w.quarter_block_m < w.lower_m));
-      double logw = 0.0;
-      if (valid) {
-        if (w.use_dir) {
-          // Direction-line term of Eq. 11: perpendicular distance from the
-          // candidate to the line through the previous location along the
-          // estimated direction, normalized by the max displacement.
-          // Candidates behind the motion direction are inconsistent with
-          // the estimated heading (half-plane factor 1/4).
-          const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
-          logw += std::log(std::max(1.0 - perp / w.dmax_m, kWeightFloor));
-          if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) {
-            logw += kLogQuarter;
-          }
-        }
-        if (w.idle_step_penalty) {
-          // No direction estimate this window: tie-break toward small
-          // steps (an undetected motion is a small motion), otherwise the
-          // annulus blocks tie and the argmax drifts.
-          const double frac = step_m / w.upper_m;
-          logw += -cfg.unobserved_step_penalty * frac * frac;
-        }
-      }
-      s.disp_logw[idx] = valid ? logw : 0.0;
-      s.disp_logw[tt + idx] = valid ? 0.0 : kNegInf;
-      s.disp_edge[idx] = edge ? 1 : 0;
+    RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
+    const double rem = r_blocks * r_blocks - static_cast<double>(dr) * dr;
+    if (rem > 0.0) {  // else lim stays 0
+      // Capped at the reach in double before the cast, as in window_terms.
+      const double root = std::sqrt(rem);
+      row.lim =
+          std::min(reach, static_cast<int>(root < reach ? root : reach) + 1);
     }
+    ring_lanes += static_cast<std::uint64_t>(2 * row.lim + 1);
   }
+  return ring_lanes;
 }
 
 /// Over the union of per-row column spans touched by this window's
@@ -252,36 +197,81 @@ void fill_box_rows(const PolarDrawConfig& cfg, const PhaseField& field,
   }
 }
 
-/// Flattens the ring (|dr| <= reach, |dc| <= dc_lim[|dr|]) into the lane
-/// lists interior parents walk, with box offsets for a box `box_w` wide:
-/// annulus-valid lanes in `lanes`, knife-edge ones in `edge_lanes`,
-/// rejected ones left out. Returns the ring's lane count, rejected lanes
-/// included.
-std::uint64_t fill_lanes(int reach, int box_w, ExpandScratch& s) {
-  const int t = 2 * reach + 1;
-  const std::size_t tt =
-      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
-  s.lanes.clear();
+/// Builds the window's lanes, with box offsets for a box `box_w` wide, row
+/// by row in ascending column: every displacement of the ring an on-board
+/// parent can use (|dr| < rows, |dc| < cols) with its direction and idle
+/// log-weight, the annulus-valid ones in `lanes`, the knife-edge ones in
+/// `edge_lanes`, the rejected ones left out. Records each row's lanes in
+/// `ring`.
+void fill_lanes(const PolarDrawConfig& cfg, const WindowTerms& w, int cols,
+                int rows, int box_w, ExpandScratch& s) {
+  // Knife-edge displacements -- lattice distance within kEdgeEps of either
+  // annulus threshold -- go to edge_lanes, and the walk re-tests them with
+  // the exact center-difference arithmetic (see the header: upper_m is
+  // often an exact block multiple, putting out_thresh_m dead on the
+  // lattice, where position-dependent rounding noise of ~1e-16 decides
+  // acceptance cell by cell).
+  constexpr double kEdgeEps = 1e-12;
+  const int reach = w.reach_blocks;
+  const int dr_max = std::min(reach, rows - 1);
+  const int dc_max = std::min(reach, cols - 1);
+  resize_within(s.lanes,
+                static_cast<std::size_t>(2 * dr_max + 1) *
+                    static_cast<std::size_t>(2 * dc_max + 1),
+                static_cast<std::size_t>(2 * rows - 1) *
+                    static_cast<std::size_t>(2 * cols - 1));
   s.edge_lanes.clear();
-  std::uint64_t ring_lanes = 0;
-  for (int dr = -reach; dr <= reach; ++dr) {
-    const int lim = s.dc_lim[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
-    ring_lanes += static_cast<std::uint64_t>(2 * lim + 1);
+  std::size_t n = 0;
+  for (int dr = -dr_max; dr <= dr_max; ++dr) {
+    RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
+    row.first = n;
+    row.b = cols;
+    const int lim = std::min(row.lim, cols - 1);
+    const double ry = static_cast<double>(dr) * cfg.block_m;
     for (int dc = -lim; dc <= lim; ++dc) {
-      const std::size_t k =
-          static_cast<std::size_t>(dr + reach) * static_cast<std::size_t>(t) +
-          static_cast<std::size_t>(dc + reach);
-      if (s.disp_logw[tt + k] != 0.0) continue;  // annulus-rejected
-      const std::ptrdiff_t off =
-          static_cast<std::ptrdiff_t>(dr) * box_w + dc;
-      if (s.disp_edge[k] != 0) {
-        s.edge_lanes.push_back({off, s.disp_logw[k], dr, dc});
-      } else {
-        s.lanes.push_back({off, s.disp_logw[k]});
+      // Exact block-lattice displacement (the grid is uniform, so the
+      // candidate-minus-previous center difference is dc/dr blocks up to
+      // rounding; the lanes snap to the lattice).
+      const double rx = static_cast<double>(dc) * cfg.block_m;
+      const double step_m = std::sqrt(rx * rx + ry * ry);
+      const bool edge =
+          std::fabs(step_m - w.out_thresh_m) < kEdgeEps ||
+          std::fabs(step_m + w.quarter_block_m - w.lower_m) < kEdgeEps;
+      if (!edge && (step_m > w.out_thresh_m ||
+                    step_m + w.quarter_block_m < w.lower_m)) {
+        continue;  // annulus-rejected
       }
+      double logw = 0.0;
+      if (w.use_dir) {
+        // Direction-line term of Eq. 11: perpendicular distance from the
+        // candidate to the line through the previous location along the
+        // estimated direction, normalized by the max displacement.
+        // Candidates behind the motion direction are inconsistent with the
+        // estimated heading (half-plane factor 1/4).
+        const double perp = std::fabs(rx * w.dir.y - ry * w.dir.x);
+        logw += std::log(std::max(1.0 - perp / w.dmax_m, kWeightFloor));
+        if (rx * w.dir.x + ry * w.dir.y < w.back_thresh_m) {
+          logw += kLogQuarter;
+        }
+      }
+      if (w.idle_step_penalty) {
+        // No direction estimate this window: tie-break toward small steps
+        // (an undetected motion is a small motion), otherwise the annulus
+        // blocks tie and the argmax drifts.
+        const double frac = step_m / w.upper_m;
+        logw += -cfg.unobserved_step_penalty * frac * frac;
+      }
+      const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(dr) * box_w + dc;
+      if (edge) {
+        s.edge_lanes.push_back({off, logw, dr, dc});
+        continue;
+      }
+      s.lanes[n++] = {off, logw};
+      row.a = std::max(row.a, std::abs(dc));
+      row.b = std::min(row.b, std::abs(dc));
     }
   }
-  return ring_lanes;
+  s.lanes.resize(n);
 }
 
 }  // namespace
@@ -293,11 +283,10 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
   const int cols = field.cols();
   const int rows = field.rows();
   const WindowTerms w = window_terms(cfg, cols, rows, o);
-  fill_dc_limits(cfg, w, s);
+  // Every lane of the ring, rejected ones too.
+  const std::uint64_t ring_lanes = fill_dc_limits(cfg, w, s);
   cand.resize(0);
   const int reach = w.reach_blocks;
-  const int t = 2 * reach + 1;
-  fill_displacement_table(cfg, w, s);
 
   // Union of per-row column spans touched by this window's beam, bounding
   // the hyperbola precompute to (a superset of) the candidate set. It is
@@ -329,7 +318,7 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
     const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows - 1 - pr);
     for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int lim = s.dc_lim[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
+      const int lim = s.ring[static_cast<std::size_t>(dr + reach)].lim;
       const std::size_t nrz = static_cast<std::size_t>(pr + dr);
       s.row_span_lo[nrz] =
           std::min(s.row_span_lo[nrz], std::max(0, pc_lo - lim));
@@ -357,11 +346,9 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
   resize_within(s.box_parent, box, field.cells());
   resize_within(s.box_first, box, field.cells());
   fill_box_rows(cfg, field, w, r_lo, r_hi, c_lo, box_w, s);
-  bool lanes_filled = false;
-  std::uint64_t ring_lanes = 0;  // every lane of the ring, rejected too
+  fill_lanes(cfg, w, cols, rows, box_w, s);
+  const Lane* const lanes = s.lanes.data();
 
-  const std::size_t tt =
-      static_cast<std::size_t>(t) * static_cast<std::size_t>(t);
   const std::size_t bw = static_cast<std::size_t>(box_w);
   std::uint64_t visited = 0, accepted = 0;
   // parent_count[a + 1]: cells first accepted by prev's node a.
@@ -374,98 +361,79 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
     const double plp = static_cast<double>(prev.logp[a]);
     const auto parent = static_cast<std::int32_t>(a);
     std::size_t first_touches = 0;
+    const std::size_t base = static_cast<std::size_t>(pr - r_lo) * bw +
+                             static_cast<std::size_t>(pc - c_lo);
+    const double* hyp = s.hyper_logw.data() + base;
+    float* best = s.box_logp.data() + base;
+    std::int32_t* best_parent = s.box_parent.data() + base;
+    std::int32_t* first = s.box_first.data() + base;
+
+    // Scores and merges the lanes [l, end): the one loop body every lane
+    // but a knife-edge one runs. Scoring is branchless: the weight floor
+    // clamps the finite log-weight sum (exactly log(max(w, floor)) up to
+    // reassociation). Forced inline, it compiles at each walk below as one
+    // tight loop (DESIGN section 14).
+    const auto walk = [&](const Lane* l,
+                          const Lane* end) __attribute__((always_inline)) {
+      for (; l != end; ++l) {
+        const float lp = static_cast<float>(
+            plp + std::max(hyp[l->off] + l->logw, kLogWeightFloor));
+        merge_lane(lp, lp != kNegInfF, parent, best, best_parent, first,
+                   l->off, accepted, first_touches);
+      }
+    };
+    const bool clipped = pr < reach || pr + reach >= rows || pc < reach ||
+                         pc + reach >= cols;
+    if (!clipped) {
+      // The whole ring lies on the board: every lane, in one walk. The
+      // list leaves the rejected lanes out, so the parent visits the
+      // ring's lane count, not the list's.
+      visited += ring_lanes;
+      walk(lanes, lanes + s.lanes.size());
+    } else {
+      // The ring crosses a board side: each on-board row walks only its
+      // lanes inside the board. A row's lanes are its columns b <= |dc| <=
+      // a (header), a run dc in [-a, -b] from lanes[first] and a run dc in
+      // [max(b, 1), a] after it, so each run is cut to the board's columns
+      // [dc_lo, dc_hi] by arithmetic.
+      const int dc_lo = -pc, dc_hi = cols - 1 - pc;
+      const int dr_lo = std::max(-reach, -pr);
+      const int dr_hi = std::min(reach, rows - 1 - pr);
+      for (int dr = dr_lo; dr <= dr_hi; ++dr) {
+        const RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
+        visited += static_cast<std::uint64_t>(std::min(row.lim, dc_hi) -
+                                              std::max(-row.lim, dc_lo) + 1);
+        // Walks the run of columns [from, to] whose lane dc sits at
+        // lanes[at + dc], cut to the board.
+        const auto run = [&](int from, int to, std::ptrdiff_t at)
+                             __attribute__((always_inline)) {
+          from = std::max(from, dc_lo);
+          to = std::min(to, dc_hi);
+          if (from <= to) walk(lanes + (at + from), lanes + (at + to) + 1);
+        };
+        const auto f = static_cast<std::ptrdiff_t>(row.first);
+        const int b1 = std::max(row.b, 1);
+        run(-row.a, -row.b, f + row.a);
+        run(b1, row.a, f + (row.a - row.b + 1) - b1);
+      }
+    }
+    // Knife-edge lanes re-run the exact center-difference annulus test, so
+    // the accepted set does not depend on lattice rounding.
     const double fx = field.center_x(pc);
     const double fy = field.center_y(pr);
-
-    if (pr >= reach && pr + reach < rows && pc >= reach &&
-        pc + reach < cols) {
-      // Interior parent: its whole ring lies on the board, so it walks the
-      // window's lane lists with no clipping. Rejected lanes are left out
-      // of the lists and would score -inf, so the ring's lane count is
-      // what the table walk would have visited.
-      if (!lanes_filled) {
-        ring_lanes = fill_lanes(reach, box_w, s);
-        lanes_filled = true;
+    for (const EdgeLane& e : s.edge_lanes) {
+      const int nr = pr + e.dr, nc = pc + e.dc;
+      if (clipped && (nr < 0 || nr >= rows || nc < 0 || nc >= cols)) {
+        continue;  // off the board
       }
-      visited += ring_lanes;
-      const std::size_t base =
-          static_cast<std::size_t>(pr - r_lo) * bw +
-          static_cast<std::size_t>(pc - c_lo);
-      const double* hyp = s.hyper_logw.data() + base;
-      float* best = s.box_logp.data() + base;
-      std::int32_t* best_parent = s.box_parent.data() + base;
-      std::int32_t* first = s.box_first.data() + base;
-      // The + 0.0 is the mask plane's value on a valid lane: it turns a -0
-      // sum into +0, exactly as the table walk does.
-      for (const Lane& l : s.lanes) {
-        const float lp = static_cast<float>(
-            plp + std::max(hyp[l.off] + l.logw, kLogWeightFloor) + 0.0);
-        merge_lane(lp, lp != kNegInfF, parent, best, best_parent, first,
-                   l.off, accepted, first_touches);
-      }
-      for (const EdgeLane& e : s.edge_lanes) {
-        const float lp = static_cast<float>(
-            plp + std::max(hyp[e.off] + e.logw, kLogWeightFloor) + 0.0);
-        const bool acc =
-            lp != kNegInfF &&
-            annulus_holds(fx - field.center_x(pc + e.dc),
-                          fy - field.center_y(pr + e.dr), w.out_thresh_m,
-                          w.quarter_block_m, w.lower_m);
-        merge_lane(lp, acc, parent, best, best_parent, first, e.off,
-                   accepted, first_touches);
-      }
-      s.parent_count[a + 1] = first_touches;
-      continue;
-    }
-
-    // Border parent: the table walk, one row segment of its ring at a time,
-    // clipped to the board.
-    const int dr_lo = std::max(-reach, -pr);
-    const int dr_hi = std::min(reach, rows - 1 - pr);
-    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-      const int nr = pr + dr;
-      const int lim = s.dc_lim[static_cast<std::size_t>(dr < 0 ? -dr : dr)];
-      const int dc_lo = std::max(-lim, -pc);
-      const int dc_hi = std::min(lim, cols - 1 - pc);
-      const int len = dc_hi - dc_lo + 1;
-      if (len <= 0) continue;
-      const std::size_t lenz = static_cast<std::size_t>(len);
-      visited += lenz;
-
-      const std::size_t trow = static_cast<std::size_t>(dr + reach);
-      const std::size_t tcol0 = static_cast<std::size_t>(dc_lo + reach);
-      const double* dtab =
-          &s.disp_logw[trow * static_cast<std::size_t>(t) + tcol0];
-      const double* mask =
-          &s.disp_logw[tt + trow * static_cast<std::size_t>(t) + tcol0];
-      const unsigned char* edge =
-          &s.disp_edge[trow * static_cast<std::size_t>(t) + tcol0];
-      const std::size_t box0 = static_cast<std::size_t>(nr - r_lo) * bw +
-                               static_cast<std::size_t>(pc + dc_lo - c_lo);
-      const double* hyp = &s.hyper_logw[box0];
-      float* best = &s.box_logp[box0];
-      std::int32_t* best_parent = &s.box_parent[box0];
-      std::int32_t* first = &s.box_first[box0];
-
-      const std::int32_t nc0 = static_cast<std::int32_t>(pc + dc_lo);
-      const double ddy_exact = fy - field.center_y(nr);
-      // Scoring is branchless: the weight floor clamps the finite
-      // log-weight sum (exactly log(max(w, floor)) up to reassociation)
-      // and the mask plane then forces annulus-rejected lanes to -inf.
-      // Knife-edge lanes re-run the exact center-difference annulus test,
-      // so the accepted set does not depend on lattice rounding.
-      for (std::size_t i = 0; i < lenz; ++i) {
-        const float lp = static_cast<float>(
-            plp + std::max(hyp[i] + dtab[i], kLogWeightFloor) + mask[i]);
-        bool acc = lp != kNegInfF;
-        if (edge[i] != 0 && acc) {
-          acc = annulus_holds(
-              fx - field.center_x(nc0 + static_cast<std::int32_t>(i)),
-              ddy_exact, w.out_thresh_m, w.quarter_block_m, w.lower_m);
-        }
-        merge_lane(lp, acc, parent, best, best_parent, first,
-                   static_cast<std::ptrdiff_t>(i), accepted, first_touches);
-      }
+      const float lp = static_cast<float>(
+          plp + std::max(hyp[e.off] + e.logw, kLogWeightFloor));
+      const bool acc =
+          lp != kNegInfF &&
+          annulus_holds(fx - field.center_x(nc), fy - field.center_y(nr),
+                        w.out_thresh_m, w.quarter_block_m, w.lower_m);
+      merge_lane(lp, acc, parent, best, best_parent, first, e.off, accepted,
+                 first_touches);
     }
     s.parent_count[a + 1] = first_touches;
   }

@@ -9,36 +9,39 @@
 // term, so pow(term, sharpness) becomes sharpness * log(term)); (2) every
 // displacement-dependent factor -- the annulus test, the direction
 // line/half-plane terms and the idle step penalty -- depends only on the
-// integer block displacement (dc, dr), so it collapses into a
-// (2*reach+1)^2 log-weight table with -inf marking annulus rejections. A
-// candidate is then scored with three adds and a max and, in the same
-// pass, merged into per-cell arrays over the bounding box of the window's
+// integer block displacement (dc, dr), so the window's ring (|dr| <=
+// reach, |dc| <= dc_lim[|dr|]) becomes one list of lanes, each a box
+// offset and a log-weight, with the annulus rejections left out and the
+// knife-edge lanes in a short list of their own. Only the displacements
+// an on-board parent can use are built (|dr| < rows, |dc| < cols). A
+// candidate is then scored with two adds and a max and, in the same pass,
+// merged into per-cell arrays over the bounding box of the window's
 // candidates: the best log-prob, its parent, and the first parent that
 // accepted the cell. A counting sort on that first parent then emits the
-// cells in first-touch order. All per-window scratch is sized by that box,
-// never by the board, and belongs to the calling thread: one set per
-// thread, reused by every decoder the thread runs, so a decoder holds no
-// scratch of its own. Nothing in it carries from one window to the next.
+// cells in first-touch order. All per-window scratch is sized by that box
+// or that ring, never by more than the board, and belongs to the calling
+// thread: one set per thread, reused by every decoder the thread runs, so
+// a decoder holds no scratch of its own. Nothing in it carries from one
+// window to the next.
 //
-// Two walks feed the one merge. A parent whose whole ring (|dr| <= reach,
-// |dc| <= dc_lim[|dr|]) lies on the board walks the window's ring as a
-// flat list of lanes, each a box offset and a table log-weight, with the
-// annulus rejections left out and the knife-edge lanes in a short list of
-// their own. A parent near the board edge walks the table row by row,
-// clipped to the board. The parent's position alone chooses the walk:
-// every score is finite (StreamingDecoder::push screens each window), so
-// a rejected lane scores -inf in the table walk and is never accepted,
-// exactly as if it were left out. Within one parent each cell is touched
-// at most once, so the lane order cannot change a merge, and parents still
-// run in index order: both walks produce the same bits.
+// One walk feeds the merge. A parent whose whole ring lies on the board
+// walks the whole list. A parent whose ring crosses a board side walks,
+// for each on-board row, only that row's lanes inside the board. The list
+// holds each row in ascending column, and a row's lanes are exactly its
+// columns b <= |dc| <= a: the step grows with |dc|, so the annulus keeps
+// an interval of |dc|, and a knife-edge lane sits at an end of it. The
+// in-board lanes of a row are thus at most two runs, cut by arithmetic;
+// the knife-edge lanes take a board check. Within one parent each cell is
+// touched at most once, so the lane order cannot change a merge, and
+// parents run in index order.
 //
-// Knife-edge re-test: the table measures displacements on the exact block
+// Knife-edge re-test: the lanes measure displacements on the exact block
 // lattice, but the decode's annulus test is defined on block-center
 // differences, whose ~1e-16 rounding decides acceptance cell by cell when a
 // threshold sits on the lattice. That is the common case, not a corner:
 // the default upper bound vmax * window is an exact block multiple. Lattice
 // steps within 1e-12 of either threshold are therefore re-tested with the
-// center-difference arithmetic in the merge loop, so the kernel accepts
+// center-difference arithmetic in the walk, so the kernel accepts
 // exactly the candidate set the golden decodes were captured with. Scores
 // differ from a per-candidate log(product) only by FP reassociation.
 //

@@ -40,7 +40,10 @@ class ExpandReference {
         best_slot_(field.cells()),
         hyper_term_(field.cells()) {}
 
-  /// Same contract as expand_beam (core/expand_kernel.h).
+  /// Same contract as expand_beam (core/expand_kernel.h): like the kernel,
+  /// it takes unit or zero directions. StreamingDecoder::push normalizes
+  /// them, and ExpandKernel.NonUnitDirectionDecodesLikeItsNormalizedSelf
+  /// pins that.
   void expand(const TrackObservation& o, const Beam& prev, Beam& cand,
               ExpandStats& stats) {
     const WindowTerms w = window_terms(o);
@@ -188,12 +191,6 @@ class ExpandReference {
     w.use_dir = o.direction.type != MotionType::kIdle &&
                 o.direction.direction.norm_sq() > 0.0;
     w.dir = o.direction.direction;
-    if (w.use_dir) {
-      // A non-unit direction is normalized (the tolerance leaves bit-exact
-      // already-normalized vectors untouched).
-      const double n2 = w.dir.norm_sq();
-      if (std::fabs(n2 - 1.0) > 1e-9) w.dir = w.dir / std::sqrt(n2);
-    }
     w.dmax_m = std::max(o.distance.upper_m, cfg_.block_m);
     w.back_thresh_m = -0.25 * cfg_.block_m;
     w.idle_step_penalty =

@@ -1,6 +1,6 @@
 // Tests for tag-to-track association (core/association.h): event
 // sequencing, generation churn, equivalence with the batch pipeline, late
-// and far-future reports, and interleaving invariance.
+// and far-future reports, the hop-fence log, and interleaving invariance.
 #include "core/association.h"
 
 #include <gtest/gtest.h>
@@ -9,11 +9,14 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/angles.h"
 #include "core/motion_front_end.h"
 #include "core/polardraw.h"
+#include "obs/log.h"
 #include "obs/metrics.h"
 
 namespace polardraw::core {
@@ -361,6 +364,48 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
   EXPECT_EQ(rejecting, 1);  // the spiked pen's; the rest reject nothing
   reg.reset();
   reg.set_enabled(false);
+}
+
+TEST(Association, HopFenceLogNamesBothChannels) {
+  // An uncalibrated hop fences both antennas' phase, and the associator
+  // logs each fence under assoc.hop_fence with the channel the gate
+  // restarted from (the channel PhaseGate::gate returns) and the one the
+  // window hopped to. mixed_stream hops from channel 5 to 13 at window 7;
+  // calibrated, the hop fences nothing and nothing is logged.
+  const PolarDrawConfig cfg;
+  const PhaseCalibration cal = hop_calibration();
+  obs::Logger& lg = obs::Logger::global();
+  for (const PhaseCalibration* calibration :
+       {&cal, static_cast<const PhaseCalibration*>(nullptr)}) {
+    SCOPED_TRACE(calibration != nullptr ? "calibrated" : "uncalibrated");
+    std::ostringstream sink;
+    lg.set_sink(&sink);
+    TagTrackAssociator assoc(cfg, {}, calibration);
+    (void)assoc.push(mixed_stream(16, -1, 7));
+    (void)assoc.flush();
+    lg.set_sink(nullptr);
+    std::vector<std::string> fences;
+    std::istringstream lines(sink.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"event\":\"assoc.hop_fence\"") != std::string::npos) {
+        fences.push_back(line);
+      }
+    }
+    if (calibration != nullptr) {
+      EXPECT_TRUE(fences.empty());
+      continue;
+    }
+    ASSERT_EQ(fences.size(), 2u) << sink.str();
+    for (std::size_t a = 0; a < fences.size(); ++a) {
+      for (const std::string& field :
+           {"\"antenna\":" + std::to_string(a), std::string("\"window\":7"),
+            std::string("\"from_channel\":5"),
+            std::string("\"to_channel\":13")}) {
+        EXPECT_NE(fences[a].find(field), std::string::npos)
+            << field << " missing from " << fences[a];
+      }
+    }
+  }
 }
 
 TEST(Association, LateReportDroppedAndCounted) {

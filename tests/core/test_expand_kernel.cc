@@ -166,7 +166,7 @@ void placed_fronts_and_compare() {
 
   // Nodes 1-4 blocks in from every edge midpoint and along every corner's
   // diagonal: under the default bounds (reach 3) they straddle the switch
-  // between the clipped table walk and the interior lane lists.
+  // between the whole lane list and its board-clipped rows.
   std::vector<std::int32_t> near_edges;
   for (int k = 1; k <= 4; ++k) {
     for (const int c : {k, cols - 1 - k}) {
@@ -184,8 +184,9 @@ void placed_fronts_and_compare() {
        cell(cols - 1, rows - 1), cell(cols / 2, 0), cell(cols / 2, rows - 1),
        cell(0, rows / 2), cell(cols - 1, rows / 2)},
       near_edges,
-      // Interior and border parents alternating, rings overlapping, so both
-      // walks merge into the same cells in parent order.
+      // Interior and border parents alternating, rings overlapping, so the
+      // whole list and the clipped rows merge into the same cells in parent
+      // order.
       {cell(3, mr), cell(2, mr), cell(4, mr + 1), cell(1, mr - 1),
        cell(5, mr - 2), cell(0, mr + 2), cell(3, mr + 3), cell(2, mr - 3)},
   };
@@ -193,7 +194,9 @@ void placed_fronts_and_compare() {
   // the default lattice knife edge: the outer threshold upper + block/2
   // lands on exactly 3.0 blocks. A lower bound of 2.25 blocks puts the
   // inner threshold (lower - block/4) on the lattice at 2 blocks. 5 m and
-  // 100 m span the whole board.
+  // 100 m span the whole board. A 0.3 m lower bound opens a hole wider than
+  // an edge or corner parent's distance to the board side, so a side
+  // removes a row's whole left run or cuts inside the hole.
   struct Bound {
     double lower_m, upper_m;
   };
@@ -201,6 +204,7 @@ void placed_fronts_and_compare() {
                           {-1.0, 0.01},
                           {2.25 * cfg.block_m, 0.01},
                           {-1.0, 5.0},
+                          {0.3, 5.0},
                           {-1.0, 100.0}};
 
   for (std::size_t f = 0; f < fronts.size(); ++f) {

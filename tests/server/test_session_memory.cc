@@ -8,7 +8,6 @@
 // it holds these five tests and nothing else.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -233,8 +232,8 @@ TEST(SessionMemory, DecoderHoldsOnlyItsLag) {
 
 TEST(SessionMemory, HostileBoundsCostOneScratchPerThread) {
   // A window whose upper bound spans the board (100 m) expands over a
-  // board-sized displacement table and box arrays, plus a candidate per
-  // cell and its radix keys: about 6.1 MB on the default 250 x 150 grid.
+  // board-sized lane list and box arrays, plus a candidate per cell and its
+  // radix keys: about 4.2 MB on the default 250 x 150 grid.
   // Those buffers are the decoding thread's, reused by every session it
   // serves, so eight sessions on a one-worker server that each take one
   // such window hold one set between them, not one each. Each session
@@ -266,15 +265,17 @@ TEST(SessionMemory, HostileBoundsCostOneScratchPerThread) {
   }
   const std::int64_t held = g_live_bytes.load() - before;
 
-  // One board-spanning window's scratch: the (2 * reach + 1)^2 table
-  // (two planes of doubles and a byte of edge flags per displacement, with
-  // the reach capped at the grid's larger extent), and per cell 20 B of box
-  // arrays, a 12 B candidate and two 8 B radix keys. The per-cell arrays
-  // grow to exactly a window's need, so they count once.
+  // One board-spanning window's scratch: the lanes of the ring an on-board
+  // parent can use (|dr| < rows, |dc| < cols), (2 * rows - 1) x
+  // (2 * cols - 1) of them at 16 B (a box offset and a log-weight), and per
+  // cell 20 B of box arrays, a 12 B candidate and two 8 B radix keys. The
+  // lane list and the per-cell arrays double to grow but never past that
+  // ring or the board, so they count once.
   const std::int64_t cols = std::llround(cfg.board_width_m / cfg.block_m);
   const std::int64_t rows = std::llround(cfg.board_height_m / cfg.block_m);
-  const std::int64_t t = 2 * std::max(cols, rows) + 1;
-  const std::int64_t board_scratch = t * t * 17 + cols * rows * (20 + 12 + 16);
+  const std::int64_t lanes = (2 * rows - 1) * (2 * cols - 1);
+  const std::int64_t board_scratch =
+      lanes * 16 + cols * rows * (20 + 12 + 16);
   RecordProperty("hostile_sessions_bytes", std::to_string(held));
   EXPECT_LT(held, board_scratch + kSessions * kSessionBytes)
       << kSessions << " sessions that each took a 100 m window hold " << held
