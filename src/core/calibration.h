@@ -15,6 +15,7 @@
 
 #include "common/vec.h"
 #include "core/preprocess.h"
+#include "em/constants.h"
 #include "rfid/tag_report.h"
 
 namespace polardraw::core {
@@ -24,8 +25,8 @@ struct CalibrationSetup {
   Vec3 tag_position;
   /// Antenna phase-center positions, one per port.
   std::vector<Vec3> antenna_positions;
-  /// Carrier wavelength, meters.
-  double wavelength_m = 0.3276;
+  /// Carrier wavelength, meters: the reader's carrier by default.
+  double wavelength_m = em::kDefaultWavelength;
 };
 
 struct CalibrationResult {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <deque>
-#include <limits>
 #include <map>
 #include <memory>
 
@@ -29,19 +28,11 @@ namespace {
 // shard mutex while it takes the registry mutex.
 // ---------------------------------------------------------------------------
 
-struct LocalHist {
-  std::vector<std::uint64_t> counts;  // bounds.size() + 1; empty = untouched
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-};
-
 struct LocalShard {
   std::vector<std::uint64_t> counters;
   std::vector<double> gauges;  // NaN-free: valid iff gauge_set
   std::vector<char> gauge_set;
-  std::vector<LocalHist> hists;
+  std::vector<HistogramData> hists;
 };
 
 /// One thread's live accumulators.
@@ -55,8 +46,7 @@ struct Shard {
   std::vector<const std::vector<double>*> bounds;
 };
 
-void merge_into(LocalShard& into, const LocalShard& from,
-                const std::deque<std::vector<double>>& hist_bounds) {
+void merge_into(LocalShard& into, const LocalShard& from) {
   if (into.counters.size() < from.counters.size()) {
     into.counters.resize(from.counters.size(), 0);
   }
@@ -75,17 +65,7 @@ void merge_into(LocalShard& into, const LocalShard& from,
   }
   if (into.hists.size() < from.hists.size()) into.hists.resize(from.hists.size());
   for (std::size_t i = 0; i < from.hists.size(); ++i) {
-    const LocalHist& src = from.hists[i];
-    if (src.count == 0) continue;
-    LocalHist& dst = into.hists[i];
-    if (dst.counts.empty()) dst.counts.assign(hist_bounds[i].size() + 1, 0);
-    for (std::size_t b = 0; b < src.counts.size(); ++b) {
-      dst.counts[b] += src.counts[b];
-    }
-    dst.count += src.count;
-    dst.sum += src.sum;
-    dst.min = std::min(dst.min, src.min);
-    dst.max = std::max(dst.max, src.max);
+    into.hists[i].merge(from.hists[i]);
   }
 }
 
@@ -112,7 +92,7 @@ struct Registry::Impl {
     pd::MutexLock lock(mu);
     {
       pd::MutexLock shard_lock(s->mu);
-      merge_into(retired, s->data, hist_bounds);
+      merge_into(retired, s->data);
     }
     live.erase(std::remove(live.begin(), live.end(), s), live.end());
   }
@@ -229,19 +209,10 @@ void Registry::histogram_observe(int id, double v) {
     pd::MutexLock lock(impl_->mu);
     s.bounds[idx] = &impl_->hist_bounds[idx];
   }
-  const std::vector<double>& bounds = *s.bounds[idx];
-  const auto bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
   pd::MutexLock lock(s.mu);
-  std::vector<LocalHist>& hists = s.data.hists;
+  std::vector<HistogramData>& hists = s.data.hists;
   if (idx >= hists.size()) hists.resize(idx + 1);
-  LocalHist& h = hists[idx];
-  if (h.counts.empty()) h.counts.assign(bounds.size() + 1, 0);
-  ++h.counts[bucket];
-  ++h.count;
-  h.sum += v;
-  h.min = std::min(h.min, v);
-  h.max = std::max(h.max, v);
+  hists[idx].observe(*s.bounds[idx], v);
 }
 
 Snapshot Registry::snapshot() const {
@@ -249,10 +220,10 @@ Snapshot Registry::snapshot() const {
   // Retired data first, then live shards in registration order: a fixed
   // merge order keeps quiescent snapshots bit-identical run to run.
   LocalShard merged;
-  merge_into(merged, impl_->retired, impl_->hist_bounds);
+  merge_into(merged, impl_->retired);
   for (Shard* s : impl_->live) {
     pd::MutexLock shard_lock(s->mu);
-    merge_into(merged, s->data, impl_->hist_bounds);
+    merge_into(merged, s->data);
   }
 
   Snapshot out;
@@ -271,16 +242,8 @@ Snapshot Registry::snapshot() const {
     const auto idx = static_cast<std::size_t>(id);
     HistogramSnapshot h;
     h.bounds = impl_->hist_bounds[idx];
-    if (idx < merged.hists.size() && merged.hists[idx].count > 0) {
-      const LocalHist& src = merged.hists[idx];
-      h.counts = src.counts;
-      h.count = src.count;
-      h.sum = src.sum;
-      h.min = src.min;
-      h.max = src.max;
-    } else {
-      h.counts.assign(h.bounds.size() + 1, 0);
-    }
+    h.counts.assign(h.bounds.size() + 1, 0);
+    if (idx < merged.hists.size()) h.merge(merged.hists[idx]);
     out.histograms.emplace_back(name, std::move(h));
   }
   return out;
@@ -293,6 +256,28 @@ void Registry::reset() {
     pd::MutexLock shard_lock(s->mu);
     s->data = LocalShard{};
   }
+}
+
+void HistogramData::observe(const std::vector<double>& bounds, double v) {
+  if (counts.empty()) counts.assign(bounds.size() + 1, 0);
+  ++counts[static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin())];
+  min = count == 0 ? v : std::min(min, v);
+  max = count == 0 ? v : std::max(max, v);
+  ++count;
+  sum += v;
+}
+
+void HistogramData::merge(const HistogramData& from) {
+  if (from.count == 0) return;
+  if (counts.empty()) counts.assign(from.counts.size(), 0);
+  for (std::size_t b = 0; b < from.counts.size(); ++b) {
+    counts[b] += from.counts[b];
+  }
+  min = count == 0 ? from.min : std::min(min, from.min);
+  max = count == 0 ? from.max : std::max(max, from.max);
+  count += from.count;
+  sum += from.sum;
 }
 
 double HistogramSnapshot::percentile(double p) const {

@@ -9,8 +9,10 @@
 //     aggregate -- instrumented code must never branch on metric state.
 //   * Thread-count invariance for counters: each thread accumulates into
 //     its own shard; shards merge by commutative addition (counters),
-//     max (gauges) and bucket-wise addition (histograms), so totals are
-//     bit-identical whether a batch ran on 1 or 8 workers.
+//     max (gauges) and bucket-wise addition (histograms: one HistogramData
+//     per shard, the accumulator the rolling SLO window's steps also
+//     hold), so totals are bit-identical whether a batch ran on 1 or 8
+//     workers.
 //   * Near-zero cost when disabled: every handle operation is one relaxed
 //     atomic load and a predictable branch; no clocks are read and no TLS
 //     is touched.
@@ -36,15 +38,31 @@
 
 namespace polardraw::obs {
 
-/// Merged view of one histogram: fixed upper bounds plus an overflow
-/// bucket, with bucket-interpolated percentiles for reporting.
-struct HistogramSnapshot {
-  std::vector<double> bounds;          // ascending bucket upper bounds
-  std::vector<std::uint64_t> counts;   // bounds.size() + 1 (last = overflow)
+/// The accumulated values of one fixed-bucket histogram. The bounds live
+/// with the owner (a registered histogram, a rolling window), so a
+/// registry shard and a rolling step hold only this, and `observe` and
+/// `merge` are the only places a value is bucketed or merged.
+struct HistogramData {
+  std::vector<std::uint64_t> counts;  // bounds.size() + 1 (last = overflow);
+                                      // empty until the first value
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;  // meaningful only when count > 0
   double max = 0.0;
+
+  /// Adds `v` to the first bucket whose upper bound is >= v (`bounds`
+  /// ascending; above the last bound, the overflow bucket).
+  void observe(const std::vector<double>& bounds, double v);
+  /// Adds `from` bucket-wise (both over the same bounds). Merging in a
+  /// fixed order keeps every sum's bits.
+  void merge(const HistogramData& from);
+};
+
+/// Merged view of one histogram: fixed upper bounds plus an overflow
+/// bucket, with bucket-interpolated percentiles for reporting. `counts`
+/// always holds bounds.size() + 1 entries here.
+struct HistogramSnapshot : HistogramData {
+  std::vector<double> bounds;  // ascending bucket upper bounds
 
   /// Percentile estimate (p in [0, 100]) by linear interpolation inside
   /// the containing bucket; the overflow bucket reports `max`.

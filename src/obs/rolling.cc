@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace polardraw::obs {
 
@@ -24,17 +23,17 @@ std::int64_t RollingWindow::step_index(double t_s) const {
   return static_cast<std::int64_t>(q > -kCap ? (q < kCap ? q : kCap) : -kCap);
 }
 
-RollingWindow::Step& RollingWindow::step_for(std::int64_t index) {
+HistogramData& RollingWindow::step_for(std::int64_t index) {
   Step& s = steps_[static_cast<std::size_t>(index) % steps_.size()];
   if (s.index != index) {
     s.index = index;
-    s.counts.assign(bounds_.size() + 1, 0);
-    s.count = 0;
-    s.sum = 0.0;
-    s.min = std::numeric_limits<double>::infinity();
-    s.max = -std::numeric_limits<double>::infinity();
+    // Emptied in place: the counts keep their capacity, so a reused step
+    // allocates nothing when observe() refills them.
+    s.hist.counts.clear();
+    s.hist.count = 0;
+    s.hist.sum = s.hist.min = s.hist.max = 0.0;
   }
-  return s;
+  return s.hist;
 }
 
 void RollingWindow::advance_to(double t_s) {
@@ -55,41 +54,18 @@ void RollingWindow::observe(double t_s, double v) {
   if (idx <= now_index_ - static_cast<std::int64_t>(steps_.size())) {
     idx = now_index_;
   }
-  Step& s = step_for(idx);
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++s.counts[static_cast<std::size_t>(it - bounds_.begin())];
-  ++s.count;
-  s.sum += v;
-  s.min = std::min(s.min, v);
-  s.max = std::max(s.max, v);
+  step_for(idx).observe(bounds_, v);
 }
 
-RollingStats RollingWindow::stats() const {
-  HistogramSnapshot merged;
-  merged.bounds = bounds_;
-  merged.counts.assign(bounds_.size() + 1, 0);
-  merged.min = std::numeric_limits<double>::infinity();
-  merged.max = -std::numeric_limits<double>::infinity();
+HistogramSnapshot RollingWindow::stats() const {
+  HistogramSnapshot out;
+  out.bounds = bounds_;
+  out.counts.assign(bounds_.size() + 1, 0);
   const std::int64_t oldest =
       now_index_ - static_cast<std::int64_t>(steps_.size()) + 1;
   for (const Step& s : steps_) {
-    if (s.index < oldest || s.index > now_index_ || s.count == 0) continue;
-    for (std::size_t b = 0; b < s.counts.size(); ++b) {
-      merged.counts[b] += s.counts[b];
-    }
-    merged.count += s.count;
-    merged.sum += s.sum;
-    merged.min = std::min(merged.min, s.min);
-    merged.max = std::max(merged.max, s.max);
+    if (s.index >= oldest && s.index <= now_index_) out.merge(s.hist);
   }
-  RollingStats out;
-  out.count = merged.count;
-  if (merged.count == 0) return out;
-  out.sum = merged.sum;
-  out.min = merged.min;
-  out.max = merged.max;
-  out.p50 = merged.percentile(50.0);
-  out.p99 = merged.percentile(99.0);
   return out;
 }
 

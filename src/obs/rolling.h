@@ -10,9 +10,10 @@
 // bit-for-bit at every step, regardless of wall-clock scheduling.
 //
 // Internally a window of `window_s` seconds is quantized into
-// `window_s / step_s` fixed-width step buckets, each holding a compact
-// histogram (shared log-spaced bounds) plus count/sum/min/max. Advancing
-// time expires whole steps; queries merge the live steps. Memory is
+// `window_s / step_s` fixed-width step buckets, each holding a
+// HistogramData (obs/metrics.h, the registry shards' accumulator) over
+// the shared bounds. Advancing time expires whole steps; a query merges
+// the live steps, in ring order, into one HistogramSnapshot. Memory is
 // O(steps * buckets), independent of observation rate.
 //
 // Not thread-safe: callers sequence observe()/advance_to() externally
@@ -27,19 +28,6 @@
 #include "obs/metrics.h"
 
 namespace polardraw::obs {
-
-/// Merged view of one rolling window as of the latest observation.
-struct RollingStats {
-  std::uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;  // meaningful only when count > 0
-  double max = 0.0;
-  double p50 = 0.0;
-  double p99 = 0.0;
-  [[nodiscard]] double mean() const {
-    return count > 0 ? sum / static_cast<double>(count) : 0.0;
-  }
-};
 
 class RollingWindow {
  public:
@@ -58,9 +46,9 @@ class RollingWindow {
   /// Time never moves backwards: an earlier t_s is a no-op.
   void advance_to(double t_s);
 
-  /// Stats over observations in (now - window_s, now], where now is the
-  /// largest timestamp seen.
-  [[nodiscard]] RollingStats stats() const;
+  /// The histogram of observations in (now - window_s, now], where now is
+  /// the largest timestamp seen; all zeros while the window is empty.
+  [[nodiscard]] HistogramSnapshot stats() const;
 
   /// Latest timestamp the window has advanced to.
   [[nodiscard]] double now_s() const { return now_s_; }
@@ -72,15 +60,11 @@ class RollingWindow {
  private:
   struct Step {
     std::int64_t index = -1;  // global step index, -1 = empty
-    std::vector<std::uint64_t> counts;  // bounds.size() + 1
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
+    HistogramData hist;
   };
 
   [[nodiscard]] std::int64_t step_index(double t_s) const;
-  Step& step_for(std::int64_t index);
+  HistogramData& step_for(std::int64_t index);
 
   double step_s_;
   std::vector<double> bounds_;

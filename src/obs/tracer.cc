@@ -25,14 +25,14 @@ const Counter& dropped_counter() {
 /// Compact on-ring event record; names and arg names are interned ids.
 struct EventRec {
   std::int64_t ts_ns = 0;
-  std::int64_t dur_ns = -1;  // -1 => instant or flow
+  std::int64_t dur_ns = 0;  // 0 unless ph == 'X'
   std::int32_t name = -1;
   std::int32_t a0_name = -1;
   std::int32_t a1_name = -1;
   double a0 = 0.0;
   double a1 = 0.0;
-  std::uint64_t flow_id = 0;  // meaningful only when flow_ph != 0
-  char flow_ph = 0;           // 0 = not a flow event; else 's'/'t'/'f'
+  std::uint64_t flow_id = 0;  // 0 unless ph is 's'/'t'/'f'
+  char ph = 'X';
 };
 
 /// One thread's fixed-capacity ring. Only the owning thread writes;
@@ -116,6 +116,26 @@ struct Tracer::Impl {
   int next_tid PD_GUARDED_BY(mu) = 0;
 
   Ring& local_ring();
+  /// The one place an event is built: timestamps become nanoseconds since
+  /// the epoch, and a span whose end precedes its begin lasts 0.
+  void record(char ph, int name, Clock::time_point begin,
+              Clock::time_point end, std::uint64_t flow_id, int a0_name,
+              double a0, int a1_name, double a1) {
+    const auto ns = [](Clock::duration d) {
+      return std::chrono::duration_cast<std::chrono::nanoseconds>(d).count();
+    };
+    EventRec e;
+    e.ts_ns = ns(begin - epoch);
+    e.dur_ns = std::max<std::int64_t>(0, ns(end - begin));
+    e.name = name;
+    e.a0_name = a0_name;
+    e.a1_name = a1_name;
+    e.a0 = a0;
+    e.a1 = a1;
+    e.flow_id = flow_id;
+    e.ph = ph;
+    local_ring().push(e);
+  }
   /// Keeps an exited thread's ring for export, unless it never recorded
   /// an event (pool workers name their track even with tracing off).
   void retire(std::unique_ptr<Ring> r) {
@@ -200,19 +220,7 @@ void Tracer::set_current_thread_name(const std::string& name) {
 void Tracer::complete(int name, Clock::time_point begin, Clock::time_point end,
                       int a0_name, double a0, int a1_name, double a1) {
   if (!enabled() || name < 0) return;
-  EventRec e;
-  e.ts_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                begin - impl_->epoch)
-                .count();
-  e.dur_ns = std::max<std::int64_t>(
-      0, std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-             .count());
-  e.name = name;
-  e.a0_name = a0_name;
-  e.a0 = a0;
-  e.a1_name = a1_name;
-  e.a1 = a1;
-  impl_->local_ring().push(e);
+  impl_->record('X', name, begin, end, 0, a0_name, a0, a1_name, a1);
 }
 
 void Tracer::instant(int name, int a0_name, double a0, int a1_name,
@@ -224,36 +232,15 @@ void Tracer::instant(int name, int a0_name, double a0, int a1_name,
 void Tracer::instant_at(int name, Clock::time_point ts, int a0_name, double a0,
                         int a1_name, double a1) {
   if (!enabled() || name < 0) return;
-  EventRec e;
-  e.ts_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(ts - impl_->epoch)
-          .count();
-  e.dur_ns = -1;
-  e.name = name;
-  e.a0_name = a0_name;
-  e.a0 = a0;
-  e.a1_name = a1_name;
-  e.a1 = a1;
-  impl_->local_ring().push(e);
+  impl_->record('i', name, ts, ts, 0, a0_name, a0, a1_name, a1);
 }
 
 void Tracer::flow(char ph, int name, std::uint64_t flow_id, int a0_name,
                   double a0, int a1_name, double a1) {
   if (!enabled() || name < 0) return;  // skip the clock read when disabled
   if (ph != 's' && ph != 't' && ph != 'f') return;
-  EventRec e;
-  e.ts_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - impl_->epoch)
-                .count();
-  e.dur_ns = -1;
-  e.name = name;
-  e.a0_name = a0_name;
-  e.a0 = a0;
-  e.a1_name = a1_name;
-  e.a1 = a1;
-  e.flow_id = flow_id;
-  e.flow_ph = ph;
-  impl_->local_ring().push(e);
+  const Clock::time_point now = Clock::now();
+  impl_->record(ph, name, now, now, flow_id, a0_name, a0, a1_name, a1);
 }
 
 void Tracer::set_ring_capacity(std::size_t capacity) {
@@ -296,10 +283,10 @@ std::vector<TraceThreadSnapshot> Tracer::snapshot() const {
       const EventRec& e = r->buf[(start + i) % n];
       TraceEventView v;
       v.name = resolve(e.name);
-      v.ph = e.flow_ph != 0 ? e.flow_ph : (e.dur_ns < 0 ? 'i' : 'X');
+      v.ph = e.ph;
       v.flow_id = e.flow_id;
       v.ts_us = static_cast<double>(e.ts_ns) / 1e3;
-      v.dur_us = e.dur_ns < 0 ? 0.0 : static_cast<double>(e.dur_ns) / 1e3;
+      v.dur_us = static_cast<double>(e.dur_ns) / 1e3;
       if (e.a0_name >= 0) v.args.push_back({resolve(e.a0_name), e.a0});
       if (e.a1_name >= 0) v.args.push_back({resolve(e.a1_name), e.a1});
       ts.events.push_back(std::move(v));

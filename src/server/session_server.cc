@@ -308,14 +308,14 @@ std::string SessionServer::status() const {
 
   {
     pd::MutexLock lock(status_mu_);
-    const obs::RollingStats roll = rolling_latency_.stats();
+    const obs::HistogramSnapshot roll = rolling_latency_.stats();
     w.key("rolling");
     w.begin_object();
     w.kv("metric", "server.push_to_commit_s");
     w.kv("window_s", rolling_latency_.window_s());
     w.kv("count", roll.count);
-    w.kv("p50_s", roll.p50);
-    w.kv("p99_s", roll.p99);
+    w.kv("p50_s", roll.percentile(50.0));
+    w.kv("p99_s", roll.percentile(99.0));
     w.kv("mean_s", roll.mean());
     w.kv("max_s", roll.max);
     w.end_object();
@@ -356,8 +356,8 @@ HealthReport SessionServer::healthz() const {
   std::uint64_t rolling_count = 0;
   {
     pd::MutexLock lock(status_mu_);
-    const obs::RollingStats roll = rolling_latency_.stats();
-    rolling_p99 = roll.p99;
+    const obs::HistogramSnapshot roll = rolling_latency_.stats();
+    rolling_p99 = roll.percentile(99.0);
     rolling_count = roll.count;
   }
   if (rolling_count > 0 && rolling_p99 > server_cfg_.healthz_p99_s) {

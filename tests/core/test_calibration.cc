@@ -6,6 +6,7 @@
 #include "common/angles.h"
 #include "core/calibration.h"
 #include "core/polardraw.h"
+#include "em/constants.h"
 #include "obs/metrics.h"
 #include "recognition/procrustes.h"
 #include "sim/scene.h"
@@ -107,6 +108,34 @@ TEST(Calibration, RejectsInsufficientData) {
   EXPECT_FALSE(calibrate_from_reference({}, setup).has_value());
   EXPECT_FALSE(
       calibrate_from_reference(few, CalibrationSetup{}).has_value());
+}
+
+TEST(Calibration, NoiselessReferenceRecoversOffsetsExactly) {
+  // Noiseless reads phased at the reader's own carrier: the default
+  // setup's wavelength must be that carrier, or every offset comes back
+  // biased (by 5.2e-3 rad here with a rounded 0.3276 m).
+  CalibrationSetup setup;
+  setup.tag_position = Vec3{0.5, 0.25, 0.0};
+  setup.antenna_positions = {Vec3{0.2, 1.25, 0.12}, Vec3{0.8, 1.25, 0.12}};
+  const std::vector<double> offsets = {1.0, 4.0};
+  rfid::TagReportStream reads;
+  for (int i = 0; i < 40; ++i) {
+    rfid::TagReport r;
+    r.timestamp_s = 0.01 * i;
+    r.antenna_id = i % 2;
+    const double d = setup.antenna_positions[static_cast<std::size_t>(
+                                                 r.antenna_id)]
+                         .dist(setup.tag_position);
+    r.phase_rad = wrap_2pi(4.0 * kPi * d / em::kDefaultWavelength +
+                           offsets[static_cast<std::size_t>(r.antenna_id)]);
+    reads.push_back(r);
+  }
+  const auto got = calibrate_from_reference(reads, setup);
+  ASSERT_TRUE(got.has_value());
+  for (std::size_t p = 0; p < offsets.size(); ++p) {
+    EXPECT_NEAR(got->calibration.port_offsets_rad[p], offsets[p], 1e-9)
+        << "port " << p;
+  }
 }
 
 TEST(Calibration, SkipsNonFiniteReads) {

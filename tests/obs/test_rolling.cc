@@ -1,6 +1,7 @@
 // Unit tests of the deterministic sliding-window aggregator
-// (obs/rolling.h) and the percentile-interpolation edge cases it leans on
-// (empty snapshot, single populated bucket, overflow bucket), plus the
+// (obs/rolling.h), its agreement with the registry histogram it shares an
+// accumulator with, and the percentile-interpolation edge cases it leans
+// on (empty snapshot, single populated bucket, overflow bucket), plus the
 // log-spaced bucket generator feeding the server latency histogram.
 #include "obs/rolling.h"
 
@@ -18,11 +19,11 @@ std::vector<double> tiny_bounds() { return {0.001, 0.01, 0.1, 1.0}; }
 
 TEST(RollingWindow, EmptyWindowReportsZeros) {
   RollingWindow w(10.0, 0.5, tiny_bounds());
-  const RollingStats s = w.stats();
+  const HistogramSnapshot s = w.stats();
   EXPECT_EQ(s.count, 0u);
   EXPECT_DOUBLE_EQ(s.sum, 0.0);
-  EXPECT_DOUBLE_EQ(s.p50, 0.0);
-  EXPECT_DOUBLE_EQ(s.p99, 0.0);
+  EXPECT_DOUBLE_EQ(s.percentile(50.0), 0.0);
+  EXPECT_DOUBLE_EQ(s.percentile(99.0), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
@@ -31,13 +32,13 @@ TEST(RollingWindow, AggregatesWithinTheWindow) {
   w.observe(0.2, 0.005);
   w.observe(1.4, 0.020);
   w.observe(2.9, 0.050);
-  const RollingStats s = w.stats();
+  const HistogramSnapshot s = w.stats();
   EXPECT_EQ(s.count, 3u);
   EXPECT_DOUBLE_EQ(s.sum, 0.075);
   EXPECT_DOUBLE_EQ(s.min, 0.005);
   EXPECT_DOUBLE_EQ(s.max, 0.050);
   EXPECT_DOUBLE_EQ(s.mean(), 0.025);
-  EXPECT_GT(s.p99, s.p50);
+  EXPECT_GT(s.percentile(99.0), s.percentile(50.0));
 }
 
 TEST(RollingWindow, OldStepsExpireAsTimeAdvances) {
@@ -49,7 +50,7 @@ TEST(RollingWindow, OldStepsExpireAsTimeAdvances) {
   // 4 steps ending at index 4 alive, i.e. indices 1..4. Step 0 expires,
   // step 1 survives.
   w.advance_to(4.4);
-  const RollingStats s = w.stats();
+  const HistogramSnapshot s = w.stats();
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.min, 0.020);
   // Far future: everything expires.
@@ -72,7 +73,7 @@ TEST(RollingWindow, ReplayIsBitIdentical) {
   // same stats at every step regardless of when queries happen.
   const auto run = [](bool query_every_step) {
     RollingWindow w(8.0, 0.5, tiny_bounds());
-    std::vector<RollingStats> out;
+    std::vector<HistogramSnapshot> out;
     for (int i = 0; i < 200; ++i) {
       const double t = 0.13 * i;
       w.observe(t, 0.001 * ((i * 37) % 90 + 1));
@@ -87,14 +88,54 @@ TEST(RollingWindow, ReplayIsBitIdentical) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].count, b[i].count) << i;
     EXPECT_EQ(a[i].sum, b[i].sum) << i;
-    EXPECT_EQ(a[i].p50, b[i].p50) << i;
-    EXPECT_EQ(a[i].p99, b[i].p99) << i;
+    EXPECT_EQ(a[i].percentile(50.0), b[i].percentile(50.0)) << i;
+    EXPECT_EQ(a[i].percentile(99.0), b[i].percentile(99.0)) << i;
   }
 }
 
 TEST(RollingWindow, WindowRoundsUpToWholeSteps) {
   RollingWindow w(1.2, 0.5, tiny_bounds());
   EXPECT_DOUBLE_EQ(w.window_s(), 1.5);
+}
+
+TEST(RollingWindow, StepBeforeTimeZeroCounts) {
+  // Step -1 is also the empty-step marker. A first observation in
+  // [-step_s, 0) lands in a step that was never reset and still counts.
+  RollingWindow w(10.0, 0.5, tiny_bounds());
+  w.observe(-0.25, 0.002);
+  const HistogramSnapshot s = w.stats();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.counts[1], 1u);
+  EXPECT_EQ(s.min, 0.002);
+}
+
+TEST(RollingWindow, OneStepMatchesTheRegistryHistogram) {
+  // One accumulator serves both: the same values over the same bounds,
+  // all inside one step, give the same histogram to the bit.
+  Registry& reg = Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const Histogram h("test.rolling.one_step", tiny_bounds());
+  RollingWindow w(10.0, 0.5, tiny_bounds());
+  // Bucket edges, a repeat and the overflow bucket.
+  for (const double v :
+       {0.0005, 0.001, 0.004, 0.01, 0.01, 0.05, 0.1, 0.7, 1.0, 3.0}) {
+    h.observe(v);
+    w.observe(1.1, v);
+  }
+  const Snapshot snap = reg.snapshot();
+  reg.set_enabled(was_enabled);
+  const HistogramSnapshot* want = snap.histogram("test.rolling.one_step");
+  ASSERT_NE(want, nullptr);
+  const HistogramSnapshot got = w.stats();
+  EXPECT_EQ(got.counts, want->counts);
+  EXPECT_EQ(got.count, want->count);
+  EXPECT_EQ(got.sum, want->sum);
+  EXPECT_EQ(got.min, want->min);
+  EXPECT_EQ(got.max, want->max);
+  for (const double p : {0.0, 1.0, 25.0, 50.0, 75.0, 99.0, 100.0}) {
+    EXPECT_EQ(got.percentile(p), want->percentile(p)) << "p" << p;
+  }
 }
 
 // --- Percentile interpolation edge cases (HistogramSnapshot) -------------

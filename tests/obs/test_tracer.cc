@@ -56,10 +56,11 @@ TEST_F(TracerTest, RecordsInstantAndCompleteEvents) {
   const auto end = begin + std::chrono::microseconds(250);
   t.complete(span, begin, end, arg, 42.0);
   t.instant(inst, arg, 7.0);
+  t.complete(span, end, begin);  // reversed: clamped to 0 at the later end
 
   const TraceThreadSnapshot ring = own_ring();
-  ASSERT_EQ(ring.events.size(), 2u);
-  EXPECT_EQ(ring.recorded, 2u);
+  ASSERT_EQ(ring.events.size(), 3u);
+  EXPECT_EQ(ring.recorded, 3u);
   EXPECT_EQ(ring.dropped, 0u);
 
   const TraceEventView& x = ring.events[0];
@@ -76,6 +77,13 @@ TEST_F(TracerTest, RecordsInstantAndCompleteEvents) {
   EXPECT_GE(i.ts_us, x.ts_us);
   ASSERT_EQ(i.args.size(), 1u);
   EXPECT_DOUBLE_EQ(i.args[0].value, 7.0);
+
+  const TraceEventView& r = ring.events[2];
+  EXPECT_EQ(r.name, "test.span");
+  EXPECT_EQ(r.ph, 'X');
+  EXPECT_EQ(r.dur_us, 0.0);
+  EXPECT_NEAR(r.ts_us, x.ts_us + 250.0, 1e-6);
+  EXPECT_TRUE(r.args.empty());
 }
 
 TEST_F(TracerTest, DisabledRecordsNothing) {
