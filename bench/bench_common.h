@@ -19,6 +19,7 @@
 
 #include "common/stats.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "eval/harness.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
@@ -65,7 +66,7 @@ inline void record_metric(const std::string& key, double value) {
 /// Worker threads for the batch trial API: POLARDRAW_THREADS when set,
 /// otherwise all hardware threads. Trial results are bit-identical at any
 /// value; this only changes wall-clock time.
-inline int n_threads() { return eval::default_thread_count(); }
+inline int n_threads() { return ThreadPool::default_thread_count(); }
 
 /// Wall-clock stopwatch for the experiment sections.
 class Stopwatch {

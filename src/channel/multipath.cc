@@ -35,8 +35,6 @@ ChannelSample MultipathChannel::evaluate(const em::ReaderAntenna& antenna,
   // --- Line-of-sight path -------------------------------------------------
   const em::LinkSample los = em::evaluate_los_link(antenna, tag, tx);
   out.los_response = los.response;
-  out.los_mismatch_rad = los.mismatch_rad;
-  out.los_distance_m = los.distance_m;
   out.response = los.response;
   double tag_power_mw = dbm_to_mw(los.forward_power_dbm);
 

@@ -31,10 +31,8 @@ struct ChannelSample {
   /// Total power delivered to the tag chip (all forward paths), dBm.
   double tag_power_dbm = -150.0;
 
-  /// LOS-only diagnostic copies (used by tests and the feasibility bench).
+  /// LOS-only part of `response` (a diagnostic copy read by tests).
   std::complex<double> los_response{0.0, 0.0};
-  double los_mismatch_rad = 0.0;
-  double los_distance_m = 0.0;
 };
 
 /// The propagation environment: a set of scatterers shared by all antennas.

@@ -14,7 +14,6 @@ Vec3 Scatterer::position_at(double t_s) const {
 
 Scatterer make_bystander_static(double distance_m, const Vec3& board_center) {
   Scatterer s;
-  s.label = "bystander-static";
   // A person standing beside the writing area, `distance_m` off the board.
   s.position = board_center + Vec3{0.45, 0.0, distance_m};
   s.motion = ScattererMotion::kStatic;
@@ -27,7 +26,6 @@ Scatterer make_bystander_static(double distance_m, const Vec3& board_center) {
 
 Scatterer make_bystander_walking(double distance_m, const Vec3& board_center) {
   Scatterer s = make_bystander_static(distance_m, board_center);
-  s.label = "bystander-walking";
   s.motion = ScattererMotion::kWalking;
   s.walk_direction = Vec3{1.0, 0.0, 0.0};
   s.walk_amplitude_m = 0.6;
@@ -37,7 +35,6 @@ Scatterer make_bystander_walking(double distance_m, const Vec3& board_center) {
 
 Scatterer make_office_clutter(int index) {
   Scatterer s;
-  s.label = "clutter-" + std::to_string(index);
   // Deterministic pseudo-layout: desks/cabinets around the board.
   const double angle = 0.9 + 1.7 * static_cast<double>(index);
   s.position = Vec3{0.5 + 1.5 * std::cos(angle), 0.3 + 0.4 * std::sin(angle),

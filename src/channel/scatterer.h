@@ -8,8 +8,6 @@
 // multipath) near the whiteboard. This module models both.
 #pragma once
 
-#include <string>
-
 #include "common/vec.h"
 
 namespace polardraw::channel {
@@ -24,8 +22,6 @@ enum class ScattererMotion {
 /// (and the tag's backscatter toward the reader) with attenuation and a
 /// polarization rotation.
 struct Scatterer {
-  std::string label;
-
   /// Nominal position, board coordinates, meters.
   Vec3 position;
 

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <numbers>
-#include <vector>
 
 namespace polardraw {
 
@@ -46,14 +45,6 @@ inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 /// Absolute circular distance between two angles, in [0, pi].
 [[nodiscard]] inline double angle_dist(double a, double b) { return std::fabs(angle_diff(a, b)); }
-
-/// Unwraps a phase series in place: successive samples are shifted by
-/// multiples of 2*pi so that no step exceeds pi in magnitude.
-/// Mirrors numpy.unwrap with default parameters.
-void unwrap_inplace(std::vector<double>& phases);
-
-/// Returns an unwrapped copy of `phases`.
-[[nodiscard]] std::vector<double> unwrapped(std::vector<double> phases);
 
 /// Incremental unwrapper for streaming phase data.
 ///

@@ -29,19 +29,9 @@ class Rng {
     return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
   }
 
-  /// Uniform integer in [lo, hi] (inclusive).
-  int uniform_int(int lo, int hi) {
-    return std::uniform_int_distribution<int>(lo, hi)(engine_);
-  }
-
   /// Bernoulli draw.
   bool chance(double p) {
     return std::bernoulli_distribution(p)(engine_);
-  }
-
-  /// Picks a uniformly random element index for a container of size n.
-  std::size_t index(std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
   }
 
   /// Derives an independent child generator; use to give each subsystem its

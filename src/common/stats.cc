@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <cassert>
-#include <utility>
 
 namespace polardraw {
 
@@ -15,25 +14,6 @@ double percentile(std::vector<double> values, double p) {
   const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-double mean_of(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double s = 0.0;
-  for (double v : values) s += v;
-  return s / static_cast<double>(values.size());
-}
-
-std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> values) {
-  std::vector<std::pair<double, double>> cdf;
-  if (values.empty()) return cdf;
-  std::sort(values.begin(), values.end());
-  cdf.reserve(values.size());
-  const double n = static_cast<double>(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    cdf.emplace_back(values[i], static_cast<double>(i + 1) / n);
-  }
-  return cdf;
 }
 
 }  // namespace polardraw

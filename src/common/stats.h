@@ -49,11 +49,4 @@ class RunningStats {
   return percentile(std::move(values), 50.0);
 }
 
-/// Arithmetic mean (0 for an empty vector).
-[[nodiscard]] double mean_of(const std::vector<double>& values);
-
-/// Empirical CDF evaluated at the sorted sample points.
-/// Returns pairs (value, cumulative fraction) suitable for plotting.
-[[nodiscard]] std::vector<std::pair<double, double>> empirical_cdf(std::vector<double> values);
-
 }  // namespace polardraw

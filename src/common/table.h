@@ -18,8 +18,6 @@ class Table {
   explicit Table(std::vector<std::string> header);
 
   void add_row(std::vector<std::string> cells);
-  /// Convenience: formats arithmetic values with the given precision.
-  void add_row_values(const std::vector<double>& values, int precision = 2);
 
   std::size_t rows() const { return rows_.size(); }
   const std::vector<std::string>& header() const { return header_; }

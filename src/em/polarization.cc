@@ -32,11 +32,6 @@ double malus_factor(double mismatch_rad) {
   return c * c;
 }
 
-double backscatter_malus_factor(double mismatch_rad) {
-  const double m = malus_factor(mismatch_rad);
-  return m * m;
-}
-
 std::complex<double> complex_field_coupling(double mismatch_rad,
                                             double xpd_db) {
   const double leak_amp = db_to_amplitude_ratio(-xpd_db);

@@ -32,10 +32,6 @@ double mismatch_angle(const Vec3& axis_a, const Vec3& axis_b, const Vec3& los_di
 /// One-way power coupling factor cos^2(beta) for a mismatch angle beta.
 double malus_factor(double mismatch_rad);
 
-/// Round-trip (reader -> tag -> reader) power coupling factor cos^4(beta)
-/// when the same antenna both illuminates and receives.
-double backscatter_malus_factor(double mismatch_rad);
-
 /// Complex one-way field coupling of a real linear antenna with finite
 /// cross-polarization discrimination (XPD): the co-polar component couples
 /// with cos(beta) and the cross-polar component leaks in quadrature with

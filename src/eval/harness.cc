@@ -191,11 +191,9 @@ std::uint64_t trial_seed(std::uint64_t base, std::uint64_t index) {
   return splitmix64(base, index);
 }
 
-int default_thread_count() { return ThreadPool::default_thread_count(); }
-
 std::vector<TrialResult> run_trials(const std::vector<TrialSpec>& specs,
                                     int n_threads) {
-  if (n_threads <= 0) n_threads = default_thread_count();
+  if (n_threads <= 0) n_threads = ThreadPool::default_thread_count();
   std::vector<TrialResult> results(specs.size());
   ThreadPool pool(n_threads);
   pool.parallel_for(specs.size(), [&](std::size_t i) {

@@ -75,13 +75,9 @@ struct TrialSpec {
 /// derive their per-trial seeds through this.
 std::uint64_t trial_seed(std::uint64_t base, std::uint64_t index);
 
-/// Number of worker threads the batch helpers use when a caller passes
-/// n_threads <= 0: the POLARDRAW_THREADS environment variable, or the
-/// hardware concurrency when unset.
-int default_thread_count();
-
 /// Runs every spec (each already carrying its own seed) across
-/// `n_threads` workers (<= 0: default_thread_count()). Results come back
+/// `n_threads` workers (<= 0: ThreadPool::default_thread_count(), which
+/// reads POLARDRAW_THREADS or the hardware concurrency). Results come back
 /// indexed exactly like `specs`, so any aggregation the caller performs in
 /// index order is bit-identical at every thread count.
 std::vector<TrialResult> run_trials(const std::vector<TrialSpec>& specs,
@@ -91,7 +87,7 @@ std::vector<TrialResult> run_trials(const std::vector<TrialSpec>& specs,
 /// for the given letters. Trial seeds are counter-derived from cfg.seed
 /// (trial_seed), and the confusion matrix is filled in trial-index order
 /// after the parallel batch joins, so accuracy and `cm` are identical for
-/// every `n_threads` (<= 0: default_thread_count()).
+/// every `n_threads` (<= 0: ThreadPool::default_thread_count()).
 double letter_accuracy(const std::string& letters, int reps, TrialConfig cfg,
                        recognition::ConfusionMatrix* cm = nullptr,
                        int n_threads = 0,

@@ -131,14 +131,6 @@ const std::string& alphabet() {
   return a;
 }
 
-double glyph_ink_length(const Glyph& g) {
-  double len = 0.0;
-  for (const Stroke& s : g.strokes) {
-    for (std::size_t i = 1; i < s.size(); ++i) len += s[i].dist(s[i - 1]);
-  }
-  return len;
-}
-
 std::size_t glyph_stroke_count(const Glyph& g) { return g.strokes.size(); }
 
 }  // namespace polardraw::handwriting

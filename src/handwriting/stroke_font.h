@@ -35,9 +35,6 @@ bool has_glyph(char letter);
 /// All 26 supported letters in order.
 const std::string& alphabet();
 
-/// Total polyline length of a glyph (glyph units), pen-down strokes only.
-double glyph_ink_length(const Glyph& g);
-
 /// Number of strokes (pen lifts + 1) in the glyph.
 std::size_t glyph_stroke_count(const Glyph& g);
 

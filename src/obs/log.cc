@@ -1,6 +1,5 @@
 #include "obs/log.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -16,10 +15,8 @@ namespace polardraw::obs {
 
 std::string_view log_level_name(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug: return "debug";
     case LogLevel::kInfo: return "info";
     case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
   }
   return "info";
 }
@@ -27,20 +24,11 @@ std::string_view log_level_name(LogLevel level) {
 struct Logger::Impl {
   mutable pd::Mutex mu;
   std::atomic<bool> enabled{false};
-  std::atomic<int> min_level{static_cast<int>(LogLevel::kInfo)};
 
   std::ostream* sink PD_GUARDED_BY(mu) = nullptr;
   std::unique_ptr<std::ofstream> owned_sink PD_GUARDED_BY(mu);
 
-  // Token bucket in simulation time. rate <= 0 disables limiting.
-  double rate_per_s PD_GUARDED_BY(mu) = 0.0;
-  double burst PD_GUARDED_BY(mu) = 0.0;
-  double tokens PD_GUARDED_BY(mu) = 0.0;
-  double last_t_s PD_GUARDED_BY(mu) = 0.0;
-  bool bucket_started PD_GUARDED_BY(mu) = false;
-
   std::atomic<std::uint64_t> emitted{0};
-  std::atomic<std::uint64_t> suppressed{0};
 };
 
 Logger::Logger() : impl_(new Impl) {}
@@ -84,48 +72,12 @@ bool Logger::enabled() const {
   return impl_->enabled.load(std::memory_order_relaxed);
 }
 
-void Logger::set_min_level(LogLevel level) {
-  impl_->min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-void Logger::set_rate_limit(double events_per_s, double burst) {
-  pd::MutexLock lock(impl_->mu);
-  impl_->rate_per_s = events_per_s;
-  impl_->burst = std::max(1.0, burst);
-  impl_->tokens = impl_->burst;
-  impl_->bucket_started = false;
-}
-
 void Logger::log(LogLevel level, double t_s, std::string_view event,
                  const std::function<void(JsonWriter&)>& fields) {
   if (!enabled()) return;
-  if (static_cast<int>(level) <
-      impl_->min_level.load(std::memory_order_relaxed)) {
-    return;
-  }
   static const Counter emitted_counter("log.emitted");
-  static const Counter suppressed_counter("log.suppressed");
   pd::MutexLock lock(impl_->mu);
   if (impl_->sink == nullptr) return;
-  if (impl_->rate_per_s > 0.0) {
-    // Refill on sim-time progress; interleaved sessions may present a
-    // smaller t_s than the last one seen, which simply refills nothing.
-    if (impl_->bucket_started && t_s > impl_->last_t_s) {
-      impl_->tokens = std::min(
-          impl_->burst,
-          impl_->tokens + (t_s - impl_->last_t_s) * impl_->rate_per_s);
-    }
-    if (!impl_->bucket_started || t_s > impl_->last_t_s) {
-      impl_->last_t_s = t_s;
-      impl_->bucket_started = true;
-    }
-    if (impl_->tokens < 1.0) {
-      impl_->suppressed.fetch_add(1, std::memory_order_relaxed);
-      suppressed_counter.add();
-      return;
-    }
-    impl_->tokens -= 1.0;
-  }
   JsonWriter w(*impl_->sink, JsonWriter::Style::kCompact);
   w.begin_object();
   w.kv("t_s", t_s);
@@ -141,10 +93,6 @@ void Logger::log(LogLevel level, double t_s, std::string_view event,
 
 std::uint64_t Logger::emitted_total() const {
   return impl_->emitted.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Logger::suppressed_total() const {
-  return impl_->suppressed.load(std::memory_order_relaxed);
 }
 
 }  // namespace polardraw::obs

@@ -1,4 +1,4 @@
-// Structured, rate-limited JSON-lines logging (DESIGN.md section 17).
+// Structured JSON-lines logging (DESIGN.md section 17).
 //
 // Server lifecycle events (session open/close, hop-fence, backpressure)
 // emit one JSON object per line:
@@ -10,12 +10,10 @@
 //   * Zero feedback: logging only observes. The enabled check is one
 //     relaxed atomic load; instrumented code never branches on logger
 //     state beyond "skip the emit".
-//   * Deterministic rate limiting: the token bucket is keyed on the
-//     simulation timestamps callers already carry (polarlint R7: no
-//     clock reads in this file), so a replayed run suppresses exactly
-//     the same events. Suppressions are counted per event name and
-//     surfaced through suppressed_total() / the "log.suppressed"
-//     counter.
+//   * Deterministic lines: each line carries the simulation timestamp its
+//     caller passes (polarlint R7: no clock reads in this file), so a
+//     replayed run writes the same bytes. Every event at every level is
+//     written; emitted_total() and the "log.emitted" counter count them.
 //   * Thread-safe emit: one mutex serializes sink writes; hot paths log
 //     rarely (lifecycle edges, drops), never per-observation.
 //
@@ -32,9 +30,9 @@ namespace polardraw::obs {
 
 class JsonWriter;
 
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+enum class LogLevel { kInfo, kWarn };
 
-/// Lowercase wire name ("debug", "info", "warn", "error").
+/// Lowercase wire name ("info", "warn").
 [[nodiscard]] std::string_view log_level_name(LogLevel level);
 
 class Logger {
@@ -56,22 +54,15 @@ class Logger {
   void set_sink_path(std::string_view path);
 
   [[nodiscard]] bool enabled() const;
-  void set_min_level(LogLevel level);
 
-  /// Deterministic token bucket: at most `burst` events back-to-back,
-  /// refilling at `events_per_s` in *simulation* time. Non-positive
-  /// events_per_s disables limiting (the default).
-  void set_rate_limit(double events_per_s, double burst);
-
-  /// Emits one JSON line {"t_s":..,"level":..,"event":..,<fields>} if the
-  /// level passes and the token bucket has budget at sim time `t_s`.
-  /// `fields` (optional) appends event-specific keys via the writer.
+  /// Emits one JSON line {"t_s":..,"level":..,"event":..,<fields>} when a
+  /// sink is set; `t_s` is the caller's simulation time. `fields`
+  /// (optional) appends event-specific keys via the writer.
   void log(LogLevel level, double t_s, std::string_view event,
            const std::function<void(JsonWriter&)>& fields = nullptr);
 
-  /// Lines written / suppressed by the rate limiter since construction.
+  /// Lines written since construction.
   [[nodiscard]] std::uint64_t emitted_total() const;
-  [[nodiscard]] std::uint64_t suppressed_total() const;
 
  private:
   struct Impl;

@@ -24,7 +24,9 @@ std::int64_t RollingWindow::step_index(double t_s) const {
 }
 
 HistogramData& RollingWindow::step_for(std::int64_t index) {
-  Step& s = steps_[static_cast<std::size_t>(index) % steps_.size()];
+  // Floored modulo, so a negative step never takes a live step's slot.
+  const auto n = static_cast<std::int64_t>(steps_.size());
+  Step& s = steps_[static_cast<std::size_t>((index % n + n) % n)];
   if (s.index != index) {
     s.index = index;
     // Emptied in place: the counts keep their capacity, so a reused step

@@ -68,7 +68,7 @@ class RollingWindow {
 
   double step_s_;
   std::vector<double> bounds_;
-  std::vector<Step> steps_;  // ring keyed by index % steps_.size()
+  std::vector<Step> steps_;  // ring keyed by floored index mod size
   double now_s_ = 0.0;
   std::int64_t now_index_ = 0;
   bool started_ = false;

@@ -97,20 +97,22 @@ Modulation Reader::select_modulation(const TagStateFn& tag_at) {
     return modulation_;
   }
   // Round-robin schemes in rate order (fastest first), keep the first whose
-  // phase variance meets the paper's 0.1 rad^2 threshold.
+  // phase variance over the probe reads meets the paper's threshold.
+  constexpr int kProbeReads = 25;
+  constexpr double kPhaseVarianceThresholdRad2 = 0.1;
   for (Modulation m : kAllModulations) {
     modulation_ = m;
     RunningStats stats;
     const em::Tag tag = tag_at(0.0);
-    for (int i = 0; i < config_.probe_reads; ++i) {
+    for (int i = 0; i < kProbeReads; ++i) {
       const double t = static_cast<double>(i) /
                        (config_.aggregate_read_rate_hz * rate_factor(m));
       if (auto rep = interrogate(0, tag, t)) {
         stats.push(angle_diff(rep->phase_rad, 0.0));
       }
     }
-    if (stats.count() >= static_cast<std::size_t>(config_.probe_reads) / 2 &&
-        stats.variance() <= config_.phase_variance_threshold_rad2) {
+    if (stats.count() >= static_cast<std::size_t>(kProbeReads) / 2 &&
+        stats.variance() <= kPhaseVarianceThresholdRad2) {
       return modulation_;
     }
   }
@@ -165,7 +167,6 @@ TagReportStream Reader::inventory_population(const std::vector<TagEntry>& tags,
   std::uint64_t singles = 0, collisions = 0, empties = 0, rounds = 0;
   const int num_ports = static_cast<int>(antennas_.size());
   std::vector<std::size_t> present;
-  std::vector<std::uint64_t> tag_reads(tags.size(), 0);
   double t = t_begin;
   while (t < t_end) {
     // The responding population at the round start: tags inside their
@@ -193,12 +194,7 @@ TagReportStream Reader::inventory_population(const std::vector<TagEntry>& tags,
       em::Tag tag = entry.state(t_read);
       ++attempts;
       if (auto rep = interrogate(port, tag, t_read)) {
-        ++tag_reads[tag_idx];
         rep->epc = entry.epc;
-        // Diagnostic: the tag's cumulative observed rate -- an emergent
-        // quantity under contention, not a configured split.
-        rep->read_rate_hz = static_cast<double>(tag_reads[tag_idx]) /
-                            std::max(t_read - t_begin, 1e-9);
         rep->serial = next_serial_++;
         obs::record_report_flow('s', rep->serial, obs::FlowStage::kSlot);
         out.push_back(*rep);
@@ -234,7 +230,6 @@ TagReportStream Reader::inventory(const TagStateFn& tag_at, double t_begin,
     const em::Tag tag = tag_at(t_read);
     ++attempts;
     if (auto rep = interrogate(port, tag, t_read)) {
-      rep->read_rate_hz = rate / num_ports;
       rep->serial = next_serial_++;
       obs::record_report_flow('s', rep->serial, obs::FlowStage::kReport);
       out.push_back(*rep);

@@ -45,12 +45,6 @@ struct ReaderConfig {
   bool auto_select_modulation = true;
   Modulation fixed_modulation = Modulation::kMiller4;
 
-  /// Phase-variance acceptance threshold for auto-selection, rad^2.
-  double phase_variance_threshold_rad2 = 0.1;
-
-  /// Number of probe reads per scheme during auto-selection.
-  int probe_reads = 25;
-
   /// FCC frequency hopping: readers in the 902-928 MHz band must hop
   /// among 50 channels (max 0.4 s dwell). Hopping changes the wavelength
   /// slightly and, more importantly, the per-channel RF-chain phase
@@ -107,8 +101,7 @@ class Reader {
   /// reads, per-tag read rates emerge from the Q adaptation rather than a
   /// fixed budget split, and tags outside their presence window drop out
   /// of the contention entirely. Each report carries its tag's EPC for
-  /// de-multiplexing and its tag's cumulative observed read rate in
-  /// `read_rate_hz`. Deterministic: slot draws are counter-based
+  /// de-multiplexing. Deterministic: slot draws are counter-based
   /// (splitmix64 of a per-call seed, round and tag index).
   TagReportStream inventory_population(const std::vector<TagEntry>& tags,
                                        double t_begin, double t_end);

@@ -15,7 +15,6 @@ struct TagReport {
   std::uint32_t epc = 0;      // tag identity (EPC suffix)
   double rss_dbm = -150.0;    // received signal strength
   double phase_rad = 0.0;     // backscatter phase, [0, 2*pi)
-  double read_rate_hz = 0.0;  // diagnostic: current per-antenna rate
   int channel = 0;            // RF channel index (frequency hopping)
   /// Reader-assigned delivery serial, 1-based in delivery order across
   /// the whole inventory (0 = unassigned). Purely observational: the

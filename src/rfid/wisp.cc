@@ -96,19 +96,4 @@ std::vector<bool> detect_touch(const std::vector<AccelSample>& accel,
   return out;
 }
 
-double harvest_duty_cycle(double incident_dbm, const WispPowerConfig& cfg) {
-  if (incident_dbm < cfg.harvest_sensitivity_dbm) return 0.0;
-  // A degenerate config (saturation at or below the threshold) degrades
-  // to a step function at the threshold.
-  if (cfg.saturation_dbm <= cfg.harvest_sensitivity_dbm) return 1.0;
-  if (incident_dbm >= cfg.saturation_dbm) return 1.0;
-  return (incident_dbm - cfg.harvest_sensitivity_dbm) /
-         (cfg.saturation_dbm - cfg.harvest_sensitivity_dbm);
-}
-
-double effective_sample_rate_hz(double incident_dbm,
-                                const WispPowerConfig& cfg) {
-  return cfg.full_rate_hz * harvest_duty_cycle(incident_dbm, cfg);
-}
-
 }  // namespace polardraw::rfid

@@ -45,31 +45,4 @@ std::vector<AccelSample> simulate_wisp(const handwriting::WritingTrace& trace,
 std::vector<bool> detect_touch(const std::vector<AccelSample>& accel,
                                double window_s, double threshold = 0.3);
 
-/// RF power-harvesting model of a WISP-class computational RFID tag.
-///
-/// The WISP runs entirely on harvested reader power: below the harvester
-/// threshold (~-11 dBm for the WISP 4.x front end) the MCU cannot run at
-/// all, and close to the reader it harvests more than it spends and can
-/// sample continuously. Between the two the tag duty-cycles: it sleeps to
-/// recharge its storage capacitor, and the achievable accelerometer rate
-/// scales with the fraction of time it can stay awake.
-struct WispPowerConfig {
-  /// Minimum incident RF power that wakes the harvester at all.
-  double harvest_sensitivity_dbm = -11.0;
-  /// Incident power at which harvesting sustains continuous operation.
-  double saturation_dbm = -4.0;
-  /// Sample rate while awake (matches WispConfig::sample_rate_hz).
-  double full_rate_hz = 100.0;
-};
-
-/// Fraction of time the tag can afford to run at full rate for the given
-/// incident RF power: 0 below the harvest threshold, 1 at or above
-/// saturation, linear in dB between (storage-capacitor charge is roughly
-/// linear in received power over the WISP's narrow operating range).
-double harvest_duty_cycle(double incident_dbm, const WispPowerConfig& cfg);
-
-/// Achievable accelerometer sample rate after duty-cycling.
-double effective_sample_rate_hz(double incident_dbm,
-                                const WispPowerConfig& cfg);
-
 }  // namespace polardraw::rfid

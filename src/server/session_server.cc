@@ -342,7 +342,6 @@ std::string SessionServer::status() const {
   w.key("log");
   w.begin_object();
   w.kv("emitted", lg.emitted_total());
-  w.kv("suppressed", lg.suppressed_total());
   w.end_object();
 
   w.end_object();

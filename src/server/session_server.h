@@ -157,7 +157,7 @@ class SessionServer {
   /// per-session state (seeded/lagging/starved/backpressured flags,
   /// mailbox depth, commit lag, committed count, last sim time), the
   /// rolling latency window (count, p50/p99/mean/max), registry counter
-  /// totals, trace drop counts, and log emit/suppress counts. Reads each
+  /// totals, trace drop counts, and log emit count. Reads each
   /// session under its mutex, so it is safe while submit()/pump() are in
   /// flight; must not race open()/close() (see threading rules at the top).
   [[nodiscard]] std::string status() const;

@@ -70,23 +70,6 @@ TEST(Percentile, DegenerateInputs) {
   EXPECT_EQ(percentile({1.0, 2.0}, 150.0), 2.0);
 }
 
-TEST(MeanOf, Basic) {
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-}
-
-TEST(EmpiricalCdf, MonotoneAndComplete) {
-  const auto cdf = empirical_cdf({3.0, 1.0, 2.0, 2.0});
-  ASSERT_EQ(cdf.size(), 4u);
-  EXPECT_EQ(cdf.front().first, 1.0);
-  EXPECT_EQ(cdf.back().first, 3.0);
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GT(cdf[i].second, cdf[i - 1].second);
-  }
-}
-
 TEST(Rng, DeterministicWithSeed) {
   Rng a(5), b(5);
   for (int i = 0; i < 20; ++i) {
@@ -101,15 +84,6 @@ TEST(Rng, ForkIndependentOfParentDraws) {
   Rng b(9);
   Rng fork2 = b.fork();
   EXPECT_EQ(first, fork2.uniform());
-}
-
-TEST(Rng, UniformIntBounds) {
-  Rng rng(3);
-  for (int i = 0; i < 200; ++i) {
-    const int v = rng.uniform_int(-2, 3);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 3);
-  }
 }
 
 TEST(Rng, GaussianMoments) {

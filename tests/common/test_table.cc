@@ -30,14 +30,6 @@ TEST(Table, ShortRowsPadded) {
   EXPECT_EQ(t.rows(), 1u);
 }
 
-TEST(Table, AddRowValuesFormats) {
-  Table t({"x", "y"});
-  t.add_row_values({1.23456, 2.0}, 2);
-  std::ostringstream os;
-  t.write_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1.23,2.00\n");
-}
-
 TEST(Table, CsvRoundtrip) {
   Table t({"h1", "h2"});
   t.add_row({"a", "b"});

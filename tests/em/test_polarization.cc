@@ -66,13 +66,6 @@ TEST(Malus, KnownValues) {
   EXPECT_NEAR(malus_factor(kPi / 3.0), 0.25, 1e-12);
 }
 
-TEST(Malus, BackscatterIsSquare) {
-  for (double b = 0.0; b <= kPi / 2.0; b += 0.1) {
-    EXPECT_NEAR(backscatter_malus_factor(b),
-                malus_factor(b) * malus_factor(b), 1e-12);
-  }
-}
-
 TEST(ComplexCoupling, CoPolarAtZeroMismatch) {
   const auto c = complex_field_coupling(0.0, 20.0);
   EXPECT_NEAR(c.real(), 1.0, 1e-12);

@@ -48,14 +48,6 @@ TEST(StrokeFont, EveryStrokeDrawable) {
   }
 }
 
-TEST(StrokeFont, InkLengthPositiveAndSane) {
-  for (char c : alphabet()) {
-    const double len = glyph_ink_length(glyph_for(c));
-    EXPECT_GT(len, 0.8) << c;   // at least a diagonal-ish amount of ink
-    EXPECT_LT(len, 6.0) << c;   // nothing absurdly long
-  }
-}
-
 TEST(StrokeFont, SingleStrokeLettersAreSingleStroke) {
   for (char c : std::string("CGIJLMNOSUVWZ")) {
     EXPECT_EQ(glyph_stroke_count(glyph_for(c)), 1u) << c;

@@ -1,11 +1,13 @@
 // Unit tests of the structured JSON-lines logger (obs/log.h): sink
-// gating, line shape, level filtering, and the deterministic sim-time
-// token bucket (replaying the same timestamp stream suppresses exactly
-// the same events).
+// gating, line shape, and the POLARDRAW_LOG sink paths (a file, an
+// unopenable path, standard error).
 #include "obs/log.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,50 +17,38 @@
 namespace polardraw::obs {
 namespace {
 
-std::vector<std::string> lines_of(const std::ostringstream& os) {
+std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
-  std::istringstream is(os.str());
+  std::istringstream is(text);
   std::string line;
   while (std::getline(is, line)) out.push_back(line);
   return out;
 }
 
 /// Tests share the process-global logger; each starts from a fresh sink
-/// and unlimited rate, and leaves the logger disabled.
+/// and leaves the logger disabled.
 class LoggerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Logger& lg = Logger::global();
-    lg.set_rate_limit(0.0, 0.0);
-    lg.set_min_level(LogLevel::kDebug);
     lg.set_sink(&sink_);
     base_emitted_ = lg.emitted_total();
-    base_suppressed_ = lg.suppressed_total();
   }
-  void TearDown() override {
-    Logger& lg = Logger::global();
-    lg.set_sink(nullptr);
-    lg.set_rate_limit(0.0, 0.0);
-    lg.set_min_level(LogLevel::kDebug);
-  }
+  void TearDown() override { Logger::global().set_sink(nullptr); }
 
   std::uint64_t emitted() const {
     return Logger::global().emitted_total() - base_emitted_;
   }
-  std::uint64_t suppressed() const {
-    return Logger::global().suppressed_total() - base_suppressed_;
-  }
 
   std::ostringstream sink_;
   std::uint64_t base_emitted_ = 0;
-  std::uint64_t base_suppressed_ = 0;
 };
 
 TEST_F(LoggerTest, DisabledWithoutSink) {
   Logger& lg = Logger::global();
   lg.set_sink(nullptr);
   EXPECT_FALSE(lg.enabled());
-  lg.log(LogLevel::kError, 1.0, "dropped.event");
+  lg.log(LogLevel::kWarn, 1.0, "dropped.event");
   EXPECT_EQ(emitted(), 0u);
   lg.set_sink(&sink_);
   EXPECT_TRUE(lg.enabled());
@@ -71,84 +61,57 @@ TEST_F(LoggerTest, EmitsOneCompactJsonLinePerEvent) {
     w.kv("depth", 3.0);
   });
   lg.log(LogLevel::kWarn, 13.0, "test.other");
-  const auto lines = lines_of(sink_);
+  const auto lines = lines_of(sink_.str());
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0],
             R"({"t_s":12.5,"level":"info","event":"test.event",)"
             R"("session":7,"depth":3})");
   EXPECT_EQ(lines[1], R"({"t_s":13,"level":"warn","event":"test.other"})");
   EXPECT_EQ(emitted(), 2u);
-  EXPECT_EQ(suppressed(), 0u);
 }
 
-TEST_F(LoggerTest, MinLevelFilters) {
+TEST_F(LoggerTest, SinkPathWritesToAFileOrStandardError) {
+  namespace fs = std::filesystem;
   Logger& lg = Logger::global();
-  lg.set_min_level(LogLevel::kWarn);
-  lg.log(LogLevel::kDebug, 1.0, "below");
-  lg.log(LogLevel::kInfo, 1.0, "below");
-  lg.log(LogLevel::kWarn, 1.0, "at");
-  lg.log(LogLevel::kError, 1.0, "above");
-  EXPECT_EQ(emitted(), 2u);
-  // Level-filtered events are not "suppressed" -- that word is reserved
-  // for the rate limiter, whose count statusz surfaces.
-  EXPECT_EQ(suppressed(), 0u);
-}
+  const char* line = R"({"t_s":2.5,"level":"info","event":"test.path"})";
 
-TEST_F(LoggerTest, TokenBucketIsDrivenBySimTime) {
-  Logger& lg = Logger::global();
-  lg.set_rate_limit(/*events_per_s=*/1.0, /*burst=*/2.0);
-  // Two events fit the burst at t=0; the third is suppressed.
-  lg.log(LogLevel::kInfo, 0.0, "a");
-  lg.log(LogLevel::kInfo, 0.0, "b");
-  lg.log(LogLevel::kInfo, 0.0, "c");
-  EXPECT_EQ(emitted(), 2u);
-  EXPECT_EQ(suppressed(), 1u);
-  // 1.5 sim-seconds later the bucket holds one token again.
-  lg.log(LogLevel::kInfo, 1.5, "d");
-  lg.log(LogLevel::kInfo, 1.5, "e");
+  // A file path: the logger appends one line per event and closes the
+  // file when the sink is replaced.
+  const fs::path file = fs::path(::testing::TempDir()) /
+                        "log_sink_SinkPathWritesToAFileOrStandardError.jsonl";
+  fs::remove(file);
+  lg.set_sink_path(file.string());
+  ASSERT_TRUE(lg.enabled());
+  lg.log(LogLevel::kInfo, 2.5, "test.path");
+  lg.set_sink(nullptr);
+  lg.log(LogLevel::kInfo, 3.0, "after.close");
+  std::ifstream in(file);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, std::string(line) + "\n");
+  fs::remove(file);
+
+  // A path that cannot be opened for writing leaves the logger off.
+  lg.set_sink_path(::testing::TempDir());
+  EXPECT_FALSE(lg.enabled());
+
+  // "-" and "stderr" name standard error.
+  for (const char* name : {"-", "stderr"}) {
+    ::testing::internal::CaptureStderr();
+    lg.set_sink_path(name);
+    EXPECT_TRUE(lg.enabled()) << name;
+    lg.log(LogLevel::kInfo, 2.5, "test.path");
+    lg.set_sink(nullptr);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              std::string(line) + "\n")
+        << name;
+  }
   EXPECT_EQ(emitted(), 3u);
-  EXPECT_EQ(suppressed(), 2u);
-}
-
-TEST_F(LoggerTest, NonMonotoneTimestampsRefillNothing) {
-  Logger& lg = Logger::global();
-  lg.set_rate_limit(1000.0, 1.0);
-  lg.log(LogLevel::kInfo, 5.0, "a");
-  // Going backwards in sim time must not mint tokens, no matter the rate.
-  lg.log(LogLevel::kInfo, 1.0, "b");
-  lg.log(LogLevel::kInfo, 0.0, "c");
-  EXPECT_EQ(emitted(), 1u);
-  EXPECT_EQ(suppressed(), 2u);
-}
-
-TEST_F(LoggerTest, ReplaySuppressesIdentically) {
-  // Determinism pin: the same (t_s, event) stream yields the same
-  // emitted/suppressed pattern -- and therefore the same sink bytes --
-  // on every replay.
-  const auto run = [](std::ostringstream& os) {
-    Logger& lg = Logger::global();
-    lg.set_sink(&os);
-    lg.set_rate_limit(2.0, 3.0);
-    for (int i = 0; i < 40; ++i) {
-      lg.log(LogLevel::kInfo, 0.1 * i, "replay.event",
-             [&](JsonWriter& w) { w.kv("i", static_cast<std::uint64_t>(i)); });
-    }
-    lg.set_rate_limit(0.0, 0.0);
-  };
-  std::ostringstream first;
-  std::ostringstream second;
-  run(first);
-  run(second);
-  EXPECT_EQ(first.str(), second.str());
-  EXPECT_FALSE(first.str().empty());
-  Logger::global().set_sink(&sink_);
 }
 
 TEST(LogLevelName, WireNames) {
-  EXPECT_EQ(log_level_name(LogLevel::kDebug), "debug");
   EXPECT_EQ(log_level_name(LogLevel::kInfo), "info");
   EXPECT_EQ(log_level_name(LogLevel::kWarn), "warn");
-  EXPECT_EQ(log_level_name(LogLevel::kError), "error");
 }
 
 }  // namespace

@@ -107,6 +107,10 @@ TEST(RollingWindow, StepBeforeTimeZeroCounts) {
   EXPECT_EQ(s.count, 1u);
   EXPECT_EQ(s.counts[1], 1u);
   EXPECT_EQ(s.min, 0.002);
+  // Step 15 is live together with step -1 (the window spans steps
+  // -4..15), so it must not reuse step -1's ring slot.
+  w.observe(7.6, 0.002);
+  EXPECT_EQ(w.stats().count, 2u);
 }
 
 TEST(RollingWindow, OneStepMatchesTheRegistryHistogram) {

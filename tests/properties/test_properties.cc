@@ -77,7 +77,6 @@ TEST_P(MalusProperty, ComplementAndBounds) {
   EXPECT_GE(m, 0.0);
   EXPECT_LE(m, 1.0);
   EXPECT_NEAR(m + em::malus_factor(kPi / 2.0 - beta), 1.0, 1e-12);
-  EXPECT_LE(em::backscatter_malus_factor(beta), m + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(Angles, MalusProperty,

