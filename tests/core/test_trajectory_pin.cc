@@ -24,6 +24,10 @@
 // A third pins the two baselines end to end: every position Tagoram and
 // RF-IDraw decode for fixed-seed letters through eval::run_trial, so a
 // change to their windowing, scoring or beam search shows here.
+//
+// A fourth pins the simulated inputs no decode pin reaches: the in-air
+// drift of the handwriting synthesizer and the WISP accelerometer stream
+// with its touch flags.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -37,6 +41,7 @@
 #include "core/streaming_decoder.h"
 #include "eval/harness.h"
 #include "handwriting/synthesizer.h"
+#include "rfid/wisp.h"
 #include "server/session_server.h"
 #include "sim/scene.h"
 
@@ -60,6 +65,11 @@ class Hash {
   void add(const Vec2& p) {
     add(p.x);
     add(p.y);
+  }
+  void add(const Vec3& p) {
+    add(p.x);
+    add(p.y);
+    add(p.z);
   }
   void add(const core::DirectionEstimate& d) {
     add(static_cast<int>(d.type));
@@ -393,6 +403,50 @@ TEST(TrajectoryPin, BaselinesBitExact) {
                                  << c.letter << " got 0x" << std::hex
                                  << h.value();
   }
+}
+
+TEST(TrajectoryPin, InAirTraceAndWispStreamBitExact) {
+  // Every sample of an in-air trace: the kinematics, the wrist and the
+  // out-of-plane and in-plane drift random walks.
+  Hash air;
+  handwriting::SynthesisConfig synth;
+  synth.in_air = true;
+  Rng rng(17);
+  for (const char* letters : {"G", "W"}) {
+    const auto trace = handwriting::synthesize(letters, synth, rng);
+    air.add(static_cast<std::uint64_t>(trace.samples.size()));
+    for (const handwriting::TraceSample& s : trace.samples) {
+      air.add(s.t_s);
+      air.add(s.pen_tip);
+      air.add(s.tag_pos);
+      air.add(s.angles.elevation_rad);
+      air.add(s.angles.azimuth_rad);
+      air.add(s.pen_down);
+    }
+  }
+  EXPECT_EQ(air.value(), 0xc369aa74b9d5147bull) << "got 0x" << std::hex << air.value();
+
+  // The accelerometer stream and touch flags of one on-board letter.
+  Rng board_rng(18);
+  const auto trace =
+      handwriting::synthesize("H", handwriting::SynthesisConfig{}, board_rng);
+  rfid::WispConfig wcfg;
+  Rng wisp_rng(19);
+  const auto accel = rfid::simulate_wisp(trace, wcfg, wisp_rng);
+  const auto touch = rfid::detect_touch(accel, core::PolarDrawConfig{}.window_s);
+  int touching = 0;
+  for (const bool t : touch) touching += t ? 1 : 0;
+  EXPECT_GT(touching, 0);
+  EXPECT_LT(touching, static_cast<int>(touch.size()));
+  Hash wisp;
+  wisp.add(static_cast<std::uint64_t>(accel.size()));
+  for (const rfid::AccelSample& a : accel) {
+    wisp.add(a.t_s);
+    wisp.add(a.accel);
+  }
+  wisp.add(static_cast<std::uint64_t>(touch.size()));
+  for (const bool t : touch) wisp.add(t);
+  EXPECT_EQ(wisp.value(), 0x2bd5f6d43344fba3ull) << "got 0x" << std::hex << wisp.value();
 }
 
 TEST(TrajectoryPin, RecognitionAccuracyExact) {
