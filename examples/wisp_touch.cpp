@@ -37,15 +37,14 @@ int main(int argc, char** argv) {
   const auto result = tracker.track(reports, &cal);
 
   // WISP accelerometer stream + touch detection, windowed like the tracker.
-  rfid::WispConfig wcfg;
   Rng wisp_rng(12);
-  const auto accel = rfid::simulate_wisp(trace, wcfg, wisp_rng);
+  const auto accel = rfid::simulate_wisp(trace, wisp_rng);
   const auto touch = rfid::detect_touch(accel, algo.window_s);
 
   // Drop pen-up windows from the trail (offset by the tracker's warmup trim).
   std::vector<Vec2> ink_only;
   for (std::size_t i = 0; i < result.trajectory.size(); ++i) {
-    const std::size_t w = i + static_cast<std::size_t>(algo.warmup_windows);
+    const std::size_t w = i + static_cast<std::size_t>(core::kWarmupWindows);
     if (w < touch.size() && !touch[w]) continue;
     ink_only.push_back(result.trajectory[i]);
   }

@@ -44,9 +44,4 @@ class RunningStats {
 /// Sorts a copy; fine for evaluation-sized vectors.
 [[nodiscard]] double percentile(std::vector<double> values, double p);
 
-/// Median convenience wrapper.
-[[nodiscard]] inline double median(std::vector<double> values) {
-  return percentile(std::move(values), 50.0);
-}
-
 }  // namespace polardraw

@@ -2,8 +2,10 @@
 //
 // Defaults follow the paper's published choices where those transfer to
 // this simulation substrate; the handful that were re-tuned say so in
-// their comments and are justified in DESIGN.md section 7. Every value is
-// a knob so the sweeps (Tables 7-8, bench_ablation_design) can vary them.
+// their comments and are justified in DESIGN.md section 7. A field is a
+// knob because a caller varies it: the Table 7-8 sweeps, the Table 6 and
+// bench_ablation_design ablations, the harness and the multi-pen bench.
+// A value no caller varies is a named constant.
 #pragma once
 
 #include <cstddef>
@@ -12,6 +14,33 @@
 #include "em/constants.h"
 
 namespace polardraw::core {
+
+// ----- Motion classification (section 3.3) -----
+/// RSS-change threshold separating rotational from translational motion,
+/// dB per window. The paper tuned delta = 2 dBm for its writers; the
+/// synthetic wrist rotates more smoothly, so the substrate's optimum is
+/// lower.
+inline constexpr double kRotationRssDeltaDb = 1.0;
+
+// ----- Rotational tracking (section 3.3.1) -----
+/// Azimuth step per window while rotating, radians. Paper: 6 degrees;
+/// matched here to the synthetic wrist's typical angular rate.
+inline constexpr double kDeltaBetaRad = deg2rad(5.0);
+/// Per-antenna RSS-change threshold gating the azimuth step (Eq. 4).
+/// The paper tuned 1.5 dBm on its hardware; on this substrate one
+/// antenna always sits near its flat response peak during mid-sector
+/// rotation, so a lower per-antenna gate tracks markedly better.
+inline constexpr double kDeltaBetaGateDb = 0.5;
+
+// ----- HMM tracking (section 3.5) -----
+/// Penalty weight on step length for windows with no phase observation
+/// (prevents arbitrary drift on observation-free windows; zero restores
+/// the paper's strictly-uniform transition).
+inline constexpr double kUnobservedStepPenalty = 0.2;
+/// Leading windows dropped from the returned trajectory while the
+/// track anchors onto the hyperbola field (the decode still runs over
+/// them).
+inline constexpr int kWarmupWindows = 8;
 
 struct PolarDrawConfig {
   // ----- Pre-processing (section 3.1) -----
@@ -31,23 +60,6 @@ struct PolarDrawConfig {
   /// Inter-antenna polarization half-angle gamma (must match the rig).
   /// Paper: 15 degrees (Table 8 sweeps it).
   double gamma_rad = deg2rad(15.0);
-
-  // ----- Motion classification (section 3.3) -----
-  /// RSS-change threshold separating rotational from translational motion,
-  /// dB per window. The paper tuned delta = 2 dBm for its writers; the
-  /// synthetic wrist rotates more smoothly, so the substrate's optimum is
-  /// lower.
-  double rotation_rss_delta_db = 1.0;
-
-  // ----- Rotational tracking (section 3.3.1) -----
-  /// Azimuth step per window while rotating, radians. Paper: 6 degrees;
-  /// matched here to the synthetic wrist's typical angular rate.
-  double delta_beta_rad = deg2rad(5.0);
-  /// Per-antenna RSS-change threshold gating the azimuth step (Eq. 4).
-  /// The paper tuned 1.5 dBm on its hardware; on this substrate one
-  /// antenna always sits near its flat response peak during mid-sector
-  /// rotation, so a lower per-antenna gate tracks markedly better.
-  double delta_beta_gate_db = 0.5;
 
   // ----- Distance estimation (section 3.4) -----
   /// Maximum assumed pen speed, m/s. Paper: 0.2 m/s.
@@ -89,17 +101,9 @@ struct PolarDrawConfig {
   /// higher sharpness (term^power) keeps the decoded path on the measured
   /// hyperbola family. 1.0 reproduces the paper exactly.
   double hyperbola_sharpness = 6.0;
-  /// Penalty weight on step length for windows with no phase observation
-  /// (prevents arbitrary drift on observation-free windows; zero restores
-  /// the paper's strictly-uniform transition).
-  double unobserved_step_penalty = 0.2;
   /// Board extent covered by the state grid, meters.
   double board_width_m = 1.0;
   double board_height_m = 0.6;
-  /// Leading windows dropped from the returned trajectory while the
-  /// track anchors onto the hyperbola field (the decode still runs over
-  /// them). 0 returns everything.
-  int warmup_windows = 8;
   /// Beam width: max live states kept per Viterbi step (pure-paper Viterbi
   /// over the full grid is O(states^2)). It trades decode cost, linear in
   /// the width, for accuracy: fig13 letter accuracy (A-Z x 10 reps, seed

@@ -259,7 +259,7 @@ void fill_lanes(const PolarDrawConfig& cfg, const WindowTerms& w, int cols,
         // (an undetected motion is a small motion), otherwise the annulus
         // blocks tie and the argmax drifts.
         const double frac = step_m / w.upper_m;
-        logw += -cfg.unobserved_step_penalty * frac * frac;
+        logw += -kUnobservedStepPenalty * frac * frac;
       }
       const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(dr) * box_w + dc;
       if (edge) {

@@ -36,8 +36,7 @@ MotionFrontEnd::Step MotionFrontEnd::push(const Window& w) {
   const bool phase_direction = dtheta_ok && cfg_.use_phase_direction;
   const bool rotational =
       cfg_.use_polarization && ds_ok &&
-      std::max(std::fabs(ds[0]), std::fabs(ds[1])) >=
-          cfg_.rotation_rss_delta_db;
+      std::max(std::fabs(ds[0]), std::fabs(ds[1])) >= kRotationRssDeltaDb;
   if (rotational) {
     dir = rotation_.step(ds[0], ds[1]);
     // If the trend pattern did not decode, fall through to translation.

@@ -5,7 +5,7 @@
 // For each gated Window it differences RSS and unwrapped phase against the
 // previous valid window per antenna, classifies the motion by the RSS-trend
 // split (rotational when either antenna's RSS moved by at least
-// rotation_rss_delta_db, else translational from the phase trends), runs
+// kRotationRssDeltaDb, else translational from the phase trends), runs
 // the rotation or translation direction decode, and bounds the
 // displacement (Eq. 5 annulus + Eq. 7 hyperbola data). Directions are then
 // smoothed with a [1/4 1/2 1/4] kernel over raw neighbours; because that

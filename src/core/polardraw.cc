@@ -72,9 +72,8 @@ TrackingResult PolarDraw::track(const rfid::TagReportStream& reports,
   result.azimuth_correction_rad = front.azimuth_correction_rad();
   traj = correct_initial_azimuth(cfg_, std::move(traj),
                                  result.azimuth_correction_rad);
-  if (cfg_.warmup_windows > 0 &&
-      traj.size() > static_cast<std::size_t>(cfg_.warmup_windows) + 8) {
-    traj.erase(traj.begin(), traj.begin() + cfg_.warmup_windows);
+  if (traj.size() > static_cast<std::size_t>(kWarmupWindows) + 8) {
+    traj.erase(traj.begin(), traj.begin() + kWarmupWindows);
   }
   result.trajectory = std::move(traj);
   return result;

@@ -23,7 +23,7 @@ namespace polardraw::core {
 /// Result of tracking one writing session.
 struct TrackingResult {
   /// Recovered pen trajectory (meters): the decode's start point plus one
-  /// point per window, less the `warmup_windows` leading points, which are
+  /// point per window, less the `kWarmupWindows` leading points, which are
   /// trimmed whenever that leaves more than 8.
   std::vector<Vec2> trajectory;
   /// One raw (unsmoothed) estimate per window. Untrimmed, it has one

@@ -187,11 +187,12 @@ DirectionEstimate RotationTracker::step(double ds1, double ds2) {
   // to indicate genuine rotation. The paper gates on both antennas; near
   // an antenna's response peak its own RSS flattens, so we gate on the
   // stronger change with a reduced requirement on the weaker one.
-  const double gate = cfg_.delta_beta_gate_db;
   const double strong = std::max(std::fabs(ds1), std::fabs(ds2));
   const double weak = std::min(std::fabs(ds1), std::fabs(ds2));
   const double step_rad =
-      (strong > gate && weak > 0.2 * gate) ? cfg_.delta_beta_rad : 0.0;
+      (strong > kDeltaBetaGateDb && weak > 0.2 * kDeltaBetaGateDb)
+          ? kDeltaBetaRad
+          : 0.0;
   alpha_a_rad_ += sense == RotationSense::kClockwise ? -step_rad : step_rad;
   // Keep the azimuth inside the sector union [gamma, pi - gamma].
   const double lo = cfg_.gamma_rad, hi = kPi - cfg_.gamma_rad;

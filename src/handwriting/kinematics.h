@@ -19,27 +19,23 @@ struct PathSample {
   bool pen_down = true;  // false while hopping between strokes
 };
 
+/// Speed while moving (pen lifted) between strokes, m/s.
+inline constexpr double kTransitSpeed = 0.16;
+/// Fraction of cruise speed at a sharp corner (cosine-of-turn scaled).
+inline constexpr double kCornerSlowdown = 0.35;
+/// Dwell before starting each stroke, seconds.
+inline constexpr double kStrokeStartPauseS = 0.08;
+/// Extra dwell at the very first stroke start (the writer settles the
+/// pen before writing); also gives trackers time to anchor.
+inline constexpr double kInitialDwellS = 0.6;
+/// Output sampling interval, seconds. 5 ms comfortably oversamples the
+/// reader's ~100 Hz interrogation so the reader can interpolate.
+inline constexpr double kSampleDt = 0.005;
+
 struct KinematicsConfig {
   /// Cruise writing speed along a stroke, m/s. Typical board writing is
   /// 5-15 cm/s; the paper bounds the tracker at vmax = 0.2 m/s.
   double cruise_speed = 0.10;
-
-  /// Speed while moving (pen lifted) between strokes, m/s.
-  double transit_speed = 0.16;
-
-  /// Fraction of cruise speed at a sharp corner (cosine-of-turn scaled).
-  double corner_slowdown = 0.35;
-
-  /// Dwell before starting each stroke, seconds.
-  double stroke_start_pause_s = 0.08;
-
-  /// Extra dwell at the very first stroke start (the writer settles the
-  /// pen before writing); also gives trackers time to anchor.
-  double initial_dwell_s = 0.6;
-
-  /// Output sampling interval, seconds. 5 ms comfortably oversamples the
-  /// reader's ~100 Hz interrogation so the reader can interpolate.
-  double sample_dt = 0.005;
 
   /// Random speed wobble (fractional std-dev).
   double speed_jitter = 0.10;

@@ -45,10 +45,10 @@ WritingTrace synthesize(const std::string& text, const SynthesisConfig& cfg,
   double size = cfg.letter_size_m;
   Vec2 origin = cfg.origin;
   if (cfg.auto_center && advance_units > 0.0) {
-    if (advance_units * size > cfg.max_width_m) {
-      size = cfg.max_width_m / advance_units;  // shrink long words to fit
+    if (advance_units * size > kMaxWidthM) {
+      size = kMaxWidthM / advance_units;  // shrink long words to fit
     }
-    origin.x = cfg.board_center_x_m - advance_units * size / 2.0;
+    origin.x = kBoardCenterXM - advance_units * size / 2.0;
   }
 
   std::vector<Stroke> all_strokes;
@@ -84,12 +84,11 @@ WritingTrace synthesize(const std::string& text, const SynthesisConfig& cfg,
     Vec2 xy = p.pos;
     double z = 0.0;
     if (cfg.in_air) {
-      const double dt = cfg.user.kinematics.sample_dt;
-      z_drift += air_rng.gaussian(0.0, cfg.air_depth_wander_m * std::sqrt(dt));
+      z_drift += air_rng.gaussian(0.0, kAirDepthWanderM * std::sqrt(kSampleDt));
       plane_drift.x +=
-          air_rng.gaussian(0.0, cfg.air_plane_drift_m * std::sqrt(dt));
+          air_rng.gaussian(0.0, kAirPlaneDriftM * std::sqrt(kSampleDt));
       plane_drift.y +=
-          air_rng.gaussian(0.0, cfg.air_plane_drift_m * std::sqrt(dt));
+          air_rng.gaussian(0.0, kAirPlaneDriftM * std::sqrt(kSampleDt));
       xy += plane_drift;
       z = z_drift;
     }

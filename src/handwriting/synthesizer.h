@@ -37,6 +37,13 @@ struct WritingTrace {
   double duration_s = 0.0;
 };
 
+/// SynthesisConfig::auto_center's text center and widest word, meters.
+inline constexpr double kBoardCenterXM = 0.5;
+inline constexpr double kMaxWidthM = 0.8;
+/// SynthesisConfig::in_air's random walks, meters.
+inline constexpr double kAirDepthWanderM = 0.03;  // z drift std over a letter
+inline constexpr double kAirPlaneDriftM = 0.015;  // in-plane frame drift
+
 struct SynthesisConfig {
   UserStyle user = user_style(1);
   double letter_size_m = 0.20;  // the paper writes ~20 cm letters
@@ -46,8 +53,6 @@ struct SynthesisConfig {
   /// rig (the paper's Fig. 17 writing block sits between the antennas),
   /// shrinking the letter size if a long word would not fit the board.
   bool auto_center = true;
-  double board_center_x_m = 0.5;
-  double max_width_m = 0.8;
 
   /// Distance from the pen tip to the tag center along the barrel,
   /// meters. The tag is taped partway up the pen, so wrist rotation
@@ -58,8 +63,6 @@ struct SynthesisConfig {
   /// In-air mode: no board constrains the pen, so the trajectory wanders
   /// out of plane and the letter frame drifts (paper section 5.2.3).
   bool in_air = false;
-  double air_depth_wander_m = 0.03;   // z drift std over a letter
-  double air_plane_drift_m = 0.015;   // in-plane frame drift
 };
 
 /// Synthesizes one word (or single letter) of writing.

@@ -46,7 +46,7 @@ em::PenAngles WristModel::step(const PathSample& sample) {
     const Vec2 radius = sample.pos - pivot_;
     const double len = radius.norm();
     double ar;
-    if (len < style_.min_reach_m) {
+    if (len < kMinReachM) {
       // The tip has come back over the hand; real writers keep the pen
       // angle and retreat the hand, so hold the previous angle while the
       // reach clamp below slides the pivot away.
@@ -59,7 +59,7 @@ em::PenAngles WristModel::step(const PathSample& sample) {
     const double hi = kPi / 2.0 + style_.alpha_r_half_range_rad;
     const double ar_clamped = std::clamp(ar, lo, hi);
     const double len_clamped =
-        std::clamp(len, style_.min_reach_m, style_.max_reach_m);
+        std::clamp(len, kMinReachM, style_.max_reach_m);
     if (ar_clamped != ar || len_clamped != len) {
       // Slide: keep the tip, move the pivot to the clamped posture.
       // The radius direction from pivot to tip is "up-ish" (the hand sits
@@ -70,7 +70,7 @@ em::PenAngles WristModel::step(const PathSample& sample) {
     }
     last_ar_ = ar;
 
-    const double elevation = style_.elevation_rad + elevation_offset_rad_;
+    const double elevation = kElevationRad + elevation_offset_rad_;
     azimuth_rad_ = azimuth_from_rotation(ar, elevation);
   }
 
@@ -82,7 +82,7 @@ em::PenAngles WristModel::step(const PathSample& sample) {
   double az = azimuth_rad_ + rng_.gaussian(0.0, style_.tremor_rad);
   az = std::clamp(az, deg2rad(8.0), deg2rad(172.0));
 
-  return em::PenAngles{style_.elevation_rad + elevation_offset_rad_, az};
+  return em::PenAngles{kElevationRad + elevation_offset_rad_, az};
 }
 
 }  // namespace polardraw::handwriting

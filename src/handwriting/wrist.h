@@ -26,10 +26,13 @@
 
 namespace polardraw::handwriting {
 
-struct WristStyle {
-  /// Mean pen elevation angle, radians (paper's alpha_e_rad, ~30 deg typical).
-  double elevation_rad = 0.5235987755982988;  // 30 deg
+/// Mean pen elevation angle, radians (paper's alpha_e_rad, ~30 deg typical).
+inline constexpr double kElevationRad = 0.5235987755982988;  // 30 deg
+/// Minimum reach (pivot-to-tip distance), meters; the hand slides to stay
+/// outside it.
+inline constexpr double kMinReachM = 0.015;
 
+struct WristStyle {
   /// Slow elevation wander (std-dev, radians) around the mean.
   double elevation_wander_rad = 0.05;
 
@@ -44,9 +47,8 @@ struct WristStyle {
   /// rotates.
   double alpha_r_half_range_rad = 1.0;  // ~57 deg
 
-  /// Reach (pivot-to-tip distance) limits, meters; the hand slides to
-  /// stay inside them.
-  double min_reach_m = 0.015;
+  /// Maximum reach (pivot-to-tip distance), meters; the hand slides to
+  /// stay inside it.
   double max_reach_m = 0.11;
 
   /// Azimuth tremor (std-dev per sample, radians).

@@ -62,6 +62,10 @@ void Logger::set_sink_path(std::string_view path) {
   } else {
     auto f = std::make_unique<std::ofstream>(std::string(path),
                                              std::ios::out | std::ios::app);
+    if (!f->is_open()) {
+      std::cerr << "polardraw: cannot open log sink " << path
+                << "; logging stays off\n";
+    }
     impl_->sink = f->is_open() ? f.get() : nullptr;
     impl_->owned_sink = std::move(f);
   }

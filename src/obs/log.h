@@ -50,7 +50,9 @@ class Logger {
   /// Points the logger at a stream (not owned; nullptr disables). The
   /// caller keeps the stream alive until the next set_sink.
   void set_sink(std::ostream* os);
-  /// Opens `path` ("-"/"stderr" = standard error) as an owned sink.
+  /// Opens `path` ("-"/"stderr" = standard error) as an owned sink. A
+  /// path that cannot be opened leaves the logger off and says so in one
+  /// line on standard error.
   void set_sink_path(std::string_view path);
 
   [[nodiscard]] bool enabled() const;

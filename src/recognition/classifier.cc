@@ -87,15 +87,6 @@ Classification LetterClassifier::classify(
   return out;
 }
 
-std::string LetterClassifier::classify_word(const std::vector<Vec2>& trajectory,
-                                            std::size_t letters) const {
-  std::string word;
-  for (const Classification& c : classify_word_detailed(trajectory, letters)) {
-    word.push_back(c.letter);
-  }
-  return word;
-}
-
 std::vector<Classification> LetterClassifier::classify_word_detailed(
     const std::vector<Vec2>& trajectory, std::size_t letters) const {
   std::vector<Classification> out;
@@ -237,13 +228,6 @@ double ConfusionMatrix::rate(char truth, char predicted) const {
   for (int v : cells_[r]) row_total += v;
   if (row_total == 0) return 0.0;
   return static_cast<double>(count(truth, predicted)) / row_total;
-}
-
-double ConfusionMatrix::overall_accuracy() const {
-  if (total_ == 0) return 0.0;
-  int diag = 0;
-  for (std::size_t i = 0; i < 26; ++i) diag += cells_[i][i];
-  return static_cast<double>(diag) / total_;
 }
 
 std::optional<char> ConfusionMatrix::top_confusion(char truth) const {

@@ -35,13 +35,9 @@ class LetterClassifier {
 
   /// Classifies each letter of a word given the recovered trajectory and
   /// the number of letters; the trajectory is segmented into per-letter
-  /// x bands via 1-D k-means (letters are written left to right).
-  std::string classify_word(const std::vector<Vec2>& trajectory,
-                            std::size_t letters) const;
-
-  /// Per-segment classifications for a word trajectory: the same
-  /// segmentation as classify_word, returning each segment's full
-  /// Classification (best + runner-up letters and scores).
+  /// x bands via 1-D k-means (letters are written left to right). Returns
+  /// each segment's full Classification (best + runner-up letters and
+  /// scores).
   std::vector<Classification> classify_word_detailed(
       const std::vector<Vec2>& trajectory, std::size_t letters) const;
 
@@ -80,8 +76,6 @@ class ConfusionMatrix {
   double rate(char truth, char predicted) const;
   /// Per-letter recognition accuracy (diagonal rate).
   double accuracy(char truth) const { return rate(truth, truth); }
-  /// Overall accuracy across all recorded samples.
-  double overall_accuracy() const;
   int total() const { return total_; }
 
   /// Most confused off-diagonal pair for a given truth letter.

@@ -36,7 +36,7 @@ Gen2Round Gen2Inventory::run_round(int num_tags) {
     if (n == 0) {
       ++round.empties;
       round.duration_s += cfg_.slot_s;
-      q_float = std::max(cfg_.min_q, q_float - cfg_.q_step);
+      q_float = std::max(cfg_.min_q, q_float - kQStep);
     } else if (n == 1) {
       ++round.singletons;
       round.read_tags.push_back(winner[static_cast<std::size_t>(s)]);
@@ -48,7 +48,7 @@ Gen2Round Gen2Inventory::run_round(int num_tags) {
       // Empties slightly outnumber collisions at the optimum load, so the
       // collision step is larger (the standard leaves the ratio to the
       // implementation; ~1.7 balances near one tag per slot).
-      q_float = std::min(cfg_.max_q, q_float + 1.7 * cfg_.q_step);
+      q_float = std::min(cfg_.max_q, q_float + 1.7 * kQStep);
     }
     ++round.processed;
     if (std::lround(q_float) != q_int) break;  // QueryAdjust: re-frame

@@ -25,11 +25,12 @@
 
 namespace polardraw::rfid {
 
+/// Q adaptation step (the standard's C constant, 0.1-0.5).
+inline constexpr double kQStep = 0.3;
+
 struct Gen2Config {
   /// Initial Q (2^Q slots per round). Speedway-class readers start ~4.
   double initial_q = 4.0;
-  /// Q adaptation step (the standard's C constant, 0.1-0.5).
-  double q_step = 0.3;
   double min_q = 0.0;
   double max_q = 15.0;
   /// Slot duration, seconds (assumes FM0 at typical link timing).

@@ -4,8 +4,10 @@
 
 #include "common/angles.h"
 #include "common/stats.h"
+#include "em/propagation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rfid/gen2.h"
 
 namespace polardraw::rfid {
 
@@ -45,12 +47,11 @@ std::optional<TagReport> Reader::interrogate(int antenna_id, const em::Tag& tag,
   // FCC frequency hopping: a pseudo-random channel per dwell interval
   // shifts the carrier within 902-928 MHz and applies a stable per-channel
   // RF-chain phase offset.
-  em::TxConfig tx = config_.tx;
+  em::TxConfig tx;
   int hop_channel = 0;
   double channel_phase_offset = 0.0;
   if (config_.frequency_hopping && config_.hop_channels > 1) {
-    const auto dwell =
-        static_cast<std::uint64_t>(t_s / std::max(config_.hop_dwell_s, 1e-3));
+    const auto dwell = static_cast<std::uint64_t>(t_s / kHopDwellS);
     // Deterministic per-dwell channel from a hash of the dwell index.
     const std::uint64_t h =
         dwell * 6364136223846793005ull + 1442695040888963407ull;
@@ -148,11 +149,11 @@ TagReportStream Reader::inventory_population(const std::vector<TagEntry>& tags,
       config_.aggregate_read_rate_hz * rate_factor(modulation_);
   if (rate <= 0.0) return out;
 
-  // Rescale the Gen2 air timing so a lone, fully-adapted tag (one slot
-  // per round, every slot a read) hits the configured aggregate rate;
-  // contention then eats into that budget through collisions and empties
-  // instead of dividing it evenly.
-  Gen2Config g = config_.gen2;
+  // Rescale the default Gen2 air timing so a lone, fully-adapted tag (one
+  // slot per round, every slot a read) hits the configured aggregate rate:
+  // the modulation keeps its rate semantics, and contention eats into that
+  // budget through collisions and empties instead of dividing it evenly.
+  Gen2Config g;
   const double base_s = g.slot_s + g.read_s;
   if (base_s <= 0.0) return out;
   const double scale = (1.0 / base_s) / rate;

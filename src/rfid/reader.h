@@ -22,16 +22,17 @@
 #include "channel/noise.h"
 #include "common/rng.h"
 #include "em/antenna.h"
-#include "em/propagation.h"
 #include "em/tag.h"
-#include "rfid/gen2.h"
 #include "rfid/modulation.h"
 #include "rfid/tag_report.h"
 
 namespace polardraw::rfid {
 
+/// FCC hop dwell, seconds: readers in the 902-928 MHz band must hop among
+/// 50 channels with at most 0.4 s on each.
+inline constexpr double kHopDwellS = 0.4;
+
 struct ReaderConfig {
-  em::TxConfig tx;
   channel::NoiseConfig noise;
 
   /// Aggregate interrogation rate across all antenna ports, Hz.
@@ -45,22 +46,13 @@ struct ReaderConfig {
   bool auto_select_modulation = true;
   Modulation fixed_modulation = Modulation::kMiller4;
 
-  /// FCC frequency hopping: readers in the 902-928 MHz band must hop
-  /// among 50 channels (max 0.4 s dwell). Hopping changes the wavelength
-  /// slightly and, more importantly, the per-channel RF-chain phase
-  /// offset -- phase comparisons across a hop boundary are meaningless
-  /// without per-channel calibration. Off by default (the paper operates
-  /// single-channel); bench/tests exercise it.
+  /// FCC frequency hopping among `hop_channels` channels, kHopDwellS on
+  /// each. Hopping changes the wavelength slightly and, more importantly,
+  /// the per-channel RF-chain phase offset -- phase comparisons across a
+  /// hop boundary are meaningless without per-channel calibration. Off by
+  /// default (the paper operates single-channel); bench/tests exercise it.
   bool frequency_hopping = false;
   int hop_channels = 50;
-  double hop_dwell_s = 0.4;
-
-  /// Slot-level Gen2 MAC parameters for the multi-tag inventory. The air
-  /// timing (slot_s/read_s) is rescaled at inventory time so a lone,
-  /// fully-adapted tag reads at `aggregate_read_rate_hz * rate_factor(m)`
-  /// -- the modulation keeps its rate semantics, and the Gen2 knobs only
-  /// shape how that budget divides under contention.
-  Gen2Config gen2;
 };
 
 /// Callback that positions/orients the tag at a given simulation time.

@@ -7,11 +7,11 @@
 namespace polardraw::rfid {
 
 std::vector<AccelSample> simulate_wisp(const handwriting::WritingTrace& trace,
-                                       const WispConfig& cfg, Rng& rng) {
+                                       Rng& rng) {
   std::vector<AccelSample> out;
-  if (trace.samples.size() < 3 || cfg.sample_rate_hz <= 0.0) return out;
+  if (trace.samples.size() < 3) return out;
 
-  const double dt = 1.0 / cfg.sample_rate_hz;
+  const double dt = 1.0 / kWispSampleRateHz;
   const double t_end = trace.samples.back().t_s;
   out.reserve(static_cast<std::size_t>(t_end / dt) + 1);
 
@@ -47,26 +47,26 @@ std::vector<AccelSample> simulate_wisp(const handwriting::WritingTrace& trace,
     AccelSample s;
     s.t_s = t;
     // Gravity along -Y (the board hangs vertically).
-    s.accel = Vec3{0.0, -cfg.gravity, 0.0} + motion_accel;
+    s.accel = Vec3{0.0, -kGravity, 0.0} + motion_accel;
     // Friction vibration only while the moving pen presses the board:
     // a jittered-frequency tone, strongest along the motion direction.
     const double speed = v.norm();
     if (pen_down_at(t) && speed > 0.01) {
       phase += (40.0 + rng.uniform(0.0, 25.0)) * kTwoPi * dt;
-      const double tone = std::sin(phase) * cfg.friction_rms *
+      const double tone = std::sin(phase) * kWispFrictionRms *
                           std::min(speed / 0.05, 1.5);
       s.accel += Vec3{tone * 0.7, tone * 0.3, tone * 0.6};
     }
-    s.accel += Vec3{rng.gaussian(0.0, cfg.noise_rms),
-                    rng.gaussian(0.0, cfg.noise_rms),
-                    rng.gaussian(0.0, cfg.noise_rms)};
+    s.accel += Vec3{rng.gaussian(0.0, kWispNoiseRms),
+                    rng.gaussian(0.0, kWispNoiseRms),
+                    rng.gaussian(0.0, kWispNoiseRms)};
     out.push_back(s);
   }
   return out;
 }
 
 std::vector<bool> detect_touch(const std::vector<AccelSample>& accel,
-                               double window_s, double threshold) {
+                               double window_s) {
   std::vector<bool> out;
   if (accel.size() < 2 || window_s <= 0.0) return out;
 
@@ -90,7 +90,7 @@ std::vector<bool> detect_touch(const std::vector<AccelSample>& accel,
     if (counts[static_cast<std::size_t>(w)] > 0) {
       const double rms = std::sqrt(energy[static_cast<std::size_t>(w)] /
                                    counts[static_cast<std::size_t>(w)]);
-      out[static_cast<std::size_t>(w)] = rms > threshold;
+      out[static_cast<std::size_t>(w)] = rms > kTouchThreshold;
     }
   }
   return out;

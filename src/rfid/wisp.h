@@ -24,25 +24,28 @@ struct AccelSample {
   Vec3 accel;
 };
 
-struct WispConfig {
-  double sample_rate_hz = 100.0;  // WISP-class ADCs run ~100 Hz duty-cycled
-  /// Friction vibration amplitude while the moving pen touches the board.
-  double friction_rms = 0.8;
-  /// Sensor noise floor (all axes).
-  double noise_rms = 0.05;
-  double gravity = 9.81;
-};
+/// WISP-class ADCs run ~100 Hz duty-cycled.
+inline constexpr double kWispSampleRateHz = 100.0;
+/// Friction vibration amplitude while the moving pen touches the board.
+inline constexpr double kWispFrictionRms = 0.8;
+/// Sensor noise floor (all axes).
+inline constexpr double kWispNoiseRms = 0.05;
+/// Standard gravity, m/s^2.
+inline constexpr double kGravity = 9.81;
+/// Per-window RMS of the first difference of |a| above which the pen
+/// touches the board.
+inline constexpr double kTouchThreshold = 0.3;
 
 /// Simulates the accelerometer stream for a writing trace: gravity (the
 /// board plane is vertical, so gravity lies along -Y), low-frequency
 /// motion acceleration, and the pen-down friction vibration.
 std::vector<AccelSample> simulate_wisp(const handwriting::WritingTrace& trace,
-                                       const WispConfig& cfg, Rng& rng);
+                                       Rng& rng);
 
 /// Touch (pen-down) detector: classifies each window of `window_s`
 /// seconds by the high-frequency energy of the accelerometer magnitude.
 /// Returns one flag per window (true = touching).
 std::vector<bool> detect_touch(const std::vector<AccelSample>& accel,
-                               double window_s, double threshold = 0.3);
+                               double window_s);
 
 }  // namespace polardraw::rfid

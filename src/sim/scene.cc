@@ -22,7 +22,7 @@ std::vector<em::ReaderAntenna> build_rig(const SceneConfig& cfg) {
   const double write_cy = 0.25;  // vertical center of the writing block
   const double top = write_cy + cfg.antenna_standoff_m;
   const double z = 0.12;  // slight out-of-board offset of the mounts
-  const double half = cfg.antenna_spacing_m / 2.0;
+  const double half = kAntennaSpacingM / 2.0;
 
   const auto face_down = [](em::ReaderAntenna a) {
     a.boresight = Vec3{0.0, -1.0, 0.0};

@@ -24,6 +24,9 @@ enum class RigLayout {
   kRfIdrawFourAntenna,    // 2 x 2 non-uniform AoA arrays (Fig. 17)
 };
 
+/// Horizontal spacing between the two PolarDraw antennas, meters.
+inline constexpr double kAntennaSpacingM = 0.565;  // 56 cm, per Fig. 17's rig
+
 struct SceneConfig {
   /// Board writing area, meters (the paper's plots span ~1.0 x 0.6 m).
   double board_width_m = 1.0;
@@ -39,9 +42,6 @@ struct SceneConfig {
 
   /// Inter-antenna polarization half-angle gamma (radians; Table 8 knob).
   double gamma_rad = 0.2617993877991494;  // 15 deg, the paper's default
-
-  /// Horizontal spacing between the two PolarDraw antennas, meters.
-  double antenna_spacing_m = 0.565;  // 56 cm, per Fig. 17's rig
 
   RigLayout layout = RigLayout::kPolarDrawTwoAntenna;
 

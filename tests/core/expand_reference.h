@@ -132,7 +132,7 @@ class ExpandReference {
             // phase is present, everywhere when it is not -- and the
             // argmax drifts.
             const double frac = step_m / w.upper_m;
-            weight *= std::exp(-cfg_.unobserved_step_penalty * frac * frac);
+            weight *= std::exp(-kUnobservedStepPenalty * frac * frac);
           }
 
           const float lp =

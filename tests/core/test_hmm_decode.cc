@@ -20,7 +20,6 @@ PolarDrawConfig small_config() {
   cfg.board_height_m = 0.3;
   cfg.block_m = 0.01;
   cfg.beam_width = 200;
-  cfg.warmup_windows = 0;
   return cfg;
 }
 

@@ -127,10 +127,7 @@ TEST(MotionDirection, PerpendicularToPenProjection) {
 }
 
 TEST(RotationTracker, TracksClockwiseSweep) {
-  auto cfg = config();
-  cfg.delta_beta_rad = deg2rad(6.0);
-  cfg.delta_beta_gate_db = 0.5;
-  RotationTracker tracker(cfg);
+  RotationTracker tracker(config());
   // Bootstrap in sector 2 clockwise, then keep rotating clockwise.
   auto est = tracker.step(-2.0, 2.0);
   EXPECT_EQ(est.type, MotionType::kRotational);
@@ -141,9 +138,7 @@ TEST(RotationTracker, TracksClockwiseSweep) {
 }
 
 TEST(RotationTracker, GateBlocksWeakSteps) {
-  auto cfg = config();
-  cfg.delta_beta_gate_db = 1.5;
-  RotationTracker tracker(cfg);
+  RotationTracker tracker(config());
   auto est = tracker.step(-2.0, 2.0);  // bootstrap
   const double az0 = est.alpha_a_rad;
   // Weak changes: sense decodes but the azimuth must not step.
@@ -152,9 +147,7 @@ TEST(RotationTracker, GateBlocksWeakSteps) {
 }
 
 TEST(RotationTracker, FirstSectorCrossingSetsTheCorrection) {
-  auto cfg = config();
-  cfg.delta_beta_rad = deg2rad(10.0);
-  cfg.delta_beta_gate_db = 0.1;
+  const auto cfg = config();
   RotationTracker tracker(cfg);
   // Bootstrap in sector 1 clockwise (seed at pi - gamma = 165 deg) and
   // rotate clockwise until the pattern flips to a sector-2 signature.
@@ -168,10 +161,10 @@ TEST(RotationTracker, FirstSectorCrossingSetsTheCorrection) {
   EXPECT_NE(correction, 0.0);
   ASSERT_TRUE(tracker.azimuth().has_value());
 
-  // Rotate on, clockwise, through sector 2 (105 -> 65 deg) and then with
-  // sector 3's clockwise signature (both RSS falling) to 45 deg.
+  // Rotate on, clockwise, through sector 2 (105 -> 85 deg) and then with
+  // sector 3's clockwise signature (both RSS falling) to 70 deg.
   for (int i = 0; i < 3; ++i) tracker.step(-2.0, 2.0);
-  for (int i = 0; i < 2; ++i) tracker.step(-3.0, -1.0);
+  for (int i = 0; i < 3; ++i) tracker.step(-3.0, -1.0);
   ASSERT_EQ(tracker.sector_of(*tracker.azimuth()), Sector::kSector3);
   EXPECT_EQ(tracker.azimuth_correction_rad(), correction);
   // The sector-2 clockwise pattern is impossible in sector 3: a second
@@ -183,9 +176,7 @@ TEST(RotationTracker, FirstSectorCrossingSetsTheCorrection) {
 }
 
 TEST(RotationTracker, AzimuthClampedToSectorUnion) {
-  auto cfg = config();
-  cfg.delta_beta_rad = deg2rad(20.0);
-  cfg.delta_beta_gate_db = 0.1;
+  const auto cfg = config();
   RotationTracker tracker(cfg);
   tracker.step(-3.0, -1.0);  // sector 3 clockwise, azimuth falling
   for (int i = 0; i < 20; ++i) tracker.step(-3.0, -1.0);

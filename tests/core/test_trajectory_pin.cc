@@ -430,9 +430,8 @@ TEST(TrajectoryPin, InAirTraceAndWispStreamBitExact) {
   Rng board_rng(18);
   const auto trace =
       handwriting::synthesize("H", handwriting::SynthesisConfig{}, board_rng);
-  rfid::WispConfig wcfg;
   Rng wisp_rng(19);
-  const auto accel = rfid::simulate_wisp(trace, wcfg, wisp_rng);
+  const auto accel = rfid::simulate_wisp(trace, wisp_rng);
   const auto touch = rfid::detect_touch(accel, core::PolarDrawConfig{}.window_s);
   int touching = 0;
   for (const bool t : touch) touching += t ? 1 : 0;

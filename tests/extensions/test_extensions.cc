@@ -178,9 +178,8 @@ TEST(Wisp, DetectsPenDownSegments) {
   handwriting::SynthesisConfig cfg;
   Rng rng(4);
   const auto trace = handwriting::synthesize("T", cfg, rng);  // 2 strokes
-  rfid::WispConfig wcfg;
   Rng wisp_rng(5);
-  const auto accel = rfid::simulate_wisp(trace, wcfg, wisp_rng);
+  const auto accel = rfid::simulate_wisp(trace, wisp_rng);
   ASSERT_GT(accel.size(), 100u);
 
   const double window = 0.05;
@@ -222,20 +221,18 @@ TEST(Wisp, GravityDominatesAtRest) {
     s.pen_down = false;
     trace.samples.push_back(s);
   }
-  rfid::WispConfig cfg;
   Rng rng(6);
-  const auto accel = rfid::simulate_wisp(trace, cfg, rng);
+  const auto accel = rfid::simulate_wisp(trace, rng);
   ASSERT_FALSE(accel.empty());
   for (const auto& a : accel) {
-    EXPECT_NEAR(a.accel.norm(), cfg.gravity, 1.0);
+    EXPECT_NEAR(a.accel.norm(), rfid::kGravity, 1.0);
     EXPECT_LT(a.accel.y, 0.0);
   }
 }
 
 TEST(Wisp, DegenerateInputs) {
-  rfid::WispConfig cfg;
   Rng rng(1);
-  EXPECT_TRUE(rfid::simulate_wisp(handwriting::WritingTrace{}, cfg, rng).empty());
+  EXPECT_TRUE(rfid::simulate_wisp(handwriting::WritingTrace{}, rng).empty());
   EXPECT_TRUE(rfid::detect_touch({}, 0.05).empty());
 }
 

@@ -42,7 +42,7 @@ TEST_F(PathTest, SpeedBounded) {
     const double dt = path[i].t_s - path[i - 1].t_s;
     const double speed = path[i].pos.dist(path[i - 1].pos) / dt;
     // Cruise + jitter margin; transits are faster.
-    EXPECT_LT(speed, cfg_.transit_speed * 2.5) << "at sample " << i;
+    EXPECT_LT(speed, kTransitSpeed * 2.5) << "at sample " << i;
   }
 }
 
@@ -71,7 +71,6 @@ TEST_F(PathTest, PenUpOnlyBetweenStrokes) {
 }
 
 TEST_F(PathTest, InitialDwellEmitsStationarySamples) {
-  cfg_.initial_dwell_s = 0.5;
   const auto strokes = place_glyph(glyph_for('I'), {0.3, 0.1}, 0.2);
   const auto path = sample_path(strokes, cfg_, rng_);
   // Count leading samples at the first stroke start.
@@ -84,7 +83,7 @@ TEST_F(PathTest, InitialDwellEmitsStationarySamples) {
       break;
     }
   }
-  EXPECT_GE(stationary, static_cast<int>(0.5 / cfg_.sample_dt) - 2);
+  EXPECT_GE(stationary, static_cast<int>(kInitialDwellS / kSampleDt) - 2);
 }
 
 TEST_F(PathTest, EmptyStrokesProduceEmptyPath) {

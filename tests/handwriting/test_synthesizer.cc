@@ -39,7 +39,6 @@ TEST(Synthesizer, EmptyTextEmptyTrace) {
 TEST(Synthesizer, AutoCenterPutsTextUnderRig) {
   SynthesisConfig cfg;
   cfg.auto_center = true;
-  cfg.board_center_x_m = 0.5;
   Rng rng(5);
   const auto trace = synthesize("O", cfg, rng);
   double xmin = 1e9, xmax = -1e9;
@@ -55,7 +54,6 @@ TEST(Synthesizer, AutoCenterPutsTextUnderRig) {
 TEST(Synthesizer, LongWordShrinksToFit) {
   SynthesisConfig cfg;
   cfg.auto_center = true;
-  cfg.max_width_m = 0.8;
   Rng rng(5);
   const auto trace = synthesize("WWWWW", cfg, rng);
   double xmin = 1e9, xmax = -1e9;

@@ -107,7 +107,7 @@ TEST(WristModel, ElevationStaysNearMean) {
   for (int i = 0; i < 400; ++i) {
     const auto angles =
         wrist.step(sample(i * 0.005, {0.4 + 0.0004 * i, 0.2}, {0.08, 0.0}));
-    EXPECT_NEAR(angles.elevation_rad, style.elevation_rad, 0.21);
+    EXPECT_NEAR(angles.elevation_rad, kElevationRad, 0.21);
   }
 }
 

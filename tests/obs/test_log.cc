@@ -91,9 +91,16 @@ TEST_F(LoggerTest, SinkPathWritesToAFileOrStandardError) {
   EXPECT_EQ(written, std::string(line) + "\n");
   fs::remove(file);
 
-  // A path that cannot be opened for writing leaves the logger off.
+  // A path that cannot be opened for writing leaves the logger off and
+  // names the path on standard error.
+  ::testing::internal::CaptureStderr();
   lg.set_sink_path(::testing::TempDir());
+  const std::string complaint = ::testing::internal::GetCapturedStderr();
   EXPECT_FALSE(lg.enabled());
+  EXPECT_NE(complaint.find(::testing::TempDir()), std::string::npos)
+      << complaint;
+  EXPECT_EQ(std::count(complaint.begin(), complaint.end(), '\n'), 1)
+      << complaint;
 
   // "-" and "stderr" name standard error.
   for (const char* name : {"-", "stderr"}) {

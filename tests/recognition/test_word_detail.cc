@@ -28,17 +28,6 @@ TEST(WordDetail, SegmentsCarryScores) {
   }
 }
 
-TEST(WordDetail, MatchesClassifyWord) {
-  const LetterClassifier cls;
-  const auto poly = clean_word("DOG");
-  const auto detail = cls.classify_word_detailed(poly, 3);
-  const auto word = cls.classify_word(poly, 3);
-  ASSERT_EQ(detail.size(), word.size());
-  for (std::size_t i = 0; i < word.size(); ++i) {
-    EXPECT_EQ(detail[i].letter, word[i]);
-  }
-}
-
 TEST(WordDetail, SingleLetterPassThrough) {
   const LetterClassifier cls;
   const auto detail = cls.classify_word_detailed(clean_word("M"), 1);

@@ -168,7 +168,6 @@ TEST(ReaderHopping, ReportsFromSameChannelShareThePhaseBase) {
   cfg.fixed_modulation = Modulation::kFM0;
   cfg.frequency_hopping = true;
   cfg.hop_channels = 50;
-  cfg.hop_dwell_s = 0.4;
   cfg.noise.noise_floor_dbm = -300.0;  // kill AWGN
   cfg.noise.phase_noise_floor_rad = 0.0;
   cfg.noise.rss_jitter_db = 0.0;
@@ -183,7 +182,7 @@ TEST(ReaderHopping, ReportsFromSameChannelShareThePhaseBase) {
   // Map dwell index -> channel by sampling mid-dwell over many dwells.
   std::map<int, std::vector<double>> phase_by_channel;
   for (int dwell = 0; dwell < 64; ++dwell) {
-    const double t = (static_cast<double>(dwell) + 0.5) * cfg.hop_dwell_s;
+    const double t = (static_cast<double>(dwell) + 0.5) * kHopDwellS;
     const auto rep = reader.interrogate(0, tag, t);
     ASSERT_TRUE(rep.has_value());
     phase_by_channel[rep->channel].push_back(rep->phase_rad);

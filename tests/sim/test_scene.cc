@@ -36,7 +36,7 @@ TEST(BuildRig, PolarDrawTwoLinearAntennas) {
   // Axes at +/- gamma around Z: symmetric x components.
   EXPECT_NEAR(rig[0].polarization_axis.x, -rig[1].polarization_axis.x, 1e-9);
   // Antenna spacing as configured.
-  EXPECT_NEAR(rig[0].position.dist(rig[1].position), cfg.antenna_spacing_m,
+  EXPECT_NEAR(rig[0].position.dist(rig[1].position), kAntennaSpacingM,
               1e-9);
 }
 

@@ -362,6 +362,41 @@ TEST(R3Suffix, ParameterTypeNameIsNotADeclarator) {
 }
 
 // ---------------------------------------------------------------------------
+// R3 at namespace scope: a field folded into a named constant keeps its
+// suffix
+// ---------------------------------------------------------------------------
+
+TEST(R3Suffix, FiresOnUnsuffixedNamespaceConstant) {
+  const auto vs = lint_source("src/foo.h",
+                              "namespace pd::core {\n"
+                              "inline constexpr double kDeltaBeta = 0.087;\n"
+                              "}  // namespace pd::core\n");
+  ASSERT_EQ(count_rule(vs, "R3"), 1);
+  EXPECT_EQ(vs[0].key, "kDeltaBeta");
+  EXPECT_EQ(vs[0].line, 2);
+}
+
+TEST(R3Suffix, FiresOnUnsuffixedAnonymousNamespaceConstant) {
+  const auto vs = lint_source("src/foo.cc",
+                              "namespace {\n"
+                              "const double kGatePower = 0.5;\n"
+                              "}  // namespace\n");
+  ASSERT_EQ(count_rule(vs, "R3"), 1);
+  EXPECT_EQ(vs[0].key, "kGatePower");
+}
+
+TEST(R3Suffix, SilentOnQualifiedDefinitionsAndFunctionLocals) {
+  const auto vs = lint_source("src/foo.cc",
+                              "namespace pd {\n"
+                              "double RotationTracker::initial_azimuth_rad() {\n"
+                              "  const double mismatch = 0.1;\n"
+                              "  return mismatch;\n"
+                              "}\n"
+                              "}  // namespace pd\n");
+  EXPECT_EQ(count_rule(vs, "R3"), 0);
+}
+
+// ---------------------------------------------------------------------------
 // R6: deterministic pruning in core/ and server/
 // ---------------------------------------------------------------------------
 

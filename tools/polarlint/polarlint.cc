@@ -201,6 +201,7 @@ struct Token {
   int line = 0;         // 1-based
   int paren_depth = 0;  // depth *before* this token
   bool record_scope = false;  // directly inside a struct/class/union body
+  bool namespace_scope = false;  // at file scope or directly in a namespace
   bool control_paren = false;  // inside a for/if/while/switch/catch (...)
 };
 
@@ -212,13 +213,15 @@ bool ident_char(char c) {
 }
 
 /// Tokenizes the stripped code text, tracking paren depth and whether each
-/// token sits at struct/class member scope (a one-pass heuristic: a brace
-/// opens a record body iff a struct/class/union keyword is pending).
+/// token sits at struct/class member scope or at namespace scope (a
+/// one-pass heuristic: a brace opens a record body iff a struct/class/union
+/// keyword is pending, and a namespace body iff a namespace keyword is).
 std::vector<Token> tokenize(const std::vector<SplitLine>& lines) {
   std::vector<Token> toks;
-  enum class Scope { kRecord, kBlock };
+  enum class Scope { kRecord, kNamespace, kBlock };
   std::vector<Scope> scopes;
   bool pending_record = false;
+  bool pending_namespace = false;
   int paren_depth = 0;
   // Declarations inside a control-statement's parens (`for (double b = ..`)
   // are locals, not parameters; track which open parens are control parens.
@@ -236,6 +239,7 @@ std::vector<Token> tokenize(const std::vector<SplitLine>& lines) {
       t.line = static_cast<int>(li) + 1;
       t.paren_depth = paren_depth;
       t.record_scope = !scopes.empty() && scopes.back() == Scope::kRecord;
+      t.namespace_scope = scopes.empty() || scopes.back() == Scope::kNamespace;
       t.control_paren =
           !control_parens.empty() &&
           std::find(control_parens.begin(), control_parens.end(), true) !=
@@ -248,6 +252,7 @@ std::vector<Token> tokenize(const std::vector<SplitLine>& lines) {
         i = j;
         if (t.text == "struct" || t.text == "class" || t.text == "union")
           pending_record = true;
+        if (t.text == "namespace") pending_namespace = true;
         pending_control = t.text == "for" || t.text == "if" ||
                           t.text == "while" || t.text == "switch" ||
                           t.text == "catch";
@@ -275,8 +280,11 @@ std::vector<Token> tokenize(const std::vector<SplitLine>& lines) {
         ++i;
         switch (c) {
           case '{':
-            scopes.push_back(pending_record ? Scope::kRecord : Scope::kBlock);
+            scopes.push_back(pending_record      ? Scope::kRecord
+                             : pending_namespace ? Scope::kNamespace
+                                                 : Scope::kBlock);
             pending_record = false;
+            pending_namespace = false;
             break;
           case '}':
             if (!scopes.empty()) scopes.pop_back();
@@ -292,6 +300,8 @@ std::vector<Token> tokenize(const std::vector<SplitLine>& lines) {
             if (!control_parens.empty()) control_parens.pop_back();
             break;
           case ';':
+            pending_namespace = false;  // `using namespace x;`, an alias
+            [[fallthrough]];
           case '>':
             pending_record = false;
             break;
@@ -869,8 +879,11 @@ std::vector<Violation> lint_source(std::string_view path,
       }
     }
 
-    // R3: unit suffix on angle/power double fields and parameters. Every
-    // declarator of a comma-chained declaration is checked.
+    // R3: unit suffix on angle/power double fields, parameters and
+    // namespace-scope variables (the named constants a config field folds
+    // into). Every declarator of a comma-chained declaration is checked. A
+    // declarator followed by `(` is a function and one followed by `:` a
+    // qualified definition (`double Tracker::azimuth(`), so neither is.
     if (t.text == "double") {
       std::size_t j = i + 1;
       while (j < toks.size() &&
@@ -878,15 +891,20 @@ std::vector<Violation> lint_source(std::string_view path,
               toks[j].text == "const" || toks[j].text == "volatile"))
         ++j;
       if (j < toks.size() && toks[j].kind == Token::Kind::kIdent &&
-          !(j + 1 < toks.size() && toks[j + 1].text == "(")) {
+          !(j + 1 < toks.size() &&
+            (toks[j + 1].text == "(" || toks[j + 1].text == ":"))) {
         const bool is_param = t.paren_depth > 0 && !t.control_paren;
-        const bool is_field = t.paren_depth == 0 && t.record_scope;
+        const bool is_field =
+            t.paren_depth == 0 && (t.record_scope || t.namespace_scope);
         if (is_param || is_field) {
           auto check_declarator = [&](const Token& decl) {
             const auto words = identifier_words(decl.text);
             if (has_unit_stem(words) && !has_unit_suffix(words)) {
               emit("R3", decl.line, decl.text,
-                   std::string("double ") + (is_param ? "parameter" : "field") +
+                   std::string("double ") +
+                       (is_param           ? "parameter"
+                        : t.record_scope ? "field"
+                                           : "namespace-scope variable") +
                        " '" + decl.text +
                        "' holds an angle/power but lacks a _rad/_deg/_dbm/"
                        "_db/_dbi/_mw suffix");
@@ -894,10 +912,10 @@ std::vector<Violation> lint_source(std::string_view path,
           };
           check_declarator(toks[j]);
           // Comma-chained declarators (`double theta, phi = 0.0;`) exist
-          // only for fields -- each function parameter re-states its type,
-          // so the outer loop already sees it. Walk the field declaration
-          // at top nesting level; each `,` introduces another declarator
-          // until the terminating `;`.
+          // only for fields and namespace-scope variables -- each function
+          // parameter re-states its type, so the outer loop already sees
+          // it. Walk the declaration at top nesting level; each `,`
+          // introduces another declarator until the terminating `;`.
           if (is_field) {
             int depth = 0;
             for (std::size_t k = j + 1; k < toks.size(); ++k) {

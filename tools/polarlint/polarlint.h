@@ -20,10 +20,11 @@
 //   R2  no raw std::pow(10.0, x / 10|20) or log10-based dB math outside
 //       common/units.h -- use dbm_to_mw / db_to_ratio / db_to_amplitude_ratio
 //       / mw_to_dbm / ratio_to_db.
-//   R3  every double struct field or function parameter whose name says it
-//       holds an angle or a power must carry a _rad / _deg / _dbm / _db /
-//       _dbi / _mw suffix. Every declarator of a comma-chained declaration
-//       is checked.
+//   R3  every double struct field, function parameter or namespace-scope
+//       variable (a named constant) whose name says it holds an angle or a
+//       power must carry a _rad / _deg / _dbm / _db / _dbi / _mw suffix.
+//       Every declarator of a comma-chained declaration is checked;
+//       function locals and qualified definitions (`double X::f(`) are not.
 //   R4  no std::rand / srand / std::random_device outside common/rng.h and
 //       common/seed.h (determinism guard: seeds always derive from the
 //       harness, never from entropy or global state).
