@@ -3,9 +3,10 @@
 // polarlint: hot-path -- no node-based hash maps in the decode loop.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <numeric>
 
 #include "common/angles.h"
 #include "common/vec.h"
@@ -17,72 +18,35 @@ constexpr double kWeightFloor = 1e-6;  // keeps log-probabilities finite
 const double kLogWeightFloor = std::log(kWeightFloor);
 const double kLogQuarter = std::log(0.25);
 constexpr float kNegInfF = -std::numeric_limits<float>::infinity();
-
-/// The exact Eq. 8 annulus test on a block-center difference, with a
-/// quarter-block tolerance so the discretization cannot strand the chain
-/// while the phase-derived lower bound stays binding. Only knife-edge
-/// lanes run it (see the header).
-inline bool annulus_holds(double ddx, double ddy, double out_thresh_m,
-                          double quarter_block_m, double lower_m) {
-  const double step_m = std::sqrt(ddx * ddx + ddy * ddy);
-  return !(step_m > out_thresh_m || step_m + quarter_block_m < lower_m);
-}
-
-/// The box merge rule, shared by every lane, for the cell at `i` of the
-/// merge arrays: an accepted lane takes the cell when its score is
-/// strictly greater. Scores are finite and a cell starts at -inf, so a
-/// first touch always takes it; saying so lets GCC store all three arrays
-/// in one block on a first touch (without it the decode ran 8% slower).
-/// The first parent is stored under an `if`: as a ternary, GCC 12 turned
-/// it into a load and a store on every lane of a walk (board-spanning
-/// windows ran about 25% slower). Counts accepted lanes and first touches.
-inline void merge_lane(float lp, bool acc, std::int32_t parent, float* best,
-                       std::int32_t* best_parent, std::int32_t* first,
-                       std::ptrdiff_t i, std::uint64_t& accepted,
-                       std::size_t& first_touches) {
-  const bool first_touch = acc && first[i] < 0;
-  const bool take = first_touch || (acc && lp > best[i]);
-  best[i] = take ? lp : best[i];
-  best_parent[i] = take ? parent : best_parent[i];
-  if (first_touch) first[i] = parent;
-  accepted += acc ? 1u : 0u;
-  first_touches += first_touch ? 1u : 0u;
-}
+/// The index of a parent-grid hole, and the first parent of a cell no
+/// parent accepted: above every parent index, so no merge picks it.
+constexpr std::int32_t kNoParent = std::numeric_limits<std::int32_t>::max();
+/// Columns of holes past each box row, so a lane can run on past its
+/// parent row's hull to a whole number of 4-wide vectors.
+constexpr int kPad = 3;
 
 /// Per-window hoists, computed exactly as the historical in-loop hoists
-/// so the knife-edge re-test reproduces its annulus decisions.
+/// so the knife-edge lanes reproduce its annulus decisions.
 struct WindowTerms {
-  double lower_m = 0.0;
-  double upper_m = 0.0;
-  double out_thresh_m = 0.0;
-  double quarter_block_m = 0.0;
+  double lower_m = 0.0, upper_m = 0.0;
+  double out_thresh_m = 0.0, quarter_block_m = 0.0;
   int reach_blocks = 1;
-  bool use_hyper = false;
+  bool use_hyper = false, use_dir = false, idle_step_penalty = false;
   double meas_rad = 0.0;
-  bool use_dir = false;
   Vec2 dir;
-  double dmax_m = 0.0;
-  double back_thresh_m = 0.0;
-  bool idle_step_penalty = false;
+  double dmax_m = 0.0, back_thresh_m = 0.0;
 };
 
-// The ring as lane lists, row by row in ascending column.
+/// One displacement of a ring row, with its direction and idle log-weight.
 struct Lane {
-  std::ptrdiff_t off;  // dr * box_w + dc
-  double logw;         // direction and idle log-weight
-};
-struct EdgeLane {
-  std::ptrdiff_t off;
+  std::int32_t dc;
   double logw;
-  int dr, dc;  // for the board check and the center-difference re-test
 };
-/// One row dr of the ring: its column reach, and where its lanes sit. The
-/// row's lanes are the columns b <= |dc| <= a, in ascending order from
-/// lanes[first]; a < b when it has none.
+/// One row dr of the ring: its column reach, and where its lanes and its
+/// knife-edge lanes start in their lists. The next row's starts end them.
 struct RingRow {
   int lim = 0;  // dc_lim[|dr|]
-  int a = -1, b = 0;
-  std::size_t first = 0;
+  std::size_t lane = 0, edge = 0;
 };
 
 /// Every buffer one window needs besides expand_beam's arguments. A thread
@@ -91,17 +55,19 @@ struct RingRow {
 /// window, or one decoder, to the next. The buffers grow to the largest
 /// window the thread has expanded and never shrink.
 struct ExpandScratch {
-  std::vector<RingRow> ring;              // per dr + reach
+  std::vector<RingRow> ring;  // per dr + reach, and one past the last
   std::vector<int> parent_row_lo, parent_row_hi;  // parent columns per row
   std::vector<int> row_span_lo, row_span_hi;      // touched columns per row
-  std::vector<Lane> lanes;
-  std::vector<EdgeLane> edge_lanes;
+  std::vector<Lane> lanes, edge_lanes;
+  std::vector<double> hyper_row;  // one candidate row's hyperbola log-weight
+  std::vector<float> edge_logp;   // one parent row under a knife-edge lane
   // Per-cell arrays over the bounding box of the row spans.
-  std::vector<double> hyper_logw;         // hyperbola log-weight
-  std::vector<float> box_logp;            // best log-prob so far, -inf
-  std::vector<std::int32_t> box_parent;   // its parent (index into prev)
-  std::vector<std::int32_t> box_first;    // first accepting parent, -1
-  std::vector<std::size_t> parent_count;  // emission counting sort
+  std::vector<float> box_logp;             // best log-prob so far, -inf
+  std::vector<std::int32_t> box_parent;    // its parent (index into prev)
+  std::vector<std::int32_t> box_first;     // least accepting parent
+  std::vector<float> parent_logp;          // the parent grid: prev's
+  std::vector<std::int32_t> parent_index;  // log-prob and index per cell
+  std::vector<std::size_t> parent_count;   // emission counting sort
 };
 
 thread_local ExpandScratch tls_scratch;
@@ -134,19 +100,39 @@ WindowTerms window_terms(const PolarDrawConfig& cfg, int cols, int rows,
   return w;
 }
 
-/// Sets each ring row's column reach and returns the ring's lane count.
-std::uint64_t fill_dc_limits(const PolarDrawConfig& cfg, const WindowTerms& w,
-                             ExpandScratch& s) {
+/// Builds the window's ring row by row: each row's column reach, and every
+/// displacement an on-board parent can use (|dr| < rows, |dc| < cols) with
+/// its direction and idle log-weight, the annulus-valid ones in `lanes`,
+/// the knife-edge ones in `edge_lanes`, the rejected ones left out.
+/// Returns the ring's lane count, rejected lanes too.
+std::uint64_t fill_ring(const PolarDrawConfig& cfg, const WindowTerms& w,
+                        int cols, int rows, ExpandScratch& s) {
   // Integer annulus bound: a candidate |dc| blocks away horizontally and
   // |dr| vertically is at least ~sqrt(dc^2+dr^2) blocks out, so columns
   // beyond this limit cannot pass the exact outer-radius test (the +1
   // absorbs block-center rounding). Rows stay within [-reach, reach].
+  // Knife-edge displacements -- lattice distance within kEdgeEps of either
+  // annulus threshold -- go to edge_lanes, which the walk tests on the
+  // exact center differences (see the header).
+  constexpr double kEdgeEps = 1e-12;
   const int reach = w.reach_blocks;
   const double r_blocks = w.out_thresh_m / cfg.block_m;
-  s.ring.assign(2 * static_cast<std::size_t>(reach) + 1, RingRow{});
+  const int dr_max = std::min(reach, rows - 1);
+  const int dc_max = std::min(reach, cols - 1);
+  s.ring.assign(2 * static_cast<std::size_t>(reach) + 2, RingRow{});
+  resize_within(s.lanes,
+                static_cast<std::size_t>(2 * dr_max + 1) *
+                    static_cast<std::size_t>(2 * dc_max + 1),
+                static_cast<std::size_t>(2 * rows - 1) *
+                    static_cast<std::size_t>(2 * cols - 1));
+  s.edge_lanes.clear();
   std::uint64_t ring_lanes = 0;
-  for (int dr = -reach; dr <= reach; ++dr) {
+  std::size_t n = 0;
+  for (int dr = -reach;; ++dr) {
     RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
+    row.lane = n;
+    row.edge = s.edge_lanes.size();
+    if (dr > reach) break;  // the last entry only ends the last row
     const double rem = r_blocks * r_blocks - static_cast<double>(dr) * dr;
     if (rem > 0.0) {  // else lim stays 0
       // Capped at the reach in double before the cast, as in window_terms.
@@ -155,77 +141,7 @@ std::uint64_t fill_dc_limits(const PolarDrawConfig& cfg, const WindowTerms& w,
           std::min(reach, static_cast<int>(root < reach ? root : reach) + 1);
     }
     ring_lanes += static_cast<std::uint64_t>(2 * row.lim + 1);
-  }
-  return ring_lanes;
-}
-
-/// Over the union of per-row column spans touched by this window's
-/// beam: evaluates the per-cell hyperbola log-weight and resets the merge
-/// arrays.
-void fill_box_rows(const PolarDrawConfig& cfg, const PhaseField& field,
-                   const WindowTerms& w, int r_lo, int r_hi, int c_lo,
-                   int box_w, ExpandScratch& s) {
-  const double inv_4pi = 1.0 / (4.0 * kPi);
-  const double sharp = cfg.hyperbola_sharpness;
-  for (int nr = r_lo; nr <= r_hi; ++nr) {
-    const int lo = s.row_span_lo[static_cast<std::size_t>(nr)];
-    const int hi = s.row_span_hi[static_cast<std::size_t>(nr)];
-    if (lo > hi) continue;
-    const std::size_t off =
-        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w) +
-        static_cast<std::size_t>(lo - c_lo);
-    const std::size_t len = static_cast<std::size_t>(hi - lo) + 1;
-    // Only cells inside the spans can be touched, so only they reset.
-    std::fill_n(&s.box_logp[off], len, kNegInfF);
-    std::fill_n(&s.box_first[off], len, -1);
-    double* out = &s.hyper_logw[off];
-    if (!w.use_hyper) {
-      std::fill(out, out + len, 0.0);
-      continue;
-    }
-    const double* phase = field.phase_row(nr) + lo;
-    // Eq. 11 hyperbola term 1 - |dtheta_meas - dtheta(x,y)| / (4*pi), with
-    // a branchless circular distance: phase and meas both live in
-    // [0, 2*pi), so it is min(|d|, 2*pi - |d|). log(term^sharp) =
-    // sharp * log(term), so no pow is needed.
-    for (std::size_t i = 0; i < len; ++i) {
-      const double d = std::fabs(phase[i] - w.meas_rad);
-      const double mismatch = std::min(d, kTwoPi - d);
-      const double term = std::max(1.0 - mismatch * inv_4pi, kWeightFloor);
-      out[i] = sharp * std::log(term);
-    }
-  }
-}
-
-/// Builds the window's lanes, with box offsets for a box `box_w` wide, row
-/// by row in ascending column: every displacement of the ring an on-board
-/// parent can use (|dr| < rows, |dc| < cols) with its direction and idle
-/// log-weight, the annulus-valid ones in `lanes`, the knife-edge ones in
-/// `edge_lanes`, the rejected ones left out. Records each row's lanes in
-/// `ring`.
-void fill_lanes(const PolarDrawConfig& cfg, const WindowTerms& w, int cols,
-                int rows, int box_w, ExpandScratch& s) {
-  // Knife-edge displacements -- lattice distance within kEdgeEps of either
-  // annulus threshold -- go to edge_lanes, and the walk re-tests them with
-  // the exact center-difference arithmetic (see the header: upper_m is
-  // often an exact block multiple, putting out_thresh_m dead on the
-  // lattice, where position-dependent rounding noise of ~1e-16 decides
-  // acceptance cell by cell).
-  constexpr double kEdgeEps = 1e-12;
-  const int reach = w.reach_blocks;
-  const int dr_max = std::min(reach, rows - 1);
-  const int dc_max = std::min(reach, cols - 1);
-  resize_within(s.lanes,
-                static_cast<std::size_t>(2 * dr_max + 1) *
-                    static_cast<std::size_t>(2 * dc_max + 1),
-                static_cast<std::size_t>(2 * rows - 1) *
-                    static_cast<std::size_t>(2 * cols - 1));
-  s.edge_lanes.clear();
-  std::size_t n = 0;
-  for (int dr = -dr_max; dr <= dr_max; ++dr) {
-    RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
-    row.first = n;
-    row.b = cols;
+    if (dr < -dr_max || dr > dr_max) continue;
     const int lim = std::min(row.lim, cols - 1);
     const double ry = static_cast<double>(dr) * cfg.block_m;
     for (int dc = -lim; dc <= lim; ++dc) {
@@ -261,20 +177,84 @@ void fill_lanes(const PolarDrawConfig& cfg, const WindowTerms& w, int cols,
         const double frac = step_m / w.upper_m;
         logw += -kUnobservedStepPenalty * frac * frac;
       }
-      const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(dr) * box_w + dc;
       if (edge) {
-        s.edge_lanes.push_back({off, logw, dr, dc});
-        continue;
+        s.edge_lanes.push_back({dc, logw});
+      } else {
+        s.lanes[n++] = {dc, logw};
       }
-      s.lanes[n++] = {off, logw};
-      row.a = std::max(row.a, std::abs(dc));
-      row.b = std::min(row.b, std::abs(dc));
     }
   }
   s.lanes.resize(n);
+  return ring_lanes;
+}
+
+/// The largest non-negative double that `holds`, or -1 if 0 does not, for
+/// a predicate that holds up to some value and not above it. Non-negative
+/// doubles order as their bit patterns, so it bisects those, first within
+/// 16 ulps of `guess`, where the boundary lies.
+template <class Pred>
+double last_holding(double guess, Pred holds) {
+  using Bits = std::uint64_t;
+  const auto at = [&](Bits b) { return holds(std::bit_cast<double>(b)); };
+  const Bits inf = std::bit_cast<Bits>(std::numeric_limits<double>::infinity());
+  const Bits g = std::bit_cast<Bits>(
+      std::clamp(guess, 0.0, std::numeric_limits<double>::max()));
+  if (!at(0)) return -1.0;
+  Bits lo = g > 16 && at(g - 16) ? g - 16 : 0;           // at(lo)
+  Bits hi = g + 16 < inf && !at(g + 16) ? g + 16 : inf;  // !at(hi)
+  while (hi - lo > 1) {
+    const Bits mid = lo + (hi - lo) / 2;
+    (at(mid) ? lo : hi) = mid;
+  }
+  return std::bit_cast<double>(lo);
+}
+
+/// Scores one lane from the parents at box columns [j_lo, j_end) of one
+/// parent row onto the cells dc columns over in one candidate row, and
+/// merges each score. The merge is order-independent: an accepted score
+/// takes a cell when it is greater than the cell's best, or equal from a
+/// lower parent index, and the first parent is the least accepting index.
+/// A parent that scores -inf, as a hole does, is not accepted.
+/// Straight-line selects with no early exit, so GCC vectorizes the loop at
+/// -O3. Returns the accepted count.
+unsigned merge_lane_row(const float* __restrict plp,
+                        const std::int32_t* __restrict pidx,
+                        const double* __restrict hyp, float* __restrict best,
+                        std::int32_t* __restrict best_parent,
+                        std::int32_t* __restrict first, int j_lo, int j_end,
+                        const Lane& l) {
+  const int dc = l.dc;
+  const double logw = l.logw;
+  unsigned accepted = 0;
+  for (int j = j_lo; j < j_end; ++j) {
+    const int k = j + dc;
+    const float lp = static_cast<float>(
+        static_cast<double>(plp[j]) + std::max(hyp[k] + logw, kLogWeightFloor));
+    const bool acc = lp != kNegInfF;
+    const std::int32_t parent = pidx[j];
+    const float b = best[k];
+    const std::int32_t bp = best_parent[k];
+    const std::int32_t f = first[k];
+    const bool take = acc & ((lp > b) | ((lp == b) & (parent < bp)));
+    best[k] = take ? lp : b;
+    best_parent[k] = take ? parent : bp;
+    first[k] = acc & (parent < f) ? parent : f;
+    accepted += acc ? 1u : 0u;
+  }
+  return accepted;
 }
 
 }  // namespace
+
+SquaredAnnulus squared_annulus(double out_thresh_m, double quarter_block_m,
+                               double lower_m) {
+  const double inner_m = lower_m - quarter_block_m;
+  return {last_holding(out_thresh_m * out_thresh_m,
+                       [&](double s) { return !(std::sqrt(s) > out_thresh_m); }),
+          last_holding(inner_m * inner_m, [&](double s) {
+            return std::sqrt(s) + quarter_block_m < lower_m;
+          })};
+}
 
 void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
                  const TrackObservation& o, const Beam& prev, Beam& cand,
@@ -283,159 +263,182 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
   const int cols = field.cols();
   const int rows = field.rows();
   const WindowTerms w = window_terms(cfg, cols, rows, o);
-  // Every lane of the ring, rejected ones too.
-  const std::uint64_t ring_lanes = fill_dc_limits(cfg, w, s);
+  const std::uint64_t ring_lanes = fill_ring(cfg, w, cols, rows, s);
   cand.resize(0);
   const int reach = w.reach_blocks;
 
-  // Union of per-row column spans touched by this window's beam, bounding
-  // the hyperbola precompute to (a superset of) the candidate set. It is
-  // the hull of the per-parent spans: each occupied parent row's leftmost
-  // and rightmost parent column, widened by the per-row column reach.
+  // Each parent row's hull, its leftmost and rightmost parent column, and
+  // the lanes visited: each parent's ring lanes on the board.
   const std::size_t n_rows = static_cast<std::size_t>(rows);
   s.parent_row_lo.assign(n_rows, cols);
   s.parent_row_hi.assign(n_rows, -1);
   int pr_lo = rows, pr_hi = -1;
+  std::uint64_t visited = 0;
   const std::size_t n_parents = prev.size();
   for (std::size_t a = 0; a < n_parents; ++a) {
-    const std::int32_t pcell = prev.cell[a];
-    const int pr = pcell / cols;
-    const int pc = pcell % cols;
+    const int pr = prev.cell[a] / cols;
+    const int pc = prev.cell[a] % cols;
     const std::size_t prz = static_cast<std::size_t>(pr);
     s.parent_row_lo[prz] = std::min(s.parent_row_lo[prz], pc);
     s.parent_row_hi[prz] = std::max(s.parent_row_hi[prz], pc);
     pr_lo = std::min(pr_lo, pr);
     pr_hi = std::max(pr_hi, pr);
+    if (pr >= reach && pr + reach < rows && pc >= reach && pc + reach < cols) {
+      visited += ring_lanes;  // the whole ring lies on the board
+      continue;
+    }
+    const int dr_hi = std::min(reach, rows - 1 - pr);
+    for (int dr = std::max(-reach, -pr); dr <= dr_hi; ++dr) {
+      const int lim = s.ring[static_cast<std::size_t>(dr + reach)].lim;
+      visited += static_cast<std::uint64_t>(std::min(lim, cols - 1 - pc) -
+                                            std::max(-lim, -pc) + 1);
+    }
   }
   if (pr_hi < pr_lo) return;  // empty beam: nothing to expand
 
+  // Union of per-row column spans touched by this window's beam, bounding
+  // the hyperbola rows to (a superset of) the candidate set: each occupied
+  // parent row's hull, widened by the per-row column reach. The box
+  // bounds the spans.
   s.row_span_lo.assign(n_rows, cols);
   s.row_span_hi.assign(n_rows, -1);
+  int c_lo = cols, c_hi = -1;
   for (int pr = pr_lo; pr <= pr_hi; ++pr) {
     const int pc_lo = s.parent_row_lo[static_cast<std::size_t>(pr)];
     const int pc_hi = s.parent_row_hi[static_cast<std::size_t>(pr)];
     if (pc_lo > pc_hi) continue;
-    const int dr_lo = std::max(-reach, -pr);
     const int dr_hi = std::min(reach, rows - 1 - pr);
-    for (int dr = dr_lo; dr <= dr_hi; ++dr) {
+    for (int dr = std::max(-reach, -pr); dr <= dr_hi; ++dr) {
       const int lim = s.ring[static_cast<std::size_t>(dr + reach)].lim;
       const std::size_t nrz = static_cast<std::size_t>(pr + dr);
       s.row_span_lo[nrz] =
           std::min(s.row_span_lo[nrz], std::max(0, pc_lo - lim));
       s.row_span_hi[nrz] =
           std::max(s.row_span_hi[nrz], std::min(cols - 1, pc_hi + lim));
-    }
-  }
-  const int r_lo = std::max(0, pr_lo - reach);
-  const int r_hi = std::min(rows - 1, pr_hi + reach);
-
-  int c_lo = cols, c_hi = -1;
-  for (int nr = r_lo; nr <= r_hi; ++nr) {
-    const std::size_t nrz = static_cast<std::size_t>(nr);
-    if (s.row_span_lo[nrz] <= s.row_span_hi[nrz]) {
       c_lo = std::min(c_lo, s.row_span_lo[nrz]);
       c_hi = std::max(c_hi, s.row_span_hi[nrz]);
     }
   }
-  const int box_w = c_hi - c_lo + 1;
-  const std::size_t box = static_cast<std::size_t>(r_hi - r_lo + 1) *
-                          static_cast<std::size_t>(box_w);
-  // A box never spans more than the board.
-  resize_within(s.hyper_logw, box, field.cells());
-  resize_within(s.box_logp, box, field.cells());
-  resize_within(s.box_parent, box, field.cells());
-  resize_within(s.box_first, box, field.cells());
-  fill_box_rows(cfg, field, w, r_lo, r_hi, c_lo, box_w, s);
-  fill_lanes(cfg, w, cols, rows, box_w, s);
-  const Lane* const lanes = s.lanes.data();
+  const int r_lo = std::max(0, pr_lo - reach);
+  const int r_hi = std::min(rows - 1, pr_hi + reach);
+  // Box rows are kPad columns wider than the box, and a box never spans
+  // more than the board.
+  const std::size_t bw = static_cast<std::size_t>(c_hi - c_lo + 1 + kPad);
+  const std::size_t box = static_cast<std::size_t>(r_hi - r_lo + 1) * bw;
+  const std::size_t board_w = static_cast<std::size_t>(cols + kPad);
+  resize_within(s.box_logp, box, n_rows * board_w);
+  resize_within(s.box_parent, box, n_rows * board_w);
+  resize_within(s.box_first, box, n_rows * board_w);
+  resize_within(s.parent_logp, box, n_rows * board_w);
+  resize_within(s.parent_index, box, n_rows * board_w);
+  resize_within(s.hyper_row, bw, board_w);
+  resize_within(s.edge_logp, bw, board_w);
+  const SquaredAnnulus sq =
+      s.edge_lanes.empty()
+          ? SquaredAnnulus{}
+          : squared_annulus(w.out_thresh_m, w.quarter_block_m, w.lower_m);
 
-  const std::size_t bw = static_cast<std::size_t>(box_w);
-  std::uint64_t visited = 0, accepted = 0;
-  // parent_count[a + 1]: cells first accepted by prev's node a.
-  s.parent_count.assign(n_parents + 1, 0);
-
+  // The parent grid: prev scattered over each parent row's hull and the
+  // kPad columns past it, whose holes score -inf under index kNoParent.
+  const auto at = [&](int r, int c) {
+    return static_cast<std::size_t>(r - r_lo) * bw +
+           static_cast<std::size_t>(c - c_lo);
+  };
+  for (int pr = pr_lo; pr <= pr_hi; ++pr) {
+    const int lo = s.parent_row_lo[static_cast<std::size_t>(pr)];
+    const int hi = s.parent_row_hi[static_cast<std::size_t>(pr)];
+    if (lo > hi) continue;
+    const std::size_t len = static_cast<std::size_t>(hi - lo + kPad) + 1;
+    std::fill_n(&s.parent_logp[at(pr, lo)], len, kNegInfF);
+    std::fill_n(&s.parent_index[at(pr, lo)], len, kNoParent);
+  }
   for (std::size_t a = 0; a < n_parents; ++a) {
-    const std::int32_t pcell = prev.cell[a];
-    const int pr = pcell / cols;
-    const int pc = pcell % cols;
-    const double plp = static_cast<double>(prev.logp[a]);
-    const auto parent = static_cast<std::int32_t>(a);
-    std::size_t first_touches = 0;
-    const std::size_t base = static_cast<std::size_t>(pr - r_lo) * bw +
-                             static_cast<std::size_t>(pc - c_lo);
-    const double* hyp = s.hyper_logw.data() + base;
-    float* best = s.box_logp.data() + base;
-    std::int32_t* best_parent = s.box_parent.data() + base;
-    std::int32_t* first = s.box_first.data() + base;
+    const std::size_t i = at(prev.cell[a] / cols, prev.cell[a] % cols);
+    s.parent_logp[i] = prev.logp[a];
+    s.parent_index[i] = static_cast<std::int32_t>(a);
+  }
 
-    // Scores and merges the lanes [l, end): the one loop body every lane
-    // but a knife-edge one runs. Scoring is branchless: the weight floor
-    // clamps the finite log-weight sum (exactly log(max(w, floor)) up to
-    // reassociation). Forced inline, it compiles at each walk below as one
-    // tight loop (DESIGN section 14).
-    const auto walk = [&](const Lane* l,
-                          const Lane* end) __attribute__((always_inline)) {
-      for (; l != end; ++l) {
-        const float lp = static_cast<float>(
-            plp + std::max(hyp[l->off] + l->logw, kLogWeightFloor));
-        merge_lane(lp, lp != kNegInfF, parent, best, best_parent, first,
-                   l->off, accepted, first_touches);
-      }
-    };
-    const bool clipped = pr < reach || pr + reach >= rows || pc < reach ||
-                         pc + reach >= cols;
-    if (!clipped) {
-      // The whole ring lies on the board: every lane, in one walk. The
-      // list leaves the rejected lanes out, so the parent visits the
-      // ring's lane count, not the list's.
-      visited += ring_lanes;
-      walk(lanes, lanes + s.lanes.size());
-    } else {
-      // The ring crosses a board side: each on-board row walks only its
-      // lanes inside the board. A row's lanes are its columns b <= |dc| <=
-      // a (header), a run dc in [-a, -b] from lanes[first] and a run dc in
-      // [max(b, 1), a] after it, so each run is cut to the board's columns
-      // [dc_lo, dc_hi] by arithmetic.
-      const int dc_lo = -pc, dc_hi = cols - 1 - pc;
-      const int dr_lo = std::max(-reach, -pr);
-      const int dr_hi = std::min(reach, rows - 1 - pr);
-      for (int dr = dr_lo; dr <= dr_hi; ++dr) {
-        const RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
-        visited += static_cast<std::uint64_t>(std::min(row.lim, dc_hi) -
-                                              std::max(-row.lim, dc_lo) + 1);
-        // Walks the run of columns [from, to] whose lane dc sits at
-        // lanes[at + dc], cut to the board.
-        const auto run = [&](int from, int to, std::ptrdiff_t at)
-                             __attribute__((always_inline)) {
-          from = std::max(from, dc_lo);
-          to = std::min(to, dc_hi);
-          if (from <= to) walk(lanes + (at + from), lanes + (at + to) + 1);
-        };
-        const auto f = static_cast<std::ptrdiff_t>(row.first);
-        const int b1 = std::max(row.b, 1);
-        run(-row.a, -row.b, f + row.a);
-        run(b1, row.a, f + (row.a - row.b + 1) - b1);
+  // The row walk, candidate row outermost: each ring lane runs once over
+  // every parent row it reaches this row from, across the parent columns
+  // whose cell it puts on the board. Each (parent, cell) pair meets once,
+  // so the order-independent merge makes the walk order free.
+  const int dr_max = std::min(reach, rows - 1);
+  const double inv_4pi = 1.0 / (4.0 * kPi);
+  std::uint64_t accepted = 0;
+  // parent_count[a + 1]: cells whose first accepting parent is prev's a.
+  s.parent_count.assign(n_parents + 1, 0);
+  for (int nr = r_lo; nr <= r_hi; ++nr) {
+    const int lo = s.row_span_lo[static_cast<std::size_t>(nr)];
+    const int hi = s.row_span_hi[static_cast<std::size_t>(nr)];
+    if (lo > hi) continue;
+    float* best = &s.box_logp[at(nr, c_lo)];
+    std::int32_t* best_parent = &s.box_parent[at(nr, c_lo)];
+    std::int32_t* first = &s.box_first[at(nr, c_lo)];
+    // Only cells inside the spans can be taken, so only they reset.
+    const int j0 = lo - c_lo, j1 = hi - c_lo;
+    std::fill(best + j0, best + j1 + 1, kNegInfF);
+    std::fill(first + j0, first + j1 + 1, kNoParent);
+    // Eq. 11 hyperbola term 1 - |dtheta_meas - dtheta(x,y)| / (4*pi): the
+    // circular distance of two phases in [0, 2*pi) is min(|d|, 2*pi - |d|),
+    // and log(term^sharpness) = sharpness * log(term).
+    double* hyp = s.hyper_row.data();
+    const double* phase = field.phase_row(nr) + c_lo;
+    std::fill(hyp + j0, hyp + j1 + 1, 0.0);
+    for (int j = j0; w.use_hyper && j <= j1; ++j) {
+      const double d = std::fabs(phase[j] - w.meas_rad);
+      const double mismatch = std::min(d, kTwoPi - d);
+      const double term = std::max(1.0 - mismatch * inv_4pi, kWeightFloor);
+      hyp[j] = cfg.hyperbola_sharpness * std::log(term);
+    }
+    const int dr_hi = std::min(dr_max, nr - pr_lo);
+    for (int dr = std::max(-dr_max, nr - pr_hi); dr <= dr_hi; ++dr) {
+      const int pr = nr - dr;
+      const int plo = s.parent_row_lo[static_cast<std::size_t>(pr)];
+      const int phi = s.parent_row_hi[static_cast<std::size_t>(pr)];
+      if (plo > phi) continue;
+      const float* plp = &s.parent_logp[at(pr, c_lo)];
+      const std::int32_t* pidx = &s.parent_index[at(pr, c_lo)];
+      const double ddy = field.center_y(pr) - field.center_y(nr);
+      const RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
+      const RingRow& next = s.ring[static_cast<std::size_t>(dr + reach + 1)];
+      const std::size_t n_lanes = next.lane - row.lane;
+      for (std::size_t i = 0; i < n_lanes + next.edge - row.edge; ++i) {
+        const bool edge = i >= n_lanes;
+        const Lane& l = edge ? s.edge_lanes[row.edge + i - n_lanes]
+                             : s.lanes[row.lane + i];
+        const int j_lo = std::max(plo, -l.dc) - c_lo;
+        const int j_hi = std::min(phi, cols - 1 - l.dc) - c_lo;
+        if (j_hi < j_lo) continue;
+        // A lane the hull ends runs on into the holes past it, to a whole
+        // number of vectors; one the board ends stops there.
+        const int j_end = phi + l.dc < cols
+                              ? j_lo + ((j_hi - j_lo + 1 + kPad) & ~kPad)
+                              : j_hi + 1;
+        const float* p = plp;
+        if (edge) {
+          // A knife-edge lane sees a parent whose exact center-difference
+          // step leaves the annulus as a hole.
+          float* masked = s.edge_logp.data();
+          for (int j = j_lo; j <= j_hi; ++j) {
+            const double ddx =
+                field.center_x(c_lo + j) - field.center_x(c_lo + j + l.dc);
+            const double step_sq = ddx * ddx + ddy * ddy;
+            const float pj = plp[j];
+            const bool in = (step_sq <= sq.out_sq) & (step_sq > sq.lower_sq);
+            masked[j] = in ? pj : kNegInfF;
+          }
+          std::fill(masked + j_hi + 1, masked + j_end, kNegInfF);
+          p = masked;
+        }
+        accepted += merge_lane_row(p, pidx, hyp, best, best_parent, first,
+                                   j_lo, j_end, l);
       }
     }
-    // Knife-edge lanes re-run the exact center-difference annulus test, so
-    // the accepted set does not depend on lattice rounding.
-    const double fx = field.center_x(pc);
-    const double fy = field.center_y(pr);
-    for (const EdgeLane& e : s.edge_lanes) {
-      const int nr = pr + e.dr, nc = pc + e.dc;
-      if (clipped && (nr < 0 || nr >= rows || nc < 0 || nc >= cols)) {
-        continue;  // off the board
-      }
-      const float lp = static_cast<float>(
-          plp + std::max(hyp[e.off] + e.logw, kLogWeightFloor));
-      const bool acc =
-          lp != kNegInfF &&
-          annulus_holds(fx - field.center_x(nc), fy - field.center_y(nr),
-                        w.out_thresh_m, w.quarter_block_m, w.lower_m);
-      merge_lane(lp, acc, parent, best, best_parent, first, e.off, accepted,
-                 first_touches);
+    // Every lane into this row has merged: count its first touches.
+    for (int j = j0; j <= j1; ++j) {
+      if (first[j] == kNoParent) continue;
+      ++s.parent_count[static_cast<std::size_t>(first[j]) + 1];
     }
-    s.parent_count[a + 1] = first_touches;
   }
   stats.expansions += accepted;
   stats.annulus_rejected += visited - accepted;
@@ -443,19 +446,16 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
   // Emission in first-touch traversal order (ascending first accepting
   // parent, then row, then column): a counting sort on the first parent
   // over a row-major scan of the spans.
-  for (std::size_t k = 1; k <= n_parents; ++k) {
-    s.parent_count[k] += s.parent_count[k - 1];
-  }
+  std::partial_sum(s.parent_count.begin(), s.parent_count.end(),
+                   s.parent_count.begin());
   cand.resize(s.parent_count[n_parents]);
   for (int nr = r_lo; nr <= r_hi; ++nr) {
     const int lo = s.row_span_lo[static_cast<std::size_t>(nr)];
     const int hi = s.row_span_hi[static_cast<std::size_t>(nr)];
-    const std::size_t row0 =
-        static_cast<std::size_t>(nr - r_lo) * static_cast<std::size_t>(box_w);
     for (int nc = lo; nc <= hi; ++nc) {
-      const std::size_t b = row0 + static_cast<std::size_t>(nc - c_lo);
+      const std::size_t b = at(nr, nc);
       const std::int32_t f = s.box_first[b];
-      if (f < 0) continue;
+      if (f == kNoParent) continue;
       const std::size_t slot = s.parent_count[static_cast<std::size_t>(f)]++;
       cand.cell[slot] = nr * cols + nc;
       cand.logp[slot] = s.box_logp[b];

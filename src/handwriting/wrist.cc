@@ -10,8 +10,8 @@ namespace polardraw::handwriting {
 WristModel::WristModel(WristStyle style, Rng rng)
     : style_(style), rng_(rng) {}
 
-double WristModel::azimuth_from_rotation(double alpha_r_rad, double alpha_e_rad,
-                                         double min_azimuth_rad) {
+double WristModel::azimuth_from_rotation(double alpha_r_rad,
+                                         double alpha_e_rad) {
   // cos(alpha_a) = tan(alpha_e_rad) / tan(alpha_r_rad). Fold alpha_r_rad to [0, pi)
   // first (a projected line angle). tan(alpha_r_rad) -> 0 (pen projection
   // horizontal) saturates the azimuth at the clamp.
@@ -23,7 +23,7 @@ double WristModel::azimuth_from_rotation(double alpha_r_rad, double alpha_e_rad,
   } else {
     cos_a = std::tan(alpha_e_rad) / t;
   }
-  const double limit = std::cos(min_azimuth_rad);
+  const double limit = std::cos(kMinAzimuthRad);
   cos_a = std::clamp(cos_a, -limit, limit);
   return std::acos(cos_a);
 }

@@ -31,6 +31,9 @@ inline constexpr double kElevationRad = 0.5235987755982988;  // 30 deg
 /// Minimum reach (pivot-to-tip distance), meters; the hand slides to stay
 /// outside it.
 inline constexpr double kMinReachM = 0.015;
+/// Azimuth clamp of the inverse Eq. 1, radians: the azimuth stays in the
+/// open interval (kMinAzimuthRad, pi - kMinAzimuthRad).
+inline constexpr double kMinAzimuthRad = 0.14;
 
 struct WristStyle {
   /// Slow elevation wander (std-dev, radians) around the mean.
@@ -69,9 +72,8 @@ class WristModel {
 
   /// Inverse of the paper's Eq. 1: azimuth for a projected pen angle
   /// alpha_r_rad at elevation alpha_e_rad; clamped to the open interval
-  /// (min_azimuth_rad, pi - min_azimuth_rad). Exposed for tests.
-  static double azimuth_from_rotation(double alpha_r_rad, double alpha_e_rad,
-                                      double min_azimuth_rad = 0.14);
+  /// (kMinAzimuthRad, pi - kMinAzimuthRad). Exposed for tests.
+  static double azimuth_from_rotation(double alpha_r_rad, double alpha_e_rad);
 
  private:
   WristStyle style_;

@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -153,9 +154,12 @@ void walk_and_compare(const PolarDrawConfig& cfg, const DecodeTestbed& tb) {
 
 /// Hand-placed beam fronts: a small cluster mid-board; one node on every
 /// corner and edge midpoint, so the traversal clips against all four board
-/// edges; nodes a few blocks in from each edge and corner; and a cluster
-/// by the left edge that mixes parents whose ring lies on the board with
-/// parents whose ring is clipped.
+/// edges; nodes a few blocks in from each edge and corner; a cluster by the
+/// left edge that mixes parents whose ring lies on the board with parents
+/// whose ring is clipped; and the shapes the row walk treats apart: two
+/// clusters on the same rows with a wide gap of holes between them,
+/// isolated parents on alternate rows, a one-column beam, a cluster in
+/// each board corner, and two parents that tie on the cell between them.
 void placed_fronts_and_compare() {
   const PolarDrawConfig cfg;
   const auto tb = make_decode_testbed(cfg, 4, 11);
@@ -189,6 +193,24 @@ void placed_fronts_and_compare() {
       // order.
       {cell(3, mr), cell(2, mr), cell(4, mr + 1), cell(1, mr - 1),
        cell(5, mr - 2), cell(0, mr + 2), cell(3, mr + 3), cell(2, mr - 3)},
+      // Two clusters on the same rows, far more than 2 * reach apart under
+      // the default bounds, so each row's hull spans a wide gap of holes.
+      {cell(40, mr), cell(41, mr), cell(40, mr + 1), cell(42, mr - 1),
+       cell(cols - 40, mr), cell(cols - 42, mr + 1), cell(cols - 41, mr - 1),
+       cell(cols - 40, mr - 1)},
+      // Isolated parents on alternate rows, each row's hull one column.
+      {cell(60, mr - 6), cell(67, mr - 4), cell(53, mr - 2), cell(75, mr),
+       cell(60, mr + 2), cell(61, mr + 4), cell(90, mr + 6)},
+      // A one-column beam.
+      {cell(cols / 3, mr - 4), cell(cols / 3, mr - 3), cell(cols / 3, mr - 1),
+       cell(cols / 3, mr), cell(cols / 3, mr + 1), cell(cols / 3, mr + 4)},
+      // A cluster in each board corner (the 100 m bound below spans them).
+      {cell(0, 0), cell(1, 0), cell(0, 1), cell(cols - 1, 0),
+       cell(cols - 2, 1), cell(0, rows - 1), cell(1, rows - 2),
+       cell(cols - 1, rows - 1), cell(cols - 2, rows - 1)},
+      // Two parents two columns apart, which score the cell between them
+      // exactly alike in the idle variant without phase.
+      {cell(cols / 2 - 1, mr), cell(cols / 2 + 1, mr)},
   };
   // Distance bounds (a negative value keeps the testbed's own). 0.01 m is
   // the default lattice knife edge: the outer threshold upper + block/2
@@ -210,8 +232,9 @@ void placed_fronts_and_compare() {
   for (std::size_t f = 0; f < fronts.size(); ++f) {
     Beam front;
     front.cell = fronts[f];
+    const bool tie = f + 1 == fronts.size();
     for (std::size_t i = 0; i < front.size(); ++i) {
-      front.logp.push_back(-0.25f * static_cast<float>(i));
+      front.logp.push_back(tie ? -0.5f : -0.25f * static_cast<float>(i));
       front.parent.push_back(-1);
     }
     for (const Bound& b : bounds) {
@@ -232,6 +255,33 @@ void placed_fronts_and_compare() {
         }
       }
     }
+  }
+
+  // The tie in an idle window: the oracle accepts either parent at a tie,
+  // so the kernel's rule is checked here. The lower index wins in either
+  // order, and the cell carries the bits that parent scores alone.
+  TrackObservation idle = tb.obs[0];
+  idle.direction.type = MotionType::kIdle;
+  idle.distance.lower_m = 0.0;
+  idle.distance.upper_m = 0.01;
+  const std::int32_t mid = cell(cols / 2, mr);
+  const auto logp_at = [&](const Beam& front, std::int32_t& parent) {
+    Candidates got;
+    expand_beam(cfg, field, idle, front, got, got.stats);
+    const auto it = std::find(got.cell.begin(), got.cell.end(), mid);
+    EXPECT_NE(it, got.cell.end());
+    const auto i = static_cast<std::size_t>(it - got.cell.begin());
+    parent = got.parent[i];
+    return std::bit_cast<std::uint32_t>(got.logp[i]);
+  };
+  for (const int c0 : {cols / 2 - 1, cols / 2 + 1}) {
+    const int c1 = 2 * (cols / 2) - c0;  // the other side of the cell
+    SCOPED_TRACE(::testing::Message() << "tie, parent 0 at column " << c0);
+    std::int32_t parent = -1, alone_parent = -1;
+    const Beam pair{{cell(c0, mr), cell(c1, mr)}, {-0.5f, -0.5f}, {-1, -1}};
+    const Beam alone{{cell(c0, mr)}, {-0.5f}, {-1}};
+    EXPECT_EQ(logp_at(pair, parent), logp_at(alone, alone_parent));
+    EXPECT_EQ(parent, 0);
   }
 }
 
@@ -289,6 +339,42 @@ TEST(ExpandKernel, NonUnitDirectionDecodesLikeItsNormalizedSelf) {
     for (std::size_t i = 0; i < unit.size(); ++i) {
       EXPECT_EQ(scaled[i].x, unit[i].x) << "position " << i;
       EXPECT_EQ(scaled[i].y, unit[i].y) << "position " << i;
+    }
+  }
+}
+
+TEST(ExpandKernel, SquaredAnnulusThresholdsMatchTheSqrtTest) {
+  // Knife-edge lanes test a squared center-difference step s against two
+  // thresholds found once per window, in place of the annulus test
+  // !(sqrt(s) > out || sqrt(s) + quarter < lower). Correctly rounded sqrt
+  // and + are monotone, so the two compares must agree with it on every
+  // s; a threshold off by an ulp shows within 256 ulps of it. The outer
+  // thresholds are 2, 2.5, 3 (the default knife edge) and 4 blocks.
+  const double block = PolarDrawConfig{}.block_m;
+  const double quarter = 0.25 * block;
+  std::vector<double> lowers = {0.0, quarter, 0.3};
+  for (int k = 1; k <= 3; ++k) {
+    lowers.push_back(k * block - quarter);
+    lowers.push_back(k * block + quarter);  // inner threshold on the lattice
+  }
+  for (const double out_blocks : {2.0, 2.5, 3.0, 4.0}) {
+    const double out = out_blocks * block;
+    for (const double lower : lowers) {
+      SCOPED_TRACE(::testing::Message() << "out " << out << " lower " << lower);
+      const SquaredAnnulus sq = squared_annulus(out, quarter, lower);
+      std::size_t mismatches = 0;
+      for (const double threshold : {sq.out_sq, sq.lower_sq}) {
+        if (threshold < 0.0) continue;  // no inner threshold
+        const auto bits = std::bit_cast<std::uint64_t>(threshold);
+        for (std::uint64_t b = bits - std::min<std::uint64_t>(bits, 256);
+             b <= bits + 256; ++b) {
+          const double s = std::bit_cast<double>(b);
+          const bool sqrt_test =
+              !(std::sqrt(s) > out || std::sqrt(s) + quarter < lower);
+          mismatches += (s <= sq.out_sq && s > sq.lower_sq) != sqrt_test;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
     }
   }
 }

@@ -29,11 +29,10 @@ TEST(AzimuthFromRotation, VerticalProjectionIsNeutral) {
 }
 
 TEST(AzimuthFromRotation, SaturatesAtClamp) {
-  const double min_az = 0.14;
   // A nearly horizontal projection demands an impossible azimuth; the
   // inverse saturates at the clamp.
-  const double az = WristModel::azimuth_from_rotation(0.05, deg2rad(30.0), min_az);
-  EXPECT_NEAR(az, min_az, 1e-9);
+  const double az = WristModel::azimuth_from_rotation(0.05, deg2rad(30.0));
+  EXPECT_NEAR(az, kMinAzimuthRad, 1e-9);
 }
 
 TEST(WristModel, RightwardStrokeRotatesClockwise) {
