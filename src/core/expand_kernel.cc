@@ -60,7 +60,6 @@ struct ExpandScratch {
   std::vector<int> row_span_lo, row_span_hi;      // touched columns per row
   std::vector<Lane> lanes, edge_lanes;
   std::vector<double> hyper_row;  // one candidate row's hyperbola log-weight
-  std::vector<float> edge_logp;   // one parent row under a knife-edge lane
   // Per-cell arrays over the bounding box of the row spans.
   std::vector<float> box_logp;             // best log-prob so far, -inf
   std::vector<std::int32_t> box_parent;    // its parent (index into prev)
@@ -214,22 +213,33 @@ double last_holding(double guess, Pred holds) {
 /// merges each score. The merge is order-independent: an accepted score
 /// takes a cell when it is greater than the cell's best, or equal from a
 /// lower parent index, and the first parent is the least accepting index.
-/// A parent that scores -inf, as a hole does, is not accepted.
-/// Straight-line selects with no early exit, so GCC vectorizes the loop at
-/// -O3. Returns the accepted count.
+/// A parent that scores -inf, as a hole does, is not accepted. A knife-edge
+/// lane (kEdge) adds -inf to a parent (at board column c_lo + j) whose
+/// squared center-difference step fails `sq`, and 0 to the rest, which
+/// moves no bit of a score: its second term is never -0. Straight-line
+/// selects with no early exit, so GCC vectorizes the loop at -O3. Returns
+/// the accepted count.
+template <bool kEdge>
 unsigned merge_lane_row(const float* __restrict plp,
                         const std::int32_t* __restrict pidx,
                         const double* __restrict hyp, float* __restrict best,
                         std::int32_t* __restrict best_parent,
                         std::int32_t* __restrict first, int j_lo, int j_end,
-                        const Lane& l) {
+                        const Lane& l, const PhaseField& field, int c_lo,
+                        double ddy, const SquaredAnnulus& sq) {
   const int dc = l.dc;
   const double logw = l.logw;
   unsigned accepted = 0;
   for (int j = j_lo; j < j_end; ++j) {
     const int k = j + dc;
+    float p = plp[j];
+    if constexpr (kEdge) {
+      const double ddx = field.center_x(c_lo + j) - field.center_x(c_lo + k);
+      const double step_sq = ddx * ddx + ddy * ddy;
+      p += (step_sq <= sq.out_sq) & (step_sq > sq.lower_sq) ? 0.0f : kNegInfF;
+    }
     const float lp = static_cast<float>(
-        static_cast<double>(plp[j]) + std::max(hyp[k] + logw, kLogWeightFloor));
+        static_cast<double>(p) + std::max(hyp[k] + logw, kLogWeightFloor));
     const bool acc = lp != kNegInfF;
     const std::int32_t parent = pidx[j];
     const float b = best[k];
@@ -249,8 +259,9 @@ unsigned merge_lane_row(const float* __restrict plp,
 SquaredAnnulus squared_annulus(double out_thresh_m, double quarter_block_m,
                                double lower_m) {
   const double inner_m = lower_m - quarter_block_m;
-  return {last_holding(out_thresh_m * out_thresh_m,
-                       [&](double s) { return !(std::sqrt(s) > out_thresh_m); }),
+  return {last_holding(out_thresh_m * out_thresh_m, [&](double s) {
+            return !(std::sqrt(s) > out_thresh_m);
+          }),
           last_holding(inner_m * inner_m, [&](double s) {
             return std::sqrt(s) + quarter_block_m < lower_m;
           })};
@@ -332,7 +343,6 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
   resize_within(s.parent_logp, box, n_rows * board_w);
   resize_within(s.parent_index, box, n_rows * board_w);
   resize_within(s.hyper_row, bw, board_w);
-  resize_within(s.edge_logp, bw, board_w);
   const SquaredAnnulus sq =
       s.edge_lanes.empty()
           ? SquaredAnnulus{}
@@ -401,37 +411,25 @@ void expand_beam(const PolarDrawConfig& cfg, const PhaseField& field,
       const double ddy = field.center_y(pr) - field.center_y(nr);
       const RingRow& row = s.ring[static_cast<std::size_t>(dr + reach)];
       const RingRow& next = s.ring[static_cast<std::size_t>(dr + reach + 1)];
-      const std::size_t n_lanes = next.lane - row.lane;
-      for (std::size_t i = 0; i < n_lanes + next.edge - row.edge; ++i) {
-        const bool edge = i >= n_lanes;
-        const Lane& l = edge ? s.edge_lanes[row.edge + i - n_lanes]
-                             : s.lanes[row.lane + i];
+      for (std::size_t i = row.lane; i < next.lane; ++i) {
+        const Lane& l = s.lanes[i];
         const int j_lo = std::max(plo, -l.dc) - c_lo;
         const int j_hi = std::min(phi, cols - 1 - l.dc) - c_lo;
-        if (j_hi < j_lo) continue;
         // A lane the hull ends runs on into the holes past it, to a whole
         // number of vectors; one the board ends stops there.
         const int j_end = phi + l.dc < cols
                               ? j_lo + ((j_hi - j_lo + 1 + kPad) & ~kPad)
                               : j_hi + 1;
-        const float* p = plp;
-        if (edge) {
-          // A knife-edge lane sees a parent whose exact center-difference
-          // step leaves the annulus as a hole.
-          float* masked = s.edge_logp.data();
-          for (int j = j_lo; j <= j_hi; ++j) {
-            const double ddx =
-                field.center_x(c_lo + j) - field.center_x(c_lo + j + l.dc);
-            const double step_sq = ddx * ddx + ddy * ddy;
-            const float pj = plp[j];
-            const bool in = (step_sq <= sq.out_sq) & (step_sq > sq.lower_sq);
-            masked[j] = in ? pj : kNegInfF;
-          }
-          std::fill(masked + j_hi + 1, masked + j_end, kNegInfF);
-          p = masked;
-        }
-        accepted += merge_lane_row(p, pidx, hyp, best, best_parent, first,
-                                   j_lo, j_end, l);
+        accepted += merge_lane_row<false>(plp, pidx, hyp, best, best_parent,
+                                          first, j_lo, j_end, l, field, c_lo,
+                                          ddy, sq);
+      }
+      for (std::size_t i = row.edge; i < next.edge; ++i) {
+        const Lane& l = s.edge_lanes[i];
+        accepted += merge_lane_row<true>(
+            plp, pidx, hyp, best, best_parent, first,
+            std::max(plo, -l.dc) - c_lo,
+            std::min(phi, cols - 1 - l.dc) - c_lo + 1, l, field, c_lo, ddy, sq);
       }
     }
     // Every lane into this row has merged: count its first touches.

@@ -169,8 +169,9 @@ void placed_fronts_and_compare() {
   const auto cell = [cols](int c, int r) { return r * cols + c; };
 
   // Nodes 1-4 blocks in from every edge midpoint and along every corner's
-  // diagonal: under the default bounds (reach 3) they straddle the switch
-  // between the whole lane list and its board-clipped rows.
+  // diagonal: under the default bounds (reach 3) some of their rings cross
+  // a board side and some just stay on it, so the board clip cuts some
+  // lanes' parent columns and not others.
   std::vector<std::int32_t> near_edges;
   for (int k = 1; k <= 4; ++k) {
     for (const int c : {k, cols - 1 - k}) {
@@ -188,9 +189,8 @@ void placed_fronts_and_compare() {
        cell(cols - 1, rows - 1), cell(cols / 2, 0), cell(cols / 2, rows - 1),
        cell(0, rows / 2), cell(cols - 1, rows / 2)},
       near_edges,
-      // Interior and border parents alternating, rings overlapping, so the
-      // whole list and the clipped rows merge into the same cells in parent
-      // order.
+      // Interior and border parents alternating, rings overlapping, so
+      // clipped and unclipped lanes merge into the same cells.
       {cell(3, mr), cell(2, mr), cell(4, mr + 1), cell(1, mr - 1),
        cell(5, mr - 2), cell(0, mr + 2), cell(3, mr + 3), cell(2, mr - 3)},
       // Two clusters on the same rows, far more than 2 * reach apart under
