@@ -170,8 +170,8 @@ TEST(Association, InterleavingInvariant) {
       ASSERT_EQ(got[i].session_id, want[i].session_id);
       ASSERT_EQ(got[i].t_s, want[i].t_s);
       ASSERT_EQ(got[i].obs.has_phase, want[i].obs.has_phase);
-      ASSERT_EQ(got[i].obs.distance.dl1_m, want[i].obs.distance.dl1_m);
-      ASSERT_EQ(got[i].obs.distance.dl2_m, want[i].obs.distance.dl2_m);
+      ASSERT_EQ(got[i].obs.distance.lower_m, want[i].obs.distance.lower_m);
+      ASSERT_EQ(got[i].obs.distance.dtheta21, want[i].obs.distance.dtheta21);
       ASSERT_EQ(got[i].obs.direction.direction.x,
                 want[i].obs.direction.direction.x);
       ASSERT_EQ(got[i].obs.direction.direction.y,
@@ -240,10 +240,8 @@ void expect_same_direction(const DirectionEstimate& got,
   EXPECT_EQ(got.direction.x, want.direction.x) << "window " << i;
   EXPECT_EQ(got.direction.y, want.direction.y) << "window " << i;
   EXPECT_EQ(got.alpha_a_rad, want.alpha_a_rad) << "window " << i;
-  EXPECT_EQ(got.alpha_r_rad, want.alpha_r_rad) << "window " << i;
   EXPECT_EQ(static_cast<int>(got.sense), static_cast<int>(want.sense)) << i;
   EXPECT_EQ(static_cast<int>(got.sector), static_cast<int>(want.sector)) << i;
-  EXPECT_EQ(static_cast<int>(got.coarse), static_cast<int>(want.coarse)) << i;
 }
 
 void expect_same_distance(const DistanceEstimate& got,
@@ -251,8 +249,6 @@ void expect_same_distance(const DistanceEstimate& got,
   EXPECT_EQ(got.valid, want.valid) << "window " << i;
   EXPECT_EQ(got.lower_m, want.lower_m) << "window " << i;
   EXPECT_EQ(got.upper_m, want.upper_m) << "window " << i;
-  EXPECT_EQ(got.dl1_m, want.dl1_m) << "window " << i;
-  EXPECT_EQ(got.dl2_m, want.dl2_m) << "window " << i;
   EXPECT_EQ(got.dtheta21, want.dtheta21) << "window " << i;
 }
 

@@ -36,8 +36,7 @@ TEST(TranslationTracker, EstimateCarriesUnitDirection) {
   TranslationTracker tracker(cfg);
   const auto est = tracker.step(-0.2, -0.2);
   EXPECT_EQ(est.type, MotionType::kTranslational);
-  EXPECT_EQ(est.coarse, BoardDirection::kUp);
-  EXPECT_NEAR(est.direction.y, 1.0, 1e-12);
+  EXPECT_EQ(est.direction, to_vector(BoardDirection::kUp));
   const auto idle = tracker.step(0.0, 0.0);
   EXPECT_EQ(idle.type, MotionType::kIdle);
 }
