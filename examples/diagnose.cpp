@@ -46,31 +46,31 @@ int main(int argc, char** argv) {
   int trans_quad_ok = 0, trans_total = 0;
   int moving_idle = 0, idle_total = 0;
 
-  for (const auto& d : result.diagnostics) {
-    const Vec2 v =
-        (truth_pos(d.t_s + 0.025) - truth_pos(d.t_s - 0.025)) / 0.05;
+  for (const auto& [t_s, o] : result.diagnostics) {
+    const Vec2 v = (truth_pos(t_s + 0.025) - truth_pos(t_s - 0.025)) / 0.05;
     const double speed = v.norm();
     const Vec2 tdir = speed > 1e-4 ? v / speed : Vec2{};
     const double true_step = speed * 0.05;
+    const core::MotionType motion = o.direction.type;
 
-    if (d.motion == core::MotionType::kRotational && speed > 0.01) {
+    if (motion == core::MotionType::kRotational && speed > 0.01) {
       ++rot_total;
-      const double dot = d.direction.direction.dot(tdir);
+      const double dot = o.direction.direction.dot(tdir);
       dir_dot_rot.push(dot);
-      if (d.direction.direction.x * tdir.x > 0) ++rot_sign_ok;
-    } else if (d.motion == core::MotionType::kTranslational && speed > 0.01) {
+      if (o.direction.direction.x * tdir.x > 0) ++rot_sign_ok;
+    } else if (motion == core::MotionType::kTranslational && speed > 0.01) {
       ++trans_total;
-      const double dot = d.direction.direction.dot(tdir);
+      const double dot = o.direction.direction.dot(tdir);
       dir_dot_trans.push(dot);
       if (dot > 0.3) ++trans_quad_ok;
-    } else if (d.motion == core::MotionType::kIdle) {
+    } else if (motion == core::MotionType::kIdle) {
       ++idle_total;
       if (speed > 0.02) ++moving_idle;
     }
-    if (d.distance.valid && speed > 1e-3) {
+    if (o.distance.valid && speed > 1e-3) {
       // How well does the annulus contain the true displacement?
-      dist_err.push(true_step >= d.distance.lower_m - 0.002 &&
-                            true_step <= d.distance.upper_m + 0.002
+      dist_err.push(true_step >= o.distance.lower_m - 0.002 &&
+                            true_step <= o.distance.upper_m + 0.002
                         ? 1.0
                         : 0.0);
     }
@@ -134,18 +134,19 @@ int main(int argc, char** argv) {
       return rad2deg(std::atan2(tag.dipole_axis.z, tag.dipole_axis.x));
     };
     std::cout << "\n  t   | true-az | est-az | sector | sense | true-daz\n";
-    for (const auto& d : result.diagnostics) {
-      if (d.motion != core::MotionType::kRotational) continue;
-      const double az0 = true_azimuth(d.t_s - 0.025);
-      const double az1 = true_azimuth(d.t_s + 0.025);
+    for (const auto& [t_s, o] : result.diagnostics) {
+      const core::DirectionEstimate& d = o.direction;
+      if (d.type != core::MotionType::kRotational) continue;
+      const double az0 = true_azimuth(t_s - 0.025);
+      const double az1 = true_azimuth(t_s + 0.025);
       const char* sense =
-          d.direction.sense == core::RotationSense::kClockwise        ? "cw "
-          : d.direction.sense == core::RotationSense::kCounterClockwise ? "ccw"
-                                                                        : "?  ";
-      std::cout << fmt(d.t_s, 2) << " | " << fmt((az0 + az1) / 2, 0) << " | "
-                << fmt(rad2deg(d.direction.alpha_a_rad), 0) << " | "
-                << static_cast<int>(d.direction.sector) << " | " << sense
-                << " | " << fmt(az1 - az0, 1) << "\n";
+          d.sense == core::RotationSense::kClockwise          ? "cw "
+          : d.sense == core::RotationSense::kCounterClockwise ? "ccw"
+                                                              : "?  ";
+      std::cout << fmt(t_s, 2) << " | " << fmt((az0 + az1) / 2, 0) << " | "
+                << fmt(rad2deg(d.alpha_a_rad), 0) << " | "
+                << static_cast<int>(d.sector) << " | " << sense << " | "
+                << fmt(az1 - az0, 1) << "\n";
     }
     return 0;
   }
@@ -153,23 +154,24 @@ int main(int argc, char** argv) {
   if (argc > 2) {  // verbose: decoded steps vs truth
     std::cout << "\n w | type | est-step(cm)      | true-step(cm)     | "
                  "lower..upper (cm)\n";
-    for (std::size_t i = 1; i < result.trajectory.size() &&
-                            i < result.diagnostics.size() + 1 && i < 60;
-         ++i) {
-      const auto& d = result.diagnostics[i - 1];
+    // trajectory[i] - trajectory[i - 1] is the step of window i - 1 + skip:
+    // the trajectory has lost the warm-up windows the diagnostics keep.
+    const std::size_t skip =
+        result.diagnostics.size() + 1 - result.trajectory.size();
+    for (std::size_t i = 1; i < result.trajectory.size() && i < 60; ++i) {
+      const auto& [t_s, o] = result.diagnostics[i - 1 + skip];
       const Vec2 est = result.trajectory[i] - result.trajectory[i - 1];
-      const Vec2 tru =
-          truth_pos(d.t_s + 0.025) - truth_pos(d.t_s - 0.025);
-      const char* ty = d.motion == core::MotionType::kRotational  ? "rot "
-                       : d.motion == core::MotionType::kTranslational
-                           ? "trn "
-                           : "idle";
+      const Vec2 tru = truth_pos(t_s + 0.025) - truth_pos(t_s - 0.025);
+      const core::MotionType m = o.direction.type;
+      const char* ty = m == core::MotionType::kRotational      ? "rot "
+                       : m == core::MotionType::kTranslational ? "trn "
+                                                               : "idle";
       std::cout << std::setw(3) << i << "| " << ty << " | (" << fmt(est.x * 100, 1)
                 << "," << fmt(est.y * 100, 1) << ") | (" << fmt(tru.x * 100, 1)
                 << "," << fmt(tru.y * 100, 1) << ") | "
-                << fmt(d.distance.lower_m * 100, 2) << ".."
-                << fmt(d.distance.upper_m * 100, 2)
-                << (d.distance.valid ? "" : " INVALID") << "\n";
+                << fmt(o.distance.lower_m * 100, 2) << ".."
+                << fmt(o.distance.upper_m * 100, 2)
+                << (o.distance.valid ? "" : " INVALID") << "\n";
     }
   }
   return 0;

@@ -15,8 +15,6 @@ DistanceEstimate DistanceEstimator::estimate(double dtheta1, double dtheta2,
   static const obs::SpanSite span_site("core.distance_estimate");
   const obs::ScopedSpan span(span_site);
   DistanceEstimate e;
-  e.dl1_m = link_delta(dtheta1);
-  e.dl2_m = link_delta(dtheta2);
   // Deduct the phase-noise margin before applying the triangle-inequality
   // lower bound: a noisy reading of a stationary tag must not demand
   // movement.

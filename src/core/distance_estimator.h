@@ -17,10 +17,8 @@ namespace polardraw::core {
 
 /// Displacement bounds and hyperbola data for one window.
 struct DistanceEstimate {
-  double lower_m = 0.0;  // max(|dl1|, |dl2|)
+  double lower_m = 0.0;  // max(|dl1|, |dl2|), less the phase-noise margin
   double upper_m = 0.0;  // vmax * dt
-  double dl1_m = 0.0;    // per-antenna link-length changes
-  double dl2_m = 0.0;
   /// Measured inter-antenna phase difference theta2 - theta1, wrapped to
   /// [0, 2*pi) at the source (the physical quantity is only defined modulo
   /// 2*pi anyway). Consumers may compare it against expected_dtheta21 /

@@ -27,12 +27,10 @@ struct DirectionEstimate {
   MotionType type = MotionType::kIdle;
   /// Unit direction of motion in board coordinates (zero when idle).
   Vec2 direction;
-  /// For rotational windows: the tracked azimuth and rotation angle.
+  /// For rotational windows: the tracked azimuth.
   double alpha_a_rad = 0.0;
-  double alpha_r_rad = 0.0;
   RotationSense sense = RotationSense::kNone;
   Sector sector = Sector::kUnknown;
-  BoardDirection coarse = BoardDirection::kNone;
 };
 
 /// One fused observation per window, as consumed by the HMM decode.

@@ -71,9 +71,9 @@ MotionFrontEnd::Step MotionFrontEnd::push(const Window& w) {
   }
 
   Step step;
-  step.diagnostics = WindowDiagnostics{w.t_s, dir.type, dir, obs.distance};
+  step.raw = TimedObservation{w.t_s, obs};
   if (held_) step.released = release(&dir.direction);
-  held_ = TimedObservation{w.t_s, obs};
+  held_ = step.raw;
   return step;
 }
 

@@ -7,10 +7,12 @@
 // split (rotational when either antenna's RSS moved by at least
 // kRotationRssDeltaDb, else translational from the phase trends), runs
 // the rotation or translation direction decode, and bounds the
-// displacement (Eq. 5 annulus + Eq. 7 hyperbola data). Directions are then
-// smoothed with a [1/4 1/2 1/4] kernel over raw neighbours; because that
-// kernel looks one window ahead, each observation is released one push
-// late, and flush() releases the last one smoothed on its left only.
+// displacement (Eq. 5 annulus + Eq. 7 hyperbola data). Each push returns
+// that window's raw observation at once, and PolarDraw::track keeps it as
+// the window's diagnostic record. Directions are then smoothed with a
+// [1/4 1/2 1/4] kernel over raw neighbours; because that kernel looks one
+// window ahead, each smoothed observation is released one push late, and
+// flush() releases the last one smoothed on its left only.
 #pragma once
 
 #include <optional>
@@ -25,16 +27,8 @@
 
 namespace polardraw::core {
 
-/// Raw (unsmoothed) estimate of one window, for diagnostics, tests and
-/// the pen-tip offset compensation.
-struct WindowDiagnostics {
-  double t_s = 0.0;
-  MotionType motion = MotionType::kIdle;
-  DirectionEstimate direction;
-  DistanceEstimate distance;
-};
-
-/// An observation released from the smoothing hold, with its window time.
+/// One window's observation with its window time: raw as push() returns
+/// it, smoothed as the hold releases it.
 struct TimedObservation {
   double t_s = 0.0;
   TrackObservation obs;
@@ -45,8 +39,9 @@ class MotionFrontEnd {
   explicit MotionFrontEnd(const PolarDrawConfig& cfg);
 
   struct Step {
-    /// The pushed window's own estimate, available immediately.
-    WindowDiagnostics diagnostics;
+    /// The pushed window's own raw (unsmoothed) observation, available
+    /// immediately.
+    TimedObservation raw;
     /// The previous window's observation, now smoothed with both raw
     /// neighbours (empty on the first push).
     std::optional<TimedObservation> released;

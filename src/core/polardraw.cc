@@ -28,12 +28,12 @@ TrackingResult PolarDraw::track(const rfid::TagReportStream& reports,
   result.diagnostics.reserve(windows.size());
   for (const Window& w : windows) {
     const MotionFrontEnd::Step step = front.push(w);
-    switch (step.diagnostics.motion) {
+    switch (step.raw.obs.direction.type) {
       case MotionType::kRotational: ++result.rotational_windows; break;
       case MotionType::kTranslational: ++result.translational_windows; break;
       case MotionType::kIdle: ++result.idle_windows; break;
     }
-    result.diagnostics.push_back(step.diagnostics);
+    result.diagnostics.push_back(step.raw);
     if (step.released) observations.push_back(step.released->obs);
   }
   if (auto tail = front.flush()) observations.push_back(tail->obs);
@@ -62,8 +62,9 @@ TrackingResult PolarDraw::track(const rfid::TagReportStream& reports,
     double azimuth = kPi / 2.0;  // neutral until first estimate
     for (std::size_t i = 0; i < traj.size(); ++i) {
       if (i < result.diagnostics.size() &&
-          result.diagnostics[i].motion == MotionType::kRotational) {
-        azimuth = result.diagnostics[i].direction.alpha_a_rad;
+          result.diagnostics[i].obs.direction.type ==
+              MotionType::kRotational) {
+        azimuth = result.diagnostics[i].obs.direction.alpha_a_rad;
       }
       traj[i] -= Vec2{ce * std::cos(azimuth), se} * cfg_.tag_offset_m;
     }

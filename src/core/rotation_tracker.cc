@@ -203,8 +203,8 @@ DirectionEstimate RotationTracker::step(double ds1, double ds2) {
   est.sense = sense;
   est.sector = sector;
   est.alpha_a_rad = alpha_a_rad_;
-  est.alpha_r_rad = rotation_angle(alpha_a_rad_);
-  est.direction = motion_direction(est.alpha_r_rad, sense);
+  const double alpha_r_rad = rotation_angle(alpha_a_rad_);
+  est.direction = motion_direction(alpha_r_rad, sense);
   return est;
 }
 

@@ -38,7 +38,6 @@ DirectionEstimate TranslationTracker::step(double dtheta1,
     return est;
   }
   est.type = MotionType::kTranslational;
-  est.coarse = d;
   est.direction = to_vector(d);
   return est;
 }

@@ -87,9 +87,10 @@ bool SessionServer::submit(SessionId id, const core::TrackObservation& obs,
     if (!std::isfinite(sim_t_s)) {
       sim_t_s = static_cast<double>(s.submitted) * cfg_.window_s;
     }
-    s.pending.push_back({obs, now, sim_t_s, flow_id});
+    s.mailbox.push_back(obs);
+    s.pending.push_back({now, sim_t_s, flow_id});
     ++s.submitted;
-    depth = ++s.queued;
+    depth = s.mailbox.size();
     // Log the crossing once per episode; a drain re-arms it.
     log_backpressure =
         depth > server_cfg_.backpressure_depth && !s.backpressure_logged;
@@ -124,7 +125,7 @@ std::size_t SessionServer::pump() {
   active.reserve(sessions_.size());
   for (auto& [id, s] : sessions_) {
     pd::MutexLock lock(s->mu);
-    if (s->queued > 0) active.push_back(s.get());
+    if (!s->mailbox.empty()) active.push_back(s.get());
   }
 
   std::atomic<std::size_t> total{0};
@@ -133,10 +134,9 @@ std::size_t SessionServer::pump() {
     // Hold the session mutex for the whole drain: a submit() or a reader
     // landing mid-drain waits a moment instead of racing the queue.
     pd::MutexLock lock(s.mu);
-    mailbox_gauge.set_max(static_cast<double>(s.queued));
-    s.push_queued();
+    mailbox_gauge.set_max(static_cast<double>(s.mailbox.size()));
     const std::size_t base = s.committed.size();
-    const std::size_t n = s.decoder.poll(s.committed);
+    const std::size_t n = s.drain_mailbox();
     if (n > 0) {
       // polarlint-allow(R7): measurement only -- stamps the commit for the
       // push_to_commit_s histogram, never feeds the decode.
@@ -231,7 +231,7 @@ std::vector<Vec2> SessionServer::close(SessionId id) {
     // function of the session's full observation stream, so observations
     // still sitting in the mailbox must decode before the tail commits --
     // otherwise the result would depend on pump timing.
-    s.push_queued();
+    s.drain_mailbox();
     s.decoder.finish(s.committed);
     last_t_s = s.pending.empty() ? 0.0 : s.pending.back().t_s;
     traj = std::move(s.committed);
@@ -257,7 +257,7 @@ SessionServer::LiveStatus SessionServer::live_status() const {
     SessionStatus st;
     st.id = id;
     st.seeded = s->decoder.seeded();
-    st.mailbox_depth = s->queued;
+    st.mailbox_depth = s->mailbox.size();
     st.submitted = s->submitted;
     st.committed = s->committed.size();
     st.commit_lag = s->decoder.commit_lag();

@@ -192,14 +192,18 @@ class SessionServer {
   /// The live state status() reports and healthz() judges.
   [[nodiscard]] LiveStatus live_status() const;
 
-  /// A submitted observation, kept until the position it created commits.
+  /// A submitted observation's stamps, kept until the position it created
+  /// commits; the observation itself leaves with the mailbox.
   struct Pending {
-    core::TrackObservation obs;
     Clock::time_point stamp;  // submit wall time (push-to-commit latency)
     double t_s = 0.0;         // sim time (rolling window, starvation)
     std::uint64_t flow_id = 0;  // causal flow chain (0 = unsampled)
   };
 
+  /// One pen: a window waits in the mailbox until the next drain decodes
+  /// it, and only its 24 B of stamps wait on until its position commits.
+  /// The session's heap is its decoder's lag + 1 beam steps, the stamps
+  /// and the committed trajectory (DESIGN.md section 13).
   struct Session {
     Session(const core::PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
             double antenna_z, const core::StreamingConfig& scfg,
@@ -212,15 +216,18 @@ class SessionServer {
     /// session's drain racing each other.
     pd::Mutex mu;
     core::StreamingDecoder decoder PD_GUARDED_BY(mu);
-    /// Observations whose positions have not committed, oldest first (at
-    /// most lag + mailbox + unseeded prefix); the newest `queued` are the
-    /// mailbox. Relative to the decoder's seed_root_position() R, which
-    /// has no originating window, position p comes from observation p for
-    /// p < R (the backfilled phaseless prefix) and from observation p - 1
-    /// for p > R, so every other commit pops the front. The last submit's
-    /// position is within the lag, so it is always the back.
+    /// Observations submitted since the last drain, oldest first. The
+    /// drain hands them to the decoder and frees the storage, so a burst
+    /// is held only until it is decoded.
+    std::vector<core::TrackObservation> mailbox PD_GUARDED_BY(mu);
+    /// Stamps of the observations whose positions have not committed,
+    /// oldest first (at most lag + mailbox + unseeded prefix). Relative to
+    /// the decoder's seed_root_position() R, which has no originating
+    /// window, position p comes from observation p for p < R (the
+    /// backfilled phaseless prefix) and from observation p - 1 for p > R,
+    /// so every other commit pops the front. The last submit's position is
+    /// within the lag, so it is always the back.
     std::deque<Pending> pending PD_GUARDED_BY(mu);
-    std::size_t queued PD_GUARDED_BY(mu) = 0;
     std::size_t submitted PD_GUARDED_BY(mu) = 0;
     /// (sim_t_s, latency_s) pairs committed by the last drain; the pump
     /// caller moves them into the rolling window afterwards in session-id
@@ -230,13 +237,18 @@ class SessionServer {
     /// Set when a submit logs server.backpressure; a drain re-arms it.
     bool backpressure_logged PD_GUARDED_BY(mu) = false;
 
-    /// Feeds the mailbox to the decoder.
-    void push_queued() PD_REQUIRES(mu) {
-      for (auto e = pending.end() - static_cast<std::ptrdiff_t>(queued);
-           e != pending.end(); ++e) {
-        decoder.push(e->obs);
+    /// Decodes the mailbox into `committed` and frees the mailbox's
+    /// storage (clear() would keep a burst's capacity). Polling after each
+    /// push keeps the decoder's commit buffer at one window's commits.
+    /// Returns the number of positions committed.
+    std::size_t drain_mailbox() PD_REQUIRES(mu) {
+      std::size_t n = 0;
+      for (const core::TrackObservation& o : mailbox) {
+        decoder.push(o);
+        n += decoder.poll(committed);
       }
-      queued = 0;
+      std::vector<core::TrackObservation>().swap(mailbox);
+      return n;
     }
   };
 

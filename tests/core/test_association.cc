@@ -343,10 +343,10 @@ TEST(Association, MatchesBatchPipelineWindowForWindow) {
       expect_same_direction(obs[i].obs.direction, batch_obs[i].direction, i);
       expect_same_distance(obs[i].obs.distance, batch_obs[i].distance, i);
       // The batch diagnostics are the raw estimates of the same windows.
-      EXPECT_EQ(static_cast<int>(batch_res.diagnostics[i].motion),
+      EXPECT_EQ(static_cast<int>(batch_res.diagnostics[i].obs.direction.type),
                 static_cast<int>(obs[i].obs.direction.type))
           << "window " << i;
-      expect_same_distance(batch_res.diagnostics[i].distance,
+      expect_same_distance(batch_res.diagnostics[i].obs.distance,
                            obs[i].obs.distance, i);
     }
     // The one close carries the batch pipeline's Eq. 10 angle exactly.

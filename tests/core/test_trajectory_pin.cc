@@ -133,8 +133,8 @@ std::uint64_t hash_result(const core::TrackingResult& res) {
   h.add(static_cast<std::uint64_t>(res.diagnostics.size()));
   for (const auto& d : res.diagnostics) {
     h.add(d.t_s);
-    h.add(d.direction);
-    h.add(d.distance);
+    h.add(d.obs.direction);
+    h.add(d.obs.distance);
   }
   h.add(res.rotational_windows);
   h.add(res.translational_windows);

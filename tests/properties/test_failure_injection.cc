@@ -206,11 +206,11 @@ TEST(FailureInjection, NonFiniteReportFieldsAreDropped) {
   ASSERT_EQ(got.diagnostics.size(), want.diagnostics.size());
   for (std::size_t i = 0; i < got.diagnostics.size(); ++i) {
     EXPECT_EQ(got.diagnostics[i].t_s, want.diagnostics[i].t_s) << i;
-    EXPECT_EQ(static_cast<int>(got.diagnostics[i].motion),
-              static_cast<int>(want.diagnostics[i].motion))
+    EXPECT_EQ(static_cast<int>(got.diagnostics[i].obs.direction.type),
+              static_cast<int>(want.diagnostics[i].obs.direction.type))
         << i;
-    EXPECT_EQ(got.diagnostics[i].distance.dtheta21,
-              want.diagnostics[i].distance.dtheta21)
+    EXPECT_EQ(got.diagnostics[i].obs.distance.dtheta21,
+              want.diagnostics[i].obs.distance.dtheta21)
         << i;
   }
 

@@ -3,9 +3,10 @@
 // footprint follows the beam, not the board, a decoder holds only the beam
 // steps its lag can still commit, the decode scratch is the thread's, so
 // hostile sessions share one board-sized set, and a pen's front end
-// allocates nothing per window once warm. This executable replaces the
-// global operator new/delete with a live-byte and allocation counter, so
-// it holds these five tests and nothing else.
+// allocates nothing per window once warm; a pump frees the burst it
+// decodes. This executable replaces the global operator new/delete with a
+// live-byte and allocation counter, so it holds these six tests and
+// nothing else.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -292,6 +293,51 @@ TEST(SessionMemory, HostileBoundsCostOneScratchPerThread) {
   EXPECT_LT(closed, board_scratch + kSessionBytes)
       << "after every session closed " << closed
       << " B stay; one board-sized scratch is " << board_scratch << " B";
+}
+
+TEST(SessionMemory, BurstIsReleasedByThePumpThatDecodesIt) {
+  // A session holds a submitted window only until the pump that decodes
+  // it. One open session, warmed by 400 windows at one pump each, takes a
+  // burst of 10,000 windows (800 KB of observations) and one pump. Above
+  // the pre-burst mark it may then hold its committed trajectory, 16 B a
+  // position in a vector that at most doubles, and under 80 KB besides: a
+  // mailbox that kept the burst's capacity, or a decoder that kept the
+  // burst's commits buffered, holds more.
+  core::PolarDrawConfig cfg;
+  cfg.board_width_m = 0.4;
+  cfg.board_height_m = 0.3;
+  cfg.block_m = 0.01;
+  cfg.beam_width = 150;
+  const core::DecodeTestbed tb = core::make_decode_testbed(cfg, 1000, 3);
+  SessionServerConfig scfg;
+  scfg.n_workers = 1;
+  SessionServer server(cfg, tb.a1, tb.a2, tb.antenna_z, scfg);
+  server.open(1, &tb.start);
+
+  constexpr std::size_t kWarmup = 400, kBurst = 10000;
+  std::size_t committed = 0;
+  std::size_t w = 0;
+  const auto submit = [&] {
+    EXPECT_TRUE(server.submit(1, tb.obs[w % tb.obs.size()],
+                              static_cast<double>(w) * cfg.window_s));
+    ++w;
+  };
+  for (; w < kWarmup;) {
+    submit();
+    committed += server.pump();
+  }
+  const std::int64_t before = g_live_bytes.load();
+  while (w < kWarmup + kBurst) submit();
+  committed += server.pump();
+  const std::int64_t held = g_live_bytes.load() - before;
+  const auto trajectory_bytes =
+      static_cast<std::int64_t>(2 * committed * sizeof(Vec2));
+  RecordProperty("burst_bytes_held", std::to_string(held));
+  EXPECT_LT(held, trajectory_bytes + 80 * 1024)
+      << "after a " << kBurst << "-window burst and one pump a session holds "
+      << held << " B; its " << committed << " committed positions take at "
+      << "most " << trajectory_bytes << " B";
+  EXPECT_EQ(server.close(1).size(), kWarmup + kBurst + 1);
 }
 
 TEST(SessionMemory, PenFrontEndAllocatesNothingPerWindow) {

@@ -3,7 +3,6 @@
 //
 // Usage:
 //   benchjson [--smoke] [--bench-dir <dir>] [--out-dir <dir>]
-//             [--filter <substr>] [--check]
 //   benchjson --validate-trace <file.json>
 //
 //   --smoke      set PD_BENCH_SMOKE=1 (tiny configurations, CI-speed)
@@ -11,12 +10,10 @@
 //                (default: build/bench)
 //   --out-dir    directory receiving BENCH_*.json + per-binary logs
 //                (default: bench-json)
-//   --filter     only run binaries whose file name contains the substring
-//   --check      skip running; only validate the JSON already in --out-dir
 //   --validate-trace  parse one Chrome trace-event file (TRACE_*.json) and
 //                check it against validate_chrome_trace(); exit 0 iff valid
 //
-// Exit code 0 iff every selected binary ran successfully and every JSON
+// Exit code 0 iff every bench binary ran successfully and every JSON
 // file in the output directory passes validate_bench_json(). Each binary
 // runs with PD_GIT_SHA set from `git rev-parse` when available.
 #include <sys/wait.h>
@@ -42,16 +39,13 @@ namespace {
 
 struct Options {
   bool smoke = false;
-  bool check_only = false;
   std::string bench_dir = "build/bench";
   std::string out_dir = "bench-json";
-  std::string filter;
 };
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--smoke] [--bench-dir <dir>] [--out-dir <dir>]"
-               " [--filter <substr>] [--check]\n"
+            << " [--smoke] [--bench-dir <dir>] [--out-dir <dir>]\n"
                "       "
             << argv0 << " --validate-trace <file.json>\n";
   return 2;
@@ -94,9 +88,6 @@ std::vector<fs::path> discover_benches(const Options& opt) {
     const std::string name = entry.path().filename().string();
     if (name.rfind("bench_", 0) != 0) continue;
     if (name.find('.') != std::string::npos) continue;  // logs, not binaries
-    if (!opt.filter.empty() && name.find(opt.filter) == std::string::npos) {
-      continue;
-    }
     benches.push_back(entry.path());
   }
   std::sort(benches.begin(), benches.end());
@@ -199,7 +190,7 @@ bool validate_outputs(const Options& opt, std::size_t n_benches_run) {
     std::cout << "no BENCH_*.json files in " << opt.out_dir << "\n";
     all_ok = false;
   }
-  if (n_benches_run > 0 && jsons.size() < n_benches_run) {
+  if (jsons.size() < n_benches_run) {
     std::cout << "only " << jsons.size() << " of " << n_benches_run
               << " bench binaries produced JSON\n";
     all_ok = false;
@@ -215,14 +206,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       opt.smoke = true;
-    } else if (arg == "--check") {
-      opt.check_only = true;
     } else if (arg == "--bench-dir" && i + 1 < argc) {
       opt.bench_dir = argv[++i];
     } else if (arg == "--out-dir" && i + 1 < argc) {
       opt.out_dir = argv[++i];
-    } else if (arg == "--filter" && i + 1 < argc) {
-      opt.filter = argv[++i];
     } else if (arg == "--validate-trace" && i + 1 < argc) {
       return validate_trace_file(argv[++i]);
     } else {
@@ -230,35 +217,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::size_t n_run = 0;
-  bool ok = true;
-  if (!opt.check_only) {
-    const auto benches = discover_benches(opt);
-    if (benches.empty()) {
-      std::cerr << "no bench_* binaries found in " << opt.bench_dir << "\n";
+  const auto benches = discover_benches(opt);
+  if (benches.empty()) {
+    std::cerr << "no bench_* binaries found in " << opt.bench_dir << "\n";
+    return 1;
+  }
+  std::error_code ec;
+  fs::create_directories(opt.out_dir, ec);
+  // Probe writability up front: a read-only or uncreatable out-dir would
+  // otherwise surface as N cryptic per-binary failures. The bench
+  // binaries see the same directory via PD_BENCH_JSON_DIR.
+  {
+    const std::string probe_path = opt.out_dir + "/.benchjson-probe";
+    std::ofstream probe(probe_path);
+    if (!probe) {
+      std::cerr << "benchjson: output directory " << opt.out_dir
+                << " is not writable (bench binaries would fail to write "
+                   "PD_BENCH_JSON_DIR)\n";
       return 1;
     }
-    std::error_code ec;
-    fs::create_directories(opt.out_dir, ec);
-    // Probe writability up front: a read-only or uncreatable out-dir would
-    // otherwise surface as N cryptic per-binary failures. The bench
-    // binaries see the same directory via PD_BENCH_JSON_DIR.
-    {
-      const std::string probe_path = opt.out_dir + "/.benchjson-probe";
-      std::ofstream probe(probe_path);
-      if (!probe) {
-        std::cerr << "benchjson: output directory " << opt.out_dir
-                  << " is not writable (bench binaries would fail to write "
-                     "PD_BENCH_JSON_DIR)\n";
-        return 1;
-      }
-      probe.close();
-      fs::remove(probe_path, ec);
-    }
-    n_run = benches.size();
-    ok = run_benches(opt, benches);
+    probe.close();
+    fs::remove(probe_path, ec);
   }
-  ok = validate_outputs(opt, n_run) && ok;
+  bool ok = run_benches(opt, benches);
+  ok = validate_outputs(opt, benches.size()) && ok;
   std::cout << (ok ? "benchjson: all checks passed\n"
                    : "benchjson: FAILURES\n");
   return ok ? 0 : 1;
