@@ -7,12 +7,11 @@
 // split (rotational when either antenna's RSS moved by at least
 // kRotationRssDeltaDb, else translational from the phase trends), runs
 // the rotation or translation direction decode, and bounds the
-// displacement (Eq. 5 annulus + Eq. 7 hyperbola data). Each push returns
-// that window's raw observation at once, and PolarDraw::track keeps it as
-// the window's diagnostic record. Directions are then smoothed with a
-// [1/4 1/2 1/4] kernel over raw neighbours; because that kernel looks one
-// window ahead, each smoothed observation is released one push late, and
-// flush() releases the last one smoothed on its left only.
+// displacement (Eq. 5 annulus + Eq. 7 hyperbola data), returning that raw
+// observation at once. Directions are then smoothed with a [1/4 1/2 1/4]
+// kernel over raw neighbours; because that kernel looks one window ahead,
+// each observation is released one push late, and flush() releases the
+// last one smoothed on its left only.
 #pragma once
 
 #include <optional>

@@ -26,10 +26,9 @@ struct TrackingResult {
   /// point per window, less the `kWarmupWindows` leading points, which are
   /// trimmed whenever that leaves more than 8.
   std::vector<Vec2> trajectory;
-  /// Each window's raw (unsmoothed) observation, as
-  /// MotionFrontEnd::push returns it. Untrimmed, it has one entry fewer
-  /// than the trajectory; after the default 8-window warm-up trim it has 7
-  /// more.
+  /// Each window's raw (unsmoothed) observation. Untrimmed, it has one
+  /// entry fewer than the trajectory; after the default 8-window warm-up
+  /// trim it has 7 more.
   std::vector<TimedObservation> diagnostics;
   /// Count of windows classified rotational / translational / idle.
   int rotational_windows = 0;

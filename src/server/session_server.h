@@ -192,18 +192,13 @@ class SessionServer {
   /// The live state status() reports and healthz() judges.
   [[nodiscard]] LiveStatus live_status() const;
 
-  /// A submitted observation's stamps, kept until the position it created
-  /// commits; the observation itself leaves with the mailbox.
+  /// A submitted observation's stamps, kept until its position commits.
   struct Pending {
     Clock::time_point stamp;  // submit wall time (push-to-commit latency)
     double t_s = 0.0;         // sim time (rolling window, starvation)
     std::uint64_t flow_id = 0;  // causal flow chain (0 = unsampled)
   };
 
-  /// One pen: a window waits in the mailbox until the next drain decodes
-  /// it, and only its 24 B of stamps wait on until its position commits.
-  /// The session's heap is its decoder's lag + 1 beam steps, the stamps
-  /// and the committed trajectory (DESIGN.md section 13).
   struct Session {
     Session(const core::PolarDrawConfig& cfg, Vec2 a1, Vec2 a2,
             double antenna_z, const core::StreamingConfig& scfg,
@@ -237,10 +232,9 @@ class SessionServer {
     /// Set when a submit logs server.backpressure; a drain re-arms it.
     bool backpressure_logged PD_GUARDED_BY(mu) = false;
 
-    /// Decodes the mailbox into `committed` and frees the mailbox's
-    /// storage (clear() would keep a burst's capacity). Polling after each
-    /// push keeps the decoder's commit buffer at one window's commits.
-    /// Returns the number of positions committed.
+    /// Decodes the mailbox into `committed`, polling after each push so
+    /// the decoder buffers no burst either, and frees the mailbox's storage
+    /// (clear() would keep it). Returns the number of positions committed.
     std::size_t drain_mailbox() PD_REQUIRES(mu) {
       std::size_t n = 0;
       for (const core::TrackObservation& o : mailbox) {

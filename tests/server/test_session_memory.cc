@@ -322,7 +322,7 @@ TEST(SessionMemory, BurstIsReleasedByThePumpThatDecodesIt) {
                               static_cast<double>(w) * cfg.window_s));
     ++w;
   };
-  for (; w < kWarmup;) {
+  while (w < kWarmup) {
     submit();
     committed += server.pump();
   }
