@@ -77,6 +77,24 @@ TEST(TrialSeeding, LetterAccuracyTrialsMatchStandaloneRuns) {
   EXPECT_TRUE(same_outcome(results[3], run_trial("O", alone_cfg)));
 }
 
+// The word sweep is word-major: trial k writes test_word(2, k / reps) from
+// trial_seed(cfg.seed, k). fig18 and ext_nlp both read it in that order.
+TEST(TrialSeeding, WordAccuracyTrialsMatchStandaloneRuns) {
+  TrialConfig cfg;
+  cfg.system = System::kPolarDraw;
+  cfg.seed = 321;
+  std::vector<TrialResult> results;
+  word_accuracy(2, 2, cfg, &results, 1);
+  ASSERT_EQ(results.size(), 20u);
+  for (std::size_t k = 0; k < results.size(); ++k) {
+    TrialConfig alone_cfg = cfg;
+    alone_cfg.seed = trial_seed(cfg.seed, k);
+    EXPECT_TRUE(
+        same_outcome(results[k], run_trial(test_word(2, k / 2), alone_cfg)))
+        << "trial " << k;
+  }
+}
+
 // The satellite determinism test: the same 26-letter sweep at 1, 2 and 8
 // threads must give identical accuracy, confusion matrix, and per-trial
 // Procrustes distances.

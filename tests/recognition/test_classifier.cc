@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "handwriting/kinematics.h"
 #include "handwriting/synthesizer.h"
@@ -72,6 +75,76 @@ TEST(LetterClassifier, SecondBestPopulated) {
   EXPECT_EQ(r.letter, 'O');
   EXPECT_NE(r.second, 'O');
   EXPECT_GE(r.second_score, r.score);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// A word laid out from the font, left to right, with no wobble.
+std::vector<Vec2> clean_word(const std::string& word) {
+  constexpr double kSize = 0.15;
+  std::vector<handwriting::Stroke> strokes;
+  Vec2 cursor{0.1, 0.2};
+  for (char c : word) {
+    const auto& g = handwriting::glyph_for(c);
+    for (auto& s : handwriting::place_glyph(g, cursor, kSize)) {
+      strokes.push_back(std::move(s));
+    }
+    cursor.x += g.advance * kSize;
+  }
+  return handwriting::flatten_strokes(strokes);
+}
+
+// The tests around this one check rankings only. This one pins the shape
+// scores themselves, bit for bit: classify's best and runner-up scores
+// and word_score, on clean renderings and on one seeded noisy trajectory.
+TEST(LetterClassifier, ShapeScoresBitPinned) {
+  const LetterClassifier cls;
+  auto noisy = resample_by_arclength(clean_word("SUN"), 240);
+  Rng rng(29);
+  for (auto& p : noisy) {
+    p.x += rng.gaussian(0.0, 0.008);
+    p.y += rng.gaussian(0.0, 0.008);
+  }
+
+  struct LetterPin {
+    const char* what;
+    std::vector<Vec2> trajectory;
+    std::uint64_t score, second_score;
+  };
+  const LetterPin letters[] = {
+      {"A", clean_letter('A'), 0x3cb0554783256335, 0x3fd7f0ae041dac33},
+      {"K", clean_letter('K'), 0x3caa0c696d56b54c, 0x3fd2bb296e43493a},
+      {"S", clean_letter('S'), 0x3c9e641989d09c0b, 0x3fd37b64e8389cac},
+      {"Z", clean_letter('Z'), 0x3ca793dcd7092aad, 0x3fd76b44b5cf36c7},
+      {"noisy SUN", noisy, 0x3fd1037db7798322, 0x3fd8367f06c5e634},
+  };
+  for (const LetterPin& pin : letters) {
+    const Classification c = cls.classify(pin.trajectory);
+    EXPECT_EQ(bits(c.score), pin.score)
+        << pin.what << std::hex << " score bits 0x" << bits(c.score);
+    EXPECT_EQ(bits(c.second_score), pin.second_score)
+        << pin.what << std::hex << " second_score bits 0x"
+        << bits(c.second_score);
+  }
+
+  struct WordPin {
+    const char* what;
+    std::vector<Vec2> trajectory;
+    const char* text;
+    std::uint64_t score;
+  };
+  const WordPin words[] = {
+      {"SUN", clean_word("SUN"), "SUN", 0x3cbd3d6b32d930f1},
+      {"SUN", clean_word("SUN"), "MAP", 0x3fd03b8ca8f64058},
+      {"MOON", clean_word("MOON"), "MOON", 0x3cb3bcefd70040cb},
+      {"noisy SUN", noisy, "SUN", 0x3f8d6ad72dae438c},
+      {"noisy SUN", noisy, "CAR", 0x3fcab1c0a7ab9591},
+  };
+  for (const WordPin& pin : words) {
+    const double s = cls.word_score(pin.trajectory, pin.text);
+    EXPECT_EQ(bits(s), pin.score) << pin.what << " vs " << pin.text
+                                  << std::hex << " bits 0x" << bits(s);
+  }
 }
 
 TEST(WordClassifier, SegmentsCleanWordsMostly) {
