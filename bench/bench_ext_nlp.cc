@@ -31,22 +31,15 @@ Outcome run(std::size_t len, int reps) {
   static const recognition::LetterClassifier classifier;
   static const recognition::WordCorrector corrector{
       recognition::BigramModel{}, 1.5};
-  // The trials dominate the cost: run them as one parallel batch, then
+  // The trials dominate the cost: run them as one parallel sweep, then
   // post-process serially in trial-index order.
-  std::vector<eval::TrialSpec> specs;
-  for (std::size_t i = 0; i < 10; ++i) {
-    for (int r = 0; r < reps; ++r) {
-      eval::TrialSpec spec{eval::test_word(len, i),
-                           bench::default_trial(eval::System::kPolarDraw,
-                                                5200 + 71 * len)};
-      spec.cfg.seed = eval::trial_seed(spec.cfg.seed, specs.size());
-      specs.push_back(std::move(spec));
-    }
-  }
-  const auto results = eval::run_trials(specs, bench::n_threads());
-  for (std::size_t n = 0; n < results.size(); ++n) {
-    const std::string& word = specs[n].text;
-    const auto& res = results[n];
+  std::vector<eval::TrialResult> results;
+  eval::word_accuracy(
+      len, reps,
+      bench::default_trial(eval::System::kPolarDraw, 5200 + 71 * len),
+      &results, bench::n_threads());
+  for (const auto& res : results) {
+    const std::string& word = res.text;
 
     // Per-letter segmentation with the classifier's actual best and
     // runner-up hypotheses per position, plus a flat tail so the bigram
@@ -102,20 +95,13 @@ static void run_dictionary_experiment() {
       if (w.size() == len) candidates.push_back(w);
     }
     int shape_ok = 0, lm_ok = 0, total = 0;
-    std::vector<eval::TrialSpec> specs;
-    for (std::size_t i = 0; i < 10; ++i) {
-      for (int r = 0; r < reps; ++r) {
-        eval::TrialSpec spec{eval::test_word(len, i),
-                             bench::default_trial(eval::System::kPolarDraw,
-                                                  6300 + 71 * len)};
-        spec.cfg.seed = eval::trial_seed(spec.cfg.seed, specs.size());
-        specs.push_back(std::move(spec));
-      }
-    }
-    const auto results = eval::run_trials(specs, bench::n_threads());
-    for (std::size_t n = 0; n < results.size(); ++n) {
-      const std::string& word = specs[n].text;
-      const auto& res = results[n];
+    std::vector<eval::TrialResult> results;
+    eval::word_accuracy(
+        len, reps,
+        bench::default_trial(eval::System::kPolarDraw, 6300 + 71 * len),
+        &results, bench::n_threads());
+    for (const auto& res : results) {
+      const std::string& word = res.text;
       std::string best_shape, best_lm;
       double s_shape = 1e18, s_lm = 1e18;
       for (const auto& cand : candidates) {

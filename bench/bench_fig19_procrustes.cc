@@ -21,18 +21,12 @@ static void run_experiment() {
   bench::Stopwatch watch;
   bench::TrialTimes times;
   for (int s = 0; s < 3; ++s) {
-    // One batch per system: trial seeds are counter-derived, so the CDF
+    // One sweep per system: trial seeds are counter-derived, so the CDF
     // is identical at any thread count.
-    std::vector<eval::TrialSpec> specs;
-    for (char c : std::string("CMOSU")) {
-      for (int r = 0; r < reps; ++r) {
-        eval::TrialSpec spec{std::string(1, c),
-                             bench::default_trial(systems[s], 8100 + s)};
-        spec.cfg.seed = eval::trial_seed(spec.cfg.seed, specs.size());
-        specs.push_back(std::move(spec));
-      }
-    }
-    const auto results = eval::run_trials(specs, bench::n_threads());
+    std::vector<eval::TrialResult> results;
+    eval::letter_accuracy("CMOSU", reps,
+                          bench::default_trial(systems[s], 8100 + s), nullptr,
+                          bench::n_threads(), &results);
     times.add(results);
     for (const auto& res : results) {
       errors[s].push_back(res.procrustes_m * 100.0);

@@ -59,7 +59,6 @@ ChannelSample MultipathChannel::evaluate(const em::ReaderAntenna& antenna,
       const double beta_tag =
           em::mismatch_angle(axis_after_bounce, tag.dipole_axis, dir_st);
       chi_fwd = em::malus_factor(beta_tag);
-      (void)dir_as;
     } else {
       axis_after_bounce = reflected_polarization(s.reflected_axis, s);
       chi_fwd = 0.5;

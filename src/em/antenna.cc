@@ -11,10 +11,8 @@ double ReaderAntenna::gain_toward(const Vec3& target) const {
   const double c = dir.dot(boresight);
   if (c <= 0.0) return 0.0;  // behind the panel
   // Raised-cosine pattern calibrated so gain halves at the half-power angle.
-  const double off_angle = std::acos(std::min(c, 1.0));
   const double n = std::log(0.5) / std::log(std::cos(beamwidth_rad / 2.0));
   const double pattern = std::pow(c, n);
-  (void)off_angle;
   return db_to_ratio(gain_dbi) * pattern;
 }
 

@@ -59,11 +59,42 @@ double seconds_between(std::chrono::steady_clock::time_point t0,
                        std::chrono::steady_clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
+
+// The ten test words of one length group: word_accuracy's texts and the
+// lexicon run_trial judges a word against.
+std::vector<std::string> word_group(std::size_t letters) {
+  std::vector<std::string> words;
+  for (std::size_t i = 0; i < 10; ++i) words.push_back(test_word(letters, i));
+  return words;
+}
+
+// Runs `reps` trials of each text in turn, trial k seeded with
+// trial_seed(cfg.seed, k), so trial k's seed depends only on (cfg.seed, k),
+// never on how many trials ran before it or on which thread it lands.
+// Returns the share of trials recognized correctly.
+double run_sweep(const std::vector<std::string>& texts, int reps,
+                 const TrialConfig& cfg, int n_threads,
+                 std::vector<TrialResult>& results) {
+  std::vector<TrialSpec> specs;
+  specs.reserve(texts.size() * static_cast<std::size_t>(std::max(reps, 0)));
+  for (const std::string& text : texts) {
+    for (int r = 0; r < reps; ++r) {
+      TrialSpec spec{text, cfg};
+      spec.cfg.seed = trial_seed(cfg.seed, specs.size());
+      specs.push_back(std::move(spec));
+    }
+  }
+  results = run_trials(specs, n_threads);
+  const auto correct = std::count_if(
+      results.begin(), results.end(),
+      [](const TrialResult& res) { return res.all_correct; });
+  return results.empty() ? 0.0
+                         : static_cast<double>(correct) /
+                               static_cast<double>(results.size());
+}
 }  // namespace
 
 TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
-  // Stage boundaries are read once and shared between StageTimings and the
-  // tracer's per-stage 'X' events, so tracing adds no clock reads here.
   obs::Tracer& tracer = obs::Tracer::global();
   const bool tracing = tracer.enabled();
   static const obs::TraceName synth_name("eval.stage.synth");
@@ -83,19 +114,21 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
   // --- Synthesize the writing and run the reader -------------------------
   sim::Scene scene(cfg.scene);
   Rng rng(cfg.seed * 7919 + 13);
+  // One clock read closes a stage and opens the next; the StageTimings
+  // slot and the tracer's 'X' event share it, so tracing adds no reads.
   // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
   auto stage_start = std::chrono::steady_clock::now();
+  const auto close_stage = [&](double& slot, const obs::TraceName& name) {
+    // polarlint-allow(R7): stage timing only; never feeds the decode.
+    const auto stage_end = std::chrono::steady_clock::now();
+    slot = seconds_between(stage_start, stage_end);
+    if (tracing) tracer.complete(name.id(), stage_start, stage_end);
+    stage_start = stage_end;
+  };
   const auto trace = handwriting::synthesize(text, cfg.synth, rng);
-  // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
-  auto stage_end = std::chrono::steady_clock::now();
-  out.stages.synth_s = seconds_between(stage_start, stage_end);
-  if (tracing) tracer.complete(synth_name.id(), stage_start, stage_end);
-  stage_start = stage_end;
+  close_stage(out.stages.synth_s, synth_name);
   const auto reports = scene.run(trace);
-  // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
-  stage_end = std::chrono::steady_clock::now();
-  out.stages.reader_s = seconds_between(stage_start, stage_end);
-  if (tracing) tracer.complete(reader_name.id(), stage_start, stage_end);
+  close_stage(out.stages.reader_s, reader_name);
   out.report_count = reports.size();
   out.ground_truth = handwriting::flatten_strokes(trace.ground_truth);
 
@@ -138,13 +171,9 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
       break;
     }
   }
-  // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
-  stage_end = std::chrono::steady_clock::now();
-  out.stages.track_s = seconds_between(stage_start, stage_end);
-  if (tracing) tracer.complete(track_name.id(), stage_start, stage_end);
+  close_stage(out.stages.track_s, track_name);
 
   // --- Score ----------------------------------------------------------------
-  stage_start = stage_end;
   if (!out.trajectory.empty() && out.ground_truth.size() >= 2) {
     out.procrustes_m =
         recognition::procrustes_distance(out.ground_truth, out.trajectory);
@@ -164,22 +193,16 @@ TrialResult run_trial(const std::string& text, const TrialConfig& cfg_in) {
   } else {
     // Words are judged with the length-group lexicon, mirroring the
     // paper's dictionary-backed recognizer over O.E.D. test words.
-    std::vector<std::string> lexicon;
-    for (std::size_t i = 0; i < 10; ++i) {
-      lexicon.push_back(test_word(letters.size(), i));
-    }
-    out.recognized = classifier.classify_word_lexicon(out.trajectory, lexicon);
+    out.recognized = classifier.classify_word_lexicon(
+        out.trajectory, word_group(letters.size()));
     std::string upper;
     for (char c : letters)
       upper.push_back(
           static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
     out.all_correct = out.recognized == upper;
   }
-  // polarlint-allow(R7): stage-timing measurement only; never feeds the decode.
-  stage_end = std::chrono::steady_clock::now();
-  out.stages.classify_s = seconds_between(stage_start, stage_end);
-  if (tracing) tracer.complete(classify_name.id(), stage_start, stage_end);
-  out.wall_s = seconds_between(trial_start, stage_end);
+  close_stage(out.stages.classify_s, classify_name);
+  out.wall_s = seconds_between(trial_start, stage_start);
   static const obs::Histogram trial_hist("eval.trial");
   static const obs::Counter trials_counter("eval.trials");
   trial_hist.observe(out.wall_s);
@@ -209,55 +232,26 @@ std::vector<TrialResult> run_trials(const std::vector<TrialSpec>& specs,
 double letter_accuracy(const std::string& letters, int reps, TrialConfig cfg,
                        recognition::ConfusionMatrix* cm, int n_threads,
                        std::vector<TrialResult>* results_out) {
-  // Counter-based seeding: trial k's seed depends only on (cfg.seed, k),
-  // never on how many trials ran before it or on which thread it lands.
-  std::vector<TrialSpec> specs;
-  specs.reserve(letters.size() * static_cast<std::size_t>(std::max(reps, 0)));
-  for (char c : letters) {
-    for (int r = 0; r < reps; ++r) {
-      TrialSpec spec{std::string(1, c), cfg};
-      spec.cfg.seed = trial_seed(cfg.seed, specs.size());
-      specs.push_back(std::move(spec));
-    }
-  }
-  auto results = run_trials(specs, n_threads);
+  std::vector<std::string> texts;
+  for (char c : letters) texts.emplace_back(1, c);
+  std::vector<TrialResult> results;
+  const double acc = run_sweep(texts, reps, cfg, n_threads, results);
   // Aggregate strictly in trial-index order after the join so the
   // confusion matrix is bit-identical at every thread count.
-  int correct = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].all_correct) ++correct;
-    if (cm != nullptr && !results[i].recognized.empty()) {
-      cm->record(specs[i].text[0], results[i].recognized[0]);
+  for (const TrialResult& res : results) {
+    if (cm != nullptr && !res.recognized.empty()) {
+      cm->record(res.text[0], res.recognized[0]);
     }
   }
-  const double acc =
-      results.empty()
-          ? 0.0
-          : static_cast<double>(correct) / static_cast<double>(results.size());
   if (results_out != nullptr) *results_out = std::move(results);
   return acc;
 }
 
 double word_accuracy(std::size_t letters, int reps, TrialConfig cfg,
                      std::vector<TrialResult>* results_out, int n_threads) {
-  std::vector<TrialSpec> specs;
-  specs.reserve(10 * static_cast<std::size_t>(std::max(reps, 0)));
-  for (std::size_t i = 0; i < 10; ++i) {
-    for (int r = 0; r < reps; ++r) {
-      TrialSpec spec{test_word(letters, i), cfg};
-      spec.cfg.seed = trial_seed(cfg.seed, specs.size());
-      specs.push_back(std::move(spec));
-    }
-  }
-  auto results = run_trials(specs, n_threads);
-  int correct = 0;
-  for (const auto& res : results) {
-    if (res.all_correct) ++correct;
-  }
+  std::vector<TrialResult> results;
   const double acc =
-      results.empty()
-          ? 0.0
-          : static_cast<double>(correct) / static_cast<double>(results.size());
+      run_sweep(word_group(letters), reps, cfg, n_threads, results);
   if (results_out != nullptr) *results_out = std::move(results);
   return acc;
 }

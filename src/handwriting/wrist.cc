@@ -31,7 +31,6 @@ double WristModel::azimuth_from_rotation(double alpha_r_rad,
 em::PenAngles WristModel::step(const PathSample& sample) {
   const double dt = started_ ? std::max(sample.t_s - prev_t_, 0.0) : 0.0;
   prev_t_ = sample.t_s;
-  (void)dt;
 
   if (!started_ || !sample.pen_down) {
     // Hand repositions freely while the pen is lifted: the pivot glides

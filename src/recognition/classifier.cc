@@ -30,6 +30,27 @@ std::vector<Vec2> normalize_shape(std::vector<Vec2> pts) {
   return pts;
 }
 
+/// Shape dissimilarity of a normalized probe against a normalized
+/// reference of the same length. Procrustes aligns the probe, then the
+/// recovered similarity transform is applied and DTW absorbs the
+/// along-curve time distortion that fixed-index residuals over-penalize.
+/// The score blends both views: `wp` weighs the Procrustes residual and
+/// `wd` ten times the DTW distance.
+double shape_score(const std::vector<Vec2>& reference,
+                   const std::vector<Vec2>& probe, double wp, double wd) {
+  // Allow moderate residual rotation from tracking error, but not the
+  // right-angle turns that would alias one letter into another (Z/N).
+  constexpr double kMaxRotation = 0.7;  // ~40 degrees
+  const ProcrustesResult r = procrustes(reference, probe, kMaxRotation);
+  const double c = std::cos(r.rotation_rad), s = std::sin(r.rotation_rad);
+  std::vector<Vec2> aligned;
+  aligned.reserve(probe.size());
+  for (const Vec2& p : probe) {
+    aligned.push_back(Vec2{c * p.x - s * p.y, s * p.x + c * p.y} * r.scale);
+  }
+  return wp * r.normalized + wd * dtw_distance(reference, aligned) * 10.0;
+}
+
 }  // namespace
 
 LetterClassifier::LetterClassifier(std::size_t points) : points_(points) {
@@ -53,23 +74,8 @@ Classification LetterClassifier::classify(
 
   double best = 1e9, second = 1e9;
   char best_c = '?', second_c = '?';
-  // Allow moderate residual rotation from tracking error, but not the
-  // right-angle turns that would alias one letter into another (Z/N).
-  constexpr double kMaxRotation = 0.7;  // ~40 degrees
   for (const Template& t : templates_) {
-    const ProcrustesResult r = procrustes(t.shape, probe, kMaxRotation);
-    // Elastic rescoring: apply the recovered similarity transform, then
-    // let DTW absorb the along-curve time distortion that fixed-index
-    // residuals over-penalize. The final score blends both views.
-    const double c = std::cos(r.rotation_rad), s = std::sin(r.rotation_rad);
-    std::vector<Vec2> aligned;
-    aligned.reserve(probe.size());
-    for (const Vec2& p : probe) {
-      aligned.push_back(
-          Vec2{c * p.x - s * p.y, s * p.x + c * p.y} * r.scale);
-    }
-    const double elastic = dtw_distance(t.shape, aligned);
-    const double score = 0.7 * r.normalized + 0.3 * elastic * 10.0;
+    const double score = shape_score(t.shape, probe, 0.7, 0.3);
     if (score < best) {
       second = best;
       second_c = best_c;
@@ -176,16 +182,7 @@ double LetterClassifier::word_score(const std::vector<Vec2>& trajectory,
   const std::size_t n = points_ * std::max<std::size_t>(text.size(), 1);
   const auto a = normalize_shape(resample_by_arclength(tmpl, n));
   const auto b = normalize_shape(resample_by_arclength(trajectory, n));
-  const ProcrustesResult r = procrustes(a, b, 0.7);
-  const double cos_r = std::cos(r.rotation_rad);
-  const double sin_r = std::sin(r.rotation_rad);
-  std::vector<Vec2> aligned;
-  aligned.reserve(b.size());
-  for (const Vec2& p : b) {
-    aligned.push_back(
-        Vec2{cos_r * p.x - sin_r * p.y, sin_r * p.x + cos_r * p.y} * r.scale);
-  }
-  return 0.5 * r.normalized + 0.5 * dtw_distance(a, aligned) * 10.0;
+  return shape_score(a, b, 0.5, 0.5);
 }
 
 std::string LetterClassifier::classify_word_lexicon(

@@ -59,16 +59,14 @@ std::vector<em::ReaderAntenna> build_rig(const SceneConfig& cfg) {
       // tag is within the coverage area of all four antennas".
       const double hx = 0.865 / 2.0, hy = 0.56 / 2.0;
       const double standoff = cfg.antenna_standoff_m;
-      const auto face_board = [&](double x, double y) {
-        em::ReaderAntenna a =
-            em::make_circular_antenna(Vec3{x, y, standoff});
-        a.boresight = Vec3{0.0, 0.0, -1.0};
-        return a;
-      };
-      rig.push_back(face_board(cx - hx, write_cy + hy));
-      rig.push_back(face_board(cx + hx, write_cy + hy));
-      rig.push_back(face_board(cx - hx, write_cy - hy));
-      rig.push_back(face_board(cx + hx, write_cy - hy));
+      rig.push_back(
+          em::make_circular_antenna(Vec3{cx - hx, write_cy + hy, standoff}));
+      rig.push_back(
+          em::make_circular_antenna(Vec3{cx + hx, write_cy + hy, standoff}));
+      rig.push_back(
+          em::make_circular_antenna(Vec3{cx - hx, write_cy - hy, standoff}));
+      rig.push_back(
+          em::make_circular_antenna(Vec3{cx + hx, write_cy - hy, standoff}));
       break;
     }
     case RigLayout::kRfIdrawFourAntenna: {
@@ -78,16 +76,14 @@ std::vector<em::ReaderAntenna> build_rig(const SceneConfig& cfg) {
       // board and facing it, giving AoA diversity in both axes.
       const double fine = 0.17;  // ~lambda/2 within an array
       const double standoff = cfg.antenna_standoff_m;
-      const auto face_board = [&](double x, double y) {
-        em::ReaderAntenna a =
-            em::make_circular_antenna(Vec3{x, y, standoff});
-        a.boresight = Vec3{0.0, 0.0, -1.0};
-        return a;
-      };
-      rig.push_back(face_board(cx - 0.865 / 2.0, write_cy + 0.30));
-      rig.push_back(face_board(cx - 0.865 / 2.0 + fine, write_cy + 0.30));
-      rig.push_back(face_board(cx + 0.865 / 2.0, write_cy + 0.15));
-      rig.push_back(face_board(cx + 0.865 / 2.0, write_cy + 0.15 - fine));
+      rig.push_back(em::make_circular_antenna(
+          Vec3{cx - 0.865 / 2.0, write_cy + 0.30, standoff}));
+      rig.push_back(em::make_circular_antenna(
+          Vec3{cx - 0.865 / 2.0 + fine, write_cy + 0.30, standoff}));
+      rig.push_back(em::make_circular_antenna(
+          Vec3{cx + 0.865 / 2.0, write_cy + 0.15, standoff}));
+      rig.push_back(em::make_circular_antenna(
+          Vec3{cx + 0.865 / 2.0, write_cy + 0.15 - fine, standoff}));
       break;
     }
   }
