@@ -35,15 +35,6 @@ inline int reps_scale() {
   return v > 0 ? v : 1;
 }
 
-/// True when the environment variable is set to anything but "0".
-inline bool env_flag(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && std::string(env) != "0";
-}
-
-/// Smoke mode (PD_BENCH_SMOKE): tiny configurations, seconds not minutes.
-inline bool smoke_mode() { return env_flag("PD_BENCH_SMOKE"); }
-
 /// Headline metrics recorded by the experiment sections for the JSON
 /// export (insertion-ordered; re-recording a key overwrites its value).
 inline std::vector<std::pair<std::string, double>>& recorded_metrics() {
@@ -209,7 +200,6 @@ class Session {
     w.kv("schema_version", 1);
     w.kv("name", name_);
     w.kv("git_sha", sha != nullptr ? sha : "unknown");
-    w.kv("smoke", smoke_mode());
     w.kv("wall_s", watch_.seconds());
     w.key("config");
     w.begin_object();

@@ -91,7 +91,6 @@ std::string valid_bench_doc() {
   "schema_version": 1,
   "name": "fig13",
   "git_sha": "0123abcd",
-  "smoke": true,
   "wall_s": 1.25,
   "config": {"reps_scale": 1, "threads": 8},
   "metrics": {"accuracy": 0.846},
@@ -111,8 +110,8 @@ TEST(BenchSchema, ValidDocumentPasses) {
 
 TEST(BenchSchema, MissingRequiredKeyFails) {
   for (const char* key :
-       {"schema_version", "name", "git_sha", "smoke", "wall_s", "config",
-        "metrics", "counters", "gauges", "stages"}) {
+       {"schema_version", "name", "git_sha", "wall_s", "config", "metrics",
+        "counters", "gauges", "stages"}) {
     Value v = parse_ok(valid_bench_doc());
     std::erase_if(v.object,
                   [&](const auto& member) { return member.first == key; });
@@ -177,7 +176,6 @@ TEST(BenchSchema, RoundTripsThroughObsJsonWriter) {
   w.kv("schema_version", 1);
   w.kv("name", "roundtrip");
   w.kv("git_sha", "deadbeef");
-  w.kv("smoke", false);
   w.kv("wall_s", 0.125);
   w.key("config");
   w.begin_object();

@@ -292,10 +292,6 @@ std::vector<std::string> validate_bench_json(const Value& root) {
   if (sha == nullptr || !sha->is_string() || sha->string.empty()) {
     problems.emplace_back("git_sha: missing or empty");
   }
-  const Value* smoke = root.find("smoke");
-  if (smoke == nullptr || !smoke->is_bool()) {
-    problems.emplace_back("smoke: missing or not a boolean");
-  }
   const Value* wall = root.find("wall_s");
   if (wall == nullptr || !wall->is_number() || wall->number < 0.0) {
     problems.emplace_back("wall_s: missing or negative");

@@ -2,10 +2,9 @@
 // emitted BENCH_<name>.json files against the schema contract.
 //
 // Usage:
-//   benchjson [--smoke] [--bench-dir <dir>] [--out-dir <dir>]
+//   benchjson [--bench-dir <dir>] [--out-dir <dir>]
 //   benchjson --validate-trace <file.json>
 //
-//   --smoke      set PD_BENCH_SMOKE=1 (tiny configurations, CI-speed)
 //   --bench-dir  directory holding the bench_* executables
 //                (default: build/bench)
 //   --out-dir    directory receiving BENCH_*.json + per-binary logs
@@ -38,14 +37,13 @@ using polardraw::benchjson::validate_chrome_trace;
 namespace {
 
 struct Options {
-  bool smoke = false;
   std::string bench_dir = "build/bench";
   std::string out_dir = "bench-json";
 };
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--smoke] [--bench-dir <dir>] [--out-dir <dir>]\n"
+            << " [--bench-dir <dir>] [--out-dir <dir>]\n"
                "       "
             << argv0 << " --validate-trace <file.json>\n";
   return 2;
@@ -96,9 +94,6 @@ std::vector<fs::path> discover_benches(const Options& opt) {
 
 bool run_benches(const Options& opt, const std::vector<fs::path>& benches) {
   ::setenv("PD_BENCH_JSON_DIR", opt.out_dir.c_str(), 1);
-  if (opt.smoke) {
-    ::setenv("PD_BENCH_SMOKE", "1", 1);
-  }
   if (std::getenv("PD_GIT_SHA") == nullptr) {
     const std::string sha = git_head_sha();
     ::setenv("PD_GIT_SHA", sha.empty() ? "unknown" : sha.c_str(), 1);
@@ -204,9 +199,7 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--smoke") {
-      opt.smoke = true;
-    } else if (arg == "--bench-dir" && i + 1 < argc) {
+    if (arg == "--bench-dir" && i + 1 < argc) {
       opt.bench_dir = argv[++i];
     } else if (arg == "--out-dir" && i + 1 < argc) {
       opt.out_dir = argv[++i];
