@@ -6,7 +6,7 @@
 #   PD_BENCH_REPS=5 ./reproduce.sh   # closer to the paper's trial counts
 set -eu
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build
 
 ctest --test-dir build --output-on-failure | tee test_output.txt
