@@ -55,9 +55,11 @@ struct ParseResult {
 /// Checks a parsed Chrome trace-event document (TRACE_*.json, as written
 /// by obs::Tracer::write_chrome_trace and loadable in Perfetto). Accepts
 /// either the object form {"traceEvents": [...]} or a bare event array.
-/// Every event needs a nonempty name, a one-character ph in {X,i,I,M,B,E,C},
-/// a nonnegative numeric ts, and numeric pid/tid; 'X' events additionally
-/// need a nonnegative dur, and args (when present) must be an object.
+/// Every event needs a nonempty name, a one-character ph in {X,i,I,M,B,E,C}
+/// or one of the flow phases {s,t,f}, a nonnegative numeric ts, and numeric
+/// pid/tid. 'X' events also need a nonnegative dur; flow events need a
+/// nonnegative numeric id and a nonempty cat. args (when present) must be
+/// an object.
 /// Returns human-readable problems; empty means valid.
 [[nodiscard]] std::vector<std::string> validate_chrome_trace(
     const Value& root);
